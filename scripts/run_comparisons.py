@@ -33,13 +33,13 @@ def main() -> int:
         print(header)
         for mode in MODES:
             metrics, _ = run(scenario, mode=mode, seed=SEED)
-            rows.extend(metrics.csv_rows())
+            mode_rows = metrics.csv_rows()
+            rows.extend(mode_rows)
             ho = metrics.handovers[0]
             window = (ho.at, ho.at + 5 * SEC)
             drops_new = metrics.drops_on_kind(ho.new_kind, start=window[0], end=window[1])
-            for fid in sorted(metrics.flows):
-                fm = metrics.flows[fid]
-                row = next(r for r in metrics.csv_rows() if r["flow_id"] == fid)
+            for row in mode_rows:
+                fm = metrics.flows[row["flow_id"]]
                 print(f"{mode:<11} {fm.goodput_bps() / 1000:>12.1f} {fm.retransmits:>7} "
                       f"{fm.spurious_retransmits:>9} {fm.rto_count:>4} {drops_new:>15} "
                       f"{row['handover_gap_ms']:>9}")

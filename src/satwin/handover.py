@@ -19,7 +19,7 @@ weights; ACK-return pacing is the complementary rate-shaping knob.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -37,7 +37,6 @@ CHAIN_VIOLATION = "CHAIN_VIOLATION"
 class PathEstimate:
     bdp: int
     rtt: int
-    measured_at: int
 
 
 class PathEstimateCache:
@@ -46,8 +45,8 @@ class PathEstimateCache:
     def __init__(self):
         self._by_kind: dict[str, PathEstimate] = {}
 
-    def observe(self, kind: str, bandwidth: int, rtt: int, at: int) -> PathEstimate:
-        est = PathEstimate(bdp=estimate_bdp(bandwidth, rtt), rtt=rtt, measured_at=at)
+    def observe(self, kind: str, bandwidth: int, rtt: int) -> PathEstimate:
+        est = PathEstimate(bdp=estimate_bdp(bandwidth, rtt), rtt=rtt)
         self._by_kind[kind] = est
         return est
 
@@ -96,9 +95,8 @@ def compute_delta(rtt_mn_sat_cn: int, rtt_mn_sat_ha: int, rtt_mn_old_ha: int) ->
 
 @dataclass
 class HandoverPlan:
-    """Computed schedule for one handover plus the timeline observed while
-    executing it (advertisement send/arrival, last old-window data at the
-    anchor, registration send/arrival, registration ack arrival)."""
+    """Computed schedule for one handover (the timeline observed while
+    executing it is kept in HandoverMetrics)."""
 
     direction: str
     w_rec: int = 0
@@ -110,11 +108,7 @@ class HandoverPlan:
     ramp_step: int = 0
     ramp_target: int = 0
     chain_violation: bool = False
-    allocations: dict[str, int] = field(default_factory=dict)
-    observed: dict[str, int] = field(default_factory=dict)
-
-    def observe(self, label: str, at: int) -> None:
-        self.observed.setdefault(label, at)
+    drain_timeout: int = 0
 
 
 def plan_terr_to_sat(
@@ -170,7 +164,7 @@ def plan_sat_to_terr(
         boost_step=boost_step,
         ramp_step=2 * mss,
         ramp_target=min(buffer_capacity, terr_bdp),
-        observed={"drain_timeout": exec_at + 2 * sat_rtt},
+        drain_timeout=exec_at + 2 * sat_rtt,
     )
 
 

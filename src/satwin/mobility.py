@@ -56,10 +56,6 @@ class BindingTable:
         bindings.append(binding)
         return binding
 
-    def active(self, mn: str) -> Optional[Binding]:
-        bindings = self.entries.get(mn)
-        return bindings[-1] if bindings else None
-
     def active_as_of(self, mn: str, at: int) -> Optional[Binding]:
         """Newest binding with registered_at <= at (None before the first).
 
@@ -86,7 +82,6 @@ class HomeAgent:
         self.node = node
         self.mn = mn
         self.table = BindingTable()
-        self.no_binding_drops = 0
         # observation hooks, wired by the runner
         self.on_registration: Callable[[Segment, int], None] | None = None
         self.on_data: Callable[[Segment, int], None] | None = None
@@ -102,10 +97,9 @@ class HomeAgent:
 
     def route_attachment(self, seg: Segment, now: int) -> Optional[str]:
         """Pick the access network for a data segment arriving now; None
-        (counted) when the MN has no binding yet."""
+        when the MN has no binding yet."""
         binding = self.table.active_as_of(self.mn, now)
         if binding is None:
-            self.no_binding_drops += 1
             return None
         seg.routed_at = now
         if self.on_data is not None:

@@ -11,18 +11,8 @@ from .errors import ConfigError
 from .kernel import Kernel, fmt_time
 from .metrics import DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
 from .mobility import HomeAgent, make_binding_update
-from .net import (
-    ACCESS_KINDS,
-    F_BU,
-    F_BUACK,
-    F_DATA,
-    F_WUPD,
-    DirectedLink,
-    Segment,
-    Topology,
-    path_rtt,
-    rtt_table,
-)
+from .net import (ACCESS_KINDS, F_BU, F_BUACK, F_DATA, DirectedLink, Segment, Topology,
+                  path_rtt, rtt_table)
 from .scenario import BASELINE, PROACTIVE, RESET_CWND, FlowDef, HandoverDef, Scenario, flow_buffer
 from .tcp import SLOW_START, TcpReceiver, TcpSender
 
@@ -40,6 +30,247 @@ class _FlowRuntime:
     rto_event: Optional[int] = None
 
 
+@dataclass
+class _Drain:
+    """One flow's zero-window hold after a satellite->terrestrial switch."""
+    plan: ho_policy.HandoverPlan
+    timeout_event: int
+
+
+class _HandoverRuntime:
+    """Engine state of one handover: timeline, t_a2 markers, registration
+    wait, per-flow drains, and the step bound its sat->terr boost sets
+    until a later handover is detected or this one aborts. Each mode runs
+    one procedure at detection (see _PROCEDURES)."""
+
+    def __init__(self, sim: Simulation, hdef: HandoverDef):
+        self.sim = sim
+        self.hdef = hdef
+        self.metrics = HandoverMetrics(hdef.name, hdef.direction, hdef.at,
+                                       old_kind=sim.attachment, new_kind=hdef.to)
+        self.markers: dict[str, int] = {}  # flow -> old-window edge, resolved at the agent
+        self.awaiting: Optional[str] = None  # next registration stamp: t_r1, then t_r3
+        self.drains: dict[str, _Drain] = {}
+        self.bounded = False  # this handover set the receivers' step bound
+
+    def stamp(self, label: str, at: int, node: str) -> None:
+        self.metrics.timeline[label] = at
+        self.sim.trace.emit(at, "timeline", node, label=label, t=fmt_time(at))
+
+    # -- one procedure per mode (baseline is `switch` alone) ---------------
+
+    def reset_cwnd(self, now: int) -> None:
+        """Comparison policy: switch immediately, then collapse cwnd and
+        seed ssthresh with the bandwidth-delay product of the new path."""
+        if not self.switch(now):
+            return
+        bdp = self.sim.cache.get(self.hdef.to).bdp
+        for rt in self.sim.flows.values():
+            sender = rt.sender
+            sender.ssthresh = max(bdp, 2 * sender.mss)
+            sender.cwnd = sender.mss
+            sender.phase = SLOW_START
+            sender.dupacks = 0
+            self.sim._trace_state(rt, sender, now)
+
+    def proactive(self, now: int) -> None:
+        if self.hdef.direction == "terr_to_sat":
+            self._advertise_w_rec(now)
+        else:
+            self._boost(now)
+
+    # -- proactive terrestrial -> satellite --------------------------------
+
+    def _advertise_w_rec(self, now: int) -> None:
+        """Advertise W_REC now and hold the registration back by delta."""
+        sim, hdef = self.sim, self.hdef
+        rtts = rtt_table(sim.topo, old_kind=self.metrics.old_kind, sat_kind=hdef.to)
+        est = sim.cache.get(hdef.to)
+        plan = ho_policy.plan_terr_to_sat(
+            est.bdp if est else None,
+            sim.scenario.w_default,
+            rtts,
+            now,
+            fallback_sat_window=sim.scenario.sat_default_window,
+        )
+        self.metrics.chain_violation = plan.chain_violation
+        if plan.chain_violation:
+            sim.trace.emit(now, "warn", sim.mn, code=ho_policy.CHAIN_VIOLATION,
+                           w_rec=plan.w_rec)
+        if not sim.topo.access_link(hdef.to).is_available(plan.t_r0):
+            self.abort(now)
+            return
+        demands = [
+            ho_policy.FlowDemand(f.name, f.weight, f.min_share)
+            for f in sim.scenario.flows
+        ]
+        allocations = ho_policy.allocate_flow_windows(demands, plan.w_rec, sim.scenario.mss)
+        self.stamp("t_a0", plan.t_a0, sim.mn)
+        sim.trace.emit(now, "plan", sim.mn, direction=plan.direction, w_rec=plan.w_rec,
+                       delta=fmt_time(plan.delta), t_r0=fmt_time(plan.t_r0))
+        for fid, cap in allocations.items():
+            receiver = sim.flows[fid].receiver
+            # W_REC never raises the window an earlier sat->terr ramp left
+            # in place (a set cap never exceeds the buffer)
+            held = receiver.policy_cap
+            cap = min(cap, receiver.buffer_capacity if held is None else held)
+            self._set_window(receiver, cap, now)
+            sim.trace.emit(now, "wpolicy", sim.mn, flow=fid, cap=cap)
+            if hdef.ack_pacing:
+                ho_policy.set_ack_pacing(receiver, hdef.ack_pacing)
+                sim.trace.emit(now, "ack_pacing", sim.mn, flow=fid,
+                               delay=fmt_time(hdef.ack_pacing))
+        sim.kernel.schedule(plan.t_r0, lambda: self.switch(sim.kernel.now), "t2s-exec")
+
+    # -- proactive satellite -> terrestrial --------------------------------
+
+    def _boost(self, now: int) -> None:
+        """Grow each window toward current + satellite BDP until execution,
+        under a two-segment step bound."""
+        sim, hdef = self.sim, self.hdef
+        sat = sim.cache.get(self.metrics.old_kind)  # measured when it was attached
+        terr_route = sim.topo.route_via_access(sim.mn, sim.cn, hdef.to)
+        terr_bdp = ho_policy.estimate_bdp(_bottleneck_bw(terr_route), path_rtt(terr_route))
+        exec_at = now + hdef.exec_lead
+        plans = {}
+        for fid, rt in sim.flows.items():
+            current = rt.receiver.policy_cap
+            if current is None:
+                current = rt.receiver.advertised()
+            plan = ho_policy.plan_sat_to_terr(
+                sat.bdp, current, sim.scenario.mss, rt.receiver.buffer_capacity,
+                terr_bdp, sat.rtt, now, exec_at,
+            )
+            plans[fid] = plan
+            rt.receiver.step_bound = plan.boost_step
+            rt.receiver.start_ramp(plan.boost_step, plan.boost_target, now)
+            sim.trace.emit(now, "boost", sim.mn, flow=fid, target=plan.boost_target,
+                           step=plan.boost_step)
+        self.bounded = True
+        sim.kernel.schedule(exec_at, lambda: self._execute_s2t(plans), "s2t-exec")
+
+    def _execute_s2t(self, plans: dict[str, ho_policy.HandoverPlan]) -> None:
+        sim = self.sim
+        now = sim.kernel.now
+        if not self.switch(now):
+            for rt in sim.flows.values():
+                rt.receiver.ramp_step = 0  # stop boosting; stay on the satellite
+            return
+        self.stamp("t_a0", now, sim.mn)
+        for fid, rt in sim.flows.items():
+            self._set_window(rt.receiver, 0, now)  # hold the sender while draining
+            rt.receiver.set_suppress_dupacks(True, now)
+            rt.sender.external_congestion_avoidance(now)
+            sim.trace.emit(now, "wpolicy", sim.mn, flow=fid, cap=0)
+            timeout = sim.kernel.schedule(
+                plans[fid].drain_timeout,
+                lambda rt=rt: self._finish_drain(rt, sim.kernel.now, timed_out=True),
+                "drain-timeout",
+            )
+            self.drains[fid] = _Drain(plans[fid], timeout)
+            self.check_drain(rt, now)
+
+    def check_drain(self, rt: _FlowRuntime, now: int) -> None:
+        """End a flow's drain once everything the agent ever routed onto
+        the old network has arrived in order."""
+        if rt.spec.name not in self.drains or "t_r1" not in self.metrics.timeline:
+            return  # the old stream is not sealed until redirection happened
+        watermark = self.sim._routed_watermark.get((rt.spec.name, self.metrics.old_kind), 0)
+        if rt.receiver.rcv_nxt >= watermark:
+            self._finish_drain(rt, now, timed_out=False)
+
+    def _finish_drain(self, rt: _FlowRuntime, now: int, timed_out: bool) -> None:
+        drain = self.drains.pop(rt.spec.name)
+        self.sim.kernel.cancel(drain.timeout_event)
+        self.metrics.drain_timed_out |= timed_out
+        plan = drain.plan
+        self.sim.trace.emit(now, "drain_done", self.sim.mn, flow=rt.spec.name,
+                            timeout="yes" if timed_out else "no")
+        rt.receiver.set_suppress_dupacks(False, now)
+        rt.receiver.set_window_policy(min(plan.ramp_step, plan.ramp_target), now)
+        rt.receiver.start_ramp(plan.ramp_step, plan.ramp_target, now)
+        self.sim.trace.emit(now, "ramp", self.sim.mn, flow=rt.spec.name,
+                            target=plan.ramp_target, step=plan.ramp_step)
+
+    # -- shared steps ------------------------------------------------------
+
+    def _set_window(self, receiver: TcpReceiver, cap: int, now: int) -> None:
+        """Apply a window cap; the window update it triggers carries this
+        handover's name so that its arrival at the sender stamps t_a1."""
+        wupd = receiver.set_window_policy(cap, now)
+        if wupd is not None:
+            wupd.mark = self.metrics.name
+
+    def switch(self, now: int) -> bool:
+        """Attach to the target and send the binding update, or abort when
+        the target has no coverage now."""
+        sim, kind = self.sim, self.hdef.to
+        if not sim.topo.access_link(kind).is_available(now):
+            self.abort(now)
+            return False
+        sim._attach(kind, now)
+        reg = sim.scenario.registration
+        seg = make_binding_update(sim.mn, kind, now)
+        seg.mark = self.metrics.name
+        if reg.origin == "PROXY":
+            origin = reg.proxy_location or sim.topo.access_gateway(kind)
+            seg.route = sim.topo.route(origin, sim.ha_node)
+        else:
+            origin = sim.mn
+            seg.route = sim.topo.route_via_access(sim.mn, sim.ha_node, kind)
+        self.awaiting = "t_r1"
+        sim.trace.emit(now, "bu_send", origin, network=kind)
+        self.stamp("t_r0", now, origin)
+        seg.route[0].transmit(seg, now)
+        return True
+
+    def abort(self, now: int) -> None:
+        self.metrics.aborted = True
+        self.sim.trace.emit(now, "handover_abort", self.sim.mn, handover=self.metrics.name)
+        self.release_bound()
+
+    def release_bound(self) -> None:
+        if self.bounded:
+            self.bounded = False
+            for rt in self.sim.flows.values():
+                rt.receiver.step_bound = None
+
+    # -- advertisement markers ---------------------------------------------
+
+    def advert_arrived(self, rt: _FlowRuntime, now: int) -> None:
+        """The sender processed this handover's window update: stamp t_a1
+        and mark the old window's edge for t_a2."""
+        timeline = self.metrics.timeline
+        if "t_a1" not in timeline:
+            self.stamp("t_a1", now, rt.spec.src)
+        fid = rt.spec.name
+        marker = rt.sender.snd_nxt
+        if self.sim._ha_last_end.get(fid, -1) >= marker:
+            # the last old-window segment already passed the agent
+            last = self.sim._ha_last_time[fid]
+            prev = timeline.get("t_a2")
+            if prev is None or last > prev:
+                timeline["t_a2"] = last
+        else:
+            self.markers[fid] = marker
+
+    def anchor_passed(self, fid: str, end: int, now: int) -> None:
+        """Data up to `end` of flow `fid` passed the home agent."""
+        marker = self.markers.get(fid)
+        if marker is not None and end >= marker:
+            del self.markers[fid]
+            prev = self.metrics.timeline.get("t_a2")
+            if prev is None or now > prev:
+                self.stamp("t_a2", now, self.sim.ha_node)
+
+
+_PROCEDURES = {
+    BASELINE: _HandoverRuntime.switch,  # immediate registration, no window shaping
+    RESET_CWND: _HandoverRuntime.reset_cwnd,
+    PROACTIVE: _HandoverRuntime.proactive,
+}
+
+
 class Simulation:
     """One deterministic run of a scenario in a given mode."""
 
@@ -47,6 +278,9 @@ class Simulation:
                  seed: Optional[int] = None, trace: bool = False):
         self.scenario = scenario
         self.mode = mode if mode is not None else scenario.mode
+        if self.mode not in _PROCEDURES:
+            raise ConfigError(f"unknown mode {self.mode!r}")
+        self._procedure = _PROCEDURES[self.mode]
         self.seed = seed if seed is not None else scenario.seed
         self.kernel = Kernel(self.seed)
         self.trace = Trace(enabled=trace)
@@ -58,22 +292,18 @@ class Simulation:
         self.ha.on_registration = self._on_registration
         self.ha.on_data = self._on_ha_data
         self.metrics = RunMetrics(scenario.name, self.mode, self.seed, end=scenario.end)
-        self.attachment = scenario.attach
         self.cache = ho_policy.PathEstimateCache()
         self.flows: dict[str, _FlowRuntime] = {}
         self._inflight: dict[tuple[str, int], int] = {}
 
-        # engine bookkeeping
-        self._pending_reg: list[HandoverMetrics] = []
-        self._pending_ack: list[HandoverMetrics] = []
-        self._ta_marker: dict[str, int] = {}  # flow -> old-window edge
-        self._ta_handover: Optional[HandoverMetrics] = None
+        # what the home agent has seen of each flow's data stream
         self._ha_last_end: dict[str, int] = {}
         self._ha_last_time: dict[str, int] = {}
         self._routed_watermark: dict[tuple[str, str], int] = {}  # (flow, kind) -> seq end
-        self._drain: dict[str, dict] = {}  # flow -> drain context
-        self._completed_handover: Optional[HandoverMetrics] = None
-        self._tag_next_wupd: Optional[str] = None
+        # one runtime per detected handover; the latest receives the
+        # per-packet hooks, older ones only their own timers and signaling
+        self._handovers: dict[str, _HandoverRuntime] = {}
+        self._active: Optional[_HandoverRuntime] = None
 
         for (_, _), dlink in self.topo.directed.items():
             dlink.deliver = self._on_arrival
@@ -81,18 +311,19 @@ class Simulation:
             if dlink.spec.kind in ACCESS_KINDS and dlink.dst == self.mn:
                 dlink.on_enqueue = self._on_access_enqueue
 
+        self._attach(scenario.attach, 0)
+        # the starting network counts as registered from t=0
+        self.ha.table.register(self.mn, scenario.attach, 0)
+
         # a proactive node on the satellite always runs at the window the
         # engine would have chosen for it (the state a managed handover
         # onto the satellite leaves behind)
-        self._initial_cap: Optional[int] = None
+        initial_cap = None
         if self.mode == PROACTIVE and scenario.attach == "SAT":
-            route = self.topo.route_via_access(self.mn, self.cn, scenario.attach)
-            self._initial_cap = ho_policy.estimate_bdp(_bottleneck_bw(route), path_rtt(route))
-
+            initial_cap = self.cache.get(scenario.attach).bdp
         for fdef in scenario.flows:
-            self._setup_flow(fdef)
+            self._setup_flow(fdef, initial_cap)
 
-        self._attach(scenario.attach, 0, initial=True)
         for fdef in scenario.flows:
             self.kernel.schedule(fdef.start, lambda f=fdef.name: self._start_flow(f), "flow-start")
         for hdef in scenario.handovers:
@@ -101,9 +332,9 @@ class Simulation:
     # ------------------------------------------------------------------
     # construction helpers
 
-    def _setup_flow(self, fdef: FlowDef) -> None:
+    def _setup_flow(self, fdef: FlowDef, initial_cap: Optional[int]) -> None:
         buffer = flow_buffer(self.scenario, fdef)
-        cap = None if self._initial_cap is None else min(self._initial_cap, buffer)
+        cap = None if initial_cap is None else min(initial_cap, buffer)
         receiver = TcpReceiver(fdef.name, buffer_capacity=buffer, mss=self.scenario.mss,
                                policy_cap=cap)
         receiver.ack_delay = fdef.ack_extra_delay
@@ -143,8 +374,6 @@ class Simulation:
         self._launch(seg, now)
 
     def _emit_ack(self, rt: _FlowRuntime, seg: Segment, send_at: int) -> None:
-        if self._tag_next_wupd is not None and seg.flags & F_WUPD:
-            seg.mark = self._tag_next_wupd
         if send_at > self.kernel.now:
             self.kernel.schedule(send_at, lambda: self._send_ack(rt, seg), "ack-paced")
         else:
@@ -188,7 +417,7 @@ class Simulation:
         if rt is None:
             return
         if seg.mark is not None:
-            self._on_advert_arrival(seg, rt, now)
+            self._handovers[seg.mark].advert_arrived(rt, now)
         if self.trace.enabled:
             self.trace.emit(now, "ack_rx", node, flow=seg.flow_id, ack=seg.ack, rwnd=seg.rwnd)
         prev_una = rt.sender.snd_una
@@ -229,9 +458,9 @@ class Simulation:
         rt.metrics.delivered_inorder = receiver.delivered_inorder
         rt.metrics.last_inorder_at = now
         rt.metrics.inorder_times.append(now)
-        drain = self._drain.get(rt.spec.name)
-        if drain is not None:
-            self._check_drain(rt, now)
+        ho = self._active
+        if ho is not None and ho.drains:
+            ho.check_drain(rt, now)
 
     def _on_link_drop(self, link: DirectedLink, seg: Segment, reason: str, at: int) -> None:
         self._account_drop(seg, reason, link.label, link.spec.kind, at)
@@ -250,17 +479,12 @@ class Simulation:
                         seq=seg.seq, len=payload)
 
     def _on_access_enqueue(self, link: DirectedLink, seg: Segment, at: int) -> None:
-        if not seg.flags & F_DATA:
+        ho = self._active
+        if ho is None or not seg.flags & F_DATA or link.spec.kind != ho.metrics.old_kind:
             return
-        ho = self._completed_handover
-        if (
-            ho is not None
-            and link.spec.kind == ho.old_kind
-            and "t_r1" in ho.timeline
-            and seg.routed_at is not None
-            and seg.routed_at >= ho.timeline["t_r1"]
-        ):
-            ho.old_path_enqueues_after_tr1 += 1
+        t_r1 = ho.metrics.timeline.get("t_r1")
+        if t_r1 is not None and seg.routed_at is not None and seg.routed_at >= t_r1:
+            ho.metrics.old_path_enqueues_after_tr1 += 1
 
     # ------------------------------------------------------------------
     # sender timer management
@@ -299,44 +523,19 @@ class Simulation:
     # ------------------------------------------------------------------
     # attachment, registration, redirection
 
-    def _attach(self, kind: str, now: int, initial: bool = False) -> None:
+    def _attach(self, kind: str, now: int) -> None:
         self.attachment = kind
         route = self.topo.route_via_access(self.mn, self.cn, kind)
-        rtt = path_rtt(route)
-        self.cache.observe(kind, _bottleneck_bw(route), rtt, now)
+        self.cache.observe(kind, _bottleneck_bw(route), path_rtt(route))
         self.trace.emit(now, "attach", self.mn, network=kind)
-        if initial:
-            # the starting network counts as registered from t=0
-            self.ha.table.register(self.mn, kind, now)
-
-    def _send_bu(self, target_kind: str, ho: HandoverMetrics, now: int) -> None:
-        reg = self.scenario.registration
-        seg = make_binding_update(self.mn, target_kind, now)
-        seg.mark = ho.name
-        if reg.origin == "PROXY":
-            proxy = reg.proxy_location or self.topo.access_gateway(target_kind)
-            seg.route = self.topo.route(proxy, self.ha_node)
-            origin = proxy
-        else:
-            seg.route = self.topo.route_via_access(self.mn, self.ha_node, target_kind)
-            origin = self.mn
-        seg.hop = 0
-        ho.timeline["t_r0"] = now
-        self._pending_reg.append(ho)
-        self._pending_ack.append(ho)
-        self.trace.emit(now, "bu_send", origin, network=target_kind)
-        self.trace.emit(now, "timeline", origin, label="t_r0", t=fmt_time(now))
-        seg.route[0].transmit(seg, now)
 
     def _on_registration_lost(self, seg: Segment, now: int) -> None:
         """A dropped BU/BUACK leaves the binding (or its confirmation)
         unchanged; the owning handover stops waiting for it."""
-        stale = [h for h in self._pending_ack if h.name == seg.mark]
-        for ho in stale:
-            if seg.flags & F_BU and ho in self._pending_reg:
-                self._pending_reg.remove(ho)
-            self._pending_ack.remove(ho)
-            self.trace.emit(now, "bu_lost", self.mn, handover=ho.name)
+        ho = self._handovers.get(seg.mark)
+        if ho is not None and ho.awaiting is not None:
+            ho.awaiting = None
+            self.trace.emit(now, "bu_lost", self.mn, handover=ho.metrics.name)
 
     def _send_buack(self, seg: Segment, now: int) -> None:
         reg = self.scenario.registration
@@ -349,30 +548,23 @@ class Simulation:
         seg.hop = 0
         seg.route[0].transmit(seg, now)
 
-    @staticmethod
-    def _pop_pending(queue: list[HandoverMetrics], mark: Optional[str]):
-        for i, ho in enumerate(queue):
-            if mark is None or ho.name == mark:
-                return queue.pop(i)
-        return None
-
     def _on_registration(self, seg: Segment, now: int) -> None:
         self.trace.emit(now, "bu_recv", self.ha_node, network=seg.path_tag or "-")
-        ho = self._pop_pending(self._pending_reg, seg.mark)
-        if ho is None:
+        ho = self._handovers.get(seg.mark)
+        if ho is None or ho.awaiting != "t_r1":
             return
-        ho.timeline["t_r1"] = now
-        self.trace.emit(now, "timeline", self.ha_node, label="t_r1", t=fmt_time(now))
-        for fid in list(self._drain):
-            self._check_drain(self.flows[fid], now)
+        ho.awaiting = "t_r3"
+        ho.stamp("t_r1", now, self.ha_node)
+        for fid in list(ho.drains):
+            ho.check_drain(self.flows[fid], now)
 
     def _on_buack(self, seg: Segment, now: int) -> None:
-        ho = self._pop_pending(self._pending_ack, seg.mark)
-        if ho is None:
+        ho = self._handovers.get(seg.mark)
+        if ho is None or ho.awaiting != "t_r3":
             return
-        ho.timeline["t_r3"] = now
+        ho.awaiting = None
         self.trace.emit(now, "buack_recv", self.mn, network=seg.path_tag or "-")
-        self.trace.emit(now, "timeline", self.mn, label="t_r3", t=fmt_time(now))
+        ho.stamp("t_r3", now, self.mn)
 
     def _on_ha_data(self, seg: Segment, now: int) -> None:
         fid = seg.flow_id
@@ -380,220 +572,26 @@ class Simulation:
         if end > self._ha_last_end.get(fid, -1):
             self._ha_last_end[fid] = end
             self._ha_last_time[fid] = now
-        marker = self._ta_marker.get(fid)
-        if marker is not None and end >= marker:
-            ho = self._ta_handover
-            if ho is not None:
-                prev = ho.timeline.get("t_a2")
-                if prev is None or now > prev:
-                    ho.timeline["t_a2"] = now
-                    self.trace.emit(now, "timeline", self.ha_node, label="t_a2", t=fmt_time(now))
-            del self._ta_marker[fid]
-
-    def _on_advert_arrival(self, seg: Segment, rt: _FlowRuntime, now: int) -> None:
-        ho = self._ta_handover
-        seg.mark = None
-        if ho is None:
-            return
-        if "t_a1" not in ho.timeline:
-            ho.timeline["t_a1"] = now
-            self.trace.emit(now, "timeline", rt.spec.src, label="t_a1", t=fmt_time(now))
-        marker = rt.sender.snd_nxt
-        if self._ha_last_end.get(rt.spec.name, -1) >= marker:
-            # the last old-window segment already passed the agent
-            prev = ho.timeline.get("t_a2")
-            last = self._ha_last_time[rt.spec.name]
-            if prev is None or last > prev:
-                ho.timeline["t_a2"] = last
-        else:
-            self._ta_marker[rt.spec.name] = marker
+        ho = self._active
+        if ho is not None and ho.markers:
+            ho.anchor_passed(fid, end, now)
 
     # ------------------------------------------------------------------
     # handover engine
 
     def _on_handover(self, hdef: HandoverDef) -> None:
         now = self.kernel.now
-        ho = HandoverMetrics(hdef.name, hdef.direction, hdef.at,
-                             old_kind=self.attachment, new_kind=hdef.to)
-        self.metrics.handovers.append(ho)
+        if self._active is not None:
+            self._active.release_bound()
+        ho = _HandoverRuntime(self, hdef)
+        self._handovers[hdef.name] = self._active = ho
+        self.metrics.handovers.append(ho.metrics)
         self.trace.emit(now, "handover_detect", self.mn, direction=hdef.direction,
                         to=hdef.to, mode=self.mode)
-        if self.mode in (BASELINE, RESET_CWND):
-            self._execute_switch(hdef, ho, now)
-            return
-        if hdef.direction == "terr_to_sat":
-            self._proactive_t2s(hdef, ho, now)
+        if hdef.to == self.attachment:
+            ho.abort(now)  # already attached to the target
         else:
-            self._proactive_s2t(hdef, ho, now)
-
-    def _execute_switch(self, hdef: HandoverDef, ho: HandoverMetrics, now: int) -> None:
-        """Baseline behavior: immediate registration, no window shaping."""
-        link = self.topo.access_link(hdef.to)
-        if not link.is_available(now):
-            self._abort(ho, now)
-            return
-        self._attach(hdef.to, now)
-        self._send_bu(hdef.to, ho, now)
-        self._completed_handover = ho
-        if self.mode == RESET_CWND:
-            # comparison policy: collapse cwnd, seed ssthresh with the
-            # estimated bandwidth-delay product of the new path
-            route = self.topo.route_via_access(self.mn, self.cn, hdef.to)
-            bdp = ho_policy.estimate_bdp(_bottleneck_bw(route), path_rtt(route))
-            for rt in self.flows.values():
-                sender = rt.sender
-                sender.ssthresh = max(bdp, 2 * sender.mss)
-                sender.cwnd = sender.mss
-                sender.phase = SLOW_START
-                sender.dupacks = 0
-                self._trace_state(rt, sender, now)
-
-    def _proactive_t2s(self, hdef: HandoverDef, ho: HandoverMetrics, now: int) -> None:
-        rtts = rtt_table(self.topo, old_kind=self.attachment, sat_kind=hdef.to)
-        est = self.cache.get(hdef.to)
-        plan = ho_policy.plan_terr_to_sat(
-            est.bdp if est else None,
-            self.scenario.w_default,
-            rtts,
-            now,
-            fallback_sat_window=self.scenario.sat_default_window,
-        )
-        ho.chain_violation = plan.chain_violation
-        if plan.chain_violation:
-            self.trace.emit(now, "warn", self.mn, code=ho_policy.CHAIN_VIOLATION,
-                            w_rec=plan.w_rec)
-        link = self.topo.access_link(hdef.to)
-        if not link.is_available(plan.t_r0):
-            self._abort(ho, now)
-            return
-        demands = [
-            ho_policy.FlowDemand(f.name, f.weight, f.min_share)
-            for f in self.scenario.flows
-        ]
-        plan.allocations = ho_policy.allocate_flow_windows(
-            demands, plan.w_rec, self.scenario.mss
-        )
-        ho.timeline["t_a0"] = plan.t_a0
-        self.trace.emit(now, "timeline", self.mn, label="t_a0", t=fmt_time(plan.t_a0))
-        self.trace.emit(now, "plan", self.mn, direction=plan.direction, w_rec=plan.w_rec,
-                        delta=fmt_time(plan.delta), t_r0=fmt_time(plan.t_r0))
-        self._ta_handover = ho
-        for fid, cap in plan.allocations.items():
-            rt = self.flows[fid]
-            cap = min(cap, rt.receiver.buffer_capacity)
-            self._tag_next_wupd = hdef.name
-            rt.receiver.set_window_policy(cap, now)
-            self._tag_next_wupd = None
-            self.trace.emit(now, "wpolicy", self.mn, flow=fid, cap=cap)
-            if hdef.ack_pacing:
-                ho_policy.set_ack_pacing(rt.receiver, hdef.ack_pacing)
-                self.trace.emit(now, "ack_pacing", self.mn, flow=fid,
-                                delay=fmt_time(hdef.ack_pacing))
-        self.kernel.schedule(plan.t_r0, lambda: self._execute_t2s(hdef, ho, plan), "t2s-exec")
-
-    def _execute_t2s(self, hdef: HandoverDef, ho: HandoverMetrics, plan) -> None:
-        now = self.kernel.now
-        link = self.topo.access_link(hdef.to)
-        if not link.is_available(now):
-            self._abort(ho, now)
-            return
-        self._attach(hdef.to, now)
-        self._send_bu(hdef.to, ho, now)
-        self._completed_handover = ho
-
-    def _proactive_s2t(self, hdef: HandoverDef, ho: HandoverMetrics, now: int) -> None:
-        sat_kind = self.attachment
-        est = self.cache.get(sat_kind)
-        sat_bdp = est.bdp if est else (self.scenario.sat_default_window or 0)
-        sat_rtt = est.rtt if est else path_rtt(self.topo.route_via_access(self.mn, self.cn, sat_kind))
-        terr_route = self.topo.route_via_access(self.mn, self.cn, hdef.to)
-        terr_bdp = ho_policy.estimate_bdp(_bottleneck_bw(terr_route), path_rtt(terr_route))
-        exec_at = now + hdef.exec_lead
-        plans = {}
-        for fid, rt in self.flows.items():
-            current = rt.receiver.policy_cap
-            if current is None:
-                current = rt.receiver.advertised()
-            plan = ho_policy.plan_sat_to_terr(
-                sat_bdp, current, self.scenario.mss, rt.receiver.buffer_capacity,
-                terr_bdp, sat_rtt, now, exec_at,
-            )
-            plans[fid] = plan
-            rt.receiver.step_bound = plan.boost_step  # P1 bound, asserted per ACK
-            rt.receiver.start_ramp(plan.boost_step, plan.boost_target, now)
-            self.trace.emit(now, "boost", self.mn, flow=fid, target=plan.boost_target,
-                            step=plan.boost_step)
-        self.kernel.schedule(exec_at, lambda: self._execute_s2t(hdef, ho, plans), "s2t-exec")
-
-    def _execute_s2t(self, hdef: HandoverDef, ho: HandoverMetrics, plans) -> None:
-        now = self.kernel.now
-        link = self.topo.access_link(hdef.to)
-        if not link.is_available(now):
-            for rt in self.flows.values():
-                rt.receiver.ramp_step = 0  # stop boosting; stay on the satellite
-                rt.receiver.step_bound = None
-            self._abort(ho, now)
-            return
-        old_kind = self.attachment
-        self._attach(hdef.to, now)
-        self._send_bu(hdef.to, ho, now)
-        self._completed_handover = ho
-        ho.timeline["t_a0"] = now
-        self.trace.emit(now, "timeline", self.mn, label="t_a0", t=fmt_time(now))
-        self._ta_handover = ho
-        for fid, rt in self.flows.items():
-            plan = plans[fid]
-            self._tag_next_wupd = hdef.name
-            rt.receiver.set_window_policy(0, now)  # hold the sender while draining
-            self._tag_next_wupd = None
-            rt.receiver.set_suppress_dupacks(True, now)
-            rt.sender.external_congestion_avoidance(now)
-            self.trace.emit(now, "wpolicy", self.mn, flow=fid, cap=0)
-            self._drain[fid] = {
-                "handover": ho,
-                "old_kind": old_kind,
-                "plan": plan,
-                "timeout_event": self.kernel.schedule(
-                    plan.observed["drain_timeout"],
-                    lambda f=fid: self._drain_timeout(f),
-                    "drain-timeout",
-                ),
-            }
-            self._check_drain(rt, now)
-
-    def _check_drain(self, rt: _FlowRuntime, now: int) -> None:
-        drain = self._drain.get(rt.spec.name)
-        if drain is None:
-            return
-        ho = drain["handover"]
-        if "t_r1" not in ho.timeline:
-            return  # satellite stream not sealed until redirection happened
-        watermark = self._routed_watermark.get((rt.spec.name, drain["old_kind"]), 0)
-        if rt.receiver.rcv_nxt >= watermark:
-            self._finish_drain(rt, now, timed_out=False)
-
-    def _drain_timeout(self, fid: str) -> None:
-        rt = self.flows[fid]
-        if fid in self._drain:
-            self._drain[fid]["handover"].drain_timed_out = True
-            self._finish_drain(rt, self.kernel.now, timed_out=True)
-
-    def _finish_drain(self, rt: _FlowRuntime, now: int, timed_out: bool) -> None:
-        drain = self._drain.pop(rt.spec.name)
-        self.kernel.cancel(drain["timeout_event"])
-        plan = drain["plan"]
-        self.trace.emit(now, "drain_done", self.mn, flow=rt.spec.name,
-                        timeout="yes" if timed_out else "no")
-        rt.receiver.set_suppress_dupacks(False, now)
-        first = min(plan.ramp_step, plan.ramp_target)
-        rt.receiver.set_window_policy(first, now)
-        rt.receiver.start_ramp(plan.ramp_step, plan.ramp_target, now)
-        self.trace.emit(now, "ramp", self.mn, flow=rt.spec.name,
-                        target=plan.ramp_target, step=plan.ramp_step)
-
-    def _abort(self, ho: HandoverMetrics, now: int) -> None:
-        ho.aborted = True
-        self.trace.emit(now, "handover_abort", self.mn, handover=ho.name)
+            self._procedure(ho, now)
 
     # ------------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .errors import ConfigError, ProtocolViolation
-from .kernel import SEC
+from .kernel import SEC, SimError, fmt_time
 from .net import F_ACK, F_DATA, F_REFRESH, F_WUPD, Segment
 
 SLOW_START = "SLOW_START"
@@ -87,9 +87,6 @@ class TcpSender:
     def _usable_window(self) -> int:
         return min(self.cwnd, self.peer_rwnd)
 
-    def _data_end(self) -> Optional[int]:
-        return self.volume
-
     def _note_state(self, now: int) -> None:
         if self.state_cb is not None:
             self.state_cb(self, now)
@@ -140,7 +137,7 @@ class TcpSender:
                 self._rtx_next = end
                 sent += 1
                 continue
-            limit = self._data_end()
+            limit = self.volume
             if limit is not None and self.snd_nxt >= limit:
                 break
             end = self.snd_nxt + self.mss
@@ -313,7 +310,7 @@ class TcpReceiver:
         self.last_refresh: Optional[int] = None
         self.last_rwnd: Optional[int] = self.advertised()
         self.max_rwnd_increase = 0
-        self.step_bound: Optional[int] = None  # asserted max per-ACK increase
+        self.step_bound: Optional[int] = None  # max per-ACK increase of the advertised window
         self.ramp_step = 0
         self.ramp_target = 0
         self.overflow_drops = 0
@@ -331,9 +328,10 @@ class TcpReceiver:
             return free
         return min(free, self.policy_cap)
 
-    def set_window_policy(self, cap: Optional[int], now: int) -> None:
+    def set_window_policy(self, cap: Optional[int], now: int) -> Optional[Segment]:
         """Cap the advertised window; an immediate window-update ACK tells
-        the sender about any change. UNLIMITED (None) removes the cap."""
+        the sender about any change and is returned (None when the cap is
+        unchanged). UNLIMITED (None) removes the cap."""
         if cap is not UNLIMITED:
             if cap < 0:
                 raise ConfigError(f"flow {self.flow_id}: negative window cap")
@@ -346,7 +344,8 @@ class TcpReceiver:
         self.policy_cap = cap
         self.ramp_step = 0
         if changed:
-            self._emit_ack(now, flags=F_WUPD)
+            return self._emit_ack(now, flags=F_WUPD)
+        return None
 
     def start_ramp(self, step: int, target: int, now: int) -> None:
         """Grow the policy cap by `step` on every subsequent ACK emission
@@ -434,20 +433,27 @@ class TcpReceiver:
 
     # -- ACK emission -----------------------------------------------------
 
-    def _emit_ack(self, now: int, flags: int = 0, echo=None) -> None:
+    def _emit_ack(self, now: int, flags: int = 0, echo=None) -> Segment:
         if self.ramp_step and not flags & F_REFRESH:
             if self.policy_cap is UNLIMITED or self.policy_cap < self.ramp_target:
                 base = 0 if self.policy_cap is UNLIMITED else self.policy_cap
                 self.policy_cap = min(base + self.ramp_step, self.ramp_target)
         rwnd = self.advertised()
-        if self.last_rwnd is not None and rwnd > self.last_rwnd:
-            inc = rwnd - self.last_rwnd
+        last = self.last_rwnd
+        if last is not None and rwnd > last:
+            bound = self.step_bound
+            if bound is not None:
+                # a refilled out-of-order hole frees the buffer at once; the
+                # window still opens by at most one step per ACK
+                rwnd = min(rwnd, last + bound)
+            inc = rwnd - last
             if inc > self.max_rwnd_increase:
                 self.max_rwnd_increase = inc
-            assert self.step_bound is None or inc <= self.step_bound, (
-                f"flow {self.flow_id}: advertised window grew by {inc} "
-                f"(> bound {self.step_bound})"
-            )
+            if bound is not None and inc > bound:
+                raise SimError(
+                    f"flow {self.flow_id}: advertised window grew by {inc} "
+                    f"(> bound {bound}) at t={fmt_time(now)}"
+                )
         self.last_rwnd = rwnd
         seg = Segment(
             flow_id=self.flow_id,
@@ -458,3 +464,4 @@ class TcpReceiver:
             echo=echo,
         )
         self.emit_cb(seg, now + self.ack_delay)
+        return seg

@@ -39,8 +39,9 @@ class TestEstimateBdp:
 
     def test_cache_stores_exact_product(self):
         cache = PathEstimateCache()
-        est = cache.observe("SAT", 125_000, 520 * MS, at=7)
-        assert (est.bdp, est.rtt, est.measured_at) == (65_000, 520 * MS, 7)
+        est = cache.observe("SAT", 125_000, 520 * MS)
+        assert (est.bdp, est.rtt) == (65_000, 520 * MS)
+        assert cache.get("SAT") is est
         assert cache.get("WLAN") is None
 
 
@@ -126,7 +127,7 @@ class TestPlans:
         assert steps == 23  # ACKs needed to reach the boosted window
         assert plan.ramp_step == 2 * MSS
         assert plan.ramp_target == 42_500
-        assert plan.observed["drain_timeout"] == 500 * MS + 2 * 520 * MS
+        assert plan.drain_timeout == 500 * MS + 2 * 520 * MS
 
     def test_sat_to_terr_boost_clamped_to_buffer(self):
         plan = plan_sat_to_terr(65_000, 120_000, MSS, 131_072, 42_500, 520 * MS, 0, 0)

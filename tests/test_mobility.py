@@ -133,14 +133,14 @@ class TestBindingTable:
     def test_first_binding_becomes_active(self):
         table = BindingTable()
         table.register("mn", "WLAN", 10)
-        assert table.active("mn").attachment == "WLAN"
+        assert table.active_as_of("mn", 10).attachment == "WLAN"
 
     def test_multi_binding_retains_older_entries(self):
         table = BindingTable()
         table.register("mn", "WLAN", 10)
         table.register("mn", "SAT", 20)
         assert [b.attachment for b in table.entries["mn"]] == ["WLAN", "SAT"]
-        assert table.active("mn").attachment == "SAT"
+        assert table.active_as_of("mn", 20).attachment == "SAT"
 
     def test_redirection_boundary_is_registration_time(self):
         table = BindingTable()
@@ -159,17 +159,24 @@ class TestBindingTable:
 def test_home_agent_counts_unroutable_segments():
     agent = HomeAgent("HA", "mn")
     from satwin.net import Segment
+    from satwin.runner import Simulation
 
     seg = Segment(flow_id="f", seq=0, payload_len=1460)
     assert agent.route_attachment(seg, 5) is None
-    assert agent.no_binding_drops == 1
+    assert seg.routed_at is None
+    # the run counts each unroutable segment once, as a NO_BINDING drop
+    sim = Simulation(parse_scenario(scenario_text(), "mob"), mode="BASELINE")
+    sim.ha.table.entries.clear()  # no binding until the handover registers
+    metrics = sim.run()
+    unroutable = [d for d in metrics.drops if d.reason == "NO_BINDING"]
+    assert unroutable and metrics.no_binding_drops == len(unroutable)
 
 
 def test_home_agent_acks_binding_update_on_arrival_path():
     agent = HomeAgent("HA", "mn")
     bu = make_binding_update("mn", "SAT", 7)
     buack = agent.handle_binding_update(bu, 9)
-    assert agent.table.active("mn").registered_at == 9
+    assert agent.table.active_as_of("mn", 9).registered_at == 9
     assert buack.path_tag == "SAT"
 
 

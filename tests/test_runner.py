@@ -1,10 +1,12 @@
 import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import scenario_path
+from conftest import REPO_ROOT, scenario_path
+from satwin.errors import ConfigError
 from satwin.metrics import write_csv
-from satwin.runner import run
+from satwin.runner import compare, run
 from satwin.scenario import parse_scenario
 
 SINGLE_LINK = """
@@ -63,6 +65,13 @@ def test_loss_free_single_path_bulk_transfer():
     assert fm.conservation_residual() == 0
 
 
+def test_unknown_mode_is_config_error():
+    # mode names here are the canonical upper-case ones; a CLI spelling
+    # such as "baseline" must not silently run some other procedure
+    with pytest.raises(ConfigError):
+        run(parse_scenario(SINGLE_LINK, "single"), mode="baseline")
+
+
 def test_same_seed_identical_trace_and_metrics():
     scenario = parse_scenario(SINGLE_LINK, "single")
     runs = [run(scenario, seed=5, trace=True) for _ in range(2)]
@@ -90,6 +99,15 @@ def test_ack_pacing_shifts_every_ack_arrival_exactly():
     shifted = ack_arrivals(paced)
     assert len(base) == 2
     assert shifted == [t + 50_000 for t in base]
+
+
+def test_shipped_comparisons_match_golden_results(shipped_scenarios):
+    # results/*.csv hold scripts/run_comparisons.py's output: every shipped
+    # handover scenario in all three modes at seed 1
+    for name in ("s1_wlan_to_sat", "s2_sat_to_wlan", "s3_multiflow", "s4_three_networks"):
+        rows = compare(shipped_scenarios[name], ["BASELINE", "PROACTIVE", "RESET_CWND"], seed=1)
+        golden = (REPO_ROOT / "results" / f"{name}_compare.csv").read_text()
+        assert write_csv(rows) == golden, name
 
 
 def test_proactive_s1_redirection_atomicity(shipped_scenarios):
@@ -211,7 +229,8 @@ def test_conservation_survives_random_satellite_outages(gap_start, gap_len, mode
     windows = []
     if gap_start > 0:
         windows.append(f"0.0:{gap_start / 1e6:.6f}")
-    windows.append(f"{gap_end / 1e6:.6f}:9.1")
+    if gap_end < 9_100_000:  # an outage may last until the end of the run
+        windows.append(f"{gap_end / 1e6:.6f}:9.1")
     text = scenario_path("s2_sat_to_wlan").read_text().replace(
         "delay = 0.250\nqueue = 65536",
         "delay = 0.250\nqueue = 65536\navailability = " + ",".join(windows),

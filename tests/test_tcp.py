@@ -315,6 +315,24 @@ class TestWindowPolicy:
         rwnds = [seg.rwnd for seg, _ in emitted]
         assert rwnds == [0, 2920, 5840, 8760, 8760, 8760]
 
+    def test_step_bound_limits_each_window_increase(self):
+        # refilling an out-of-order hole frees four segments of buffer at
+        # once; under a two-segment bound the window reopens step by step
+        receiver, emitted = make_receiver(buffer=8 * MSS)
+        for i in range(1, 5):
+            receiver.on_data(data(i * MSS), i)
+        receiver.step_bound = 2 * MSS
+        receiver.on_data(data(0), 5)
+        receiver.on_data(data(5 * MSS), 6)
+        rwnds = [seg.rwnd for seg, _ in emitted]
+        assert rwnds == [7 * MSS, 6 * MSS, 5 * MSS, 4 * MSS, 6 * MSS, 8 * MSS]
+        assert receiver.max_rwnd_increase == 2 * MSS
+
+    def test_set_window_policy_returns_the_window_update(self):
+        receiver, emitted = make_receiver()
+        assert receiver.set_window_policy(32000, 0) is emitted[-1][0]
+        assert receiver.set_window_policy(32000, 1) is None
+
     def test_ack_pacing_shifts_emission(self):
         receiver, emitted = make_receiver()
         receiver.ack_delay = 50_000
