@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import ConfigError
-from .kernel import SEC
+from .kernel import SEC, SimError
 from .net import RttTable
 
 TERR_TO_SAT = "TERR_TO_SAT"
@@ -232,7 +232,8 @@ def allocate_flow_windows(demands: list[FlowDemand], capacity: int, mss: int = 1
         if not progressed:
             break
     alloc.update(pinned)
-    assert sum(alloc.values()) <= capacity
+    if sum(alloc.values()) > capacity:
+        raise SimError(f"window allocation {alloc} exceeds capacity {capacity}")
     return {d.flow_id: alloc[d.flow_id] for d in demands}
 
 

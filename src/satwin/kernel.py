@@ -8,12 +8,10 @@ fire in insertion order (FIFO tie-break via a monotonic sequence counter).
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable
 
-USEC = 1
-MSEC = 1_000
 SEC = 1_000_000
 
 
@@ -32,17 +30,13 @@ class SchedulingError(SimError):
     """Raised when a handler schedules an event in the past (a logic bug)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    id: int
-    fire_at: int
-    seqno: int
-    kind: str
-    fn: Callable[[], None]
-
-
 class Kernel:
-    """Virtual clock plus an ordered, cancellable event queue.
+    """Virtual clock plus an ordered, cancellable event queue: a heap of
+    `[t, seq, fn]` entries in (time, sequence number) order. `schedule`
+    returns the entry as the event's handle; cancelling or firing an event
+    blanks its `fn`, a tombstone the run loop skips. `seq` is the running
+    event's number (between runs, above every one issued), and
+    `reserve_seq` issues one without an event (see DirectedLink).
 
     Single-threaded by design: one kernel per simulation instance, no shared
     mutable state. One seeded PRNG is owned here; the core model draws
@@ -52,34 +46,39 @@ class Kernel:
 
     def __init__(self, seed: int = 0):
         self.now: int = 0
+        self.seq: int = 0
         self.rng = random.Random(seed)
-        self._heap: list[tuple[int, int, int]] = []  # (fire_at, seqno, id)
-        self._pending: dict[int, Event] = {}
-        self._next_seq = 0
-        self._next_id = 1
+        self._heap: list[list] = []  # [fire_at, seq, fn or None]
+        self._seqs = itertools.count()
+        self._live = 0
 
-    def schedule(self, at: int, fn: Callable[[], None], kind: str = "event") -> int:
+    def schedule(self, at: int, fn: Callable[[], None], kind: str = "event") -> list:
         if at < self.now:
             raise SchedulingError(
                 f"event {kind!r} scheduled at {fmt_time(at)} before clock {fmt_time(self.now)}"
             )
-        eid = self._next_id
-        self._next_id += 1
-        ev = Event(eid, at, self._next_seq, kind, fn)
-        self._next_seq += 1
-        self._pending[eid] = ev
-        heapq.heappush(self._heap, (at, ev.seqno, eid))
-        return eid
+        entry = [at, next(self._seqs), fn]
+        self._live += 1
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def schedule_in(self, delay: int, fn: Callable[[], None], kind: str = "event") -> int:
+    def schedule_in(self, delay: int, fn: Callable[[], None], kind: str = "event") -> list:
         return self.schedule(self.now + delay, fn, kind)
 
-    def cancel(self, eid: int) -> bool:
+    def reserve_seq(self) -> int:
+        """Issue the next sequence number without scheduling an event."""
+        return next(self._seqs)
+
+    def cancel(self, entry: list) -> bool:
         """True if the event was still pending; cancelled events never fire."""
-        return self._pending.pop(eid, None) is not None
+        if entry[2] is None:
+            return False
+        entry[2] = None
+        self._live -= 1
+        return True
 
     def pending(self) -> int:
-        return len(self._pending)
+        return self._live
 
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_at <= t_end, in (time, seqno) order.
@@ -90,16 +89,18 @@ class Kernel:
         """
         steps = 0
         heap = self._heap
-        pending = self._pending
+        pop = heapq.heappop
         while heap and heap[0][0] <= t_end:
-            fire_at, _, eid = heapq.heappop(heap)
-            ev = pending.pop(eid, None)
-            if ev is None:
+            entry = pop(heap)
+            fn = entry[2]
+            if fn is None:
                 continue  # cancelled
-            assert fire_at >= self.now, "event queue broke monotonicity"
-            self.now = fire_at
-            ev.fn()
+            entry[2] = None
+            self._live -= 1
+            self.now, self.seq = entry[0], entry[1]
+            fn()
             steps += 1
         if t_end > self.now:
             self.now = t_end
+        self.seq = next(self._seqs)
         return steps

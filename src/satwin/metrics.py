@@ -6,7 +6,7 @@ import io
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .kernel import SEC, fmt_time
+from .kernel import SEC, SimError, fmt_time
 
 CSV_COLUMNS = [
     "scenario", "mode", "seed", "flow_id", "goodput_bps", "retransmits",
@@ -16,6 +16,8 @@ CSV_COLUMNS = [
 ]
 
 TIMELINE_LABELS = ("t_a0", "t_a1", "t_a2", "t_r0", "t_r1", "t_r3")
+
+GAP_WINDOW = 5 * SEC  # the handover gap looks this far past the first detection
 
 
 class Trace:
@@ -55,9 +57,27 @@ class FlowMetrics:
     fast_retransmits: int = 0
     rto_times: list[int] = field(default_factory=list)
     fr_times: list[int] = field(default_factory=list)
-    inorder_times: list[int] = field(default_factory=list)
     max_rwnd_increase: int = 0
     receiver_overflows: int = 0
+    # [start, end] of the handover gap, the longest silence between in-order
+    # advances; gap_from is the last advance inside it (or its start)
+    gap_window: Optional[tuple[int, int]] = None
+    max_gap: int = 0
+    gap_from: int = 0
+
+    def __post_init__(self) -> None:
+        if self.gap_window is not None:
+            self.gap_from = self.gap_window[0]
+
+    def note_inorder(self, delivered: int, now: int) -> None:
+        """The receiver's in-order data grew to `delivered` bytes at `now`."""
+        self.delivered_inorder = delivered
+        self.last_inorder_at = now
+        window = self.gap_window
+        if window is not None and window[0] <= now <= window[1]:
+            if now - self.gap_from > self.max_gap:
+                self.max_gap = now - self.gap_from
+            self.gap_from = now
 
     def goodput_bps(self) -> float:
         if self.last_inorder_at is None or self.last_inorder_at <= self.start:
@@ -75,11 +95,10 @@ class FlowMetrics:
             1 for t in self.fr_times if start <= t <= end
         )
 
-    def handover_gap(self, start: int, end: int) -> int:
-        """Longest interval without an in-order delivery, clipped to the
-        window [start, end]."""
-        points = [start] + [t for t in self.inorder_times if start <= t <= end] + [end]
-        return max(b - a for a, b in zip(points, points[1:]))
+    def handover_gap(self) -> int:
+        """Longest interval without an in-order delivery inside the gap
+        window, counting from its start and up to its end."""
+        return max(self.max_gap, self.gap_window[1] - self.gap_from)
 
 
 @dataclass
@@ -135,11 +154,12 @@ class RunMetrics:
     def check_conservation(self) -> None:
         for fm in self.flows.values():
             residual = fm.conservation_residual()
-            assert residual == 0, (
-                f"flow {fm.flow_id}: sent {fm.bytes_sent} != delivered "
-                f"{fm.bytes_delivered} + dropped {fm.bytes_dropped} + "
-                f"in-flight {fm.bytes_inflight_end} (residual {residual})"
-            )
+            if residual != 0:
+                raise SimError(
+                    f"flow {fm.flow_id} at {fmt_time(self.end)}: sent {fm.bytes_sent} != "
+                    f"delivered {fm.bytes_delivered} + dropped {fm.bytes_dropped} + "
+                    f"in-flight {fm.bytes_inflight_end} (residual {residual})"
+                )
 
     def csv_rows(self) -> list[dict[str, str]]:
         ho = self.handovers[0] if self.handovers else None
@@ -169,8 +189,7 @@ class RunMetrics:
                 row["drops_new_path"] = str(
                     sum(1 for d in self.drops if d.kind == ho.new_kind and d.flow_id == fid)
                 )
-                gap = fm.handover_gap(ho.at, min(ho.at + 5 * SEC, self.end))
-                row["handover_gap_ms"] = f"{gap / 1000:.3f}"
+                row["handover_gap_ms"] = f"{fm.handover_gap() / 1000:.3f}"
                 for label in TIMELINE_LABELS:
                     if label in ho.timeline:
                         row[label] = fmt_time(ho.timeline[label])

@@ -9,6 +9,8 @@ ends are still delivered; only new transmissions are blocked.
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -128,8 +130,11 @@ class LinkSpec:
 class DirectedLink:
     """Runtime state of one direction of a link: drop-tail queue + serializer.
 
-    Occupancy counts every byte accepted and not yet fully serialized,
-    asserted <= capacity on each enqueue.
+    Occupancy counts every byte accepted and not yet fully serialized.
+    `backlog` holds `(finish, seq, wire)` per accepted segment, `seq`
+    reserved from the kernel at enqueue. `transmit` first releases every
+    entry whose `(finish, seq)` is below the running event's `(now, seq)`:
+    where a dequeue event scheduled in its place would already have run.
     """
 
     def __init__(self, spec: LinkSpec, src: str, dst: str, kernel: Kernel):
@@ -138,7 +143,7 @@ class DirectedLink:
         self.dst = dst
         self.kernel = kernel
         self.occupancy = 0
-        self.queue: list[Segment] = []
+        self.backlog: deque[tuple[int, int, int]] = deque()
         self.free_at = 0  # when the serializer finishes its current backlog
         self.deliver: Callable[[DirectedLink, Segment], None] | None = None
         self.on_enqueue: Callable[[DirectedLink, Segment, int], None] | None = None
@@ -156,27 +161,26 @@ class DirectedLink:
         outcome is also reported through on_drop so callers relying on the
         scheduled-events path need not inspect the return value.
         """
+        kernel = self.kernel
+        backlog = self.backlog
+        released = (kernel.now, kernel.seq)
+        while backlog and backlog[0] < released:
+            self.occupancy -= backlog.popleft()[2]
         wire = seg.wire_size()
         if not self.spec.is_available(at):
             return self._drop(seg, NO_COVERAGE, at)
         if self.occupancy + wire > self.spec.queue_capacity:
             return self._drop(seg, OVERFLOW, at)
         self.occupancy += wire
-        assert self.occupancy <= self.spec.queue_capacity
-        self.queue.append(seg)
         start = at if at > self.free_at else self.free_at
         finish = start + self.spec.serialization_us(wire)
         self.free_at = finish
-        self.kernel.schedule(finish, self._dequeue, kind="link-tx")
+        backlog.append((finish, kernel.reserve_seq(), wire))
         arrival = finish + self.spec.prop_delay
-        self.kernel.schedule(arrival, lambda s=seg: self._arrive(s), kind="link-rx")
+        kernel.schedule(arrival, lambda s=seg: self._arrive(s), kind="link-rx")
         if self.on_enqueue is not None:
             self.on_enqueue(self, seg, at)
         return arrival
-
-    def _dequeue(self) -> None:
-        seg = self.queue.pop(0)
-        self.occupancy -= seg.wire_size()
 
     def _arrive(self, seg: Segment) -> None:
         if self.spec.kind in ACCESS_KINDS:
@@ -211,8 +215,6 @@ class Topology:
 
     def __init__(self, nodes: list[NodeSpec], links: list[LinkSpec], kernel: Kernel):
         self.nodes = {n.name: n for n in nodes}
-        self.links = {l.name: l for l in links}
-        self.kernel = kernel
         self.directed: dict[tuple[str, str], DirectedLink] = {}
         self._adj: dict[str, list[tuple[str, LinkSpec]]] = {n.name: [] for n in nodes}
         for spec in links:
@@ -223,7 +225,13 @@ class Topology:
                 self._adj[src].append((dst, spec))
         for adj in self._adj.values():
             adj.sort(key=lambda e: (e[0], e[1].name))
-        self._route_cache: dict[tuple[str, str], Route] = {}
+        self._mn = next((n.name for n in nodes if n.role == "mn"), None)
+        # the MN's uplink per access kind, to the first gateway by name
+        self._uplinks: dict[str, DirectedLink] = {}
+        for (src, _), dl in sorted(self.directed.items()):
+            if src == self._mn:
+                self._uplinks.setdefault(dl.spec.kind, dl)
+        self._routes: dict[tuple, Route] = {}  # by (src, dst) and (src, dst, kind)
 
     def node_with_role(self, role: str) -> str:
         names = [n.name for n in self.nodes.values() if n.role == role]
@@ -231,62 +239,58 @@ class Topology:
             raise ConfigError(f"topology must define exactly one {role!r} node, found {names}")
         return names[0]
 
-    def access_gateway(self, kind: str) -> str:
-        mn = self.node_with_role("mn")
-        for (src, dst), dl in sorted(self.directed.items()):
-            if src == mn and dl.spec.kind == kind:
-                return dst
-        raise ConfigError(f"no {kind} access link attached to the mobile node")
+    def access_link(self, kind: str) -> DirectedLink:
+        """The MN's uplink of `kind`; its `dst` is the access gateway."""
+        self.node_with_role("mn")  # raises unless the MN is unique
+        uplink = self._uplinks.get(kind)
+        if uplink is None:
+            raise ConfigError(f"no {kind} access link attached to the mobile node")
+        return uplink
 
-    def access_link(self, kind: str) -> LinkSpec:
-        mn = self.node_with_role("mn")
-        for (src, _), dl in sorted(self.directed.items()):
-            if src == mn and dl.spec.kind == kind:
-                return dl.spec
-        raise ConfigError(f"no {kind} access link attached to the mobile node")
-
-    def route(self, src: str, dst: str, avoid_mn_access: bool = True) -> Route:
+    def route(self, src: str, dst: str) -> Route:
         """Shortest-delay route; never transits the MN's radio links unless
         one endpoint is the MN itself."""
         key = (src, dst)
-        cached = self._route_cache.get(key)
+        cached = self._routes.get(key)
         if cached is not None:
             return cached
-        mn = next((n.name for n in self.nodes.values() if n.role == "mn"), None)
         best: dict[str, tuple[int, int, tuple[str, ...]]] = {src: (0, 0, (src,))}
         frontier = [(0, 0, (src,), src)]
-        import heapq as _hq
-
         while frontier:
-            cost, hops, path, here = _hq.heappop(frontier)
+            cost, hops, path, here = heapq.heappop(frontier)
             if best.get(here, (None,))[0:3] != (cost, hops, path):
                 continue
             if here == dst:
                 break
             for nxt, spec in self._adj[here]:
-                if avoid_mn_access and mn is not None and mn in (here, nxt) and mn not in (src, dst):
+                if self._mn in (here, nxt) and self._mn not in (src, dst):
                     continue
                 cand = (cost + spec.prop_delay, hops + 1, path + (nxt,))
                 if nxt not in best or cand < best[nxt]:
                     best[nxt] = cand
-                    _hq.heappush(frontier, cand + (nxt,))
+                    heapq.heappush(frontier, cand + (nxt,))
         if dst not in best:
             raise ConfigError(f"no route from {src} to {dst}")
         names = best[dst][2]
         hops = tuple(self.directed[(names[i], names[i + 1])] for i in range(len(names) - 1))
-        self._route_cache[key] = hops
+        self._routes[key] = hops
         return hops
 
     def route_via_access(self, src: str, dst: str, kind: str) -> Route:
         """Route whose first (or last) hop is the MN's access link of `kind`."""
-        mn = self.node_with_role("mn")
-        gw = self.access_gateway(kind)
+        key = (src, dst, kind)
+        cached = self._routes.get(key)
+        if cached is not None:
+            return cached
+        uplink = self.access_link(kind)
+        mn, gw = uplink.src, uplink.dst
         if src == mn:
-            first = self.directed[(mn, gw)]
-            return (first,) + (self.route(gw, dst) if gw != dst else ())
-        last = self.directed[(gw, mn)]
-        assert dst == mn
-        return (self.route(src, gw) if src != gw else ()) + (last,)
+            hops = (uplink,) + (self.route(gw, dst) if gw != dst else ())
+        else:
+            assert dst == mn
+            hops = (self.route(src, gw) if src != gw else ()) + (self.directed[(gw, mn)],)
+        self._routes[key] = hops
+        return hops
 
 
 def path_rtt(route: Route, probe_size: int = 0, at: Optional[int] = None) -> int:
@@ -315,14 +319,9 @@ class RttTable:
 def rtt_table(topo: Topology, old_kind: str, sat_kind: str = "SAT") -> RttTable:
     """Propagation RTTs MN<->CN over the satellite, MN<->HA over the
     satellite, and MN<->HA over the old access network (zero-size probe)."""
-    mn = topo.node_with_role("mn")
-    cn = topo.node_with_role("cn")
-    ha = topo.node_with_role("ha")
-    via_sat_cn = topo.route_via_access(mn, cn, sat_kind)
-    via_sat_ha = topo.route_via_access(mn, ha, sat_kind)
-    via_old_ha = topo.route_via_access(mn, ha, old_kind)
+    mn, cn, ha = (topo.node_with_role(role) for role in ("mn", "cn", "ha"))
     return RttTable(
-        mn_sat_cn=path_rtt(via_sat_cn),
-        mn_sat_ha=path_rtt(via_sat_ha),
-        mn_old_ha=path_rtt(via_old_ha),
+        mn_sat_cn=path_rtt(topo.route_via_access(mn, cn, sat_kind)),
+        mn_sat_ha=path_rtt(topo.route_via_access(mn, ha, sat_kind)),
+        mn_old_ha=path_rtt(topo.route_via_access(mn, ha, old_kind)),
     )

@@ -9,7 +9,7 @@ from typing import Optional
 from . import handover as ho_policy
 from .errors import ConfigError
 from .kernel import Kernel, fmt_time
-from .metrics import DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
+from .metrics import GAP_WINDOW, DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
 from .mobility import HomeAgent, make_binding_update
 from .net import (ACCESS_KINDS, F_BU, F_BUACK, F_DATA, DirectedLink, Segment, Topology,
                   path_rtt, rtt_table)
@@ -27,14 +27,14 @@ class _FlowRuntime:
     sender: TcpSender
     receiver: TcpReceiver
     metrics: FlowMetrics
-    rto_event: Optional[int] = None
+    rto_event: Optional[list] = None  # kernel handle
 
 
 @dataclass
 class _Drain:
     """One flow's zero-window hold after a satellite->terrestrial switch."""
     plan: ho_policy.HandoverPlan
-    timeout_event: int
+    timeout_event: list  # kernel handle
 
 
 class _HandoverRuntime:
@@ -97,7 +97,7 @@ class _HandoverRuntime:
         if plan.chain_violation:
             sim.trace.emit(now, "warn", sim.mn, code=ho_policy.CHAIN_VIOLATION,
                            w_rec=plan.w_rec)
-        if not sim.topo.access_link(hdef.to).is_available(plan.t_r0):
+        if not sim.topo.access_link(hdef.to).spec.is_available(plan.t_r0):
             self.abort(now)
             return
         demands = [
@@ -205,7 +205,7 @@ class _HandoverRuntime:
         """Attach to the target and send the binding update, or abort when
         the target has no coverage now."""
         sim, kind = self.sim, self.hdef.to
-        if not sim.topo.access_link(kind).is_available(now):
+        if not sim.topo.access_link(kind).spec.is_available(now):
             self.abort(now)
             return False
         sim._attach(kind, now)
@@ -213,7 +213,7 @@ class _HandoverRuntime:
         seg = make_binding_update(sim.mn, kind, now)
         seg.mark = self.metrics.name
         if reg.origin == "PROXY":
-            origin = reg.proxy_location or sim.topo.access_gateway(kind)
+            origin = reg.proxy_location or sim.topo.access_link(kind).dst
             seg.route = sim.topo.route(origin, sim.ha_node)
         else:
             origin = sim.mn
@@ -295,6 +295,9 @@ class Simulation:
         self.cache = ho_policy.PathEstimateCache()
         self.flows: dict[str, _FlowRuntime] = {}
         self._inflight: dict[tuple[str, int], int] = {}
+        # the handover gap covers the earliest scripted detection onwards
+        first = min((h.at for h in scenario.handovers), default=None)
+        self._gap_window = None if first is None else (first, min(first + GAP_WINDOW, scenario.end))
 
         # what the home agent has seen of each flow's data stream
         self._ha_last_end: dict[str, int] = {}
@@ -345,7 +348,7 @@ class Simulation:
             peer_rwnd=receiver.advertised(),
             volume=fdef.volume,
         )
-        fm = FlowMetrics(fdef.name, start=fdef.start)
+        fm = FlowMetrics(fdef.name, start=fdef.start, gap_window=self._gap_window)
         runtime = _FlowRuntime(fdef, sender, receiver, fm)
         sender.send_cb = lambda seg, now, rt=runtime: self._send_data(rt, seg, now)
         sender.state_cb = lambda snd, now, rt=runtime: self._trace_state(rt, snd, now)
@@ -455,9 +458,7 @@ class Simulation:
         rt.receiver.on_data(seg, now)
 
     def _on_inorder(self, rt: _FlowRuntime, receiver: TcpReceiver, now: int) -> None:
-        rt.metrics.delivered_inorder = receiver.delivered_inorder
-        rt.metrics.last_inorder_at = now
-        rt.metrics.inorder_times.append(now)
+        rt.metrics.note_inorder(receiver.delivered_inorder, now)
         ho = self._active
         if ho is not None and ho.drains:
             ho.check_drain(rt, now)
@@ -541,7 +542,7 @@ class Simulation:
         reg = self.scenario.registration
         kind = seg.path_tag or self.attachment
         if reg.origin == "PROXY":
-            proxy = reg.proxy_location or self.topo.access_gateway(kind)
+            proxy = reg.proxy_location or self.topo.access_link(kind).dst
             seg.route = self.topo.route(self.ha_node, proxy)
         else:
             seg.route = self.topo.route_via_access(self.ha_node, self.mn, kind)

@@ -113,7 +113,11 @@ class TcpSender:
         else:
             # the +mss headroom is the fast-retransmit allowance; new data
             # itself never pushes the flight past the usable window
-            assert self.flight <= self._usable_window() + self.mss, "flight bound violated"
+            if self.flight > self._usable_window() + self.mss:
+                raise SimError(
+                    f"flow {self.flow_id} at {fmt_time(now)}: flight {self.flight} above "
+                    f"usable window {self._usable_window()} + one MSS"
+                )
         self.send_cb(seg, now)
 
     def try_send(self, now: int) -> int:

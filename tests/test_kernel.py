@@ -50,17 +50,38 @@ def test_cancel_semantics():
     k = Kernel()
     fired = []
     eid = k.schedule(3, lambda: fired.append("x"))
+    k.schedule(4, lambda: fired.append("y"))
+    assert k.pending() == 2
     assert k.cancel(eid) is True
+    assert k.pending() == 1
     assert k.cancel(eid) is False
-    k.run_until(10)
-    assert fired == []
+    assert k.pending() == 1
+    assert k.run_until(10) == 1
+    assert fired == ["y"]
+    assert k.pending() == 0
 
 
 def test_cancel_fired_event_returns_false():
     k = Kernel()
     eid = k.schedule(1, lambda: None)
+    k.schedule(2, lambda: None)
     k.run_until(1)
+    assert k.pending() == 1
     assert k.cancel(eid) is False
+    assert k.pending() == 1
+
+
+def test_seq_orders_reserved_numbers_with_events():
+    k = Kernel()
+    seen = []
+    k.schedule(5, lambda: seen.append(k.seq))
+    reserved = k.reserve_seq()
+    k.schedule(5, lambda: seen.append(k.seq))
+    assert k.pending() == 2  # a reserved number is not an event
+    k.run_until(5)
+    assert seen[0] < reserved < seen[1]
+    # between runs every number issued so far counts as run
+    assert k.seq > max(seen)
 
 
 def test_run_until_empty_queue():

@@ -1,0 +1,36 @@
+from hypothesis import given, strategies as st
+
+from satwin.metrics import FlowMetrics
+
+
+def gap_from_all_times(times, start, end):
+    """Reference: the gap computed from the list of every advance time."""
+    points = [start] + [t for t in times if start <= t <= end] + [end]
+    return max(b - a for a, b in zip(points, points[1:]))
+
+
+def streamed_gap(times, window):
+    fm = FlowMetrics("f", start=0, gap_window=window)
+    for delivered, t in enumerate(times, 1):
+        fm.note_inorder(delivered, t)
+    return fm.handover_gap()
+
+
+def test_streaming_gap_at_the_window_edges():
+    window = (1000, 6000)
+    assert streamed_gap([], window) == 5000  # no advance: the whole window
+    assert streamed_gap([999, 6001], window) == 5000  # just outside both edges
+    assert streamed_gap([1000, 6000], window) == 5000  # on both edges
+    assert streamed_gap([999, 1000, 1000, 2000], window) == 4000  # silence up to the end
+    assert streamed_gap([500, 1200, 5900, 7000], window) == 4700
+    assert streamed_gap([3000], (3000, 3000)) == 0  # window clipped to the run's end
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=10_000), max_size=40).map(sorted),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=5_000),
+)
+def test_streaming_gap_matches_the_list_reference(times, start, length):
+    window = (start, start + length)
+    assert streamed_gap(times, window) == gap_from_all_times(times, *window)

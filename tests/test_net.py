@@ -1,9 +1,13 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
 from satwin.errors import ConfigError
 from satwin.kernel import Kernel
 from satwin.net import (
+    NO_COVERAGE,
+    OVERFLOW,
     Drop,
     LinkSpec,
     NodeSpec,
@@ -100,6 +104,103 @@ def test_fifo_property_random_sizes(sizes):
         link.transmit(Segment(flow_id="f", seq=i, payload_len=size), 0)
     k.run_until(1 << 60)
     assert order == list(range(len(sizes)))
+
+
+def test_transmit_at_a_finish_time_sees_the_events_scheduled_before_it():
+    # one 1500 B segment S fills the queue and finishes serializing at F.
+    # A was scheduled for F before S was sent, B after: the moment S leaves
+    # the queue falls between them, so A's segment overflows and B's fits
+    k = Kernel()
+    link = make_link(k, bandwidth=1_500_000, prop=MS, queue=1500, kind="WLAN")
+    link.deliver = lambda l, s: None
+    F = MS  # 1500 B at 1.5 MB/s
+    outcomes = []
+    k.schedule(F, lambda: outcomes.append(link.transmit(data_segment(), k.now)))
+    assert link.transmit(data_segment(), 0) == F + MS
+    k.schedule(F, lambda: outcomes.append(link.transmit(data_segment(), k.now)))
+    k.run_until(10 * MS)
+    assert outcomes == [Drop(OVERFLOW), 3 * MS]
+
+
+class DequeueEventLink:
+    """Reference model: every accepted segment schedules an explicit event
+    at its finish time that takes its bytes off the queue."""
+
+    def __init__(self, spec, kernel):
+        self.spec = spec
+        self.kernel = kernel
+        self.occupancy = 0
+        self.queued = deque()
+        self.free_at = 0
+        self.deliver = None
+
+    def transmit(self, seg, at):
+        wire = seg.wire_size()
+        if not self.spec.is_available(at):
+            return Drop(NO_COVERAGE)
+        if self.occupancy + wire > self.spec.queue_capacity:
+            return Drop(OVERFLOW)
+        self.occupancy += wire
+        self.queued.append(wire)
+        finish = max(at, self.free_at) + self.spec.serialization_us(wire)
+        self.free_at = finish
+        self.kernel.schedule(finish, self._dequeue)
+        arrival = finish + self.spec.prop_delay
+        self.kernel.schedule(arrival, lambda: self.deliver(self, seg))
+        return arrival
+
+    def _dequeue(self):
+        self.occupancy -= self.queued.popleft()
+
+
+def _drive(make, ops):
+    """Run `ops` against a link: each op transmits at its time and may
+    schedule one follow-up transmit, before or after its own."""
+    k = Kernel()
+    link = make(k)
+    log = []
+    link.deliver = lambda l, s: log.append(("rx", s.seq, k.now))
+
+    def send(label, payload):
+        out = link.transmit(Segment(flow_id="f", seq=label, payload_len=payload), k.now)
+        log.append(("tx", label, k.now, out, link.occupancy))
+
+    def fire(i, payload, child):
+        if child is not None and child[2]:
+            k.schedule_in(child[0], lambda: send(2 * i + 1, child[1]))
+        send(2 * i, payload)
+        if child is not None and not child[2]:
+            k.schedule_in(child[0], lambda: send(2 * i + 1, child[1]))
+
+    for i, (at, payload, child) in enumerate(ops):
+        k.schedule(at, lambda i=i, p=payload, c=child: fire(i, p, c))
+    k.run_until(10**9)
+    return log
+
+
+# wire sizes 500/1000/1500 B at 1 MB/s serialize in 500/1000/1500 us, and
+# every event time is a multiple of 500 us, so events often fall exactly
+# on a segment's finish time
+_payloads = st.sampled_from([460, 960, 1460])
+_ticks = st.integers(min_value=0, max_value=12).map(lambda n: n * 500)
+
+
+@given(
+    queue=st.sampled_from([1500, 2000, 3000, 4500]),
+    prop=st.sampled_from([0, 500, 1000]),
+    avail=st.sampled_from([None, ((0, 2000), (3500, 10**9))]),
+    ops=st.lists(
+        st.tuples(_ticks, _payloads,
+                  st.none() | st.tuples(_ticks, _payloads, st.booleans())),
+        min_size=1, max_size=25,
+    ),
+)
+def test_lazy_release_matches_a_dequeue_event_per_segment(queue, prop, avail, ops):
+    def lazy(k):
+        return make_link(k, bandwidth=1_000_000, prop=prop, queue=queue, avail=avail, kind="WLAN")
+
+    spec = lazy(Kernel()).spec
+    assert _drive(lazy, ops) == _drive(lambda k: DequeueEventLink(spec, k), ops)
 
 
 def test_path_rtt_single_hop_with_probe():

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,6 +241,29 @@ def test_conservation_survives_random_satellite_outages(gap_start, gap_len, mode
     metrics, _ = run(parse_scenario(text, "s2_outage"), mode=mode)
     for fm in metrics.flows.values():
         assert fm.conservation_residual() == 0
+
+
+def test_conservation_check_survives_python_O():
+    # a bare assert would vanish under -O and let the residual pass
+    code = (
+        "import sys\n"
+        "from satwin.kernel import SimError\n"
+        "from satwin.metrics import FlowMetrics, RunMetrics\n"
+        "assert False, 'asserts must be stripped'\n"
+        "m = RunMetrics('s', 'BASELINE', 1, end=3_000_000)\n"
+        "m.flows['f1'] = FlowMetrics('f1', start=0, bytes_sent=10)\n"
+        "try:\n"
+        "    m.check_conservation()\n"
+        "except SimError as exc:\n"
+        "    print(exc)\n"
+        "    sys.exit(3)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "flow f1 at 3.000000" in proc.stdout
+    assert "(residual 10)" in proc.stdout
 
 
 def test_cli_maps_internal_invariant_to_exit_3(tmp_path, monkeypatch, capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from satwin.errors import ConfigError, ProtocolViolation
-from satwin.kernel import SEC
+from satwin.kernel import SEC, SimError
 from satwin.net import F_ACK, F_DATA, F_REFRESH, F_WUPD, Segment
 from satwin.tcp import (
     CONG_AVOID,
@@ -173,6 +173,14 @@ class TestSenderRto:
         # receiver held everything except the head segment
         sender.on_ack(ack(10 * MSS, sent_at=20), 30)
         assert all(not s.rexmit for s in sent)
+
+
+def test_flight_bound_violation_names_flow_and_time():
+    sender, _ = make_sender()
+    fill_flight(sender, 10)
+    sender.cwnd = MSS
+    with pytest.raises(SimError, match=r"flow f at 0\.000005: flight 14600"):
+        sender._emit(sender.snd_nxt, MSS, 5, rexmit=False)
 
 
 class TestExternalCongestionAvoidance:
