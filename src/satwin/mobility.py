@@ -9,7 +9,7 @@ share link queues with data (congestion can delay them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import ConfigError
 from .net import F_BU, F_BUACK, Segment
@@ -82,17 +82,12 @@ class HomeAgent:
         self.node = node
         self.mn = mn
         self.table = BindingTable()
-        # observation hooks, wired by the runner
-        self.on_registration: Callable[[Segment, int], None] | None = None
-        self.on_data: Callable[[Segment, int], None] | None = None
 
     def handle_binding_update(self, seg: Segment, now: int) -> Segment:
         """Register the new attachment and produce the BUACK; the caller
         sends it back over the new path (its arrival defines t_r3)."""
         assert seg.flags & F_BU
         self.table.register(self.mn, seg.path_tag or "?", now)
-        if self.on_registration is not None:
-            self.on_registration(seg, now)
         return Segment(flow_id=MIP_FLOW, flags=F_BUACK, sent_at=now, path_tag=seg.path_tag)
 
     def route_attachment(self, seg: Segment, now: int) -> Optional[str]:
@@ -102,6 +97,4 @@ class HomeAgent:
         if binding is None:
             return None
         seg.routed_at = now
-        if self.on_data is not None:
-            self.on_data(seg, now)
         return binding.attachment

@@ -11,7 +11,7 @@ from .errors import ConfigError
 from .kernel import Kernel, fmt_time
 from .metrics import GAP_WINDOW, DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
 from .mobility import HomeAgent, make_binding_update
-from .net import (ACCESS_KINDS, F_BU, F_BUACK, F_DATA, DirectedLink, Segment, Topology,
+from .net import (ACCESS_KINDS, F_BU, F_BUACK, F_DATA, DirectedLink, Route, Segment, Topology,
                   path_rtt, rtt_table)
 from .scenario import BASELINE, PROACTIVE, RESET_CWND, FlowDef, HandoverDef, Scenario, flow_buffer
 from .tcp import SLOW_START, TcpReceiver, TcpSender
@@ -27,6 +27,7 @@ class _FlowRuntime:
     sender: TcpSender
     receiver: TcpReceiver
     metrics: FlowMetrics
+    route: Route  # source to home agent, resolved once
     rto_event: Optional[list] = None  # kernel handle
 
 
@@ -214,14 +215,14 @@ class _HandoverRuntime:
         seg.mark = self.metrics.name
         if reg.origin == "PROXY":
             origin = reg.proxy_location or sim.topo.access_link(kind).dst
-            seg.route = sim.topo.route(origin, sim.ha_node)
+            route = sim.topo.route(origin, sim.ha_node)
         else:
             origin = sim.mn
-            seg.route = sim.topo.route_via_access(sim.mn, sim.ha_node, kind)
+            route = sim.topo.route_via_access(sim.mn, sim.ha_node, kind)
         self.awaiting = "t_r1"
         sim.trace.emit(now, "bu_send", origin, network=kind)
         self.stamp("t_r0", now, origin)
-        seg.route[0].transmit(seg, now)
+        sim._launch(seg, route, now)
         return True
 
     def abort(self, now: int) -> None:
@@ -289,8 +290,6 @@ class Simulation:
         self.cn = self.topo.node_with_role("cn")
         self.ha_node = self.topo.node_with_role("ha")
         self.ha = HomeAgent(self.ha_node, self.mn)
-        self.ha.on_registration = self._on_registration
-        self.ha.on_data = self._on_ha_data
         self.metrics = RunMetrics(scenario.name, self.mode, self.seed, end=scenario.end)
         self.cache = ho_policy.PathEstimateCache()
         self.flows: dict[str, _FlowRuntime] = {}
@@ -349,7 +348,7 @@ class Simulation:
             volume=fdef.volume,
         )
         fm = FlowMetrics(fdef.name, start=fdef.start, gap_window=self._gap_window)
-        runtime = _FlowRuntime(fdef, sender, receiver, fm)
+        runtime = _FlowRuntime(fdef, sender, receiver, fm, self.topo.route(fdef.src, self.ha_node))
         sender.send_cb = lambda seg, now, rt=runtime: self._send_data(rt, seg, now)
         sender.state_cb = lambda snd, now, rt=runtime: self._trace_state(rt, snd, now)
         receiver.emit_cb = lambda seg, at, rt=runtime: self._emit_ack(rt, seg, at)
@@ -367,14 +366,12 @@ class Simulation:
     # data plane
 
     def _send_data(self, rt: _FlowRuntime, seg: Segment, now: int) -> None:
-        seg.route = self.topo.route(rt.spec.src, self.ha_node)
-        seg.hop = 0
         rt.metrics.bytes_sent += seg.payload_len
         self._inflight[(seg.flow_id, seg.copy)] = seg.payload_len
         if self.trace.enabled:
             self.trace.emit(now, "rexmit" if seg.rexmit else "send", rt.spec.src,
                             flow=seg.flow_id, seq=seg.seq, len=seg.payload_len)
-        self._launch(seg, now)
+        self._launch(seg, rt.route, now)
 
     def _emit_ack(self, rt: _FlowRuntime, seg: Segment, send_at: int) -> None:
         if send_at > self.kernel.now:
@@ -384,15 +381,15 @@ class Simulation:
 
     def _send_ack(self, rt: _FlowRuntime, seg: Segment) -> None:
         now = self.kernel.now
-        seg.route = self.topo.route_via_access(self.mn, rt.spec.src, self.attachment)
-        seg.hop = 0
         if self.trace.enabled:
             self.trace.emit(now, "ack_tx", self.mn, flow=seg.flow_id, ack=seg.ack,
                             rwnd=seg.rwnd, flags=seg.flags)
-        self._launch(seg, now)
+        self._launch(seg, self.topo.route_via_access(self.mn, rt.spec.src, self.attachment), now)
 
-    def _launch(self, seg: Segment, now: int) -> None:
-        seg.route[seg.hop].transmit(seg, now)
+    def _launch(self, seg: Segment, route: Route, now: int) -> None:
+        seg.route = route
+        seg.hop = 0
+        route[0].transmit(seg, now)
 
     def _on_arrival(self, link: DirectedLink, seg: Segment) -> None:
         now = self.kernel.now
@@ -409,6 +406,7 @@ class Simulation:
             return
         if seg.flags & F_BU:
             buack = self.ha.handle_binding_update(seg, now)
+            self._on_registration(seg, now)
             buack.mark = seg.mark
             self._send_buack(buack, now)
             return
@@ -433,15 +431,14 @@ class Simulation:
             self.metrics.no_binding_drops += 1
             self._account_drop(seg, "NO_BINDING", "-", "-", now)
             return
+        self._on_ha_data(seg, now)
         # the routed watermark seals the satellite stream at t_r1 exactly:
         # everything the anchor ever pointed at the old network is below it
         key = (seg.flow_id, kind)
         end = seg.seq + seg.payload_len
         if end > self._routed_watermark.get(key, 0):
             self._routed_watermark[key] = end
-        seg.route = self.topo.route_via_access(self.ha_node, self.mn, kind)
-        seg.hop = 0
-        seg.route[0].transmit(seg, now)
+        self._launch(seg, self.topo.route_via_access(self.ha_node, self.mn, kind), now)
 
     def _deliver_data(self, seg: Segment, now: int) -> None:
         rt = self.flows.get(seg.flow_id)
@@ -543,11 +540,10 @@ class Simulation:
         kind = seg.path_tag or self.attachment
         if reg.origin == "PROXY":
             proxy = reg.proxy_location or self.topo.access_link(kind).dst
-            seg.route = self.topo.route(self.ha_node, proxy)
+            route = self.topo.route(self.ha_node, proxy)
         else:
-            seg.route = self.topo.route_via_access(self.ha_node, self.mn, kind)
-        seg.hop = 0
-        seg.route[0].transmit(seg, now)
+            route = self.topo.route_via_access(self.ha_node, self.mn, kind)
+        self._launch(seg, route, now)
 
     def _on_registration(self, seg: Segment, now: int) -> None:
         self.trace.emit(now, "bu_recv", self.ha_node, network=seg.path_tag or "-")

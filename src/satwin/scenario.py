@@ -1,18 +1,21 @@
 """Scenario files: flat sectioned text, `[section]` headers, `key = value`.
 
-Sections: [sim], [node.<name>], [link.<name>], [flow.<name>], [handover.<n>].
-Times are decimal seconds (must land on the microsecond grid), bandwidths
-bits/second, sizes bytes. Unknown sections or keys are configuration errors
+Sections: one [sim], and any number of [node.<name>], [link.<name>],
+[flow.<name>], [handover.<n>], each name at most once per kind. Times are
+decimal seconds (must land on the microsecond grid), bandwidths bits/second,
+sizes bytes. `_SCHEMA` declares every key once: its parser, its default
+(or that it is required) and how `canonical_text` writes it back. Unknown
+sections or keys, duplicates and bad values are configuration errors
 reported with their line number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import ConfigError
 from .kernel import SEC, fmt_time
@@ -71,36 +74,45 @@ class Scenario:
     handovers: tuple[HandoverDef, ...]
 
 
-def _parse_time(raw: str, line: int, key: str) -> int:
-    try:
-        value = Decimal(raw) * SEC
-    except InvalidOperation:
-        raise ConfigError(f"bad time value {raw!r}", line, key) from None
-    if value != value.to_integral_value():
-        raise ConfigError(f"time {raw!r} is finer than 1 microsecond", line, key)
-    micros = int(value)
-    if micros < 0:
-        raise ConfigError(f"time {raw!r} is negative", line, key)
-    return micros
+# -- value parsers: (raw text, line, key) -> value ----------------------------
 
 
-def _parse_int(raw: str, line: int, key: str, minimum: Optional[int] = None) -> int:
+def _number(raw: str, line: int, key: str) -> Decimal:
     try:
-        value = int(Decimal(raw))
-        if Decimal(raw) != value:
-            raise InvalidOperation
+        value = Decimal(raw)
     except InvalidOperation:
-        raise ConfigError(f"expected an integer, got {raw!r}", line, key) from None
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"value {value} below minimum {minimum}", line, key)
+        raise ConfigError(f"expected a number, got {raw!r}", line, key) from None
+    if not value.is_finite() or value.adjusted() > 20:
+        raise ConfigError(f"number {raw!r} must be finite and below 1e21", line, key)
     return value
 
 
-def _parse_bandwidth(raw: str, line: int, key: str) -> int:
-    try:
-        bits = Decimal(raw)
-    except InvalidOperation:
-        raise ConfigError(f"bad bandwidth {raw!r}", line, key) from None
+def _time(raw: str, line: int, key: str) -> int:
+    value = _number(raw, line, key) * SEC
+    if value != value.to_integral_value():
+        raise ConfigError(f"time {raw!r} is finer than 1 microsecond", line, key)
+    if value < 0:
+        raise ConfigError(f"time {raw!r} is negative", line, key)
+    return int(value)
+
+
+def _int(minimum: int, maximum: Optional[int] = None) -> Callable[[str, int, str], int]:
+    def parse(raw: str, line: int, key: str) -> int:
+        value = _number(raw, line, key)
+        if value != value.to_integral_value():
+            raise ConfigError(f"expected an integer, got {raw!r}", line, key)
+        value = int(value)
+        if value < minimum:
+            raise ConfigError(f"value {value} below minimum {minimum}", line, key)
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"value {value} above maximum {maximum}", line, key)
+        return value
+
+    return parse
+
+
+def _bandwidth(raw: str, line: int, key: str) -> int:
+    bits = _number(raw, line, key)
     if bits <= 0 or bits != bits.to_integral_value() or int(bits) % 8:
         raise ConfigError(
             f"bandwidth {raw!r} must be a positive whole number of bits/s divisible by 8",
@@ -110,256 +122,205 @@ def _parse_bandwidth(raw: str, line: int, key: str) -> int:
     return int(bits) // 8
 
 
-def _parse_availability(raw: str, line: int, key: str):
+def _availability(raw: str, line: int, key: str) -> tuple[tuple[int, int], ...]:
     windows = []
     for part in raw.split(","):
         try:
             start_s, end_s = part.split(":")
         except ValueError:
             raise ConfigError(f"availability windows look like start:end, got {part!r}", line, key)
-        windows.append((_parse_time(start_s.strip(), line, key), _parse_time(end_s.strip(), line, key)))
+        windows.append((_time(start_s.strip(), line, key), _time(end_s.strip(), line, key)))
     return tuple(windows)
 
 
+def _weight(raw: str, line: int, key: str) -> Fraction:
+    try:
+        weight = Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"bad weight {raw!r}", line, key) from None
+    if weight <= 0:
+        raise ConfigError("weight must be positive", line, key)
+    return weight
+
+
+def _one_of(choices: tuple[str, ...] | dict[str, str]) -> Callable[[str, int, str], str]:
+    """Parser for one of `choices`; a dict also translates the name."""
+    values = choices if isinstance(choices, dict) else dict(zip(choices, choices))
+
+    def parse(raw: str, line: int, key: str) -> str:
+        if raw not in values:
+            raise ConfigError(f"unknown {key} {raw!r}; valid: {', '.join(values)}", line, key)
+        return values[raw]
+
+    return parse
+
+
+def _name(raw: str, line: int, key: str) -> str:
+    return raw  # a node name; validate_scenario checks that it exists
+
+
+_non_negative = _int(0)
+
+
+def _volume(raw: str, line: int, key: str) -> Optional[int]:
+    return _non_negative(raw, line, key) or None  # 0 = unlimited, like the default
+
+
+# -- the format: section kind -> key -> how to read and write it -------------
+
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    parse: Callable[[str, int, str], Any]
+    default: Any = _REQUIRED
+    write: Callable[[Any], str] = str
+    field: Optional[str] = None  # attribute holding the value, if not the key
+
+
+def _write_windows(windows: tuple[tuple[int, int], ...]) -> str:
+    return ",".join(f"{fmt_time(a)}:{fmt_time(b)}" for a, b in windows)
+
+
+_MODE_KEYS = {mode: name for name, mode in MODE_NAMES.items()}
+
+_SCHEMA: dict[str, dict[str, _Key]] = {
+    "sim": {
+        "end": _Key(_time, write=fmt_time),
+        "seed": _Key(_int(0, (1 << 64) - 1), 0),
+        "mode": _Key(_one_of(MODE_NAMES), BASELINE, _MODE_KEYS.__getitem__),
+        "attach": _Key(_one_of(ACCESS_KINDS)),
+        "w_default": _Key(_int(1)),
+        "sat_default_window": _Key(_int(1), None),
+        "mss": _Key(_int(1), 1460),
+        # default of every handover's exec_lead; resolved into HandoverDef
+        "s2t_exec_lead": _Key(_time, DEFAULT_EXEC_LEAD, fmt_time),
+        "registration": _Key(_one_of(("MN", "PROXY")), "MN", field="origin"),
+        "proxy_gateway": _Key(_name, None, field="proxy_location"),
+    },
+    "node": {
+        "role": _Key(_one_of(ROLES)),
+        "kind": _Key(_one_of(ACCESS_KINDS), None),
+    },
+    "link": {
+        "a": _Key(_name),
+        "b": _Key(_name),
+        "kind": _Key(_one_of(LINK_KINDS), "WIRED"),
+        "bandwidth": _Key(_bandwidth, write=lambda b: str(b * 8)),
+        "delay": _Key(_time, write=fmt_time, field="prop_delay"),
+        "queue": _Key(_int(1), field="queue_capacity"),
+        "availability": _Key(_availability, None, _write_windows),
+    },
+    "flow": {
+        "src": _Key(_name),
+        "dst": _Key(_name),
+        "start": _Key(_time, write=fmt_time),
+        "volume": _Key(_volume, None),
+        "weight": _Key(_weight, Fraction(1)),
+        "min_share": _Key(_non_negative, 0),
+        "buffer": _Key(_int(1), 0),  # 0 = w_default
+        "ack_extra_delay": _Key(_time, 0, fmt_time),
+    },
+    "handover": {
+        "at": _Key(_time, write=fmt_time),
+        "direction": _Key(_one_of(DIRECTIONS)),
+        "to": _Key(_one_of(ACCESS_KINDS)),
+        "exec_lead": _Key(_time, None, fmt_time),  # None = [sim] s2t_exec_lead
+        "ack_pacing": _Key(_time, 0, fmt_time),
+    },
+}
+
+
+# what a section starts from: each optional key's default, by field name
+_DEFAULTS = {
+    kind: {spec.field or key: spec.default for key, spec in keys.items()
+           if spec.default is not _REQUIRED}
+    for kind, keys in _SCHEMA.items()
+}
+
+
 class _Section:
-    def __init__(self, kind: str, name: str, line: int):
-        self.kind = kind
-        self.name = name
+    def __init__(self, header: str, line: int):
+        self.header = header  # "sim" or "<kind>.<name>"
+        self.kind, _, self.name = header.partition(".")
         self.line = line
         self.items: dict[str, tuple[str, int]] = {}
 
 
 def _split_sections(text: str, origin: str) -> list[_Section]:
     sections: list[_Section] = []
-    current: Optional[_Section] = None
+    seen: set[str] = set()
+    items: Optional[dict[str, tuple[str, int]]] = None  # of the current section
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        stripped = rawline.split("#", 1)[0].strip()
+        stripped = rawline.partition("#")[0].strip()
         if not stripped:
             continue
         if stripped.startswith("["):
             if not stripped.endswith("]"):
                 raise ConfigError(f"{origin}: malformed section header", lineno)
-            header = stripped[1:-1].strip()
-            kind, _, name = header.partition(".")
-            current = _Section(kind, name, lineno)
-            sections.append(current)
+            section = _Section(stripped[1:-1].strip(), lineno)
+            if section.kind not in _SCHEMA:
+                raise ConfigError(f"unknown section [{section.kind}]", lineno)
+            if bool(section.name) == (section.kind == "sim"):
+                raise ConfigError(f"[{section.header}]: [sim] takes no name, "
+                                  "every other section needs one", lineno)
+            if section.header in seen:
+                raise ConfigError(f"{origin}: duplicate section [{section.header}]", lineno)
+            seen.add(section.header)
+            sections.append(section)
+            items = section.items
             continue
         if "=" not in stripped:
             raise ConfigError(f"{origin}: expected key = value", lineno)
-        if current is None:
+        if items is None:
             raise ConfigError(f"{origin}: key outside any section", lineno)
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key in current.items:
+        if key in items:
             raise ConfigError(f"{origin}: duplicate key", lineno, key)
-        current.items[key] = (value.strip(), lineno)
+        items[key] = (value.strip(), lineno)
     return sections
 
 
-_SIM_KEYS = {
-    "end", "seed", "mode", "attach", "w_default", "sat_default_window",
-    "mss", "s2t_exec_lead", "registration", "proxy_gateway",
-}
-_NODE_KEYS = {"role", "kind"}
-_LINK_KEYS = {"a", "b", "kind", "bandwidth", "delay", "queue", "availability"}
-_FLOW_KEYS = {"src", "dst", "start", "volume", "weight", "min_share", "buffer", "ack_extra_delay"}
-_HANDOVER_KEYS = {"at", "direction", "to", "exec_lead", "ack_pacing"}
+def _fill(section: _Section) -> dict[str, Any]:
+    """Every key of the section's kind, parsed or defaulted, by field name."""
+    schema = _SCHEMA[section.kind]
+    values = dict(_DEFAULTS[section.kind])
+    for key, (raw, line) in section.items.items():
+        spec = schema.get(key)
+        if spec is None:
+            raise ConfigError(f"unknown key in [{section.kind}] section", line, key)
+        values[spec.field or key] = spec.parse(raw, line, key)
+    if len(values) < len(schema):
+        missing = next(key for key, spec in schema.items() if (spec.field or key) not in values)
+        raise ConfigError(f"[{section.header}] missing key", section.line, missing)
+    return values
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
-    sections = _split_sections(text, name)
-
-    sim: dict[str, tuple[str, int]] = {}
-    nodes: list[NodeSpec] = []
-    links: list[LinkSpec] = []
-    flows: list[FlowDef] = []
-    handovers: list[HandoverDef] = []
-
-    def check_keys(section: _Section, allowed: set[str]) -> None:
-        for key, (_, line) in section.items.items():
-            if key not in allowed:
-                raise ConfigError(f"unknown key in [{section.kind}] section", line, key)
-
-    def need(section: _Section, key: str) -> tuple[str, int]:
-        if key not in section.items:
-            raise ConfigError(f"[{section.kind}.{section.name}] missing key", section.line, key)
-        return section.items[key]
-
-    for section in sections:
-        if section.kind == "sim":
-            check_keys(section, _SIM_KEYS)
-            sim = section.items
-        elif section.kind == "node":
-            check_keys(section, _NODE_KEYS)
-            role_raw, role_line = need(section, "role")
-            if role_raw not in ROLES:
-                raise ConfigError(f"unknown role {role_raw!r}; valid: {', '.join(ROLES)}", role_line, "role")
-            kind = None
-            if "kind" in section.items:
-                kind_raw, kind_line = section.items["kind"]
-                if kind_raw not in ACCESS_KINDS:
-                    raise ConfigError(f"gateway kind must be one of {ACCESS_KINDS}", kind_line, "kind")
-                kind = kind_raw
-            nodes.append(NodeSpec(section.name, role_raw, kind))
-        elif section.kind == "link":
-            check_keys(section, _LINK_KEYS)
-            kind = "WIRED"
-            if "kind" in section.items:
-                kind_raw, kind_line = section.items["kind"]
-                if kind_raw not in LINK_KINDS:
-                    raise ConfigError(f"link kind must be one of {LINK_KINDS}", kind_line, "kind")
-                kind = kind_raw
-            availability = None
-            if "availability" in section.items:
-                avail_raw, avail_line = section.items["availability"]
-                availability = _parse_availability(avail_raw, avail_line, "availability")
-            links.append(
-                LinkSpec(
-                    name=section.name,
-                    a=need(section, "a")[0],
-                    b=need(section, "b")[0],
-                    bandwidth=_parse_bandwidth(*need(section, "bandwidth"), key="bandwidth"),
-                    prop_delay=_parse_time(*need(section, "delay"), key="delay"),
-                    queue_capacity=_parse_int(*need(section, "queue"), key="queue", minimum=1),
-                    kind=kind,
-                    availability=availability,
-                )
-            )
-        elif section.kind == "flow":
-            check_keys(section, _FLOW_KEYS)
-            volume = None
-            if "volume" in section.items:
-                vol = _parse_int(*section.items["volume"], key="volume", minimum=0)
-                volume = vol or None
-            weight = Fraction(1)
-            if "weight" in section.items:
-                weight_raw, weight_line = section.items["weight"]
-                try:
-                    weight = Fraction(weight_raw)
-                except (ValueError, ZeroDivisionError):
-                    raise ConfigError(f"bad weight {weight_raw!r}", weight_line, "weight") from None
-                if weight <= 0:
-                    raise ConfigError("weight must be positive", weight_line, "weight")
-            flows.append(
-                FlowDef(
-                    name=section.name,
-                    src=need(section, "src")[0],
-                    dst=need(section, "dst")[0],
-                    start=_parse_time(*need(section, "start"), key="start"),
-                    volume=volume,
-                    weight=weight,
-                    min_share=_parse_int(*section.items["min_share"], key="min_share", minimum=0)
-                    if "min_share" in section.items
-                    else 0,
-                    buffer=_parse_int(*section.items["buffer"], key="buffer", minimum=1)
-                    if "buffer" in section.items
-                    else 0,
-                    ack_extra_delay=_parse_time(*section.items["ack_extra_delay"], key="ack_extra_delay")
-                    if "ack_extra_delay" in section.items
-                    else 0,
-                )
-            )
-        elif section.kind == "handover":
-            check_keys(section, _HANDOVER_KEYS)
-            direction_raw, direction_line = need(section, "direction")
-            if direction_raw not in DIRECTIONS:
-                raise ConfigError(
-                    f"unknown direction {direction_raw!r}; valid: {', '.join(DIRECTIONS)}",
-                    direction_line,
-                    "direction",
-                )
-            to_raw, to_line = need(section, "to")
-            if to_raw not in ACCESS_KINDS:
-                raise ConfigError(f"handover target must be one of {ACCESS_KINDS}", to_line, "to")
-            handovers.append(
-                (
-                    HandoverDef(
-                        name=section.name,
-                        at=_parse_time(*need(section, "at"), key="at"),
-                        direction=direction_raw,
-                        to=to_raw,
-                        exec_lead=_parse_time(*section.items["exec_lead"], key="exec_lead")
-                        if "exec_lead" in section.items
-                        else DEFAULT_EXEC_LEAD,
-                        ack_pacing=_parse_time(*section.items["ack_pacing"], key="ack_pacing")
-                        if "ack_pacing" in section.items
-                        else 0,
-                    ),
-                    "exec_lead" in section.items,
-                )
-            )
-        else:
-            raise ConfigError(f"unknown section [{section.kind}]", section.line)
-
-    if not sim:
+    parts: dict[str, list[tuple[str, dict[str, Any]]]] = {kind: [] for kind in _SCHEMA}
+    for section in _split_sections(text, name):
+        parts[section.kind].append((section.name, _fill(section)))
+    if not parts["sim"]:
         raise ConfigError(f"{name}: missing [sim] section")
-
-    end = _parse_time(*need_sim(sim, "end", name), key="end")
-    seed = 0
-    if "seed" in sim:
-        seed = _parse_int(*sim["seed"], key="seed", minimum=0)
-        if seed >= 1 << 64:
-            raise ConfigError("seed must fit in 64 bits", sim["seed"][1], "seed")
-    mode = BASELINE
-    if "mode" in sim:
-        mode_raw, mode_line = sim["mode"]
-        if mode_raw not in MODE_NAMES:
-            raise ConfigError(
-                f"unknown mode {mode_raw!r}; valid modes: {', '.join(sorted(MODE_NAMES))}",
-                mode_line,
-                "mode",
-            )
-        mode = MODE_NAMES[mode_raw]
-    attach_raw, attach_line = need_sim(sim, "attach", name)
-    if attach_raw not in ACCESS_KINDS:
-        raise ConfigError(f"attach must be one of {ACCESS_KINDS}", attach_line, "attach")
-    w_default = _parse_int(*need_sim(sim, "w_default", name), key="w_default", minimum=1)
-    sat_default_window = (
-        _parse_int(*sim["sat_default_window"], key="sat_default_window", minimum=1)
-        if "sat_default_window" in sim
-        else None
-    )
-    mss = _parse_int(*sim["mss"], key="mss", minimum=1) if "mss" in sim else 1460
-    exec_lead_default = (
-        _parse_time(*sim["s2t_exec_lead"], key="s2t_exec_lead") if "s2t_exec_lead" in sim else None
-    )
-    registration = RegistrationConfig()
-    if "registration" in sim:
-        reg_raw, reg_line = sim["registration"]
-        if reg_raw not in ("MN", "PROXY"):
-            raise ConfigError("registration must be MN or PROXY", reg_line, "registration")
-        proxy = sim.get("proxy_gateway", (None, 0))[0]
-        registration = RegistrationConfig(origin=reg_raw, proxy_location=proxy)
-
-    resolved_handovers = []
-    for ho, explicit in handovers:
-        if not explicit and exec_lead_default is not None:
-            ho = replace(ho, exec_lead=exec_lead_default)
-        resolved_handovers.append(ho)
-
+    [(_, sim)] = parts["sim"]
+    exec_lead = sim.pop("s2t_exec_lead")
+    handovers = []
+    for ho_name, values in parts["handover"]:
+        if values["exec_lead"] is None:
+            values["exec_lead"] = exec_lead
+        handovers.append(HandoverDef(ho_name, **values))
     scenario = Scenario(
         name=name,
-        end=end,
-        seed=seed,
-        mode=mode,
-        attach=attach_raw,
-        w_default=w_default,
-        sat_default_window=sat_default_window,
-        mss=mss,
-        registration=registration,
-        nodes=tuple(nodes),
-        links=tuple(links),
-        flows=tuple(flows),
-        handovers=tuple(sorted(resolved_handovers, key=lambda h: (h.at, h.name))),
+        registration=RegistrationConfig(sim.pop("origin"), sim.pop("proxy_location")),
+        nodes=tuple(NodeSpec(n, **v) for n, v in parts["node"]),
+        links=tuple(LinkSpec(n, **v) for n, v in parts["link"]),
+        flows=tuple(FlowDef(n, **v) for n, v in parts["flow"]),
+        handovers=tuple(sorted(handovers, key=lambda h: (h.at, h.name))),
+        **sim,
     )
     validate_scenario(scenario)
     return scenario
-
-
-def need_sim(sim: dict, key: str, origin: str) -> tuple[str, int]:
-    if key not in sim:
-        raise ConfigError(f"{origin}: [sim] missing key", None, key)
-    return sim[key]
 
 
 def validate_scenario(s: Scenario) -> None:
@@ -371,11 +332,7 @@ def validate_scenario(s: Scenario) -> None:
     mn = next(n.name for n in s.nodes if n.role == "mn")
 
     max_segment = s.mss + HEADER_BYTES
-    seen_links = set()
     for link in s.links:
-        if link.name in seen_links:
-            raise ConfigError(f"duplicate link name {link.name!r}")
-        seen_links.add(link.name)
         if link.a not in node_names or link.b not in node_names:
             raise ConfigError(f"link {link.name}: endpoint does not exist")
         link.validate(max_segment)
@@ -390,11 +347,7 @@ def validate_scenario(s: Scenario) -> None:
 
     if not s.flows:
         raise ConfigError("scenario defines no flows")
-    seen_flows = set()
     for flow in s.flows:
-        if flow.name in seen_flows:
-            raise ConfigError(f"duplicate flow name {flow.name!r}")
-        seen_flows.add(flow.name)
         if flow.src not in node_names or flow.dst not in node_names:
             raise ConfigError(f"flow {flow.name}: endpoint does not exist")
         if flow.dst != mn:
@@ -431,56 +384,18 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def canonical_text(s: Scenario) -> str:
-    """Emit a normal form that parses back to an equal Scenario."""
-    out = ["[sim]"]
-    out.append(f"end = {fmt_time(s.end)}")
-    out.append(f"seed = {s.seed}")
-    out.append(f"mode = {next(k for k, v in MODE_NAMES.items() if v == s.mode)}")
-    out.append(f"attach = {s.attach}")
-    out.append(f"w_default = {s.w_default}")
-    if s.sat_default_window is not None:
-        out.append(f"sat_default_window = {s.sat_default_window}")
-    out.append(f"mss = {s.mss}")
-    out.append(f"registration = {s.registration.origin}")
-    if s.registration.proxy_location:
-        out.append(f"proxy_gateway = {s.registration.proxy_location}")
-    for n in s.nodes:
-        out.append(f"\n[node.{n.name}]")
-        out.append(f"role = {n.role}")
-        if n.kind:
-            out.append(f"kind = {n.kind}")
-    for l in s.links:
-        out.append(f"\n[link.{l.name}]")
-        out.append(f"a = {l.a}")
-        out.append(f"b = {l.b}")
-        if l.kind != "WIRED":
-            out.append(f"kind = {l.kind}")
-        out.append(f"bandwidth = {l.bandwidth * 8}")
-        out.append(f"delay = {fmt_time(l.prop_delay)}")
-        out.append(f"queue = {l.queue_capacity}")
-        if l.availability is not None:
-            windows = ",".join(f"{fmt_time(a)}:{fmt_time(b)}" for a, b in l.availability)
-            out.append(f"availability = {windows}")
-    for f in s.flows:
-        out.append(f"\n[flow.{f.name}]")
-        out.append(f"src = {f.src}")
-        out.append(f"dst = {f.dst}")
-        out.append(f"start = {fmt_time(f.start)}")
-        if f.volume is not None:
-            out.append(f"volume = {f.volume}")
-        out.append(f"weight = {f.weight}")
-        if f.min_share:
-            out.append(f"min_share = {f.min_share}")
-        if f.buffer:
-            out.append(f"buffer = {f.buffer}")
-        if f.ack_extra_delay:
-            out.append(f"ack_extra_delay = {fmt_time(f.ack_extra_delay)}")
-    for h in s.handovers:
-        out.append(f"\n[handover.{h.name}]")
-        out.append(f"at = {fmt_time(h.at)}")
-        out.append(f"direction = {h.direction}")
-        out.append(f"to = {h.to}")
-        out.append(f"exec_lead = {fmt_time(h.exec_lead)}")
-        if h.ack_pacing:
-            out.append(f"ack_pacing = {fmt_time(h.ack_pacing)}")
-    return "\n".join(out) + "\n"
+    """Emit a normal form that parses back to an equal Scenario: each
+    section with every key whose value differs from its default."""
+    sections = [("sim", "", {**vars(s), **vars(s.registration)})]
+    for kind, specs in (("node", s.nodes), ("link", s.links), ("flow", s.flows),
+                        ("handover", s.handovers)):
+        sections += [(kind, spec.name, vars(spec)) for spec in specs]
+    out = []
+    for kind, name, values in sections:
+        out.append(f"[{kind}.{name}]" if name else f"[{kind}]")
+        for key, spec in _SCHEMA[kind].items():
+            value = values.get(spec.field or key, spec.default)
+            if value != spec.default:
+                out.append(f"{key} = {spec.write(value)}")
+        out.append("")
+    return "\n".join(out)

@@ -1,9 +1,15 @@
-import pytest
+import re
+from fractions import Fraction
+from pathlib import Path
 
-from conftest import SHIPPED, scenario_path
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import SCENARIOS, SHIPPED, scenario_path
 from satwin.cli import main
 from satwin.errors import ConfigError
-from satwin.scenario import canonical_text, load_scenario, parse_scenario
+from satwin.kernel import fmt_time
+from satwin.scenario import MODE_NAMES, _SCHEMA, canonical_text, load_scenario, parse_scenario
 
 MINIMAL = """
 [sim]
@@ -191,3 +197,188 @@ def test_compare_requires_two_distinct_modes():
         compare(s, ["BASELINE"])
     with pytest.raises(ConfigError):
         compare(s, ["BASELINE", "BASELINE"])
+
+
+# -- the format as declared by _SCHEMA ----------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _edit(old: str, new: str) -> tuple[str, int]:
+    """MINIMAL with the first `old` replaced by `new`, and the line of `new`'s last line."""
+    assert old in MINIMAL
+    text = MINIMAL.replace(old, new, 1)
+    return text, text[: text.index(new) + len(new)].count("\n") + 1
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")), ids=lambda p: p.stem)
+def test_every_scenario_file_round_trips(path):
+    s = load_scenario(path)
+    assert parse_scenario(canonical_text(s), s.name) == s
+
+
+BAD_VALUES = [
+    ("end = 1.0", "end = soon"),  # time
+    ("delay = 0.010", "delay = 0.0000001"),  # time off the microsecond grid
+    ("start = 0.1", "start = -0.1"),  # negative time
+    ("w_default = 65536", "w_default = 6.5"),  # integer
+    ("w_default = 65536", "w_default = 65536\nmss = 0"),  # integer below minimum
+    ("w_default = 65536", "w_default = 65536\nseed = 18446744073709551616"),  # above 64 bits
+    ("bandwidth = 10000000", "bandwidth = 10000001"),  # bandwidth not divisible by 8
+    ("queue = 65536", "queue = 65536\navailability = 0.1-0.5"),  # availability
+    ("start = 0.1", "start = 0.1\nweight = 0"),  # weight
+    ("start = 0.1", "start = 0.1\nvolume = -5"),  # volume
+    ("role = mn", "role = spaceship"),  # choice
+    ("attach = WLAN", "attach = LTE"),  # choice
+    ("end = 1.0", "end = inf"),  # non-finite time
+    ("queue = 65536", "queue = nan"),  # non-finite integer
+    ("bandwidth = 10000000", "bandwidth = Infinity"),  # non-finite bandwidth
+    ("w_default = 65536", "w_default = 65536\nseed = sNaN"),  # signalling NaN
+    ("queue = 65536", "queue = 65536\navailability = 0:inf"),  # non-finite window
+    ("start = 0.1", "start = 0.1\nweight = inf"),  # non-finite weight
+    ("end = 1.0", "end = 1e999999"),  # too large to scale to microseconds
+    ("queue = 65536", "queue = 1e400"),  # too large for an integer key
+]
+
+
+@pytest.mark.parametrize("old,new", BAD_VALUES, ids=[new.split("\n")[-1] for _, new in BAD_VALUES])
+def test_bad_value_names_key_and_line(old, new):
+    text, line = _edit(old, new)
+    key = new.split("\n")[-1].split("=")[0].strip()
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(text, "x")
+    assert (err.value.line, err.value.key) == (line, key)
+    assert f"line {line}" in str(err.value) and repr(key) in str(err.value)
+
+
+def test_choice_error_names_bad_value_and_valid_values():
+    text, _ = _edit("role = mn", "role = spaceship")
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(text, "x")
+    for word in ("spaceship", "cn", "ha", "mn", "gateway", "router"):
+        assert word in str(err.value)
+
+
+def test_cli_validate_rejects_non_finite_values(tmp_path, capsys):
+    bad = tmp_path / "inf.scn"
+    bad.write_text(MINIMAL.replace("end = 1.0", "end = inf"))
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+DUPLICATES = {
+    "sim": "\n[sim]\nend = 2.0\n",
+    "node": "\n[node.GW]\nrole = gateway\nkind = SAT\n",
+    "link": "\n[link.gw_cn]\na = GW\nb = CN\nbandwidth = 8000\ndelay = 0.001\nqueue = 65536\n",
+    "flow": "\n[flow.f1]\nsrc = CN\ndst = MN\nstart = 0.2\n",
+    "handover": "\n[handover.h]\nat = 0.5\ndirection = sat_to_terr\nto = WLAN\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DUPLICATES))
+def test_duplicate_section_rejected_with_line(kind):
+    first = DUPLICATES["handover"] if kind == "handover" else ""  # MINIMAL has none
+    text = MINIMAL + first + DUPLICATES[kind]
+    line = text.count("\n") - DUPLICATES[kind].count("\n") + 2
+    with pytest.raises(ConfigError, match="duplicate section") as err:
+        parse_scenario(text, "x")
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("header", ["[node]", "[flow.]", "[sim.main]"])
+def test_section_names_required_except_sim(header):
+    with pytest.raises(ConfigError, match="takes no name"):
+        parse_scenario(MINIMAL + f"\n{header}\n", "x")
+
+
+def test_readme_documents_every_key():
+    text = README.read_text()
+    block = text[text.index("## Scenario files"):]
+    block = block[block.index("```") + 3:]
+    block = block[:block.index("```")]
+    documented: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        header = re.match(r"\[(\w+)", line)
+        if header:
+            keys = documented.setdefault(header.group(1), set())
+        elif re.match(r"#? ?(\w+) =", line):
+            keys.add(re.match(r"#? ?(\w+) =", line).group(1))
+    assert {kind: set(keys) for kind, keys in _SCHEMA.items()} == documented
+
+
+def _times(lo: int = 0, hi: int = 2_000_000):
+    return st.integers(lo, hi).map(fmt_time)
+
+
+def _optional(draw, lines: list[str], key: str, values) -> None:
+    value = draw(st.none() | values)
+    if value is not None:
+        lines.append(f"{key} = {value}")
+
+
+def _section(header: str, lines: list[str]) -> str:
+    return "\n".join([f"[{header}]", *lines]) + "\n\n"
+
+
+@st.composite
+def scenario_texts(draw):
+    """A valid scenario over the WLAN/SAT world with every optional key drawn."""
+    end = draw(st.integers(1_000_000, 5_000_000))
+    sim = [f"end = {fmt_time(end)}", f"attach = {draw(st.sampled_from(['WLAN', 'SAT']))}",
+           f"w_default = {draw(st.integers(1460, 1 << 20))}"]
+    _optional(draw, sim, "seed", st.integers(0, (1 << 64) - 1))
+    _optional(draw, sim, "mode", st.sampled_from(sorted(MODE_NAMES)))
+    windowed = draw(st.booleans())
+    if windowed:
+        sim.append(f"sat_default_window = {draw(st.integers(1, 1 << 20))}")
+    _optional(draw, sim, "mss", st.integers(536, 1460))
+    _optional(draw, sim, "s2t_exec_lead", _times())
+    _optional(draw, sim, "registration", st.sampled_from(["MN", "PROXY"]))
+    _optional(draw, sim, "proxy_gateway", st.sampled_from(["WGW", "SGW"]))
+    out = [_section("sim", sim)]
+    for name, role, kind in [("CN", "cn", None), ("HA", "ha", None), ("MN", "mn", None),
+                             ("WGW", "gateway", "WLAN"), ("SGW", "gateway", "SAT")]:
+        lines = [f"role = {role}"]
+        if kind:
+            _optional(draw, lines, "kind", st.just(kind))
+        out.append(_section(f"node.{name}", lines))
+    for name, a, b, kind in [("wlan", "MN", "WGW", "WLAN"), ("sat", "MN", "SGW", "SAT"),
+                             ("wgw_cn", "WGW", "CN", None), ("wgw_ha", "WGW", "HA", None),
+                             ("sgw_cn", "SGW", "CN", None), ("sgw_ha", "SGW", "HA", None)]:
+        lines = [f"a = {a}", f"b = {b}", f"kind = {kind}" if kind else "",
+                 f"bandwidth = {8 * draw(st.integers(1, 10**6))}",
+                 f"delay = {draw(_times(0, 300_000))}",
+                 f"queue = {draw(st.integers(1500, 1 << 20))}"]
+        edges = sorted(draw(st.sets(st.integers(0, end), min_size=2, max_size=6)))
+        if len(edges) % 2:
+            edges.pop()
+        pairs = [f"{fmt_time(s)}:{fmt_time(e)}" for s, e in zip(edges[::2], edges[1::2])]
+        _optional(draw, lines, "availability", st.just(",".join(pairs)))
+        out.append(_section(f"link.{name}", [line for line in lines if line]))
+    for i in range(draw(st.integers(1, 3))):
+        lines = ["src = CN", "dst = MN", f"start = {draw(_times(0, end - 1))}"]
+        _optional(draw, lines, "volume", st.integers(0, 10**7))
+        _optional(draw, lines, "weight", st.fractions(min_value=Fraction(1, 100), max_value=100)
+                  .filter(lambda w: w > 0))
+        _optional(draw, lines, "min_share", st.integers(0, 1 << 16))
+        _optional(draw, lines, "buffer", st.integers(1460, 1 << 20))
+        _optional(draw, lines, "ack_extra_delay", _times(0, 100_000))
+        out.append(_section(f"flow.f{i}", lines))
+    directions = ["terr_to_sat", "sat_to_terr"] if windowed else ["sat_to_terr"]
+    for i in range(draw(st.integers(0, 3))):
+        lines = [f"at = {draw(_times(0, end - 1))}",
+                 f"direction = {draw(st.sampled_from(directions))}",
+                 f"to = {draw(st.sampled_from(['WLAN', 'SAT']))}"]
+        _optional(draw, lines, "exec_lead", _times())
+        _optional(draw, lines, "ack_pacing", _times(0, 100_000))
+        out.append(_section(f"handover.h{i}", lines))
+    return "".join(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario_texts())
+def test_canonical_text_round_trips_generated_scenarios(text):
+    s = parse_scenario(text, "gen")
+    canonical = canonical_text(s)
+    assert parse_scenario(canonical, "gen") == s
+    assert canonical_text(parse_scenario(canonical, "gen")) == canonical
