@@ -13,6 +13,7 @@ import random
 from typing import Callable
 
 SEC = 1_000_000
+_DONE = ()  # an event entry's `moved` once it has fired or been cancelled
 
 
 def fmt_time(t_us: int) -> str:
@@ -32,11 +33,12 @@ class SchedulingError(SimError):
 
 class Kernel:
     """Virtual clock plus an ordered, cancellable event queue: a heap of
-    `[t, seq, fn]` entries in (time, sequence number) order. `schedule`
-    returns the entry as the event's handle; cancelling or firing an event
-    blanks its `fn`, a tombstone the run loop skips. `seq` is the running
-    event's number (between runs, above every one issued), and
-    `reserve_seq` issues one without an event (see DirectedLink).
+    `[t, seq, fn, kind, moved]` entries in (time, sequence number) order;
+    `schedule` returns the entry as the event's handle. `moved` is None, the
+    `(t, seq)` that `reschedule` moved the event on to (taken up when its
+    old slot comes up), or `_DONE` once it fired or was cancelled: a
+    tombstone the run loop skips. `seq` is the running event's number
+    (between runs, above every one issued); `reserve_seq` issues one alone.
 
     Single-threaded by design: one kernel per simulation instance, no shared
     mutable state. One seeded PRNG is owned here; the core model draws
@@ -48,7 +50,7 @@ class Kernel:
         self.now: int = 0
         self.seq: int = 0
         self.rng = random.Random(seed)
-        self._heap: list[list] = []  # [fire_at, seq, fn or None]
+        self._heap: list[list] = []  # [fire_at, seq, fn, kind, moved]
         self._seqs = itertools.count()
         self._live = 0
 
@@ -57,7 +59,7 @@ class Kernel:
             raise SchedulingError(
                 f"event {kind!r} scheduled at {fmt_time(at)} before clock {fmt_time(self.now)}"
             )
-        entry = [at, next(self._seqs), fn]
+        entry = [at, next(self._seqs), fn, kind, None]
         self._live += 1
         heapq.heappush(self._heap, entry)
         return entry
@@ -65,15 +67,25 @@ class Kernel:
     def schedule_in(self, delay: int, fn: Callable[[], None], kind: str = "event") -> list:
         return self.schedule(self.now + delay, fn, kind)
 
+    def reschedule(self, entry: list, at: int) -> list:
+        """Move an event to `at`, ordered exactly as `cancel` then `schedule`
+        would order it; returns its handle. A pending event due at or before
+        `at` keeps its entry; any other is cancelled and scheduled afresh."""
+        if entry[4] is not _DONE and at >= entry[0]:
+            entry[4] = (at, next(self._seqs))
+            return entry
+        self.cancel(entry)
+        return self.schedule(at, entry[2], entry[3])
+
     def reserve_seq(self) -> int:
         """Issue the next sequence number without scheduling an event."""
         return next(self._seqs)
 
     def cancel(self, entry: list) -> bool:
         """True if the event was still pending; cancelled events never fire."""
-        if entry[2] is None:
+        if entry[4] is _DONE:
             return False
-        entry[2] = None
+        entry[4] = _DONE
         self._live -= 1
         return True
 
@@ -89,16 +101,20 @@ class Kernel:
         """
         steps = 0
         heap = self._heap
-        pop = heapq.heappop
+        pop, push = heapq.heappop, heapq.heappush
         while heap and heap[0][0] <= t_end:
             entry = pop(heap)
-            fn = entry[2]
-            if fn is None:
-                continue  # cancelled
-            entry[2] = None
+            moved = entry[4]
+            if moved is not None:
+                if moved is not _DONE:  # take up the slot it was moved to
+                    entry[0], entry[1] = moved
+                    entry[4] = None
+                    push(heap, entry)
+                continue
+            entry[4] = _DONE
             self._live -= 1
             self.now, self.seq = entry[0], entry[1]
-            fn()
+            entry[2]()
             steps += 1
         if t_end > self.now:
             self.now = t_end

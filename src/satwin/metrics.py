@@ -27,15 +27,18 @@ class Trace:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.lines: list[str] = []
+        self._t, self._stamp = None, ""  # the last time rendered, and its text
 
     def emit(self, t_us: int, event: str, node: str, **kv) -> None:
         if not self.enabled:
             return
+        if t_us != self._t:
+            self._t = t_us
+            self._stamp = fmt_time(t_us)
+        line = f"{self._stamp} {event} {node}"
         if kv:
-            tail = " " + " ".join(f"{k}={v}" for k, v in kv.items())
-        else:
-            tail = ""
-        self.lines.append(f"{fmt_time(t_us)} {event} {node}{tail}")
+            line += " " + " ".join([f"{k}={v}" for k, v in kv.items()])
+        self.lines.append(line)
 
     def text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
+from .kernel import SimError
 from .net import F_BU, F_BUACK, Segment
 
 MIP_FLOW = "_mip"  # pseudo flow id carried by registration segments
@@ -28,6 +29,9 @@ class RegistrationConfig:
     def validate(self, gateway_names: set[str]) -> None:
         if self.origin not in ("MN", "PROXY"):
             raise ConfigError(f"registration origin must be MN or PROXY, got {self.origin!r}")
+        if self.origin == "MN" and self.proxy_location is not None:
+            raise ConfigError("proxy_gateway applies only to registration = PROXY",
+                              key="proxy_gateway")
         if self.origin == "PROXY" and self.proxy_location is not None:
             if self.proxy_location not in gateway_names:
                 raise ConfigError(
@@ -86,7 +90,8 @@ class HomeAgent:
     def handle_binding_update(self, seg: Segment, now: int) -> Segment:
         """Register the new attachment and produce the BUACK; the caller
         sends it back over the new path (its arrival defines t_r3)."""
-        assert seg.flags & F_BU
+        if not seg.flags & F_BU:
+            raise SimError(f"binding update expected, got flags {seg.flags} (flow {seg.flow_id})")
         self.table.register(self.mn, seg.path_tag or "?", now)
         return Segment(flow_id=MIP_FLOW, flags=F_BUACK, sent_at=now, path_tag=seg.path_tag)
 

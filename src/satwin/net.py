@@ -12,9 +12,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
-from .kernel import Kernel, SEC
+from .kernel import Kernel, SEC, SimError
 from .errors import ConfigError
 
 # Wire overhead: 40 B TCP/IP header on data and pure-ACK segments,
@@ -142,6 +143,11 @@ class DirectedLink:
         self.src = src
         self.dst = dst
         self.kernel = kernel
+        self.bandwidth = spec.bandwidth
+        self.prop_delay = spec.prop_delay
+        self.capacity = spec.queue_capacity
+        self.tag = spec.kind if spec.kind in ACCESS_KINDS else None  # stamped on arrivals
+        self.always_up = spec.availability is None
         self.occupancy = 0
         self.backlog: deque[tuple[int, int, int]] = deque()
         self.free_at = 0  # when the serializer finishes its current backlog
@@ -159,33 +165,37 @@ class DirectedLink:
 
         Arrival = end of FIFO serialization + propagation delay. The drop
         outcome is also reported through on_drop so callers relying on the
-        scheduled-events path need not inspect the return value.
+        scheduled-events path need not inspect the return value. Wire size
+        and serialization inline `Segment.wire_size`/`LinkSpec.serialization_us`.
         """
         kernel = self.kernel
         backlog = self.backlog
-        released = (kernel.now, kernel.seq)
-        while backlog and backlog[0] < released:
-            self.occupancy -= backlog.popleft()[2]
-        wire = seg.wire_size()
-        if not self.spec.is_available(at):
+        if backlog:
+            released = (kernel.now, kernel.seq)
+            while backlog and backlog[0] < released:
+                self.occupancy -= backlog.popleft()[2]
+        wire = CONTROL_BYTES if seg.flags & (F_BU | F_BUACK) else HEADER_BYTES + seg.payload_len
+        if not self.always_up and not self.spec.is_available(at):
             return self._drop(seg, NO_COVERAGE, at)
-        if self.occupancy + wire > self.spec.queue_capacity:
+        occupancy = self.occupancy + wire
+        if occupancy > self.capacity:
             return self._drop(seg, OVERFLOW, at)
-        self.occupancy += wire
-        start = at if at > self.free_at else self.free_at
-        finish = start + self.spec.serialization_us(wire)
+        self.occupancy = occupancy
+        free_at, bandwidth = self.free_at, self.bandwidth
+        finish = (at if at > free_at else free_at) + (wire * SEC + bandwidth - 1) // bandwidth
         self.free_at = finish
         backlog.append((finish, kernel.reserve_seq(), wire))
-        arrival = finish + self.spec.prop_delay
-        kernel.schedule(arrival, lambda s=seg: self._arrive(s), kind="link-rx")
+        arrival = finish + self.prop_delay
+        kernel.schedule(arrival, partial(self._arrive, seg), "link-rx")
         if self.on_enqueue is not None:
             self.on_enqueue(self, seg, at)
         return arrival
 
     def _arrive(self, seg: Segment) -> None:
-        if self.spec.kind in ACCESS_KINDS:
-            seg.path_tag = self.spec.kind
-        assert self.deliver is not None, f"link {self.label} not wired"
+        if self.tag is not None:
+            seg.path_tag = self.tag
+        if self.deliver is None:
+            raise SimError(f"link {self.label} not wired (flow {seg.flow_id} seq {seg.seq})")
         self.deliver(self, seg)
 
     def _drop(self, seg: Segment, reason: str, at: int) -> Drop:
@@ -287,7 +297,8 @@ class Topology:
         if src == mn:
             hops = (uplink,) + (self.route(gw, dst) if gw != dst else ())
         else:
-            assert dst == mn
+            if dst != mn:
+                raise SimError(f"route {src}->{dst} via {kind}: neither end is mobile node {mn}")
             hops = (self.route(src, gw) if src != gw else ()) + (self.directed[(gw, mn)],)
         self._routes[key] = hops
         return hops

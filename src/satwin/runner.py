@@ -493,14 +493,10 @@ class Simulation:
             if rt.rto_event is not None:
                 self.kernel.cancel(rt.rto_event)
                 rt.rto_event = None
-            return
-        if rearm and rt.rto_event is not None:
-            self.kernel.cancel(rt.rto_event)
-            rt.rto_event = None
-        if rt.rto_event is None:
-            rt.rto_event = self.kernel.schedule_in(
-                sender.rto, lambda: self._on_rto(rt), "rto"
-            )
+        elif rt.rto_event is None:
+            rt.rto_event = self.kernel.schedule_in(sender.rto, lambda: self._on_rto(rt), "rto")
+        elif rearm:
+            rt.rto_event = self.kernel.reschedule(rt.rto_event, self.kernel.now + sender.rto)
 
     def _on_rto(self, rt: _FlowRuntime) -> None:
         rt.rto_event = None

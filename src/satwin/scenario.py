@@ -88,8 +88,9 @@ def _number(raw: str, line: int, key: str) -> Decimal:
 
 
 def _time(raw: str, line: int, key: str) -> int:
-    value = _number(raw, line, key) * SEC
-    if value != value.to_integral_value():
+    number = _number(raw, line, key)
+    value = number * SEC  # a product below the context's range underflows to 0
+    if value != value.to_integral_value() or (number and not value):
         raise ConfigError(f"time {raw!r} is finer than 1 microsecond", line, key)
     if value < 0:
         raise ConfigError(f"time {raw!r} is negative", line, key)

@@ -1,3 +1,7 @@
+import heapq
+import itertools
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -138,3 +142,111 @@ def test_fmt_time():
     assert fmt_time(0) == "0.000000"
     assert fmt_time(2_515_036) == "2.515036"
     assert fmt_time(1) == "0.000001"
+
+
+def test_reschedule_later_keeps_the_handle_and_orders_behind_later_schedules():
+    k = Kernel()
+    fired = []
+    timer = k.schedule(5, lambda: fired.append("timer"))
+    k.schedule(8, lambda: fired.append("a"))
+    assert k.reschedule(timer, 8) is timer  # moved in place
+    k.schedule(8, lambda: fired.append("b"))
+    assert k.pending() == 3
+    assert k.run_until(7) == 0  # its old slot passes without firing it
+    assert k.run_until(8) == 3
+    assert fired == ["a", "timer", "b"]
+
+
+class CancelScheduleKernel:
+    """Reference: the kernel's contract with `reschedule` as `cancel`
+    followed by `schedule`, over `[t, seq, fn, kind, pending]` entries."""
+
+    def __init__(self):
+        self.now = 0
+        self.seq = 0
+        self._heap = []
+        self._seqs = itertools.count()
+        self._live = 0
+
+    def schedule(self, at, fn, kind="event"):
+        if at < self.now:
+            raise SchedulingError(kind)
+        entry = [at, next(self._seqs), fn, kind, True]
+        self._live += 1
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, entry):
+        if not entry[4]:
+            return False
+        entry[4] = False
+        self._live -= 1
+        return True
+
+    def reschedule(self, entry, at):
+        self.cancel(entry)
+        return self.schedule(at, entry[2], entry[3])
+
+    def pending(self):
+        return self._live
+
+    def run_until(self, t_end):
+        steps = 0
+        while self._heap and self._heap[0][0] <= t_end:
+            entry = heapq.heappop(self._heap)
+            if not entry[4]:
+                continue
+            entry[4] = False
+            self._live -= 1
+            self.now, self.seq = entry[0], entry[1]
+            entry[2]()
+            steps += 1
+        self.now = max(self.now, t_end)
+        self.seq = next(self._seqs)
+        return steps
+
+
+# (operation, which handle or how far to run, time offset from the handle's
+# last time: negative moves it earlier, 0 keeps the time, positive later)
+_OPS = st.tuples(st.sampled_from(["schedule", "reschedule", "reschedule", "cancel", "run"]),
+                 st.integers(0, 40), st.integers(-15, 15))
+
+
+def _drive(kernel, outer, inner):
+    """Apply `outer` between runs and one of `inner` inside each handler;
+    return everything observable: firings with the now/seq and pending()
+    their handler saw, cancel results, pending() after every call and the
+    step count of every run."""
+    log, handles, times = [], [], []
+    inner = iter(inner)
+
+    def fire(label):
+        log.append(("fire", label, kernel.now, kernel.seq, kernel.pending()))
+        op = next(inner, None)
+        if op is not None and op[0] != "run":
+            apply(*op)
+
+    def apply(op, a, b):
+        if op == "schedule" or not handles:
+            times.append(kernel.now + a)
+            handles.append(kernel.schedule(times[-1], partial(fire, len(handles)), "k"))
+        elif op == "reschedule":
+            i = a % len(handles)  # pending, fired or cancelled alike
+            times[i] = max(kernel.now, times[i] + b)
+            handles[i] = kernel.reschedule(handles[i], times[i])
+        else:
+            log.append(("cancel", kernel.cancel(handles[a % len(handles)])))
+        log.append(("pending", kernel.pending()))
+
+    for op, a, b in outer:
+        if op == "run":
+            log.append(("run", kernel.run_until(kernel.now + a), kernel.now, kernel.seq))
+        else:
+            apply(op, a, b)
+    log.append(("run", kernel.run_until(kernel.now + 1000), kernel.now, kernel.seq))
+    return log
+
+
+@given(st.lists(_OPS, max_size=60), st.lists(_OPS, max_size=60))
+def test_reschedule_orders_events_as_cancel_then_schedule(outer, inner):
+    assert _drive(Kernel(), outer, inner) == _drive(CancelScheduleKernel(), outer, inner)

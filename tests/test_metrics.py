@@ -1,6 +1,6 @@
 from hypothesis import given, strategies as st
 
-from satwin.metrics import FlowMetrics
+from satwin.metrics import FlowMetrics, Trace
 
 
 def gap_from_all_times(times, start, end):
@@ -34,3 +34,13 @@ def test_streaming_gap_at_the_window_edges():
 def test_streaming_gap_matches_the_list_reference(times, start, length):
     window = (start, start + length)
     assert streamed_gap(times, window) == gap_from_all_times(times, *window)
+
+
+def test_trace_renders_the_time_of_every_line():
+    # t1, t2, t1: a line at a time seen before still renders its own time
+    trace = Trace()
+    trace.emit(0, "send", "CN", flow="f1", seq=0)
+    trace.emit(2_515_036, "deliver", "MN")
+    trace.emit(0, "ack_tx", "MN", ack=1460)
+    assert trace.lines == ["0.000000 send CN flow=f1 seq=0", "2.515036 deliver MN",
+                           "0.000000 ack_tx MN ack=1460"]

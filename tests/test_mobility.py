@@ -1,7 +1,9 @@
 import pytest
 
 from satwin.errors import ConfigError
+from satwin.kernel import SimError
 from satwin.mobility import BindingTable, HomeAgent, RegistrationConfig, make_binding_update
+from satwin.net import F_DATA, Segment
 from satwin.runner import run
 from satwin.scenario import parse_scenario
 
@@ -178,6 +180,13 @@ def test_home_agent_acks_binding_update_on_arrival_path():
     buack = agent.handle_binding_update(bu, 9)
     assert agent.table.active_as_of("mn", 9).registered_at == 9
     assert buack.path_tag == "SAT"
+
+
+def test_home_agent_rejects_a_segment_that_is_not_a_binding_update():
+    agent = HomeAgent("HA", "mn")
+    with pytest.raises(SimError, match=r"binding update expected, got flags 1 \(flow f1\)"):
+        agent.handle_binding_update(Segment(flow_id="f1", flags=F_DATA), 9)
+    assert agent.table.active_as_of("mn", 9) is None
 
 
 def test_registration_round_trip_matches_path_rtt_oracle():

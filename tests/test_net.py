@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from satwin.errors import ConfigError
-from satwin.kernel import Kernel
+from satwin.kernel import Kernel, SimError
 from satwin.net import (
     NO_COVERAGE,
     OVERFLOW,
@@ -301,3 +301,22 @@ def test_ack_and_control_wire_sizes():
     assert bu.wire_size() == 60
     data = Segment(flow_id="f", payload_len=1460)
     assert data.wire_size() == 1500
+
+
+def test_unwired_link_is_a_sim_error_naming_the_link():
+    k = Kernel()
+    link = make_link(k)  # nothing set its deliver
+    link.transmit(data_segment(), 0)
+    with pytest.raises(SimError, match=r"link l:a->b not wired"):
+        k.run_until(10**9)
+
+
+def test_route_via_access_needs_the_mobile_node_at_one_end():
+    k = Kernel()
+    links = [
+        LinkSpec("sat", "MN", "SGW", 125000, 250 * MS, 1 << 20, "SAT"),
+        LinkSpec("sgw_cn", "SGW", "CN", 12_500_000, 10 * MS, 1 << 20),
+        LinkSpec("sgw_ha", "SGW", "HA", 12_500_000, 25 * MS, 1 << 20),
+    ]
+    with pytest.raises(SimError, match=r"route CN->HA via SAT"):
+        _topo(k, links).route_via_access("CN", "HA", "SAT")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -10,7 +12,7 @@ from conftest import REPO_ROOT, scenario_path
 from satwin.errors import ConfigError
 from satwin.metrics import write_csv
 from satwin.runner import compare, run
-from satwin.scenario import parse_scenario
+from satwin.scenario import load_scenario, parse_scenario
 
 SINGLE_LINK = """
 [sim]
@@ -111,6 +113,20 @@ def test_shipped_comparisons_match_golden_results(shipped_scenarios):
         rows = compare(shipped_scenarios[name], ["BASELINE", "PROACTIVE", "RESET_CWND"], seed=1)
         golden = (REPO_ROOT / "results" / f"{name}_compare.csv").read_text()
         assert write_csv(rows) == golden, name
+
+
+# sha256 of the CSV and the trace of every shipped handover scenario
+# (S1-S5) in all three modes at seed 1: a run whose output moves must say why
+GOLDEN_RUNS = json.loads((REPO_ROOT / "tests" / "golden_runs.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
+def test_shipped_runs_match_golden_csv_and_trace_digests(case):
+    name, mode = case.split("/")
+    metrics, trace = run(load_scenario(scenario_path(name)), mode=mode, seed=1, trace=True)
+    digests = {"csv": hashlib.sha256(write_csv(metrics.csv_rows()).encode()).hexdigest(),
+               "trace": hashlib.sha256(trace.text().encode()).hexdigest()}
+    assert digests == GOLDEN_RUNS[case]
 
 
 def test_proactive_s1_redirection_atomicity(shipped_scenarios):

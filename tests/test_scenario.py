@@ -238,6 +238,7 @@ BAD_VALUES = [
     ("start = 0.1", "start = 0.1\nweight = inf"),  # non-finite weight
     ("end = 1.0", "end = 1e999999"),  # too large to scale to microseconds
     ("queue = 65536", "queue = 1e400"),  # too large for an integer key
+    ("delay = 0.010", "delay = 1e-9999999999"),  # underflows to 0 when scaled to microseconds
 ]
 
 
@@ -264,6 +265,16 @@ def test_cli_validate_rejects_non_finite_values(tmp_path, capsys):
     bad.write_text(MINIMAL.replace("end = 1.0", "end = inf"))
     assert main(["validate", "--scenario", str(bad)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("registration", ["", "registration = MN\n"])
+def test_cli_validate_rejects_proxy_gateway_without_proxy_registration(
+        registration, tmp_path, capsys):
+    bad = tmp_path / "mn.scn"
+    bad.write_text(MINIMAL.replace("w_default = 65536",
+                                   f"w_default = 65536\n{registration}proxy_gateway = GW"))
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    assert "'proxy_gateway'" in capsys.readouterr().err
 
 
 DUPLICATES = {
@@ -334,7 +345,8 @@ def scenario_texts(draw):
     _optional(draw, sim, "mss", st.integers(536, 1460))
     _optional(draw, sim, "s2t_exec_lead", _times())
     _optional(draw, sim, "registration", st.sampled_from(["MN", "PROXY"]))
-    _optional(draw, sim, "proxy_gateway", st.sampled_from(["WGW", "SGW"]))
+    if "registration = PROXY" in sim:  # proxy_gateway is rejected under MN
+        _optional(draw, sim, "proxy_gateway", st.sampled_from(["WGW", "SGW"]))
     out = [_section("sim", sim)]
     for name, role, kind in [("CN", "cn", None), ("HA", "ha", None), ("MN", "mn", None),
                              ("WGW", "gateway", "WLAN"), ("SGW", "gateway", "SAT")]:
