@@ -38,7 +38,7 @@ class Kernel:
     `(t, seq)` that `reschedule` moved the event on to (taken up when its
     old slot comes up), or `_DONE` once it fired or was cancelled: a
     tombstone the run loop skips. `seq` is the running event's number
-    (between runs, above every one issued); `reserve_seq` issues one alone.
+    (between runs, above every one issued).
 
     Single-threaded by design: one kernel per simulation instance, no shared
     mutable state. One seeded PRNG is owned here; the core model draws
@@ -70,16 +70,18 @@ class Kernel:
     def reschedule(self, entry: list, at: int) -> list:
         """Move an event to `at`, ordered exactly as `cancel` then `schedule`
         would order it; returns its handle. A pending event due at or before
-        `at` keeps its entry; any other is cancelled and scheduled afresh."""
+        `at` keeps its entry; any other is cancelled and pushed afresh (not
+        through `schedule`, whose wrapper would wrap `fn` once more)."""
         if entry[4] is not _DONE and at >= entry[0]:
             entry[4] = (at, next(self._seqs))
             return entry
         self.cancel(entry)
-        return self.schedule(at, entry[2], entry[3])
-
-    def reserve_seq(self) -> int:
-        """Issue the next sequence number without scheduling an event."""
-        return next(self._seqs)
+        if at < self.now:
+            raise SchedulingError(f"event {entry[3]!r} moved before clock {fmt_time(self.now)}")
+        fresh = [at, next(self._seqs), entry[2], entry[3], None]
+        self._live += 1
+        heapq.heappush(self._heap, fresh)
+        return fresh
 
     def cancel(self, entry: list) -> bool:
         """True if the event was still pending; cancelled events never fire."""

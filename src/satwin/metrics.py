@@ -22,23 +22,24 @@ GAP_WINDOW = 5 * SEC  # the handover gap looks this far past the first detection
 
 class Trace:
     """Event log: one line per event, `<time_s> <event> <node> <k=v ...>`,
-    kept in event order. Disabled tracing costs one branch per call."""
+    kept in event order; per-packet callers pass the tail rendered, others
+    as keywords. Disabled tracing costs one branch per call."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.lines: list[str] = []
         self._t, self._stamp = None, ""  # the last time rendered, and its text
 
-    def emit(self, t_us: int, event: str, node: str, **kv) -> None:
+    def emit(self, t_us: int, event: str, node: str, tail: str = "", **kv) -> None:
         if not self.enabled:
             return
         if t_us != self._t:
             self._t = t_us
             self._stamp = fmt_time(t_us)
-        line = f"{self._stamp} {event} {node}"
         if kv:
-            line += " " + " ".join([f"{k}={v}" for k, v in kv.items()])
-        self.lines.append(line)
+            tail = " ".join([f"{k}={v}" for k, v in kv.items()])
+        self.lines.append(f"{self._stamp} {event} {node} {tail}" if tail
+                          else f"{self._stamp} {event} {node}")
 
     def text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")

@@ -98,7 +98,9 @@ class HomeAgent:
     def route_attachment(self, seg: Segment, now: int) -> Optional[str]:
         """Pick the access network for a data segment arriving now; None
         when the MN has no binding yet."""
-        binding = self.table.active_as_of(self.mn, now)
+        bindings = self.table.entries.get(self.mn)
+        due = bindings and bindings[-1].registered_at <= now  # the newest: no scan
+        binding = bindings[-1] if due else self.table.active_as_of(self.mn, now)
         if binding is None:
             return None
         seg.routed_at = now

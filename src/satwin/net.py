@@ -132,10 +132,10 @@ class DirectedLink:
     """Runtime state of one direction of a link: drop-tail queue + serializer.
 
     Occupancy counts every byte accepted and not yet fully serialized.
-    `backlog` holds `(finish, seq, wire)` per accepted segment, `seq`
-    reserved from the kernel at enqueue. `transmit` first releases every
-    entry whose `(finish, seq)` is below the running event's `(now, seq)`:
-    where a dequeue event scheduled in its place would already have run.
+    `backlog` holds `(finish, seq, wire)` per accepted segment, `seq` one
+    below its arrival event's. `transmit` first releases every entry whose
+    `(finish, seq)` is below the running event's `(now, seq)`: where a
+    dequeue event scheduled just before the arrival would already have run.
     """
 
     def __init__(self, spec: LinkSpec, src: str, dst: str, kernel: Kernel):
@@ -151,7 +151,7 @@ class DirectedLink:
         self.occupancy = 0
         self.backlog: deque[tuple[int, int, int]] = deque()
         self.free_at = 0  # when the serializer finishes its current backlog
-        self.deliver: Callable[[DirectedLink, Segment], None] | None = None
+        self.deliver: Callable[[DirectedLink, Segment], None] = _unwired
         self.on_enqueue: Callable[[DirectedLink, Segment, int], None] | None = None
         self.on_drop: Callable[[DirectedLink, Segment, str, int], None] | None = None
         self.drops = {OVERFLOW: 0, NO_COVERAGE: 0}
@@ -184,25 +184,23 @@ class DirectedLink:
         free_at, bandwidth = self.free_at, self.bandwidth
         finish = (at if at > free_at else free_at) + (wire * SEC + bandwidth - 1) // bandwidth
         self.free_at = finish
-        backlog.append((finish, kernel.reserve_seq(), wire))
         arrival = finish + self.prop_delay
-        kernel.schedule(arrival, partial(self._arrive, seg), "link-rx")
+        entry = kernel.schedule(arrival, partial(self.deliver, self, seg), "link-rx")
+        backlog.append((finish, entry[1] - 1, wire))
         if self.on_enqueue is not None:
             self.on_enqueue(self, seg, at)
         return arrival
-
-    def _arrive(self, seg: Segment) -> None:
-        if self.tag is not None:
-            seg.path_tag = self.tag
-        if self.deliver is None:
-            raise SimError(f"link {self.label} not wired (flow {seg.flow_id} seq {seg.seq})")
-        self.deliver(self, seg)
 
     def _drop(self, seg: Segment, reason: str, at: int) -> Drop:
         self.drops[reason] += 1
         if self.on_drop is not None:
             self.on_drop(self, seg, reason, at)
         return Drop(reason)
+
+
+def _unwired(link: DirectedLink, seg: Segment) -> None:
+    """The arrival handler of a link nothing wired to a receiver."""
+    raise SimError(f"link {link.label} not wired (flow {seg.flow_id} seq {seg.seq})")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ handover engine, and aggregates metrics and the trace."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from . import handover as ho_policy
@@ -21,6 +22,17 @@ def _bottleneck_bw(route) -> int:
     return min(hop.spec.bandwidth for hop in route)
 
 
+class _AccessRoutes(dict):
+    """Routes between two fixed nodes by access kind, resolved on first use."""
+
+    def __init__(self, topo: Topology, src: str, dst: str):
+        self.topo, self.src, self.dst = topo, src, dst
+
+    def __missing__(self, kind: str) -> Route:
+        route = self[kind] = self.topo.route_via_access(self.src, self.dst, kind)
+        return route
+
+
 @dataclass
 class _FlowRuntime:
     spec: FlowDef
@@ -28,6 +40,7 @@ class _FlowRuntime:
     receiver: TcpReceiver
     metrics: FlowMetrics
     route: Route  # source to home agent, resolved once
+    ack_routes: _AccessRoutes  # mobile node back to the source, per attachment
     rto_event: Optional[list] = None  # kernel handle
 
 
@@ -222,7 +235,8 @@ class _HandoverRuntime:
         self.awaiting = "t_r1"
         sim.trace.emit(now, "bu_send", origin, network=kind)
         self.stamp("t_r0", now, origin)
-        sim._launch(seg, route, now)
+        seg.route = route
+        route[0].transmit(seg, now)
         return True
 
     def abort(self, now: int) -> None:
@@ -302,6 +316,7 @@ class Simulation:
         self._ha_last_end: dict[str, int] = {}
         self._ha_last_time: dict[str, int] = {}
         self._routed_watermark: dict[tuple[str, str], int] = {}  # (flow, kind) -> seq end
+        self._forward_routes = _AccessRoutes(self.topo, self.ha_node, self.mn)
         # one runtime per detected handover; the latest receives the
         # per-packet hooks, older ones only their own timers and signaling
         self._handovers: dict[str, _HandoverRuntime] = {}
@@ -348,11 +363,12 @@ class Simulation:
             volume=fdef.volume,
         )
         fm = FlowMetrics(fdef.name, start=fdef.start, gap_window=self._gap_window)
-        runtime = _FlowRuntime(fdef, sender, receiver, fm, self.topo.route(fdef.src, self.ha_node))
-        sender.send_cb = lambda seg, now, rt=runtime: self._send_data(rt, seg, now)
-        sender.state_cb = lambda snd, now, rt=runtime: self._trace_state(rt, snd, now)
-        receiver.emit_cb = lambda seg, at, rt=runtime: self._emit_ack(rt, seg, at)
-        receiver.advance_cb = lambda rcv, now, rt=runtime: self._on_inorder(rt, rcv, now)
+        runtime = _FlowRuntime(fdef, sender, receiver, fm, self.topo.route(fdef.src, self.ha_node),
+                               _AccessRoutes(self.topo, self.mn, fdef.src))
+        sender.send_cb = partial(self._send_data, runtime)
+        sender.state_cb = partial(self._trace_state, runtime)
+        receiver.emit_cb = partial(self._emit_ack, runtime)
+        receiver.advance_cb = partial(self._on_inorder, runtime)
         self.flows[fdef.name] = runtime
         self.metrics.flows[fdef.name] = fm
 
@@ -370,29 +386,28 @@ class Simulation:
         self._inflight[(seg.flow_id, seg.copy)] = seg.payload_len
         if self.trace.enabled:
             self.trace.emit(now, "rexmit" if seg.rexmit else "send", rt.spec.src,
-                            flow=seg.flow_id, seq=seg.seq, len=seg.payload_len)
-        self._launch(seg, rt.route, now)
+                            f"flow={seg.flow_id} seq={seg.seq} len={seg.payload_len}")
+        seg.route = route = rt.route
+        route[0].transmit(seg, now)
 
     def _emit_ack(self, rt: _FlowRuntime, seg: Segment, send_at: int) -> None:
         if send_at > self.kernel.now:
-            self.kernel.schedule(send_at, lambda: self._send_ack(rt, seg), "ack-paced")
+            self.kernel.schedule(send_at, partial(self._send_ack, rt, seg), "ack-paced")
         else:
             self._send_ack(rt, seg)
 
     def _send_ack(self, rt: _FlowRuntime, seg: Segment) -> None:
         now = self.kernel.now
         if self.trace.enabled:
-            self.trace.emit(now, "ack_tx", self.mn, flow=seg.flow_id, ack=seg.ack,
-                            rwnd=seg.rwnd, flags=seg.flags)
-        self._launch(seg, self.topo.route_via_access(self.mn, rt.spec.src, self.attachment), now)
-
-    def _launch(self, seg: Segment, route: Route, now: int) -> None:
-        seg.route = route
-        seg.hop = 0
+            self.trace.emit(now, "ack_tx", self.mn, f"flow={seg.flow_id} ack={seg.ack} "
+                            f"rwnd={seg.rwnd} flags={seg.flags}")
+        seg.route = route = rt.ack_routes[self.attachment]
         route[0].transmit(seg, now)
 
     def _on_arrival(self, link: DirectedLink, seg: Segment) -> None:
         now = self.kernel.now
+        if link.tag is not None:
+            seg.path_tag = link.tag
         seg.hop += 1
         if seg.hop < len(seg.route):
             seg.route[seg.hop].transmit(seg, now)
@@ -420,7 +435,7 @@ class Simulation:
         if seg.mark is not None:
             self._handovers[seg.mark].advert_arrived(rt, now)
         if self.trace.enabled:
-            self.trace.emit(now, "ack_rx", node, flow=seg.flow_id, ack=seg.ack, rwnd=seg.rwnd)
+            self.trace.emit(now, "ack_rx", node, f"flow={seg.flow_id} ack={seg.ack} rwnd={seg.rwnd}")
         prev_una = rt.sender.snd_una
         rt.sender.on_ack(seg, now)
         self._manage_rto(rt, rearm=rt.sender.snd_una > prev_una)
@@ -438,7 +453,9 @@ class Simulation:
         end = seg.seq + seg.payload_len
         if end > self._routed_watermark.get(key, 0):
             self._routed_watermark[key] = end
-        self._launch(seg, self.topo.route_via_access(self.ha_node, self.mn, kind), now)
+        seg.route = route = self._forward_routes[kind]
+        seg.hop = 0
+        route[0].transmit(seg, now)
 
     def _deliver_data(self, seg: Segment, now: int) -> None:
         rt = self.flows.get(seg.flow_id)
@@ -450,8 +467,8 @@ class Simulation:
             rt.metrics.spurious_retransmits += 1
             self.trace.emit(now, "spurious_rexmit", self.mn, flow=seg.flow_id, seq=seg.seq)
         if self.trace.enabled:
-            self.trace.emit(now, "deliver", self.mn, flow=seg.flow_id, seq=seg.seq,
-                            len=seg.payload_len, path=seg.path_tag or "-")
+            self.trace.emit(now, "deliver", self.mn, f"flow={seg.flow_id} seq={seg.seq} "
+                            f"len={seg.payload_len} path={seg.path_tag or '-'}")
         rt.receiver.on_data(seg, now)
 
     def _on_inorder(self, rt: _FlowRuntime, receiver: TcpReceiver, now: int) -> None:
@@ -489,12 +506,12 @@ class Simulation:
 
     def _manage_rto(self, rt: _FlowRuntime, rearm: bool) -> None:
         sender = rt.sender
-        if sender.flight == 0:
+        if sender.snd_nxt == sender.snd_una:  # nothing in flight
             if rt.rto_event is not None:
                 self.kernel.cancel(rt.rto_event)
                 rt.rto_event = None
         elif rt.rto_event is None:
-            rt.rto_event = self.kernel.schedule_in(sender.rto, lambda: self._on_rto(rt), "rto")
+            rt.rto_event = self.kernel.schedule_in(sender.rto, partial(self._on_rto, rt), "rto")
         elif rearm:
             rt.rto_event = self.kernel.reschedule(rt.rto_event, self.kernel.now + sender.rto)
 
@@ -511,8 +528,8 @@ class Simulation:
             rt.metrics.fr_times.append(now)
             self.trace.emit(now, "fast_retransmit", rt.spec.src, flow=rt.spec.name)
         if self.trace.enabled:
-            self.trace.emit(now, "cwnd", rt.spec.src, flow=rt.spec.name, cwnd=sender.cwnd,
-                            ssthresh=sender.ssthresh, phase=sender.phase, una=sender.snd_una)
+            self.trace.emit(now, "cwnd", rt.spec.src, f"flow={rt.spec.name} cwnd={sender.cwnd} "
+                            f"ssthresh={sender.ssthresh} phase={sender.phase} una={sender.snd_una}")
 
     # ------------------------------------------------------------------
     # attachment, registration, redirection
@@ -539,7 +556,8 @@ class Simulation:
             route = self.topo.route(self.ha_node, proxy)
         else:
             route = self.topo.route_via_access(self.ha_node, self.mn, kind)
-        self._launch(seg, route, now)
+        seg.route = route
+        route[0].transmit(seg, now)
 
     def _on_registration(self, seg: Segment, now: int) -> None:
         self.trace.emit(now, "bu_recv", self.ha_node, network=seg.path_tag or "-")

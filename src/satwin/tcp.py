@@ -84,9 +84,6 @@ class TcpSender:
     def flight(self) -> int:
         return self.snd_nxt - self.snd_una
 
-    def _usable_window(self) -> int:
-        return min(self.cwnd, self.peer_rwnd)
-
     def _note_state(self, now: int) -> None:
         if self.state_cb is not None:
             self.state_cb(self, now)
@@ -113,10 +110,11 @@ class TcpSender:
         else:
             # the +mss headroom is the fast-retransmit allowance; new data
             # itself never pushes the flight past the usable window
-            if self.flight > self._usable_window() + self.mss:
+            flight, usable = self.snd_nxt - self.snd_una, min(self.cwnd, self.peer_rwnd)
+            if flight > usable + self.mss:
                 raise SimError(
-                    f"flow {self.flow_id} at {fmt_time(now)}: flight {self.flight} above "
-                    f"usable window {self._usable_window()} + one MSS"
+                    f"flow {self.flow_id} at {fmt_time(now)}: flight {flight} above "
+                    f"usable window {usable} + one MSS"
                 )
         self.send_cb(seg, now)
 
@@ -130,7 +128,7 @@ class TcpSender:
         if self.peer_rwnd == 0:
             return 0
         sent = 0
-        usable = self._usable_window()
+        usable = min(self.cwnd, self.peer_rwnd)
         while True:
             if self._rtx_next is not None and self._rtx_next < self._rtx_high:
                 seq = self._rtx_next
@@ -203,8 +201,9 @@ class TcpSender:
             if ack >= self._rtx_high:
                 self._rtx_next = None
         self._sample_rtt(prev_una, ack, seg, now)
-        for seq in [s for s in self.rtx_log if s + self.mss <= ack]:
-            del self.rtx_log[seq]
+        if self.rtx_log:
+            for seq in [s for s in self.rtx_log if s + self.mss <= ack]:
+                del self.rtx_log[seq]
 
         if self.phase == FAST_RECOVERY:
             # Reno deflates and leaves recovery on the first ACK that moves
@@ -241,7 +240,7 @@ class TcpSender:
         if seg.echo is None:
             return
         # Karn: no sample when the newly acked range was ever retransmitted
-        if any(prev_una <= s < ack for s in self.rtx_log):
+        if self.rtx_log and any(prev_una <= s < ack for s in self.rtx_log):
             return
         m = now - seg.echo
         if m < 0:

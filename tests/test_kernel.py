@@ -75,17 +75,42 @@ def test_cancel_fired_event_returns_false():
     assert k.pending() == 1
 
 
-def test_seq_orders_reserved_numbers_with_events():
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(-1, 3), st.booleans()),
+                min_size=1, max_size=25),
+       st.integers(min_value=0))
+def test_seq_below_an_entry_splits_events_scheduled_before_and_after_it(ops, pick):
+    # a link files a segment's dequeue key as its arrival entry's seq - 1: a
+    # running event's `seq` is above that key iff the event was scheduled or
+    # last moved at or after the arrival, the place a dequeue event
+    # scheduled just before the arrival would take
     k = Kernel()
-    seen = []
-    k.schedule(5, lambda: seen.append(k.seq))
-    reserved = k.reserve_seq()
-    k.schedule(5, lambda: seen.append(k.seq))
-    assert k.pending() == 2  # a reserved number is not an event
-    k.run_until(5)
-    assert seen[0] < reserved < seen[1]
+    handles, calls, seen, moved = [], [], {}, set()
+    clock = itertools.count()  # orders schedule and reschedule calls
+
+    def fire(label, child, move):
+        seen[label] = k.seq
+        if child >= 0:
+            add(k.now + child, -1, False)
+        if move and len(handles) > label + 1:  # fired, pending or cancelled alike
+            target = label + 1 + (pick + label) % (len(handles) - label - 1)
+            handles[target] = k.reschedule(handles[target], k.now + pick % 3)
+            calls[target] = next(clock)
+            moved.add(target)
+
+    def add(at, child, move):
+        calls.append(next(clock))
+        handles.append(k.schedule(at, partial(fire, len(handles), child, move)))
+
+    for at, child, move in ops:
+        add(at, child, move)
+    k.run_until(1000)
+    assert k.pending() == 0 and len(seen) == len(handles)
+    for mark in set(range(len(handles))) - moved:  # arrivals are never moved
+        key = handles[mark][1] - 1
+        for label, seq in seen.items():
+            assert (seq > key) == (calls[label] >= calls[mark]), (mark, label)
     # between runs every number issued so far counts as run
-    assert k.seq > max(seen)
+    assert k.seq > max(seen.values())
 
 
 def test_run_until_empty_queue():
@@ -155,6 +180,32 @@ def test_reschedule_later_keeps_the_handle_and_orders_behind_later_schedules():
     assert k.run_until(7) == 0  # its old slot passes without firing it
     assert k.run_until(8) == 3
     assert fired == ["a", "timer", "b"]
+
+
+def test_reschedule_earlier_does_not_pass_through_a_wrapped_schedule(monkeypatch):
+    # the benchmark tracer wraps every scheduled handler in a span by
+    # replacing Kernel.schedule; an earlier re-arm must reuse the handler
+    # it already wrapped, so each firing runs exactly one wrapper
+    spans = []
+
+    def wrapping_schedule(k, at, fn, kind="event"):
+        def span():
+            spans.append(kind)
+            fn()
+        return original(k, at, span, kind)
+
+    original = Kernel.schedule
+    monkeypatch.setattr(Kernel, "schedule", wrapping_schedule)
+    k = Kernel()
+    fired = []
+    timer = k.schedule(50, lambda: fired.append(k.now), "rto")
+    timer = k.reschedule(timer, 30)
+    timer = k.reschedule(timer, 20)
+    assert k.pending() == 1
+    assert k.run_until(100) == 1
+    assert fired == [20] and spans == ["rto"]
+    with pytest.raises(SchedulingError):
+        k.reschedule(k.schedule(200, lambda: None, "rto"), 99)
 
 
 class CancelScheduleKernel:

@@ -174,6 +174,19 @@ def test_home_agent_counts_unroutable_segments():
     assert unroutable and metrics.no_binding_drops == len(unroutable)
 
 
+def test_home_agent_routes_by_the_binding_due_at_arrival():
+    # the newest binding answers once it is due; before that the agent
+    # falls back to the one active at the segment's arrival
+    from satwin.net import Segment
+
+    agent = HomeAgent("HA", "mn")
+    agent.table.register("mn", "SAT", 10)
+    assert agent.route_attachment(Segment(flow_id="f"), 5) is None
+    agent.table.register("mn", "WLAN", 20)
+    assert [agent.route_attachment(Segment(flow_id="f"), t) for t in (10, 19, 20, 25)] == [
+        "SAT", "SAT", "WLAN", "WLAN"]
+
+
 def test_home_agent_acks_binding_update_on_arrival_path():
     agent = HomeAgent("HA", "mn")
     bu = make_binding_update("mn", "SAT", 7)

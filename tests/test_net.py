@@ -122,6 +122,29 @@ def test_transmit_at_a_finish_time_sees_the_events_scheduled_before_it():
     assert outcomes == [Drop(OVERFLOW), 3 * MS]
 
 
+def test_arrival_at_the_finish_time_sees_its_own_segment_gone():
+    # with no propagation delay a segment arrives at its finish time; a
+    # dequeue event scheduled just before the arrival has run by then, so
+    # an arrival handler that sends on the same link finds the queue empty
+    def lazy(k):
+        return make_link(k, bandwidth=1_000_000, prop=0, queue=1500, kind="WLAN")
+
+    spec = lazy(Kernel()).spec
+    for make in (lazy, lambda k: DequeueEventLink(spec, k)):
+        k = Kernel()
+        link = make(k)
+        outcomes = []
+
+        def echo(l, seg):
+            if len(outcomes) < 2:
+                outcomes.append(link.transmit(data_segment(), k.now))
+
+        link.deliver = echo
+        link.transmit(data_segment(), 0)
+        k.run_until(10 * MS)
+        assert outcomes == [3000, 4500]
+
+
 class DequeueEventLink:
     """Reference model: every accepted segment schedules an explicit event
     at its finish time that takes its bytes off the queue."""

@@ -4,13 +4,16 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_ROOT, scenario_path
 from satwin.errors import ConfigError
+from satwin.kernel import SEC
 from satwin.metrics import write_csv
+from satwin.net import F_ACK, F_BU, DirectedLink, Topology
 from satwin.runner import compare, run
 from satwin.scenario import load_scenario, parse_scenario
 
@@ -295,3 +298,40 @@ def test_cli_maps_internal_invariant_to_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run", boom)
     assert cli.main(["run", "--scenario", str(scn)]) == 3
     capsys.readouterr()
+
+
+def _route_and_uplink_counts(monkeypatch, scn, mode):
+    """Run `scn`; count Topology.route_via_access calls and collect the
+    (time, flags) of every transmit on the MN->SGW uplink."""
+    resolved, uplink = [], []
+    route_via_access, transmit = Topology.route_via_access, DirectedLink.transmit
+
+    def counting_route(topo, *args):
+        resolved.append(args)
+        return route_via_access(topo, *args)
+
+    def recording_transmit(link, seg, at):
+        if (link.src, link.dst) == ("MN", "SGW"):
+            uplink.append((at, seg.flags))
+        return transmit(link, seg, at)
+
+    monkeypatch.setattr(Topology, "route_via_access", counting_route)
+    monkeypatch.setattr(DirectedLink, "transmit", recording_transmit)
+    metrics, _ = run(scn, mode=mode)
+    return len(resolved), uplink, metrics
+
+
+@pytest.mark.parametrize("mode", ["BASELINE", "PROACTIVE", "RESET_CWND"])
+def test_access_routes_resolve_once_per_attachment(shipped_scenarios, monkeypatch, mode):
+    # ACK and agent-forward routes are looked up once per (flow or agent,
+    # access kind): a run twice as long resolves exactly as many routes
+    s1 = shipped_scenarios["s1_wlan_to_sat"]
+    short, _, _ = _route_and_uplink_counts(monkeypatch, replace(s1, end=5 * SEC), mode)
+    calls, uplink, metrics = _route_and_uplink_counts(monkeypatch, replace(s1, end=10 * SEC), mode)
+    assert calls == short
+    # after the handover the cached ACK route is the satellite one: only
+    # the MN's binding update precedes its ACKs on the MN->SGW uplink
+    t_r0 = metrics.handovers[0].timeline["t_r0"]
+    acks = [at for at, flags in uplink if flags & F_ACK]
+    assert [flags for at, flags in uplink if at <= t_r0] == [F_BU]
+    assert len(acks) > 100 and min(acks) > t_r0
