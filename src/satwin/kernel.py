@@ -77,7 +77,9 @@ class Kernel:
             return entry
         self.cancel(entry)
         if at < self.now:
-            raise SchedulingError(f"event {entry[3]!r} moved before clock {fmt_time(self.now)}")
+            raise SchedulingError(
+                f"event {entry[3]!r} rescheduled at {fmt_time(at)} before clock {fmt_time(self.now)}"
+            )
         fresh = [at, next(self._seqs), entry[2], entry[3], None]
         self._live += 1
         heapq.heappush(self._heap, fresh)

@@ -64,14 +64,12 @@ class BindingTable:
         """Newest binding with registered_at <= at (None before the first).
 
         This is the single redirection boundary: arrivals strictly before a
-        binding's registration use the previous one."""
-        best = None
-        for b in self.entries.get(mn, ()):
+        binding's registration use the previous one. `register` keeps the
+        list in time order, so the scan starts at the newest."""
+        for b in reversed(self.entries.get(mn, ())):
             if b.registered_at <= at:
-                best = b
-            else:
-                break
-        return best
+                return b
+        return None
 
 
 def make_binding_update(mn: str, attachment: str, at: int) -> Segment:
@@ -98,9 +96,7 @@ class HomeAgent:
     def route_attachment(self, seg: Segment, now: int) -> Optional[str]:
         """Pick the access network for a data segment arriving now; None
         when the MN has no binding yet."""
-        bindings = self.table.entries.get(self.mn)
-        due = bindings and bindings[-1].registered_at <= now  # the newest: no scan
-        binding = bindings[-1] if due else self.table.active_as_of(self.mn, now)
+        binding = self.table.active_as_of(self.mn, now)
         if binding is None:
             return None
         seg.routed_at = now

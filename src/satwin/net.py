@@ -239,7 +239,7 @@ class Topology:
         for (src, _), dl in sorted(self.directed.items()):
             if src == self._mn:
                 self._uplinks.setdefault(dl.spec.kind, dl)
-        self._routes: dict[tuple, Route] = {}  # by (src, dst) and (src, dst, kind)
+        self.routes: dict[tuple, Route] = {}  # memo by (src, dst) and (src, dst, kind)
 
     def node_with_role(self, role: str) -> str:
         names = [n.name for n in self.nodes.values() if n.role == role]
@@ -259,7 +259,7 @@ class Topology:
         """Shortest-delay route; never transits the MN's radio links unless
         one endpoint is the MN itself."""
         key = (src, dst)
-        cached = self._routes.get(key)
+        cached = self.routes.get(key)
         if cached is not None:
             return cached
         best: dict[str, tuple[int, int, tuple[str, ...]]] = {src: (0, 0, (src,))}
@@ -281,13 +281,13 @@ class Topology:
             raise ConfigError(f"no route from {src} to {dst}")
         names = best[dst][2]
         hops = tuple(self.directed[(names[i], names[i + 1])] for i in range(len(names) - 1))
-        self._routes[key] = hops
+        self.routes[key] = hops
         return hops
 
     def route_via_access(self, src: str, dst: str, kind: str) -> Route:
         """Route whose first (or last) hop is the MN's access link of `kind`."""
         key = (src, dst, kind)
-        cached = self._routes.get(key)
+        cached = self.routes.get(key)
         if cached is not None:
             return cached
         uplink = self.access_link(kind)
@@ -298,7 +298,7 @@ class Topology:
             if dst != mn:
                 raise SimError(f"route {src}->{dst} via {kind}: neither end is mobile node {mn}")
             hops = (self.route(src, gw) if src != gw else ()) + (self.directed[(gw, mn)],)
-        self._routes[key] = hops
+        self.routes[key] = hops
         return hops
 
 

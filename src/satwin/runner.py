@@ -22,17 +22,6 @@ def _bottleneck_bw(route) -> int:
     return min(hop.spec.bandwidth for hop in route)
 
 
-class _AccessRoutes(dict):
-    """Routes between two fixed nodes by access kind, resolved on first use."""
-
-    def __init__(self, topo: Topology, src: str, dst: str):
-        self.topo, self.src, self.dst = topo, src, dst
-
-    def __missing__(self, kind: str) -> Route:
-        route = self[kind] = self.topo.route_via_access(self.src, self.dst, kind)
-        return route
-
-
 @dataclass
 class _FlowRuntime:
     spec: FlowDef
@@ -40,7 +29,6 @@ class _FlowRuntime:
     receiver: TcpReceiver
     metrics: FlowMetrics
     route: Route  # source to home agent, resolved once
-    ack_routes: _AccessRoutes  # mobile node back to the source, per attachment
     rto_event: Optional[list] = None  # kernel handle
 
 
@@ -316,7 +304,6 @@ class Simulation:
         self._ha_last_end: dict[str, int] = {}
         self._ha_last_time: dict[str, int] = {}
         self._routed_watermark: dict[tuple[str, str], int] = {}  # (flow, kind) -> seq end
-        self._forward_routes = _AccessRoutes(self.topo, self.ha_node, self.mn)
         # one runtime per detected handover; the latest receives the
         # per-packet hooks, older ones only their own timers and signaling
         self._handovers: dict[str, _HandoverRuntime] = {}
@@ -363,8 +350,7 @@ class Simulation:
             volume=fdef.volume,
         )
         fm = FlowMetrics(fdef.name, start=fdef.start, gap_window=self._gap_window)
-        runtime = _FlowRuntime(fdef, sender, receiver, fm, self.topo.route(fdef.src, self.ha_node),
-                               _AccessRoutes(self.topo, self.mn, fdef.src))
+        runtime = _FlowRuntime(fdef, sender, receiver, fm, self.topo.route(fdef.src, self.ha_node))
         sender.send_cb = partial(self._send_data, runtime)
         sender.state_cb = partial(self._trace_state, runtime)
         receiver.emit_cb = partial(self._emit_ack, runtime)
@@ -386,7 +372,7 @@ class Simulation:
         self._inflight[(seg.flow_id, seg.copy)] = seg.payload_len
         if self.trace.enabled:
             self.trace.emit(now, "rexmit" if seg.rexmit else "send", rt.spec.src,
-                            f"flow={seg.flow_id} seq={seg.seq} len={seg.payload_len}")
+                            seg.flow_id, seg.seq, seg.payload_len)
         seg.route = route = rt.route
         route[0].transmit(seg, now)
 
@@ -399,9 +385,9 @@ class Simulation:
     def _send_ack(self, rt: _FlowRuntime, seg: Segment) -> None:
         now = self.kernel.now
         if self.trace.enabled:
-            self.trace.emit(now, "ack_tx", self.mn, f"flow={seg.flow_id} ack={seg.ack} "
-                            f"rwnd={seg.rwnd} flags={seg.flags}")
-        seg.route = route = rt.ack_routes[self.attachment]
+            self.trace.emit(now, "ack_tx", self.mn, seg.flow_id, seg.ack, seg.rwnd, seg.flags)
+        key = (self.mn, rt.spec.src, self.attachment)
+        seg.route = route = self.topo.routes.get(key) or self.topo.route_via_access(*key)
         route[0].transmit(seg, now)
 
     def _on_arrival(self, link: DirectedLink, seg: Segment) -> None:
@@ -435,7 +421,7 @@ class Simulation:
         if seg.mark is not None:
             self._handovers[seg.mark].advert_arrived(rt, now)
         if self.trace.enabled:
-            self.trace.emit(now, "ack_rx", node, f"flow={seg.flow_id} ack={seg.ack} rwnd={seg.rwnd}")
+            self.trace.emit(now, "ack_rx", node, seg.flow_id, seg.ack, seg.rwnd)
         prev_una = rt.sender.snd_una
         rt.sender.on_ack(seg, now)
         self._manage_rto(rt, rearm=rt.sender.snd_una > prev_una)
@@ -449,11 +435,12 @@ class Simulation:
         self._on_ha_data(seg, now)
         # the routed watermark seals the satellite stream at t_r1 exactly:
         # everything the anchor ever pointed at the old network is below it
-        key = (seg.flow_id, kind)
+        mark = (seg.flow_id, kind)
         end = seg.seq + seg.payload_len
-        if end > self._routed_watermark.get(key, 0):
-            self._routed_watermark[key] = end
-        seg.route = route = self._forward_routes[kind]
+        if end > self._routed_watermark.get(mark, 0):
+            self._routed_watermark[mark] = end
+        key = (self.ha_node, self.mn, kind)
+        seg.route = route = self.topo.routes.get(key) or self.topo.route_via_access(*key)
         seg.hop = 0
         route[0].transmit(seg, now)
 
@@ -467,8 +454,8 @@ class Simulation:
             rt.metrics.spurious_retransmits += 1
             self.trace.emit(now, "spurious_rexmit", self.mn, flow=seg.flow_id, seq=seg.seq)
         if self.trace.enabled:
-            self.trace.emit(now, "deliver", self.mn, f"flow={seg.flow_id} seq={seg.seq} "
-                            f"len={seg.payload_len} path={seg.path_tag or '-'}")
+            self.trace.emit(now, "deliver", self.mn, seg.flow_id, seg.seq, seg.payload_len,
+                            seg.path_tag or "-")
         rt.receiver.on_data(seg, now)
 
     def _on_inorder(self, rt: _FlowRuntime, receiver: TcpReceiver, now: int) -> None:
@@ -528,8 +515,8 @@ class Simulation:
             rt.metrics.fr_times.append(now)
             self.trace.emit(now, "fast_retransmit", rt.spec.src, flow=rt.spec.name)
         if self.trace.enabled:
-            self.trace.emit(now, "cwnd", rt.spec.src, f"flow={rt.spec.name} cwnd={sender.cwnd} "
-                            f"ssthresh={sender.ssthresh} phase={sender.phase} una={sender.snd_una}")
+            self.trace.emit(now, "cwnd", rt.spec.src, rt.spec.name, sender.cwnd, sender.ssthresh,
+                            sender.phase, sender.snd_una)
 
     # ------------------------------------------------------------------
     # attachment, registration, redirection

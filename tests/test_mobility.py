@@ -175,8 +175,8 @@ def test_home_agent_counts_unroutable_segments():
 
 
 def test_home_agent_routes_by_the_binding_due_at_arrival():
-    # the newest binding answers once it is due; before that the agent
-    # falls back to the one active at the segment's arrival
+    # a segment goes by the newest binding registered at or before its
+    # arrival, never by one registered later
     from satwin.net import Segment
 
     agent = HomeAgent("HA", "mn")
