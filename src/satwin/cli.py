@@ -25,6 +25,10 @@ def _mode(value: str) -> str:
     return MODE_NAMES[value]
 
 
+def _modes(value: str) -> list[str]:
+    return [_mode(m.strip()) for m in value.split(",") if m.strip()]
+
+
 def _seed(value: str) -> int:
     seed = int(value)
     if not 0 <= seed < 1 << 64:
@@ -46,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run several modes side by side")
     p_cmp.add_argument("--scenario", required=True)
-    p_cmp.add_argument("--modes", required=True,
+    p_cmp.add_argument("--modes", type=_modes, required=True,
                        help="comma-separated list, e.g. baseline,proactive")
     p_cmp.add_argument("--seed", type=_seed, default=0)
     p_cmp.add_argument("--out", default=None, help="comparison CSV output path")
@@ -76,8 +80,7 @@ def main(argv: list[str] | None = None) -> int:
                 Path(args.trace).write_text(trace.text())
             return 0
         if args.command == "compare":
-            modes = [_mode(m.strip()) for m in args.modes.split(",") if m.strip()]
-            rows = compare(scenario, modes, seed=args.seed)
+            rows = compare(scenario, args.modes, seed=args.seed)
             csv_text = write_csv(rows)
             if args.out:
                 Path(args.out).write_text(csv_text)

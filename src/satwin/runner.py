@@ -3,7 +3,7 @@ handover engine, and aggregates metrics and the trace."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -30,6 +30,11 @@ class _FlowRuntime:
     metrics: FlowMetrics
     route: Route  # source to home agent, resolved once
     rto_event: Optional[list] = None  # kernel handle
+    inflight: dict[int, int] = field(default_factory=dict)  # copy -> payload still on the wire
+    # the highest data end the home agent has seen, and when
+    ha_end: int = -1
+    ha_time: int = 0
+    watermark: dict[str, int] = field(default_factory=dict)  # kind -> highest end routed there
 
 
 @dataclass
@@ -177,8 +182,7 @@ class _HandoverRuntime:
         the old network has arrived in order."""
         if rt.spec.name not in self.drains or "t_r1" not in self.metrics.timeline:
             return  # the old stream is not sealed until redirection happened
-        watermark = self.sim._routed_watermark.get((rt.spec.name, self.metrics.old_kind), 0)
-        if rt.receiver.rcv_nxt >= watermark:
+        if rt.receiver.rcv_nxt >= rt.watermark.get(self.metrics.old_kind, 0):
             self._finish_drain(rt, now, timed_out=False)
 
     def _finish_drain(self, rt: _FlowRuntime, now: int, timed_out: bool) -> None:
@@ -248,12 +252,11 @@ class _HandoverRuntime:
             self.stamp("t_a1", now, rt.spec.src)
         fid = rt.spec.name
         marker = rt.sender.snd_nxt
-        if self.sim._ha_last_end.get(fid, -1) >= marker:
+        if rt.ha_end >= marker:
             # the last old-window segment already passed the agent
-            last = self.sim._ha_last_time[fid]
             prev = timeline.get("t_a2")
-            if prev is None or last > prev:
-                timeline["t_a2"] = last
+            if prev is None or rt.ha_time > prev:
+                timeline["t_a2"] = rt.ha_time
         else:
             self.markers[fid] = marker
 
@@ -295,15 +298,10 @@ class Simulation:
         self.metrics = RunMetrics(scenario.name, self.mode, self.seed, end=scenario.end)
         self.cache = ho_policy.PathEstimateCache()
         self.flows: dict[str, _FlowRuntime] = {}
-        self._inflight: dict[tuple[str, int], int] = {}
         # the handover gap covers the earliest scripted detection onwards
         first = min((h.at for h in scenario.handovers), default=None)
         self._gap_window = None if first is None else (first, min(first + GAP_WINDOW, scenario.end))
 
-        # what the home agent has seen of each flow's data stream
-        self._ha_last_end: dict[str, int] = {}
-        self._ha_last_time: dict[str, int] = {}
-        self._routed_watermark: dict[tuple[str, str], int] = {}  # (flow, kind) -> seq end
         # one runtime per detected handover; the latest receives the
         # per-packet hooks, older ones only their own timers and signaling
         self._handovers: dict[str, _HandoverRuntime] = {}
@@ -362,14 +360,14 @@ class Simulation:
         rt = self.flows[fid]
         self.trace.emit(self.kernel.now, "flow_start", rt.spec.src, flow=fid)
         rt.sender.try_send(self.kernel.now)
-        self._manage_rto(rt, rearm=False)
+        self._manage_rto(rt, False)
 
     # ------------------------------------------------------------------
     # data plane
 
     def _send_data(self, rt: _FlowRuntime, seg: Segment, now: int) -> None:
         rt.metrics.bytes_sent += seg.payload_len
-        self._inflight[(seg.flow_id, seg.copy)] = seg.payload_len
+        rt.inflight[seg.copy] = seg.payload_len
         if self.trace.enabled:
             self.trace.emit(now, "rexmit" if seg.rexmit else "send", rt.spec.src,
                             seg.flow_id, seg.seq, seg.payload_len)
@@ -424,7 +422,7 @@ class Simulation:
             self.trace.emit(now, "ack_rx", node, seg.flow_id, seg.ack, seg.rwnd)
         prev_una = rt.sender.snd_una
         rt.sender.on_ack(seg, now)
-        self._manage_rto(rt, rearm=rt.sender.snd_una > prev_una)
+        self._manage_rto(rt, rt.sender.snd_una > prev_una)
 
     def _ha_forward(self, seg: Segment, now: int) -> None:
         kind = self.ha.route_attachment(seg, now)
@@ -432,13 +430,18 @@ class Simulation:
             self.metrics.no_binding_drops += 1
             self._account_drop(seg, "NO_BINDING", "-", "-", now)
             return
-        self._on_ha_data(seg, now)
+        rt = self.flows[seg.flow_id]
+        end = seg.seq + seg.payload_len
+        if end > rt.ha_end:
+            rt.ha_end = end
+            rt.ha_time = now
+        ho = self._active
+        if ho is not None and ho.markers:
+            ho.anchor_passed(seg.flow_id, end, now)
         # the routed watermark seals the satellite stream at t_r1 exactly:
         # everything the anchor ever pointed at the old network is below it
-        mark = (seg.flow_id, kind)
-        end = seg.seq + seg.payload_len
-        if end > self._routed_watermark.get(mark, 0):
-            self._routed_watermark[mark] = end
+        if end > rt.watermark.get(kind, 0):
+            rt.watermark[kind] = end
         key = (self.ha_node, self.mn, kind)
         seg.route = route = self.topo.routes.get(key) or self.topo.route_via_access(*key)
         seg.hop = 0
@@ -449,7 +452,7 @@ class Simulation:
         if rt is None:
             return
         rt.metrics.bytes_delivered += seg.payload_len
-        self._inflight.pop((seg.flow_id, seg.copy), None)
+        rt.inflight.pop(seg.copy, None)
         if seg.rexmit and rt.receiver.holds_range(seg.seq, seg.payload_len):
             rt.metrics.spurious_retransmits += 1
             self.trace.emit(now, "spurious_rexmit", self.mn, flow=seg.flow_id, seq=seg.seq)
@@ -474,7 +477,7 @@ class Simulation:
             rt = self.flows.get(seg.flow_id)
             if rt is not None:
                 rt.metrics.bytes_dropped += payload
-                self._inflight.pop((seg.flow_id, seg.copy), None)
+                rt.inflight.pop(seg.copy, None)
         if seg.flags & (F_BU | F_BUACK):
             self._on_registration_lost(seg, at)
         self.trace.emit(at, "drop", label, flow=seg.flow_id, reason=reason,
@@ -508,7 +511,7 @@ class Simulation:
         if rt.sender.on_rto(now):
             rt.metrics.rto_times.append(now)
             self.trace.emit(now, "rto", rt.spec.src, flow=rt.spec.name, rto=fmt_time(rt.sender.rto))
-        self._manage_rto(rt, rearm=False)
+        self._manage_rto(rt, False)
 
     def _trace_state(self, rt: _FlowRuntime, sender: TcpSender, now: int) -> None:
         if len(rt.metrics.fr_times) < sender.fast_retransmit_count:
@@ -564,16 +567,6 @@ class Simulation:
         self.trace.emit(now, "buack_recv", self.mn, network=seg.path_tag or "-")
         ho.stamp("t_r3", now, self.mn)
 
-    def _on_ha_data(self, seg: Segment, now: int) -> None:
-        fid = seg.flow_id
-        end = seg.seq + seg.payload_len
-        if end > self._ha_last_end.get(fid, -1):
-            self._ha_last_end[fid] = end
-            self._ha_last_time[fid] = now
-        ho = self._active
-        if ho is not None and ho.markers:
-            ho.anchor_passed(fid, end, now)
-
     # ------------------------------------------------------------------
     # handover engine
 
@@ -602,9 +595,7 @@ class Simulation:
             fm.fast_retransmits = rt.sender.fast_retransmit_count
             fm.max_rwnd_increase = rt.receiver.max_rwnd_increase
             fm.receiver_overflows = rt.receiver.overflow_drops
-            fm.bytes_inflight_end = sum(
-                size for (fid, _), size in self._inflight.items() if fid == rt.spec.name
-            )
+            fm.bytes_inflight_end = sum(rt.inflight.values())
         self.metrics.check_conservation()
         return self.metrics
 

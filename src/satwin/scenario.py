@@ -331,6 +331,7 @@ def validate_scenario(s: Scenario) -> None:
         if roles.count(role) != 1:
             raise ConfigError(f"scenario must define exactly one {role!r} node")
     mn = next(n.name for n in s.nodes if n.role == "mn")
+    ha = next(n.name for n in s.nodes if n.role == "ha")
 
     max_segment = s.mss + HEADER_BYTES
     for link in s.links:
@@ -353,6 +354,10 @@ def validate_scenario(s: Scenario) -> None:
             raise ConfigError(f"flow {flow.name}: endpoint does not exist")
         if flow.dst != mn:
             raise ConfigError(f"flow {flow.name}: destination must be the mobile node")
+        if flow.src in (mn, ha):
+            # data reaches the mobile node through the home agent, so the
+            # source must sit beyond it
+            raise ConfigError(f"flow {flow.name}: src {flow.src} is the mobile node or home agent")
         if flow.start >= s.end:
             raise ConfigError(f"flow {flow.name}: starts at or after the end of the run")
         buffer = flow.buffer or s.w_default

@@ -95,15 +95,9 @@ class TcpSender:
 
     def _emit(self, seq: int, length: int, now: int, rexmit: bool) -> None:
         self._copy += 1
-        seg = Segment(
-            flow_id=self.flow_id,
-            seq=seq,
-            payload_len=length,
-            flags=F_DATA,
-            sent_at=now,
-            rexmit=rexmit,
-            copy=self._copy,
-        )
+        # positional in field order (flow_id .. copy): half the cost of keywords
+        seg = Segment(self.flow_id, seq, length, 0, 0, F_DATA, now, None, None, rexmit, None,
+                      self._copy)
         if rexmit:
             self.rtx_log[seq] = self.rtx_log.get(seq, 0) + 1
             self.retransmit_count += 1
@@ -135,7 +129,7 @@ class TcpSender:
                 end = min(seq + self.mss, self._rtx_high)
                 if end - self.snd_una > usable:
                     break
-                self._emit(seq, end - seq, now, rexmit=True)
+                self._emit(seq, end - seq, now, True)
                 self._rtx_next = end
                 sent += 1
                 continue
@@ -147,7 +141,7 @@ class TcpSender:
                 end = min(end, limit)
             if end - self.snd_una > usable:
                 break
-            self._emit(self.snd_nxt, end - self.snd_nxt, now, rexmit=False)
+            self._emit(self.snd_nxt, end - self.snd_nxt, now, False)
             self.snd_nxt = end
             sent += 1
         return sent
@@ -157,35 +151,36 @@ class TcpSender:
             return
         end = min(self.snd_una + self.mss, self.snd_nxt)
         if end > self.snd_una:
-            self._emit(self.snd_una, end - self.snd_una, now, rexmit=True)
+            self._emit(self.snd_una, end - self.snd_una, now, True)
 
     # -- ACK processing --------------------------------------------------
 
     def on_ack(self, seg: Segment, now: int) -> None:
         """Process one incoming ACK segment per Reno rules."""
-        ack, rwnd = seg.ack, seg.rwnd
+        ack, rwnd, snd_una = seg.ack, seg.rwnd, self.snd_una
         if ack > self.snd_nxt:
             raise ProtocolViolation(
                 f"flow {self.flow_id}: ack {ack} beyond snd_nxt {self.snd_nxt}"
             )
-        if ack < self.snd_una:
+        if ack < snd_una:
             return  # old ACK from a stale path; ignore entirely
 
         # a duplicate repeats the ack point without growing the window; a
         # shrink still counts because it is the out-of-order buffer filling
         # up at the receiver, not a window update
         is_dup = (
-            ack == self.snd_una
-            and self.flight > 0
+            ack == snd_una
+            and self.snd_nxt > snd_una
             and rwnd <= self.peer_rwnd
             and not seg.flags & (F_WUPD | F_REFRESH)
         )
-        if (ack, seg.sent_at) >= (self._wl_ack, self._wl_time):
+        # (ack, sent_at) >= (_wl_ack, _wl_time), compared without tuples
+        if ack > self._wl_ack or (ack == self._wl_ack and seg.sent_at >= self._wl_time):
             self.peer_rwnd = rwnd
             self._wl_ack = ack
             self._wl_time = seg.sent_at
 
-        if ack > self.snd_una:
+        if ack > snd_una:
             self._on_new_ack(ack, seg, now)
         elif is_dup:
             self._on_dupack(now)
@@ -326,10 +321,8 @@ class TcpReceiver:
         return self.buffer_capacity - self.oob_bytes
 
     def advertised(self) -> int:
-        free = self.free_buffer()
-        if self.policy_cap is UNLIMITED:
-            return free
-        return min(free, self.policy_cap)
+        free, cap = self.buffer_capacity - self.oob_bytes, self.policy_cap
+        return free if cap is UNLIMITED or cap > free else cap
 
     def set_window_policy(self, cap: Optional[int], now: int) -> Optional[Segment]:
         """Cap the advertised window; an immediate window-update ACK tells
@@ -382,16 +375,19 @@ class TcpReceiver:
         if not seg.flags & F_DATA:
             raise ProtocolViolation("receiver got a non-data segment")
         seq, end = seg.seq, seg.seq + seg.payload_len
-        if self.holds_range(seq, seg.payload_len):
+        if end <= self.rcv_nxt or (self.oob and self.holds_range(seq, seg.payload_len)):
             # stale duplicate: re-ACK so the peer can resynchronize
             self._maybe_dupack(now)
             return
         if seq <= self.rcv_nxt:
             self.rcv_nxt = end
-            self._absorb_contiguous()
+            if self.oob:
+                self._absorb_contiguous()
+            else:
+                self.delivered_inorder = end
             if self.advance_cb is not None:
                 self.advance_cb(self, now)
-            self._emit_ack(now, echo=None if seg.rexmit else seg.sent_at)
+            self._emit_ack(now, 0, None if seg.rexmit else seg.sent_at)
             return
         # out of order: buffer if there is room, else model receiver overflow
         if seg.payload_len > self.free_buffer():
@@ -458,13 +454,8 @@ class TcpReceiver:
                     f"(> bound {bound}) at t={fmt_time(now)}"
                 )
         self.last_rwnd = rwnd
-        seg = Segment(
-            flow_id=self.flow_id,
-            ack=self.rcv_nxt,
-            rwnd=rwnd,
-            flags=F_ACK | flags,
-            sent_at=now + self.ack_delay,
-            echo=echo,
-        )
+        # positional in field order (flow_id .. echo), as in TcpSender._emit
+        seg = Segment(self.flow_id, 0, 0, self.rcv_nxt, rwnd, F_ACK | flags, now + self.ack_delay,
+                      None, echo)
         self.emit_cb(seg, now + self.ack_delay)
         return seg

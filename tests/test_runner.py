@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -13,8 +14,8 @@ from conftest import REPO_ROOT, scenario_path
 from satwin.errors import ConfigError
 from satwin.kernel import SEC
 from satwin.metrics import write_csv
-from satwin.net import F_ACK, F_BU, DirectedLink, Topology
-from satwin.runner import compare, run
+from satwin.net import F_ACK, F_BU, F_DATA, DirectedLink, Topology
+from satwin.runner import Simulation, compare, run
 from satwin.scenario import load_scenario, parse_scenario
 
 SINGLE_LINK = """
@@ -335,3 +336,22 @@ def test_access_routes_resolve_once_per_attachment(shipped_scenarios, monkeypatc
     acks = [at for at, flags in uplink if flags & F_ACK]
     assert [flags for at, flags in uplink if at <= t_r0] == [F_BU]
     assert len(acks) > 100 and min(acks) > t_r0
+
+
+@pytest.mark.parametrize("mode", ["BASELINE", "PROACTIVE", "RESET_CWND"])
+@pytest.mark.parametrize("name", ["s1_wlan_to_sat", "s2_sat_to_wlan", "s3_multiflow"])
+def test_inflight_bytes_are_the_pending_data_arrivals(shipped_scenarios, name, mode):
+    # counted apart from the runner's bookkeeping: at a mid-transfer cut,
+    # a flow's in-flight bytes are the payload of its data segments whose
+    # next link arrival is still queued in the kernel
+    sim = Simulation(replace(shipped_scenarios[name], end=3_123_457), mode=mode)
+    metrics = sim.run()
+    pending = Counter()
+    for entry in sim.kernel._heap:
+        if entry[3] == "link-rx" and entry[4] is None:
+            seg = entry[2].args[1]
+            if seg.flags & F_DATA:
+                pending[seg.flow_id] += seg.payload_len
+    assert {fid: fm.bytes_inflight_end for fid, fm in metrics.flows.items()} == \
+        {fid: pending[fid] for fid in metrics.flows}
+    assert all(pending[fid] > 0 for fid in metrics.flows)

@@ -179,6 +179,28 @@ def test_cli_compare_three_modes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_compare_rejects_unknown_mode_with_the_valid_list(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["compare", "--scenario", str(scenario_path("s1_wlan_to_sat")),
+              "--modes", "baseline,bogus"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "baseline, proactive, reset-cwnd" in err
+
+
+@pytest.mark.parametrize("src", ["HA", "MN"])
+def test_flow_source_must_lie_beyond_the_home_agent(src, tmp_path, capsys):
+    # an HA source has no route to the agent; an MN source loops through it
+    text = scenario_path("s1_wlan_to_sat").read_text().replace("src = CN", f"src = {src}")
+    with pytest.raises(ConfigError, match=f"flow f1: src {src} "):
+        parse_scenario(text, "x")
+    bad = tmp_path / "src.scn"
+    bad.write_text(text)
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    assert main(["run", "--scenario", str(bad)]) == 2
+    assert capsys.readouterr().err.count("flow f1: src") == 2
+
+
 def test_compare_requires_single_seed():
     from satwin.runner import compare
 

@@ -218,6 +218,23 @@ def data(seq, length=MSS, rexmit=False, sent_at=0):
                    sent_at=sent_at, rexmit=rexmit)
 
 
+def test_sender_segments_match_keyword_construction():
+    # _emit builds segments positionally; a slip in the field order shows
+    # here against the same segments built by keyword
+    sender, sent = make_sender(volume=3 * MSS + 100)
+    sender.cwnd = 10 * MSS
+    sender.try_send(7)
+    sender.on_rto(9)  # go back to snd_una: one retransmitted copy
+    assert sent == [
+        Segment(flow_id="f", seq=0, payload_len=MSS, flags=F_DATA, sent_at=7, copy=1),
+        Segment(flow_id="f", seq=MSS, payload_len=MSS, flags=F_DATA, sent_at=7, copy=2),
+        Segment(flow_id="f", seq=2 * MSS, payload_len=MSS, flags=F_DATA, sent_at=7, copy=3),
+        Segment(flow_id="f", seq=3 * MSS, payload_len=100, flags=F_DATA, sent_at=7, copy=4),
+        Segment(flow_id="f", seq=0, payload_len=MSS, flags=F_DATA, sent_at=9, rexmit=True,
+                copy=5),
+    ]
+
+
 class TestReceiver:
     def test_in_order_arrival_acks_cumulatively(self):
         receiver, emitted = make_receiver()
@@ -280,6 +297,27 @@ class TestReceiver:
         assert receiver.holds_range(2920, 1460)
         assert not receiver.holds_range(1460, 1460)
         assert not receiver.holds_range(2920, 2920)
+
+
+def test_receiver_acks_match_keyword_construction():
+    # _emit_ack builds ACKs positionally, as TcpSender._emit does
+    receiver, emitted = make_receiver()
+    receiver.ack_delay = 5
+    receiver.on_data(data(0, sent_at=3), 10)  # in order: echoes the send time
+    receiver.on_data(data(2 * MSS), 11)  # out of order: duplicate ACK
+    receiver.on_data(data(MSS, rexmit=True, sent_at=4), 12)  # fills the hole; no echo
+    receiver.set_window_policy(30000, 13)
+    receiver.set_suppress_dupacks(True, 14)
+    receiver.on_data(data(0), 100_014)  # stale: a state refresh instead of a dupack
+    assert [seg for seg, _ in emitted] == [
+        Segment(flow_id="f", ack=MSS, rwnd=64000, flags=F_ACK, sent_at=15, echo=3),
+        Segment(flow_id="f", ack=MSS, rwnd=64000 - MSS, flags=F_ACK, sent_at=16),
+        Segment(flow_id="f", ack=3 * MSS, rwnd=64000, flags=F_ACK, sent_at=17),
+        Segment(flow_id="f", ack=3 * MSS, rwnd=30000, flags=F_ACK | F_WUPD, sent_at=18),
+        Segment(flow_id="f", ack=3 * MSS, rwnd=30000, flags=F_ACK | F_REFRESH,
+                sent_at=100_019),
+    ]
+    assert [at for _, at in emitted] == [15, 16, 17, 18, 100_019]
 
 
 class TestWindowPolicy:
@@ -387,3 +425,19 @@ def test_reassembly_matches_set_oracle(arrival_order):
         prefix += 1
     assert receiver.rcv_nxt == prefix * MSS
     assert receiver.oob_bytes == MSS * len([i for i in seen if i >= prefix])
+
+
+@given(st.lists(st.tuples(st.integers(0, 6000), st.integers(1, 2500)), min_size=1, max_size=40))
+def test_unaligned_reassembly_matches_byte_set_oracle(ranges):
+    # random offsets and lengths: overlaps, and segments that straddle
+    # rcv_nxt (seq < rcv_nxt < end), which MSS-aligned arrivals never do
+    receiver, emitted = make_receiver(buffer=1 << 20)
+    held: set[int] = set()
+    for t, (seq, length) in enumerate(ranges):
+        receiver.on_data(data(seq, length), t)
+        held.update(range(seq, seq + length))
+        prefix = receiver.rcv_nxt
+        assert all(b in held for b in range(prefix)) and prefix not in held
+        assert receiver.delivered_inorder == prefix
+        assert receiver.oob_bytes == sum(1 for b in held if b > prefix)
+        assert emitted[-1][0].ack == prefix
