@@ -3,6 +3,7 @@
 
 Usage: python scripts/show_timeline.py [scenario] [mode] [seed]
 Defaults: scenarios/s1_wlan_to_sat.scn proactive 1
+A bad mode, seed or scenario file exits 2 with a one-line message.
 """
 
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from satwin.errors import ConfigError
 from satwin.metrics import TIMELINE_LABELS
 from satwin.runner import run
 from satwin.scenario import MODE_NAMES, load_scenario
@@ -24,9 +26,22 @@ ENGINE_EVENTS = (
 
 def main(argv):
     path = Path(argv[1]) if len(argv) > 1 else REPO / "scenarios" / "s1_wlan_to_sat.scn"
-    mode = MODE_NAMES[argv[2]] if len(argv) > 2 else "PROACTIVE"
-    seed = int(argv[3]) if len(argv) > 3 else 1
-    metrics, trace = run(load_scenario(path), mode=mode, seed=seed, trace=True)
+    name = argv[2] if len(argv) > 2 else "proactive"
+    if name not in MODE_NAMES:
+        print(f"show_timeline: unknown mode {name!r}; valid modes: "
+              f"{', '.join(sorted(MODE_NAMES))}", file=sys.stderr)
+        return 2
+    mode = MODE_NAMES[name]
+    try:
+        seed = int(argv[3]) if len(argv) > 3 else 1
+    except ValueError:
+        print(f"show_timeline: seed must be an integer, got {argv[3]!r}", file=sys.stderr)
+        return 2
+    try:
+        metrics, trace = run(load_scenario(path), mode=mode, seed=seed, trace=True)
+    except ConfigError as exc:
+        print(f"show_timeline: config error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"{path.stem} / {mode} / seed {seed}\n")
     print("engine events:")

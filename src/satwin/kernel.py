@@ -18,9 +18,9 @@ _DONE = ()  # an event entry's `moved` once it has fired or been cancelled
 
 def fmt_time(t_us: int) -> str:
     """Render microseconds as decimal seconds with fixed 6-digit precision."""
-    sign = "-" if t_us < 0 else ""
-    t_us = abs(t_us)
-    return f"{sign}{t_us // SEC}.{t_us % SEC:06d}"
+    if t_us < 0:
+        return "-%d.%06d" % divmod(-t_us, SEC)
+    return "%d.%06d" % divmod(t_us, SEC)
 
 
 class SimError(Exception):

@@ -20,38 +20,49 @@ TIMELINE_LABELS = ("t_a0", "t_a1", "t_a2", "t_r0", "t_r1", "t_r3")
 GAP_WINDOW = 5 * SEC  # the handover gap looks this far past the first detection
 
 
-# the `k=v` tail of each per-packet trace kind, from its values in order
-# (f-strings: a `str.format` template costs about 5 % of a traced run)
-_PACKET_TAILS = {
-    "send": lambda f, s, n: f"flow={f} seq={s} len={n}",
-    "rexmit": lambda f, s, n: f"flow={f} seq={s} len={n}",
-    "ack_tx": lambda f, a, r, g: f"flow={f} ack={a} rwnd={r} flags={g}",
-    "deliver": lambda f, s, n, p: f"flow={f} seq={s} len={n} path={p}",
-    "ack_rx": lambda f, a, r: f"flow={f} ack={a} rwnd={r}",
-    "cwnd": lambda f, c, s, p, u: f"flow={f} cwnd={c} ssthresh={s} phase={p} una={u}",
-}
-
-
 class Trace:
-    """Event log: one line per event, `<time_s> <event> <node> <k=v ...>`,
-    kept in event order. Per-packet kinds (_PACKET_TAILS) pass values in
-    order, others keywords. Disabled tracing costs one branch per call."""
+    """Event log, one `<time_s> <event> <node> <k=v ...>` line per event in order. Per-packet
+    kinds have a method each, called behind `if trace.enabled`; rare kinds use `emit`."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.lines: list[str] = []
         self._t, self._stamp = None, ""  # the last time rendered, and its text
 
-    def emit(self, t_us: int, event: str, node: str, *values, **kv) -> None:
+    def emit(self, t_us: int, event: str, node: str, **kv) -> None:
         if not self.enabled:
             return
         if t_us != self._t:
-            self._t = t_us
-            self._stamp = fmt_time(t_us)
-        tail = (_PACKET_TAILS[event](*values) if values
-                else " ".join([f"{k}={v}" for k, v in kv.items()]))
-        self.lines.append(f"{self._stamp} {event} {node} {tail}" if tail
-                          else f"{self._stamp} {event} {node}")
+            self._t, self._stamp = t_us, fmt_time(t_us)
+        tail = [f"{k}={v}" for k, v in kv.items()]
+        self.lines.append(" ".join([self._stamp, event, node, *tail]))
+
+    def send(self, t_us: int, event: str, node: str, flow, seq, n) -> None:  # send | rexmit
+        if t_us != self._t:
+            self._t, self._stamp = t_us, fmt_time(t_us)
+        self.lines.append(f"{self._stamp} {event} {node} flow={flow} seq={seq} len={n}")
+
+    def deliver(self, t_us: int, node: str, flow, seq, n, path) -> None:
+        if t_us != self._t:
+            self._t, self._stamp = t_us, fmt_time(t_us)
+        self.lines.append(f"{self._stamp} deliver {node} flow={flow} seq={seq} len={n} path={path}")
+
+    def ack_tx(self, t_us: int, node: str, flow, ack, rwnd, flags) -> None:
+        if t_us != self._t:
+            self._t, self._stamp = t_us, fmt_time(t_us)
+        self.lines.append(f"{self._stamp} ack_tx {node} flow={flow} ack={ack} rwnd={rwnd} "
+                          f"flags={flags}")
+
+    def ack_rx(self, t_us: int, node: str, flow, ack, rwnd) -> None:
+        if t_us != self._t:
+            self._t, self._stamp = t_us, fmt_time(t_us)
+        self.lines.append(f"{self._stamp} ack_rx {node} flow={flow} ack={ack} rwnd={rwnd}")
+
+    def cwnd(self, t_us: int, node: str, flow, cwnd, ssthresh, phase, una) -> None:
+        if t_us != self._t:
+            self._t, self._stamp = t_us, fmt_time(t_us)
+        self.lines.append(f"{self._stamp} cwnd {node} flow={flow} cwnd={cwnd} "
+                          f"ssthresh={ssthresh} phase={phase} una={una}")
 
     def text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
@@ -70,7 +81,6 @@ class FlowMetrics:
     retransmits: int = 0
     spurious_retransmits: int = 0
     rto_count: int = 0
-    fast_retransmits: int = 0
     rto_times: list[int] = field(default_factory=list)
     fr_times: list[int] = field(default_factory=list)
     max_rwnd_increase: int = 0

@@ -35,6 +35,7 @@ class _FlowRuntime:
     ha_end: int = -1
     ha_time: int = 0
     watermark: dict[str, int] = field(default_factory=dict)  # kind -> highest end routed there
+    fr_traced: int = 0  # fast retransmits already in the trace
 
 
 @dataclass
@@ -78,7 +79,8 @@ class _HandoverRuntime:
             sender.cwnd = sender.mss
             sender.phase = SLOW_START
             sender.dupacks = 0
-            self.sim._trace_state(rt, sender, now)
+            if self.sim.trace.enabled:
+                self.sim._trace_state(rt, sender, now)
 
     def proactive(self, now: int) -> None:
         if self.hdef.direction == "terr_to_sat":
@@ -347,10 +349,12 @@ class Simulation:
             peer_rwnd=receiver.advertised(),
             volume=fdef.volume,
         )
-        fm = FlowMetrics(fdef.name, start=fdef.start, gap_window=self._gap_window)
+        fm = FlowMetrics(fdef.name, start=fdef.start, gap_window=self._gap_window,
+                         fr_times=sender.fr_times)
         runtime = _FlowRuntime(fdef, sender, receiver, fm, self.topo.route(fdef.src, self.ha_node))
         sender.send_cb = partial(self._send_data, runtime)
-        sender.state_cb = partial(self._trace_state, runtime)
+        if self.trace.enabled:
+            sender.state_cb = partial(self._trace_state, runtime)
         receiver.emit_cb = partial(self._emit_ack, runtime)
         receiver.advance_cb = partial(self._on_inorder, runtime)
         self.flows[fdef.name] = runtime
@@ -369,7 +373,7 @@ class Simulation:
         rt.metrics.bytes_sent += seg.payload_len
         rt.inflight[seg.copy] = seg.payload_len
         if self.trace.enabled:
-            self.trace.emit(now, "rexmit" if seg.rexmit else "send", rt.spec.src,
+            self.trace.send(now, "rexmit" if seg.rexmit else "send", rt.spec.src,
                             seg.flow_id, seg.seq, seg.payload_len)
         seg.route = route = rt.route
         route[0].transmit(seg, now)
@@ -383,7 +387,7 @@ class Simulation:
     def _send_ack(self, rt: _FlowRuntime, seg: Segment) -> None:
         now = self.kernel.now
         if self.trace.enabled:
-            self.trace.emit(now, "ack_tx", self.mn, seg.flow_id, seg.ack, seg.rwnd, seg.flags)
+            self.trace.ack_tx(now, self.mn, seg.flow_id, seg.ack, seg.rwnd, seg.flags)
         key = (self.mn, rt.spec.src, self.attachment)
         seg.route = route = self.topo.routes.get(key) or self.topo.route_via_access(*key)
         route[0].transmit(seg, now)
@@ -419,7 +423,7 @@ class Simulation:
         if seg.mark is not None:
             self._handovers[seg.mark].advert_arrived(rt, now)
         if self.trace.enabled:
-            self.trace.emit(now, "ack_rx", node, seg.flow_id, seg.ack, seg.rwnd)
+            self.trace.ack_rx(now, node, seg.flow_id, seg.ack, seg.rwnd)
         prev_una = rt.sender.snd_una
         rt.sender.on_ack(seg, now)
         self._manage_rto(rt, rt.sender.snd_una > prev_una)
@@ -457,8 +461,8 @@ class Simulation:
             rt.metrics.spurious_retransmits += 1
             self.trace.emit(now, "spurious_rexmit", self.mn, flow=seg.flow_id, seq=seg.seq)
         if self.trace.enabled:
-            self.trace.emit(now, "deliver", self.mn, seg.flow_id, seg.seq, seg.payload_len,
-                            seg.path_tag or "-")
+            self.trace.deliver(now, self.mn, seg.flow_id, seg.seq, seg.payload_len,
+                               seg.path_tag or "-")
         rt.receiver.on_data(seg, now)
 
     def _on_inorder(self, rt: _FlowRuntime, receiver: TcpReceiver, now: int) -> None:
@@ -514,12 +518,12 @@ class Simulation:
         self._manage_rto(rt, False)
 
     def _trace_state(self, rt: _FlowRuntime, sender: TcpSender, now: int) -> None:
-        if len(rt.metrics.fr_times) < sender.fast_retransmit_count:
-            rt.metrics.fr_times.append(now)
+        # the state callback, wired only when tracing: a new fast retransmit first
+        if rt.fr_traced < len(sender.fr_times):
+            rt.fr_traced += 1
             self.trace.emit(now, "fast_retransmit", rt.spec.src, flow=rt.spec.name)
-        if self.trace.enabled:
-            self.trace.emit(now, "cwnd", rt.spec.src, rt.spec.name, sender.cwnd, sender.ssthresh,
-                            sender.phase, sender.snd_una)
+        self.trace.cwnd(now, rt.spec.src, rt.spec.name, sender.cwnd, sender.ssthresh,
+                        sender.phase, sender.snd_una)
 
     # ------------------------------------------------------------------
     # attachment, registration, redirection
@@ -592,7 +596,6 @@ class Simulation:
             fm = rt.metrics
             fm.retransmits = rt.sender.retransmit_count
             fm.rto_count = rt.sender.rto_count
-            fm.fast_retransmits = rt.sender.fast_retransmit_count
             fm.max_rwnd_increase = rt.receiver.max_rwnd_increase
             fm.receiver_overflows = rt.receiver.overflow_drops
             fm.bytes_inflight_end = sum(rt.inflight.values())

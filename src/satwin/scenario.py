@@ -330,8 +330,7 @@ def validate_scenario(s: Scenario) -> None:
     for role in ("mn", "cn", "ha"):
         if roles.count(role) != 1:
             raise ConfigError(f"scenario must define exactly one {role!r} node")
-    mn = next(n.name for n in s.nodes if n.role == "mn")
-    ha = next(n.name for n in s.nodes if n.role == "ha")
+    mn, cn, ha = (next(n.name for n in s.nodes if n.role == r) for r in ("mn", "cn", "ha"))
 
     max_segment = s.mss + HEADER_BYTES
     for link in s.links:
@@ -376,6 +375,18 @@ def validate_scenario(s: Scenario) -> None:
             )
 
     s.registration.validate({n.name for n in s.nodes if n.role == "gateway"})
+
+    # each node a run routes to or from must reach the HA, never through the MN
+    wired = [{l.a, l.b} for l in s.links if mn not in (l.a, l.b)]
+    reached, size = {ha}, 0
+    while len(reached) > size:
+        size = len(reached)
+        reached = reached.union(*[ends for ends in wired if ends & reached])
+    gateways = [l.a if l.b == mn else l.b for l in s.links
+                if mn in (l.a, l.b) and l.kind in ACCESS_KINDS]
+    for node in [cn, *(f.src for f in s.flows), *gateways, s.registration.proxy_location]:
+        if node is not None and node not in reached:
+            raise ConfigError(f"no wired route from {node} to the home agent {ha}")
 
 
 def flow_buffer(s: Scenario, flow: FlowDef) -> int:

@@ -46,7 +46,6 @@ class TcpSender:
         peer_rwnd: int = 65536,
         volume: Optional[int] = None,
         send_cb: Callable[[Segment, int], None] | None = None,
-        state_cb=None,
     ):
         self.flow_id = flow_id
         self.mss = mss
@@ -64,14 +63,14 @@ class TcpSender:
         self.rtx_log: dict[int, int] = {}  # seq -> retransmit count
         self.volume = volume  # None = unlimited source
         self.send_cb = send_cb or (lambda seg, now: None)
-        self.state_cb = state_cb
+        self.state_cb = None
         # go-back-N resend window after a timeout
         self._rtx_next: Optional[int] = None
         self._rtx_high = 0
         self._copy = 0
         self.retransmit_count = 0
         self.rto_count = 0
-        self.fast_retransmit_count = 0
+        self.fr_times: list[int] = []  # one entry per fast retransmit
         # window-update gating: only segments at least as fresh as the one
         # that last set peer_rwnd may change it (stale ACKs still in flight
         # on an abandoned path must not reopen a closed window)
@@ -228,7 +227,7 @@ class TcpSender:
         self.cwnd = self.ssthresh + DUPACK_THRESHOLD * self.mss
         self.phase = FAST_RECOVERY
         self.recover = self.snd_nxt
-        self.fast_retransmit_count += 1
+        self.fr_times.append(now)
         self._note_state(now)
 
     def _sample_rtt(self, prev_una: int, ack: int, seg: Segment, now: int) -> None:
@@ -317,9 +316,6 @@ class TcpReceiver:
 
     # -- window bookkeeping ----------------------------------------------
 
-    def free_buffer(self) -> int:
-        return self.buffer_capacity - self.oob_bytes
-
     def advertised(self) -> int:
         free, cap = self.buffer_capacity - self.oob_bytes, self.policy_cap
         return free if cap is UNLIMITED or cap > free else cap
@@ -390,7 +386,7 @@ class TcpReceiver:
             self._emit_ack(now, 0, None if seg.rexmit else seg.sent_at)
             return
         # out of order: buffer if there is room, else model receiver overflow
-        if seg.payload_len > self.free_buffer():
+        if seg.payload_len > self.buffer_capacity - self.oob_bytes:
             self.overflow_drops += 1
             return
         self._insert_oob(seq, end)

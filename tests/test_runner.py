@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import REPO_ROOT, scenario_path
 from satwin.errors import ConfigError
 from satwin.kernel import SEC
-from satwin.metrics import write_csv
+from satwin.metrics import Trace, write_csv
 from satwin.net import F_ACK, F_BU, F_DATA, DirectedLink, Topology
 from satwin.runner import Simulation, compare, run
-from satwin.scenario import load_scenario, parse_scenario
+from satwin.scenario import MODES, load_scenario, parse_scenario
 
 SINGLE_LINK = """
 [sim]
@@ -131,6 +131,31 @@ def test_shipped_runs_match_golden_csv_and_trace_digests(case):
     digests = {"csv": hashlib.sha256(write_csv(metrics.csv_rows()).encode()).hexdigest(),
                "trace": hashlib.sha256(trace.text().encode()).hexdigest()}
     assert digests == GOLDEN_RUNS[case]
+
+
+@pytest.mark.parametrize("name", sorted({case.split("/")[0] for case in GOLDEN_RUNS}))
+def test_tracing_changes_no_metric_and_costs_no_per_packet_call(name, monkeypatch):
+    scenario = load_scenario(scenario_path(name))
+    traced = {mode: run(scenario, mode=mode, seed=1, trace=True)[0] for mode in MODES}
+
+    def per_packet_call(*args, **kwargs):
+        raise AssertionError("a per-packet Trace method ran with the trace off")
+
+    for kind in ("send", "deliver", "ack_tx", "ack_rx", "cwnd"):
+        monkeypatch.setattr(Trace, kind, per_packet_call)
+    for mode in MODES:
+        sim = Simulation(scenario, mode=mode, seed=1, trace=False)
+        assert all(rt.sender.state_cb is None for rt in sim.flows.values())
+        untraced = sim.run()
+        assert sim.trace.lines == []
+        # the trace-off CSV carries the digest pinned for the traced run
+        csv_digest = hashlib.sha256(write_csv(untraced.csv_rows()).encode()).hexdigest()
+        assert csv_digest == GOLDEN_RUNS[f"{name}/{mode}"]["csv"]
+        for fid, fm in untraced.flows.items():
+            ref = traced[mode].flows[fid]
+            assert (fm.rto_times, fm.fr_times, fm.retransmits, fm.rto_count) == \
+                (ref.rto_times, ref.fr_times, ref.retransmits, ref.rto_count), (mode, fid)
+        assert untraced == traced[mode], mode  # every other field as well
 
 
 def test_proactive_s1_redirection_atomicity(shipped_scenarios):
@@ -355,3 +380,17 @@ def test_inflight_bytes_are_the_pending_data_arrivals(shipped_scenarios, name, m
     assert {fid: fm.bytes_inflight_end for fid, fm in metrics.flows.items()} == \
         {fid: pending[fid] for fid in metrics.flows}
     assert all(pending[fid] > 0 for fid in metrics.flows)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["scenarios/s1_wlan_to_sat.scn", "bogus"],
+     "unknown mode 'bogus'; valid modes: baseline, proactive, reset-cwnd"),
+    (["scenarios/missing.scn", "baseline"], "scenario file scenarios/missing.scn does not exist"),
+    (["scenarios/s1_wlan_to_sat.scn", "baseline", "x"], "seed must be an integer, got 'x'"),
+])
+def test_show_timeline_rejects_bad_arguments_in_one_line(args, message):
+    proc = subprocess.run([sys.executable, "scripts/show_timeline.py", *args], cwd=REPO_ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and message in proc.stderr

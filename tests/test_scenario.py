@@ -201,6 +201,31 @@ def test_flow_source_must_lie_beyond_the_home_agent(src, tmp_path, capsys):
     assert capsys.readouterr().err.count("flow f1: src") == 2
 
 
+def _without_sections(text, *names):
+    """`text` with the named `[link.<name>]` sections left out."""
+    sections = re.split(r"(?m)^(?=\[)", text)
+    return "".join(sec for sec in sections
+                   if not any(sec.startswith(f"[link.{name}]") for name in names))
+
+
+@pytest.mark.parametrize("edit, node", [
+    # a flow source no link reaches
+    (lambda t: t.replace("src = CN", "src = X") + "\n[node.X]\nrole = router\n", "X"),
+    # the satellite gateway reaches the agent only through the MN
+    (lambda t: _without_sections(t, "sgw_cn", "sgw_ha"), "SGW"),
+], ids=["unlinked_src", "gateway_only_via_mn"])
+def test_every_node_a_run_routes_from_is_wired_to_the_home_agent(edit, node, tmp_path, capsys):
+    # validate used to print ok for both, and run then stopped with "no route"
+    text = edit(scenario_path("s1_wlan_to_sat").read_text())
+    with pytest.raises(ConfigError, match=f"no wired route from {node} to the home agent HA"):
+        parse_scenario(text, "x")
+    bad = tmp_path / "unwired.scn"
+    bad.write_text(text)
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    assert main(["run", "--scenario", str(bad)]) == 2
+    assert capsys.readouterr().err.count(f"no wired route from {node} ") == 2
+
+
 def test_compare_requires_single_seed():
     from satwin.runner import compare
 
