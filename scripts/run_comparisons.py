@@ -41,7 +41,7 @@ def main() -> int:
             for row in mode_rows:
                 fm = metrics.flows[row["flow_id"]]
                 print(f"{mode:<11} {fm.goodput_bps() / 1000:>12.1f} {fm.retransmits:>7} "
-                      f"{fm.spurious_retransmits:>9} {fm.rto_count:>4} {drops_new:>15} "
+                      f"{fm.spurious_retransmits:>9} {len(fm.rto_times):>4} {drops_new:>15} "
                       f"{row['handover_gap_ms']:>9}")
         out = out_dir / f"{name}_compare.csv"
         out.write_text(write_csv(rows))

@@ -3,9 +3,11 @@
 
 Usage: python scripts/show_timeline.py [scenario] [mode] [seed]
 Defaults: scenarios/s1_wlan_to_sat.scn proactive 1
-A bad mode, seed or scenario file exits 2 with a one-line message.
+A bad mode, seed or scenario file exits 2 with a one-line message. A reader
+that closes the pipe early (`| head`) ends the output without an error.
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -17,11 +19,10 @@ from satwin.metrics import TIMELINE_LABELS
 from satwin.runner import run
 from satwin.scenario import MODE_NAMES, load_scenario
 
-ENGINE_EVENTS = (
-    " handover_detect ", " plan ", " wpolicy ", " boost ", " ramp ",
-    " drain_done ", " attach ", " bu_send ", " bu_recv ", " buack_recv ",
-    " ack_pacing ", " warn ", " handover_abort ", " timeline ",
-)
+ENGINE_EVENTS = {
+    "handover_detect", "plan", "wpolicy", "boost", "ramp", "drain_done", "attach", "bu_send",
+    "bu_recv", "buack_recv", "ack_pacing", "warn", "handover_abort", "timeline",
+}
 
 
 def main(argv):
@@ -46,7 +47,7 @@ def main(argv):
     print(f"{path.stem} / {mode} / seed {seed}\n")
     print("engine events:")
     for line in trace.lines:
-        if any(tag in line for tag in ENGINE_EVENTS):
+        if line.split(" ", 2)[1] in ENGINE_EVENTS:  # `<time> <event> <node> ...`
             print(f"  {line}")
     for ho in metrics.handovers:
         print(f"\nhandover {ho.name} ({ho.direction}, {ho.old_kind} -> {ho.new_kind}):")
@@ -59,9 +60,16 @@ def main(argv):
         fm = metrics.flows[fid]
         print(f"  {fid}: goodput {fm.goodput_bps() / 1000:.1f} kbit/s, "
               f"{fm.retransmits} retransmits ({fm.spurious_retransmits} spurious), "
-              f"{fm.rto_count} RTOs")
+              f"{len(fm.rto_times)} RTOs")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    try:
+        status = main(sys.argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -80,11 +81,9 @@ class FlowMetrics:
     last_inorder_at: Optional[int] = None
     retransmits: int = 0
     spurious_retransmits: int = 0
-    rto_count: int = 0
-    rto_times: list[int] = field(default_factory=list)
+    rto_times: list[int] = field(default_factory=list)  # the sender's own lists
     fr_times: list[int] = field(default_factory=list)
     max_rwnd_increase: int = 0
-    receiver_overflows: int = 0
     # [start, end] of the handover gap, the longest silence between in-order
     # advances; gap_from is the last advance inside it (or its start)
     gap_window: Optional[tuple[int, int]] = None
@@ -134,7 +133,6 @@ class DropRecord:
     kind: str
     reason: str
     flow_id: str
-    payload: int
 
 
 @dataclass
@@ -145,7 +143,6 @@ class HandoverMetrics:
     old_kind: str = ""
     new_kind: str = ""
     aborted: bool = False
-    chain_violation: bool = False
     timeline: dict[str, int] = field(default_factory=dict)
     old_path_enqueues_after_tr1: int = 0
     drain_timed_out: bool = False
@@ -160,7 +157,10 @@ class RunMetrics:
     flows: dict[str, FlowMetrics] = field(default_factory=dict)
     drops: list[DropRecord] = field(default_factory=list)
     handovers: list[HandoverMetrics] = field(default_factory=list)
-    no_binding_drops: int = 0
+
+    @property
+    def no_binding_drops(self) -> int:
+        return sum(1 for d in self.drops if d.reason == "NO_BINDING")
 
     def drops_on_kind(self, kind: str, reason: Optional[str] = None,
                       start: Optional[int] = None, end: Optional[int] = None) -> int:
@@ -189,6 +189,7 @@ class RunMetrics:
 
     def csv_rows(self) -> list[dict[str, str]]:
         ho = self.handovers[0] if self.handovers else None
+        drops = Counter((d.flow_id, d.kind) for d in self.drops)
         rows = []
         for fid in sorted(self.flows):
             fm = self.flows[fid]
@@ -200,7 +201,7 @@ class RunMetrics:
                 "goodput_bps": f"{fm.goodput_bps():.3f}",
                 "retransmits": str(fm.retransmits),
                 "spurious_retransmits": str(fm.spurious_retransmits),
-                "rto_count": str(fm.rto_count),
+                "rto_count": str(len(fm.rto_times)),
                 "drops_old_path": "0",
                 "drops_new_path": "0",
                 "handover_gap_ms": "",
@@ -209,12 +210,8 @@ class RunMetrics:
             for label in TIMELINE_LABELS:
                 row[label] = ""
             if ho is not None:
-                row["drops_old_path"] = str(
-                    sum(1 for d in self.drops if d.kind == ho.old_kind and d.flow_id == fid)
-                )
-                row["drops_new_path"] = str(
-                    sum(1 for d in self.drops if d.kind == ho.new_kind and d.flow_id == fid)
-                )
+                row["drops_old_path"] = str(drops[fid, ho.old_kind])
+                row["drops_new_path"] = str(drops[fid, ho.new_kind])
                 row["handover_gap_ms"] = f"{fm.handover_gap() / 1000:.3f}"
                 for label in TIMELINE_LABELS:
                     if label in ho.timeline:

@@ -65,7 +65,7 @@ class Segment:
     rexmit: bool = False
     routed_at: Optional[int] = None
     copy: int = 0
-    mark: Optional[str] = None
+    mark: object = None  # the handover a window update, BU or BUACK belongs to
     route: tuple = ()
     hop: int = 0
 

@@ -49,7 +49,8 @@ class _HandoverRuntime:
     """Engine state of one handover: timeline, t_a2 markers, registration
     wait, per-flow drains, and the step bound its sat->terr boost sets
     until a later handover is detected or this one aborts. Each mode runs
-    one procedure at detection (see _PROCEDURES)."""
+    one procedure at detection (see _PROCEDURES). Its window updates, BU
+    and BUACK carry it in `Segment.mark`."""
 
     def __init__(self, sim: Simulation, hdef: HandoverDef):
         self.sim = sim
@@ -62,8 +63,10 @@ class _HandoverRuntime:
         self.bounded = False  # this handover set the receivers' step bound
 
     def stamp(self, label: str, at: int, node: str) -> None:
+        """Record `label` at `at`; the trace line is written now, which for
+        t_a2 can be later than `at`."""
         self.metrics.timeline[label] = at
-        self.sim.trace.emit(at, "timeline", node, label=label, t=fmt_time(at))
+        self.sim.trace.emit(self.sim.kernel.now, "timeline", node, label=label, t=fmt_time(at))
 
     # -- one procedure per mode (baseline is `switch` alone) ---------------
 
@@ -102,7 +105,6 @@ class _HandoverRuntime:
             now,
             fallback_sat_window=sim.scenario.sat_default_window,
         )
-        self.metrics.chain_violation = plan.chain_violation
         if plan.chain_violation:
             sim.trace.emit(now, "warn", sim.mn, code=ho_policy.CHAIN_VIOLATION,
                            w_rec=plan.w_rec)
@@ -204,10 +206,10 @@ class _HandoverRuntime:
 
     def _set_window(self, receiver: TcpReceiver, cap: int, now: int) -> None:
         """Apply a window cap; the window update it triggers carries this
-        handover's name so that its arrival at the sender stamps t_a1."""
+        handover so that its arrival at the sender stamps t_a1."""
         wupd = receiver.set_window_policy(cap, now)
         if wupd is not None:
-            wupd.mark = self.metrics.name
+            wupd.mark = self
 
     def switch(self, now: int) -> bool:
         """Attach to the target and send the binding update, or abort when
@@ -217,21 +219,38 @@ class _HandoverRuntime:
             self.abort(now)
             return False
         sim._attach(kind, now)
-        reg = sim.scenario.registration
         seg = make_binding_update(sim.mn, kind, now)
-        seg.mark = self.metrics.name
-        if reg.origin == "PROXY":
-            origin = reg.proxy_location or sim.topo.access_link(kind).dst
-            route = sim.topo.route(origin, sim.ha_node)
-        else:
-            origin = sim.mn
-            route = sim.topo.route_via_access(sim.mn, sim.ha_node, kind)
+        seg.mark = self
+        origin, seg.route = sim._registration_path(kind, to_agent=True)
         self.awaiting = "t_r1"
         sim.trace.emit(now, "bu_send", origin, network=kind)
         self.stamp("t_r0", now, origin)
-        seg.route = route
-        route[0].transmit(seg, now)
+        seg.route[0].transmit(seg, now)
         return True
+
+    def registered(self, now: int) -> None:
+        """This handover's BU reached the agent: redirection happened (t_r1)."""
+        if self.awaiting != "t_r1":
+            return
+        self.awaiting = "t_r3"
+        self.stamp("t_r1", now, self.sim.ha_node)
+        for fid in list(self.drains):
+            self.check_drain(self.sim.flows[fid], now)
+
+    def confirmed(self, seg: Segment, now: int) -> None:
+        """This handover's BUACK reached the MN (t_r3)."""
+        if self.awaiting != "t_r3":
+            return
+        self.awaiting = None
+        self.sim.trace.emit(now, "buack_recv", self.sim.mn, network=seg.path_tag or "-")
+        self.stamp("t_r3", now, self.sim.mn)
+
+    def registration_lost(self, now: int) -> None:
+        """A dropped BU/BUACK leaves the binding (or its confirmation)
+        unchanged; stop waiting for it."""
+        if self.awaiting is not None:
+            self.awaiting = None
+            self.sim.trace.emit(now, "bu_lost", self.sim.mn, handover=self.metrics.name)
 
     def abort(self, now: int) -> None:
         self.metrics.aborted = True
@@ -258,7 +277,7 @@ class _HandoverRuntime:
             # the last old-window segment already passed the agent
             prev = timeline.get("t_a2")
             if prev is None or rt.ha_time > prev:
-                timeline["t_a2"] = rt.ha_time
+                self.stamp("t_a2", rt.ha_time, self.sim.ha_node)
         else:
             self.markers[fid] = marker
 
@@ -304,14 +323,13 @@ class Simulation:
         first = min((h.at for h in scenario.handovers), default=None)
         self._gap_window = None if first is None else (first, min(first + GAP_WINDOW, scenario.end))
 
-        # one runtime per detected handover; the latest receives the
-        # per-packet hooks, older ones only their own timers and signaling
-        self._handovers: dict[str, _HandoverRuntime] = {}
+        # the latest handover receives the per-packet hooks, older ones only
+        # their own timers and the signaling segments that carry them
         self._active: Optional[_HandoverRuntime] = None
 
         for (_, _), dlink in self.topo.directed.items():
             dlink.deliver = self._on_arrival
-            dlink.on_drop = self._on_link_drop
+            dlink.on_drop = self.on_drop
             if dlink.spec.kind in ACCESS_KINDS and dlink.dst == self.mn:
                 dlink.on_enqueue = self._on_access_enqueue
 
@@ -350,7 +368,7 @@ class Simulation:
             volume=fdef.volume,
         )
         fm = FlowMetrics(fdef.name, start=fdef.start, gap_window=self._gap_window,
-                         fr_times=sender.fr_times)
+                         rto_times=sender.rto_times, fr_times=sender.fr_times)
         runtime = _FlowRuntime(fdef, sender, receiver, fm, self.topo.route(fdef.src, self.ha_node))
         sender.send_cb = partial(self._send_data, runtime)
         if self.trace.enabled:
@@ -409,19 +427,20 @@ class Simulation:
             return
         if seg.flags & F_BU:
             buack = self.ha.handle_binding_update(seg, now)
-            self._on_registration(seg, now)
+            self.trace.emit(now, "bu_recv", self.ha_node, network=seg.path_tag or "-")
+            seg.mark.registered(now)
             buack.mark = seg.mark
             self._send_buack(buack, now)
             return
         if seg.flags & F_BUACK:
-            self._on_buack(seg, now)
+            seg.mark.confirmed(seg, now)
             return
         # cumulative ACK reaching the sender
         rt = self.flows.get(seg.flow_id)
         if rt is None:
             return
         if seg.mark is not None:
-            self._handovers[seg.mark].advert_arrived(rt, now)
+            seg.mark.advert_arrived(rt, now)
         if self.trace.enabled:
             self.trace.ack_rx(now, node, seg.flow_id, seg.ack, seg.rwnd)
         prev_una = rt.sender.snd_una
@@ -431,8 +450,7 @@ class Simulation:
     def _ha_forward(self, seg: Segment, now: int) -> None:
         kind = self.ha.route_attachment(seg, now)
         if kind is None:
-            self.metrics.no_binding_drops += 1
-            self._account_drop(seg, "NO_BINDING", "-", "-", now)
+            self.on_drop(None, seg, "NO_BINDING", now)
             return
         rt = self.flows[seg.flow_id]
         end = seg.seq + seg.payload_len
@@ -471,19 +489,18 @@ class Simulation:
         if ho is not None and ho.drains:
             ho.check_drain(rt, now)
 
-    def _on_link_drop(self, link: DirectedLink, seg: Segment, reason: str, at: int) -> None:
-        self._account_drop(seg, reason, link.label, link.spec.kind, at)
-
-    def _account_drop(self, seg: Segment, reason: str, label: str, kind: str, at: int) -> None:
+    def on_drop(self, link: Optional[DirectedLink], seg: Segment, reason: str, at: int) -> None:
+        """`seg` is lost on `link`, or at the home agent (None) for want of a binding."""
+        label, kind = ("-", "-") if link is None else (link.label, link.spec.kind)
+        self.metrics.drops.append(DropRecord(at, label, kind, reason, seg.flow_id))
         payload = seg.payload_len if seg.flags & F_DATA else 0
-        self.metrics.drops.append(DropRecord(at, label, kind, reason, seg.flow_id, payload))
         if payload:
             rt = self.flows.get(seg.flow_id)
             if rt is not None:
                 rt.metrics.bytes_dropped += payload
                 rt.inflight.pop(seg.copy, None)
         if seg.flags & (F_BU | F_BUACK):
-            self._on_registration_lost(seg, at)
+            seg.mark.registration_lost(at)
         self.trace.emit(at, "drop", label, flow=seg.flow_id, reason=reason,
                         seq=seg.seq, len=payload)
 
@@ -513,7 +530,6 @@ class Simulation:
         rt.rto_event = None
         now = self.kernel.now
         if rt.sender.on_rto(now):
-            rt.metrics.rto_times.append(now)
             self.trace.emit(now, "rto", rt.spec.src, flow=rt.spec.name, rto=fmt_time(rt.sender.rto))
         self._manage_rto(rt, False)
 
@@ -534,42 +550,20 @@ class Simulation:
         self.cache.observe(kind, _bottleneck_bw(route), path_rtt(route))
         self.trace.emit(now, "attach", self.mn, network=kind)
 
-    def _on_registration_lost(self, seg: Segment, now: int) -> None:
-        """A dropped BU/BUACK leaves the binding (or its confirmation)
-        unchanged; the owning handover stops waiting for it."""
-        ho = self._handovers.get(seg.mark)
-        if ho is not None and ho.awaiting is not None:
-            ho.awaiting = None
-            self.trace.emit(now, "bu_lost", self.mn, handover=ho.metrics.name)
+    def _registration_path(self, kind: str, to_agent: bool) -> tuple[str, Route]:
+        """The registration endpoint for `kind` (the proxy gateway, or the MN
+        over the access link of `kind`) and its route to or from the agent."""
+        reg = self.scenario.registration
+        if reg.origin == "MN":
+            ends = (self.mn, self.ha_node) if to_agent else (self.ha_node, self.mn)
+            return self.mn, self.topo.route_via_access(*ends, kind)
+        proxy = reg.proxy_location or self.topo.access_link(kind).dst
+        ends = (proxy, self.ha_node) if to_agent else (self.ha_node, proxy)
+        return proxy, self.topo.route(*ends)
 
     def _send_buack(self, seg: Segment, now: int) -> None:
-        reg = self.scenario.registration
-        kind = seg.path_tag or self.attachment
-        if reg.origin == "PROXY":
-            proxy = reg.proxy_location or self.topo.access_link(kind).dst
-            route = self.topo.route(self.ha_node, proxy)
-        else:
-            route = self.topo.route_via_access(self.ha_node, self.mn, kind)
-        seg.route = route
-        route[0].transmit(seg, now)
-
-    def _on_registration(self, seg: Segment, now: int) -> None:
-        self.trace.emit(now, "bu_recv", self.ha_node, network=seg.path_tag or "-")
-        ho = self._handovers.get(seg.mark)
-        if ho is None or ho.awaiting != "t_r1":
-            return
-        ho.awaiting = "t_r3"
-        ho.stamp("t_r1", now, self.ha_node)
-        for fid in list(ho.drains):
-            ho.check_drain(self.flows[fid], now)
-
-    def _on_buack(self, seg: Segment, now: int) -> None:
-        ho = self._handovers.get(seg.mark)
-        if ho is None or ho.awaiting != "t_r3":
-            return
-        ho.awaiting = None
-        self.trace.emit(now, "buack_recv", self.mn, network=seg.path_tag or "-")
-        ho.stamp("t_r3", now, self.mn)
+        _, seg.route = self._registration_path(seg.path_tag or self.attachment, to_agent=False)
+        seg.route[0].transmit(seg, now)
 
     # ------------------------------------------------------------------
     # handover engine
@@ -578,8 +572,7 @@ class Simulation:
         now = self.kernel.now
         if self._active is not None:
             self._active.release_bound()
-        ho = _HandoverRuntime(self, hdef)
-        self._handovers[hdef.name] = self._active = ho
+        self._active = ho = _HandoverRuntime(self, hdef)
         self.metrics.handovers.append(ho.metrics)
         self.trace.emit(now, "handover_detect", self.mn, direction=hdef.direction,
                         to=hdef.to, mode=self.mode)
@@ -595,9 +588,7 @@ class Simulation:
         for rt in self.flows.values():
             fm = rt.metrics
             fm.retransmits = rt.sender.retransmit_count
-            fm.rto_count = rt.sender.rto_count
             fm.max_rwnd_increase = rt.receiver.max_rwnd_increase
-            fm.receiver_overflows = rt.receiver.overflow_drops
             fm.bytes_inflight_end = sum(rt.inflight.values())
         self.metrics.check_conservation()
         return self.metrics

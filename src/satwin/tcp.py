@@ -69,7 +69,7 @@ class TcpSender:
         self._rtx_high = 0
         self._copy = 0
         self.retransmit_count = 0
-        self.rto_count = 0
+        self.rto_times: list[int] = []  # one entry per timeout that fired
         self.fr_times: list[int] = []  # one entry per fast retransmit
         # window-update gating: only segments at least as fresh as the one
         # that last set peer_rwnd may change it (stale ACKs still in flight
@@ -262,7 +262,7 @@ class TcpSender:
         self._rtx_next = self.snd_una
         self._rtx_high = self.snd_nxt
         self.rto = min(self.rto * 2, RTO_MAX)
-        self.rto_count += 1
+        self.rto_times.append(now)
         self.try_send(now)
         self._note_state(now)
         return True

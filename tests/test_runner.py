@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_ROOT, scenario_path
 from satwin.errors import ConfigError
-from satwin.kernel import SEC
+from satwin.kernel import SEC, fmt_time
 from satwin.metrics import Trace, write_csv
 from satwin.net import F_ACK, F_BU, F_DATA, DirectedLink, Topology
 from satwin.runner import Simulation, compare, run
@@ -68,7 +68,7 @@ def test_loss_free_single_path_bulk_transfer():
     metrics, _ = run(parse_scenario(SINGLE_LINK, "single"))
     fm = metrics.flows["f1"]
     assert fm.delivered_inorder == 1_000_000
-    assert fm.retransmits == 0 and fm.rto_count == 0
+    assert fm.retransmits == 0 and fm.rto_times == []
     assert fm.bytes_dropped == 0
     assert 0 < fm.goodput_bps() <= 10_000_000  # within link capacity
     assert fm.conservation_residual() == 0
@@ -153,8 +153,8 @@ def test_tracing_changes_no_metric_and_costs_no_per_packet_call(name, monkeypatc
         assert csv_digest == GOLDEN_RUNS[f"{name}/{mode}"]["csv"]
         for fid, fm in untraced.flows.items():
             ref = traced[mode].flows[fid]
-            assert (fm.rto_times, fm.fr_times, fm.retransmits, fm.rto_count) == \
-                (ref.rto_times, ref.fr_times, ref.retransmits, ref.rto_count), (mode, fid)
+            assert (fm.rto_times, fm.fr_times, fm.retransmits) == \
+                (ref.rto_times, ref.fr_times, ref.retransmits), (mode, fid)
         assert untraced == traced[mode], mode  # every other field as well
 
 
@@ -229,15 +229,19 @@ def test_reopen_ramp_is_monotonic_after_drain(shipped_scenarios):
     assert rwnds[0] == 2920  # first reopened window is one ramp step
 
 
-def test_drain_times_out_when_a_satellite_segment_is_lost():
-    text = scenario_path("s2_sat_to_wlan").read_text()
-    # a 50 ms satellite outage just before execution punches a hole into
-    # the in-flight stream; the drain can then only end by timeout
-    text = text.replace(
+def s2_lossy():
+    """S2 with a 50 ms satellite outage just before execution, which punches a
+    hole into the in-flight stream (drops on the old path)."""
+    text = scenario_path("s2_sat_to_wlan").read_text().replace(
         "delay = 0.250\nqueue = 65536",
         "delay = 0.250\nqueue = 65536\navailability = 0.0:4.4,4.45:9.1",
     )
-    metrics, trace = run(parse_scenario(text, "s2_lossy"), mode="PROACTIVE", trace=True)
+    return parse_scenario(text, "s2_lossy")
+
+
+def test_drain_times_out_when_a_satellite_segment_is_lost():
+    # the hole in the old stream lets the drain end only by timeout
+    metrics, trace = run(s2_lossy(), mode="PROACTIVE", trace=True)
     ho = metrics.handovers[0]
     assert metrics.drops_on_kind("SAT", "NO_COVERAGE") >= 1
     assert ho.drain_timed_out
@@ -249,6 +253,39 @@ def test_drain_times_out_when_a_satellite_segment_is_lost():
     assert timeout_at == ho.timeline["t_a0"] + 2 * 510_000
     for fm in metrics.flows.values():
         assert fm.conservation_residual() == 0
+
+
+ONE_HANDOVER = ["s1_wlan_to_sat", "s2_sat_to_wlan", "s3_multiflow", "s4_three_networks"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ONE_HANDOVER)
+def test_every_timeline_stamp_has_a_trace_line(name, mode):
+    metrics, trace = run(load_scenario(scenario_path(name)), mode=mode, seed=1, trace=True)
+    last = {}  # label -> t= of its last timeline line
+    for line in trace.lines:
+        if line.split(" ", 2)[1] == "timeline":
+            label, t = re.search(r" label=(\w+) t=(\S+)", line).groups()
+            last[label] = t
+    (ho,) = metrics.handovers
+    assert last == {label: fmt_time(at) for label, at in ho.timeline.items()}
+
+
+@pytest.mark.parametrize("case", ["s2_lossy/PROACTIVE"] + [f"{name}/{mode}" for name in ONE_HANDOVER
+                                                           for mode in MODES])
+def test_drop_columns_count_each_flows_drops_on_the_old_and_new_kind(case):
+    name, mode = case.split("/")
+    scenario = s2_lossy() if name == "s2_lossy" else load_scenario(scenario_path(name))
+    metrics, _ = run(scenario, mode=mode, seed=1)
+    ho = metrics.handovers[0]
+    rows = metrics.csv_rows()
+    for row in rows:
+        on = {kind: sum(1 for d in metrics.drops if d.flow_id == row["flow_id"] and d.kind == kind)
+              for kind in (ho.old_kind, ho.new_kind)}
+        assert (row["drops_old_path"], row["drops_new_path"]) == \
+            (str(on[ho.old_kind]), str(on[ho.new_kind])), row["flow_id"]
+    if name == "s2_lossy":
+        assert rows[0]["drops_old_path"] == "8"  # the outage drops on the satellite
 
 
 def test_engine_applies_handover_ack_pacing():
@@ -394,3 +431,19 @@ def test_show_timeline_rejects_bad_arguments_in_one_line(args, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and message in proc.stderr
+
+
+@pytest.mark.parametrize("lines_read, unbuffered", [(1, "1"), (0, "1"), (0, "")])
+def test_show_timeline_exits_quietly_when_the_reader_closes_early(lines_read, unbuffered):
+    # like `show_timeline.py | head -1`. Unbuffered, each print is a write that can meet
+    # the closed pipe; buffered, the only write is the flush at exit. Closing before the
+    # first line leaves no race with the writer.
+    proc = subprocess.Popen([sys.executable, "scripts/show_timeline.py"], cwd=REPO_ROOT,
+                            env={**os.environ, "PYTHONUNBUFFERED": unbuffered}, bufsize=0,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = [proc.stdout.readline() for _ in range(lines_read)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait(timeout=60)
+    assert first == [b"s1_wlan_to_sat / PROACTIVE / seed 1\n"][:lines_read]
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()

@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import scenario_path
 from satwin.errors import ConfigError, ProtocolViolation
 from satwin.kernel import SEC, SimError
 from satwin.net import F_ACK, F_DATA, F_REFRESH, F_WUPD, Segment
+from satwin.runner import Simulation
+from satwin.scenario import load_scenario
 from satwin.tcp import (
     CONG_AVOID,
     FAST_RECOVERY,
@@ -151,6 +154,7 @@ class TestSenderRto:
         assert sender.rto == 2 * SEC
         sender.on_rto(20)
         assert sender.rto == 4 * SEC
+        assert sender.rto_times == [10, 20]  # one entry per timeout that fired
 
     def test_rto_backoff_caps_at_60s(self):
         sender, _ = make_sender()
@@ -162,8 +166,18 @@ class TestSenderRto:
     def test_stale_rto_with_nothing_unacked_is_noop(self):
         sender, sent = make_sender()
         assert sender.on_rto(10) is False
-        assert sender.rto_count == 0
+        assert sender.rto_times == []
         assert sent == []
+
+    def test_flow_metrics_share_the_senders_timeout_log(self):
+        # S1 baseline times out once; the CSV counts the sender's own list
+        sim = Simulation(load_scenario(scenario_path("s1_wlan_to_sat")), mode="BASELINE", seed=1)
+        rt = sim.flows["f1"]
+        assert rt.metrics.rto_times is rt.sender.rto_times
+        assert rt.metrics.fr_times is rt.sender.fr_times
+        metrics = sim.run()
+        assert len(rt.sender.rto_times) == 1
+        assert metrics.csv_rows()[0]["rto_count"] == "1"
 
     def test_go_back_n_resend_prunes_on_cumulative_ack(self):
         sender, sent = make_sender()
