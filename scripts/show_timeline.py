@@ -21,7 +21,7 @@ from satwin.scenario import MODE_NAMES, load_scenario
 
 ENGINE_EVENTS = {
     "handover_detect", "plan", "wpolicy", "boost", "ramp", "drain_done", "attach", "bu_send",
-    "bu_recv", "buack_recv", "ack_pacing", "warn", "handover_abort", "timeline",
+    "bu_recv", "buack_recv", "bu_lost", "ack_pacing", "warn", "handover_abort", "timeline",
 }
 
 

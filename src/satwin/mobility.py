@@ -84,12 +84,17 @@ class HomeAgent:
         self.node = node
         self.mn = mn
         self.table = BindingTable()
+        self.bu_sent_at = 0  # send time of the binding update in force (its sequence number)
 
-    def handle_binding_update(self, seg: Segment, now: int) -> Segment:
-        """Register the new attachment and produce the BUACK; the caller
-        sends it back over the new path (its arrival defines t_r3)."""
+    def handle_binding_update(self, seg: Segment, now: int) -> Optional[Segment]:
+        """Register the new attachment and produce the BUACK, which the caller
+        sends back over the new path (its arrival defines t_r3); None for a
+        stale BU, sent before the one in force (RFC 6275 9.5.1)."""
         if not seg.flags & F_BU:
             raise SimError(f"binding update expected, got flags {seg.flags} (flow {seg.flow_id})")
+        if seg.sent_at < self.bu_sent_at:
+            return None
+        self.bu_sent_at = seg.sent_at
         self.table.register(self.mn, seg.path_tag or "?", now)
         return Segment(flow_id=MIP_FLOW, flags=F_BUACK, sent_at=now, path_tag=seg.path_tag)
 
@@ -99,5 +104,4 @@ class HomeAgent:
         binding = self.table.active_as_of(self.mn, now)
         if binding is None:
             return None
-        seg.routed_at = now
         return binding.attachment

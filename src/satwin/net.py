@@ -49,8 +49,7 @@ class Segment:
 
     `sent_at` is stamped at original emission; `echo` carries the data
     segment's send time back on cumulative ACKs for RTT sampling.
-    `path_tag` records the access network that carried the segment,
-    `routed_at` the time the home agent forwarded it.
+    `path_tag` records the access network that carried the segment.
     """
 
     flow_id: str
@@ -63,7 +62,6 @@ class Segment:
     path_tag: Optional[str] = None
     echo: Optional[int] = None
     rexmit: bool = False
-    routed_at: Optional[int] = None
     copy: int = 0
     mark: object = None  # the handover a window update, BU or BUACK belongs to
     route: tuple = ()
@@ -152,7 +150,6 @@ class DirectedLink:
         self.backlog: deque[tuple[int, int, int]] = deque()
         self.free_at = 0  # when the serializer finishes its current backlog
         self.deliver: Callable[[DirectedLink, Segment], None] = _unwired
-        self.on_enqueue: Callable[[DirectedLink, Segment, int], None] | None = None
         self.on_drop: Callable[[DirectedLink, Segment, str, int], None] | None = None
         self.drops = {OVERFLOW: 0, NO_COVERAGE: 0}
 
@@ -187,8 +184,6 @@ class DirectedLink:
         arrival = finish + self.prop_delay
         entry = kernel.schedule(arrival, partial(self.deliver, self, seg), "link-rx")
         backlog.append((finish, entry[1] - 1, wire))
-        if self.on_enqueue is not None:
-            self.on_enqueue(self, seg, at)
         return arrival
 
     def _drop(self, seg: Segment, reason: str, at: int) -> Drop:

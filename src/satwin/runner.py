@@ -12,8 +12,8 @@ from .errors import ConfigError
 from .kernel import Kernel, fmt_time
 from .metrics import GAP_WINDOW, DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
 from .mobility import HomeAgent, make_binding_update
-from .net import (ACCESS_KINDS, F_BU, F_BUACK, F_DATA, DirectedLink, Route, Segment, Topology,
-                  path_rtt, rtt_table)
+from .net import (F_BU, F_BUACK, F_DATA, DirectedLink, Route, Segment, Topology, path_rtt,
+                  rtt_table)
 from .scenario import BASELINE, PROACTIVE, RESET_CWND, FlowDef, HandoverDef, Scenario, flow_buffer
 from .tcp import SLOW_START, TcpReceiver, TcpSender
 
@@ -47,10 +47,10 @@ class _Drain:
 
 class _HandoverRuntime:
     """Engine state of one handover: timeline, t_a2 markers, registration
-    wait, per-flow drains, and the step bound its sat->terr boost sets
-    until a later handover is detected or this one aborts. Each mode runs
-    one procedure at detection (see _PROCEDURES). Its window updates, BU
-    and BUACK carry it in `Segment.mark`."""
+    wait, pending execution, per-flow drains, and the step bound its
+    sat->terr boost sets until it aborts or is retired. Each mode runs one
+    procedure at detection (see _PROCEDURES). Its window updates, BU and
+    BUACK carry it in `Segment.mark`."""
 
     def __init__(self, sim: Simulation, hdef: HandoverDef):
         self.sim = sim
@@ -60,7 +60,7 @@ class _HandoverRuntime:
         self.markers: dict[str, int] = {}  # flow -> old-window edge, resolved at the agent
         self.awaiting: Optional[str] = None  # next registration stamp: t_r1, then t_r3
         self.drains: dict[str, _Drain] = {}
-        self.bounded = False  # this handover set the receivers' step bound
+        self.pending: Optional[list] = None  # kernel handle of the deferred switch
 
     def stamp(self, label: str, at: int, node: str) -> None:
         """Record `label` at `at`; the trace line is written now, which for
@@ -131,7 +131,8 @@ class _HandoverRuntime:
                 ho_policy.set_ack_pacing(receiver, hdef.ack_pacing)
                 sim.trace.emit(now, "ack_pacing", sim.mn, flow=fid,
                                delay=fmt_time(hdef.ack_pacing))
-        sim.kernel.schedule(plan.t_r0, lambda: self.switch(sim.kernel.now), "t2s-exec")
+        self.pending = sim.kernel.schedule(plan.t_r0, lambda: self.switch(sim.kernel.now),
+                                           "t2s-exec")
 
     # -- proactive satellite -> terrestrial --------------------------------
 
@@ -157,8 +158,7 @@ class _HandoverRuntime:
             rt.receiver.start_ramp(plan.boost_step, plan.boost_target, now)
             sim.trace.emit(now, "boost", sim.mn, flow=fid, target=plan.boost_target,
                            step=plan.boost_step)
-        self.bounded = True
-        sim.kernel.schedule(exec_at, lambda: self._execute_s2t(plans), "s2t-exec")
+        self.pending = sim.kernel.schedule(exec_at, lambda: self._execute_s2t(plans), "s2t-exec")
 
     def _execute_s2t(self, plans: dict[str, ho_policy.HandoverPlan]) -> None:
         sim = self.sim
@@ -175,7 +175,7 @@ class _HandoverRuntime:
             sim.trace.emit(now, "wpolicy", sim.mn, flow=fid, cap=0)
             timeout = sim.kernel.schedule(
                 plans[fid].drain_timeout,
-                lambda rt=rt: self._finish_drain(rt, sim.kernel.now, timed_out=True),
+                lambda rt=rt: self._finish_drain(rt, sim.kernel.now, "yes"),
                 "drain-timeout",
             )
             self.drains[fid] = _Drain(plans[fid], timeout)
@@ -187,16 +187,20 @@ class _HandoverRuntime:
         if rt.spec.name not in self.drains or "t_r1" not in self.metrics.timeline:
             return  # the old stream is not sealed until redirection happened
         if rt.receiver.rcv_nxt >= rt.watermark.get(self.metrics.old_kind, 0):
-            self._finish_drain(rt, now, timed_out=False)
+            self._finish_drain(rt, now, "no")
 
-    def _finish_drain(self, rt: _FlowRuntime, now: int, timed_out: bool) -> None:
+    def _finish_drain(self, rt: _FlowRuntime, now: int, timeout: str) -> None:
+        """End a flow's drain, which timed out ("yes") or did not ("no"): ramp
+        the window up. A superseded drain only lifts the cap."""
         drain = self.drains.pop(rt.spec.name)
         self.sim.kernel.cancel(drain.timeout_event)
-        self.metrics.drain_timed_out |= timed_out
-        plan = drain.plan
-        self.sim.trace.emit(now, "drain_done", self.sim.mn, flow=rt.spec.name,
-                            timeout="yes" if timed_out else "no")
+        self.metrics.drain_timed_out |= timeout == "yes"
+        self.sim.trace.emit(now, "drain_done", self.sim.mn, flow=rt.spec.name, timeout=timeout)
         rt.receiver.set_suppress_dupacks(False, now)
+        if timeout == "superseded":
+            rt.receiver.set_window_policy(None, now)
+            return
+        plan = drain.plan
         rt.receiver.set_window_policy(min(plan.ramp_step, plan.ramp_target), now)
         rt.receiver.start_ramp(plan.ramp_step, plan.ramp_target, now)
         self.sim.trace.emit(now, "ramp", self.sim.mn, flow=rt.spec.name,
@@ -246,8 +250,8 @@ class _HandoverRuntime:
         self.stamp("t_r3", now, self.sim.mn)
 
     def registration_lost(self, now: int) -> None:
-        """A dropped BU/BUACK leaves the binding (or its confirmation)
-        unchanged; stop waiting for it."""
+        """A dropped or stale BU, or a dropped BUACK, leaves the binding (or
+        its confirmation) unchanged; stop waiting for it."""
         if self.awaiting is not None:
             self.awaiting = None
             self.sim.trace.emit(now, "bu_lost", self.sim.mn, handover=self.metrics.name)
@@ -255,13 +259,21 @@ class _HandoverRuntime:
     def abort(self, now: int) -> None:
         self.metrics.aborted = True
         self.sim.trace.emit(now, "handover_abort", self.sim.mn, handover=self.metrics.name)
-        self.release_bound()
+        for rt in self.sim.flows.values():
+            rt.receiver.step_bound = None
 
-    def release_bound(self) -> None:
-        if self.bounded:
-            self.bounded = False
-            for rt in self.sim.flows.values():
-                rt.receiver.step_bound = None
+    def retire(self, now: int) -> None:
+        """A newer handover was detected: cancel a switch still pending
+        (stopping the boost where it is), release the step bound and end
+        every open drain without a ramp. The window is the newer
+        handover's to set."""
+        cancelled = self.pending is not None and self.sim.kernel.cancel(self.pending)
+        for rt in self.sim.flows.values():
+            rt.receiver.step_bound = None
+            if cancelled:
+                rt.receiver.ramp_step = 0
+        for fid in list(self.drains):
+            self._finish_drain(self.sim.flows[fid], now, "superseded")
 
     # -- advertisement markers ---------------------------------------------
 
@@ -323,15 +335,12 @@ class Simulation:
         first = min((h.at for h in scenario.handovers), default=None)
         self._gap_window = None if first is None else (first, min(first + GAP_WINDOW, scenario.end))
 
-        # the latest handover receives the per-packet hooks, older ones only
-        # their own timers and the signaling segments that carry them
+        # the latest handover; its detection retired the one before (see retire)
         self._active: Optional[_HandoverRuntime] = None
 
-        for (_, _), dlink in self.topo.directed.items():
+        for dlink in self.topo.directed.values():
             dlink.deliver = self._on_arrival
             dlink.on_drop = self.on_drop
-            if dlink.spec.kind in ACCESS_KINDS and dlink.dst == self.mn:
-                dlink.on_enqueue = self._on_access_enqueue
 
         self._attach(scenario.attach, 0)
         # the starting network counts as registered from t=0
@@ -428,6 +437,9 @@ class Simulation:
         if seg.flags & F_BU:
             buack = self.ha.handle_binding_update(seg, now)
             self.trace.emit(now, "bu_recv", self.ha_node, network=seg.path_tag or "-")
+            if buack is None:  # stale: a later BU is in force
+                seg.mark.registration_lost(now)
+                return
             seg.mark.registered(now)
             buack.mark = seg.mark
             self._send_buack(buack, now)
@@ -460,6 +472,8 @@ class Simulation:
         ho = self._active
         if ho is not None and ho.markers:
             ho.anchor_passed(seg.flow_id, end, now)
+        if ho is not None and kind == ho.metrics.old_kind and "t_r1" in ho.metrics.timeline:
+            ho.metrics.old_path_enqueues_after_tr1 += 1
         # the routed watermark seals the satellite stream at t_r1 exactly:
         # everything the anchor ever pointed at the old network is below it
         if end > rt.watermark.get(kind, 0):
@@ -503,14 +517,6 @@ class Simulation:
             seg.mark.registration_lost(at)
         self.trace.emit(at, "drop", label, flow=seg.flow_id, reason=reason,
                         seq=seg.seq, len=payload)
-
-    def _on_access_enqueue(self, link: DirectedLink, seg: Segment, at: int) -> None:
-        ho = self._active
-        if ho is None or not seg.flags & F_DATA or link.spec.kind != ho.metrics.old_kind:
-            return
-        t_r1 = ho.metrics.timeline.get("t_r1")
-        if t_r1 is not None and seg.routed_at is not None and seg.routed_at >= t_r1:
-            ho.metrics.old_path_enqueues_after_tr1 += 1
 
     # ------------------------------------------------------------------
     # sender timer management
@@ -570,12 +576,12 @@ class Simulation:
 
     def _on_handover(self, hdef: HandoverDef) -> None:
         now = self.kernel.now
-        if self._active is not None:
-            self._active.release_bound()
-        self._active = ho = _HandoverRuntime(self, hdef)
-        self.metrics.handovers.append(ho.metrics)
         self.trace.emit(now, "handover_detect", self.mn, direction=hdef.direction,
                         to=hdef.to, mode=self.mode)
+        if self._active is not None:
+            self._active.retire(now)
+        self._active = ho = _HandoverRuntime(self, hdef)
+        self.metrics.handovers.append(ho.metrics)
         if hdef.to == self.attachment:
             ho.abort(now)  # already attached to the target
         else:

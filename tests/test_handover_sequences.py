@@ -2,11 +2,14 @@
 treatment, whatever came before it."""
 
 import re
+import subprocess
+import sys
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import scenario_path
-from satwin.runner import run
+from conftest import REPO_ROOT, scenario_path
+from satwin.mobility import HomeAgent
+from satwin.runner import Simulation, run
 from satwin.scenario import load_scenario, parse_scenario
 
 MSS = 1460
@@ -14,10 +17,16 @@ MODES = ("BASELINE", "PROACTIVE", "RESET_CWND")
 S1_TEXT = scenario_path("s1_wlan_to_sat").read_text()
 S1_WORLD = S1_TEXT[S1_TEXT.index("[sim]"):S1_TEXT.index("[flow.f1]")]
 SAT_LINK = "delay = 0.250\nqueue = 65536"
+# S1 plus a move back to WLAN detected 100 ms after the move onto SAT
+S1_BACK_AT_2_6 = S1_TEXT + "\n[handover.2]\nat = 2.6\ndirection = sat_to_terr\nto = WLAN\n"
 
 
 def _secs(us):
     return f"{us // 1_000_000}.{us % 1_000_000:06d}"
+
+
+def _us(stamp):
+    return int(stamp.replace(".", ""))
 
 
 def _assert_every_handover_clean(metrics):
@@ -26,6 +35,30 @@ def _assert_every_handover_clean(metrics):
         assert fm.delivered_inorder > 0, fm.flow_id
     for ho in metrics.handovers:
         assert ho.old_path_enqueues_after_tr1 == 0, ho.name
+
+
+def _assert_one_live_handover(sim):
+    """From the trace: a drain's zero-window hold, which also suppresses
+    duplicate ACKs until its `drain_done`, ends by the next handover's
+    detection; and a ramp never aims above the BDP of the network attached
+    when it starts."""
+    held = {}  # flow -> time by which its hold must have ended (None: no detection yet)
+    attached = None
+    for line in sim.trace.lines:
+        stamp, kind, _, *fields = line.split(" ")
+        now, kv = _us(stamp), dict(f.split("=", 1) for f in fields)
+        for flow, deadline in held.items():
+            assert deadline is None or now <= deadline, (flow, line)
+        if kind == "attach":
+            attached = kv["network"]
+        elif kind == "wpolicy" and kv["cap"] == "0":
+            held[kv["flow"]] = None
+        elif kind == "drain_done":
+            del held[kv["flow"]]
+        elif kind == "handover_detect":
+            held = {flow: now if deadline is None else deadline for flow, deadline in held.items()}
+        elif kind == "ramp":
+            assert int(kv["target"]) <= sim.cache.get(attached).bdp, line
 
 
 def test_s5_roundtrip_completes_in_every_mode():
@@ -58,14 +91,102 @@ def test_handover_to_the_current_network_is_aborted():
         _assert_every_handover_clean(metrics)
 
 
+def test_a_newer_detection_supersedes_an_open_drain():
+    # S2 proactive: the drain of the move onto WLAN (from 4.5 s) is still
+    # open when the move back onto the satellite is detected
+    text = scenario_path("s2_sat_to_wlan").read_text()
+    text += "\n[handover.2]\nat = 4.6\ndirection = terr_to_sat\nto = SAT\n"
+    sim = Simulation(parse_scenario(text, "s2_back_to_sat"), mode="PROACTIVE", trace=True)
+    metrics = sim.run()
+    lines = sim.trace.lines
+    assert [ho.drain_timed_out for ho in metrics.handovers] == [False, False]
+    assert "4.600000 drain_done MN flow=f1 timeout=superseded" in lines
+    # W_REC for the satellite, not clamped to the superseded hold of 0
+    assert "4.600000 wpolicy MN flow=f1 cap=63750" in lines
+    assert not [l for l in lines if " ramp " in l and _us(l.split(" ")[0]) > 4_600_000]
+    assert sim.flows["f1"].receiver.step_bound is None  # released at 4.6 s
+    _assert_one_live_handover(sim)
+
+
+def test_a_retired_boost_stops_where_it_is():
+    # S2 proactive boosts from 4.0 s toward 127,500 B for a switch at 4.5 s;
+    # a detection at 4.2 s (of the satellite, so it aborts) cancels the
+    # switch, and the window stays at the 110,470 B the boost had reached
+    text = scenario_path("s2_sat_to_wlan").read_text()
+    text += "\n[handover.2]\nat = 4.2\ndirection = terr_to_sat\nto = SAT\n"
+    sim = Simulation(parse_scenario(text, "s2_boost_retired"), mode="PROACTIVE", trace=True)
+    metrics = sim.run()
+    receiver = sim.flows["f1"].receiver
+    assert [ho.aborted for ho in metrics.handovers] == [False, True]
+    assert [l for l in sim.trace.lines if " attach " in l] == ["0.000000 attach MN network=SAT"]
+    assert "4.199188 ack_tx MN flow=f1 ack=237980 rwnd=110470 flags=2" in sim.trace.lines
+    assert (receiver.policy_cap, receiver.ramp_step, receiver.step_bound) == (110_470, 0, None)
+    _assert_every_handover_clean(metrics)
+    _assert_every_handover_clean(metrics)
+
+
+def test_a_stale_binding_update_leaves_the_newer_binding_in_force():
+    # handover 2's BU (via WLAN) registers at 2.615 s, before handover 1's
+    # BU (via SAT, sent at 2.5 s) reaches the agent at 2.758 s
+    scenario = parse_scenario(S1_BACK_AT_2_6, "s1_back_at_2_6")
+    for mode in ("BASELINE", "RESET_CWND"):
+        metrics, trace = run(scenario, mode=mode, trace=True)
+        assert "2.758485 bu_lost MN handover=1" in trace.lines, mode
+        assert not [l for l in trace.lines if "buack_recv MN network=SAT" in l], mode
+        assert [ho.aborted for ho in metrics.handovers] == [False, False], mode
+        _assert_every_handover_clean(metrics)
+
+
+def test_old_path_count_is_taken_where_the_agent_routes():
+    # an agent without the stale-BU rule lets handover 1's late BU point the
+    # binding back at SAT from 2.758 s: every segment then routed there counts
+    # for handover 2, the 192 that SAT's access queue accepted and the 26
+    # that were dropped before it did
+    sim = Simulation(parse_scenario(S1_BACK_AT_2_6, "s1_back_at_2_6"), mode="BASELINE")
+    agent = sim.ha
+
+    def register_every_bu(seg, now):
+        agent.bu_sent_at = 0
+        return HomeAgent.handle_binding_update(agent, seg, now)
+
+    agent.handle_binding_update = register_every_bu
+    metrics = sim.run()
+    assert [ho.old_path_enqueues_after_tr1 for ho in metrics.handovers] == [0, 192 + 26]
+    assert len([d for d in metrics.drops if d.kind == "SAT" and d.time >= 2_758_485]) == 26
+
+
+def test_show_timeline_lists_a_stale_registration(tmp_path):
+    path = tmp_path / "s1_back_at_2_6.scn"
+    path.write_text(S1_BACK_AT_2_6)
+    proc = subprocess.run([sys.executable, "scripts/show_timeline.py", str(path), "baseline"],
+                          cwd=REPO_ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "  2.758485 bu_lost MN handover=1\n" in proc.stdout
+
+
+def test_a_retired_move_never_executes():
+    # proactive: the move onto SAT waits for t_r0 (2.737 s); the move back
+    # to WLAN at 2.6 s retires it, so the MN never leaves WLAN and the
+    # advertised W_REC stays as the cap
+    sim = Simulation(parse_scenario(S1_BACK_AT_2_6, "s1_back_at_2_6"), mode="PROACTIVE",
+                     trace=True)
+    metrics = sim.run()
+    assert [l for l in sim.trace.lines if " attach " in l] == ["0.000000 attach MN network=WLAN"]
+    assert [ho.aborted for ho in metrics.handovers] == [False, True]
+    assert "t_r0" not in metrics.handovers[0].timeline
+    assert sim.flows["f1"].receiver.policy_cap == 63_750
+    _assert_every_handover_clean(metrics)
+
+
 @st.composite
 def handover_sequences(draw):
-    """S1 world, 1-3 flows, 2-4 alternating WLAN<->SAT handovers at least
-    2 s apart, an optional satellite outage, and a mode."""
+    """S1 world, 1-3 flows, 2-4 alternating WLAN<->SAT handovers 50 ms to
+    3.5 s apart (so a newer one can find an older one's switch pending or
+    its drain open), an optional satellite outage, and a mode."""
     count = draw(st.integers(min_value=2, max_value=4))
     at = [draw(st.integers(min_value=1_500_000, max_value=3_000_000))]
     for _ in range(count - 1):
-        at.append(at[-1] + draw(st.integers(min_value=2_000_000, max_value=3_500_000)))
+        at.append(at[-1] + draw(st.integers(min_value=50_000, max_value=3_500_000)))
     end = at[-1] + 2_500_000
     text = S1_WORLD.replace("end = 7.6", f"end = {_secs(end)}")
     if draw(st.booleans()):
@@ -89,5 +210,6 @@ def handover_sequences(draw):
 @given(handover_sequences())
 def test_random_handover_sequences_complete_cleanly(case):
     text, mode = case
-    metrics, _ = run(parse_scenario(text, "sequence"), mode=mode)
-    _assert_every_handover_clean(metrics)
+    sim = Simulation(parse_scenario(text, "sequence"), mode=mode, trace=True)
+    _assert_every_handover_clean(sim.run())
+    _assert_one_live_handover(sim)

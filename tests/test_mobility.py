@@ -165,7 +165,6 @@ def test_home_agent_counts_unroutable_segments():
 
     seg = Segment(flow_id="f", seq=0, payload_len=1460)
     assert agent.route_attachment(seg, 5) is None
-    assert seg.routed_at is None
     # the run counts each unroutable segment once, as a NO_BINDING drop
     sim = Simulation(parse_scenario(scenario_text(), "mob"), mode="BASELINE")
     sim.ha.table.entries.clear()  # no binding until the handover registers
@@ -193,6 +192,15 @@ def test_home_agent_acks_binding_update_on_arrival_path():
     buack = agent.handle_binding_update(bu, 9)
     assert agent.table.active_as_of("mn", 9).registered_at == 9
     assert buack.path_tag == "SAT"
+
+
+def test_home_agent_ignores_a_binding_update_sent_before_the_one_in_force():
+    # RFC 6275 9.5.1: the send time orders binding updates, not their arrival
+    agent = HomeAgent("HA", "mn")
+    assert agent.handle_binding_update(make_binding_update("mn", "WLAN", 10), 12) is not None
+    assert agent.handle_binding_update(make_binding_update("mn", "SAT", 5), 20) is None
+    assert [b.attachment for b in agent.table.entries["mn"]] == ["WLAN"]
+    assert agent.table.active_as_of("mn", 20).registered_at == 12
 
 
 def test_home_agent_rejects_a_segment_that_is_not_a_binding_update():
