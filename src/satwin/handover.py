@@ -11,7 +11,7 @@ Two procedures are computed here and executed by the runner:
   BDP (two segments per ACK, self-clocked), close the window to zero at
   execution while duplicate ACKs are suppressed and the sender is dropped
   into congestion avoidance, hold until the satellite pipe has drained,
-  then reopen gradually toward the terrestrial BDP.
+  then reopen it two segments per ACK up to its resting window.
 
 Multi-flow runs share the window budget proportionally to per-flow demand
 weights; ACK-return pacing is the complementary rate-shaping knob.
@@ -105,10 +105,7 @@ class HandoverPlan:
     t_r0: int = 0
     boost_target: int = 0
     boost_step: int = 0
-    ramp_step: int = 0
-    ramp_target: int = 0
     chain_violation: bool = False
-    drain_timeout: int = 0
 
 
 def plan_terr_to_sat(
@@ -140,31 +137,14 @@ def plan_terr_to_sat(
     )
 
 
-def plan_sat_to_terr(
-    cache_sat_bdp: int,
-    current_win: int,
-    mss: int,
-    buffer_capacity: int,
-    terr_bdp: int,
-    sat_rtt: int,
-    t_detect: int,
-    exec_at: int,
-) -> HandoverPlan:
-    """Satellite->terrestrial plan: boost toward current + satellite BDP in
-    two-segment steps, zero-window drain at execution (timeout 2x satellite
-    RTT guards against a lost pipe segment), then ramp toward the
-    terrestrial BDP in two-segment steps."""
-    boost_step = 2 * mss
+def plan_sat_to_terr(cache_sat_bdp: int, current_win: int, mss: int,
+                     buffer_capacity: int) -> HandoverPlan:
+    """Satellite->terrestrial boost: toward current + satellite BDP in
+    two-segment steps (the zero-window drain at execution follows)."""
     return HandoverPlan(
         direction=SAT_TO_TERR,
-        t_a0=exec_at,
-        t_r0=exec_at,
-        delta=0,
         boost_target=min(current_win + cache_sat_bdp, buffer_capacity),
-        boost_step=boost_step,
-        ramp_step=2 * mss,
-        ramp_target=min(buffer_capacity, terr_bdp),
-        drain_timeout=exec_at + 2 * sat_rtt,
+        boost_step=2 * mss,
     )
 
 

@@ -38,16 +38,9 @@ class _FlowRuntime:
     fr_traced: int = 0  # fast retransmits already in the trace
 
 
-@dataclass
-class _Drain:
-    """One flow's zero-window hold after a satellite->terrestrial switch."""
-    plan: ho_policy.HandoverPlan
-    timeout_event: list  # kernel handle
-
-
 class _HandoverRuntime:
     """Engine state of one handover: timeline, t_a2 markers, registration
-    wait, pending execution, per-flow drains, and the step bound its
+    wait, pending execution, per-flow drain timeouts, and the step bound its
     sat->terr boost sets until it aborts or is retired. Each mode runs one
     procedure at detection (see _PROCEDURES). Its window updates, BU and
     BUACK carry it in `Segment.mark`."""
@@ -55,11 +48,13 @@ class _HandoverRuntime:
     def __init__(self, sim: Simulation, hdef: HandoverDef):
         self.sim = sim
         self.hdef = hdef
-        self.metrics = HandoverMetrics(hdef.name, hdef.direction, hdef.at,
-                                       old_kind=sim.attachment, new_kind=hdef.to)
+        old, new = sim.attachment, hdef.to
+        direction = ("terr_to_sat" if new == "SAT" else
+                     "sat_to_terr" if old == "SAT" else "terr_to_terr")
+        self.metrics = HandoverMetrics(hdef.name, direction, hdef.at, old_kind=old, new_kind=new)
         self.markers: dict[str, int] = {}  # flow -> old-window edge, resolved at the agent
         self.awaiting: Optional[str] = None  # next registration stamp: t_r1, then t_r3
-        self.drains: dict[str, _Drain] = {}
+        self.drains: dict[str, list] = {}  # flow -> kernel handle of its drain timeout
         self.pending: Optional[list] = None  # kernel handle of the deferred switch
 
     def stamp(self, label: str, at: int, node: str) -> None:
@@ -86,10 +81,15 @@ class _HandoverRuntime:
                 self.sim._trace_state(rt, sender, now)
 
     def proactive(self, now: int) -> None:
-        if self.hdef.direction == "terr_to_sat":
+        """W_REC onto the satellite, boost then drain off it; between two
+        terrestrial networks the plain switch, and the windows rest."""
+        direction = self.metrics.direction
+        if direction == "terr_to_sat":
             self._advertise_w_rec(now)
-        else:
+        elif direction == "sat_to_terr":
             self._boost(now)
+        elif self.switch(now):
+            self.sim.rest(now)
 
     # -- proactive terrestrial -> satellite --------------------------------
 
@@ -120,13 +120,12 @@ class _HandoverRuntime:
         sim.trace.emit(now, "plan", sim.mn, direction=plan.direction, w_rec=plan.w_rec,
                        delta=fmt_time(plan.delta), t_r0=fmt_time(plan.t_r0))
         for fid, cap in allocations.items():
-            receiver = sim.flows[fid].receiver
-            # W_REC never raises the window an earlier sat->terr ramp left
-            # in place (a set cap never exceeds the buffer)
-            held = receiver.policy_cap
-            cap = min(cap, receiver.buffer_capacity if held is None else held)
-            self._set_window(receiver, cap, now)
-            sim.trace.emit(now, "wpolicy", sim.mn, flow=fid, cap=cap)
+            rt = sim.flows[fid]
+            receiver = rt.receiver
+            # a capped flow leaves with at most its resting window here
+            if receiver.policy_cap is not None:
+                cap = min(cap, sim.resting_cap(receiver.buffer_capacity))
+            sim.steer(rt, min(cap, receiver.buffer_capacity), now, mark=self)
             if hdef.ack_pacing:
                 ho_policy.set_ack_pacing(receiver, hdef.ack_pacing)
                 sim.trace.emit(now, "ack_pacing", sim.mn, flow=fid,
@@ -139,46 +138,40 @@ class _HandoverRuntime:
     def _boost(self, now: int) -> None:
         """Grow each window toward current + satellite BDP until execution,
         under a two-segment step bound."""
-        sim, hdef = self.sim, self.hdef
+        sim = self.sim
         sat = sim.cache.get(self.metrics.old_kind)  # measured when it was attached
-        terr_route = sim.topo.route_via_access(sim.mn, sim.cn, hdef.to)
-        terr_bdp = ho_policy.estimate_bdp(_bottleneck_bw(terr_route), path_rtt(terr_route))
-        exec_at = now + hdef.exec_lead
-        plans = {}
+        exec_at = now + self.hdef.exec_lead
         for fid, rt in sim.flows.items():
-            current = rt.receiver.policy_cap
+            receiver = rt.receiver
+            current = receiver.policy_cap
             if current is None:
-                current = rt.receiver.advertised()
-            plan = ho_policy.plan_sat_to_terr(
-                sat.bdp, current, sim.scenario.mss, rt.receiver.buffer_capacity,
-                terr_bdp, sat.rtt, now, exec_at,
-            )
-            plans[fid] = plan
-            rt.receiver.step_bound = plan.boost_step
-            rt.receiver.start_ramp(plan.boost_step, plan.boost_target, now)
+                current = receiver.advertised()
+            plan = ho_policy.plan_sat_to_terr(sat.bdp, current, sim.scenario.mss,
+                                              receiver.buffer_capacity)
+            receiver.step_bound = plan.boost_step
+            receiver.start_ramp(plan.boost_step, plan.boost_target, now)
             sim.trace.emit(now, "boost", sim.mn, flow=fid, target=plan.boost_target,
                            step=plan.boost_step)
-        self.pending = sim.kernel.schedule(exec_at, lambda: self._execute_s2t(plans), "s2t-exec")
+        # two satellite RTTs guard the drain against a lost pipe segment
+        self.pending = sim.kernel.schedule(
+            exec_at, partial(self._execute_s2t, exec_at + 2 * sat.rtt), "s2t-exec")
 
-    def _execute_s2t(self, plans: dict[str, ho_policy.HandoverPlan]) -> None:
+    def _execute_s2t(self, drain_timeout: int) -> None:
         sim = self.sim
         now = sim.kernel.now
         if not self.switch(now):
-            for rt in sim.flows.values():
-                rt.receiver.ramp_step = 0  # stop boosting; stay on the satellite
             return
         self.stamp("t_a0", now, sim.mn)
         for fid, rt in sim.flows.items():
-            self._set_window(rt.receiver, 0, now)  # hold the sender while draining
+            wupd = rt.receiver.set_window_policy(0, now)  # hold the sender while draining
+            if wupd is not None:
+                wupd.mark = self
             rt.receiver.set_suppress_dupacks(True, now)
             rt.sender.external_congestion_avoidance(now)
             sim.trace.emit(now, "wpolicy", sim.mn, flow=fid, cap=0)
-            timeout = sim.kernel.schedule(
-                plans[fid].drain_timeout,
-                lambda rt=rt: self._finish_drain(rt, sim.kernel.now, "yes"),
-                "drain-timeout",
-            )
-            self.drains[fid] = _Drain(plans[fid], timeout)
+            self.drains[fid] = sim.kernel.schedule(
+                drain_timeout, lambda rt=rt: self._finish_drain(rt, sim.kernel.now, "yes"),
+                "drain-timeout")
             self.check_drain(rt, now)
 
     def check_drain(self, rt: _FlowRuntime, now: int) -> None:
@@ -190,30 +183,17 @@ class _HandoverRuntime:
             self._finish_drain(rt, now, "no")
 
     def _finish_drain(self, rt: _FlowRuntime, now: int, timeout: str) -> None:
-        """End a flow's drain, which timed out ("yes") or did not ("no"): ramp
-        the window up. A superseded drain only lifts the cap."""
-        drain = self.drains.pop(rt.spec.name)
-        self.sim.kernel.cancel(drain.timeout_event)
+        """End a flow's drain, which timed out ("yes"), did not ("no") or was
+        superseded: ramp the window up to rest, except that a superseded
+        drain stays at 0 for the newer handover to steer."""
+        self.sim.kernel.cancel(self.drains.pop(rt.spec.name))
         self.metrics.drain_timed_out |= timeout == "yes"
         self.sim.trace.emit(now, "drain_done", self.sim.mn, flow=rt.spec.name, timeout=timeout)
         rt.receiver.set_suppress_dupacks(False, now)
-        if timeout == "superseded":
-            rt.receiver.set_window_policy(None, now)
-            return
-        plan = drain.plan
-        rt.receiver.set_window_policy(min(plan.ramp_step, plan.ramp_target), now)
-        rt.receiver.start_ramp(plan.ramp_step, plan.ramp_target, now)
-        self.sim.trace.emit(now, "ramp", self.sim.mn, flow=rt.spec.name,
-                            target=plan.ramp_target, step=plan.ramp_step)
+        if timeout != "superseded":
+            self.sim.steer(rt, self.sim.resting_cap(rt.receiver.buffer_capacity), now)
 
     # -- shared steps ------------------------------------------------------
-
-    def _set_window(self, receiver: TcpReceiver, cap: int, now: int) -> None:
-        """Apply a window cap; the window update it triggers carries this
-        handover so that its arrival at the sender stamps t_a1."""
-        wupd = receiver.set_window_policy(cap, now)
-        if wupd is not None:
-            wupd.mark = self
 
     def switch(self, now: int) -> bool:
         """Attach to the target and send the binding update, or abort when
@@ -257,21 +237,22 @@ class _HandoverRuntime:
             self.sim.trace.emit(now, "bu_lost", self.sim.mn, handover=self.metrics.name)
 
     def abort(self, now: int) -> None:
+        """The move does not happen: release the step bound, and the windows
+        rest on the network the MN stays on."""
         self.metrics.aborted = True
         self.sim.trace.emit(now, "handover_abort", self.sim.mn, handover=self.metrics.name)
         for rt in self.sim.flows.values():
             rt.receiver.step_bound = None
+        self.sim.rest(now)
 
     def retire(self, now: int) -> None:
-        """A newer handover was detected: cancel a switch still pending
-        (stopping the boost where it is), release the step bound and end
-        every open drain without a ramp. The window is the newer
-        handover's to set."""
-        cancelled = self.pending is not None and self.sim.kernel.cancel(self.pending)
+        """A newer handover was detected: cancel a switch still pending,
+        release the step bound and end every open drain at a window of 0.
+        The windows are the newer handover's to steer."""
+        if self.pending is not None:
+            self.sim.kernel.cancel(self.pending)
         for rt in self.sim.flows.values():
             rt.receiver.step_bound = None
-            if cancelled:
-                rt.receiver.ramp_step = 0
         for fid in list(self.drains):
             self._finish_drain(self.sim.flows[fid], now, "superseded")
 
@@ -346,14 +327,8 @@ class Simulation:
         # the starting network counts as registered from t=0
         self.ha.table.register(self.mn, scenario.attach, 0)
 
-        # a proactive node on the satellite always runs at the window the
-        # engine would have chosen for it (the state a managed handover
-        # onto the satellite leaves behind)
-        initial_cap = None
-        if self.mode == PROACTIVE and scenario.attach == "SAT":
-            initial_cap = self.cache.get(scenario.attach).bdp
         for fdef in scenario.flows:
-            self._setup_flow(fdef, initial_cap)
+            self._setup_flow(fdef)
 
         for fdef in scenario.flows:
             self.kernel.schedule(fdef.start, lambda f=fdef.name: self._start_flow(f), "flow-start")
@@ -363,9 +338,11 @@ class Simulation:
     # ------------------------------------------------------------------
     # construction helpers
 
-    def _setup_flow(self, fdef: FlowDef, initial_cap: Optional[int]) -> None:
+    def _setup_flow(self, fdef: FlowDef) -> None:
         buffer = flow_buffer(self.scenario, fdef)
-        cap = None if initial_cap is None else min(initial_cap, buffer)
+        cap = None
+        if self.mode == PROACTIVE and self.attachment == "SAT":
+            cap = self.resting_cap(buffer)  # a proactive node starts on the satellite at rest
         receiver = TcpReceiver(fdef.name, buffer_capacity=buffer, mss=self.scenario.mss,
                                policy_cap=cap)
         receiver.ack_delay = fdef.ack_extra_delay
@@ -576,16 +553,51 @@ class Simulation:
 
     def _on_handover(self, hdef: HandoverDef) -> None:
         now = self.kernel.now
-        self.trace.emit(now, "handover_detect", self.mn, direction=hdef.direction,
+        ho = _HandoverRuntime(self, hdef)
+        self.trace.emit(now, "handover_detect", self.mn, direction=ho.metrics.direction,
                         to=hdef.to, mode=self.mode)
         if self._active is not None:
             self._active.retire(now)
-        self._active = ho = _HandoverRuntime(self, hdef)
+        self._active = ho
         self.metrics.handovers.append(ho.metrics)
         if hdef.to == self.attachment:
             ho.abort(now)  # already attached to the target
         else:
             self._procedure(ho, now)
+
+    def resting_cap(self, buffer: int) -> int:
+        """The window cap a flow with this receive buffer rests at on the
+        attached network: the network's bandwidth-delay product, within the
+        buffer."""
+        return min(buffer, self.cache.get(self.attachment).bdp)
+
+    def steer(self, rt: _FlowRuntime, target: int, now: int, mark=None) -> None:
+        """Lower a flow's cap to `target` at once, or raise it toward
+        `target` by two segments per ACK. The window update it sends, if
+        any, carries `mark`."""
+        receiver, fid = rt.receiver, rt.spec.name
+        cap = receiver.policy_cap
+        if cap is None or cap >= target:
+            wupd = receiver.set_window_policy(target, now)
+            self.trace.emit(now, "wpolicy", self.mn, flow=fid, cap=target)
+        else:
+            step = 2 * receiver.mss
+            wupd = receiver.set_window_policy(min(cap + step, target), now)
+            receiver.start_ramp(step, target, now)
+            self.trace.emit(now, "ramp", self.mn, flow=fid, target=target, step=step)
+        if wupd is not None:
+            wupd.mark = mark
+
+    def rest(self, now: int) -> None:
+        """Steer every capped flow to its resting cap, also one already
+        there whose ramp (a cancelled boost's) still aims elsewhere; an
+        uncapped flow stays uncapped."""
+        for rt in self.flows.values():
+            receiver = rt.receiver
+            cap, target = receiver.policy_cap, self.resting_cap(receiver.buffer_capacity)
+            if cap is not None and (cap != target
+                                    or receiver.ramp_step and receiver.ramp_target != target):
+                self.steer(rt, target, now)
 
     # ------------------------------------------------------------------
 

@@ -51,7 +51,7 @@ class FlowDef:
 class HandoverDef:
     name: str
     at: int  # detection time
-    direction: str
+    direction: Optional[str]  # checked against `to`; the runner derives its own
     to: str
     exec_lead: int = DEFAULT_EXEC_LEAD
     ack_pacing: int = 0
@@ -224,7 +224,7 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
     },
     "handover": {
         "at": _Key(_time, write=fmt_time),
-        "direction": _Key(_one_of(DIRECTIONS)),
+        "direction": _Key(_one_of(DIRECTIONS), None),
         "to": _Key(_one_of(ACCESS_KINDS)),
         "exec_lead": _Key(_time, None, fmt_time),  # None = [sim] s2t_exec_lead
         "ack_pacing": _Key(_time, 0, fmt_time),
@@ -368,7 +368,10 @@ def validate_scenario(s: Scenario) -> None:
             raise ConfigError(f"handover {ho.name}: time {fmt_time(ho.at)} outside [0, end)")
         if ho.to not in access_kinds:
             raise ConfigError(f"handover {ho.name}: no {ho.to} access link at the mobile node")
-        if ho.direction == "terr_to_sat" and s.sat_default_window is None:
+        if ho.direction is not None and (ho.direction == "terr_to_sat") != (ho.to == "SAT"):
+            raise ConfigError(f"handover {ho.name}: direction {ho.direction} "
+                              f"contradicts to = {ho.to}")
+        if ho.to == "SAT" and s.sat_default_window is None:
             raise ConfigError(
                 "terrestrial->satellite handovers need sat_default_window "
                 "(fallback when no satellite estimate is cached)"

@@ -118,19 +118,15 @@ class TestPlans:
     def test_sat_to_terr_boost_arithmetic(self):
         plan = plan_sat_to_terr(
             cache_sat_bdp=65_000, current_win=65_000, mss=MSS,
-            buffer_capacity=131_072, terr_bdp=42_500, sat_rtt=520 * MS,
-            t_detect=0, exec_at=500 * MS,
+            buffer_capacity=131_072,
         )
         assert plan.boost_target == 130_000
         assert plan.boost_step == 2 * MSS
         steps = math.ceil((plan.boost_target - 65_000) / plan.boost_step)
         assert steps == 23  # ACKs needed to reach the boosted window
-        assert plan.ramp_step == 2 * MSS
-        assert plan.ramp_target == 42_500
-        assert plan.drain_timeout == 500 * MS + 2 * 520 * MS
 
     def test_sat_to_terr_boost_clamped_to_buffer(self):
-        plan = plan_sat_to_terr(65_000, 120_000, MSS, 131_072, 42_500, 520 * MS, 0, 0)
+        plan = plan_sat_to_terr(65_000, 120_000, MSS, 131_072)
         assert plan.boost_target == 131_072
 
 

@@ -1,6 +1,7 @@
 """Handover sequences: every handover of a run gets the engine's full
 treatment, whatever came before it."""
 
+import os
 import re
 import subprocess
 import sys
@@ -15,10 +16,16 @@ from satwin.scenario import load_scenario, parse_scenario
 MSS = 1460
 MODES = ("BASELINE", "PROACTIVE", "RESET_CWND")
 S1_TEXT = scenario_path("s1_wlan_to_sat").read_text()
-S1_WORLD = S1_TEXT[S1_TEXT.index("[sim]"):S1_TEXT.index("[flow.f1]")]
+S2_TEXT = scenario_path("s2_sat_to_wlan").read_text()
+S4_TEXT = scenario_path("s4_three_networks").read_text()
+# the worlds of S1 (WLAN, SAT) and S4 (GPRS, WLAN, SAT): everything up to the flows
+WORLDS = {text[text.index("[sim]"):text.index("[flow.f1]")]: kinds
+          for text, kinds in ((S1_TEXT, ("WLAN", "SAT")), (S4_TEXT, ("GPRS", "WLAN", "SAT")))}
 SAT_LINK = "delay = 0.250\nqueue = 65536"
 # S1 plus a move back to WLAN detected 100 ms after the move onto SAT
 S1_BACK_AT_2_6 = S1_TEXT + "\n[handover.2]\nat = 2.6\ndirection = sat_to_terr\nto = WLAN\n"
+# S2 plus a detection of WLAN while the drain of the move onto it is open
+S2_WLAN_AGAIN = S2_TEXT + "\n[handover.2]\nat = 4.6\ndirection = sat_to_terr\nto = WLAN\n"
 
 
 def _secs(us):
@@ -40,9 +47,14 @@ def _assert_every_handover_clean(metrics):
 def _assert_one_live_handover(sim):
     """From the trace: a drain's zero-window hold, which also suppresses
     duplicate ACKs until its `drain_done`, ends by the next handover's
-    detection; and a ramp never aims above the BDP of the network attached
-    when it starts."""
+    detection; a ramp never aims above the BDP of the network attached when
+    it starts; and from a `drain_done` until the flow reaches its next cap,
+    each ACK opens the window by at most two segments. At the end, every
+    cap that is set is at most the flow's resting cap on the attached
+    network, and so is the target of a ramp still running."""
     held = {}  # flow -> time by which its hold must have ended (None: no detection yet)
+    opening = {}  # flow -> the cap it is reopening toward (None: not set yet)
+    rwnd = {}  # flow -> last advertised window
     attached = None
     for line in sim.trace.lines:
         stamp, kind, _, *fields = line.split(" ")
@@ -55,10 +67,28 @@ def _assert_one_live_handover(sim):
             held[kv["flow"]] = None
         elif kind == "drain_done":
             del held[kv["flow"]]
+            opening[kv["flow"]] = None
         elif kind == "handover_detect":
             held = {flow: now if deadline is None else deadline for flow, deadline in held.items()}
         elif kind == "ramp":
             assert int(kv["target"]) <= sim.cache.get(attached).bdp, line
+        if kind in ("ramp", "wpolicy") and kv["flow"] in opening:
+            opening[kv["flow"]] = int(kv.get("target", kv.get("cap")))
+        elif kind == "ack_tx":
+            flow, window = kv["flow"], int(kv["rwnd"])
+            if flow in opening:
+                assert window - rwnd[flow] <= 2 * MSS, line
+                if opening[flow] is not None and window >= opening[flow]:
+                    del opening[flow]
+            rwnd[flow] = window
+    bdp = sim.cache.get(attached).bdp
+    for rt in sim.flows.values():
+        receiver = rt.receiver
+        rest = min(receiver.buffer_capacity, bdp)
+        cap = receiver.policy_cap
+        assert cap is None or cap <= rest, (rt.spec.name, cap)
+        ramp = receiver.ramp_target if receiver.ramp_step else 0
+        assert ramp <= rest, (rt.spec.name, ramp)
 
 
 def test_s5_roundtrip_completes_in_every_mode():
@@ -94,35 +124,123 @@ def test_handover_to_the_current_network_is_aborted():
 def test_a_newer_detection_supersedes_an_open_drain():
     # S2 proactive: the drain of the move onto WLAN (from 4.5 s) is still
     # open when the move back onto the satellite is detected
-    text = scenario_path("s2_sat_to_wlan").read_text()
-    text += "\n[handover.2]\nat = 4.6\ndirection = terr_to_sat\nto = SAT\n"
+    text = S2_TEXT + "\n[handover.2]\nat = 4.6\ndirection = terr_to_sat\nto = SAT\n"
     sim = Simulation(parse_scenario(text, "s2_back_to_sat"), mode="PROACTIVE", trace=True)
     metrics = sim.run()
     lines = sim.trace.lines
     assert [ho.drain_timed_out for ho in metrics.handovers] == [False, False]
     assert "4.600000 drain_done MN flow=f1 timeout=superseded" in lines
-    # W_REC for the satellite, not clamped to the superseded hold of 0
-    assert "4.600000 wpolicy MN flow=f1 cap=63750" in lines
-    assert not [l for l in lines if " ramp " in l and _us(l.split(" ")[0]) > 4_600_000]
+    # the hold stays at 0, and W_REC, at most WLAN's resting 37,500 B for a
+    # capped flow, opens it two segments per ACK
+    assert "4.600000 ack_tx MN flow=f1 ack=286160 rwnd=2920 flags=18" in lines
+    assert "4.600000 ramp MN flow=f1 target=37500 step=2920" in lines
+    assert not [l for l in lines if " wpolicy " in l and _us(l.split(" ")[0]) > 4_500_000]
+    assert metrics.flows["f1"].max_rwnd_increase == 2 * MSS
+    assert sim.flows["f1"].receiver.policy_cap == 37_500
     assert sim.flows["f1"].receiver.step_bound is None  # released at 4.6 s
     _assert_one_live_handover(sim)
 
 
-def test_a_retired_boost_stops_where_it_is():
+def test_an_abort_after_a_superseded_drain_ramps_to_rest():
+    # the detection of WLAN at 4.6 s aborts (the MN is on WLAN since 4.5 s)
+    # and retires the drain; the window opens from 0 to WLAN's resting cap
+    sim = Simulation(parse_scenario(S2_WLAN_AGAIN, "s2_wlan_again"), mode="PROACTIVE",
+                     trace=True)
+    metrics = sim.run()
+    assert [ho.aborted for ho in metrics.handovers] == [False, True]
+    assert metrics.flows["f1"].max_rwnd_increase <= 2 * MSS
+    assert sim.flows["f1"].receiver.policy_cap == 37_500
+    assert "4.600000 ramp MN flow=f1 target=37500 step=2920" in sim.trace.lines
+    # derived from the move, whatever the file says
+    assert [ho.direction for ho in metrics.handovers] == ["sat_to_terr", "terr_to_terr"]
+    _assert_every_handover_clean(metrics)
+    _assert_one_live_handover(sim)
+
+
+def test_a_retired_boost_comes_to_rest():
     # S2 proactive boosts from 4.0 s toward 127,500 B for a switch at 4.5 s;
     # a detection at 4.2 s (of the satellite, so it aborts) cancels the
-    # switch, and the window stays at the 110,470 B the boost had reached
-    text = scenario_path("s2_sat_to_wlan").read_text()
-    text += "\n[handover.2]\nat = 4.2\ndirection = terr_to_sat\nto = SAT\n"
+    # switch, and the window drops from the 110,470 B the boost had reached
+    # back to the satellite's resting 63,750 B
+    text = S2_TEXT + "\n[handover.2]\nat = 4.2\ndirection = terr_to_sat\nto = SAT\n"
     sim = Simulation(parse_scenario(text, "s2_boost_retired"), mode="PROACTIVE", trace=True)
     metrics = sim.run()
     receiver = sim.flows["f1"].receiver
     assert [ho.aborted for ho in metrics.handovers] == [False, True]
     assert [l for l in sim.trace.lines if " attach " in l] == ["0.000000 attach MN network=SAT"]
     assert "4.199188 ack_tx MN flow=f1 ack=237980 rwnd=110470 flags=2" in sim.trace.lines
-    assert (receiver.policy_cap, receiver.ramp_step, receiver.step_bound) == (110_470, 0, None)
+    assert "4.200000 ack_tx MN flow=f1 ack=237980 rwnd=63750 flags=18" in sim.trace.lines
+    assert (receiver.policy_cap, receiver.ramp_step, receiver.step_bound) == (63_750, 0, None)
     _assert_every_handover_clean(metrics)
+    _assert_one_live_handover(sim)
+
+
+def test_a_boost_retired_before_its_first_ack_comes_to_rest():
+    # a second detection at 4.0 s, of the satellite, retires S2's boost
+    # before any ACK has moved the cap off the satellite's resting 63,750 B;
+    # the boost's ramp toward 127,500 B must stop there all the same
+    text = S2_TEXT + "\n[handover.2]\nat = 4.0\nto = SAT\n"
+    sim = Simulation(parse_scenario(text, "s2_boost_retired_at_once"), mode="PROACTIVE",
+                     trace=True)
+    metrics = sim.run()
+    receiver = sim.flows["f1"].receiver
+    assert [ho.aborted for ho in metrics.handovers] == [False, True]
+    assert (receiver.policy_cap, receiver.ramp_step, receiver.step_bound) == (63_750, 0, None)
+    assert metrics.flows["f1"].max_rwnd_increase == 0
     _assert_every_handover_clean(metrics)
+    _assert_one_live_handover(sim)
+
+
+def test_a_move_between_terrestrial_networks_leaves_the_window_alone():
+    # S4 moved to GPRS -> WLAN: neither side is the satellite, so proactive
+    # runs the plain switch, whatever `direction` says, and the flow,
+    # uncapped on GPRS, stays uncapped
+    text = S4_TEXT.replace("terr_to_sat\nto = SAT", "sat_to_terr\nto = WLAN")
+    scenario = parse_scenario(text, "s4_gprs_to_wlan")
+    sim = Simulation(scenario, mode="PROACTIVE", trace=True)
+    metrics = sim.run()
+    assert not [l for l in sim.trace.lines
+                if l.split(" ")[1] in ("boost", "wpolicy", "drain_done", "ramp")]
+    assert "3.000000 handover_detect MN direction=terr_to_terr to=WLAN mode=PROACTIVE" \
+        in sim.trace.lines
+    baseline, _ = run(scenario, mode="BASELINE")
+    assert [dict(r, mode="") for r in metrics.csv_rows()] == \
+        [dict(r, mode="") for r in baseline.csv_rows()]
+    _assert_every_handover_clean(metrics)
+    _assert_one_live_handover(sim)
+
+
+def test_a_switch_between_terrestrial_networks_rests_a_capped_flow():
+    # S4 started on WLAN: the move onto SAT caps the flow at W_REC (its
+    # 16,384 B buffer) and is retired before t_r0 by a move to GPRS, where
+    # the flow rests at the GPRS BDP
+    text = S4_TEXT.replace("attach = GPRS", "attach = WLAN")
+    text += "\n[handover.2]\nat = 3.1\nto = GPRS\n"
+    sim = Simulation(parse_scenario(text, "s4_wlan_to_gprs"), mode="PROACTIVE", trace=True)
+    metrics = sim.run()
+    assert "3.100000 wpolicy MN flow=f1 cap=3300" in sim.trace.lines
+    assert sim.flows["f1"].receiver.policy_cap == 3_300
+    _assert_every_handover_clean(metrics)
+    _assert_one_live_handover(sim)
+
+
+def test_window_steering_is_the_same_under_python_O(tmp_path):
+    path = tmp_path / "s2_wlan_again.scn"
+    path.write_text(S2_WLAN_AGAIN)
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    outputs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / ("O" if flags else "plain")
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "satwin", "run", "--scenario", str(path),
+             "--mode", "proactive", "--metrics", str(out / "m.csv"),
+             "--trace", str(out / "t.log")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(((out / "m.csv").read_bytes(), (out / "t.log").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert b"4.600000 ramp MN flow=f1 target=37500 step=2920" in outputs[0][1]
 
 
 def test_a_stale_binding_update_leaves_the_newer_binding_in_force():
@@ -166,29 +284,32 @@ def test_show_timeline_lists_a_stale_registration(tmp_path):
 
 def test_a_retired_move_never_executes():
     # proactive: the move onto SAT waits for t_r0 (2.737 s); the move back
-    # to WLAN at 2.6 s retires it, so the MN never leaves WLAN and the
-    # advertised W_REC stays as the cap
+    # to WLAN at 2.6 s retires it, so the MN never leaves WLAN, and the
+    # advertised W_REC (63,750 B) drops to WLAN's resting 37,500 B
     sim = Simulation(parse_scenario(S1_BACK_AT_2_6, "s1_back_at_2_6"), mode="PROACTIVE",
                      trace=True)
     metrics = sim.run()
     assert [l for l in sim.trace.lines if " attach " in l] == ["0.000000 attach MN network=WLAN"]
     assert [ho.aborted for ho in metrics.handovers] == [False, True]
     assert "t_r0" not in metrics.handovers[0].timeline
-    assert sim.flows["f1"].receiver.policy_cap == 63_750
+    assert "2.600000 wpolicy MN flow=f1 cap=37500" in sim.trace.lines
+    assert sim.flows["f1"].receiver.policy_cap == 37_500
     _assert_every_handover_clean(metrics)
+    _assert_one_live_handover(sim)
 
 
 @st.composite
 def handover_sequences(draw):
-    """S1 world, 1-3 flows, 2-4 alternating WLAN<->SAT handovers 50 ms to
-    3.5 s apart (so a newer one can find an older one's switch pending or
-    its drain open), an optional satellite outage, and a mode."""
+    """The S1 or S4 world, 1-3 flows, 2-4 handovers to any of its networks
+    50 ms to 3.5 s apart (so a newer one can find an older one's switch
+    pending or its drain open), an optional satellite outage, and a mode."""
+    world = draw(st.sampled_from(sorted(WORLDS)))
     count = draw(st.integers(min_value=2, max_value=4))
     at = [draw(st.integers(min_value=1_500_000, max_value=3_000_000))]
     for _ in range(count - 1):
         at.append(at[-1] + draw(st.integers(min_value=50_000, max_value=3_500_000)))
     end = at[-1] + 2_500_000
-    text = S1_WORLD.replace("end = 7.6", f"end = {_secs(end)}")
+    text = re.sub(r"\nend = \S+", f"\nend = {_secs(end)}", world, count=1)
     if draw(st.booleans()):
         gap_start = draw(st.integers(min_value=0, max_value=end - 610_000))
         gap_end = gap_start + draw(st.integers(min_value=10_000, max_value=600_000))
@@ -201,8 +322,8 @@ def handover_sequences(draw):
         text += (f"\n[flow.f{i + 1}]\nsrc = CN\ndst = MN\nstart = {_secs(start)}\n"
                  f"weight = {weight}\n")
     for i, t in enumerate(at):
-        direction, to = ("terr_to_sat", "SAT") if i % 2 == 0 else ("sat_to_terr", "WLAN")
-        text += f"\n[handover.{i + 1}]\nat = {_secs(t)}\ndirection = {direction}\nto = {to}\n"
+        to = draw(st.sampled_from(WORLDS[world]))
+        text += f"\n[handover.{i + 1}]\nat = {_secs(t)}\nto = {to}\n"
     return text, draw(st.sampled_from(MODES))
 
 

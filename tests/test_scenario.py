@@ -97,9 +97,20 @@ def test_sub_microsecond_time_rejected():
 
 
 def test_terr_to_sat_needs_fallback_window():
-    text = MINIMAL + "\n[handover.1]\nat = 0.5\ndirection = terr_to_sat\nto = WLAN\n"
-    with pytest.raises(ConfigError, match="sat_default_window"):
-        parse_scenario(text, "x")
+    # any move onto the satellite, whether `direction` is written or not
+    text = scenario_path("s1_wlan_to_sat").read_text().replace("sat_default_window = 63750\n", "")
+    for written in (text, text.replace("direction = terr_to_sat\n", "")):
+        with pytest.raises(ConfigError, match="sat_default_window"):
+            parse_scenario(written, "x")
+
+
+def test_direction_must_agree_with_the_target():
+    text = scenario_path("s4_three_networks").read_text()
+    with pytest.raises(ConfigError, match="direction terr_to_sat contradicts to = WLAN"):
+        parse_scenario(text.replace("to = SAT", "to = WLAN"), "x")
+    # the key is optional: the runner derives the direction from the move
+    [handover] = parse_scenario(text.replace("direction = terr_to_sat\n", ""), "x").handovers
+    assert handover.direction is None
 
 
 def test_queue_below_one_segment_rejected():
@@ -147,6 +158,10 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     bad.write_text(MINIMAL.replace("role = mn", "role = spaceship"))
     assert main(["validate", "--scenario", str(bad)]) == 2
     assert main(["validate", "--scenario", str(tmp_path / "missing.scn")]) == 2
+    contradiction = tmp_path / "contradiction.scn"
+    contradiction.write_text(scenario_path("s1_wlan_to_sat").read_text().replace(
+        "direction = terr_to_sat", "direction = sat_to_terr"))
+    assert main(["validate", "--scenario", str(contradiction)]) == 2
     capsys.readouterr()
 
 
@@ -423,11 +438,12 @@ def scenario_texts(draw):
         _optional(draw, lines, "buffer", st.integers(1460, 1 << 20))
         _optional(draw, lines, "ack_extra_delay", _times(0, 100_000))
         out.append(_section(f"flow.f{i}", lines))
-    directions = ["terr_to_sat", "sat_to_terr"] if windowed else ["sat_to_terr"]
     for i in range(draw(st.integers(0, 3))):
-        lines = [f"at = {draw(_times(0, end - 1))}",
-                 f"direction = {draw(st.sampled_from(directions))}",
-                 f"to = {draw(st.sampled_from(['WLAN', 'SAT']))}"]
+        # a move onto the satellite needs the fallback window
+        to = draw(st.sampled_from(["WLAN", "SAT"] if windowed else ["WLAN"]))
+        lines = [f"at = {draw(_times(0, end - 1))}", f"to = {to}"]
+        direction = "terr_to_sat" if to == "SAT" else "sat_to_terr"
+        _optional(draw, lines, "direction", st.just(direction))
         _optional(draw, lines, "exec_lead", _times())
         _optional(draw, lines, "ack_pacing", _times(0, 100_000))
         out.append(_section(f"handover.h{i}", lines))
