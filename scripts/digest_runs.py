@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Print the sha256 of the metrics CSV and of the trace of many runs, and a
+total over them all.
+
+    python3 scripts/digest_runs.py --seeds 1 2 3 7919
+
+The runs are the shipped scenarios (S1-S5 and slow_start) in all three
+modes with the trace on, the digests `tests/golden_runs.json` pins, then
+for each seed the job texts of every `satbench/workloads.py` workload, each
+run in its mode with its trace setting, as the benchmark runs them. A run
+that stops on an error digests the error text. Run it on two checkouts and
+diff the outputs: equal lines are runs with equal outputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "satbench"))
+
+import workloads  # noqa: E402  (satbench/workloads.py)
+from satwin.errors import ConfigError, ProtocolViolation  # noqa: E402
+from satwin.kernel import SimError  # noqa: E402
+from satwin.metrics import write_csv  # noqa: E402
+from satwin.runner import Simulation  # noqa: E402
+from satwin.scenario import parse_scenario  # noqa: E402
+
+SHIPPED = ("s1_wlan_to_sat", "s2_sat_to_wlan", "s3_multiflow", "s4_three_networks",
+           "s5_roundtrip", "slow_start")
+MODES = ("BASELINE", "PROACTIVE", "RESET_CWND")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_digests(text: str, name: str, mode: str, trace: bool) -> dict[str, str]:
+    """The CSV and trace digests of one run of a scenario text."""
+    try:
+        sim = Simulation(parse_scenario(text, name), mode=mode, trace=trace)
+        csv_text = write_csv(sim.run().csv_rows())
+    except (ConfigError, SimError, ProtocolViolation, AssertionError) as exc:
+        error = f"{name}/{mode}: {type(exc).__name__}: {exc}"
+        return {"csv": _sha(error), "trace": _sha(error)}
+    return {"csv": _sha(csv_text), "trace": _sha(sim.trace.text() if trace else "")}
+
+
+def shipped_digests(names=SHIPPED) -> dict[str, dict[str, str]]:
+    """`name/MODE` -> digests, the key form of tests/golden_runs.json."""
+    out = {}
+    for name in names:
+        text = (REPO / "scenarios" / f"{name}.scn").read_text()
+        for mode in MODES:
+            out[f"{name}/{mode}"] = run_digests(text, name, mode, trace=True)
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="*", default=[],
+                        help="workload seeds whose job texts are run as well")
+    args = parser.parse_args(argv)
+    runs = {f"shipped/{key}": d for key, d in shipped_digests().items()}
+    for seed in args.seeds:
+        for workload in workloads.WORKLOADS:
+            for job in workloads.generate(workload, seed, REPO / "scenarios"):
+                runs[f"{workload}/{seed}/{job.name}/{job.mode}"] = \
+                    run_digests(job.text, job.name, job.mode, job.trace)
+    lines = [f"{key} csv={d['csv']} trace={d['trace']}" for key, d in runs.items()]
+    print("\n".join(lines))
+    print(f"total {_sha(''.join(lines))} ({len(lines)} runs)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,12 +14,12 @@ Two procedures are computed here and executed by the runner:
   then reopen it two segments per ACK up to its resting window.
 
 Multi-flow runs share the window budget proportionally to per-flow demand
-weights; ACK-return pacing is the complementary rate-shaping knob.
+weights, within minimum shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -27,31 +27,15 @@ from .errors import ConfigError
 from .kernel import SEC, SimError
 from .net import RttTable
 
-TERR_TO_SAT = "TERR_TO_SAT"
-SAT_TO_TERR = "SAT_TO_TERR"
-
 CHAIN_VIOLATION = "CHAIN_VIOLATION"
 
 
 @dataclass
 class PathEstimate:
+    """The last bandwidth-delay measurement of one network kind."""
+
     bdp: int
     rtt: int
-
-
-class PathEstimateCache:
-    """Per-network-kind cache of the last bandwidth-delay measurement."""
-
-    def __init__(self):
-        self._by_kind: dict[str, PathEstimate] = {}
-
-    def observe(self, kind: str, bandwidth: int, rtt: int) -> PathEstimate:
-        est = PathEstimate(bdp=estimate_bdp(bandwidth, rtt), rtt=rtt)
-        self._by_kind[kind] = est
-        return est
-
-    def get(self, kind: str) -> Optional[PathEstimate]:
-        return self._by_kind.get(kind)
 
 
 def estimate_bdp(bandwidth: int, rtt: int) -> int:
@@ -95,28 +79,22 @@ def compute_delta(rtt_mn_sat_cn: int, rtt_mn_sat_ha: int, rtt_mn_old_ha: int) ->
 
 @dataclass
 class HandoverPlan:
-    """Computed schedule for one handover (the timeline observed while
-    executing it is kept in HandoverMetrics)."""
+    """Window and registration hold-back of one terrestrial->satellite move
+    (the timeline observed while executing it is kept in HandoverMetrics)."""
 
-    direction: str
-    w_rec: int = 0
-    delta: int = 0
-    t_a0: int = 0
-    t_r0: int = 0
-    boost_target: int = 0
-    boost_step: int = 0
-    chain_violation: bool = False
+    w_rec: int
+    delta: int
+    chain_violation: bool
 
 
 def plan_terr_to_sat(
     cache_sat: Optional[int],
     w_default: int,
     rtts: RttTable,
-    t_detect: int,
     fallback_sat_window: Optional[int] = None,
 ) -> HandoverPlan:
-    """Terrestrial->satellite plan: W_REC advertised at t_a0 = t_detect, the
-    binding update held until t_r0 = t_a0 + delta.
+    """Terrestrial->satellite plan: W_REC advertised at detection, the
+    binding update held back by delta.
 
     Without a prior satellite measurement the configured fallback window
     stands in for the cache (a first-ever handover has nothing cached).
@@ -127,25 +105,14 @@ def plan_terr_to_sat(
         cache_sat = fallback_sat_window
     w_rec, violated = compute_w_rec(cache_sat, w_default)
     delta = compute_delta(rtts.mn_sat_cn, rtts.mn_sat_ha, rtts.mn_old_ha)
-    return HandoverPlan(
-        direction=TERR_TO_SAT,
-        w_rec=w_rec,
-        delta=delta,
-        t_a0=t_detect,
-        t_r0=t_detect + delta,
-        chain_violation=violated,
-    )
+    return HandoverPlan(w_rec, delta, violated)
 
 
-def plan_sat_to_terr(cache_sat_bdp: int, current_win: int, mss: int,
-                     buffer_capacity: int) -> HandoverPlan:
-    """Satellite->terrestrial boost: toward current + satellite BDP in
-    two-segment steps (the zero-window drain at execution follows)."""
-    return HandoverPlan(
-        direction=SAT_TO_TERR,
-        boost_target=min(current_win + cache_sat_bdp, buffer_capacity),
-        boost_step=2 * mss,
-    )
+def plan_sat_to_terr(cache_sat_bdp: int, current_win: int, buffer_capacity: int) -> int:
+    """Satellite->terrestrial boost target: current + satellite BDP, within
+    the buffer (the ramp toward it and the zero-window drain at execution
+    follow)."""
+    return min(current_win + cache_sat_bdp, buffer_capacity)
 
 
 @dataclass(frozen=True)
@@ -169,18 +136,18 @@ def allocate_flow_windows(demands: list[FlowDemand], capacity: int, mss: int = 1
     remainder (ties by ascending flow id). The result never exceeds
     capacity. When minimum shares crowd out the proportional split, flows
     pinned at their minimum are set aside and the rest of the budget is
-    re-apportioned among the others.
+    re-apportioned among the others. Minimum shares that do not fit the
+    capacity together (it can be a BDP measured during the run) are each
+    scaled to floor(min_share * capacity / sum(min_share)).
     """
     if not demands:
         return {}
     ids = [d.flow_id for d in demands]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate flow ids in demand list")
-    if capacity < sum(d.min_share for d in demands):
-        raise ConfigError(
-            f"capacity {capacity} below the sum of minimum shares "
-            f"{sum(d.min_share for d in demands)}"
-        )
+    total_min = sum(d.min_share for d in demands)
+    if capacity < total_min:
+        demands = [replace(d, min_share=d.min_share * capacity // total_min) for d in demands]
 
     pinned: dict[str, int] = {}
     active = list(demands)
@@ -216,10 +183,3 @@ def allocate_flow_windows(demands: list[FlowDemand], capacity: int, mss: int = 1
         raise SimError(f"window allocation {alloc} exceeds capacity {capacity}")
     return {d.flow_id: alloc[d.flow_id] for d in demands}
 
-
-def set_ack_pacing(receiver, extra_delay: int) -> None:
-    """Slow the ACK return path: every subsequently emitted ACK is delayed
-    by `extra_delay`; ACKs already in flight are unaffected."""
-    if extra_delay < 0:
-        raise ConfigError("ACK pacing delay must be non-negative")
-    receiver.ack_delay = extra_delay

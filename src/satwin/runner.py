@@ -40,8 +40,7 @@ class _FlowRuntime:
 
 class _HandoverRuntime:
     """Engine state of one handover: timeline, t_a2 markers, registration
-    wait, pending execution, per-flow drain timeouts, and the step bound its
-    sat->terr boost sets until it aborts or is retired. Each mode runs one
+    wait, pending execution and per-flow drain timeouts. Each mode runs one
     procedure at detection (see _PROCEDURES). Its window updates, BU and
     BUACK carry it in `Segment.mark`."""
 
@@ -70,7 +69,7 @@ class _HandoverRuntime:
         seed ssthresh with the bandwidth-delay product of the new path."""
         if not self.switch(now):
             return
-        bdp = self.sim.cache.get(self.hdef.to).bdp
+        bdp = self.sim.cache[self.hdef.to].bdp
         for rt in self.sim.flows.values():
             sender = rt.sender
             sender.ssthresh = max(bdp, 2 * sender.mss)
@@ -102,13 +101,13 @@ class _HandoverRuntime:
             est.bdp if est else None,
             sim.scenario.w_default,
             rtts,
-            now,
             fallback_sat_window=sim.scenario.sat_default_window,
         )
         if plan.chain_violation:
             sim.trace.emit(now, "warn", sim.mn, code=ho_policy.CHAIN_VIOLATION,
                            w_rec=plan.w_rec)
-        if not sim.topo.access_link(hdef.to).spec.is_available(plan.t_r0):
+        t_r0 = now + plan.delta
+        if not sim.topo.access_link(hdef.to).spec.is_available(t_r0):
             self.abort(now)
             return
         demands = [
@@ -116,9 +115,9 @@ class _HandoverRuntime:
             for f in sim.scenario.flows
         ]
         allocations = ho_policy.allocate_flow_windows(demands, plan.w_rec, sim.scenario.mss)
-        self.stamp("t_a0", plan.t_a0, sim.mn)
-        sim.trace.emit(now, "plan", sim.mn, direction=plan.direction, w_rec=plan.w_rec,
-                       delta=fmt_time(plan.delta), t_r0=fmt_time(plan.t_r0))
+        self.stamp("t_a0", now, sim.mn)
+        sim.trace.emit(now, "plan", sim.mn, direction="TERR_TO_SAT", w_rec=plan.w_rec,
+                       delta=fmt_time(plan.delta), t_r0=fmt_time(t_r0))
         for fid, cap in allocations.items():
             rt = sim.flows[fid]
             receiver = rt.receiver
@@ -127,31 +126,38 @@ class _HandoverRuntime:
                 cap = min(cap, sim.resting_cap(receiver.buffer_capacity))
             sim.steer(rt, min(cap, receiver.buffer_capacity), now, mark=self)
             if hdef.ack_pacing:
-                ho_policy.set_ack_pacing(receiver, hdef.ack_pacing)
+                receiver.ack_delay = hdef.ack_pacing
                 sim.trace.emit(now, "ack_pacing", sim.mn, flow=fid,
                                delay=fmt_time(hdef.ack_pacing))
-        self.pending = sim.kernel.schedule(plan.t_r0, lambda: self.switch(sim.kernel.now),
-                                           "t2s-exec")
+        self.pending = sim.kernel.schedule(t_r0, self._execute_t2s, "t2s-exec")
+
+    def _execute_t2s(self) -> None:
+        """Switch at t_r0. W_REC capped every flow; the attachment measures
+        the satellite, and a cap above its resting window (a W_REC from a
+        fallback window above the BDP) comes down to it. No cap is raised."""
+        sim = self.sim
+        now = sim.kernel.now
+        if not self.switch(now):
+            return
+        for rt in sim.flows.values():
+            rest = sim.resting_cap(rt.receiver.buffer_capacity)
+            if rt.receiver.policy_cap > rest:
+                sim.steer(rt, rest, now)
 
     # -- proactive satellite -> terrestrial --------------------------------
 
     def _boost(self, now: int) -> None:
-        """Grow each window toward current + satellite BDP until execution,
-        under a two-segment step bound."""
+        """Ramp each window toward current + satellite BDP until execution."""
         sim = self.sim
-        sat = sim.cache.get(self.metrics.old_kind)  # measured when it was attached
+        sat = sim.cache[self.metrics.old_kind]  # measured when it was attached
         exec_at = now + self.hdef.exec_lead
         for fid, rt in sim.flows.items():
             receiver = rt.receiver
-            current = receiver.policy_cap
-            if current is None:
-                current = receiver.advertised()
-            plan = ho_policy.plan_sat_to_terr(sat.bdp, current, sim.scenario.mss,
-                                              receiver.buffer_capacity)
-            receiver.step_bound = plan.boost_step
-            receiver.start_ramp(plan.boost_step, plan.boost_target, now)
-            sim.trace.emit(now, "boost", sim.mn, flow=fid, target=plan.boost_target,
-                           step=plan.boost_step)
+            target = ho_policy.plan_sat_to_terr(sat.bdp, receiver.policy_cap,
+                                                receiver.buffer_capacity)
+            receiver.start_ramp(target)
+            sim.trace.emit(now, "boost", sim.mn, flow=fid, target=target,
+                           step=receiver.ramp_step)
         # two satellite RTTs guard the drain against a lost pipe segment
         self.pending = sim.kernel.schedule(
             exec_at, partial(self._execute_s2t, exec_at + 2 * sat.rtt), "s2t-exec")
@@ -237,22 +243,18 @@ class _HandoverRuntime:
             self.sim.trace.emit(now, "bu_lost", self.sim.mn, handover=self.metrics.name)
 
     def abort(self, now: int) -> None:
-        """The move does not happen: release the step bound, and the windows
-        rest on the network the MN stays on."""
+        """The move does not happen: the windows rest on the network the MN
+        stays on."""
         self.metrics.aborted = True
         self.sim.trace.emit(now, "handover_abort", self.sim.mn, handover=self.metrics.name)
-        for rt in self.sim.flows.values():
-            rt.receiver.step_bound = None
         self.sim.rest(now)
 
     def retire(self, now: int) -> None:
-        """A newer handover was detected: cancel a switch still pending,
-        release the step bound and end every open drain at a window of 0.
-        The windows are the newer handover's to steer."""
+        """A newer handover was detected: cancel a switch still pending and
+        end every open drain at a window of 0. The windows are the newer
+        handover's to steer."""
         if self.pending is not None:
             self.sim.kernel.cancel(self.pending)
-        for rt in self.sim.flows.values():
-            rt.receiver.step_bound = None
         for fid in list(self.drains):
             self._finish_drain(self.sim.flows[fid], now, "superseded")
 
@@ -310,7 +312,7 @@ class Simulation:
         self.ha_node = self.topo.node_with_role("ha")
         self.ha = HomeAgent(self.ha_node, self.mn)
         self.metrics = RunMetrics(scenario.name, self.mode, self.seed, end=scenario.end)
-        self.cache = ho_policy.PathEstimateCache()
+        self.cache: dict[str, ho_policy.PathEstimate] = {}  # kind -> last measurement
         self.flows: dict[str, _FlowRuntime] = {}
         # the handover gap covers the earliest scripted detection onwards
         first = min((h.at for h in scenario.handovers), default=None)
@@ -530,7 +532,8 @@ class Simulation:
     def _attach(self, kind: str, now: int) -> None:
         self.attachment = kind
         route = self.topo.route_via_access(self.mn, self.cn, kind)
-        self.cache.observe(kind, _bottleneck_bw(route), path_rtt(route))
+        bandwidth, rtt = _bottleneck_bw(route), path_rtt(route)
+        self.cache[kind] = ho_policy.PathEstimate(ho_policy.estimate_bdp(bandwidth, rtt), rtt)
         self.trace.emit(now, "attach", self.mn, network=kind)
 
     def _registration_path(self, kind: str, to_agent: bool) -> tuple[str, Route]:
@@ -569,11 +572,11 @@ class Simulation:
         """The window cap a flow with this receive buffer rests at on the
         attached network: the network's bandwidth-delay product, within the
         buffer."""
-        return min(buffer, self.cache.get(self.attachment).bdp)
+        return min(buffer, self.cache[self.attachment].bdp)
 
     def steer(self, rt: _FlowRuntime, target: int, now: int, mark=None) -> None:
-        """Lower a flow's cap to `target` at once, or raise it toward
-        `target` by two segments per ACK. The window update it sends, if
+        """Lower a flow's cap to `target` at once, or ramp it up toward
+        `target`, taking the first step now. The window update it sends, if
         any, carries `mark`."""
         receiver, fid = rt.receiver, rt.spec.name
         cap = receiver.policy_cap
@@ -581,10 +584,10 @@ class Simulation:
             wupd = receiver.set_window_policy(target, now)
             self.trace.emit(now, "wpolicy", self.mn, flow=fid, cap=target)
         else:
-            step = 2 * receiver.mss
-            wupd = receiver.set_window_policy(min(cap + step, target), now)
-            receiver.start_ramp(step, target, now)
-            self.trace.emit(now, "ramp", self.mn, flow=fid, target=target, step=step)
+            receiver.start_ramp(target)
+            wupd = receiver.window_update(now)
+            self.trace.emit(now, "ramp", self.mn, flow=fid, target=target,
+                            step=receiver.ramp_step)
         if wupd is not None:
             wupd.mark = mark
 
@@ -595,8 +598,7 @@ class Simulation:
         for rt in self.flows.values():
             receiver = rt.receiver
             cap, target = receiver.policy_cap, self.resting_cap(receiver.buffer_capacity)
-            if cap is not None and (cap != target
-                                    or receiver.ramp_step and receiver.ramp_target != target):
+            if cap is not None and (cap != target or receiver.ramp_target not in (None, target)):
                 self.steer(rt, target, now)
 
     # ------------------------------------------------------------------

@@ -307,9 +307,8 @@ class TcpReceiver:
         self.last_refresh: Optional[int] = None
         self.last_rwnd = self.advertised()
         self.max_rwnd_increase = 0
-        self.step_bound: Optional[int] = None  # max per-ACK increase of the advertised window
-        self.ramp_step = 0
-        self.ramp_target = 0
+        self.ramp_target: Optional[int] = None  # the cap a running ramp raises toward
+        self.ramp_step = 2 * mss  # its step per ACK, and its bound on each window increase
         self.overflow_drops = 0
         self.delivered_inorder = 0
         self.advance_cb: Callable[[TcpReceiver, int], None] | None = None
@@ -334,16 +333,23 @@ class TcpReceiver:
                 )
         changed = cap != self.policy_cap
         self.policy_cap = cap
-        self.ramp_step = 0
+        self.ramp_target = None
         if changed:
             return self._emit_ack(now, flags=F_WUPD)
         return None
 
-    def start_ramp(self, step: int, target: int, now: int) -> None:
-        """Grow the policy cap by `step` on every subsequent ACK emission
-        until `target`; self-clocked so the increase cannot outrun the path."""
-        self.ramp_step = step
+    def start_ramp(self, target: int) -> None:
+        """Raise the cap toward `target` by two segments on every later ACK
+        (self-clocked, so the increase cannot outrun the path), and bound
+        every increase of the advertised window by the same two segments
+        until the next set_window_policy, also once the target is reached."""
+        if self.policy_cap is UNLIMITED:
+            raise SimError(f"flow {self.flow_id}: a ramp needs a capped window")
         self.ramp_target = min(target, self.buffer_capacity)
+
+    def window_update(self, now: int) -> Segment:
+        """Emit a window-update ACK now; a running ramp takes its step."""
+        return self._emit_ack(now, flags=F_WUPD)
 
     def set_suppress_dupacks(self, on: bool, now: int) -> None:
         self.suppress_dupacks = on
@@ -429,18 +435,16 @@ class TcpReceiver:
     # -- ACK emission -----------------------------------------------------
 
     def _emit_ack(self, now: int, flags: int = 0, echo=None) -> Segment:
-        if self.ramp_step and not flags & F_REFRESH:
-            if self.policy_cap is UNLIMITED or self.policy_cap < self.ramp_target:
-                base = 0 if self.policy_cap is UNLIMITED else self.policy_cap
-                self.policy_cap = min(base + self.ramp_step, self.ramp_target)
+        target = self.ramp_target
+        if target is not None and self.policy_cap < target and not flags & F_REFRESH:
+            self.policy_cap = min(self.policy_cap + self.ramp_step, target)
         rwnd = self.advertised()
         last = self.last_rwnd
         if rwnd > last:
-            bound = self.step_bound
-            if bound is not None:
+            if target is not None:
                 # a refilled out-of-order hole frees the buffer at once; the
                 # window still opens by at most one step per ACK
-                rwnd = min(rwnd, last + bound)
+                rwnd = min(rwnd, last + self.ramp_step)
             inc = rwnd - last
             if inc > self.max_rwnd_increase:
                 self.max_rwnd_increase = inc

@@ -4,19 +4,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import scenario_path
 from satwin.errors import ConfigError
 from satwin.handover import (
     FlowDemand,
-    PathEstimateCache,
+    HandoverPlan,
+    PathEstimate,
     allocate_flow_windows,
     compute_delta,
     compute_w_rec,
     estimate_bdp,
     plan_sat_to_terr,
     plan_terr_to_sat,
-    set_ack_pacing,
 )
 from satwin.net import RttTable
+from satwin.runner import Simulation
+from satwin.scenario import load_scenario
 from satwin.tcp import TcpReceiver
 
 MS = 1000
@@ -38,11 +41,13 @@ class TestEstimateBdp:
         assert estimate_bdp(3, 500_000) == 1  # 1.5 B rounds down
 
     def test_cache_stores_exact_product(self):
-        cache = PathEstimateCache()
-        est = cache.observe("SAT", 125_000, 520 * MS)
-        assert (est.bdp, est.rtt) == (65_000, 520 * MS)
-        assert cache.get("SAT") is est
-        assert cache.get("WLAN") is None
+        # S1 measures WLAN (10 Mb/s, 30 ms) at t=0 and the satellite
+        # (1 Mb/s, 510 ms) only once it attaches there
+        sim = Simulation(load_scenario(scenario_path("s1_wlan_to_sat")), mode="PROACTIVE")
+        wlan = PathEstimate(bdp=37_500, rtt=30 * MS)
+        assert sim.cache == {"WLAN": wlan}
+        sim.run()
+        assert sim.cache == {"WLAN": wlan, "SAT": PathEstimate(bdp=63_750, rtt=510 * MS)}
 
 
 class TestComputeWRec:
@@ -93,41 +98,43 @@ class TestComputeDelta:
 class TestPlans:
     def test_terr_to_sat_composition(self):
         rtts = RttTable(520 * MS, 550 * MS, 80 * MS)
-        plan = plan_terr_to_sat(65_000, 131_072, rtts, t_detect=10_000_000)
-        assert plan.w_rec == 65_000
-        assert plan.delta == 205 * MS
-        assert plan.t_a0 == 10_000_000
-        assert plan.t_r0 == 10_205_000
-        assert not plan.chain_violation
+        plan = plan_terr_to_sat(65_000, 131_072, rtts)
+        assert plan == HandoverPlan(w_rec=65_000, delta=205 * MS, chain_violation=False)
+        # in a run, W_REC is advertised at detection (t_a0) and the binding
+        # update leaves delta later (t_r0): S1 detects at 2.5 s
+        sim = Simulation(load_scenario(scenario_path("s1_wlan_to_sat")), mode="PROACTIVE",
+                         trace=True)
+        timeline = sim.run().handovers[0].timeline
+        assert (timeline["t_a0"], timeline["t_r0"]) == (2_500_000, 2_737_000)
+        assert ("2.500000 plan MN direction=TERR_TO_SAT w_rec=63750 delta=0.237000 "
+                "t_r0=2.737000") in sim.trace.lines
 
     def test_terr_to_sat_chain_violation_flagged(self):
         rtts = RttTable(520 * MS, 550 * MS, 80 * MS)
-        plan = plan_terr_to_sat(65_000, 32_000, rtts, t_detect=0)
+        plan = plan_terr_to_sat(65_000, 32_000, rtts)
         assert plan.w_rec == 32_000 and plan.chain_violation
 
     def test_terr_to_sat_fallback_without_cache(self):
         rtts = RttTable(520 * MS, 550 * MS, 80 * MS)
-        plan = plan_terr_to_sat(None, 131_072, rtts, 0, fallback_sat_window=63_750)
+        plan = plan_terr_to_sat(None, 131_072, rtts, fallback_sat_window=63_750)
         assert plan.w_rec == 63_750
 
     def test_terr_to_sat_no_cache_no_fallback_is_config_error(self):
         rtts = RttTable(520 * MS, 550 * MS, 80 * MS)
         with pytest.raises(ConfigError):
-            plan_terr_to_sat(None, 131_072, rtts, 0)
+            plan_terr_to_sat(None, 131_072, rtts)
 
     def test_sat_to_terr_boost_arithmetic(self):
-        plan = plan_sat_to_terr(
-            cache_sat_bdp=65_000, current_win=65_000, mss=MSS,
-            buffer_capacity=131_072,
-        )
-        assert plan.boost_target == 130_000
-        assert plan.boost_step == 2 * MSS
-        steps = math.ceil((plan.boost_target - 65_000) / plan.boost_step)
+        target = plan_sat_to_terr(cache_sat_bdp=65_000, current_win=65_000,
+                                  buffer_capacity=131_072)
+        assert target == 130_000
+        receiver = TcpReceiver("f", buffer_capacity=131_072, mss=MSS, policy_cap=65_000)
+        assert receiver.ramp_step == 2 * MSS
+        steps = math.ceil((target - 65_000) / receiver.ramp_step)
         assert steps == 23  # ACKs needed to reach the boosted window
 
     def test_sat_to_terr_boost_clamped_to_buffer(self):
-        plan = plan_sat_to_terr(65_000, 120_000, MSS, 131_072)
-        assert plan.boost_target == 131_072
+        assert plan_sat_to_terr(65_000, 120_000, 131_072) == 131_072
 
 
 def demands(*pairs):
@@ -153,9 +160,14 @@ class TestAllocation:
         assert alloc["A"] == 9_000
         assert alloc["A"] + alloc["B"] <= 10_000
 
-    def test_capacity_below_min_shares_rejected(self):
-        with pytest.raises(ConfigError):
-            allocate_flow_windows(demands(("A", 1, 6_000), ("B", 1, 6_000)), 10_000)
+    def test_min_shares_above_capacity_scale_down(self):
+        # 9,000 B of minimums in a 6,000 B budget: each is scaled by 2/3
+        # (A to 4,000, B to 2,000); A's weight would give it only 1,500
+        alloc = allocate_flow_windows(demands(("A", 1, 6_000), ("B", 3, 3_000)), 6_000)
+        assert alloc == {"A": 4_000, "B": 2_000}
+        # S3 with both minimums at 40,000 B under the satellite's 63,750 B
+        alloc = allocate_flow_windows(demands(("f1", 2, 40_000), ("f2", 1, 40_000)), 63_750)
+        assert alloc == {"f1": 31_875, "f2": 31_875}
 
     def test_duplicate_flow_ids_rejected(self):
         with pytest.raises(ConfigError):
@@ -217,12 +229,3 @@ def test_l1_lattice_oracle_small_cases():
         assert sum(alloc.values()) <= capacity
         assert_no_better_lattice_allocation(alloc, exact, capacity, MSS)
 
-
-def test_set_ack_pacing():
-    receiver = TcpReceiver("f", buffer_capacity=64_000, mss=MSS)
-    set_ack_pacing(receiver, 50_000)
-    assert receiver.ack_delay == 50_000
-    set_ack_pacing(receiver, 0)
-    assert receiver.ack_delay == 0
-    with pytest.raises(ConfigError):
-        set_ack_pacing(receiver, -1)

@@ -87,7 +87,7 @@ def _assert_one_live_handover(sim):
         rest = min(receiver.buffer_capacity, bdp)
         cap = receiver.policy_cap
         assert cap is None or cap <= rest, (rt.spec.name, cap)
-        ramp = receiver.ramp_target if receiver.ramp_step else 0
+        ramp = receiver.ramp_target or 0
         assert ramp <= rest, (rt.spec.name, ramp)
 
 
@@ -104,6 +104,22 @@ def test_s5_roundtrip_completes_in_every_mode():
             # W_REC (63750 B) at the first move onto the satellite; at the
             # second, the 37500 B terrestrial BDP the ramp left in place
             assert caps == [63_750, 0, 37_500]
+
+
+def test_w_rec_above_the_satellite_bdp_comes_down_at_attach():
+    # a fallback window of 100,000 B (nothing cached yet) is W_REC; once
+    # the MN attaches at t_r0 the measured satellite BDP, 63,750 B, caps
+    # the flow, and the satellite queue drops nothing
+    text = S1_TEXT.replace("sat_default_window = 63750", "sat_default_window = 100000")
+    sim = Simulation(parse_scenario(text, "s1_wide_fallback"), mode="PROACTIVE", trace=True)
+    metrics = sim.run()
+    caps = [l for l in sim.trace.lines if " wpolicy " in l]
+    assert caps == ["2.500000 wpolicy MN flow=f1 cap=100000",
+                    "2.737000 wpolicy MN flow=f1 cap=63750"]
+    assert metrics.drops == []
+    assert metrics.flows["f1"].retransmits == 0
+    _assert_every_handover_clean(metrics)
+    _assert_one_live_handover(sim)
 
 
 def test_handover_to_the_current_network_is_aborted():
@@ -137,7 +153,7 @@ def test_a_newer_detection_supersedes_an_open_drain():
     assert not [l for l in lines if " wpolicy " in l and _us(l.split(" ")[0]) > 4_500_000]
     assert metrics.flows["f1"].max_rwnd_increase == 2 * MSS
     assert sim.flows["f1"].receiver.policy_cap == 37_500
-    assert sim.flows["f1"].receiver.step_bound is None  # released at 4.6 s
+    assert sim.flows["f1"].receiver.ramp_target == 37_500  # W_REC's from 4.6 s, not the drain's
     _assert_one_live_handover(sim)
 
 
@@ -170,7 +186,7 @@ def test_a_retired_boost_comes_to_rest():
     assert [l for l in sim.trace.lines if " attach " in l] == ["0.000000 attach MN network=SAT"]
     assert "4.199188 ack_tx MN flow=f1 ack=237980 rwnd=110470 flags=2" in sim.trace.lines
     assert "4.200000 ack_tx MN flow=f1 ack=237980 rwnd=63750 flags=18" in sim.trace.lines
-    assert (receiver.policy_cap, receiver.ramp_step, receiver.step_bound) == (63_750, 0, None)
+    assert (receiver.policy_cap, receiver.ramp_target) == (63_750, None)
     _assert_every_handover_clean(metrics)
     _assert_one_live_handover(sim)
 
@@ -185,7 +201,7 @@ def test_a_boost_retired_before_its_first_ack_comes_to_rest():
     metrics = sim.run()
     receiver = sim.flows["f1"].receiver
     assert [ho.aborted for ho in metrics.handovers] == [False, True]
-    assert (receiver.policy_cap, receiver.ramp_step, receiver.step_bound) == (63_750, 0, None)
+    assert (receiver.policy_cap, receiver.ramp_target) == (63_750, None)
     assert metrics.flows["f1"].max_rwnd_increase == 0
     _assert_every_handover_clean(metrics)
     _assert_one_live_handover(sim)
@@ -300,9 +316,11 @@ def test_a_retired_move_never_executes():
 
 @st.composite
 def handover_sequences(draw):
-    """The S1 or S4 world, 1-3 flows, 2-4 handovers to any of its networks
-    50 ms to 3.5 s apart (so a newer one can find an older one's switch
-    pending or its drain open), an optional satellite outage, and a mode."""
+    """The S1 or S4 world with a fallback satellite window from a tenth to
+    twice the satellite BDP, 1-3 flows, 2-4 handovers to any of its
+    networks 50 ms to 3.5 s apart (so a newer one can find an older one's
+    switch pending or its drain open), an optional satellite outage, and a
+    mode."""
     world = draw(st.sampled_from(sorted(WORLDS)))
     count = draw(st.integers(min_value=2, max_value=4))
     at = [draw(st.integers(min_value=1_500_000, max_value=3_000_000))]
@@ -310,6 +328,8 @@ def handover_sequences(draw):
         at.append(at[-1] + draw(st.integers(min_value=50_000, max_value=3_500_000)))
     end = at[-1] + 2_500_000
     text = re.sub(r"\nend = \S+", f"\nend = {_secs(end)}", world, count=1)
+    fallback = draw(st.integers(min_value=6_375, max_value=127_500))
+    text = text.replace("sat_default_window = 63750", f"sat_default_window = {fallback}")
     if draw(st.booleans()):
         gap_start = draw(st.integers(min_value=0, max_value=end - 610_000))
         gap_end = gap_start + draw(st.integers(min_value=10_000, max_value=600_000))

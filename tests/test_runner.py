@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -131,6 +132,16 @@ def test_shipped_runs_match_golden_csv_and_trace_digests(case):
     digests = {"csv": hashlib.sha256(write_csv(metrics.csv_rows()).encode()).hexdigest(),
                "trace": hashlib.sha256(trace.text().encode()).hexdigest()}
     assert digests == GOLDEN_RUNS[case]
+
+
+def test_digest_script_prints_the_pinned_s4_digests(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it on import
+    spec = importlib.util.spec_from_file_location("digest_runs",
+                                                  REPO_ROOT / "scripts" / "digest_runs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.shipped_digests(["s4_three_networks"]) == \
+        {case: d for case, d in GOLDEN_RUNS.items() if case.startswith("s4_three_networks/")}
 
 
 @pytest.mark.parametrize("name", sorted({case.split("/")[0] for case in GOLDEN_RUNS}))
@@ -295,9 +306,12 @@ def test_engine_applies_handover_ack_pacing():
         "direction = terr_to_sat", "direction = terr_to_sat\nack_pacing = 0.05"
     )
     sim = Simulation(parse_scenario(text, "s1_paced"), mode="PROACTIVE", trace=True)
+    assert sim.flows["f1"].receiver.ack_delay == 0
     sim.run()
     assert sim.flows["f1"].receiver.ack_delay == 50_000
-    assert any(" ack_pacing " in line for line in sim.trace.lines)
+    assert "2.500000 ack_pacing MN flow=f1 delay=0.050000" in sim.trace.lines
+    with pytest.raises(ConfigError):
+        parse_scenario(text.replace("ack_pacing = 0.05", "ack_pacing = -0.05"), "s1_paced")
 
 
 @settings(max_examples=20, deadline=None)

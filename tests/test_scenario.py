@@ -194,6 +194,23 @@ def test_cli_compare_three_modes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode", ["baseline", "proactive", "reset-cwnd"])
+def test_min_shares_above_the_satellite_window_run(mode, tmp_path, capsys):
+    # 80,000 B of minimum shares fit W_REC (63,750 B) only once scaled down
+    scn = tmp_path / "s3_min_share.scn"
+    scn.write_text(scenario_path("s3_multiflow").read_text().replace(
+        "buffer = 65536", "buffer = 65536\nmin_share = 40000"))
+    assert main(["validate", "--scenario", str(scn)]) == 0
+    trace = tmp_path / "t.log"
+    assert main(["run", "--scenario", str(scn), "--mode", mode,
+                 "--metrics", str(tmp_path / "m.csv"), "--trace", str(trace)]) == 0
+    if mode == "proactive":
+        caps = [line for line in trace.read_text().splitlines() if " wpolicy " in line]
+        assert caps == ["2.500000 wpolicy MN flow=f1 cap=31875",
+                        "2.500000 wpolicy MN flow=f2 cap=31875"]
+    capsys.readouterr()
+
+
 def test_cli_compare_rejects_unknown_mode_with_the_valid_list(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["compare", "--scenario", str(scenario_path("s1_wlan_to_sat")),

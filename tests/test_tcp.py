@@ -369,7 +369,7 @@ class TestWindowPolicy:
     def test_ramp_steps_per_emitted_ack(self):
         receiver, emitted = make_receiver()
         receiver.set_window_policy(0, 0)
-        receiver.start_ramp(2 * MSS, 8760, 0)
+        receiver.start_ramp(8760)
         for i in range(5):
             receiver.on_data(data(i * MSS), i + 1)
         rwnds = [seg.rwnd for seg, _ in emitted]
@@ -377,16 +377,33 @@ class TestWindowPolicy:
 
     def test_step_bound_limits_each_window_increase(self):
         # refilling an out-of-order hole frees four segments of buffer at
-        # once; under a two-segment bound the window reopens step by step
-        receiver, emitted = make_receiver(buffer=8 * MSS)
-        for i in range(1, 5):
-            receiver.on_data(data(i * MSS), i)
-        receiver.step_bound = 2 * MSS
-        receiver.on_data(data(0), 5)
+        # once: with no ramp the window opens at once; under a ramp, also
+        # one already at its target, it opens two segments per ACK until
+        # the next set_window_policy ends the ramp
+        receiver, emitted = make_receiver(buffer=8 * MSS, cap=8 * MSS)
+
+        def refill_hole(first, now):
+            for i in range(1, 5):
+                receiver.on_data(data((first + i) * MSS), now + i)
+            receiver.on_data(data(first * MSS), now + 5)
+            rwnds = [seg.rwnd // MSS for seg, _ in emitted]
+            emitted.clear()
+            return rwnds
+
+        receiver.start_ramp(8 * MSS)
+        assert refill_hole(0, 0) == [7, 6, 5, 4, 6]
         receiver.on_data(data(5 * MSS), 6)
-        rwnds = [seg.rwnd for seg, _ in emitted]
-        assert rwnds == [7 * MSS, 6 * MSS, 5 * MSS, 4 * MSS, 6 * MSS, 8 * MSS]
+        assert refill_hole(6, 10) == [8, 7, 6, 5, 4, 6]
         assert receiver.max_rwnd_increase == 2 * MSS
+        assert receiver.set_window_policy(8 * MSS, 20) is None  # unchanged cap, ramp ended
+        receiver.on_data(data(11 * MSS), 20)
+        assert refill_hole(12, 20) == [8, 7, 6, 5, 4, 8]
+        assert receiver.max_rwnd_increase == 4 * MSS
+
+    def test_ramp_on_an_uncapped_window_names_the_flow(self):
+        receiver, _ = make_receiver()
+        with pytest.raises(SimError, match="flow f"):
+            receiver.start_ramp(8760)
 
     def test_set_window_policy_returns_the_window_update(self):
         receiver, emitted = make_receiver()
