@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .errors import ConfigError
 from .kernel import SEC, SimError
 from .net import RttTable
 
@@ -41,8 +40,6 @@ class PathEstimate:
 def estimate_bdp(bandwidth: int, rtt: int) -> int:
     """Bytes in flight that fill a path: bandwidth (B/s) x rtt (us), floored
     to a whole byte."""
-    if bandwidth <= 0 or rtt <= 0:
-        raise ConfigError(f"bandwidth-delay product needs positive inputs, got ({bandwidth}, {rtt})")
     return bandwidth * rtt // SEC
 
 
@@ -59,8 +56,6 @@ def compute_w_rec(cache_sat: int, w_default: int) -> WRecChoice:
     chain cannot hold (the full-rate sender would flood the slow network),
     which is reported as a warning, not a failure.
     """
-    if cache_sat <= 0 or w_default <= 0:
-        raise ConfigError("window selection needs positive inputs")
     return WRecChoice(min(cache_sat, w_default), chain_violation=cache_sat >= w_default)
 
 
@@ -71,8 +66,6 @@ def compute_delta(rtt_mn_sat_cn: int, rtt_mn_sat_ha: int, rtt_mn_old_ha: int) ->
     The half-sum is rounded up so the microsecond result never exceeds the
     exact bound.
     """
-    if min(rtt_mn_sat_cn, rtt_mn_sat_ha, rtt_mn_old_ha) < 0:
-        raise ConfigError("round-trip times must be non-negative")
     bound = rtt_mn_sat_cn - (rtt_mn_sat_ha + rtt_mn_old_ha + 1) // 2
     return max(0, bound)
 
@@ -87,22 +80,10 @@ class HandoverPlan:
     chain_violation: bool
 
 
-def plan_terr_to_sat(
-    cache_sat: Optional[int],
-    w_default: int,
-    rtts: RttTable,
-    fallback_sat_window: Optional[int] = None,
-) -> HandoverPlan:
+def plan_terr_to_sat(cache_sat: int, w_default: int, rtts: RttTable) -> HandoverPlan:
     """Terrestrial->satellite plan: W_REC advertised at detection, the
-    binding update held back by delta.
-
-    Without a prior satellite measurement the configured fallback window
-    stands in for the cache (a first-ever handover has nothing cached).
-    """
-    if cache_sat is None:
-        if fallback_sat_window is None:
-            raise ConfigError("no cached satellite estimate and no sat_default_window configured")
-        cache_sat = fallback_sat_window
+    binding update held back by delta. `cache_sat` is the cached satellite
+    BDP, or the configured sat_default_window when nothing is cached yet."""
     w_rec, violated = compute_w_rec(cache_sat, w_default)
     delta = compute_delta(rtts.mn_sat_cn, rtts.mn_sat_ha, rtts.mn_old_ha)
     return HandoverPlan(w_rec, delta, violated)
@@ -121,12 +102,6 @@ class FlowDemand:
     requirement: Fraction
     min_share: int = 0
 
-    def __post_init__(self):
-        if self.requirement <= 0:
-            raise ConfigError(f"flow {self.flow_id}: demand weight must be positive")
-        if self.min_share < 0:
-            raise ConfigError(f"flow {self.flow_id}: negative min_share")
-
 
 def allocate_flow_windows(demands: list[FlowDemand], capacity: int, mss: int = 1460) -> dict[str, int]:
     """Split a window budget across flows proportionally to their weights.
@@ -142,9 +117,6 @@ def allocate_flow_windows(demands: list[FlowDemand], capacity: int, mss: int = 1
     """
     if not demands:
         return {}
-    ids = [d.flow_id for d in demands]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("duplicate flow ids in demand list")
     total_min = sum(d.min_share for d in demands)
     if capacity < total_min:
         demands = [replace(d, min_share=d.min_share * capacity // total_min) for d in demands]

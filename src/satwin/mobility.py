@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError
 from .kernel import SimError
 from .net import F_BU, F_BUACK, Segment
 
@@ -25,18 +24,6 @@ class RegistrationConfig:
 
     origin: str = "MN"  # MN | PROXY
     proxy_location: Optional[str] = None  # gateway override when PROXY
-
-    def validate(self, gateway_names: set[str]) -> None:
-        if self.origin not in ("MN", "PROXY"):
-            raise ConfigError(f"registration origin must be MN or PROXY, got {self.origin!r}")
-        if self.origin == "MN" and self.proxy_location is not None:
-            raise ConfigError("proxy_gateway applies only to registration = PROXY",
-                              key="proxy_gateway")
-        if self.origin == "PROXY" and self.proxy_location is not None:
-            if self.proxy_location not in gateway_names:
-                raise ConfigError(
-                    f"proxy location {self.proxy_location!r} is not a gateway node"
-                )
 
 
 @dataclass
@@ -55,7 +42,7 @@ class BindingTable:
     def register(self, mn: str, attachment: str, at: int) -> Binding:
         bindings = self.entries.setdefault(mn, [])
         if bindings and at < bindings[-1].registered_at:
-            raise ConfigError("binding registrations must not go back in time")
+            raise SimError(f"binding of {mn} registered at {at}, before the one in force")
         binding = Binding(attachment, at)
         bindings.append(binding)
         return binding

@@ -91,28 +91,6 @@ class LinkSpec:
     kind: str = "WIRED"
     availability: Optional[tuple[tuple[int, int], ...]] = None
 
-    def validate(self, min_segment: int) -> None:
-        if self.bandwidth <= 0:
-            raise ConfigError(f"link {self.name}: bandwidth must be > 0")
-        if self.prop_delay < 0:
-            raise ConfigError(f"link {self.name}: negative delay")
-        if self.queue_capacity < min_segment:
-            raise ConfigError(
-                f"link {self.name}: queue {self.queue_capacity} B below one "
-                f"maximum segment ({min_segment} B)"
-            )
-        if self.kind not in LINK_KINDS:
-            raise ConfigError(f"link {self.name}: unknown kind {self.kind!r}")
-        if self.availability is not None:
-            prev_end = -1
-            for start, end in self.availability:
-                if start >= end or start < prev_end:
-                    raise ConfigError(
-                        f"link {self.name}: availability windows must be "
-                        "sorted and disjoint"
-                    )
-                prev_end = end
-
     def serialization_us(self, wire_bytes: int) -> int:
         # ceil: a byte not fully clocked out has not left the node
         return (wire_bytes * SEC + self.bandwidth - 1) // self.bandwidth
@@ -244,7 +222,6 @@ class Topology:
 
     def access_link(self, kind: str) -> DirectedLink:
         """The MN's uplink of `kind`; its `dst` is the access gateway."""
-        self.node_with_role("mn")  # raises unless the MN is unique
         uplink = self._uplinks.get(kind)
         if uplink is None:
             raise ConfigError(f"no {kind} access link attached to the mobile node")
@@ -297,16 +274,13 @@ class Topology:
         return hops
 
 
-def path_rtt(route: Route, probe_size: int = 0, at: Optional[int] = None) -> int:
+def path_rtt(route: Route, probe_size: int = 0) -> int:
     """Round-trip latency of a probe over `route` and back, empty queues.
 
     Symmetric links: RTT = 2 * sum(serialization + propagation) per hop.
-    Raises ConfigError(UNREACHABLE) if a hop is unavailable at `at`.
     """
     total = 0
     for hop in route:
-        if at is not None and not hop.spec.is_available(at):
-            raise ConfigError(f"UNREACHABLE: link {hop.spec.name} down at probe time")
         total += hop.spec.prop_delay + hop.spec.serialization_us(probe_size)
     return 2 * total
 

@@ -97,12 +97,8 @@ class _HandoverRuntime:
         sim, hdef = self.sim, self.hdef
         rtts = rtt_table(sim.topo, old_kind=self.metrics.old_kind, sat_kind=hdef.to)
         est = sim.cache.get(hdef.to)
-        plan = ho_policy.plan_terr_to_sat(
-            est.bdp if est else None,
-            sim.scenario.w_default,
-            rtts,
-            fallback_sat_window=sim.scenario.sat_default_window,
-        )
+        plan = ho_policy.plan_terr_to_sat(est.bdp if est else sim.scenario.sat_default_window,
+                                          sim.scenario.w_default, rtts)
         if plan.chain_violation:
             sim.trace.emit(now, "warn", sim.mn, code=ho_policy.CHAIN_VIOLATION,
                            w_rec=plan.w_rec)
@@ -124,7 +120,9 @@ class _HandoverRuntime:
             # a capped flow leaves with at most its resting window here
             if receiver.policy_cap is not None:
                 cap = min(cap, sim.resting_cap(receiver.buffer_capacity))
-            sim.steer(rt, min(cap, receiver.buffer_capacity), now, mark=self)
+            # at least one segment, as a resting window (the buffer holds one)
+            cap = max(min(cap, receiver.buffer_capacity), sim.scenario.mss)
+            sim.steer(rt, cap, now, mark=self)
             if hdef.ack_pacing:
                 receiver.ack_delay = hdef.ack_pacing
                 sim.trace.emit(now, "ack_pacing", sim.mn, flow=fid,
@@ -533,7 +531,9 @@ class Simulation:
         self.attachment = kind
         route = self.topo.route_via_access(self.mn, self.cn, kind)
         bandwidth, rtt = _bottleneck_bw(route), path_rtt(route)
-        self.cache[kind] = ho_policy.PathEstimate(ho_policy.estimate_bdp(bandwidth, rtt), rtt)
+        # a window below one segment stalls a flow: the sender has no zero-window probe
+        bdp = max(ho_policy.estimate_bdp(bandwidth, rtt), self.scenario.mss)
+        self.cache[kind] = ho_policy.PathEstimate(bdp, rtt)
         self.trace.emit(now, "attach", self.mn, network=kind)
 
     def _registration_path(self, kind: str, to_agent: bool) -> tuple[str, Route]:
@@ -570,8 +570,8 @@ class Simulation:
 
     def resting_cap(self, buffer: int) -> int:
         """The window cap a flow with this receive buffer rests at on the
-        attached network: the network's bandwidth-delay product, within the
-        buffer."""
+        attached network: the network's bandwidth-delay product (at least
+        one segment, see _attach), within the buffer."""
         return min(buffer, self.cache[self.attachment].bdp)
 
     def steer(self, rt: _FlowRuntime, target: int, now: int, mark=None) -> None:

@@ -336,7 +336,15 @@ def validate_scenario(s: Scenario) -> None:
     for link in s.links:
         if link.a not in node_names or link.b not in node_names:
             raise ConfigError(f"link {link.name}: endpoint does not exist")
-        link.validate(max_segment)
+        if link.queue_capacity < max_segment:
+            raise ConfigError(f"link {link.name}: queue {link.queue_capacity} B below one "
+                              f"maximum segment ({max_segment} B)")
+        prev_end = 0
+        for start, end in link.availability or ():
+            if not prev_end <= start < end:
+                raise ConfigError(f"link {link.name}: availability windows must be "
+                                  "sorted and disjoint")
+            prev_end = end
 
     access_kinds = {l.kind for l in s.links if mn in (l.a, l.b) and l.kind in ACCESS_KINDS}
     for kind in access_kinds:
@@ -359,9 +367,10 @@ def validate_scenario(s: Scenario) -> None:
             raise ConfigError(f"flow {flow.name}: src {flow.src} is the mobile node or home agent")
         if flow.start >= s.end:
             raise ConfigError(f"flow {flow.name}: starts at or after the end of the run")
-        buffer = flow.buffer or s.w_default
-        if buffer < s.mss:
+        if flow_buffer(s, flow) < s.mss:
             raise ConfigError(f"flow {flow.name}: receive buffer below one segment")
+    if s.sat_default_window is not None and s.sat_default_window < s.mss:
+        raise ConfigError("sat_default_window below one segment", key="sat_default_window")
 
     for ho in s.handovers:
         if not 0 <= ho.at < s.end:
@@ -377,7 +386,12 @@ def validate_scenario(s: Scenario) -> None:
                 "(fallback when no satellite estimate is cached)"
             )
 
-    s.registration.validate({n.name for n in s.nodes if n.role == "gateway"})
+    proxy = s.registration.proxy_location
+    if proxy is not None and s.registration.origin != "PROXY":
+        raise ConfigError("proxy_gateway applies only to registration = PROXY",
+                          key="proxy_gateway")
+    if proxy is not None and proxy not in {n.name for n in s.nodes if n.role == "gateway"}:
+        raise ConfigError(f"proxy location {proxy!r} is not a gateway node", key="proxy_gateway")
 
     # each node a run routes to or from must reach the HA, never through the MN
     wired = [{l.a, l.b} for l in s.links if mn not in (l.a, l.b)]
@@ -387,7 +401,7 @@ def validate_scenario(s: Scenario) -> None:
         reached = reached.union(*[ends for ends in wired if ends & reached])
     gateways = [l.a if l.b == mn else l.b for l in s.links
                 if mn in (l.a, l.b) and l.kind in ACCESS_KINDS]
-    for node in [cn, *(f.src for f in s.flows), *gateways, s.registration.proxy_location]:
+    for node in [cn, *(f.src for f in s.flows), *gateways, proxy]:
         if node is not None and node not in reached:
             raise ConfigError(f"no wired route from {node} to the home agent {ha}")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .errors import ConfigError, ProtocolViolation
+from .errors import ProtocolViolation
 from .kernel import SEC, SimError, fmt_time
 from .net import F_ACK, F_DATA, F_REFRESH, F_WUPD, Segment
 
@@ -325,9 +325,9 @@ class TcpReceiver:
         unchanged). UNLIMITED (None) removes the cap."""
         if cap is not UNLIMITED:
             if cap < 0:
-                raise ConfigError(f"flow {self.flow_id}: negative window cap")
+                raise SimError(f"flow {self.flow_id}: negative window cap")
             if cap > self.buffer_capacity:
-                raise ConfigError(
+                raise SimError(
                     f"flow {self.flow_id}: cap {cap} exceeds buffer "
                     f"{self.buffer_capacity}"
                 )

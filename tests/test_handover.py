@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import scenario_path
-from satwin.errors import ConfigError
 from satwin.handover import (
     FlowDemand,
     HandoverPlan,
@@ -33,9 +32,9 @@ class TestEstimateBdp:
     def test_wlan_example(self):
         assert estimate_bdp(1_250_000, 20 * MS) == 25_000
 
-    def test_zero_rtt_rejected(self):
-        with pytest.raises(ConfigError):
-            estimate_bdp(125_000, 0)
+    def test_zero_rtt_gives_zero(self):
+        # the runner floors the cached estimate at one segment (Simulation._attach)
+        assert estimate_bdp(125_000, 0) == 0
 
     def test_floors_to_whole_byte(self):
         assert estimate_bdp(3, 500_000) == 1  # 1.5 B rounds down
@@ -114,16 +113,6 @@ class TestPlans:
         plan = plan_terr_to_sat(65_000, 32_000, rtts)
         assert plan.w_rec == 32_000 and plan.chain_violation
 
-    def test_terr_to_sat_fallback_without_cache(self):
-        rtts = RttTable(520 * MS, 550 * MS, 80 * MS)
-        plan = plan_terr_to_sat(None, 131_072, rtts, fallback_sat_window=63_750)
-        assert plan.w_rec == 63_750
-
-    def test_terr_to_sat_no_cache_no_fallback_is_config_error(self):
-        rtts = RttTable(520 * MS, 550 * MS, 80 * MS)
-        with pytest.raises(ConfigError):
-            plan_terr_to_sat(None, 131_072, rtts)
-
     def test_sat_to_terr_boost_arithmetic(self):
         target = plan_sat_to_terr(cache_sat_bdp=65_000, current_win=65_000,
                                   buffer_capacity=131_072)
@@ -168,10 +157,6 @@ class TestAllocation:
         # S3 with both minimums at 40,000 B under the satellite's 63,750 B
         alloc = allocate_flow_windows(demands(("f1", 2, 40_000), ("f2", 1, 40_000)), 63_750)
         assert alloc == {"f1": 31_875, "f2": 31_875}
-
-    def test_duplicate_flow_ids_rejected(self):
-        with pytest.raises(ConfigError):
-            allocate_flow_windows(demands(("A", 1, 0), ("A", 2, 0)), 10_000)
 
     @given(
         st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=4),

@@ -1,8 +1,7 @@
 import pytest
 
-from satwin.errors import ConfigError
 from satwin.kernel import SimError
-from satwin.mobility import BindingTable, HomeAgent, RegistrationConfig, make_binding_update
+from satwin.mobility import BindingTable, HomeAgent, make_binding_update
 from satwin.net import F_DATA, Segment
 from satwin.runner import run
 from satwin.scenario import parse_scenario
@@ -157,6 +156,12 @@ class TestBindingTable:
         table.register("mn", "WLAN", 10)
         assert table.active_as_of("mn", 9) is None
 
+    def test_registration_back_in_time_is_sim_error(self):
+        table = BindingTable()
+        table.register("mn", "WLAN", 10)
+        with pytest.raises(SimError, match="before the one in force"):
+            table.register("mn", "SAT", 9)
+
 
 def test_home_agent_counts_unroutable_segments():
     agent = HomeAgent("HA", "mn")
@@ -219,11 +224,3 @@ def test_registration_round_trip_matches_path_rtt_oracle():
     timeline = metrics.handovers[0].timeline
     oracle = path_rtt(sim.topo.route_via_access("MN", "HA", "SAT"), probe_size=60)
     assert timeline["t_r3"] - timeline["t_r0"] == oracle
-
-
-def test_registration_config_validates_proxy_location():
-    cfg = RegistrationConfig(origin="PROXY", proxy_location="nowhere")
-    with pytest.raises(ConfigError):
-        cfg.validate({"SGW", "WGW"})
-    RegistrationConfig(origin="PROXY", proxy_location="SGW").validate({"SGW"})
-    RegistrationConfig(origin="MN").validate(set())

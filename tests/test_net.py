@@ -244,13 +244,6 @@ def test_path_rtt_two_hops_zero_probe():
     assert path_rtt(topo.route("a", "c")) == 520 * MS
 
 
-def test_path_rtt_unreachable_during_gap():
-    k = Kernel()
-    link = make_link(k, avail=((0, 1_000_000),))
-    with pytest.raises(ConfigError, match="UNREACHABLE"):
-        path_rtt((link,), probe_size=40, at=2_000_000)
-
-
 def _topo(kernel, links):
     names = set()
     for spec in links:

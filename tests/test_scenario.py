@@ -9,7 +9,8 @@ from conftest import SCENARIOS, SHIPPED, scenario_path
 from satwin.cli import main
 from satwin.errors import ConfigError
 from satwin.kernel import fmt_time
-from satwin.scenario import MODE_NAMES, _SCHEMA, canonical_text, load_scenario, parse_scenario
+from satwin.runner import Simulation
+from satwin.scenario import MODE_NAMES, MODES, _SCHEMA, canonical_text, load_scenario, parse_scenario
 
 MINIMAL = """
 [sim]
@@ -117,6 +118,39 @@ def test_queue_below_one_segment_rejected():
     text = MINIMAL.replace("queue = 65536\n\n[link.gw_cn]", "queue = 1000\n\n[link.gw_cn]")
     with pytest.raises(ConfigError, match="below one"):
         parse_scenario(text, "x")
+
+
+def test_sat_default_window_below_one_segment_rejected():
+    # accepted, it would cap W_REC below one segment and stall the flow
+    text = scenario_path("s1_wlan_to_sat").read_text()
+    with pytest.raises(ConfigError, match="below one segment"):
+        parse_scenario(text.replace("sat_default_window = 63750", "sat_default_window = 1000"), "x")
+    s = parse_scenario(text.replace("sat_default_window = 63750", "sat_default_window = 1460"), "x")
+    assert s.sat_default_window == s.mss
+
+
+def test_availability_windows_may_touch_but_not_overlap():
+    def parse(windows):
+        text = MINIMAL.replace("queue = 65536\n\n[link.gw_cn]",
+                               f"queue = 65536\navailability = {windows}\n\n[link.gw_cn]")
+        return parse_scenario(text, "x")
+
+    assert parse("0.0:0.5,0.5:1.0").links[0].availability == ((0, 500_000), (500_000, 1_000_000))
+    for windows in ("0.0:0.5,0.4:1.0", "0.5:1.0,0.0:0.4", "0.3:0.3"):
+        with pytest.raises(ConfigError, match="sorted and disjoint"):
+            parse(windows)
+
+
+def test_proxy_gateway_must_name_a_gateway():
+    def parse(proxy):
+        return parse_scenario(MINIMAL.replace(
+            "w_default = 65536",
+            f"w_default = 65536\nregistration = PROXY\nproxy_gateway = {proxy}"), "x")
+
+    assert parse("GW").registration.proxy_location == "GW"
+    for proxy in ("CN", "nowhere"):
+        with pytest.raises(ConfigError, match="not a gateway node"):
+            parse(proxy)
 
 
 def test_duplicate_key_rejected():
@@ -420,7 +454,7 @@ def scenario_texts(draw):
     _optional(draw, sim, "mode", st.sampled_from(sorted(MODE_NAMES)))
     windowed = draw(st.booleans())
     if windowed:
-        sim.append(f"sat_default_window = {draw(st.integers(1, 1 << 20))}")
+        sim.append(f"sat_default_window = {draw(st.integers(1460, 1 << 20))}")
     _optional(draw, sim, "mss", st.integers(536, 1460))
     _optional(draw, sim, "s2t_exec_lead", _times())
     _optional(draw, sim, "registration", st.sampled_from(["MN", "PROXY"]))
@@ -474,3 +508,41 @@ def test_canonical_text_round_trips_generated_scenarios(text):
     canonical = canonical_text(s)
     assert parse_scenario(canonical, "gen") == s
     assert canonical_text(parse_scenario(canonical, "gen")) == canonical
+
+
+# -- validation is the one gate: a file it accepts runs ----------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario_texts())
+def test_generated_scenarios_run_in_every_mode(text):
+    """No run of an accepted file raises ConfigError, and every window cap a
+    run ends with is 0 (a drain) or at least one segment."""
+    s = parse_scenario(text, "gen")
+    for mode in MODES:
+        sim = Simulation(s, mode=mode, trace=True)
+        sim.run()
+        for rt in sim.flows.values():
+            cap = rt.receiver.policy_cap
+            assert cap in (None, 0) or cap >= s.mss, (mode, rt.spec.name, cap)
+
+
+def _with_delays(name: str, delay: str, path: Path) -> str:
+    text = scenario_path(name).read_text()
+    path.write_text(re.sub(r"(?m)^delay = .*$", f"delay = {delay}", text))
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_NAMES))
+def test_zero_delays_run(mode, tmp_path):
+    # every RTT is 0: each network's resting window is one segment
+    scenario = _with_delays("s1_wlan_to_sat", "0", tmp_path / "s1_zero.scn")
+    assert main(["run", "--scenario", scenario, "--mode", mode,
+                 "--metrics", str(tmp_path / "m.csv")]) == 0
+
+
+def test_microsecond_delays_run_proactive(tmp_path):
+    # every BDP rounds to 0 B
+    scenario = _with_delays("s5_roundtrip", "0.000001", tmp_path / "s5_us.scn")
+    assert main(["run", "--scenario", scenario, "--mode", "proactive",
+                 "--metrics", str(tmp_path / "m.csv")]) == 0

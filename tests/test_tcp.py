@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import scenario_path
-from satwin.errors import ConfigError, ProtocolViolation
+from satwin.errors import ProtocolViolation
 from satwin.kernel import SEC, SimError
 from satwin.net import F_ACK, F_DATA, F_REFRESH, F_WUPD, Segment
 from satwin.runner import Simulation
@@ -351,9 +351,9 @@ class TestWindowPolicy:
         receiver.set_window_policy(UNLIMITED, 0)
         assert emitted[-1][0].rwnd == 64000
 
-    def test_cap_above_buffer_is_config_error(self):
+    def test_cap_above_buffer_is_sim_error(self):
         receiver, _ = make_receiver()
-        with pytest.raises(ConfigError):
+        with pytest.raises(SimError, match="exceeds buffer"):
             receiver.set_window_policy(65000, 0)
 
     def test_unchanged_cap_emits_nothing(self):
