@@ -24,7 +24,7 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "satbench"))
 
 import workloads  # noqa: E402  (satbench/workloads.py)
-from satwin.errors import ConfigError, ProtocolViolation  # noqa: E402
+from satwin.errors import ConfigError  # noqa: E402
 from satwin.kernel import SimError  # noqa: E402
 from satwin.metrics import write_csv  # noqa: E402
 from satwin.runner import Simulation  # noqa: E402
@@ -44,7 +44,7 @@ def run_digests(text: str, name: str, mode: str, trace: bool) -> dict[str, str]:
     try:
         sim = Simulation(parse_scenario(text, name), mode=mode, trace=trace)
         csv_text = write_csv(sim.run().csv_rows())
-    except (ConfigError, SimError, ProtocolViolation, AssertionError) as exc:
+    except (ConfigError, SimError) as exc:
         error = f"{name}/{mode}: {type(exc).__name__}: {exc}"
         return {"csv": _sha(error), "trace": _sha(error)}
     return {"csv": _sha(csv_text), "trace": _sha(sim.trace.text() if trace else "")}

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, ProtocolViolation
+from .errors import ConfigError
 from .kernel import SimError
 from .metrics import write_csv
 from .runner import compare, run
@@ -90,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SimError, ProtocolViolation, AssertionError) as exc:
+    except SimError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
     return 0

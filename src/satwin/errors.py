@@ -4,6 +4,8 @@ ConfigError -> CLI exit code 2 (bad scenario/arguments).
 SimError and subclasses (see kernel) -> exit code 3 (internal invariant).
 """
 
+from .kernel import SimError
+
 
 class ConfigError(Exception):
     def __init__(self, message: str, line: int | None = None, key: str | None = None):
@@ -19,5 +21,5 @@ class ConfigError(Exception):
         self.key = key
 
 
-class ProtocolViolation(Exception):
+class ProtocolViolation(SimError):
     """A simulated endpoint observed an impossible input (simulation bug)."""

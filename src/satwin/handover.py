@@ -29,14 +29,6 @@ from .net import RttTable
 CHAIN_VIOLATION = "CHAIN_VIOLATION"
 
 
-@dataclass
-class PathEstimate:
-    """The last bandwidth-delay measurement of one network kind."""
-
-    bdp: int
-    rtt: int
-
-
 def estimate_bdp(bandwidth: int, rtt: int) -> int:
     """Bytes in flight that fill a path: bandwidth (B/s) x rtt (us), floored
     to a whole byte."""

