@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--scenario", required=True)
     p_cmp.add_argument("--modes", type=_modes, required=True,
                        help="comma-separated list, e.g. baseline,proactive")
-    p_cmp.add_argument("--seed", type=_seed, default=0)
+    p_cmp.add_argument("--seed", type=_seed, default=None)
     p_cmp.add_argument("--out", default=None, help="comparison CSV output path")
 
     p_val = sub.add_parser("validate", help="check a scenario file")

@@ -132,16 +132,8 @@ def allocate_flow_windows(demands: list[FlowDemand], capacity: int, mss: int = 1
     alloc = {fid: int(share) for fid, share in shares.items()}  # floor
     leftover = budget - sum(alloc.values())
     order = sorted(active, key=lambda d: (-(shares[d.flow_id] - alloc[d.flow_id]), d.flow_id))
-    while leftover >= mss:
-        progressed = False
-        for d in order:
-            if leftover < mss:
-                break
-            alloc[d.flow_id] += mss
-            leftover -= mss
-            progressed = True
-        if not progressed:
-            break
+    for i in range(leftover // mss):  # round robin; `active` is never empty here
+        alloc[order[i % len(order)].flow_id] += mss
     alloc.update(pinned)
     if sum(alloc.values()) > capacity:
         raise SimError(f"window allocation {alloc} exceeds capacity {capacity}")

@@ -64,9 +64,6 @@ class Kernel:
         heapq.heappush(self._heap, entry)
         return entry
 
-    def schedule_in(self, delay: int, fn: Callable[[], None], kind: str = "event") -> list:
-        return self.schedule(self.now + delay, fn, kind)
-
     def reschedule(self, entry: list, at: int) -> list:
         """Move an event to `at`, ordered exactly as `cancel` then `schedule`
         would order it; returns its handle. A pending event due at or before

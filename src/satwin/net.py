@@ -38,11 +38,6 @@ OVERFLOW = "OVERFLOW"
 NO_COVERAGE = "NO_COVERAGE"
 
 
-@dataclass(frozen=True, slots=True)
-class Drop:
-    reason: str
-
-
 @dataclass(slots=True)
 class Segment:
     """One simulated TCP/registration segment (headers abstracted).
@@ -135,12 +130,11 @@ class DirectedLink:
     def label(self) -> str:
         return f"{self.spec.name}:{self.src}->{self.dst}"
 
-    def transmit(self, seg: Segment, at: int) -> int | Drop:
-        """Enqueue `seg` at time `at`; returns its arrival time or a Drop.
+    def transmit(self, seg: Segment, at: int) -> Optional[int]:
+        """Enqueue `seg` at time `at`; returns its arrival time, or None
+        when it is dropped (counted in `drops` and reported to on_drop).
 
-        Arrival = end of FIFO serialization + propagation delay. The drop
-        outcome is also reported through on_drop so callers relying on the
-        scheduled-events path need not inspect the return value. Wire size
+        Arrival = end of FIFO serialization + propagation delay. Wire size
         and serialization inline `Segment.wire_size`/`LinkSpec.serialization_us`.
         """
         kernel = self.kernel
@@ -164,11 +158,10 @@ class DirectedLink:
         backlog.append((finish, entry[1] - 1, wire))
         return arrival
 
-    def _drop(self, seg: Segment, reason: str, at: int) -> Drop:
+    def _drop(self, seg: Segment, reason: str, at: int) -> None:
         self.drops[reason] += 1
         if self.on_drop is not None:
             self.on_drop(self, seg, reason, at)
-        return Drop(reason)
 
 
 def _unwired(link: DirectedLink, seg: Segment) -> None:

@@ -39,10 +39,10 @@ class _FlowRuntime:
 
 
 class _HandoverRuntime:
-    """Engine state of one handover: timeline, t_a2 markers, registration
-    wait, pending execution and per-flow drain timeouts. Each mode runs one
-    procedure at detection (see _PROCEDURES). Its window updates, BU and
-    BUACK carry it in `Segment.mark`."""
+    """Engine state of one handover: timeline, t_a2 markers, one timer and
+    the flows still draining. Each mode runs one procedure at detection (see
+    _PROCEDURES). It switches at most once, so each registration signal comes
+    at most once. Its window updates, BU and BUACK carry it in `Segment.mark`."""
 
     def __init__(self, sim: Simulation, hdef: HandoverDef):
         self.sim = sim
@@ -52,9 +52,8 @@ class _HandoverRuntime:
                      "sat_to_terr" if old == "SAT" else "terr_to_terr")
         self.metrics = HandoverMetrics(hdef.name, direction, hdef.at, old_kind=old, new_kind=new)
         self.markers: dict[str, int] = {}  # flow -> old-window edge, resolved at the agent
-        self.awaiting: Optional[str] = None  # next registration stamp: t_r1, then t_r3
-        self.drains: dict[str, list] = {}  # flow -> kernel handle of its drain timeout
-        self.pending: Optional[list] = None  # kernel handle of the deferred switch
+        self.timer: Optional[list] = None  # the deferred switch, then the drain timeout
+        self.draining: dict[str, _FlowRuntime] = {}  # flows whose drain is still open
 
     def stamp(self, label: str, at: int, node: str) -> None:
         """Record `label` at `at`; the trace line is written now, which for
@@ -126,7 +125,7 @@ class _HandoverRuntime:
                 receiver.ack_delay = hdef.ack_pacing
                 sim.trace.emit(now, "ack_pacing", sim.mn, flow=fid,
                                delay=fmt_time(hdef.ack_pacing))
-        self.pending = sim.kernel.schedule(t_r0, self._execute_t2s, "t2s-exec")
+        self.timer = sim.kernel.schedule(t_r0, self._execute_t2s, "t2s-exec")
 
     def _execute_t2s(self) -> None:
         """Switch at t_r0. W_REC capped every flow; the attachment measures
@@ -134,8 +133,7 @@ class _HandoverRuntime:
         fallback window above the BDP) comes down to it. No cap is raised."""
         sim = self.sim
         now = sim.kernel.now
-        if not self.switch(now):
-            return
+        self.switch(now)  # _advertise_w_rec found the target covered at t_r0
         for rt in sim.flows.values():
             rest = sim.resting_cap(rt.receiver.buffer_capacity)
             if rt.receiver.policy_cap > rest:
@@ -158,7 +156,7 @@ class _HandoverRuntime:
         # drain against a lost pipe segment
         route = sim.topo.route_via_access(sim.mn, sim.cn, sat)
         rtt = path_rtt(route, sim.scenario.mss + HEADER_BYTES)
-        self.pending = sim.kernel.schedule(
+        self.timer = sim.kernel.schedule(
             exec_at, partial(self._execute_s2t, exec_at + 2 * rtt), "s2t-exec")
 
     def _execute_s2t(self, drain_timeout: int) -> None:
@@ -174,15 +172,19 @@ class _HandoverRuntime:
             rt.receiver.set_suppress_dupacks(True, now)
             rt.sender.external_congestion_avoidance(now)
             sim.trace.emit(now, "wpolicy", sim.mn, flow=fid, cap=0)
-            self.drains[fid] = sim.kernel.schedule(
-                drain_timeout, lambda rt=rt: self._finish_drain(rt, sim.kernel.now, "yes"),
-                "drain-timeout")
-            self.check_drain(rt, now)
+            self.draining[fid] = rt
+        # no drain can end before the BU just sent reaches the agent (t_r1)
+        self.timer = sim.kernel.schedule(drain_timeout, partial(self._end_drains, "yes"),
+                                         "drain-timeout")
+
+    def _end_drains(self, timeout: str) -> None:
+        for rt in list(self.draining.values()):
+            self._finish_drain(rt, self.sim.kernel.now, timeout)
 
     def check_drain(self, rt: _FlowRuntime, now: int) -> None:
         """End a flow's drain once everything the agent ever routed onto
         the old network has arrived in order."""
-        if rt.spec.name not in self.drains or "t_r1" not in self.metrics.timeline:
+        if rt.spec.name not in self.draining or "t_r1" not in self.metrics.timeline:
             return  # the old stream is not sealed until redirection happened
         if rt.receiver.rcv_nxt >= rt.watermark.get(self.metrics.old_kind, 0):
             self._finish_drain(rt, now, "no")
@@ -191,7 +193,9 @@ class _HandoverRuntime:
         """End a flow's drain, which timed out ("yes"), did not ("no") or was
         superseded: ramp the window up to rest, except that a superseded
         drain stays at 0 for the newer handover to steer."""
-        self.sim.kernel.cancel(self.drains.pop(rt.spec.name))
+        del self.draining[rt.spec.name]
+        if not self.draining:  # the drain that ends last cancels the timeout
+            self.sim.kernel.cancel(self.timer)
         self.metrics.drain_timed_out |= timeout == "yes"
         self.sim.trace.emit(now, "drain_done", self.sim.mn, flow=rt.spec.name, timeout=timeout)
         rt.receiver.set_suppress_dupacks(False, now)
@@ -211,7 +215,6 @@ class _HandoverRuntime:
         seg = make_binding_update(kind, now)
         seg.mark = self
         origin, seg.route = sim._registration_path(kind, to_agent=True)
-        self.awaiting = "t_r1"
         sim.trace.emit(now, "bu_send", origin, network=kind)
         self.stamp("t_r0", now, origin)
         seg.route[0].transmit(seg, now)
@@ -219,27 +222,19 @@ class _HandoverRuntime:
 
     def registered(self, now: int) -> None:
         """This handover's BU reached the agent: redirection happened (t_r1)."""
-        if self.awaiting != "t_r1":
-            return
-        self.awaiting = "t_r3"
         self.stamp("t_r1", now, self.sim.ha_node)
-        for fid in list(self.drains):
-            self.check_drain(self.sim.flows[fid], now)
+        for rt in list(self.draining.values()):
+            self.check_drain(rt, now)
 
     def confirmed(self, seg: Segment, now: int) -> None:
         """This handover's BUACK reached the MN (t_r3)."""
-        if self.awaiting != "t_r3":
-            return
-        self.awaiting = None
         self.sim.trace.emit(now, "buack_recv", self.sim.mn, network=seg.path_tag)
         self.stamp("t_r3", now, self.sim.mn)
 
     def registration_lost(self, now: int) -> None:
         """A dropped or stale BU, or a dropped BUACK, leaves the binding (or
-        its confirmation) unchanged; stop waiting for it."""
-        if self.awaiting is not None:
-            self.awaiting = None
-            self.sim.trace.emit(now, "bu_lost", self.sim.mn, handover=self.metrics.name)
+        its confirmation) unchanged."""
+        self.sim.trace.emit(now, "bu_lost", self.sim.mn, handover=self.metrics.name)
 
     def abort(self, now: int) -> None:
         """The move does not happen: the windows rest on the network the MN
@@ -252,26 +247,22 @@ class _HandoverRuntime:
         """A newer handover was detected: cancel a switch still pending and
         end every open drain at a window of 0. The windows are the newer
         handover's to steer."""
-        if self.pending is not None:
-            self.sim.kernel.cancel(self.pending)
-        for fid in list(self.drains):
-            self._finish_drain(self.sim.flows[fid], now, "superseded")
+        if self.timer is not None:
+            self.sim.kernel.cancel(self.timer)
+        self._end_drains("superseded")
 
     # -- advertisement markers ---------------------------------------------
 
     def advert_arrived(self, rt: _FlowRuntime, now: int) -> None:
         """The sender processed this handover's window update: stamp t_a1
         and mark the old window's edge for t_a2."""
-        timeline = self.metrics.timeline
-        if "t_a1" not in timeline:
+        if "t_a1" not in self.metrics.timeline:
             self.stamp("t_a1", now, rt.spec.src)
         fid = rt.spec.name
         marker = rt.sender.snd_nxt
         if rt.ha_end >= marker:
             # the last old-window segment already passed the agent
-            prev = timeline.get("t_a2")
-            if prev is None or rt.ha_time > prev:
-                self.stamp("t_a2", rt.ha_time, self.sim.ha_node)
+            self._stamp_t_a2(rt.ha_time)
         else:
             self.markers[fid] = marker
 
@@ -280,9 +271,13 @@ class _HandoverRuntime:
         marker = self.markers.get(fid)
         if marker is not None and end >= marker:
             del self.markers[fid]
-            prev = self.metrics.timeline.get("t_a2")
-            if prev is None or now > prev:
-                self.stamp("t_a2", now, self.sim.ha_node)
+            self._stamp_t_a2(now)
+
+    def _stamp_t_a2(self, at: int) -> None:
+        """t_a2 is when the last flow's old window passed the agent."""
+        prev = self.metrics.timeline.get("t_a2")
+        if prev is None or at > prev:
+            self.stamp("t_a2", at, self.sim.ha_node)
 
 
 _PROCEDURES = {
@@ -426,9 +421,7 @@ class Simulation:
             seg.mark.confirmed(seg, now)
             return
         # cumulative ACK reaching the sender
-        rt = self.flows.get(seg.flow_id)
-        if rt is None:
-            return
+        rt = self.flows[seg.flow_id]
         if seg.mark is not None:
             seg.mark.advert_arrived(rt, now)
         if self.trace.enabled:
@@ -459,9 +452,7 @@ class Simulation:
         route[0].transmit(seg, now)
 
     def _deliver_data(self, seg: Segment, now: int) -> None:
-        rt = self.flows.get(seg.flow_id)
-        if rt is None:
-            return
+        rt = self.flows[seg.flow_id]
         rt.metrics.bytes_delivered += seg.payload_len
         rt.inflight.pop(seg.copy, None)
         if seg.rexmit and rt.receiver.holds_range(seg.seq, seg.payload_len):
@@ -472,9 +463,9 @@ class Simulation:
         rt.receiver.on_data(seg, now)
 
     def _on_inorder(self, rt: _FlowRuntime, receiver: TcpReceiver, now: int) -> None:
-        rt.metrics.note_inorder(receiver.delivered_inorder, now)
+        rt.metrics.note_inorder(receiver.rcv_nxt, now)
         ho = self._active
-        if ho is not None and ho.drains:
+        if ho is not None and ho.draining:
             ho.check_drain(rt, now)
 
     def on_drop(self, link: DirectedLink, seg: Segment, reason: str, at: int) -> None:
@@ -482,10 +473,9 @@ class Simulation:
         self.metrics.drops.append(DropRecord(at, link.label, link.spec.kind, reason, seg.flow_id))
         payload = seg.payload_len if seg.flags & F_DATA else 0
         if payload:
-            rt = self.flows.get(seg.flow_id)
-            if rt is not None:
-                rt.metrics.bytes_dropped += payload
-                rt.inflight.pop(seg.copy, None)
+            rt = self.flows[seg.flow_id]
+            rt.metrics.bytes_dropped += payload
+            rt.inflight.pop(seg.copy, None)
         if seg.flags & (F_BU | F_BUACK):
             seg.mark.registration_lost(at)
         self.trace.emit(at, "drop", link.label, flow=seg.flow_id, reason=reason,
@@ -501,7 +491,8 @@ class Simulation:
                 self.kernel.cancel(rt.rto_event)
                 rt.rto_event = None
         elif rt.rto_event is None:
-            rt.rto_event = self.kernel.schedule_in(sender.rto, partial(self._on_rto, rt), "rto")
+            rt.rto_event = self.kernel.schedule(self.kernel.now + sender.rto,
+                                                partial(self._on_rto, rt), "rto")
         elif rearm:
             rt.rto_event = self.kernel.reschedule(rt.rto_event, self.kernel.now + sender.rto)
 
@@ -557,6 +548,8 @@ class Simulation:
             self._active.retire(now)
         self._active = ho
         self.metrics.handovers.append(ho.metrics)
+        for rt in self.flows.values():  # an earlier handover's ACK pacing ends here
+            rt.receiver.ack_delay = rt.spec.ack_extra_delay
         if hdef.to == self.attachment:
             ho.abort(now)  # already attached to the target
         else:
@@ -615,7 +608,8 @@ def run(scenario: Scenario, mode: Optional[str] = None, seed: Optional[int] = No
     return metrics, sim.trace
 
 
-def compare(scenario: Scenario, modes: list[str], seed: int = 0) -> list[dict[str, str]]:
+def compare(scenario: Scenario, modes: list[str],
+            seed: Optional[int] = None) -> list[dict[str, str]]:
     """Side-by-side metrics across modes over one topology and one seed."""
     if len(modes) < 2:
         raise ConfigError("comparison needs at least two modes")

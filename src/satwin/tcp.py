@@ -60,7 +60,7 @@ class TcpSender:
         self.rto = RTO_MIN
         self.phase = SLOW_START
         self.recover = 0
-        self.rtx_log: dict[int, int] = {}  # seq -> retransmit count
+        self.rtx_end = 0  # end of the highest range ever retransmitted (Karn)
         self.volume = volume  # None = unlimited source
         self.send_cb = send_cb or (lambda seg, now: None)
         self.state_cb = None
@@ -98,7 +98,7 @@ class TcpSender:
         seg = Segment(self.flow_id, seq, length, 0, 0, F_DATA, now, None, None, rexmit,
                       self._copy)
         if rexmit:
-            self.rtx_log[seq] = self.rtx_log.get(seq, 0) + 1
+            self.rtx_end = max(self.rtx_end, seq + length)
             self.retransmit_count += 1
         else:
             # the +mss headroom is the fast-retransmit allowance; new data
@@ -194,10 +194,7 @@ class TcpSender:
             self._rtx_next = max(self._rtx_next, ack)
             if ack >= self._rtx_high:
                 self._rtx_next = None
-        self._sample_rtt(prev_una, ack, seg, now)
-        if self.rtx_log:
-            for seq in [s for s in self.rtx_log if s + self.mss <= ack]:
-                del self.rtx_log[seq]
+        self._sample_rtt(prev_una, seg, now)
 
         if self.phase == FAST_RECOVERY:
             # Reno deflates and leaves recovery on the first ACK that moves
@@ -230,15 +227,13 @@ class TcpSender:
         self.fr_times.append(now)
         self._note_state(now)
 
-    def _sample_rtt(self, prev_una: int, ack: int, seg: Segment, now: int) -> None:
-        if seg.echo is None:
+    def _sample_rtt(self, prev_una: int, seg: Segment, now: int) -> None:
+        # Karn: no sample when the newly acked range was ever retransmitted.
+        # Retransmissions start at snd_una and go on contiguously from it, so
+        # the range holds retransmitted data iff prev_una < rtx_end.
+        if seg.echo is None or prev_una < self.rtx_end:
             return
-        # Karn: no sample when the newly acked range was ever retransmitted
-        if self.rtx_log and any(prev_una <= s < ack for s in self.rtx_log):
-            return
-        m = now - seg.echo
-        if m < 0:
-            return
+        m = now - seg.echo  # the echo is the data segment's own send time
         if self.srtt is None:
             self.srtt = m
             self.rttvar = m // 2
@@ -301,19 +296,22 @@ class TcpReceiver:
         self.oob: list[tuple[int, int]] = []  # disjoint (start, end) ranges
         self.oob_bytes = 0
         self.policy_cap = policy_cap
-        self.suppress_dupacks = False
         self.ack_delay = 0
         self.emit_cb = emit_cb or (lambda seg, at: None)
-        self.last_refresh: Optional[int] = None
+        self.last_refresh: Optional[int] = None  # set while duplicate ACKs are suppressed
         self.last_rwnd = self.advertised()
         self.max_rwnd_increase = 0
         self.ramp_target: Optional[int] = None  # the cap a running ramp raises toward
         self.ramp_step = 2 * mss  # its step per ACK, and its bound on each window increase
         self.overflow_drops = 0
-        self.delivered_inorder = 0
         self.advance_cb: Callable[[TcpReceiver, int], None] | None = None
 
     # -- window bookkeeping ----------------------------------------------
+
+    @property
+    def delivered_inorder(self) -> int:
+        """Bytes delivered in order (a bulk sink consumes them at once)."""
+        return self.rcv_nxt
 
     def advertised(self) -> int:
         free, cap = self.buffer_capacity - self.oob_bytes, self.policy_cap
@@ -352,7 +350,6 @@ class TcpReceiver:
         return self._emit_ack(now, flags=F_WUPD)
 
     def set_suppress_dupacks(self, on: bool, now: int) -> None:
-        self.suppress_dupacks = on
         self.last_refresh = now if on else None
 
     # -- data path ---------------------------------------------------------
@@ -385,8 +382,6 @@ class TcpReceiver:
             self.rcv_nxt = end
             if self.oob:
                 self._absorb_contiguous()
-            else:
-                self.delivered_inorder = end
             if self.advance_cb is not None:
                 self.advance_cb(self, now)
             self._emit_ack(now, 0, None if seg.rexmit else seg.sent_at)
@@ -420,15 +415,14 @@ class TcpReceiver:
             self.oob_bytes -= stop - start
             if stop > self.rcv_nxt:
                 self.rcv_nxt = stop
-        self.delivered_inorder = self.rcv_nxt
 
     def _maybe_dupack(self, now: int) -> None:
-        if not self.suppress_dupacks:
+        if self.last_refresh is None:
             self._emit_ack(now)
             return
         # withheld; keep the sender's timers alive with a rate-limited,
         # specially flagged state refresh instead
-        if self.last_refresh is None or now - self.last_refresh >= REFRESH_INTERVAL:
+        if now - self.last_refresh >= REFRESH_INTERVAL:
             self.last_refresh = now
             self._emit_ack(now, flags=F_REFRESH)
 

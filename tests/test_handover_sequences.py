@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -36,12 +37,31 @@ def _us(stamp):
     return int(stamp.replace(".", ""))
 
 
-def _assert_every_handover_clean(metrics):
+def _assert_every_handover_clean(metrics, lines):
     for fm in metrics.flows.values():
         assert fm.conservation_residual() == 0, fm.flow_id
         assert fm.delivered_inorder > 0, fm.flow_id
     for ho in metrics.handovers:
         assert ho.old_path_enqueues_after_tr1 == 0, ho.name
+    _assert_registration_once(metrics, lines)
+
+
+def _assert_registration_once(metrics, lines):
+    """From the trace, each handover's registration runs at most once and
+    in order: one BU per switch (t_r0), at most one t_r1, t_r3 and bu_lost
+    each, and a confirmed (t_r3) registration was registered (t_r1) and
+    never lost."""
+    stamped = Counter(label for ho in metrics.handovers for label in ho.timeline)
+    kinds = Counter(line.split(" ", 2)[1] for line in lines)
+    traced = Counter(re.search(r" label=(\w+) ", line).group(1)
+                     for line in lines if " timeline " in line)
+    assert kinds["bu_send"] == stamped["t_r0"]
+    assert (traced["t_r1"], traced["t_r3"]) == (stamped["t_r1"], stamped["t_r3"])
+    lost = Counter(line.rsplit("handover=", 1)[1] for line in lines if " bu_lost " in line)
+    assert max(lost.values(), default=0) <= 1, lost
+    for ho in metrics.handovers:
+        if "t_r3" in ho.timeline:
+            assert "t_r1" in ho.timeline and ho.name not in lost, ho.name
 
 
 def _assert_one_live_handover(sim):
@@ -96,7 +116,7 @@ def test_s5_roundtrip_completes_in_every_mode():
     for mode in MODES:
         metrics, trace = run(scenario, mode=mode, trace=True)
         assert [ho.aborted for ho in metrics.handovers] == [False, False, False]
-        _assert_every_handover_clean(metrics)
+        _assert_every_handover_clean(metrics, trace.lines)
         if mode == "PROACTIVE":
             assert metrics.flows["f1"].max_rwnd_increase <= 2 * MSS
             caps = [int(m.group(1)) for m in re.finditer(r"wpolicy MN flow=f1 cap=(\d+)",
@@ -118,7 +138,7 @@ def test_w_rec_above_the_satellite_bdp_comes_down_at_attach():
                     "2.737000 wpolicy MN flow=f1 cap=63750"]
     assert metrics.drops == []
     assert metrics.flows["f1"].retransmits == 0
-    _assert_every_handover_clean(metrics)
+    _assert_every_handover_clean(metrics, sim.trace.lines)
     _assert_one_live_handover(sim)
 
 
@@ -134,7 +154,7 @@ def test_handover_to_the_current_network_is_aborted():
         assert [ho.aborted for ho in metrics.handovers] == [True, True], mode
         assert "4.500000 handover_abort MN handover=2" in trace.lines, mode
         assert [l for l in trace.lines if " attach " in l] == ["0.000000 attach MN network=WLAN"]
-        _assert_every_handover_clean(metrics)
+        _assert_every_handover_clean(metrics, trace.lines)
 
 
 def test_a_newer_detection_supersedes_an_open_drain():
@@ -169,7 +189,7 @@ def test_an_abort_after_a_superseded_drain_ramps_to_rest():
     assert "4.600000 ramp MN flow=f1 target=37500 step=2920" in sim.trace.lines
     # derived from the move, whatever the file says
     assert [ho.direction for ho in metrics.handovers] == ["sat_to_terr", "terr_to_terr"]
-    _assert_every_handover_clean(metrics)
+    _assert_every_handover_clean(metrics, sim.trace.lines)
     _assert_one_live_handover(sim)
 
 
@@ -187,7 +207,7 @@ def test_a_retired_boost_comes_to_rest():
     assert "4.199188 ack_tx MN flow=f1 ack=237980 rwnd=110470 flags=2" in sim.trace.lines
     assert "4.200000 ack_tx MN flow=f1 ack=237980 rwnd=63750 flags=18" in sim.trace.lines
     assert (receiver.policy_cap, receiver.ramp_target) == (63_750, None)
-    _assert_every_handover_clean(metrics)
+    _assert_every_handover_clean(metrics, sim.trace.lines)
     _assert_one_live_handover(sim)
 
 
@@ -203,7 +223,7 @@ def test_a_boost_retired_before_its_first_ack_comes_to_rest():
     assert [ho.aborted for ho in metrics.handovers] == [False, True]
     assert (receiver.policy_cap, receiver.ramp_target) == (63_750, None)
     assert metrics.flows["f1"].max_rwnd_increase == 0
-    _assert_every_handover_clean(metrics)
+    _assert_every_handover_clean(metrics, sim.trace.lines)
     _assert_one_live_handover(sim)
 
 
@@ -222,7 +242,7 @@ def test_a_move_between_terrestrial_networks_leaves_the_window_alone():
     baseline, _ = run(scenario, mode="BASELINE")
     assert [dict(r, mode="") for r in metrics.csv_rows()] == \
         [dict(r, mode="") for r in baseline.csv_rows()]
-    _assert_every_handover_clean(metrics)
+    _assert_every_handover_clean(metrics, sim.trace.lines)
     _assert_one_live_handover(sim)
 
 
@@ -236,7 +256,7 @@ def test_a_switch_between_terrestrial_networks_rests_a_capped_flow():
     metrics = sim.run()
     assert "3.100000 wpolicy MN flow=f1 cap=3300" in sim.trace.lines
     assert sim.flows["f1"].receiver.policy_cap == 3_300
-    _assert_every_handover_clean(metrics)
+    _assert_every_handover_clean(metrics, sim.trace.lines)
     _assert_one_live_handover(sim)
 
 
@@ -268,7 +288,7 @@ def test_a_stale_binding_update_leaves_the_newer_binding_in_force():
         assert "2.758485 bu_lost MN handover=1" in trace.lines, mode
         assert not [l for l in trace.lines if "buack_recv MN network=SAT" in l], mode
         assert [ho.aborted for ho in metrics.handovers] == [False, False], mode
-        _assert_every_handover_clean(metrics)
+        _assert_every_handover_clean(metrics, trace.lines)
 
 
 def test_old_path_count_is_taken_where_the_agent_routes():
@@ -310,7 +330,7 @@ def test_a_retired_move_never_executes():
     assert "t_r0" not in metrics.handovers[0].timeline
     assert "2.600000 wpolicy MN flow=f1 cap=37500" in sim.trace.lines
     assert sim.flows["f1"].receiver.policy_cap == 37_500
-    _assert_every_handover_clean(metrics)
+    _assert_every_handover_clean(metrics, sim.trace.lines)
     _assert_one_live_handover(sim)
 
 
@@ -352,5 +372,6 @@ def handover_sequences(draw):
 def test_random_handover_sequences_complete_cleanly(case):
     text, mode = case
     sim = Simulation(parse_scenario(text, "sequence"), mode=mode, trace=True)
-    _assert_every_handover_clean(sim.run())
+    metrics = sim.run()
+    _assert_every_handover_clean(metrics, sim.trace.lines)
     _assert_one_live_handover(sim)

@@ -8,7 +8,6 @@ from satwin.kernel import Kernel, SimError
 from satwin.net import (
     NO_COVERAGE,
     OVERFLOW,
-    Drop,
     LinkSpec,
     NodeSpec,
     Segment,
@@ -45,10 +44,9 @@ def test_drop_tail_overflow_on_third_segment():
     k = Kernel()
     link = make_link(k, queue=3000)
     link.deliver = lambda l, s: None
-    assert not isinstance(link.transmit(data_segment(), 0), Drop)
-    assert not isinstance(link.transmit(data_segment(), 0), Drop)
-    outcome = link.transmit(data_segment(), 0)
-    assert outcome == Drop("OVERFLOW")
+    assert link.transmit(data_segment(), 0) is not None
+    assert link.transmit(data_segment(), 0) is not None
+    assert link.transmit(data_segment(), 0) is None
     assert link.drops["OVERFLOW"] == 1
 
 
@@ -57,7 +55,8 @@ def test_transmit_during_coverage_gap():
     link = make_link(k, avail=((0, 1_000_000),))
     link.deliver = lambda l, s: None
     k.run_until(2_000_000)
-    assert link.transmit(data_segment(), k.now) == Drop("NO_COVERAGE")
+    assert link.transmit(data_segment(), k.now) is None
+    assert link.drops[NO_COVERAGE] == 1
 
 
 def test_segment_accepted_before_gap_still_delivered():
@@ -119,7 +118,8 @@ def test_transmit_at_a_finish_time_sees_the_events_scheduled_before_it():
     assert link.transmit(data_segment(), 0) == F + MS
     k.schedule(F, lambda: outcomes.append(link.transmit(data_segment(), k.now)))
     k.run_until(10 * MS)
-    assert outcomes == [Drop(OVERFLOW), 3 * MS]
+    assert outcomes == [None, 3 * MS]
+    assert link.drops[OVERFLOW] == 1
 
 
 def test_arrival_at_the_finish_time_sees_its_own_segment_gone():
@@ -156,13 +156,16 @@ class DequeueEventLink:
         self.queued = deque()
         self.free_at = 0
         self.deliver = None
+        self.drops = {OVERFLOW: 0, NO_COVERAGE: 0}
 
     def transmit(self, seg, at):
         wire = seg.wire_size()
         if not self.spec.is_available(at):
-            return Drop(NO_COVERAGE)
+            self.drops[NO_COVERAGE] += 1
+            return None
         if self.occupancy + wire > self.spec.queue_capacity:
-            return Drop(OVERFLOW)
+            self.drops[OVERFLOW] += 1
+            return None
         self.occupancy += wire
         self.queued.append(wire)
         finish = max(at, self.free_at) + self.spec.serialization_us(wire)
@@ -186,14 +189,14 @@ def _drive(make, ops):
 
     def send(label, payload):
         out = link.transmit(Segment(flow_id="f", seq=label, payload_len=payload), k.now)
-        log.append(("tx", label, k.now, out, link.occupancy))
+        log.append(("tx", label, k.now, out, link.occupancy, dict(link.drops)))
 
     def fire(i, payload, child):
         if child is not None and child[2]:
-            k.schedule_in(child[0], lambda: send(2 * i + 1, child[1]))
+            k.schedule(k.now + child[0], lambda: send(2 * i + 1, child[1]))
         send(2 * i, payload)
         if child is not None and not child[2]:
-            k.schedule_in(child[0], lambda: send(2 * i + 1, child[1]))
+            k.schedule(k.now + child[0], lambda: send(2 * i + 1, child[1]))
 
     for i, (at, payload, child) in enumerate(ops):
         k.schedule(at, lambda i=i, p=payload, c=child: fire(i, p, c))

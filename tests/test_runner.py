@@ -11,13 +11,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import REPO_ROOT, scenario_path
+from conftest import REPO_ROOT, SCENARIOS, scenario_path
 from satwin.errors import ConfigError
-from satwin.kernel import SEC, fmt_time
+from satwin.kernel import SEC, Kernel, fmt_time
 from satwin.metrics import Trace, write_csv
 from satwin.net import F_ACK, F_BU, F_DATA, DirectedLink, Topology
 from satwin.runner import Simulation, compare, run
 from satwin.scenario import MODES, load_scenario, parse_scenario
+from satwin.tcp import TcpSender
 
 SINGLE_LINK = """
 [sim]
@@ -240,14 +241,15 @@ def test_reopen_ramp_is_monotonic_after_drain(shipped_scenarios):
     assert rwnds[0] == 2920  # first reopened window is one ramp step
 
 
-def s2_lossy():
+def s2_lossy(extra=""):
     """S2 with a 50 ms satellite outage just before execution, which punches a
-    hole into the in-flight stream (drops on the old path)."""
+    hole into the in-flight stream (drops on the old path); `extra` sections
+    are appended."""
     text = scenario_path("s2_sat_to_wlan").read_text().replace(
         "delay = 0.250\nqueue = 65536",
         "delay = 0.250\nqueue = 65536\navailability = 0.0:4.4,4.45:9.1",
     )
-    return parse_scenario(text, "s2_lossy")
+    return parse_scenario(text + extra, "s2_lossy")
 
 
 def test_drain_times_out_when_a_satellite_segment_is_lost():
@@ -265,6 +267,28 @@ def test_drain_times_out_when_a_satellite_segment_is_lost():
     assert timeout_at == ho.timeline["t_a0"] + 2 * 534_240
     for fm in metrics.flows.values():
         assert fm.conservation_residual() == 0
+
+
+def test_one_drain_timeout_ends_every_open_drain(monkeypatch):
+    # s2_lossy with a second flow: f1's drain ends when its old stream is
+    # in, f2's (its hole never fills) at the handover's one drain timeout
+    scenario = s2_lossy("\n[flow.f2]\nsrc = CN\ndst = MN\nstart = 0.1\n")
+    kinds = Counter()
+    schedule = Kernel.schedule
+
+    def counted(kernel, at, fn, kind="event"):
+        kinds[kind] += 1
+        return schedule(kernel, at, fn, kind)
+
+    monkeypatch.setattr(Kernel, "schedule", counted)
+    metrics, trace = run(scenario, mode="PROACTIVE", trace=True)
+    ho = metrics.handovers[0]
+    assert [l for l in trace.lines if " drain_done " in l] == [
+        "5.250496 drain_done MN flow=f1 timeout=no",
+        f"{fmt_time(ho.timeline['t_a0'] + 2 * 534_240)} drain_done MN flow=f2 timeout=yes",
+    ]
+    assert kinds["drain-timeout"] == 1
+    assert ho.drain_timed_out
 
 
 def test_drain_timeout_covers_serialization_on_a_short_satellite_path():
@@ -323,6 +347,63 @@ def test_engine_applies_handover_ack_pacing():
     assert "2.500000 ack_pacing MN flow=f1 delay=0.050000" in sim.trace.lines
     with pytest.raises(ConfigError):
         parse_scenario(text.replace("ack_pacing = 0.05", "ack_pacing = -0.05"), "s1_paced")
+
+
+S1_PACED = scenario_path("s1_wlan_to_sat").read_text().replace(
+    "direction = terr_to_sat", "direction = terr_to_sat\nack_pacing = 0.05")
+S1_PACED_RETIRED = S1_PACED + "\n[handover.2]\nat = 2.6\nto = WLAN\n"
+
+
+def test_ack_pacing_ends_at_the_next_detection():
+    # handover 2 retires the move onto SAT before t_r0 (2.737 s): the MN
+    # never leaves WLAN, and its ACKs go back to undelayed at 2.6 s
+    sim = Simulation(parse_scenario(S1_PACED_RETIRED, "s1_paced_retired"), mode="PROACTIVE")
+    sim.kernel.run_until(2_599_999)
+    assert sim.flows["f1"].receiver.ack_delay == 50_000
+    metrics = sim.run()
+    assert sim.flows["f1"].receiver.ack_delay == 0
+    assert round(float(metrics.csv_rows()[0]["goodput_bps"]) / 1e6, 2) == 8.54  # 5.42 paced
+
+
+def test_ack_pacing_replaces_the_flow_delay_until_the_next_detection():
+    text = S1_PACED_RETIRED.replace("start = 0.05", "start = 0.05\nack_extra_delay = 0.01")
+    sim = Simulation(parse_scenario(text, "s1_paced_extra"), mode="PROACTIVE")
+    assert sim.flows["f1"].receiver.ack_delay == 10_000
+    sim.kernel.run_until(2_599_999)
+    assert sim.flows["f1"].receiver.ack_delay == 50_000
+    sim.run()
+    assert sim.flows["f1"].receiver.ack_delay == 10_000
+
+
+def test_karn_rule_matches_the_retransmitted_sequence_numbers(monkeypatch):
+    # RFC 6298 section 3: no RTT sample from an ACK that covers data ever
+    # retransmitted. rtx_end must decide as the set of retransmitted seqs
+    # does, in every shipped run and in a lossy one
+    retransmitted = {}  # sender -> every seq it retransmitted
+    decisions = set()
+    emit, sample = TcpSender._emit, TcpSender._sample_rtt
+
+    def logged_emit(sender, seq, length, now, rexmit):
+        if rexmit:
+            retransmitted.setdefault(sender, set()).add(seq)
+        emit(sender, seq, length, now, rexmit)
+
+    def checked_sample(sender, prev_una, seg, now):
+        if seg.echo is not None:
+            skip = prev_una < sender.rtx_end
+            seqs = retransmitted.get(sender, ())
+            assert skip == any(prev_una <= s < sender.snd_una for s in seqs), (prev_una, seg)
+            decisions.add(skip)
+        sample(sender, prev_una, seg, now)
+
+    monkeypatch.setattr(TcpSender, "_emit", logged_emit)
+    monkeypatch.setattr(TcpSender, "_sample_rtt", checked_sample)
+    runs = [(load_scenario(path), mode) for path in sorted(SCENARIOS.glob("*.scn"))
+            for mode in MODES] + [(s2_lossy(), "PROACTIVE")]
+    assert len(runs) == 19
+    for scenario, mode in runs:
+        run(scenario, mode=mode)
+    assert decisions == {True, False}  # both a skipped and a taken sample
 
 
 @settings(max_examples=20, deadline=None)

@@ -11,6 +11,7 @@ from satwin.errors import ConfigError
 from satwin.kernel import fmt_time
 from satwin.runner import Simulation
 from satwin.scenario import MODE_NAMES, MODES, _SCHEMA, canonical_text, load_scenario, parse_scenario
+from test_handover_sequences import _assert_registration_once
 
 MINIMAL = """
 [sim]
@@ -225,6 +226,17 @@ def test_cli_compare_three_modes(tmp_path, capsys):
     rows = out.read_text().splitlines()
     assert len(rows) == 4  # header + one row per mode
     assert {r.split(",")[1] for r in rows[1:]} == {"BASELINE", "PROACTIVE", "RESET_CWND"}
+    capsys.readouterr()
+
+
+def test_cli_compare_takes_the_scenario_seed_unless_given(tmp_path, capsys):
+    # the file says seed = 1, as `satwin run` writes it; --seed overrides
+    out = tmp_path / "cmp.csv"
+    args = ["compare", "--scenario", str(scenario_path("s1_wlan_to_sat")),
+            "--modes", "baseline,proactive", "--out", str(out)]
+    for extra, seed in (([], "1"), (["--seed", "7"], "7")):
+        assert main(args + extra) == 0
+        assert [r.split(",")[2] for r in out.read_text().splitlines()[1:]] == [seed, seed]
     capsys.readouterr()
 
 
@@ -505,12 +517,13 @@ def test_canonical_text_round_trips_generated_scenarios(text):
 @settings(max_examples=60, deadline=None)
 @given(scenario_texts())
 def test_generated_scenarios_run_in_every_mode(text):
-    """No run of an accepted file raises ConfigError, and every window cap a
-    run ends with is 0 (a drain) or at least one segment."""
+    """No run of an accepted file raises ConfigError, each handover
+    registers at most once, and every window cap a run ends with is 0 (a
+    drain) or at least one segment."""
     s = parse_scenario(text, "gen")
     for mode in MODES:
         sim = Simulation(s, mode=mode, trace=True)
-        sim.run()
+        _assert_registration_once(sim.run(), sim.trace.lines)
         for rt in sim.flows.values():
             cap = rt.receiver.policy_cap
             assert cap in (None, 0) or cap >= s.mss, (mode, rt.spec.name, cap)
