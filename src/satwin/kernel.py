@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Callable
+from typing import Callable, Iterator
 
 SEC = 1_000_000
 _DONE = ()  # an event entry's `moved` once it has fired or been cancelled
@@ -37,8 +37,9 @@ class Kernel:
     `schedule` returns the entry as the event's handle. `moved` is None, the
     `(t, seq)` that `reschedule` moved the event on to (taken up when its
     old slot comes up), or `_DONE` once it fired or was cancelled: a
-    tombstone the run loop skips. `seq` is the running event's number
-    (between runs, above every one issued).
+    tombstone the run loop skips. A `link-rx` entry carries a sixth slot,
+    the arriving segment, which only `net` writes and reads. `seq` is the
+    running event's number (between runs, above every one issued).
 
     Single-threaded by design: one kernel per simulation instance, no shared
     mutable state. One seeded PRNG is owned here; the core model draws
@@ -92,6 +93,10 @@ class Kernel:
 
     def pending(self) -> int:
         return self._live
+
+    def pending_entries(self, kind: str) -> Iterator[list]:
+        """The entries of every pending event of `kind`, in no set order."""
+        return (e for e in self._heap if e[3] == kind and e[4] is not _DONE)
 
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_at <= t_end, in (time, seqno) order.

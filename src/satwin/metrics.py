@@ -116,9 +116,7 @@ class FlowMetrics:
         )
 
     def recoveries_within(self, start: int, end: int) -> int:
-        return sum(1 for t in self.rto_times if start <= t <= end) + sum(
-            1 for t in self.fr_times if start <= t <= end
-        )
+        return sum(start <= t <= end for t in self.rto_times + self.fr_times)
 
     def handover_gap(self) -> int:
         """Longest interval without an in-order delivery inside the gap
@@ -165,27 +163,20 @@ class RunMetrics:
 
     def drops_on_kind(self, kind: str, reason: Optional[str] = None,
                       start: Optional[int] = None, end: Optional[int] = None) -> int:
-        n = 0
-        for d in self.drops:
-            if d.kind != kind:
-                continue
-            if reason is not None and d.reason != reason:
-                continue
-            if start is not None and d.time < start:
-                continue
-            if end is not None and d.time > end:
-                continue
-            n += 1
-        return n
+        return sum(d.kind == kind and (reason is None or d.reason == reason)
+                   and (start is None or d.time >= start) and (end is None or d.time <= end)
+                   for d in self.drops)
 
     def check_conservation(self) -> None:
+        handover = self.handovers[-1].name if self.handovers else "none"  # the latest detected
         for fm in self.flows.values():
             residual = fm.conservation_residual()
             if residual != 0:
                 raise SimError(
-                    f"flow {fm.flow_id} at {fmt_time(self.end)}: sent {fm.bytes_sent} != "
-                    f"delivered {fm.bytes_delivered} + dropped {fm.bytes_dropped} + "
-                    f"in-flight {fm.bytes_inflight_end} (residual {residual})"
+                    f"flow {fm.flow_id} at {fmt_time(self.end)}, handover {handover}: "
+                    f"sent {fm.bytes_sent} != delivered {fm.bytes_delivered} + "
+                    f"dropped {fm.bytes_dropped} + in-flight {fm.bytes_inflight_end} "
+                    f"(residual {residual})"
                 )
 
     def csv_rows(self) -> list[dict[str, str]]:

@@ -13,7 +13,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .kernel import Kernel, SEC, SimError
 from .errors import ConfigError
@@ -57,7 +57,6 @@ class Segment:
     path_tag: Optional[str] = None
     echo: Optional[int] = None
     rexmit: bool = False
-    copy: int = 0
     mark: object = None  # the handover a window update, BU or BUACK belongs to
     route: tuple = ()
     hop: int = 0
@@ -155,6 +154,7 @@ class DirectedLink:
         self.free_at = finish
         arrival = finish + self.prop_delay
         entry = kernel.schedule(arrival, partial(self.deliver, self, seg), "link-rx")
+        entry.append(seg)  # read by pending_arrivals; a tracer may have wrapped the handler
         backlog.append((finish, entry[1] - 1, wire))
         return arrival
 
@@ -162,6 +162,11 @@ class DirectedLink:
         self.drops[reason] += 1
         if self.on_drop is not None:
             self.on_drop(self, seg, reason, at)
+
+
+def pending_arrivals(kernel: Kernel) -> Iterator[Segment]:
+    """Every segment on the wire: the one each pending `link-rx` event carries."""
+    return (entry[5] for entry in kernel.pending_entries("link-rx"))
 
 
 def _unwired(link: DirectedLink, seg: Segment) -> None:

@@ -3,6 +3,7 @@ handover engine, and aggregates metrics and the trace."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -13,7 +14,7 @@ from .kernel import Kernel, fmt_time
 from .metrics import GAP_WINDOW, DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
 from .mobility import HomeAgent, make_binding_update
 from .net import (F_BU, F_BUACK, F_DATA, HEADER_BYTES, DirectedLink, Route, Segment, Topology,
-                  path_rtt, rtt_table)
+                  path_rtt, pending_arrivals, rtt_table)
 from .scenario import BASELINE, PROACTIVE, RESET_CWND, FlowDef, HandoverDef, Scenario, flow_buffer
 from .tcp import SLOW_START, TcpReceiver, TcpSender
 
@@ -30,7 +31,6 @@ class _FlowRuntime:
     metrics: FlowMetrics
     route: Route  # source to home agent, resolved once
     rto_event: Optional[list] = None  # kernel handle
-    inflight: dict[int, int] = field(default_factory=dict)  # copy -> payload still on the wire
     # the highest data end the home agent has seen, and when
     ha_end: int = -1
     ha_time: int = 0
@@ -371,7 +371,6 @@ class Simulation:
 
     def _send_data(self, rt: _FlowRuntime, seg: Segment, now: int) -> None:
         rt.metrics.bytes_sent += seg.payload_len
-        rt.inflight[seg.copy] = seg.payload_len
         if self.trace.enabled:
             self.trace.send(now, "rexmit" if seg.rexmit else "send", rt.spec.src,
                             seg.flow_id, seg.seq, seg.payload_len)
@@ -454,7 +453,6 @@ class Simulation:
     def _deliver_data(self, seg: Segment, now: int) -> None:
         rt = self.flows[seg.flow_id]
         rt.metrics.bytes_delivered += seg.payload_len
-        rt.inflight.pop(seg.copy, None)
         if seg.rexmit and rt.receiver.holds_range(seg.seq, seg.payload_len):
             rt.metrics.spurious_retransmits += 1
             self.trace.emit(now, "spurious_rexmit", self.mn, flow=seg.flow_id, seq=seg.seq)
@@ -471,15 +469,12 @@ class Simulation:
     def on_drop(self, link: DirectedLink, seg: Segment, reason: str, at: int) -> None:
         """`seg` is lost on `link`."""
         self.metrics.drops.append(DropRecord(at, link.label, link.spec.kind, reason, seg.flow_id))
-        payload = seg.payload_len if seg.flags & F_DATA else 0
-        if payload:
-            rt = self.flows[seg.flow_id]
-            rt.metrics.bytes_dropped += payload
-            rt.inflight.pop(seg.copy, None)
+        if seg.payload_len:  # only data segments carry payload
+            self.flows[seg.flow_id].metrics.bytes_dropped += seg.payload_len
         if seg.flags & (F_BU | F_BUACK):
             seg.mark.registration_lost(at)
         self.trace.emit(at, "drop", link.label, flow=seg.flow_id, reason=reason,
-                        seq=seg.seq, len=payload)
+                        seq=seg.seq, len=seg.payload_len)
 
     # ------------------------------------------------------------------
     # sender timer management
@@ -592,11 +587,15 @@ class Simulation:
 
     def run(self) -> RunMetrics:
         self.kernel.run_until(self.scenario.end)
-        for rt in self.flows.values():
+        # in flight = payload the kernel has yet to deliver, so a lost segment leaves a residual
+        inflight = Counter()
+        for seg in pending_arrivals(self.kernel):
+            inflight[seg.flow_id] += seg.payload_len
+        for fid, rt in self.flows.items():
             fm = rt.metrics
             fm.retransmits = rt.sender.retransmit_count
             fm.max_rwnd_increase = rt.receiver.max_rwnd_increase
-            fm.bytes_inflight_end = sum(rt.inflight.values())
+            fm.bytes_inflight_end = inflight[fid]
         self.metrics.check_conservation()
         return self.metrics
 

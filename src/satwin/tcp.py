@@ -67,7 +67,6 @@ class TcpSender:
         # go-back-N resend window after a timeout
         self._rtx_next: Optional[int] = None
         self._rtx_high = 0
-        self._copy = 0
         self.retransmit_count = 0
         self.rto_times: list[int] = []  # one entry per timeout that fired
         self.fr_times: list[int] = []  # one entry per fast retransmit
@@ -93,10 +92,8 @@ class TcpSender:
     # -- transmission --------------------------------------------------
 
     def _emit(self, seq: int, length: int, now: int, rexmit: bool) -> None:
-        self._copy += 1
-        # positional in field order (flow_id .. copy): half the cost of keywords
-        seg = Segment(self.flow_id, seq, length, 0, 0, F_DATA, now, None, None, rexmit,
-                      self._copy)
+        # positional in field order (flow_id .. rexmit): half the cost of keywords
+        seg = Segment(self.flow_id, seq, length, 0, 0, F_DATA, now, None, None, rexmit)
         if rexmit:
             self.rtx_end = max(self.rtx_end, seq + length)
             self.retransmit_count += 1

@@ -23,3 +23,17 @@ def test_every_patch_point_resolves_where_the_tracer_looks_it_up():
                for owner, attr, _ in points if attr not in vars(owner)]
     assert missing == []
     assert all(callable(vars(owner)[attr]) for owner, attr, _ in points)
+
+
+def test_inflight_bytes_survive_the_tracers_wrapped_handlers(shipped_scenarios):
+    # the tracer wraps every scheduled handler in a closure, so the runner
+    # must not read the arriving segment from the handler's arguments
+    from satwin.runner import run
+
+    scenario = shipped_scenarios["s2_sat_to_wlan"]
+    plain, _ = run(scenario, mode="PROACTIVE")
+    with _tracer_module().Tracer():
+        traced, _ = run(scenario, mode="PROACTIVE")
+    inflight = {fid: fm.bytes_inflight_end for fid, fm in plain.flows.items()}
+    assert inflight == {fid: fm.bytes_inflight_end for fid, fm in traced.flows.items()}
+    assert all(n > 0 for n in inflight.values())

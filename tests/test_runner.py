@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import REPO_ROOT, SCENARIOS, scenario_path
 from satwin.errors import ConfigError
-from satwin.kernel import SEC, Kernel, fmt_time
+from satwin.kernel import SEC, Kernel, SimError, fmt_time
 from satwin.metrics import Trace, write_csv
-from satwin.net import F_ACK, F_BU, F_DATA, DirectedLink, Topology
+from satwin.net import F_ACK, F_BU, F_DATA, DirectedLink, Topology, pending_arrivals
 from satwin.runner import Simulation, compare, run
 from satwin.scenario import MODES, load_scenario, parse_scenario
 from satwin.tcp import TcpSender
@@ -512,20 +512,35 @@ def test_access_routes_resolve_once_per_attachment(shipped_scenarios, monkeypatc
 @pytest.mark.parametrize("mode", ["BASELINE", "PROACTIVE", "RESET_CWND"])
 @pytest.mark.parametrize("name", ["s1_wlan_to_sat", "s2_sat_to_wlan", "s3_multiflow"])
 def test_inflight_bytes_are_the_pending_data_arrivals(shipped_scenarios, name, mode):
-    # counted apart from the runner's bookkeeping: at a mid-transfer cut,
-    # a flow's in-flight bytes are the payload of its data segments whose
-    # next link arrival is still queued in the kernel
+    # the runner counts in-flight bytes from the segments pending link
+    # arrivals carry: at a mid-transfer cut, each carries the very segment
+    # its handler will deliver, and every flow has data on the wire
     sim = Simulation(replace(shipped_scenarios[name], end=3_123_457), mode=mode)
     metrics = sim.run()
-    pending = Counter()
-    for entry in sim.kernel._heap:
-        if entry[3] == "link-rx" and entry[4] is None:
-            seg = entry[2].args[1]
-            if seg.flags & F_DATA:
-                pending[seg.flow_id] += seg.payload_len
-    assert {fid: fm.bytes_inflight_end for fid, fm in metrics.flows.items()} == \
-        {fid: pending[fid] for fid in metrics.flows}
-    assert all(pending[fid] > 0 for fid in metrics.flows)
+    entries = list(sim.kernel.pending_entries("link-rx"))
+    carried = list(pending_arrivals(sim.kernel))
+    assert len(carried) == len(entries) > 0
+    assert all(seg is entry[2].args[1] for seg, entry in zip(carried, entries))
+    assert all(fm.bytes_inflight_end > 0 for fm in metrics.flows.values())
+
+
+def test_a_segment_lost_mid_path_fails_conservation(shipped_scenarios):
+    # an arrival handler that swallows one data segment after 2 s: the
+    # segment is neither delivered, dropped nor pending, and the run says so
+    sim = Simulation(shipped_scenarios["s1_wlan_to_sat"], mode="BASELINE")
+    swallowed = []
+
+    def lossy_arrival(link, seg):
+        if not swallowed and seg.flags & F_DATA and sim.kernel.now >= 2 * SEC:
+            swallowed.append(seg)
+            return
+        sim._on_arrival(link, seg)
+
+    for dlink in sim.topo.directed.values():
+        dlink.deliver = lossy_arrival
+    with pytest.raises(SimError, match=r"^flow f1 at 7\.600000, handover 1: .*\(residual 1460\)$"):
+        sim.run()
+    assert len(swallowed) == 1
 
 
 @pytest.mark.parametrize("args, message", [

@@ -517,13 +517,15 @@ def test_canonical_text_round_trips_generated_scenarios(text):
 @settings(max_examples=60, deadline=None)
 @given(scenario_texts())
 def test_generated_scenarios_run_in_every_mode(text):
-    """No run of an accepted file raises ConfigError, each handover
-    registers at most once, and every window cap a run ends with is 0 (a
-    drain) or at least one segment."""
+    """No run of an accepted file raises ConfigError or fails conservation,
+    each handover registers at most once, trace times never decrease, and
+    every window cap a run ends with is 0 (a drain) or at least one segment."""
     s = parse_scenario(text, "gen")
     for mode in MODES:
         sim = Simulation(s, mode=mode, trace=True)
         _assert_registration_once(sim.run(), sim.trace.lines)
+        stamps = [tuple(map(int, line.split(" ", 1)[0].split("."))) for line in sim.trace.lines]
+        assert stamps == sorted(stamps), mode
         for rt in sim.flows.values():
             cap = rt.receiver.policy_cap
             assert cap in (None, 0) or cap >= s.mss, (mode, rt.spec.name, cap)

@@ -240,12 +240,11 @@ def test_sender_segments_match_keyword_construction():
     sender.try_send(7)
     sender.on_rto(9)  # go back to snd_una: one retransmitted copy
     assert sent == [
-        Segment(flow_id="f", seq=0, payload_len=MSS, flags=F_DATA, sent_at=7, copy=1),
-        Segment(flow_id="f", seq=MSS, payload_len=MSS, flags=F_DATA, sent_at=7, copy=2),
-        Segment(flow_id="f", seq=2 * MSS, payload_len=MSS, flags=F_DATA, sent_at=7, copy=3),
-        Segment(flow_id="f", seq=3 * MSS, payload_len=100, flags=F_DATA, sent_at=7, copy=4),
-        Segment(flow_id="f", seq=0, payload_len=MSS, flags=F_DATA, sent_at=9, rexmit=True,
-                copy=5),
+        Segment(flow_id="f", seq=0, payload_len=MSS, flags=F_DATA, sent_at=7),
+        Segment(flow_id="f", seq=MSS, payload_len=MSS, flags=F_DATA, sent_at=7),
+        Segment(flow_id="f", seq=2 * MSS, payload_len=MSS, flags=F_DATA, sent_at=7),
+        Segment(flow_id="f", seq=3 * MSS, payload_len=100, flags=F_DATA, sent_at=7),
+        Segment(flow_id="f", seq=0, payload_len=MSS, flags=F_DATA, sent_at=9, rexmit=True),
     ]
 
 
