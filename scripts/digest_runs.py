@@ -10,12 +10,20 @@ for each seed the job texts of every `satbench/workloads.py` workload, each
 run in its mode with its trace setting, as the benchmark runs them. A run
 that stops on an error digests the error text. Run it on two checkouts and
 diff the outputs: equal lines are runs with equal outputs.
+
+    python3 scripts/digest_runs.py --seeds 1 2 3 7919 --tie-sorted
+
+also prints, after each run, the digest of its trace with the lines of each
+time stamp sorted (`tie_sorted=`), so that two traces that differ only in
+the order of same-microsecond lines get the same one. The `total` is over
+the plain lines either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -39,24 +47,35 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_digests(text: str, name: str, mode: str, trace: bool) -> dict[str, str]:
-    """The CSV and trace digests of one run of a scenario text."""
+def tie_sorted(lines: list[str]) -> list[str]:
+    """`lines` with each run of lines under one time stamp sorted."""
+    groups = itertools.groupby(lines, key=lambda line: line.split(" ", 1)[0])
+    return [line for _, group in groups for line in sorted(group)]
+
+
+def run_digests(text: str, name: str, mode: str, trace: bool,
+                ties: bool = False) -> dict[str, str]:
+    """The CSV and trace digests of one run of a scenario text; with `ties`,
+    also the digest of its trace with each time stamp's lines sorted."""
     try:
         sim = Simulation(parse_scenario(text, name), mode=mode, trace=trace)
         csv_text = write_csv(sim.run().csv_rows())
     except (ConfigError, SimError) as exc:
         error = f"{name}/{mode}: {type(exc).__name__}: {exc}"
-        return {"csv": _sha(error), "trace": _sha(error)}
-    return {"csv": _sha(csv_text), "trace": _sha(sim.trace.text() if trace else "")}
+        return dict.fromkeys(("csv", "trace", "tie_sorted")[:3 if ties else 2], _sha(error))
+    out = {"csv": _sha(csv_text), "trace": _sha(sim.trace.text() if trace else "")}
+    if ties:
+        out["tie_sorted"] = _sha("".join(line + "\n" for line in tie_sorted(sim.trace.lines)))
+    return out
 
 
-def shipped_digests(names=SHIPPED) -> dict[str, dict[str, str]]:
+def shipped_digests(names=SHIPPED, ties: bool = False) -> dict[str, dict[str, str]]:
     """`name/MODE` -> digests, the key form of tests/golden_runs.json."""
     out = {}
     for name in names:
         text = (REPO / "scenarios" / f"{name}.scn").read_text()
         for mode in MODES:
-            out[f"{name}/{mode}"] = run_digests(text, name, mode, trace=True)
+            out[f"{name}/{mode}"] = run_digests(text, name, mode, True, ties)
     return out
 
 
@@ -64,15 +83,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[],
                         help="workload seeds whose job texts are run as well")
+    parser.add_argument("--tie-sorted", action="store_true",
+                        help="also print each trace's digest with same-time lines sorted")
     args = parser.parse_args(argv)
-    runs = {f"shipped/{key}": d for key, d in shipped_digests().items()}
+    ties = args.tie_sorted
+    runs = {f"shipped/{key}": d for key, d in shipped_digests(ties=ties).items()}
     for seed in args.seeds:
         for workload in workloads.WORKLOADS:
             for job in workloads.generate(workload, seed, REPO / "scenarios"):
                 runs[f"{workload}/{seed}/{job.name}/{job.mode}"] = \
-                    run_digests(job.text, job.name, job.mode, job.trace)
+                    run_digests(job.text, job.name, job.mode, job.trace, ties)
     lines = [f"{key} csv={d['csv']} trace={d['trace']}" for key, d in runs.items()]
-    print("\n".join(lines))
+    if ties:
+        print("\n".join(f"{line} tie_sorted={d['tie_sorted']}"
+                        for line, d in zip(lines, runs.values())))
+    else:
+        print("\n".join(lines))
     print(f"total {_sha(''.join(lines))} ({len(lines)} runs)")
     return 0
 

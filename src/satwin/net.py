@@ -5,6 +5,14 @@ before propagating, and each directed link serves its FIFO queue at the
 configured bandwidth. Drops (queue overflow, no radio coverage) are modeled
 outcomes, not errors. Segments already accepted by a link when coverage
 ends are still delivered; only new transmissions are blocked.
+
+Cut-through: a link whose only upstream link, over every route the run can
+use, is the one a segment is leaving (its `feeder`, set by
+`mark_single_fed`) sees its segments in the order that link finishes them.
+So the upstream `transmit` admits the segment to it at once, for the
+logical time it gets there (a FIFO tandem, Lindley 1952), and the kernel
+holds one event for the hops cut through: the final arrival, or the drop
+at the hop that refuses the segment, due when the segment reaches it.
 """
 
 from __future__ import annotations
@@ -103,9 +111,12 @@ class DirectedLink:
 
     Occupancy counts every byte accepted and not yet fully serialized.
     `backlog` holds `(finish, seq, wire)` per accepted segment, `seq` one
-    below its arrival event's. `transmit` first releases every entry whose
-    `(finish, seq)` is below the running event's `(now, seq)`: where a
-    dequeue event scheduled just before the arrival would already have run.
+    below that of the event the segment's admission scheduled. A transmit
+    from the running event (`at == kernel.now`) first releases every entry
+    whose `(finish, seq)` is below the running event's `(now, seq)`: where a
+    dequeue event scheduled just before that event would already have run.
+    A forwarded admission (`at > kernel.now`, only ever onto a single-fed
+    link) releases every entry with `finish <= at`.
     """
 
     def __init__(self, spec: LinkSpec, src: str, dst: str, kernel: Kernel):
@@ -116,11 +127,13 @@ class DirectedLink:
         self.bandwidth = spec.bandwidth
         self.prop_delay = spec.prop_delay
         self.capacity = spec.queue_capacity
-        self.tag = spec.kind if spec.kind in ACCESS_KINDS else None  # stamped on arrivals
+        self.tag = spec.kind if spec.kind in ACCESS_KINDS else None  # stamped on what it accepts
         self.always_up = spec.availability is None
         self.occupancy = 0
         self.backlog: deque[tuple[int, int, int]] = deque()
         self.free_at = 0  # when the serializer finishes its current backlog
+        self.feeder: Optional[DirectedLink] = None  # the one upstream link, if single-fed
+        self.entry: Optional[list] = None  # the kernel entry the last admission here ended in
         self.deliver: Callable[[DirectedLink, Segment], None] = _unwired
         self.on_drop: Callable[[DirectedLink, Segment, str, int], None] | None = None
         self.drops = {OVERFLOW: 0, NO_COVERAGE: 0}
@@ -130,33 +143,63 @@ class DirectedLink:
         return f"{self.spec.name}:{self.src}->{self.dst}"
 
     def transmit(self, seg: Segment, at: int) -> Optional[int]:
-        """Enqueue `seg` at time `at`; returns its arrival time, or None
-        when it is dropped (counted in `drops` and reported to on_drop).
+        """Enqueue `seg` at time `at`; returns its arrival time at the end of
+        the hops it cuts through, or None when it is dropped (counted in
+        `drops` and reported to on_drop, at a skipped hop by an event).
 
         Arrival = end of FIFO serialization + propagation delay. Wire size
         and serialization inline `Segment.wire_size`/`LinkSpec.serialization_us`.
+        An accepted segment gets this link's tag and moves on one hop.
         """
         kernel = self.kernel
         backlog = self.backlog
         if backlog:
-            released = (kernel.now, kernel.seq)
-            while backlog and backlog[0] < released:
-                self.occupancy -= backlog.popleft()[2]
+            if at > kernel.now:  # forwarded: whatever finished by `at` has left
+                while backlog and backlog[0][0] <= at:
+                    self.occupancy -= backlog.popleft()[2]
+            else:
+                released = (kernel.now, kernel.seq)
+                while backlog and backlog[0] < released:
+                    self.occupancy -= backlog.popleft()[2]
         wire = CONTROL_BYTES if seg.flags & (F_BU | F_BUACK) else HEADER_BYTES + seg.payload_len
         if not self.always_up and not self.spec.is_available(at):
-            return self._drop(seg, NO_COVERAGE, at)
+            return self._refuse(seg, NO_COVERAGE, at)
         occupancy = self.occupancy + wire
         if occupancy > self.capacity:
-            return self._drop(seg, OVERFLOW, at)
+            return self._refuse(seg, OVERFLOW, at)
         self.occupancy = occupancy
         free_at, bandwidth = self.free_at, self.bandwidth
         finish = (at if at > free_at else free_at) + (wire * SEC + bandwidth - 1) // bandwidth
         self.free_at = finish
         arrival = finish + self.prop_delay
-        entry = kernel.schedule(arrival, partial(self.deliver, self, seg), "link-rx")
-        entry.append(seg)  # read by pending_arrivals; a tracer may have wrapped the handler
+        if self.tag is not None:
+            seg.path_tag = self.tag
+        route = seg.route
+        seg.hop = hop = seg.hop + 1
+        if hop >= len(route):
+            entry = kernel.schedule(arrival, partial(self.deliver, self, seg), "link-rx")
+            entry.append(seg)  # read by pending_arrivals; a tracer may have wrapped the handler
+        elif route[hop].feeder is self:
+            arrival = route[hop].transmit(seg, arrival)
+            entry = route[hop].entry
+        else:
+            entry = kernel.schedule(arrival, partial(self._pass_on, seg), "link-rx")
+            entry.append(seg)
+        self.entry = entry
         backlog.append((finish, entry[1] - 1, wire))
         return arrival
+
+    def _pass_on(self, seg: Segment) -> None:
+        """`seg` reached a node short of its route's end, whose next link
+        has several feeders: it enters that link now."""
+        seg.route[seg.hop].transmit(seg, self.kernel.now)
+
+    def _refuse(self, seg: Segment, reason: str, at: int) -> None:
+        if at > self.kernel.now:  # a skipped hop: the drop happens when `seg` gets here
+            self.entry = self.kernel.schedule(at, partial(self._drop, seg, reason, at), "link-rx")
+            self.entry.append(seg)
+        else:
+            self._drop(seg, reason, at)
 
     def _drop(self, seg: Segment, reason: str, at: int) -> None:
         self.drops[reason] += 1
@@ -164,8 +207,21 @@ class DirectedLink:
             self.on_drop(self, seg, reason, at)
 
 
+def mark_single_fed(routes) -> None:
+    """Set each link's `feeder`: the link before it on every route of
+    `routes` that uses it, or None where routes reach it from different
+    links or start on it (the node a route starts at feeds it too)."""
+    feeders: dict[DirectedLink, set] = {}
+    for route in routes:
+        for i, link in enumerate(route):
+            feeders.setdefault(link, set()).add(route[i - 1] if i else None)
+    for link, fed in feeders.items():
+        link.feeder = next(iter(fed)) if len(fed) == 1 else None
+
+
 def pending_arrivals(kernel: Kernel) -> Iterator[Segment]:
-    """Every segment on the wire: the one each pending `link-rx` event carries."""
+    """Every segment on the wire: the one each pending `link-rx` event
+    carries, to the node it arrives at or the hop that drops it."""
     return (entry[5] for entry in kernel.pending_entries("link-rx"))
 
 

@@ -14,7 +14,7 @@ from .kernel import Kernel, fmt_time
 from .metrics import GAP_WINDOW, DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
 from .mobility import HomeAgent, make_binding_update
 from .net import (F_BU, F_BUACK, F_DATA, HEADER_BYTES, DirectedLink, Route, Segment, Topology,
-                  path_rtt, pending_arrivals, rtt_table)
+                  mark_single_fed, path_rtt, pending_arrivals, rtt_table)
 from .scenario import BASELINE, PROACTIVE, RESET_CWND, FlowDef, HandoverDef, Scenario, flow_buffer
 from .tcp import SLOW_START, TcpReceiver, TcpSender
 
@@ -308,6 +308,8 @@ class Simulation:
         self.metrics = RunMetrics(scenario.name, self.mode, self.seed, end=scenario.end)
         self.cache: dict[str, int] = {}  # kind -> BDP measured when it was last attached
         self.flows: dict[str, _FlowRuntime] = {}
+        # ACK and agent-forward routes by (src, dst, access kind), filled at the first send
+        self.routes: dict[tuple[str, str, str], Route] = {}
         # the handover gap covers the earliest scripted detection onwards
         first = min((h.at for h in scenario.handovers), default=None)
         self._gap_window = None if first is None else (first, min(first + GAP_WINDOW, scenario.end))
@@ -361,6 +363,8 @@ class Simulation:
         self.metrics.flows[fdef.name] = fm
 
     def _start_flow(self, fid: str) -> None:
+        if not self.routes:
+            self._resolve_routes()
         rt = self.flows[fid]
         self.trace.emit(self.kernel.now, "flow_start", rt.spec.src, flow=fid)
         rt.sender.try_send(self.kernel.now)
@@ -387,18 +391,12 @@ class Simulation:
         now = self.kernel.now
         if self.trace.enabled:
             self.trace.ack_tx(now, self.mn, seg.flow_id, seg.ack, seg.rwnd, seg.flags)
-        key = (self.mn, rt.spec.src, self.attachment)
-        seg.route = route = self.topo.routes.get(key) or self.topo.route_via_access(*key)
+        seg.route = route = self.routes[(self.mn, rt.spec.src, self.attachment)]
         route[0].transmit(seg, now)
 
     def _on_arrival(self, link: DirectedLink, seg: Segment) -> None:
+        """`seg` reached the end of its route over `link`."""
         now = self.kernel.now
-        if link.tag is not None:
-            seg.path_tag = link.tag
-        seg.hop += 1
-        if seg.hop < len(seg.route):
-            seg.route[seg.hop].transmit(seg, now)
-            return
         node = link.dst
         if seg.flags & F_DATA:
             if node == self.ha_node:
@@ -445,8 +443,7 @@ class Simulation:
         # everything the anchor ever pointed at the old network is below it
         if end > rt.watermark.get(kind, 0):
             rt.watermark[kind] = end
-        key = (self.ha_node, self.mn, kind)
-        seg.route = route = self.topo.routes.get(key) or self.topo.route_via_access(*key)
+        seg.route = route = self.routes[(self.ha_node, self.mn, kind)]
         seg.hop = 0
         route[0].transmit(seg, now)
 
@@ -517,6 +514,21 @@ class Simulation:
         self.cache[kind] = max(bdp, self.scenario.mss)
         self.trace.emit(now, "attach", self.mn, network=kind)
 
+    def _resolve_routes(self) -> None:
+        """Fill the route table for every access kind the run can attach to,
+        and mark the links that only one link feeds over every route a
+        segment can take: the flows' data routes, the agent's forward
+        routes, the ACK routes and the registration routes."""
+        kinds = dict.fromkeys([self.scenario.attach] + [h.to for h in self.scenario.handovers])
+        used = [rt.route for rt in self.flows.values()]
+        for kind in kinds:
+            keys = [(self.ha_node, self.mn, kind)]
+            keys += [(self.mn, rt.spec.src, kind) for rt in self.flows.values()]
+            for key in keys:
+                self.routes[key] = self.topo.route_via_access(*key)
+            used += [self._registration_path(kind, to_agent)[1] for to_agent in (True, False)]
+        mark_single_fed(used + list(self.routes.values()))
+
     def _registration_path(self, kind: str, to_agent: bool) -> tuple[str, Route]:
         """The registration endpoint for `kind` (the proxy gateway, or the MN
         over the access link of `kind`) and its route to or from the agent."""
@@ -535,6 +547,8 @@ class Simulation:
     # handover engine
 
     def _on_handover(self, hdef: HandoverDef) -> None:
+        if not self.routes:
+            self._resolve_routes()
         now = self.kernel.now
         ho = _HandoverRuntime(self, hdef)
         self.trace.emit(now, "handover_detect", self.mn, direction=ho.metrics.direction,

@@ -12,6 +12,7 @@ from satwin.net import (
     NodeSpec,
     Segment,
     Topology,
+    mark_single_fed,
     path_rtt,
     rtt_table,
 )
@@ -153,30 +154,45 @@ class DequeueEventLink:
         self.spec = spec
         self.kernel = kernel
         self.occupancy = 0
-        self.queued = deque()
+        self.queued = deque()  # (dequeue event, wire) per accepted segment
         self.free_at = 0
         self.deliver = None
+        self.on_drop = None
         self.drops = {OVERFLOW: 0, NO_COVERAGE: 0}
 
     def transmit(self, seg, at):
         wire = seg.wire_size()
         if not self.spec.is_available(at):
-            self.drops[NO_COVERAGE] += 1
-            return None
+            return self._drop(seg, NO_COVERAGE, at)
         if self.occupancy + wire > self.spec.queue_capacity:
-            self.drops[OVERFLOW] += 1
-            return None
+            return self._drop(seg, OVERFLOW, at)
         self.occupancy += wire
-        self.queued.append(wire)
         finish = max(at, self.free_at) + self.spec.serialization_us(wire)
         self.free_at = finish
-        self.kernel.schedule(finish, self._dequeue)
+        self.queued.append((self.kernel.schedule(finish, self._dequeue), wire))
         arrival = finish + self.spec.prop_delay
         self.kernel.schedule(arrival, lambda: self.deliver(self, seg))
         return arrival
 
+    def _drop(self, seg, reason, at):
+        self.drops[reason] += 1
+        if self.on_drop is not None:
+            self.on_drop(self, seg, reason, at)
+
     def _dequeue(self):
-        self.occupancy -= self.queued.popleft()
+        self.occupancy -= self.queued.popleft()[1]
+
+
+class FedDequeueEventLink(DequeueEventLink):
+    """Reference model of a single-fed link, under the stated tie rule: a
+    segment whose serialization ends at the microsecond the next one
+    arrives has left the queue, so a dequeue event due by then runs first."""
+
+    def transmit(self, seg, at):
+        while self.queued and self.queued[0][0][0] <= at:
+            self.kernel.cancel(self.queued[0][0])
+            self._dequeue()
+        return super().transmit(seg, at)
 
 
 def _drive(make, ops):
@@ -227,6 +243,87 @@ def test_lazy_release_matches_a_dequeue_event_per_segment(queue, prop, avail, op
 
     spec = lazy(Kernel()).spec
     assert _drive(lazy, ops) == _drive(lambda k: DequeueEventLink(spec, k), ops)
+
+
+def _tandem_specs(prop, queue, avail):
+    """a->b at 1 MB/s, then b->c at 0.5 MB/s with the coverage `avail`."""
+    return [LinkSpec("l1", "a", "b", 1_000_000, prop[0], queue[0]),
+            LinkSpec("l2", "b", "c", 500_000, prop[1], queue[1], "WLAN", avail)]
+
+
+def _cut_through_tandem(kernel, prop, queue, avail):
+    topo = Topology([NodeSpec(n, "router") for n in "abc"], _tandem_specs(prop, queue, avail), kernel)
+    route = (topo.directed[("a", "b")], topo.directed[("b", "c")])
+    mark_single_fed([route])
+    assert (route[0].feeder, route[1].feeder) == (None, route[0])
+    return route
+
+
+def _reference_tandem(kernel, prop, queue, avail):
+    specs = _tandem_specs(prop, queue, avail)
+    first, second = DequeueEventLink(specs[0], kernel), FedDequeueEventLink(specs[1], kernel)
+    first.deliver = lambda l, seg: second.transmit(seg, kernel.now)  # the middle node
+    return first, second
+
+
+def _drive_tandem(make, ops):
+    """Like _drive, into the first of two links where the second is fed by
+    the first alone. Logs each send, each admission to the second link, each
+    drop and each arrival at the far end, and counts the events run."""
+    k = Kernel()
+    first, second = make(k)
+    log = []
+    second.deliver = lambda l, s: log.append(("rx", s.seq, k.now))
+    for link in (first, second):
+        link.on_drop = lambda l, s, reason, at: log.append(("drop", l.spec.name, s.seq, reason, at, k.now))
+    admit = second.transmit
+
+    def admitted(seg, at):  # the far link's admission, whenever the model makes it
+        out = admit(seg, at)
+        log.append(("admit", seg.seq, at, out, second.occupancy))
+        return out
+
+    second.transmit = admitted
+
+    def send(label, payload):
+        seg = Segment(flow_id="f", seq=label, payload_len=payload, route=(first, second))
+        first.transmit(seg, k.now)
+        log.append(("tx", label, k.now, first.occupancy, dict(first.drops)))
+
+    def fire(i, payload, child):
+        if child is not None and child[2]:
+            k.schedule(k.now + child[0], lambda: send(2 * i + 1, child[1]))
+        send(2 * i, payload)
+        if child is not None and not child[2]:
+            k.schedule(k.now + child[0], lambda: send(2 * i + 1, child[1]))
+
+    for i, (at, payload, child) in enumerate(ops):
+        k.schedule(at, lambda i=i, p=payload, c=child: fire(i, p, c))
+    steps = k.run_until(10**9)
+    return sorted(log, key=repr), steps, dict(second.drops)
+
+
+@given(
+    prop=st.tuples(st.sampled_from([0, 500]), st.sampled_from([0, 500])),
+    queue=st.tuples(st.sampled_from([1500, 3000, 4500]), st.sampled_from([1500, 2000, 3000])),
+    avail=st.sampled_from([None, ((0, 3000), (5000, 10**9))]),
+    ops=st.lists(
+        st.tuples(_ticks, _payloads,
+                  st.none() | st.tuples(_ticks, _payloads, st.booleans())),
+        min_size=1, max_size=25,
+    ),
+)
+def test_cut_through_matches_a_middle_node_event_per_segment(prop, queue, avail, ops):
+    # the reference forwards through an explicit arrival event at the middle
+    # node and takes bytes off both queues by explicit dequeue events; the
+    # cut-through link admits to the second link at once and schedules one
+    # event per segment past the first: its arrival at the far end or its drop
+    log, steps, drops = _drive_tandem(lambda k: _cut_through_tandem(k, prop, queue, avail), ops)
+    ref_log, _, ref_drops = _drive_tandem(lambda k: _reference_tandem(k, prop, queue, avail), ops)
+    assert (log, drops) == (ref_log, ref_drops)
+    # an event per op and follow-up, and one per segment the second link saw
+    sends = sum(1 for entry in log if entry[0] == "tx")
+    assert steps == sends + sum(1 for entry in log if entry[0] == "admit")
 
 
 def test_path_rtt_single_hop_with_probe():

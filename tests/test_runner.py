@@ -15,7 +15,8 @@ from conftest import REPO_ROOT, SCENARIOS, scenario_path
 from satwin.errors import ConfigError
 from satwin.kernel import SEC, Kernel, SimError, fmt_time
 from satwin.metrics import Trace, write_csv
-from satwin.net import F_ACK, F_BU, F_DATA, DirectedLink, Topology, pending_arrivals
+from satwin.net import (F_ACK, F_BU, F_BUACK, F_DATA, NO_COVERAGE, DirectedLink, Topology,
+                        pending_arrivals)
 from satwin.runner import Simulation, compare, run
 from satwin.scenario import MODES, load_scenario, parse_scenario
 from satwin.tcp import TcpSender
@@ -514,14 +515,183 @@ def test_access_routes_resolve_once_per_attachment(shipped_scenarios, monkeypatc
 def test_inflight_bytes_are_the_pending_data_arrivals(shipped_scenarios, name, mode):
     # the runner counts in-flight bytes from the segments pending link
     # arrivals carry: at a mid-transfer cut, each carries the very segment
-    # its handler will deliver, and every flow has data on the wire
+    # its handler will deliver (link, seg), pass on or report dropped at a
+    # hop it cut through (seg first), and every flow has data on the wire
     sim = Simulation(replace(shipped_scenarios[name], end=3_123_457), mode=mode)
     metrics = sim.run()
     entries = list(sim.kernel.pending_entries("link-rx"))
     carried = list(pending_arrivals(sim.kernel))
     assert len(carried) == len(entries) > 0
-    assert all(seg is entry[2].args[1] for seg, entry in zip(carried, entries))
+    for seg, entry in zip(carried, entries):
+        handler = entry[2]
+        if handler.func == sim._on_arrival:
+            assert handler.args[1] is seg
+        else:
+            assert handler.func.__name__ in ("_pass_on", "_drop") and handler.args[0] is seg
     assert all(fm.bytes_inflight_end > 0 for fm in metrics.flows.values())
+
+
+def _s1_with_sat_gap(start, end):
+    """S1 with the satellite link down over [start, end) seconds."""
+    text = scenario_path("s1_wlan_to_sat").read_text().replace(
+        "delay = 0.250\nqueue = 65536",
+        f"delay = 0.250\nqueue = 65536\navailability = 0.0:{start},{end}:7.6")
+    return parse_scenario(text, "s1_sat_gap")
+
+
+def test_a_buack_dropped_at_a_skipped_hop_is_lost_when_it_gets_there():
+    # baseline registers over the satellite at 2.5 s, which goes down at 2.6 s:
+    # the BU is out before the gap, the BUACK comes back over HA->SGW->MN in
+    # it. SGW->MN has that one feeder, so HA->SGW admits the BUACK to it at
+    # once and schedules its drop for when it reaches SGW
+    scenario = _s1_with_sat_gap("2.6", "3.0")
+    sim = Simulation(scenario, mode="BASELINE", trace=True)
+    metrics = sim.run()
+    ha_sgw, sgw_mn = sim.topo.directed[("HA", "SGW")], sim.topo.directed[("SGW", "MN")]
+    assert sgw_mn.feeder is ha_sgw
+    t_r1 = metrics.handovers[0].timeline["t_r1"]
+    at_sgw = t_r1 + ha_sgw.spec.serialization_us(60) + ha_sgw.prop_delay  # HA->SGW is idle at t_r1
+    lost = [d for d in metrics.drops if d.flow_id == "_mip"]
+    assert [(d.time, d.link, d.reason) for d in lost] == [(at_sgw, sgw_mn.label, NO_COVERAGE)]
+    assert [d.time for d in metrics.drops] == sorted(d.time for d in metrics.drops)
+    stamp = fmt_time(at_sgw)
+    assert f"{stamp} drop {sgw_mn.label} flow=_mip reason=NO_COVERAGE seq=0 len=0" in sim.trace.lines
+    assert f"{stamp} bu_lost MN handover=1" in sim.trace.lines
+    assert not any(" buack_recv " in line for line in sim.trace.lines)
+    stamps = [tuple(map(int, line.split(" ", 1)[0].split("."))) for line in sim.trace.lines]
+    assert stamps == sorted(stamps)
+
+    # a cut after HA->SGW took the BUACK, before it reaches SGW: the drop is
+    # still to come and conservation holds, the forwarded data counted in flight
+    cut = Simulation(replace(scenario, end=t_r1 + 4000), mode="BASELINE")
+    cut_metrics = cut.run()
+    buack = [entry for entry in cut.kernel.pending_entries("link-rx") if entry[5].flags & F_BUACK]
+    assert [(entry[0], entry[2].func.__name__) for entry in buack] == [(at_sgw, "_drop")]
+    assert cut.topo.directed[("SGW", "MN")].drops[NO_COVERAGE] == 0
+    assert not cut_metrics.drops
+    inflight = sum(seg.payload_len for seg in pending_arrivals(cut.kernel))
+    assert inflight == cut_metrics.flows["f1"].bytes_inflight_end > 0
+
+
+_TWO_GATEWAYS_ONE_ROUTER = """
+[sim]
+end = 5.0
+attach = WLAN
+w_default = 131072
+sat_default_window = 63750
+
+[node.CN]
+role = cn
+[node.HA]
+role = ha
+[node.R]
+role = router
+[node.WGW]
+role = gateway
+kind = WLAN
+[node.SGW]
+role = gateway
+kind = SAT
+[node.MN]
+role = mn
+
+[link.wlan]
+a = MN
+b = WGW
+kind = WLAN
+bandwidth = 10000000
+delay = 0.010
+queue = 131072
+
+[link.sat]
+a = MN
+b = SGW
+kind = SAT
+bandwidth = 1000000
+delay = 0.250
+queue = 65536
+
+[link.wgw_r]
+a = WGW
+b = R
+bandwidth = 100000000
+delay = 0.002
+queue = 262144
+
+[link.sgw_r]
+a = SGW
+b = R
+bandwidth = 100000000
+delay = 0.002
+queue = 262144
+
+[link.r_cn]
+a = R
+b = CN
+bandwidth = 100000000
+delay = 0.003
+queue = 262144
+
+[link.r_ha]
+a = R
+b = HA
+bandwidth = 100000000
+delay = 0.003
+queue = 262144
+
+[flow.f1]
+src = CN
+dst = MN
+start = 0.05
+
+[handover.1]
+at = 2.5
+to = SAT
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_link_with_two_feeders_keeps_its_arrival_events(monkeypatch, mode):
+    # both gateways reach CN through R, so R->CN has two feeders (ACKs over
+    # WLAN and over SAT) and R->HA three (data from CN, BUs from each
+    # gateway): a segment reaches R by an event and enters those links then.
+    # R->WGW and WGW->MN have one feeder each, so agent forwards over WLAN
+    # take one event for three hops
+    scenario = parse_scenario(_TWO_GATEWAYS_ONE_ROUTER, "two_gateways")
+    # a mid-transfer cut: data waiting at R is in flight, and conservation holds
+    cut = Simulation(replace(scenario, end=1_234_567), mode=mode)
+    metrics = cut.run()
+    waiting = [entry[5] for entry in cut.kernel.pending_entries("link-rx")
+               if entry[2].func.__name__ == "_pass_on"]
+    assert any(seg.payload_len for seg in waiting)
+    assert metrics.flows["f1"].bytes_inflight_end == \
+        sum(seg.payload_len for seg in pending_arrivals(cut.kernel))
+
+    passed, entered = Counter(), []
+    pass_on, transmit = DirectedLink._pass_on, DirectedLink.transmit
+
+    def counting_pass_on(link, seg):
+        passed[(link.label, seg.route[seg.hop].label)] += 1
+        pass_on(link, seg)
+
+    def recording_transmit(link, seg, at):
+        if link.dst in ("CN", "HA") and link.src == "R":
+            entered.append(at == link.kernel.now)
+        return transmit(link, seg, at)
+
+    monkeypatch.setattr(DirectedLink, "_pass_on", counting_pass_on)
+    monkeypatch.setattr(DirectedLink, "transmit", recording_transmit)
+    sim = Simulation(scenario, mode=mode)
+    sim.run()  # conservation holds at the end
+    d = sim.topo.directed
+    assert d[("R", "CN")].feeder is None and d[("R", "HA")].feeder is None
+    assert d[("R", "WGW")].feeder is d[("HA", "R")] and d[("WGW", "MN")].feeder is d[("R", "WGW")]
+    assert d[("WGW", "R")].feeder is d[("MN", "WGW")]
+    # ACKs over each gateway, data from CN and the BU over the satellite
+    assert set(passed) == {("wgw_r:WGW->R", "r_cn:R->CN"), ("sgw_r:SGW->R", "r_cn:R->CN"),
+                           ("r_cn:CN->R", "r_ha:R->HA"), ("sgw_r:SGW->R", "r_ha:R->HA")}
+    assert min(passed.values()) == passed[("sgw_r:SGW->R", "r_ha:R->HA")] == 1
+    assert entered and all(entered)  # every segment entered them from an event at R
 
 
 def test_a_segment_lost_mid_path_fails_conservation(shipped_scenarios):

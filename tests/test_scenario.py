@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from conftest import SCENARIOS, SHIPPED, scenario_path
 from satwin.cli import main
 from satwin.errors import ConfigError
 from satwin.kernel import fmt_time
+from satwin.net import DirectedLink
 from satwin.runner import Simulation
 from satwin.scenario import MODE_NAMES, MODES, _SCHEMA, canonical_text, load_scenario, parse_scenario
 from test_handover_sequences import _assert_registration_once
@@ -518,12 +520,22 @@ def test_canonical_text_round_trips_generated_scenarios(text):
 @given(scenario_texts())
 def test_generated_scenarios_run_in_every_mode(text):
     """No run of an accepted file raises ConfigError or fails conservation,
-    each handover registers at most once, trace times never decrease, and
-    every window cap a run ends with is 0 (a drain) or at least one segment."""
+    each handover registers at most once, trace times never decrease, every
+    window cap a run ends with is 0 (a drain) or at least one segment, and
+    no segment enters a single-fed link except from its feeder."""
     s = parse_scenario(text, "gen")
+    transmit = DirectedLink.transmit
+
+    def fed_transmit(link, seg, at):
+        if link.feeder is not None:  # admitted ahead of time, so only from the feeder
+            assert seg.hop > 0 and seg.route[seg.hop - 1] is link.feeder, link.label
+            assert at > link.kernel.now, link.label
+        return transmit(link, seg, at)
+
     for mode in MODES:
         sim = Simulation(s, mode=mode, trace=True)
-        _assert_registration_once(sim.run(), sim.trace.lines)
+        with mock.patch.object(DirectedLink, "transmit", fed_transmit):
+            _assert_registration_once(sim.run(), sim.trace.lines)
         stamps = [tuple(map(int, line.split(" ", 1)[0].split("."))) for line in sim.trace.lines]
         assert stamps == sorted(stamps), mode
         for rt in sim.flows.values():
