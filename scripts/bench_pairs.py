@@ -2,17 +2,23 @@
 """Compare two checkouts with the benchmark and write a BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \
-        --runs bulk_reno:1:10 handover_sweep:1:5 roundtrip_traced:1:5 bulk_reno:7919:5 \
-        --seconds 20 --trace-seconds 4 --out BENCH_17.json
+        --runs bulk_reno:1:10 bulk_reno:7919:5 handover_sweep:1:5 roundtrip_traced:1:5 \
+        --seconds 20 --trace-seconds 4 --out BENCH_18.json
 
 Each `workload:seed:pairs` item runs `satbench/run.py --trace 0` of each
 checkout `pairs` times, in pairs, the side that runs first alternating from
 pair to pair, so slow drift of the host falls on both sides alike. For every end-to-end metric the file records
 each side's runs, median and quartiles, and for `sim_rate` the pairs the
 change won. `--trace-seconds` adds one `--trace 1` run per side and
-workload at seed 1 for the event counts. Each side's Tier-1 wall time and
-`src/satwin` line count are recorded too. Each checkout runs its own,
-unmodified `satbench/run.py`.
+workload at seed 1 for the event counts. The per-scenario table times
+`Simulation(...).kernel.run_until(end)` for every `scenarios/*.scn` x mode
+at seed 1, trace off, `TABLE_RUNS` times per side (the sides alternating)
+and records each cell's events, median wall time at the benchmark's
+reference speed and events per second. Each side's Tier-1 wall time and `src/satwin`
+line count are recorded too. Each checkout runs its own, unmodified
+`satbench/run.py` and its own `src`. A `pairs` below 2 is refused before
+anything runs (quartiles need two runs); `--out` is rewritten after each
+item, so a run cut short keeps what it has.
 """
 
 from __future__ import annotations
@@ -27,8 +33,32 @@ import time
 from pathlib import Path
 
 E2E = ("sim_rate", "hop_rate", "setup_s", "peak_rss_mb", "completed_share")
-PER_PASS = ("kernel.events", "kernel.scheduled.link-rx")
+PER_PASS = ("kernel.events", "kernel.events_per_s", "kernel.scheduled.link-rx", "net.transmit.calls",
+            "mobility.route_attachment.calls")
+TABLE_RUNS = 9  # timed runs per side of each scenario table cell
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+# one timed kernel run of every shipped scenario x mode, printed as JSON; the
+# time is scaled by the benchmark's reference loop timed around it, which
+# cancels the host's drift
+TABLE = """
+import json, sys, time
+from pathlib import Path
+sys.path.insert(0, "satbench")
+from harness import at_reference_speed, reference_s
+from satwin.runner import Simulation
+from satwin.scenario import MODES, load_scenario
+cells = {}
+for path in sorted(Path("scenarios").glob("*.scn")):
+    scenario = load_scenario(path)
+    for mode in MODES:
+        sim = Simulation(scenario, mode=mode, seed=1)
+        before = reference_s()
+        t0 = time.perf_counter()
+        events = sim.kernel.run_until(scenario.end)
+        wall = time.perf_counter() - t0
+        cells[f"{path.stem}/{mode}"] = [events, at_reference_speed(wall, (before + reference_s()) / 2)]
+print(json.dumps(cells))
+"""
 
 
 def bench(repo: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -43,6 +73,23 @@ def bench(repo: Path, workload: str, seed: int, seconds: float, trace: int) -> d
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
+
+
+def scenario_table(sides: dict[str, Path], runs: int) -> dict:
+    """Per side and `scenario/mode`: events, median wall ms and events/s."""
+    walls: dict = {side: {} for side in sides}
+    events: dict = {side: {} for side in sides}
+    for i in range(runs):
+        for side, repo in list(sides.items())[::1 if i % 2 == 0 else -1]:
+            out = subprocess.run([sys.executable, "-c", TABLE], cwd=repo, check=True, text=True,
+                                 capture_output=True, env=dict(os.environ, PYTHONPATH=str(repo / "src")))
+            for cell, (count, wall) in json.loads(out.stdout).items():
+                events[side][cell] = count
+                walls[side].setdefault(cell, []).append(wall)
+    return {side: {cell: {"events": events[side][cell],
+                          "wall_ms": round(1000 * statistics.median(w), 2),
+                          "events_per_s": round(events[side][cell] / statistics.median(w))}
+                   for cell, w in walls[side].items()} for side in sides}
 
 
 def tier1_s(repo: Path) -> float:
@@ -65,15 +112,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace-seconds", type=float, default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    report: dict = {"seconds": args.seconds, "end_to_end": {}, "per_pass": {},
-                    "tier1_s": {}, "src_satwin_lines": {}}
+    items = []
     for item in args.runs:
         workload, seed, pairs = item.split(":")
+        if int(pairs) < 2:
+            parser.error(f"{item}: needs at least 2 pairs for quartiles")
+        items.append((item, workload, int(seed), int(pairs)))
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    report: dict = {"seconds": args.seconds, "end_to_end": {}, "per_pass": {},
+                    "scenarios": {}, "tier1_s": {}, "src_satwin_lines": {}}
+
+    def write() -> None:
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+
+    for item, workload, seed, pairs in items:
         values = {side: {m: [] for m in E2E} for side in sides}
-        for i in range(int(pairs)):
+        for i in range(pairs):
             for side, repo in list(sides.items())[::1 if i % 2 == 0 else -1]:
-                metrics = bench(repo, workload, int(seed), args.seconds, 0)["metrics"]
+                metrics = bench(repo, workload, seed, args.seconds, 0)["metrics"]
                 for m in E2E:
                     values[side][m].append(metrics[m]["value"])
         rates = zip(values["parent"]["sim_rate"], values["change"]["sim_rate"])
@@ -83,16 +139,20 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(item, json.dumps(report["end_to_end"][f"{workload}/{seed}"]["change"]["sim_rate"]),
               flush=True)
+        write()
     if args.trace_seconds:
         for workload in ("bulk_reno", "handover_sweep", "roundtrip_traced"):
             for side, repo in sides.items():
                 metrics = bench(repo, workload, 1, args.trace_seconds, 1)["metrics"]
                 report["per_pass"].setdefault(workload, {})[side] = \
                     {m: metrics[m]["value"] for m in PER_PASS}
+        write()
+    report["scenarios"] = scenario_table(sides, TABLE_RUNS)
+    write()
     for side, repo in sides.items():
         report["tier1_s"][side] = round(tier1_s(repo), 2)
         report["src_satwin_lines"][side] = src_lines(repo)
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    write()
     return 0
 
 

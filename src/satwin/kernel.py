@@ -3,9 +3,9 @@
 Time is integer microseconds throughout the simulator: event ordering is
 exact on every platform, with no floating-point drift. Simultaneous events
 fire in the order they were scheduled (FIFO tie-break via a monotonic
-sequence counter). A segment that cuts through hops (see `net`) has one
-event, scheduled when it entered the first link, so among events at the
-same microsecond it ranks by that moment, not by its last hop's.
+sequence counter). A segment that cuts through hops (see `net`; before the
+first detection, the home agent's too) has one event, scheduled when it
+entered the first link, so among same-microsecond events it ranks by that moment.
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ So the upstream `transmit` admits the segment to it at once, for the
 logical time it gets there (a FIFO tandem, Lindley 1952), and the kernel
 holds one event for the hops cut through: the final arrival, or the drop
 at the hop that refuses the segment, due when the segment reaches it.
+Before the first detection, a link that alone feeds the home agent's forward
+link hands data at its route's end to the agent at once (`hand_off`): a
+data segment has one event from source to MN, and two after the detection.
 """
 
 from __future__ import annotations
@@ -115,8 +118,9 @@ class DirectedLink:
     from the running event (`at == kernel.now`) first releases every entry
     whose `(finish, seq)` is below the running event's `(now, seq)`: where a
     dequeue event scheduled just before that event would already have run.
-    A forwarded admission (`at > kernel.now`, only ever onto a single-fed
-    link) releases every entry with `finish <= at`.
+    A forwarded admission (`at > kernel.now`, onto a single-fed link or a
+    hand-off's) releases every entry with `finish <= at`, and an admission
+    at `now` after a hand-off finds a handed-off entry with `finish == now` gone.
     """
 
     def __init__(self, spec: LinkSpec, src: str, dst: str, kernel: Kernel):
@@ -134,6 +138,8 @@ class DirectedLink:
         self.free_at = 0  # when the serializer finishes its current backlog
         self.feeder: Optional[DirectedLink] = None  # the one upstream link, if single-fed
         self.entry: Optional[list] = None  # the kernel entry the last admission here ended in
+        self.hand_off: Optional[Callable[[Segment, int], Optional[int]]] = None
+        self.hand_off_before = 0  # a segment ending its route here earlier goes to `hand_off`
         self.deliver: Callable[[DirectedLink, Segment], None] = _unwired
         self.on_drop: Callable[[DirectedLink, Segment, str, int], None] | None = None
         self.drops = {OVERFLOW: 0, NO_COVERAGE: 0}
@@ -177,8 +183,12 @@ class DirectedLink:
         route = seg.route
         seg.hop = hop = seg.hop + 1
         if hop >= len(route):
-            entry = kernel.schedule(arrival, partial(self.deliver, self, seg), "link-rx")
-            entry.append(seg)  # read by pending_arrivals; a tracer may have wrapped the handler
+            if arrival < self.hand_off_before:
+                arrival = self.hand_off(seg, arrival)
+                entry = seg.route[0].entry  # `seg` is on the agent's forward route now
+            else:
+                entry = kernel.schedule(arrival, partial(self.deliver, self, seg), "link-rx")
+                entry.append(seg)  # read by pending_arrivals; a tracer may have wrapped the handler
         elif route[hop].feeder is self:
             arrival = route[hop].transmit(seg, arrival)
             entry = route[hop].entry
@@ -207,16 +217,21 @@ class DirectedLink:
             self.on_drop(self, seg, reason, at)
 
 
-def mark_single_fed(routes) -> None:
-    """Set each link's `feeder`: the link before it on every route of
-    `routes` that uses it, or None where routes reach it from different
-    links or start on it (the node a route starts at feeds it too)."""
+def single_feeders(routes) -> dict[DirectedLink, Optional[DirectedLink]]:
+    """Each link of `routes` mapped to the link before it on every route
+    that uses it, or to None where routes reach it from different links or
+    start on it (the node a route starts at feeds it too)."""
     feeders: dict[DirectedLink, set] = {}
     for route in routes:
         for i, link in enumerate(route):
             feeders.setdefault(link, set()).add(route[i - 1] if i else None)
-    for link, fed in feeders.items():
-        link.feeder = next(iter(fed)) if len(fed) == 1 else None
+    return {link: next(iter(fed)) if len(fed) == 1 else None for link, fed in feeders.items()}
+
+
+def mark_single_fed(routes) -> None:
+    """Set each link's `feeder` over every route of `routes`."""
+    for link, feeder in single_feeders(routes).items():
+        link.feeder = feeder
 
 
 def pending_arrivals(kernel: Kernel) -> Iterator[Segment]:

@@ -14,7 +14,7 @@ from .kernel import Kernel, fmt_time
 from .metrics import GAP_WINDOW, DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
 from .mobility import HomeAgent, make_binding_update
 from .net import (F_BU, F_BUACK, F_DATA, HEADER_BYTES, DirectedLink, Route, Segment, Topology,
-                  mark_single_fed, path_rtt, pending_arrivals, rtt_table)
+                  mark_single_fed, path_rtt, pending_arrivals, rtt_table, single_feeders)
 from .scenario import BASELINE, PROACTIVE, RESET_CWND, FlowDef, HandoverDef, Scenario, flow_buffer
 from .tcp import SLOW_START, TcpReceiver, TcpSender
 
@@ -310,9 +310,10 @@ class Simulation:
         self.flows: dict[str, _FlowRuntime] = {}
         # ACK and agent-forward routes by (src, dst, access kind), filled at the first send
         self.routes: dict[tuple[str, str, str], Route] = {}
-        # the handover gap covers the earliest scripted detection onwards
-        first = min((h.at for h in scenario.handovers), default=None)
-        self._gap_window = None if first is None else (first, min(first + GAP_WINDOW, scenario.end))
+        # the first scripted detection (past the end if none): the gap starts, the hand-off ends
+        self._first_detect = min((h.at for h in scenario.handovers), default=scenario.end + 1)
+        gap = (self._first_detect, min(self._first_detect + GAP_WINDOW, scenario.end))
+        self._gap_window = gap if scenario.handovers else None
 
         # the latest handover; its detection retired the one before (see retire)
         self._active: Optional[_HandoverRuntime] = None
@@ -427,7 +428,7 @@ class Simulation:
         rt.sender.on_ack(seg, now)
         self._manage_rto(rt, rt.sender.snd_una > prev_una)
 
-    def _ha_forward(self, seg: Segment, now: int) -> None:
+    def _ha_forward(self, seg: Segment, now: int) -> Optional[int]:
         kind = self.ha.route_attachment()
         rt = self.flows[seg.flow_id]
         end = seg.seq + seg.payload_len
@@ -445,7 +446,7 @@ class Simulation:
             rt.watermark[kind] = end
         seg.route = route = self.routes[(self.ha_node, self.mn, kind)]
         seg.hop = 0
-        route[0].transmit(seg, now)
+        return route[0].transmit(seg, now)
 
     def _deliver_data(self, seg: Segment, now: int) -> None:
         rt = self.flows[seg.flow_id]
@@ -528,6 +529,15 @@ class Simulation:
                 self.routes[key] = self.topo.route_via_access(*key)
             used += [self._registration_path(kind, to_agent)[1] for to_agent in (True, False)]
         mark_single_fed(used + list(self.routes.values()))
+        # the routes in use until the first detection: the data routes on
+        # through the agent's forward route for `attach`, and the ACK routes
+        forward = self.routes[(self.ha_node, self.mn, self.scenario.attach)]
+        early = [route for rt in self.flows.values() for route in
+                 (rt.route + forward, self.routes[(self.mn, rt.spec.src, self.scenario.attach)])]
+        into = single_feeders(early)[forward[0]]  # the one link into the agent, if one
+        if into is not None:
+            into.hand_off = self._ha_forward
+            into.hand_off_before = self._first_detect
 
     def _registration_path(self, kind: str, to_agent: bool) -> tuple[str, Route]:
         """The registration endpoint for `kind` (the proxy gateway, or the MN

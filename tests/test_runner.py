@@ -694,6 +694,128 @@ def test_a_link_with_two_feeders_keeps_its_arrival_events(monkeypatch, mode):
     assert entered and all(entered)  # every segment entered them from an event at R
 
 
+def _no_hand_off(m):
+    """The reference, patched on monkeypatch context `m`: no link hands off,
+    so every segment reaching the agent has an arrival event there."""
+    resolve = Simulation._resolve_routes
+
+    def reference_resolve(sim):
+        resolve(sim)
+        for link in sim.topo.directed.values():
+            link.hand_off_before = 0
+
+    m.setattr(Simulation, "_resolve_routes", reference_resolve)
+
+
+def _agent_run(monkeypatch, scenario, mode, hand_off=True):
+    """Run `scenario` traced, with the agent's hand-off or as the reference.
+    Returns the CSV, the trace lines, the (time, flow, seq) of each data
+    segment the agent forwarded, and a Counter of the same for each
+    agent-arrival event scheduled for data."""
+    reached, events = [], Counter()
+    forward, schedule = Simulation._ha_forward, Kernel.schedule
+
+    def recording_forward(sim, seg, now):
+        reached.append((now, seg.flow_id, seg.seq))
+        return forward(sim, seg, now)
+
+    def recording_schedule(kernel, at, fn, kind="event"):
+        args = getattr(fn, "args", ())
+        if kind == "link-rx" and len(args) == 2 and args[0].dst == "HA" and args[1].payload_len:
+            events[(at, args[1].flow_id, args[1].seq)] += 1
+        return schedule(kernel, at, fn, kind)
+
+    with monkeypatch.context() as m:
+        if not hand_off:
+            _no_hand_off(m)
+        m.setattr(Simulation, "_ha_forward", recording_forward)
+        m.setattr(Kernel, "schedule", recording_schedule)
+        metrics, trace = run(scenario, mode=mode, trace=True)
+    return write_csv(metrics.csv_rows()), trace.lines, reached, events
+
+
+def _detected_at(scenario, at):
+    """`scenario` with its first handover detected at `at` instead."""
+    first, *rest = scenario.handovers
+    return replace(scenario, handovers=(replace(first, at=at), *rest))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ["s1_wlan_to_sat", "s5_roundtrip"])
+def test_the_agent_hands_data_off_until_the_first_detection(monkeypatch, name, mode):
+    # data reaching the agent before the first detection goes on at once
+    # from the link into it (one event from source to MN), and from the
+    # detection on every such segment has its agent-arrival event again:
+    # same outputs as the reference with an event at every agent arrival.
+    # The second variant moves the detection onto a data segment's arrival
+    # at the agent, which then keeps its event
+    scenario = load_scenario(scenario_path(name))
+    ref = _agent_run(monkeypatch, scenario, mode, hand_off=False)
+    last_early = max(t for t, _, _ in ref[2] if t < scenario.handovers[0].at)
+    moved = _detected_at(scenario, last_early)
+    for variant, reference in ((scenario, ref),
+                               (moved, _agent_run(monkeypatch, moved, mode, hand_off=False))):
+        detect = variant.handovers[0].at
+        csv, lines, reached, events = _agent_run(monkeypatch, variant, mode)
+        assert (csv, lines) == reference[:2] and sorted(reached) == sorted(reference[2])
+        early = [key for key in reached if key[0] < detect]
+        late = [key for key in reached if key[0] >= detect]
+        assert len(early) > 100 and len(late) > 100
+        assert not any(events[key] for key in early)
+        assert all(events[key] == 1 for key in late)
+        assert min(t for t, _, _ in events) >= detect
+    assert min(late)[0] == detect == last_early  # the segment at the detection kept its event
+
+    # a cut before the detection: conservation holds, and the data between
+    # the source and the MN rides on the MN-arrival events alone
+    cut = replace(scenario, end=2_123_457)
+    inflight = []
+    for hand_off in (True, False):
+        with monkeypatch.context() as m:
+            if not hand_off:
+                _no_hand_off(m)
+            sim = Simulation(cut, mode=mode)
+            inflight.append(sim.run().flows["f1"].bytes_inflight_end)
+        if hand_off:
+            data = [entry for entry in sim.kernel.pending_entries("link-rx")
+                    if entry[5].payload_len]
+            assert data and all(entry[2].func == sim._on_arrival and entry[2].args[0].dst == "MN"
+                                for entry in data)
+            assert sum(seg.payload_len for seg in pending_arrivals(sim.kernel)) == inflight[0]
+    assert inflight[0] == inflight[1] > 0
+
+
+_TWO_LINKS_INTO_THE_AGENT = scenario_path("s1_wlan_to_sat").read_text() + """
+[flow.f2]
+src = WGW
+dst = MN
+start = 0.2
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_two_links_into_the_agent_keep_its_arrival_events(monkeypatch, mode):
+    # f1 reaches the agent over cn_ha and f2 over wgw_ha: its forward link
+    # HA->WGW has two feeders before the detection, so no link hands off and
+    # every data segment reaching the agent has an arrival event there
+    scenario = parse_scenario(_TWO_LINKS_INTO_THE_AGENT, "two_links_into_ha")
+    csv, lines, reached, events = _agent_run(monkeypatch, scenario, mode)
+    assert {fid for _, fid, _ in reached} == {"f1", "f2"}
+    assert Counter(reached) == {key: n for key, n in events.items() if key[0] <= scenario.end}
+    assert (csv, lines) == _agent_run(monkeypatch, scenario, mode, hand_off=False)[:2]
+
+    # a cut mid-transfer: data waiting for its agent arrival is in flight
+    sim = Simulation(replace(scenario, end=1_234_567), mode=mode)
+    metrics = sim.run()  # conservation holds
+    assert all(link.hand_off_before == 0 for link in sim.topo.directed.values())
+    waiting = [entry[5] for entry in sim.kernel.pending_entries("link-rx")
+               if entry[2].func == sim._on_arrival and entry[2].args[0].dst == "HA"]
+    assert {seg.flow_id for seg in waiting if seg.payload_len} == {"f1", "f2"}
+    for fid, fm in metrics.flows.items():
+        assert fm.bytes_inflight_end == sum(seg.payload_len for seg in pending_arrivals(sim.kernel)
+                                            if seg.flow_id == fid) > 0
+
+
 def test_a_segment_lost_mid_path_fails_conservation(shipped_scenarios):
     # an arrival handler that swallows one data segment after 2 s: the
     # segment is neither delivered, dropped nor pending, and the run says so

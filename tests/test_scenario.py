@@ -10,7 +10,7 @@ from conftest import SCENARIOS, SHIPPED, scenario_path
 from satwin.cli import main
 from satwin.errors import ConfigError
 from satwin.kernel import fmt_time
-from satwin.net import DirectedLink
+from satwin.net import F_DATA, DirectedLink
 from satwin.runner import Simulation
 from satwin.scenario import MODE_NAMES, MODES, _SCHEMA, canonical_text, load_scenario, parse_scenario
 from test_handover_sequences import _assert_registration_once
@@ -484,7 +484,8 @@ def scenario_texts(draw):
         _optional(draw, lines, "availability", st.just(",".join(pairs)))
         out.append(_section(f"link.{name}", [line for line in lines if line]))
     for i in range(draw(st.integers(1, 3))):
-        lines = ["src = CN", "dst = MN", f"start = {draw(_times(0, end - 1))}"]
+        lines = [f"src = {draw(st.sampled_from(['CN', 'WGW', 'SGW']))}", "dst = MN",
+                 f"start = {draw(_times(0, end - 1))}"]
         _optional(draw, lines, "volume", st.integers(0, 10**7))
         _optional(draw, lines, "weight", st.fractions(min_value=Fraction(1, 100), max_value=100)
                   .filter(lambda w: w > 0))
@@ -521,8 +522,10 @@ def test_canonical_text_round_trips_generated_scenarios(text):
 def test_generated_scenarios_run_in_every_mode(text):
     """No run of an accepted file raises ConfigError or fails conservation,
     each handover registers at most once, trace times never decrease, every
-    window cap a run ends with is 0 (a drain) or at least one segment, and
-    no segment enters a single-fed link except from its feeder."""
+    window cap a run ends with is 0 (a drain) or at least one segment, no
+    segment enters a single-fed link except from its feeder, and a link with
+    no feeder admits ahead of time only data the agent forwards over
+    `attach` before the first detection."""
     s = parse_scenario(text, "gen")
     transmit = DirectedLink.transmit
 
@@ -530,6 +533,9 @@ def test_generated_scenarios_run_in_every_mode(text):
         if link.feeder is not None:  # admitted ahead of time, so only from the feeder
             assert seg.hop > 0 and seg.route[seg.hop - 1] is link.feeder, link.label
             assert at > link.kernel.now, link.label
+        elif at > link.kernel.now:  # handed off to the agent
+            assert link is sim.routes[(sim.ha_node, sim.mn, s.attach)][0], link.label
+            assert seg.flags & F_DATA and at < sim._first_detect, link.label
         return transmit(link, seg, at)
 
     for mode in MODES:
