@@ -21,10 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple
 
 from .kernel import SEC, SimError
-from .net import RttTable
 
 CHAIN_VIOLATION = "CHAIN_VIOLATION"
 
@@ -35,20 +33,16 @@ def estimate_bdp(bandwidth: int, rtt: int) -> int:
     return bandwidth * rtt // SEC
 
 
-class WRecChoice(NamedTuple):
-    value: int
-    chain_violation: bool
-
-
-def compute_w_rec(cache_sat: int, w_default: int) -> WRecChoice:
-    """Reduced window to advertise before moving onto the satellite.
+def compute_w_rec(cache_sat: int, w_default: int) -> tuple[int, bool]:
+    """Reduced window to advertise before moving onto the satellite, and
+    whether the selection chain is violated.
 
     The selection chain requires w_default > cache_sat >= W_REC; when the
     cached satellite estimate is not strictly below the default window the
     chain cannot hold (the full-rate sender would flood the slow network),
     which is reported as a warning, not a failure.
     """
-    return WRecChoice(min(cache_sat, w_default), chain_violation=cache_sat >= w_default)
+    return min(cache_sat, w_default), cache_sat >= w_default
 
 
 def compute_delta(rtt_mn_sat_cn: int, rtt_mn_sat_ha: int, rtt_mn_old_ha: int) -> int:
@@ -62,23 +56,14 @@ def compute_delta(rtt_mn_sat_cn: int, rtt_mn_sat_ha: int, rtt_mn_old_ha: int) ->
     return max(0, bound)
 
 
-@dataclass
-class HandoverPlan:
-    """Window and registration hold-back of one terrestrial->satellite move
-    (the timeline observed while executing it is kept in HandoverMetrics)."""
-
-    w_rec: int
-    delta: int
-    chain_violation: bool
-
-
-def plan_terr_to_sat(cache_sat: int, w_default: int, rtts: RttTable) -> HandoverPlan:
-    """Terrestrial->satellite plan: W_REC advertised at detection, the
-    binding update held back by delta. `cache_sat` is the cached satellite
-    BDP, or the configured sat_default_window when nothing is cached yet."""
+def plan_terr_to_sat(cache_sat: int, w_default: int,
+                     rtts: tuple[int, int, int]) -> tuple[int, int, bool]:
+    """Terrestrial->satellite plan `(w_rec, delta, violated)`: W_REC advertised
+    at detection, the binding update held back by delta. `cache_sat` is the
+    cached satellite BDP, or the configured sat_default_window when nothing
+    is cached yet; `rtts` are compute_delta's terms (net.rtt_table)."""
     w_rec, violated = compute_w_rec(cache_sat, w_default)
-    delta = compute_delta(rtts.mn_sat_cn, rtts.mn_sat_ha, rtts.mn_old_ha)
-    return HandoverPlan(w_rec, delta, violated)
+    return w_rec, compute_delta(*rtts), violated
 
 
 def plan_sat_to_terr(cache_sat_bdp: int, current_win: int, buffer_capacity: int) -> int:
@@ -100,7 +85,9 @@ def allocate_flow_windows(demands: list[FlowDemand], capacity: int, mss: int = 1
 
     Each flow gets max(min_share, floor(capacity * w_i / sum(w))); leftover
     bytes are handed out one MSS at a time in descending fractional
-    remainder (ties by ascending flow id). The result never exceeds
+    remainder (ties by ascending flow id). The floors leave less than one
+    byte per flow sharing the budget, so that loop moves bytes only when
+    `mss` is below the number of those flows. The result never exceeds
     capacity. When minimum shares crowd out the proportional split, flows
     pinned at their minimum are set aside and the rest of the budget is
     re-apportioned among the others. Minimum shares that do not fit the

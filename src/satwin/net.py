@@ -7,8 +7,8 @@ outcomes, not errors. Segments already accepted by a link when coverage
 ends are still delivered; only new transmissions are blocked.
 
 Cut-through: a link whose only upstream link, over every route the run can
-use, is the one a segment is leaving (its `feeder`, set by
-`mark_single_fed`) sees its segments in the order that link finishes them.
+use, is the one a segment is leaving (its `feeder`, set from
+`single_feeders`) sees its segments in the order that link finishes them.
 So the upstream `transmit` admits the segment to it at once, for the
 logical time it gets there (a FIFO tandem, Lindley 1952), and the kernel
 holds one event for the hops cut through: the final arrival, or the drop
@@ -228,12 +228,6 @@ def single_feeders(routes) -> dict[DirectedLink, Optional[DirectedLink]]:
     return {link: next(iter(fed)) if len(fed) == 1 else None for link, fed in feeders.items()}
 
 
-def mark_single_fed(routes) -> None:
-    """Set each link's `feeder` over every route of `routes`."""
-    for link, feeder in single_feeders(routes).items():
-        link.feeder = feeder
-
-
 def pending_arrivals(kernel: Kernel) -> Iterator[Segment]:
     """Every segment on the wire: the one each pending `link-rx` event
     carries, to the node it arrives at or the hop that drops it."""
@@ -354,21 +348,11 @@ def path_rtt(route: Route, probe_size: int = 0) -> int:
     return 2 * total
 
 
-@dataclass(frozen=True)
-class RttTable:
-    """The three round-trip terms feeding the registration-delay bound."""
-
-    mn_sat_cn: int
-    mn_sat_ha: int
-    mn_old_ha: int
-
-
-def rtt_table(topo: Topology, old_kind: str, sat_kind: str = "SAT") -> RttTable:
+def rtt_table(topo: Topology, old_kind: str) -> tuple[int, int, int]:
     """Propagation RTTs MN<->CN over the satellite, MN<->HA over the
-    satellite, and MN<->HA over the old access network (zero-size probe)."""
+    satellite, and MN<->HA over the old access network (zero-size probe), in
+    handover.compute_delta's order."""
     mn, cn, ha = (topo.node_with_role(role) for role in ("mn", "cn", "ha"))
-    return RttTable(
-        mn_sat_cn=path_rtt(topo.route_via_access(mn, cn, sat_kind)),
-        mn_sat_ha=path_rtt(topo.route_via_access(mn, ha, sat_kind)),
-        mn_old_ha=path_rtt(topo.route_via_access(mn, ha, old_kind)),
-    )
+    return (path_rtt(topo.route_via_access(mn, cn, "SAT")),
+            path_rtt(topo.route_via_access(mn, ha, "SAT")),
+            path_rtt(topo.route_via_access(mn, ha, old_kind)))

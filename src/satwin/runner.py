@@ -14,9 +14,9 @@ from .kernel import Kernel, fmt_time
 from .metrics import GAP_WINDOW, DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
 from .mobility import HomeAgent, make_binding_update
 from .net import (F_BU, F_BUACK, F_DATA, HEADER_BYTES, DirectedLink, Route, Segment, Topology,
-                  mark_single_fed, path_rtt, pending_arrivals, rtt_table, single_feeders)
+                  path_rtt, pending_arrivals, rtt_table, single_feeders)
 from .scenario import BASELINE, PROACTIVE, RESET_CWND, FlowDef, HandoverDef, Scenario, flow_buffer
-from .tcp import SLOW_START, TcpReceiver, TcpSender
+from .tcp import TcpReceiver, TcpSender
 
 
 def _bottleneck_bw(route) -> int:
@@ -70,13 +70,7 @@ class _HandoverRuntime:
             return
         bdp = self.sim.cache[self.hdef.to]
         for rt in self.sim.flows.values():
-            sender = rt.sender
-            sender.ssthresh = max(bdp, 2 * sender.mss)
-            sender.cwnd = sender.mss
-            sender.phase = SLOW_START
-            sender.dupacks = 0
-            if self.sim.trace.enabled:
-                self.sim._trace_state(rt, sender, now)
+            rt.sender.restart_slow_start(bdp, now)
 
     def proactive(self, now: int) -> None:
         """W_REC onto the satellite, boost then drain off it; between two
@@ -94,24 +88,20 @@ class _HandoverRuntime:
     def _advertise_w_rec(self, now: int) -> None:
         """Advertise W_REC now and hold the registration back by delta."""
         sim, hdef = self.sim, self.hdef
-        rtts = rtt_table(sim.topo, old_kind=self.metrics.old_kind, sat_kind=hdef.to)
-        plan = ho_policy.plan_terr_to_sat(sim.cache.get(hdef.to, sim.scenario.sat_default_window),
-                                          sim.scenario.w_default, rtts)
-        if plan.chain_violation:
-            sim.trace.emit(now, "warn", sim.mn, code=ho_policy.CHAIN_VIOLATION,
-                           w_rec=plan.w_rec)
-        t_r0 = now + plan.delta
+        w_rec, delta, violated = ho_policy.plan_terr_to_sat(
+            sim.cache.get(hdef.to, sim.scenario.sat_default_window), sim.scenario.w_default,
+            rtt_table(sim.topo, old_kind=self.metrics.old_kind))
+        if violated:
+            sim.trace.emit(now, "warn", sim.mn, code=ho_policy.CHAIN_VIOLATION, w_rec=w_rec)
+        t_r0 = now + delta
         if not sim.topo.access_link(hdef.to).spec.is_available(t_r0):
             self.abort(now)
             return
-        demands = [
-            ho_policy.FlowDemand(f.name, f.weight, f.min_share)
-            for f in sim.scenario.flows
-        ]
-        allocations = ho_policy.allocate_flow_windows(demands, plan.w_rec, sim.scenario.mss)
+        demands = [ho_policy.FlowDemand(f.name, f.weight, f.min_share) for f in sim.scenario.flows]
+        allocations = ho_policy.allocate_flow_windows(demands, w_rec, sim.scenario.mss)
         self.stamp("t_a0", now, sim.mn)
-        sim.trace.emit(now, "plan", sim.mn, direction="TERR_TO_SAT", w_rec=plan.w_rec,
-                       delta=fmt_time(plan.delta), t_r0=fmt_time(t_r0))
+        sim.trace.emit(now, "plan", sim.mn, direction="TERR_TO_SAT", w_rec=w_rec,
+                       delta=fmt_time(delta), t_r0=fmt_time(t_r0))
         for fid, cap in allocations.items():
             rt = sim.flows[fid]
             receiver = rt.receiver
@@ -308,8 +298,7 @@ class Simulation:
         self.metrics = RunMetrics(scenario.name, self.mode, self.seed, end=scenario.end)
         self.cache: dict[str, int] = {}  # kind -> BDP measured when it was last attached
         self.flows: dict[str, _FlowRuntime] = {}
-        # ACK and agent-forward routes by (src, dst, access kind), filled at the first send
-        self.routes: dict[tuple[str, str, str], Route] = {}
+        self._routed = False  # the routes of every attachment are resolved (at the first send)
         # the first scripted detection (past the end if none): the gap starts, the hand-off ends
         self._first_detect = min((h.at for h in scenario.handovers), default=scenario.end + 1)
         gap = (self._first_detect, min(self._first_detect + GAP_WINDOW, scenario.end))
@@ -364,7 +353,7 @@ class Simulation:
         self.metrics.flows[fdef.name] = fm
 
     def _start_flow(self, fid: str) -> None:
-        if not self.routes:
+        if not self._routed:
             self._resolve_routes()
         rt = self.flows[fid]
         self.trace.emit(self.kernel.now, "flow_start", rt.spec.src, flow=fid)
@@ -392,7 +381,7 @@ class Simulation:
         now = self.kernel.now
         if self.trace.enabled:
             self.trace.ack_tx(now, self.mn, seg.flow_id, seg.ack, seg.rwnd, seg.flags)
-        seg.route = route = self.routes[(self.mn, rt.spec.src, self.attachment)]
+        seg.route = route = self.topo.routes[(self.mn, rt.spec.src, self.attachment)]
         route[0].transmit(seg, now)
 
     def _on_arrival(self, link: DirectedLink, seg: Segment) -> None:
@@ -444,7 +433,7 @@ class Simulation:
         # everything the anchor ever pointed at the old network is below it
         if end > rt.watermark.get(kind, 0):
             rt.watermark[kind] = end
-        seg.route = route = self.routes[(self.ha_node, self.mn, kind)]
+        seg.route = route = self.topo.routes[(self.ha_node, self.mn, kind)]
         seg.hop = 0
         return route[0].transmit(seg, now)
 
@@ -516,24 +505,24 @@ class Simulation:
         self.trace.emit(now, "attach", self.mn, network=kind)
 
     def _resolve_routes(self) -> None:
-        """Fill the route table for every access kind the run can attach to,
-        and mark the links that only one link feeds over every route a
-        segment can take: the flows' data routes, the agent's forward
-        routes, the ACK routes and the registration routes."""
-        kinds = dict.fromkeys([self.scenario.attach] + [h.to for h in self.scenario.handovers])
+        """Resolve, into the topology's route table, the agent's forward route
+        and the ACK routes for every access kind the run can attach to, and
+        mark the links that only one link feeds over every route a segment
+        can take: those, the flows' data routes and the registration routes."""
+        self._routed = True
+        topo, mn, ha, attach = self.topo, self.mn, self.ha_node, self.scenario.attach
         used = [rt.route for rt in self.flows.values()]
-        for kind in kinds:
-            keys = [(self.ha_node, self.mn, kind)]
-            keys += [(self.mn, rt.spec.src, kind) for rt in self.flows.values()]
-            for key in keys:
-                self.routes[key] = self.topo.route_via_access(*key)
+        for kind in dict.fromkeys([attach] + [h.to for h in self.scenario.handovers]):
+            used.append(topo.route_via_access(ha, mn, kind))
+            used += [topo.route_via_access(mn, rt.spec.src, kind) for rt in self.flows.values()]
             used += [self._registration_path(kind, to_agent)[1] for to_agent in (True, False)]
-        mark_single_fed(used + list(self.routes.values()))
+        for link, feeder in single_feeders(used).items():
+            link.feeder = feeder
         # the routes in use until the first detection: the data routes on
         # through the agent's forward route for `attach`, and the ACK routes
-        forward = self.routes[(self.ha_node, self.mn, self.scenario.attach)]
-        early = [route for rt in self.flows.values() for route in
-                 (rt.route + forward, self.routes[(self.mn, rt.spec.src, self.scenario.attach)])]
+        forward = topo.routes[(ha, mn, attach)]
+        early = [route for rt in self.flows.values()
+                 for route in (rt.route + forward, topo.routes[(mn, rt.spec.src, attach)])]
         into = single_feeders(early)[forward[0]]  # the one link into the agent, if one
         if into is not None:
             into.hand_off = self._ha_forward
@@ -557,7 +546,7 @@ class Simulation:
     # handover engine
 
     def _on_handover(self, hdef: HandoverDef) -> None:
-        if not self.routes:
+        if not self._routed:
             self._resolve_routes()
         now = self.kernel.now
         ho = _HandoverRuntime(self, hdef)

@@ -345,6 +345,11 @@ def validate_scenario(s: Scenario) -> None:
             raise ConfigError(f"the mobile node has {count} {kind} access links; expected one")
     if s.attach not in access_kinds:
         raise ConfigError(f"initial attachment {s.attach!r} has no access link at the mobile node")
+    for node in s.nodes:  # a gateway's kind is checked only
+        if node.role == "gateway" and node.kind is not None and not any(
+                {l.a, l.b} == {mn, node.name} and l.kind == node.kind for l in s.links):
+            raise ConfigError(f"gateway {node.name}: kind = {node.kind}, but it has no "
+                              f"{node.kind} access link to the mobile node", key="kind")
 
     if not s.flows:
         raise ConfigError("scenario defines no flows")

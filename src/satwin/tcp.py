@@ -108,7 +108,7 @@ class TcpSender:
                 )
         self.send_cb(seg, now)
 
-    def try_send(self, now: int) -> int:
+    def try_send(self, now: int) -> None:
         """Send whatever the congestion and flow-control windows allow.
 
         While the peer advertises a zero window no data segment leaves,
@@ -116,8 +116,7 @@ class TcpSender:
         reopening the window (probes are out of scope).
         """
         if self.peer_rwnd == 0:
-            return 0
-        sent = 0
+            return
         usable = min(self.cwnd, self.peer_rwnd)
         while True:
             if self._rtx_next is not None and self._rtx_next < self._rtx_high:
@@ -127,7 +126,6 @@ class TcpSender:
                     break
                 self._emit(seq, end - seq, now, True)
                 self._rtx_next = end
-                sent += 1
                 continue
             limit = self.volume
             if limit is not None and self.snd_nxt >= limit:
@@ -139,8 +137,6 @@ class TcpSender:
                 break
             self._emit(self.snd_nxt, end - self.snd_nxt, now, False)
             self.snd_nxt = end
-            sent += 1
-        return sent
 
     def retransmit_head(self, now: int) -> None:
         if self.peer_rwnd == 0:
@@ -265,6 +261,15 @@ class TcpSender:
         self.ssthresh = max(self.cwnd // 2, 2 * self.mss)
         self.cwnd = self.ssthresh
         self.phase = CONG_AVOID
+        self.dupacks = 0
+        self._note_state(now)
+
+    def restart_slow_start(self, ssthresh: int, now: int) -> None:
+        """Collapse cwnd to one segment in slow start, with ssthresh seeded at
+        `ssthresh` (at least two segments): the reset-cwnd policy's handover step."""
+        self.ssthresh = max(ssthresh, 2 * self.mss)
+        self.cwnd = self.mss
+        self.phase = SLOW_START
         self.dupacks = 0
         self._note_state(now)
 

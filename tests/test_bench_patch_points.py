@@ -37,3 +37,20 @@ def test_inflight_bytes_survive_the_tracers_wrapped_handlers(shipped_scenarios):
     inflight = {fid: fm.bytes_inflight_end for fid, fm in plain.flows.items()}
     assert inflight == {fid: fm.bytes_inflight_end for fid, fm in traced.flows.items()}
     assert all(n > 0 for n in inflight.values())
+
+
+def test_every_patched_layer_is_reached_by_a_traced_handover_pair():
+    # S1 and S2 in PROACTIVE run each layer the tracer times: a refactor that
+    # calls past a patch point would leave its figures at zero
+    from satwin import metrics, runner, scenario
+
+    tracer = _tracer_module()
+    with tracer.Tracer() as t:
+        for name in ("s1_wlan_to_sat", "s2_sat_to_wlan"):
+            parsed = scenario.parse_scenario((REPO_ROOT / "scenarios" / f"{name}.scn").read_text())
+            result, trace = runner.run(parsed, mode="PROACTIVE", trace=True)
+            assert metrics.write_csv(result.csv_rows()) and trace.text()
+    idle = sorted({span for _, _, span in tracer.PATCH_POINTS if t.calls(span) == 0})
+    assert idle == ["tcp.on_rto"]  # no timeout fires on these two runs
+    assert t.calls("net.rtt_table") == 1  # S1's one move onto the satellite
+    assert t.calls("handover.plan") == 3  # plan_terr_to_sat, allocate, plan_sat_to_terr

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from conftest import scenario_path
 from satwin.handover import (
     FlowDemand,
-    HandoverPlan,
     allocate_flow_windows,
     compute_delta,
     compute_w_rec,
@@ -15,7 +14,6 @@ from satwin.handover import (
     plan_sat_to_terr,
     plan_terr_to_sat,
 )
-from satwin.net import RttTable
 from satwin.runner import Simulation
 from satwin.scenario import load_scenario
 from satwin.tcp import TcpReceiver
@@ -49,16 +47,13 @@ class TestEstimateBdp:
 
 class TestComputeWRec:
     def test_selects_cached_estimate_below_default(self):
-        choice = compute_w_rec(32_000, 65_535)
-        assert choice.value == 32_000 and not choice.chain_violation
+        assert compute_w_rec(32_000, 65_535) == (32_000, False)
 
     def test_boundary_equality_raises_warning(self):
-        choice = compute_w_rec(65_000, 65_000)
-        assert choice.value == 65_000 and choice.chain_violation
+        assert compute_w_rec(65_000, 65_000) == (65_000, True)
 
     def test_estimate_above_default_clamps_with_warning(self):
-        choice = compute_w_rec(90_000, 65_000)
-        assert choice.value == 65_000 and choice.chain_violation
+        assert compute_w_rec(90_000, 65_000) == (65_000, True)
 
     @given(st.integers(min_value=1, max_value=1 << 20), st.integers(min_value=1, max_value=1 << 20))
     def test_chain_property(self, cache_sat, w_default):
@@ -94,9 +89,9 @@ class TestComputeDelta:
 
 class TestPlans:
     def test_terr_to_sat_composition(self):
-        rtts = RttTable(520 * MS, 550 * MS, 80 * MS)
-        plan = plan_terr_to_sat(65_000, 131_072, rtts)
-        assert plan == HandoverPlan(w_rec=65_000, delta=205 * MS, chain_violation=False)
+        # (w_rec, delta, violated) from the RTTs MN-sat-CN, MN-sat-HA, MN-old-HA
+        rtts = (520 * MS, 550 * MS, 80 * MS)
+        assert plan_terr_to_sat(65_000, 131_072, rtts) == (65_000, 205 * MS, False)
         # in a run, W_REC is advertised at detection (t_a0) and the binding
         # update leaves delta later (t_r0): S1 detects at 2.5 s
         sim = Simulation(load_scenario(scenario_path("s1_wlan_to_sat")), mode="PROACTIVE",
@@ -107,9 +102,9 @@ class TestPlans:
                 "t_r0=2.737000") in sim.trace.lines
 
     def test_terr_to_sat_chain_violation_flagged(self):
-        rtts = RttTable(520 * MS, 550 * MS, 80 * MS)
-        plan = plan_terr_to_sat(65_000, 32_000, rtts)
-        assert plan.w_rec == 32_000 and plan.chain_violation
+        rtts = (520 * MS, 550 * MS, 80 * MS)
+        w_rec, _, violated = plan_terr_to_sat(65_000, 32_000, rtts)
+        assert w_rec == 32_000 and violated
 
     def test_sat_to_terr_boost_arithmetic(self):
         target = plan_sat_to_terr(cache_sat_bdp=65_000, current_win=65_000,
@@ -141,6 +136,13 @@ class TestAllocation:
         assert sum(alloc.values()) <= 10_000
         for share in alloc.values():
             assert abs(share - 3333) < MSS
+
+    def test_remainder_goes_one_mss_at_a_time(self):
+        # the floors (33 B each) leave 1 B, less than one byte per flow: it
+        # moves only with an MSS that fits in it, and the tie goes to flow A
+        thirds = demands(("A", 1, 0), ("B", 1, 0), ("C", 1, 0))
+        assert allocate_flow_windows(thirds, 100, mss=1) == {"A": 34, "B": 33, "C": 33}
+        assert allocate_flow_windows(thirds, 100, mss=3) == {"A": 33, "B": 33, "C": 33}
 
     def test_min_share_honored(self):
         alloc = allocate_flow_windows(demands(("A", 1, 9_000), ("B", 9, 0)), 10_000)

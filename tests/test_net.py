@@ -12,9 +12,9 @@ from satwin.net import (
     NodeSpec,
     Segment,
     Topology,
-    mark_single_fed,
     path_rtt,
     rtt_table,
+    single_feeders,
 )
 
 MS = 1000
@@ -254,8 +254,8 @@ def _tandem_specs(prop, queue, avail):
 def _cut_through_tandem(kernel, prop, queue, avail):
     topo = Topology([NodeSpec(n, "router") for n in "abc"], _tandem_specs(prop, queue, avail), kernel)
     route = (topo.directed[("a", "b")], topo.directed[("b", "c")])
-    mark_single_fed([route])
-    assert (route[0].feeder, route[1].feeder) == (None, route[0])
+    assert single_feeders([route]) == {route[0]: None, route[1]: route[0]}
+    route[1].feeder = route[0]
     return route
 
 
@@ -367,7 +367,7 @@ def test_rtt_table_symmetric_example():
         LinkSpec("ggw_ha", "GGW", "HA", 12_500_000, 10 * MS, 1 << 20),
     ]
     table = rtt_table(_topo(k, links), old_kind="GPRS")
-    assert (table.mn_sat_cn, table.mn_sat_ha, table.mn_old_ha) == (520 * MS, 550 * MS, 80 * MS)
+    assert table == (520 * MS, 550 * MS, 80 * MS)  # MN-sat-CN, MN-sat-HA, MN-old-HA
 
 
 def test_rtt_table_degenerate_all_zero():
@@ -380,7 +380,7 @@ def test_rtt_table_degenerate_all_zero():
         LinkSpec("ggw_ha", "GGW", "HA", 125000, 0, 1 << 20),
     ]
     table = rtt_table(_topo(k, links), old_kind="GPRS")
-    assert (table.mn_sat_cn, table.mn_sat_ha, table.mn_old_ha) == (0, 0, 0)
+    assert table == (0, 0, 0)
 
 
 def test_rtt_table_asymmetric_against_hop_sum_oracle():
@@ -396,9 +396,7 @@ def test_rtt_table_asymmetric_against_hop_sum_oracle():
         LinkSpec("ggw_ha", "GGW", "HA", 12_500_000, d_ggw_ha, 1 << 20),
     ]
     table = rtt_table(_topo(k, links), old_kind="GPRS")
-    assert table.mn_sat_cn == 2 * (d_sat + d_sgw_cn)
-    assert table.mn_sat_ha == 2 * (d_sat + d_sgw_ha)
-    assert table.mn_old_ha == 2 * (d_gprs + d_ggw_ha)
+    assert table == (2 * (d_sat + d_sgw_cn), 2 * (d_sat + d_sgw_ha), 2 * (d_gprs + d_ggw_ha))
 
 
 def test_rtt_table_missing_role_is_config_error():

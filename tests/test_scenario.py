@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SCENARIOS, SHIPPED, scenario_path
-from satwin.cli import main
+from satwin.cli import build_parser, main
 from satwin.errors import ConfigError
 from satwin.kernel import fmt_time
 from satwin.net import F_DATA, DirectedLink
@@ -377,6 +377,79 @@ def test_choice_error_names_bad_value_and_valid_values():
         assert word in str(err.value)
 
 
+def _line(text: str, needle: str) -> int:
+    """The number of the first line of `text` that is `needle`."""
+    return text.splitlines().index(needle) + 1
+
+
+_SIM = MINIMAL[:MINIMAL.index("[node.CN]")]
+_WLAN2 = "\n[link.wlan2]\na = GW\nb = MN\nkind = WLAN\nbandwidth = 8000\ndelay = 0\nqueue = 65536\n"
+
+# (text, message, the line it names or None): one per rejection of the file's
+# structure, then one per check validate_scenario makes on a parsed file
+REJECTIONS = {
+    "malformed_header": (MINIMAL + "[node.X\n", "malformed section header", "[node.X"),
+    "unknown_section": (MINIMAL + "[bogus.x]\n", r"unknown section \[bogus\]", "[bogus.x]"),
+    "no_equals": (MINIMAL + "frobnicate\n", "expected key = value", "frobnicate"),
+    "outside_section": ("seed = 1\n" + MINIMAL, "key outside any section", "seed = 1"),
+    "missing_key": (MINIMAL.replace("role = cn\n", ""), r"\[node.CN\] missing key", "[node.CN]"),
+    "missing_sim": (MINIMAL.replace(_SIM, ""), r"missing \[sim\] section", None),
+    "two_cns": (MINIMAL.replace("role = ha", "role = cn"), "exactly one 'cn' node", None),
+    "two_wlan_links": (MINIMAL + _WLAN2, "2 WLAN access links; expected one", None),
+    "attach": (MINIMAL.replace("attach = WLAN", "attach = SAT"),
+               "initial attachment 'SAT' has no access link at the mobile node", None),
+    "no_flows": (MINIMAL[:MINIMAL.index("[flow.f1]")], "scenario defines no flows", None),
+    "flow_endpoint": (MINIMAL.replace("src = CN", "src = NOWHERE"),
+                      "flow f1: endpoint does not exist", None),
+    "flow_dst": (MINIMAL.replace("dst = MN", "dst = CN"),
+                 "flow f1: destination must be the mobile node", None),
+    "flow_start": (MINIMAL.replace("start = 0.1", "start = 1.0"),
+                   "flow f1: starts at or after the end of the run", None),
+    "flow_buffer": (MINIMAL.replace("start = 0.1", "start = 0.1\nbuffer = 1459"),
+                    "flow f1: receive buffer below one segment", None),
+    "handover_target": (MINIMAL + "\n[handover.h]\nat = 0.5\nto = GPRS\n",
+                        "handover h: no GPRS access link at the mobile node", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_rejection_names_its_cause_and_line(case):
+    text, message, needle = REJECTIONS[case]
+    with pytest.raises(ConfigError, match=message) as err:
+        parse_scenario(text, "x")
+    assert err.value.line == (None if needle is None else _line(text, needle))
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_cli_seed_must_fit_in_64_bits(seed, tmp_path, capsys):
+    scn = tmp_path / "mini.scn"
+    scn.write_text(MINIMAL)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--scenario", str(scn), "--seed", seed])
+    assert exit_info.value.code == 2
+    assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
+    args = build_parser().parse_args(["run", "--scenario", str(scn), "--seed", str((1 << 64) - 1)])
+    assert args.seed == (1 << 64) - 1
+
+
+@pytest.mark.parametrize("text", [
+    MINIMAL.replace("role = gateway\nkind = WLAN", "role = gateway\nkind = SAT"),
+    MINIMAL + "\n[node.GW2]\nrole = gateway\nkind = WLAN\n",  # no access link at all
+], ids=["other_kind", "no_access_link"])
+def test_gateway_kind_must_be_its_access_links(text, tmp_path, capsys):
+    # the key is checked only: it used to be accepted whatever it said
+    with pytest.raises(ConfigError, match=r"gateway GW2?: kind = (SAT|WLAN), but it has no") as err:
+        parse_scenario(text, "x")
+    assert err.value.key == "kind"
+    bad = tmp_path / "kind.scn"
+    bad.write_text(text)
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    assert "gateway GW" in capsys.readouterr().err
+    # a gateway without the key, or with its link's kind, is accepted
+    parse_scenario(MINIMAL.replace("role = gateway\nkind = WLAN", "role = gateway"), "x")
+    parse_scenario(MINIMAL, "x")
+
+
 def test_cli_validate_rejects_non_finite_values(tmp_path, capsys):
     bad = tmp_path / "inf.scn"
     bad.write_text(MINIMAL.replace("end = 1.0", "end = inf"))
@@ -534,7 +607,7 @@ def test_generated_scenarios_run_in_every_mode(text):
             assert seg.hop > 0 and seg.route[seg.hop - 1] is link.feeder, link.label
             assert at > link.kernel.now, link.label
         elif at > link.kernel.now:  # handed off to the agent
-            assert link is sim.routes[(sim.ha_node, sim.mn, s.attach)][0], link.label
+            assert link is sim.topo.routes[(sim.ha_node, sim.mn, s.attach)][0], link.label
             assert seg.flags & F_DATA and at < sim._first_detect, link.label
         return transmit(link, seg, at)
 
