@@ -15,10 +15,13 @@ workload at seed 1 for the event counts. The per-scenario table times
 at seed 1, trace off, `TABLE_RUNS` times per side (the sides alternating)
 and records each cell's events, median wall time at the benchmark's
 reference speed and events per second. Each side's Tier-1 wall time and `src/satwin`
-line count are recorded too. Each checkout runs its own, unmodified
-`satbench/run.py` and its own `src`. A `pairs` below 2 is refused before
-anything runs (quartiles need two runs); `--out` is rewritten after each
-item, so a run cut short keeps what it has.
+line count are recorded too, with its Tier-1 exit status and summary line.
+Each checkout runs its own, unmodified `satbench/run.py` and its own `src`.
+A `pairs` below 2 is refused before anything runs (quartiles need two
+runs); `--out` is rewritten after each item, so a run cut short keeps what
+it has. Every benchmark run's `correct` and `failed` are recorded; a run
+that reports `correct: false` stops the comparison with exit status 1, and
+so does a side whose Tier-1 suite failed, once `--out` is written.
 """
 
 from __future__ import annotations
@@ -92,11 +95,15 @@ def scenario_table(sides: dict[str, Path], runs: int) -> dict:
                    for cell, w in walls[side].items()} for side in sides}
 
 
-def tier1_s(repo: Path) -> float:
+def tier1(repo: Path) -> dict:
+    """Wall time, exit status and pytest's summary line of one Tier-1 run."""
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))
     t0 = time.perf_counter()
-    subprocess.run([sys.executable, *TIER1], cwd=repo, env=env, capture_output=True)
-    return time.perf_counter() - t0
+    done = subprocess.run([sys.executable, *TIER1], cwd=repo, env=env, capture_output=True,
+                          text=True)
+    lines = done.stdout.strip().splitlines()
+    return {"s": round(time.perf_counter() - t0, 2), "returncode": done.returncode,
+            "summary": lines[-1] if lines else ""}
 
 
 def src_lines(repo: Path) -> int:
@@ -120,21 +127,33 @@ def main(argv: list[str] | None = None) -> int:
         items.append((item, workload, int(seed), int(pairs)))
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     report: dict = {"seconds": args.seconds, "end_to_end": {}, "per_pass": {},
-                    "scenarios": {}, "tier1_s": {}, "src_satwin_lines": {}}
+                    "scenarios": {}, "tier1": {}, "src_satwin_lines": {}}
 
     def write() -> None:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
 
+    def incorrect(what: str) -> int:
+        write()
+        print(f"{what} reports correct: false", file=sys.stderr)
+        return 1
+
     for item, workload, seed, pairs in items:
         values = {side: {m: [] for m in E2E} for side in sides}
+        checks = {side: {"correct": [], "failed": []} for side in sides}
+        report["end_to_end"][f"{workload}/{seed}"] = checks
         for i in range(pairs):
             for side, repo in list(sides.items())[::1 if i % 2 == 0 else -1]:
-                metrics = bench(repo, workload, seed, args.seconds, 0)["metrics"]
+                result = bench(repo, workload, seed, args.seconds, 0)
+                checks[side]["correct"].append(result["correct"])
+                checks[side]["failed"].append(result["failed"])
+                if not result["correct"]:
+                    return incorrect(f"{item}: {side} run {i + 1}")
                 for m in E2E:
-                    values[side][m].append(metrics[m]["value"])
+                    values[side][m].append(result["metrics"][m]["value"])
         rates = zip(values["parent"]["sim_rate"], values["change"]["sim_rate"])
         report["end_to_end"][f"{workload}/{seed}"] = {
-            **{side: {m: spread(v) for m, v in values[side].items()} for side in sides},
+            **{side: {**{m: spread(v) for m, v in values[side].items()}, **checks[side]}
+               for side in sides},
             "sim_rate_pairs_won": sum(change > parent for parent, change in rates),
         }
         print(item, json.dumps(report["end_to_end"][f"{workload}/{seed}"]["change"]["sim_rate"]),
@@ -143,17 +162,23 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace_seconds:
         for workload in ("bulk_reno", "handover_sweep", "roundtrip_traced"):
             for side, repo in sides.items():
-                metrics = bench(repo, workload, 1, args.trace_seconds, 1)["metrics"]
-                report["per_pass"].setdefault(workload, {})[side] = \
-                    {m: metrics[m]["value"] for m in PER_PASS}
+                result = bench(repo, workload, 1, args.trace_seconds, 1)
+                report["per_pass"].setdefault(workload, {})[side] = {
+                    "correct": result["correct"], "failed": result["failed"],
+                    **{m: result["metrics"][m]["value"] for m in PER_PASS}}
+                if not result["correct"]:
+                    return incorrect(f"{workload} --trace 1: {side}")
         write()
     report["scenarios"] = scenario_table(sides, TABLE_RUNS)
     write()
     for side, repo in sides.items():
-        report["tier1_s"][side] = round(tier1_s(repo), 2)
+        report["tier1"][side] = tier1(repo)
         report["src_satwin_lines"][side] = src_lines(repo)
     write()
-    return 0
+    failed = [side for side, run in report["tier1"].items() if run["returncode"] != 0]
+    for side in failed:
+        print(f"{side}: Tier 1 failed: {report['tier1'][side]['summary']}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ F_BU = 4
 F_BUACK = 8
 F_WUPD = 16  # window-update ACK: never counted as a duplicate by the sender
 F_REFRESH = 32  # state-refresh ACK emitted while duplicate ACKs are suppressed
+F_CONTROL = F_BU | F_BUACK  # registration segments: CONTROL_BYTES on the wire
 
 OVERFLOW = "OVERFLOW"
 NO_COVERAGE = "NO_COVERAGE"
@@ -73,7 +74,7 @@ class Segment:
     hop: int = 0
 
     def wire_size(self) -> int:
-        if self.flags & (F_BU | F_BUACK):
+        if self.flags & F_CONTROL:
             return CONTROL_BYTES
         return HEADER_BYTES + self.payload_len
 
@@ -129,6 +130,7 @@ class DirectedLink:
         self.dst = dst
         self.kernel = kernel
         self.bandwidth = spec.bandwidth
+        self.round_up = spec.bandwidth - 1  # serialization rounds up to a whole microsecond
         self.prop_delay = spec.prop_delay
         self.capacity = spec.queue_capacity
         self.tag = spec.kind if spec.kind in ACCESS_KINDS else None  # stamped on what it accepts
@@ -159,23 +161,30 @@ class DirectedLink:
         """
         kernel = self.kernel
         backlog = self.backlog
+        occupancy = self.occupancy
         if backlog:
-            if at > kernel.now:  # forwarded: whatever finished by `at` has left
+            now = kernel.now
+            if at > now:  # forwarded: whatever finished by `at` has left
                 while backlog and backlog[0][0] <= at:
-                    self.occupancy -= backlog.popleft()[2]
-            else:
-                released = (kernel.now, kernel.seq)
-                while backlog and backlog[0] < released:
-                    self.occupancy -= backlog.popleft()[2]
-        wire = CONTROL_BYTES if seg.flags & (F_BU | F_BUACK) else HEADER_BYTES + seg.payload_len
+                    occupancy -= backlog.popleft()[2]
+            else:  # released where `(finish, seq) < (now, kernel.seq)`
+                seq = kernel.seq
+                while backlog:
+                    finish, entry_seq, wire = backlog[0]
+                    if finish > now or (finish == now and entry_seq >= seq):
+                        break
+                    occupancy -= wire
+                    backlog.popleft()
+        wire = CONTROL_BYTES if seg.flags & F_CONTROL else HEADER_BYTES + seg.payload_len
         if not self.always_up and not self.spec.is_available(at):
+            self.occupancy = occupancy
             return self._refuse(seg, NO_COVERAGE, at)
-        occupancy = self.occupancy + wire
-        if occupancy > self.capacity:
+        if occupancy + wire > self.capacity:
+            self.occupancy = occupancy
             return self._refuse(seg, OVERFLOW, at)
-        self.occupancy = occupancy
-        free_at, bandwidth = self.free_at, self.bandwidth
-        finish = (at if at > free_at else free_at) + (wire * SEC + bandwidth - 1) // bandwidth
+        self.occupancy = occupancy + wire
+        free_at = self.free_at
+        finish = (at if at > free_at else free_at) + (wire * SEC + self.round_up) // self.bandwidth
         self.free_at = finish
         arrival = finish + self.prop_delay
         if self.tag is not None:
@@ -189,12 +198,14 @@ class DirectedLink:
             else:
                 entry = kernel.schedule(arrival, partial(self.deliver, self, seg), "link-rx")
                 entry.append(seg)  # read by pending_arrivals; a tracer may have wrapped the handler
-        elif route[hop].feeder is self:
-            arrival = route[hop].transmit(seg, arrival)
-            entry = route[hop].entry
         else:
-            entry = kernel.schedule(arrival, partial(self._pass_on, seg), "link-rx")
-            entry.append(seg)
+            nxt = route[hop]
+            if nxt.feeder is self:
+                arrival = nxt.transmit(seg, arrival)
+                entry = nxt.entry
+            else:
+                entry = kernel.schedule(arrival, partial(self._pass_on, seg), "link-rx")
+                entry.append(seg)
         self.entry = entry
         backlog.append((finish, entry[1] - 1, wire))
         return arrival

@@ -13,8 +13,8 @@ from .errors import ConfigError
 from .kernel import Kernel, fmt_time
 from .metrics import GAP_WINDOW, DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
 from .mobility import HomeAgent, make_binding_update
-from .net import (F_BU, F_BUACK, F_DATA, HEADER_BYTES, DirectedLink, Route, Segment, Topology,
-                  path_rtt, pending_arrivals, rtt_table, single_feeders)
+from .net import (F_BU, F_BUACK, F_CONTROL, F_DATA, HEADER_BYTES, DirectedLink, Route, Segment,
+                  Topology, path_rtt, pending_arrivals, rtt_table, single_feeders)
 from .scenario import BASELINE, PROACTIVE, RESET_CWND, FlowDef, HandoverDef, Scenario, flow_buffer
 from .tcp import TcpReceiver, TcpSender
 
@@ -30,6 +30,7 @@ class _FlowRuntime:
     receiver: TcpReceiver
     metrics: FlowMetrics
     route: Route  # source to home agent, resolved once
+    ack_route: Route = ()  # mobile node to source over the attachment, from the first send
     rto_event: Optional[list] = None  # kernel handle
     # the highest data end the home agent has seen, and when
     ha_end: int = -1
@@ -372,16 +373,14 @@ class Simulation:
         route[0].transmit(seg, now)
 
     def _emit_ack(self, rt: _FlowRuntime, seg: Segment, send_at: int) -> None:
-        if send_at > self.kernel.now:
-            self.kernel.schedule(send_at, partial(self._send_ack, rt, seg), "ack-paced")
-        else:
-            self._send_ack(rt, seg)
-
-    def _send_ack(self, rt: _FlowRuntime, seg: Segment) -> None:
+        """Send the receiver's ACK now, or at `send_at` from a paced event."""
         now = self.kernel.now
+        if send_at > now:
+            self.kernel.schedule(send_at, partial(self._emit_ack, rt, seg, send_at), "ack-paced")
+            return
         if self.trace.enabled:
             self.trace.ack_tx(now, self.mn, seg.flow_id, seg.ack, seg.rwnd, seg.flags)
-        seg.route = route = self.topo.routes[(self.mn, rt.spec.src, self.attachment)]
+        seg.route = route = rt.ack_route
         route[0].transmit(seg, now)
 
     def _on_arrival(self, link: DirectedLink, seg: Segment) -> None:
@@ -458,7 +457,7 @@ class Simulation:
         self.metrics.drops.append(DropRecord(at, link.label, link.spec.kind, reason, seg.flow_id))
         if seg.payload_len:  # only data segments carry payload
             self.flows[seg.flow_id].metrics.bytes_dropped += seg.payload_len
-        if seg.flags & (F_BU | F_BUACK):
+        if seg.flags & F_CONTROL:
             seg.mark.registration_lost(at)
         self.trace.emit(at, "drop", link.label, flow=seg.flow_id, reason=reason,
                         seq=seg.seq, len=seg.payload_len)
@@ -498,6 +497,9 @@ class Simulation:
 
     def _attach(self, kind: str, now: int) -> None:
         self.attachment = kind
+        if self._routed:
+            for rt in self.flows.values():
+                rt.ack_route = self.topo.routes[(self.mn, rt.spec.src, kind)]
         route = self.topo.route_via_access(self.mn, self.cn, kind)
         bdp = ho_policy.estimate_bdp(_bottleneck_bw(route), path_rtt(route))
         # a window below one segment stalls a flow: the sender has no zero-window probe
@@ -506,9 +508,10 @@ class Simulation:
 
     def _resolve_routes(self) -> None:
         """Resolve, into the topology's route table, the agent's forward route
-        and the ACK routes for every access kind the run can attach to, and
-        mark the links that only one link feeds over every route a segment
-        can take: those, the flows' data routes and the registration routes."""
+        and the ACK routes for every access kind the run can attach to, set
+        each flow's `ack_route` (`_attach` keeps it current), and mark the
+        links that only one link feeds over every route a segment can take:
+        those, the flows' data routes and the registration routes."""
         self._routed = True
         topo, mn, ha, attach = self.topo, self.mn, self.ha_node, self.scenario.attach
         used = [rt.route for rt in self.flows.values()]
@@ -518,11 +521,13 @@ class Simulation:
             used += [self._registration_path(kind, to_agent)[1] for to_agent in (True, False)]
         for link, feeder in single_feeders(used).items():
             link.feeder = feeder
+        for rt in self.flows.values():  # no handover has switched yet: `attach` is attached
+            rt.ack_route = topo.routes[(mn, rt.spec.src, attach)]
         # the routes in use until the first detection: the data routes on
         # through the agent's forward route for `attach`, and the ACK routes
         forward = topo.routes[(ha, mn, attach)]
         early = [route for rt in self.flows.values()
-                 for route in (rt.route + forward, topo.routes[(mn, rt.spec.src, attach)])]
+                 for route in (rt.route + forward, rt.ack_route)]
         into = single_feeders(early)[forward[0]]  # the one link into the agent, if one
         if into is not None:
             into.hand_off = self._ha_forward

@@ -345,9 +345,13 @@ def validate_scenario(s: Scenario) -> None:
             raise ConfigError(f"the mobile node has {count} {kind} access links; expected one")
     if s.attach not in access_kinds:
         raise ConfigError(f"initial attachment {s.attach!r} has no access link at the mobile node")
-    for node in s.nodes:  # a gateway's kind is checked only
-        if node.role == "gateway" and node.kind is not None and not any(
-                {l.a, l.b} == {mn, node.name} and l.kind == node.kind for l in s.links):
+    for node in s.nodes:  # a gateway's kind is checked only; no other role takes one
+        if node.kind is None:
+            continue
+        if node.role != "gateway":
+            raise ConfigError(f"node {node.name}: kind is for gateways only, not role "
+                              f"{node.role}", key="kind")
+        if not any({l.a, l.b} == {mn, node.name} and l.kind == node.kind for l in s.links):
             raise ConfigError(f"gateway {node.name}: kind = {node.kind}, but it has no "
                               f"{node.kind} access link to the mobile node", key="kind")
 

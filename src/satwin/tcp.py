@@ -86,9 +86,6 @@ class TcpSender:
         if self.state_cb is not None:
             self.state_cb(self, now)
 
-    def _set_phase_from_cwnd(self) -> None:
-        self.phase = SLOW_START if self.cwnd < self.ssthresh else CONG_AVOID
-
     # -- transmission --------------------------------------------------
 
     def _emit(self, seq: int, length: int, now: int, rexmit: bool) -> None:
@@ -173,34 +170,30 @@ class TcpSender:
             self._wl_time = seg.sent_at
 
         if ack > snd_una:
-            self._on_new_ack(ack, seg, now)
+            self.snd_una = ack
+            self.dupacks = 0
+            if self._rtx_next is not None:
+                self._rtx_next = max(self._rtx_next, ack)
+                if ack >= self._rtx_high:
+                    self._rtx_next = None
+            self._sample_rtt(snd_una, seg, now)
+            cwnd, ssthresh = self.cwnd, self.ssthresh
+            if self.phase == FAST_RECOVERY:
+                # Reno deflates and leaves recovery on the first ACK that moves
+                # snd_una; `recover` only gates re-entering fast retransmit.
+                cwnd = ssthresh
+            elif cwnd < ssthresh:
+                cwnd += self.mss  # slow start: one MSS per ACK
+            else:
+                cwnd += self.mss * self.mss // cwnd
+            self.cwnd = cwnd
+            self.phase = SLOW_START if cwnd < ssthresh else CONG_AVOID
+            if self.state_cb is not None:
+                self.state_cb(self, now)
         elif is_dup:
             self._on_dupack(now)
         # pure window updates fall through to the send attempt below
         self.try_send(now)
-
-    def _on_new_ack(self, ack: int, seg: Segment, now: int) -> None:
-        prev_una = self.snd_una
-        self.snd_una = ack
-        self.dupacks = 0
-        if self._rtx_next is not None:
-            self._rtx_next = max(self._rtx_next, ack)
-            if ack >= self._rtx_high:
-                self._rtx_next = None
-        self._sample_rtt(prev_una, seg, now)
-
-        if self.phase == FAST_RECOVERY:
-            # Reno deflates and leaves recovery on the first ACK that moves
-            # snd_una; `recover` only gates re-entering fast retransmit.
-            self.cwnd = self.ssthresh
-            self._set_phase_from_cwnd()
-        elif self.cwnd < self.ssthresh:
-            self.cwnd += self.mss  # slow start: one MSS per ACK
-            self._set_phase_from_cwnd()
-        else:
-            self.cwnd += self.mss * self.mss // self.cwnd
-            self.phase = CONG_AVOID
-        self._note_state(now)
 
     def _on_dupack(self, now: int) -> None:
         if self.phase == FAST_RECOVERY:
@@ -233,7 +226,8 @@ class TcpSender:
         else:
             self.rttvar = (3 * self.rttvar + abs(self.srtt - m)) // 4
             self.srtt = (7 * self.srtt + m) // 8
-        self.rto = min(max(self.srtt + 4 * self.rttvar, RTO_MIN), RTO_MAX)
+        rto = self.srtt + 4 * self.rttvar
+        self.rto = RTO_MIN if rto < RTO_MIN else RTO_MAX if rto > RTO_MAX else rto
 
     # -- timeout and external steering -----------------------------------
 

@@ -450,6 +450,24 @@ def test_gateway_kind_must_be_its_access_links(text, tmp_path, capsys):
     parse_scenario(MINIMAL, "x")
 
 
+@pytest.mark.parametrize("text, node, role", [
+    (MINIMAL.replace("role = cn", "role = cn\nkind = SAT"), "CN", "cn"),
+    (MINIMAL.replace("role = ha", "role = ha\nkind = WLAN"), "HA", "ha"),
+    (MINIMAL.replace("role = mn", "role = mn\nkind = WLAN"), "MN", "mn"),
+    (MINIMAL + "\n[node.R]\nrole = router\nkind = SAT\n", "R", "router"),
+], ids=["cn", "ha", "mn", "router"])
+def test_kind_is_for_gateways_only(text, node, role, tmp_path, capsys):
+    # nothing reads the key on another role: it used to be accepted silently
+    with pytest.raises(ConfigError,
+                       match=f"node {node}: kind is for gateways only, not role {role} ") as err:
+        parse_scenario(text, "x")
+    assert err.value.key == "kind"
+    bad = tmp_path / "kind.scn"
+    bad.write_text(text)
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    assert f"node {node}: kind" in capsys.readouterr().err
+
+
 def test_cli_validate_rejects_non_finite_values(tmp_path, capsys):
     bad = tmp_path / "inf.scn"
     bad.write_text(MINIMAL.replace("end = 1.0", "end = inf"))
@@ -595,7 +613,8 @@ def test_canonical_text_round_trips_generated_scenarios(text):
 def test_generated_scenarios_run_in_every_mode(text):
     """No run of an accepted file raises ConfigError or fails conservation,
     each handover registers at most once, trace times never decrease, every
-    window cap a run ends with is 0 (a drain) or at least one segment, no
+    window cap a run ends with is 0 (a drain) or at least one segment, each
+    flow ends with the ACK route over the network attached last, no
     segment enters a single-fed link except from its feeder, and a link with
     no feeder admits ahead of time only data the agent forwards over
     `attach` before the first detection."""
@@ -620,6 +639,7 @@ def test_generated_scenarios_run_in_every_mode(text):
         for rt in sim.flows.values():
             cap = rt.receiver.policy_cap
             assert cap in (None, 0) or cap >= s.mss, (mode, rt.spec.name, cap)
+            assert rt.ack_route is sim.topo.routes[(sim.mn, rt.spec.src, sim.attachment)], mode
 
 
 def _with_delays(name: str, delay: str, path: Path) -> str:

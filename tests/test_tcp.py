@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import scenario_path
 from satwin.errors import ProtocolViolation
@@ -11,6 +11,7 @@ from satwin.tcp import (
     CONG_AVOID,
     FAST_RECOVERY,
     RTO_MAX,
+    RTO_MIN,
     SLOW_START,
     TcpReceiver,
     TcpSender,
@@ -471,3 +472,139 @@ def test_unaligned_reassembly_matches_byte_set_oracle(ranges):
         assert receiver.delivered_inorder == prefix
         assert receiver.oob_bytes == sum(1 for b in held if b > prefix)
         assert emitted[-1][0].ack == prefix
+
+
+class RenoReference:
+    """Reno as the sender's rules state it, written out plainly: the oracle
+    for the model test below. `out` logs (seq, length, sent_at, rexmit) per
+    segment sent."""
+
+    def __init__(self, ssthresh, rwnd, volume):
+        self.cwnd, self.ssthresh, self.phase = 2 * MSS, max(ssthresh, 2 * MSS), SLOW_START
+        self.una = self.nxt = self.dups = self.recover = self.rtx_end = 0
+        self.rwnd, self.volume, self.window_from = rwnd, volume, (-1, -1)
+        self.srtt, self.rttvar, self.rto = None, 0, RTO_MIN
+        self.resend = None  # [next, high) to go back over after a timeout
+        self.out = []
+
+    def emit(self, seq, end, now, rexmit):
+        self.out.append((seq, end - seq, now, rexmit))
+        if rexmit:
+            self.rtx_end = max(self.rtx_end, end)
+
+    def send(self, now):
+        if self.rwnd == 0:
+            return
+        usable = min(self.cwnd, self.rwnd)
+        while self.resend is not None and self.resend[0] < self.resend[1]:
+            seq = self.resend[0]
+            end = min(seq + MSS, self.resend[1])
+            if end - self.una > usable:
+                return
+            self.emit(seq, end, now, True)
+            self.resend[0] = end
+        while self.volume is None or self.nxt < self.volume:
+            end = self.nxt + MSS if self.volume is None else min(self.nxt + MSS, self.volume)
+            if end - self.una > usable:
+                return
+            self.emit(self.nxt, end, now, False)
+            self.nxt = end
+
+    def ack(self, seg, now):
+        if seg.ack < self.una:
+            return
+        dup = (seg.ack == self.una < self.nxt and seg.rwnd <= self.rwnd
+               and not seg.flags & (F_WUPD | F_REFRESH))
+        if (seg.ack, seg.sent_at) >= self.window_from:
+            self.rwnd, self.window_from = seg.rwnd, (seg.ack, seg.sent_at)
+        if seg.ack > self.una:
+            prev, self.una, self.dups = self.una, seg.ack, 0
+            if self.resend is not None:
+                self.resend[0] = max(self.resend[0], seg.ack)
+                if seg.ack >= self.resend[1]:
+                    self.resend = None
+            if seg.echo is not None and prev >= self.rtx_end:  # Karn
+                m = now - seg.echo
+                if self.srtt is None:
+                    self.srtt, self.rttvar = m, m // 2
+                else:
+                    self.srtt, self.rttvar = ((7 * self.srtt + m) // 8,
+                                              (3 * self.rttvar + abs(self.srtt - m)) // 4)
+                self.rto = min(max(self.srtt + 4 * self.rttvar, RTO_MIN), RTO_MAX)
+            if self.phase == FAST_RECOVERY:
+                self.cwnd = self.ssthresh
+            elif self.cwnd < self.ssthresh:
+                self.cwnd += MSS
+            else:
+                self.cwnd += MSS * MSS // self.cwnd
+            self.phase = SLOW_START if self.cwnd < self.ssthresh else CONG_AVOID
+        elif dup and self.phase == FAST_RECOVERY:
+            self.cwnd += MSS
+        elif dup:
+            self.dups += 1
+            if self.dups == 3 and self.una >= self.recover:
+                self.ssthresh = max((self.nxt - self.una) // 2, 2 * MSS)
+                if self.rwnd:
+                    self.emit(self.una, min(self.una + MSS, self.nxt), now, True)
+                self.cwnd, self.phase = self.ssthresh + 3 * MSS, FAST_RECOVERY
+                self.recover = self.nxt
+        self.send(now)
+
+    def timeout(self, now):
+        if self.nxt == self.una:
+            return False
+        self.ssthresh = max((self.nxt - self.una) // 2, 2 * MSS)
+        self.cwnd, self.phase, self.dups, self.recover = MSS, SLOW_START, 0, self.nxt
+        self.resend = [self.una, self.nxt]
+        self.rto = min(2 * self.rto, RTO_MAX)
+        self.send(now)
+        return True
+
+
+_windows = st.one_of(st.just(0), st.integers(MSS, 64 * MSS), st.just(10**9))
+# (kind, time step, ack pick, window or None to repeat the sender's, flags,
+# sent_at and echo lags); "same" sends one to four copies, "rto" uses the
+# time step alone; an echo lag above 20 s takes the RTO to its ceiling
+_steps = st.tuples(st.sampled_from(["new", "new", "new", "same", "same", "same", "stale", "rto"]),
+                   st.integers(0, 300_000) | st.integers(0, 30 * SEC),
+                   st.integers(0, 10**6), st.none() | _windows,
+                   st.sampled_from([0, 0, 0, F_WUPD, F_REFRESH]), st.integers(0, 3),
+                   st.none() | st.integers(0, 2 * SEC) | st.integers(20 * SEC, 40 * SEC))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(MSS, 64 * MSS), _windows, st.none() | st.integers(0, 200 * MSS),
+       st.lists(_steps, max_size=60))
+def test_sender_matches_reno_reference(ssthresh, rwnd, volume, steps):
+    """New ACKs, duplicates, window updates, refreshes, stale ACKs, zero
+    windows and timeouts drive the sender and the reference alike."""
+    sender, sent = make_sender(init_ssthresh=ssthresh, peer_rwnd=rwnd, volume=volume)
+    ref = RenoReference(ssthresh, rwnd, volume)
+    now = 40 * SEC  # late enough for any echo lag
+    sender.try_send(now)
+    ref.send(now)
+    for step in steps:
+        now += step[1]
+        kind, _, pick, window, flags, back, echo_back = step
+        if kind == "rto":
+            assert sender.on_rto(now) == ref.timeout(now)
+        else:
+            una, nxt = sender.snd_una, sender.snd_nxt
+            if kind == "new" and nxt > una:
+                value = una + 1 + pick % (nxt - una)
+            elif kind == "stale" and una > 0:
+                value = pick % una
+            else:
+                value = una
+            seg = ack(value, rwnd=sender.peer_rwnd if window is None else window,
+                      sent_at=now - back, flags=flags,
+                      echo=None if echo_back is None else now - echo_back)
+            for _ in range(1 + pick % 4 if kind == "same" else 1):
+                sender.on_ack(seg, now)
+                ref.ack(seg, now)
+        assert (sender.cwnd, sender.ssthresh, sender.phase, sender.srtt, sender.rttvar,
+                sender.rto, sender.snd_una, sender.snd_nxt, sender.recover, sender.rtx_end,
+                sender.dupacks) == \
+            (ref.cwnd, ref.ssthresh, ref.phase, ref.srtt, ref.rttvar,
+             ref.rto, ref.una, ref.nxt, ref.recover, ref.rtx_end, ref.dups), step
+        assert [(s.seq, s.payload_len, s.sent_at, s.rexmit) for s in sent] == ref.out
