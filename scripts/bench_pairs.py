@@ -9,8 +9,11 @@ Each `workload:seed:pairs` item runs `satbench/run.py --trace 0` of each
 checkout `pairs` times, in pairs, the side that runs first alternating from
 pair to pair, so slow drift of the host falls on both sides alike. For every end-to-end metric the file records
 each side's runs, median and quartiles, and for `sim_rate` the pairs the
-change won. `--trace-seconds` adds one `--trace 1` run per side and
-workload at seed 1 for the event counts. The per-scenario table times
+change won. `--trace-seconds` adds `TRACE_RUNS` `--trace 1` runs per side
+and workload at seed 1 (the sides alternating), and records for the event
+counts (`PER_PASS`) and every per-layer self time (`*self_s`) each side's
+runs, median and quartiles, so a per-layer change can be told from the
+spread of one commit's runs. The per-scenario table times
 `Simulation(...).kernel.run_until(end)` for every `scenarios/*.scn` x mode
 at seed 1, trace off, `TABLE_RUNS` times per side (the sides alternating)
 and records each cell's events, median wall time at the benchmark's
@@ -39,6 +42,7 @@ E2E = ("sim_rate", "hop_rate", "setup_s", "peak_rss_mb", "completed_share")
 PER_PASS = ("kernel.events", "kernel.events_per_s", "kernel.scheduled.link-rx", "net.transmit.calls",
             "mobility.route_attachment.calls")
 TABLE_RUNS = 9  # timed runs per side of each scenario table cell
+TRACE_RUNS = 5  # --trace 1 runs per side of each workload
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 # one timed kernel run of every shipped scenario x mode, printed as JSON; the
 # time is scaled by the benchmark's reference loop timed around it, which
@@ -161,14 +165,21 @@ def main(argv: list[str] | None = None) -> int:
         write()
     if args.trace_seconds:
         for workload in ("bulk_reno", "handover_sweep", "roundtrip_traced"):
-            for side, repo in sides.items():
-                result = bench(repo, workload, 1, args.trace_seconds, 1)
-                report["per_pass"].setdefault(workload, {})[side] = {
-                    "correct": result["correct"], "failed": result["failed"],
-                    **{m: result["metrics"][m]["value"] for m in PER_PASS}}
-                if not result["correct"]:
-                    return incorrect(f"{workload} --trace 1: {side}")
-        write()
+            runs: dict = {side: {"correct": [], "failed": [], "metrics": {}} for side in sides}
+            report["per_pass"][workload] = runs
+            for i in range(TRACE_RUNS):
+                for side, repo in list(sides.items())[::1 if i % 2 == 0 else -1]:
+                    result = bench(repo, workload, 1, args.trace_seconds, 1)
+                    runs[side]["correct"].append(result["correct"])
+                    runs[side]["failed"].append(result["failed"])
+                    if not result["correct"]:
+                        return incorrect(f"{workload} --trace 1: {side} run {i + 1}")
+                    for m, metric in result["metrics"].items():
+                        if m in PER_PASS or m.endswith("self_s"):
+                            runs[side]["metrics"].setdefault(m, []).append(metric["value"])
+            for side in sides:
+                runs[side]["metrics"] = {m: spread(v) for m, v in runs[side]["metrics"].items()}
+            write()
     report["scenarios"] = scenario_table(sides, TABLE_RUNS)
     write()
     for side, repo in sides.items():

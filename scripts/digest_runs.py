@@ -17,11 +17,19 @@ also prints, after each run, the digest of its trace with the lines of each
 time stamp sorted (`tie_sorted=`), so that two traces that differ only in
 the order of same-microsecond lines get the same one. The `total` is over
 the plain lines either way.
+
+    python3 scripts/digest_runs.py --seeds 1 2 3 7919 --tie-sorted --all-events
+
+prints the same runs' digests on the all-events reference (`all_events`):
+no link admits ahead of time, so every segment has an event at every hop.
+The CSV and `tie_sorted=` digests of a run must equal those without
+`--all-events`; a shortcut that moves one changed the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import sys
@@ -51,6 +59,27 @@ def tie_sorted(lines: list[str]) -> list[str]:
     """`lines` with each run of lines under one time stamp sorted."""
     groups = itertools.groupby(lines, key=lambda line: line.split(" ", 1)[0])
     return [line for _, group in groups for line in sorted(group)]
+
+
+@contextlib.contextmanager
+def all_events():
+    """Within it, runs take the all-events reference path: after
+    `_resolve_routes` no link has a feeder or hands off to the agent, and
+    no hand-off resumes, so every segment has an event at every hop."""
+    resolve, resume = Simulation._resolve_routes, Simulation._resume_hand_off
+
+    def reference_resolve(sim):
+        resolve(sim)
+        for link in sim.topo.directed.values():
+            link.feeder = None
+            link.hand_off_before = 0
+
+    Simulation._resolve_routes = reference_resolve
+    Simulation._resume_hand_off = lambda sim, link, now: None
+    try:
+        yield
+    finally:
+        Simulation._resolve_routes, Simulation._resume_hand_off = resolve, resume
 
 
 def run_digests(text: str, name: str, mode: str, trace: bool,
@@ -85,14 +114,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="workload seeds whose job texts are run as well")
     parser.add_argument("--tie-sorted", action="store_true",
                         help="also print each trace's digest with same-time lines sorted")
+    parser.add_argument("--all-events", action="store_true",
+                        help="run the all-events reference: an event at every hop")
     args = parser.parse_args(argv)
     ties = args.tie_sorted
-    runs = {f"shipped/{key}": d for key, d in shipped_digests(ties=ties).items()}
-    for seed in args.seeds:
-        for workload in workloads.WORKLOADS:
-            for job in workloads.generate(workload, seed, REPO / "scenarios"):
-                runs[f"{workload}/{seed}/{job.name}/{job.mode}"] = \
-                    run_digests(job.text, job.name, job.mode, job.trace, ties)
+    with all_events() if args.all_events else contextlib.nullcontext():
+        runs = {f"shipped/{key}": d for key, d in shipped_digests(SHIPPED, ties).items()}
+        for seed in args.seeds:
+            for workload in workloads.WORKLOADS:
+                for job in workloads.generate(workload, seed, REPO / "scenarios"):
+                    runs[f"{workload}/{seed}/{job.name}/{job.mode}"] = \
+                        run_digests(job.text, job.name, job.mode, job.trace, ties)
     lines = [f"{key} csv={d['csv']} trace={d['trace']}" for key, d in runs.items()]
     if ties:
         print("\n".join(f"{line} tie_sorted={d['tie_sorted']}"

@@ -93,6 +93,11 @@ def allocate_flow_windows(demands: list[FlowDemand], capacity: int, mss: int = 1
     re-apportioned among the others. Minimum shares that do not fit the
     capacity together (it can be a BDP measured during the run) are each
     scaled to floor(min_share * capacity / sum(min_share)).
+
+    At least one flow is never pinned: after that scaling the minimums sum
+    to at most the capacity, so the budget left always covers the minimums
+    of the flows left, and the shares of those flows (positive weights) sum
+    to that budget, so they cannot all fall below their minimums.
     """
     if not demands:
         return {}
@@ -113,13 +118,11 @@ def allocate_flow_windows(demands: list[FlowDemand], capacity: int, mss: int = 1
             pinned[d.flow_id] = d.min_share
             budget -= d.min_share
         active = [d for d in active if d.flow_id not in pinned]
-        if not active:
-            return {d.flow_id: pinned.get(d.flow_id, 0) for d in demands}
 
     alloc = {fid: int(share) for fid, share in shares.items()}  # floor
     leftover = budget - sum(alloc.values())
     order = sorted(active, key=lambda d: (-(shares[d.flow_id] - alloc[d.flow_id]), d.flow_id))
-    for i in range(leftover // mss):  # round robin; `active` is never empty here
+    for i in range(leftover // mss):  # round robin; `active` is never empty
         alloc[order[i % len(order)].flow_id] += mss
     alloc.update(pinned)
     if sum(alloc.values()) > capacity:

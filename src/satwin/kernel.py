@@ -3,8 +3,8 @@
 Time is integer microseconds throughout the simulator: event ordering is
 exact on every platform, with no floating-point drift. Simultaneous events
 fire in the order they were scheduled (FIFO tie-break via a monotonic
-sequence counter). A segment that cuts through hops (see `net`; before the
-first detection, the home agent's too) has one event, scheduled when it
+sequence counter). A segment that cuts through hops (see `net`; inside a
+quiet interval, the home agent's too) has one event, scheduled when it
 entered the first link, so among same-microsecond events it ranks by that moment.
 """
 

@@ -13,9 +13,10 @@ So the upstream `transmit` admits the segment to it at once, for the
 logical time it gets there (a FIFO tandem, Lindley 1952), and the kernel
 holds one event for the hops cut through: the final arrival, or the drop
 at the hop that refuses the segment, due when the segment reaches it.
-Before the first detection, a link that alone feeds the home agent's forward
-link hands data at its route's end to the agent at once (`hand_off`): a
-data segment has one event from source to MN, and two after the detection.
+Inside a quiet interval (see `Simulation._resume_hand_off`), a link that
+alone feeds the home agent's forward link hands data at its route's end to
+the agent at once (`hand_off`): a data segment has one event from source to
+MN there, and two from a detection until the next quiet interval starts.
 """
 
 from __future__ import annotations
@@ -122,6 +123,10 @@ class DirectedLink:
     A forwarded admission (`at > kernel.now`, onto a single-fed link or a
     hand-off's) releases every entry with `finish <= at`, and an admission
     at `now` after a hand-off finds a handed-off entry with `finish == now` gone.
+    A data segment ending its route here before `hand_off_before` goes to
+    `hand_off`, which the runner sets on the one link into the home agent:
+    `hand_off_before` is the next scripted detection inside a quiet
+    interval, and 0 outside one.
     """
 
     def __init__(self, spec: LinkSpec, src: str, dst: str, kernel: Kernel):
@@ -141,7 +146,7 @@ class DirectedLink:
         self.feeder: Optional[DirectedLink] = None  # the one upstream link, if single-fed
         self.entry: Optional[list] = None  # the kernel entry the last admission here ended in
         self.hand_off: Optional[Callable[[Segment, int], Optional[int]]] = None
-        self.hand_off_before = 0  # a segment ending its route here earlier goes to `hand_off`
+        self.hand_off_before = 0  # data ending its route here earlier goes to `hand_off`
         self.deliver: Callable[[DirectedLink, Segment], None] = _unwired
         self.on_drop: Callable[[DirectedLink, Segment, str, int], None] | None = None
         self.drops = {OVERFLOW: 0, NO_COVERAGE: 0}
@@ -265,7 +270,9 @@ class Topology:
 
     Routes minimize total one-way propagation delay, breaking ties first on
     hop count and then on the lexicographic node sequence, so identical
-    scenarios route identically everywhere.
+    scenarios route identically everywhere. A link to an unknown node, a
+    missing access link and a missing route are `SimError`s: validation
+    rejects a scenario file that has one, so a run meets them only as a bug.
     """
 
     def __init__(self, nodes: list[NodeSpec], links: list[LinkSpec], kernel: Kernel):
@@ -275,7 +282,7 @@ class Topology:
         for spec in links:
             for src, dst in ((spec.a, spec.b), (spec.b, spec.a)):
                 if src not in self.nodes or dst not in self.nodes:
-                    raise ConfigError(f"link {spec.name}: unknown node {src!r}/{dst!r}")
+                    raise SimError(f"link {spec.name}: unknown node {src!r}/{dst!r}")
                 self.directed[(src, dst)] = DirectedLink(spec, src, dst, kernel)
                 self._adj[src].append((dst, spec))
         for adj in self._adj.values():
@@ -298,7 +305,7 @@ class Topology:
         """The MN's uplink of `kind`; its `dst` is the access gateway."""
         uplink = self._uplinks.get(kind)
         if uplink is None:
-            raise ConfigError(f"no {kind} access link attached to the mobile node")
+            raise SimError(f"no {kind} access link attached to the mobile node")
         return uplink
 
     def route(self, src: str, dst: str) -> Route:
@@ -324,7 +331,7 @@ class Topology:
                     best[nxt] = cand
                     heapq.heappush(frontier, cand + (nxt,))
         if dst not in best:
-            raise ConfigError(f"no route from {src} to {dst}")
+            raise SimError(f"no route from {src} to {dst}")
         names = best[dst][2]
         hops = tuple(self.directed[(names[i], names[i + 1])] for i in range(len(names) - 1))
         self.routes[key] = hops

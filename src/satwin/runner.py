@@ -160,6 +160,7 @@ class _HandoverRuntime:
             wupd = rt.receiver.set_window_policy(0, now)  # hold the sender while draining
             if wupd is not None:
                 wupd.mark = self
+                sim._adverts += 1
             rt.receiver.set_suppress_dupacks(True, now)
             rt.sender.external_congestion_avoidance(now)
             sim.trace.emit(now, "wpolicy", sim.mn, flow=fid, cap=0)
@@ -231,6 +232,7 @@ class _HandoverRuntime:
         """The move does not happen: the windows rest on the network the MN
         stays on."""
         self.metrics.aborted = True
+        self.sim._registering -= 1
         self.sim.trace.emit(now, "handover_abort", self.sim.mn, handover=self.metrics.name)
         self.sim.rest(now)
 
@@ -238,8 +240,9 @@ class _HandoverRuntime:
         """A newer handover was detected: cancel a switch still pending and
         end every open drain at a window of 0. The windows are the newer
         handover's to steer."""
-        if self.timer is not None:
-            self.sim.kernel.cancel(self.timer)
+        if self.timer is not None and self.sim.kernel.cancel(self.timer) \
+                and "t_r0" not in self.metrics.timeline:
+            self.sim._registering -= 1  # the switch it cancels sends no binding update
         self._end_drains("superseded")
 
     # -- advertisement markers ---------------------------------------------
@@ -300,10 +303,14 @@ class Simulation:
         self.cache: dict[str, int] = {}  # kind -> BDP measured when it was last attached
         self.flows: dict[str, _FlowRuntime] = {}
         self._routed = False  # the routes of every attachment are resolved (at the first send)
-        # the first scripted detection (past the end if none): the gap starts, the hand-off ends
-        self._first_detect = min((h.at for h in scenario.handovers), default=scenario.end + 1)
-        gap = (self._first_detect, min(self._first_detect + GAP_WINDOW, scenario.end))
+        # the scripted detections still to come in time order, then past the end
+        self._detects = sorted(h.at for h in scenario.handovers) + [scenario.end + 1]
+        gap = (self._detects[0], min(self._detects[0] + GAP_WINDOW, scenario.end))
         self._gap_window = gap if scenario.handovers else None
+        # binding kind -> the link into the agent that hands data off while it is in force
+        self._into: dict[str, DirectedLink] = {}
+        self._registering = 0  # detections whose binding update may still reach the agent
+        self._adverts = 0  # marked window updates not yet at their sender
 
         # the latest handover; its detection retired the one before (see retire)
         self._active: Optional[_HandoverRuntime] = None
@@ -390,18 +397,21 @@ class Simulation:
         if seg.flags & F_DATA:
             if node == self.ha_node:
                 self._ha_forward(seg, now)
+                self._resume_hand_off(link, now)
             else:
                 self._deliver_data(seg, now)
             return
         if seg.flags & F_BU:
+            self._registering -= 1
             buack = self.ha.handle_binding_update(seg, now)
             self.trace.emit(now, "bu_recv", self.ha_node, network=seg.path_tag)
             if buack is None:  # stale: a later BU is in force
                 seg.mark.registration_lost(now)
-                return
-            seg.mark.registered(now)
-            buack.mark = seg.mark
-            self._send_buack(buack, now)
+            else:
+                seg.mark.registered(now)
+                buack.mark = seg.mark
+                self._send_buack(buack, now)
+            self._resume_hand_off(link, now)
             return
         if seg.flags & F_BUACK:
             seg.mark.confirmed(seg, now)
@@ -409,6 +419,7 @@ class Simulation:
         # cumulative ACK reaching the sender
         rt = self.flows[seg.flow_id]
         if seg.mark is not None:
+            self._adverts -= 1
             seg.mark.advert_arrived(rt, now)
         if self.trace.enabled:
             self.trace.ack_rx(now, node, seg.flow_id, seg.ack, seg.rwnd)
@@ -458,7 +469,11 @@ class Simulation:
         if seg.payload_len:  # only data segments carry payload
             self.flows[seg.flow_id].metrics.bytes_dropped += seg.payload_len
         if seg.flags & F_CONTROL:
+            if seg.flags & F_BU:
+                self._registering -= 1
             seg.mark.registration_lost(at)
+        elif seg.mark is not None:
+            self._adverts -= 1
         self.trace.emit(at, "drop", link.label, flow=seg.flow_id, reason=reason,
                         seq=seg.seq, len=seg.payload_len)
 
@@ -511,27 +526,36 @@ class Simulation:
         and the ACK routes for every access kind the run can attach to, set
         each flow's `ack_route` (`_attach` keeps it current), and mark the
         links that only one link feeds over every route a segment can take:
-        those, the flows' data routes and the registration routes."""
+        those, the flows' data routes and the registration routes.
+
+        Then, per binding the agent can hold, find the one link into the
+        agent that feeds the binding's forward link over the data routes on
+        through it and the ACK routes of every kind (one sent before a
+        switch may still travel): that link hands data off to the agent
+        inside a quiet interval (see _resume_hand_off), the first of which
+        starts now."""
         self._routed = True
         topo, mn, ha, attach = self.topo, self.mn, self.ha_node, self.scenario.attach
-        used = [rt.route for rt in self.flows.values()]
-        for kind in dict.fromkeys([attach] + [h.to for h in self.scenario.handovers]):
+        kinds = list(dict.fromkeys([attach] + [h.to for h in self.scenario.handovers]))
+        data = [rt.route for rt in self.flows.values()]
+        acks = [topo.route_via_access(mn, rt.spec.src, kind)
+                for kind in kinds for rt in self.flows.values()]
+        used = data + acks
+        for kind in kinds:
             used.append(topo.route_via_access(ha, mn, kind))
-            used += [topo.route_via_access(mn, rt.spec.src, kind) for rt in self.flows.values()]
             used += [self._registration_path(kind, to_agent)[1] for to_agent in (True, False)]
         for link, feeder in single_feeders(used).items():
             link.feeder = feeder
         for rt in self.flows.values():  # no handover has switched yet: `attach` is attached
             rt.ack_route = topo.routes[(mn, rt.spec.src, attach)]
-        # the routes in use until the first detection: the data routes on
-        # through the agent's forward route for `attach`, and the ACK routes
-        forward = topo.routes[(ha, mn, attach)]
-        early = [route for rt in self.flows.values()
-                 for route in (rt.route + forward, rt.ack_route)]
-        into = single_feeders(early)[forward[0]]  # the one link into the agent, if one
-        if into is not None:
-            into.hand_off = self._ha_forward
-            into.hand_off_before = self._first_detect
+        for kind in kinds:
+            forward = topo.routes[(ha, mn, kind)]
+            into = single_feeders([route + forward for route in data] + acks)[forward[0]]
+            if into is not None:
+                into.hand_off = self._ha_forward
+                self._into[kind] = into
+        if attach in self._into:
+            self._into[attach].hand_off_before = self._detects[0]
 
     def _registration_path(self, kind: str, to_agent: bool) -> tuple[str, Route]:
         """The registration endpoint for `kind` (the proxy gateway, or the MN
@@ -554,6 +578,10 @@ class Simulation:
         if not self._routed:
             self._resolve_routes()
         now = self.kernel.now
+        for into in self._into.values():  # the quiet interval ends
+            into.hand_off_before = 0
+        self._detects.pop(0)
+        self._registering += 1
         ho = _HandoverRuntime(self, hdef)
         self.trace.emit(now, "handover_detect", self.mn, direction=ho.metrics.direction,
                         to=hdef.to, mode=self.mode)
@@ -567,6 +595,29 @@ class Simulation:
             ho.abort(now)  # already attached to the target
         else:
             self._procedure(ho, now)
+
+    def _resume_hand_off(self, link: DirectedLink, now: int) -> None:
+        """A segment reached the agent over `link`: start a quiet interval,
+        up to the next detection, once (i) no binding update is in flight or
+        still to be sent, (ii) a link hands off to the agent under the
+        binding in force, (iii) no segment on that link is still due at the
+        agent (arrivals over a link strictly increase, so none is from the
+        arrival of the last one it accepted on), and (iv) nothing reads
+        early what the agent writes ahead of time: no marked window update
+        is on its way (its arrival reads `ha_end`), and the latest handover
+        waits on no t_a2 marker (traced when it resolves) and drains no
+        network the agent routes to (a drain reads its watermark). README
+        "Event kernel and links" gives the reasons."""
+        if self._registering or self._adverts:
+            return
+        kind, ho = self.ha.route_attachment(), self._active
+        into = self._into.get(kind)
+        if into is None or ho is not None and (
+                ho.markers or ho.draining and ho.metrics.old_kind == kind):
+            return
+        last = into.free_at + into.prop_delay  # the last segment it accepted reaches the agent
+        if last < now or last == now and link is into:
+            into.hand_off_before = self._detects[0]
 
     def resting_cap(self, buffer: int) -> int:
         """The window cap a flow with this receive buffer rests at on the
@@ -588,8 +639,9 @@ class Simulation:
             wupd = receiver.window_update(now)
             self.trace.emit(now, "ramp", self.mn, flow=fid, target=target,
                             step=receiver.ramp_step)
-        if wupd is not None:
+        if wupd is not None and mark is not None:
             wupd.mark = mark
+            self._adverts += 1
 
     def rest(self, now: int) -> None:
         """Steer every capped flow to its resting cap, also one already

@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,23 @@ SHIPPED = ["s1_wlan_to_sat", "s2_sat_to_wlan", "s3_multiflow", "s4_three_network
 
 def scenario_path(name: str) -> Path:
     return SCENARIOS / f"{name}.scn"
+
+
+def load_script(name: str):
+    """`scripts/<name>.py` as a module, with `sys.path` as it was before."""
+    saved = list(sys.path)
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+# the all-events reference run and the same-microsecond sort of a trace
+DIGEST_RUNS = load_script("digest_runs")
+all_events, tie_sorted = DIGEST_RUNS.all_events, DIGEST_RUNS.tie_sorted
 
 
 @pytest.fixture(scope="session")

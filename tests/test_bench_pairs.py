@@ -10,10 +10,14 @@ import pytest
 from conftest import REPO_ROOT
 
 
-def _bench_pairs(monkeypatch, change, correct=True, tier1_code=0):
+SELF_S = ("kernel.self_s", "runner.dispatch_self_s")
+
+
+def _bench_pairs(monkeypatch, change, correct=True, tier1_code=0, traced=None):
     """The script loaded as a module, its `subprocess.run` answering for
     every command it starts: the change's benchmark runs report `correct`,
-    its Tier-1 run exits with `tier1_code`."""
+    its Tier-1 run exits with `tier1_code`. Each `--trace 1` run appends
+    its side to `traced`."""
     spec = importlib.util.spec_from_file_location("bench_pairs",
                                                   REPO_ROOT / "scripts" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
@@ -22,7 +26,10 @@ def _bench_pairs(monkeypatch, change, correct=True, tier1_code=0):
     def run(cmd, cwd, **kwargs):
         mine = cwd == change
         if "satbench/run.py" in cmd:
-            metrics = {m: {"value": 2.0 if mine else 1.0} for m in module.E2E + module.PER_PASS}
+            names = module.E2E + module.PER_PASS + SELF_S + ("net.drops.overflow",)
+            metrics = {m: {"value": 2.0 if mine else 1.0} for m in names}
+            if traced is not None and cmd[-1] == "1":
+                traced.append("change" if mine else "parent")
             last = {"correct": correct or not mine, "failed": 0 if correct or not mine else 1,
                     "metrics": metrics}
             return SimpleNamespace(returncode=0, stdout="a human line\n" + json.dumps(last))
@@ -51,13 +58,22 @@ def _main(module, sides, *extra):
 
 
 def test_records_each_runs_checks_and_tier1_status(monkeypatch, sides):
-    module = _bench_pairs(monkeypatch, sides[1].resolve())
+    traced = []
+    module = _bench_pairs(monkeypatch, sides[1].resolve(), traced=traced)
     assert _main(module, sides, "--trace-seconds", "1") == 0
     report = json.loads(sides[2].read_text())
     run = report["end_to_end"]["bulk_reno/1"]
     assert run["change"]["correct"] == [True, True] and run["change"]["failed"] == [0, 0]
     assert run["sim_rate_pairs_won"] == 2
-    assert report["per_pass"]["bulk_reno"]["change"]["correct"] is True
+    # TRACE_RUNS traced runs per side and workload, the side that runs first alternating
+    runs = module.TRACE_RUNS
+    assert traced == (["parent", "change", "change", "parent"] * runs)[:2 * runs] * 3
+    per_pass = report["per_pass"]["bulk_reno"]["change"]
+    assert per_pass["correct"] == [True] * runs and per_pass["failed"] == [0] * runs
+    assert set(per_pass["metrics"]) == set(module.PER_PASS + SELF_S)
+    assert per_pass["metrics"]["kernel.self_s"] == {"runs": [2.0] * runs, "median": 2.0,
+                                                    "q1": 2.0, "q3": 2.0}
+    assert report["per_pass"]["roundtrip_traced"]["parent"]["metrics"]["kernel.events"]["median"] == 1.0
     assert report["tier1"]["change"]["returncode"] == 0
     assert report["tier1"]["change"]["summary"] == "3 passed in 0.10s"
     assert report["src_satwin_lines"] == {"parent": 1, "change": 1}

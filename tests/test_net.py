@@ -408,6 +408,29 @@ def test_rtt_table_missing_role_is_config_error():
         rtt_table(topo, old_kind="WLAN")
 
 
+def test_a_link_to_an_unknown_node_is_a_sim_error():
+    # validation rejects the file, so the run meets it only as a bug
+    spec = LinkSpec("l", "a", "b", 125000, MS, 1 << 20)
+    with pytest.raises(SimError, match="link l: unknown node 'a'/'b'"):
+        Topology([NodeSpec("a", "router")], [spec], Kernel())
+
+
+def test_a_missing_access_link_is_a_sim_error():
+    topo = Topology([NodeSpec("MN", "mn"), NodeSpec("SGW", "gateway", "SAT")],
+                    [LinkSpec("sat", "MN", "SGW", 125000, MS, 1 << 20, "SAT")], Kernel())
+    assert topo.access_link("SAT").dst == "SGW"
+    with pytest.raises(SimError, match="no WLAN access link attached to the mobile node"):
+        topo.access_link("WLAN")
+
+
+def test_a_missing_route_is_a_sim_error():
+    topo = Topology([NodeSpec(n, "router") for n in "abc"],
+                    [LinkSpec("ab", "a", "b", 125000, MS, 1 << 20)], Kernel())
+    assert len(topo.route("a", "b")) == 1
+    with pytest.raises(SimError, match="no route from a to c"):
+        topo.route("a", "c")
+
+
 def test_ack_and_control_wire_sizes():
     ack = Segment(flow_id="f", flags=2, ack=100, rwnd=1000)
     assert ack.wire_size() == 40

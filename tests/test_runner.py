@@ -1,5 +1,5 @@
+import contextlib
 import hashlib
-import importlib.util
 import json
 import os
 import re
@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import REPO_ROOT, SCENARIOS, scenario_path
+from conftest import DIGEST_RUNS, REPO_ROOT, SCENARIOS, all_events, scenario_path
 from satwin.errors import ConfigError
 from satwin.kernel import SEC, Kernel, SimError, fmt_time
 from satwin.metrics import Trace, write_csv
@@ -136,14 +136,29 @@ def test_shipped_runs_match_golden_csv_and_trace_digests(case):
     assert digests == GOLDEN_RUNS[case]
 
 
-def test_digest_script_prints_the_pinned_s4_digests(monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it on import
-    spec = importlib.util.spec_from_file_location("digest_runs",
-                                                  REPO_ROOT / "scripts" / "digest_runs.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.shipped_digests(["s4_three_networks"]) == \
+def test_digest_script_prints_the_pinned_s4_digests():
+    assert DIGEST_RUNS.shipped_digests(["s4_three_networks"]) == \
         {case: d for case, d in GOLDEN_RUNS.items() if case.startswith("s4_three_networks/")}
+
+
+def test_digest_script_prints_the_all_events_reference(monkeypatch, capsys):
+    # `--all-events` runs every hop by an event: S5 takes more events than
+    # with the shortcuts, and its CSV and tie-sorted trace digests are the same
+    monkeypatch.setattr(DIGEST_RUNS, "SHIPPED", ("s5_roundtrip",))
+    steps, run_until = [], Kernel.run_until
+    monkeypatch.setattr(Kernel, "run_until", lambda k, t: steps.append(run_until(k, t)) or steps[-1])
+    out = {}
+    for flags in ([], ["--all-events"]):
+        steps.clear()
+        assert DIGEST_RUNS.main(["--tie-sorted", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" ", 1)[0] for line in lines[:-1]] == \
+            [f"shipped/s5_roundtrip/{mode}" for mode in MODES]
+        out[bool(flags)] = [(key, csv, ties) for key, csv, _, ties in map(str.split, lines[:-1])], \
+            sum(steps)
+    (shortcut, shortcut_events), (reference, reference_events) = out[False], out[True]
+    assert shortcut == reference
+    assert reference_events > 2 * shortcut_events
 
 
 @pytest.mark.parametrize("name", sorted({case.split("/")[0] for case in GOLDEN_RUNS}))
@@ -694,44 +709,72 @@ def test_a_link_with_two_feeders_keeps_its_arrival_events(monkeypatch, mode):
     assert entered and all(entered)  # every segment entered them from an event at R
 
 
-def _no_hand_off(m):
-    """The reference, patched on monkeypatch context `m`: no link hands off,
-    so every segment reaching the agent has an arrival event there."""
-    resolve = Simulation._resolve_routes
-
-    def reference_resolve(sim):
-        resolve(sim)
-        for link in sim.topo.directed.values():
-            link.hand_off_before = 0
-
-    m.setattr(Simulation, "_resolve_routes", reference_resolve)
-
-
 def _agent_run(monkeypatch, scenario, mode, hand_off=True):
-    """Run `scenario` traced, with the agent's hand-off or as the reference.
-    Returns the CSV, the trace lines, the (time, flow, seq) of each data
-    segment the agent forwarded, and a Counter of the same for each
-    agent-arrival event scheduled for data."""
-    reached, events = [], Counter()
-    forward, schedule = Simulation._ha_forward, Kernel.schedule
+    """Run `scenario` traced, with the agent's hand-off or as the all-events
+    reference. Returns the CSV, the trace lines, the (time, flow, seq) of
+    each data segment the agent forwarded, for the same keys the times at
+    which an agent-arrival event was scheduled for data, and the quiet
+    intervals: each `(start, end)` in which the link into the agent hands
+    data off, the first from before the first send (start -1)."""
+    reached, events, quiet = [], {}, []
+    with contextlib.nullcontext() if hand_off else all_events(), monkeypatch.context() as m:
+        forward, schedule = Simulation._ha_forward, Kernel.schedule
+        resolve, resume = Simulation._resolve_routes, Simulation._resume_hand_off
 
-    def recording_forward(sim, seg, now):
-        reached.append((now, seg.flow_id, seg.seq))
-        return forward(sim, seg, now)
+        def recording_forward(sim, seg, now):
+            reached.append((now, seg.flow_id, seg.seq))
+            return forward(sim, seg, now)
 
-    def recording_schedule(kernel, at, fn, kind="event"):
-        args = getattr(fn, "args", ())
-        if kind == "link-rx" and len(args) == 2 and args[0].dst == "HA" and args[1].payload_len:
-            events[(at, args[1].flow_id, args[1].seq)] += 1
-        return schedule(kernel, at, fn, kind)
+        def recording_schedule(kernel, at, fn, kind="event"):
+            args = getattr(fn, "args", ())
+            if kind == "link-rx" and len(args) == 2 and args[0].dst == "HA" and args[1].payload_len:
+                events.setdefault((at, args[1].flow_id, args[1].seq), []).append(kernel.now)
+            return schedule(kernel, at, fn, kind)
 
-    with monkeypatch.context() as m:
-        if not hand_off:
-            _no_hand_off(m)
+        def recording_resolve(sim):
+            resolve(sim)
+            quiet.extend((-1, into.hand_off_before) for into in set(sim._into.values())
+                         if into.hand_off_before)
+
+        def recording_resume(sim, link, now):
+            before = {into: into.hand_off_before for into in sim._into.values()}
+            resume(sim, link, now)
+            quiet.extend((now, into.hand_off_before) for into, end in before.items()
+                         if into.hand_off_before != end)
+
         m.setattr(Simulation, "_ha_forward", recording_forward)
         m.setattr(Kernel, "schedule", recording_schedule)
+        m.setattr(Simulation, "_resolve_routes", recording_resolve)
+        m.setattr(Simulation, "_resume_hand_off", recording_resume)
         metrics, trace = run(scenario, mode=mode, trace=True)
-    return write_csv(metrics.csv_rows()), trace.lines, reached, events
+    return write_csv(metrics.csv_rows()), trace.lines, reached, events, quiet
+
+
+def _assert_quiet_intervals(scenario, lines, reached, events, quiet):
+    """The hand-off rule on one run: a data segment reaching the agent has
+    an agent-arrival event iff it gets there outside every quiet interval
+    `(start, end)`. Each interval ends at a scripted detection (or past the
+    run's end). One that starts after a detection starts once every
+    detection so far has switched or aborted, every binding update sent has
+    reached the agent (t_r1) or been lost, and no agent-arrival event made
+    by then is still due."""
+    for key in reached:
+        inside = any(start < key[0] < end for start, end in quiet)
+        assert len(events.get(key, ())) == (0 if inside else 1), (key, quiet)
+    stamped = [(int(line.split(" ", 1)[0].replace(".", "")), line) for line in lines]
+
+    def count(word, until):
+        return sum(word in line for t, line in stamped if t <= until)
+
+    for start, end in quiet:
+        assert end in [h.at for h in scenario.handovers] + [scenario.end + 1]
+        if start >= 0:
+            assert count(" handover_detect ", start) == \
+                count(" bu_send ", start) + count(" handover_abort ", start)
+            assert count(" bu_send ", start) == count("label=t_r1 ", start) + \
+                count(" bu_lost ", start)
+            assert not any(made <= start < due for (due, _, _), made_at in events.items()
+                           for made in made_at), start
 
 
 def _detected_at(scenario, at):
@@ -744,11 +787,13 @@ def _detected_at(scenario, at):
 @pytest.mark.parametrize("name", ["s1_wlan_to_sat", "s5_roundtrip"])
 def test_the_agent_hands_data_off_until_the_first_detection(monkeypatch, name, mode):
     # data reaching the agent before the first detection goes on at once
-    # from the link into it (one event from source to MN), and from the
-    # detection on every such segment has its agent-arrival event again:
-    # same outputs as the reference with an event at every agent arrival.
-    # The second variant moves the detection onto a data segment's arrival
-    # at the agent, which then keeps its event
+    # from the link into it (one event from source to MN). From the
+    # detection on, data reaching the agent has its agent-arrival event
+    # again until the next quiet interval starts (S5 has three handovers,
+    # so three of them), and exactly the segments getting there outside
+    # every quiet interval have one: same outputs as the all-events
+    # reference. The second variant moves the detection onto a data
+    # segment's arrival at the agent, which then keeps its event
     scenario = load_scenario(scenario_path(name))
     ref = _agent_run(monkeypatch, scenario, mode, hand_off=False)
     last_early = max(t for t, _, _ in ref[2] if t < scenario.handovers[0].at)
@@ -756,13 +801,16 @@ def test_the_agent_hands_data_off_until_the_first_detection(monkeypatch, name, m
     for variant, reference in ((scenario, ref),
                                (moved, _agent_run(monkeypatch, moved, mode, hand_off=False))):
         detect = variant.handovers[0].at
-        csv, lines, reached, events = _agent_run(monkeypatch, variant, mode)
+        csv, lines, reached, events, quiet = _agent_run(monkeypatch, variant, mode)
         assert (csv, lines) == reference[:2] and sorted(reached) == sorted(reference[2])
+        assert reference[4] == []  # the reference never hands off
+        assert quiet[0] == (-1, detect) and len(quiet) == 1 + len(variant.handovers)
+        _assert_quiet_intervals(variant, lines, reached, events, quiet)
         early = [key for key in reached if key[0] < detect]
         late = [key for key in reached if key[0] >= detect]
         assert len(early) > 100 and len(late) > 100
-        assert not any(events[key] for key in early)
-        assert all(events[key] == 1 for key in late)
+        assert not any(key in events for key in early)
+        assert any(key in events for key in late) and not all(key in events for key in late)
         assert min(t for t, _, _ in events) >= detect
     assert min(late)[0] == detect == last_early  # the segment at the detection kept its event
 
@@ -771,9 +819,7 @@ def test_the_agent_hands_data_off_until_the_first_detection(monkeypatch, name, m
     cut = replace(scenario, end=2_123_457)
     inflight = []
     for hand_off in (True, False):
-        with monkeypatch.context() as m:
-            if not hand_off:
-                _no_hand_off(m)
+        with contextlib.nullcontext() if hand_off else all_events():
             sim = Simulation(cut, mode=mode)
             inflight.append(sim.run().flows["f1"].bytes_inflight_end)
         if hand_off:
@@ -783,6 +829,44 @@ def test_the_agent_hands_data_off_until_the_first_detection(monkeypatch, name, m
                                 for entry in data)
             assert sum(seg.payload_len for seg in pending_arrivals(sim.kernel)) == inflight[0]
     assert inflight[0] == inflight[1] > 0
+
+
+# S1 with the satellite gateway's link to the agent down from 2.5 s on
+_S1_BU_DROPPED = scenario_path("s1_wlan_to_sat").read_text().replace(
+    "delay = 0.008\n", "delay = 0.008\navailability = 0.0:2.5\n")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_quiet_interval_starts_after_a_dropped_binding_update(monkeypatch, mode):
+    # the binding update over SAT is dropped at the gateway, so the agent
+    # keeps the WLAN binding while the MN's ACKs go over SAT: the interval
+    # after the detection starts without a t_r1, after the drop
+    scenario = parse_scenario(_S1_BU_DROPPED, "s1_bu_dropped")
+    csv, lines, reached, events, quiet = _agent_run(monkeypatch, scenario, mode)
+    assert (csv, lines) == _agent_run(monkeypatch, scenario, mode, hand_off=False)[:2]
+    drop = [line for line in lines if " drop sgw_ha:SGW->HA flow=_mip " in line]
+    assert len(drop) == 1 and not any("label=t_r1 " in line for line in lines)
+    (_, detect), (start, end) = quiet
+    assert int(drop[0].split(" ", 1)[0].replace(".", "")) <= start < end == scenario.end + 1
+    _assert_quiet_intervals(scenario, lines, reached, events, quiet)
+    assert sum(start < t for t, _, _ in reached) > 100
+
+
+def test_a_quiet_interval_waits_for_the_last_segment_due_at_the_agent(monkeypatch):
+    # S1 baseline: when the binding update reaches the agent (t_r1), data is
+    # still on its way there over cn_ha, so the interval starts at the
+    # arrival of the last segment then due there, not at t_r1
+    scenario = load_scenario(scenario_path("s1_wlan_to_sat"))
+    _, lines, reached, events, quiet = _agent_run(monkeypatch, scenario, "BASELINE")
+    (_, detect), (start, _) = quiet
+    t_r1 = next(int(line.split(" ", 1)[0].replace(".", "")) for line in lines
+                if "label=t_r1 " in line)
+    assert detect < t_r1 < start
+    due = [key for key in reached if t_r1 < key[0] <= start]
+    assert due and all(key in events for key in due)
+    assert max(due)[0] == start  # the interval started in that segment's arrival handler
+    assert any(made <= t_r1 for key in due for made in events[key])
+    _assert_quiet_intervals(scenario, lines, reached, events, quiet)
 
 
 _TWO_LINKS_INTO_THE_AGENT = scenario_path("s1_wlan_to_sat").read_text() + """
@@ -796,12 +880,13 @@ start = 0.2
 @pytest.mark.parametrize("mode", MODES)
 def test_two_links_into_the_agent_keep_its_arrival_events(monkeypatch, mode):
     # f1 reaches the agent over cn_ha and f2 over wgw_ha: its forward link
-    # HA->WGW has two feeders before the detection, so no link hands off and
-    # every data segment reaching the agent has an arrival event there
+    # has two feeders under either binding, so no link hands off and every
+    # data segment reaching the agent has an arrival event there
     scenario = parse_scenario(_TWO_LINKS_INTO_THE_AGENT, "two_links_into_ha")
-    csv, lines, reached, events = _agent_run(monkeypatch, scenario, mode)
-    assert {fid for _, fid, _ in reached} == {"f1", "f2"}
-    assert Counter(reached) == {key: n for key, n in events.items() if key[0] <= scenario.end}
+    csv, lines, reached, events, quiet = _agent_run(monkeypatch, scenario, mode)
+    assert {fid for _, fid, _ in reached} == {"f1", "f2"} and quiet == []
+    assert Counter(reached) == {key: len(made) for key, made in events.items()
+                                if key[0] <= scenario.end}
     assert (csv, lines) == _agent_run(monkeypatch, scenario, mode, hand_off=False)[:2]
 
     # a cut mid-transfer: data waiting for its agent arrival is in flight

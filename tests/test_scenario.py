@@ -6,11 +6,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SCENARIOS, SHIPPED, scenario_path
+from conftest import SCENARIOS, SHIPPED, all_events, scenario_path, tie_sorted
 from satwin.cli import build_parser, main
 from satwin.errors import ConfigError
 from satwin.kernel import fmt_time
-from satwin.net import F_DATA, DirectedLink
+from satwin.metrics import write_csv
+from satwin.net import F_BU, F_DATA, DirectedLink, pending_arrivals
 from satwin.runner import Simulation
 from satwin.scenario import MODE_NAMES, MODES, _SCHEMA, canonical_text, load_scenario, parse_scenario
 from test_handover_sequences import _assert_registration_once
@@ -614,11 +615,15 @@ def test_generated_scenarios_run_in_every_mode(text):
     """No run of an accepted file raises ConfigError or fails conservation,
     each handover registers at most once, trace times never decrease, every
     window cap a run ends with is 0 (a drain) or at least one segment, each
-    flow ends with the ACK route over the network attached last, no
-    segment enters a single-fed link except from its feeder, and a link with
-    no feeder admits ahead of time only data the agent forwards over
-    `attach` before the first detection."""
+    flow ends with the ACK route over the network attached last, and the
+    all-events reference gives the same CSV and tie-sorted trace. No
+    segment enters a single-fed link except from its feeder, and only the
+    forward link of the binding in force admits anything ahead of time
+    without a feeder: data the agent forwards inside a quiet interval, before
+    the next detection, once no detection can still switch, no binding
+    update is on its way and no data segment is due at the agent."""
     s = parse_scenario(text, "gen")
+    detections = sorted(h.at for h in s.handovers) + [s.end + 1]
     transmit = DirectedLink.transmit
 
     def fed_transmit(link, seg, at):
@@ -626,20 +631,34 @@ def test_generated_scenarios_run_in_every_mode(text):
             assert seg.hop > 0 and seg.route[seg.hop - 1] is link.feeder, link.label
             assert at > link.kernel.now, link.label
         elif at > link.kernel.now:  # handed off to the agent
-            assert link is sim.topo.routes[(sim.ha_node, sim.mn, s.attach)][0], link.label
-            assert seg.flags & F_DATA and at < sim._first_detect, link.label
+            handovers = sim.metrics.handovers
+            assert link is sim.topo.routes[(sim.ha_node, sim.mn, sim.ha.route_attachment())][0]
+            assert seg.flags & F_DATA and at < detections[len(handovers)], link.label
+            if quiet_checked[-1] != len(handovers):  # once per quiet interval
+                quiet_checked.append(len(handovers))
+                assert not handovers or handovers[-1].aborted or "t_r0" in handovers[-1].timeline
+                for pending in pending_arrivals(sim.kernel):
+                    assert not pending.flags & F_BU, link.label
+                    assert not (pending.flags & F_DATA and pending.hop == len(pending.route)
+                                and pending.route[-1].dst == sim.ha_node), link.label
         return transmit(link, seg, at)
 
     for mode in MODES:
+        quiet_checked = [None]
         sim = Simulation(s, mode=mode, trace=True)
         with mock.patch.object(DirectedLink, "transmit", fed_transmit):
-            _assert_registration_once(sim.run(), sim.trace.lines)
+            metrics = sim.run()
+        _assert_registration_once(metrics, sim.trace.lines)
         stamps = [tuple(map(int, line.split(" ", 1)[0].split("."))) for line in sim.trace.lines]
         assert stamps == sorted(stamps), mode
         for rt in sim.flows.values():
             cap = rt.receiver.policy_cap
             assert cap in (None, 0) or cap >= s.mss, (mode, rt.spec.name, cap)
             assert rt.ack_route is sim.topo.routes[(sim.mn, rt.spec.src, sim.attachment)], mode
+        with all_events():
+            reference = Simulation(s, mode=mode, trace=True)
+            assert write_csv(reference.run().csv_rows()) == write_csv(metrics.csv_rows()), mode
+        assert tie_sorted(reference.trace.lines) == tie_sorted(sim.trace.lines), mode
 
 
 def _with_delays(name: str, delay: str, path: Path) -> str:
