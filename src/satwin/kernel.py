@@ -5,7 +5,10 @@ exact on every platform, with no floating-point drift. Simultaneous events
 fire in the order they were scheduled (FIFO tie-break via a monotonic
 sequence counter). A segment that cuts through hops (see `net`; inside a
 quiet interval, the home agent's too) has one event, scheduled when it
-entered the first link, so among same-microsecond events it ranks by that moment.
+entered the first link, so among same-microsecond events it ranks by that
+moment. The same holds for the ACK of a data segment handed to the MN
+ahead of time: its event is scheduled in the event that sent the data on
+its way there (its send, or its arrival at the home agent).
 """
 
 from __future__ import annotations
@@ -41,8 +44,10 @@ class Kernel:
     `(t, seq)` that `reschedule` moved the event on to (taken up when its
     old slot comes up), or `_DONE` once it fired or was cancelled: a
     tombstone the run loop skips. A `link-rx` entry carries a sixth slot,
-    the arriving segment, which only `net` writes and reads. `seq` is the
-    running event's number (between runs, above every one issued).
+    the arriving segment, which only `net` writes and reads. `seqs` issues
+    the numbers; `net` also takes one per link admission, for the dequeue
+    event it does not schedule. `seq` is the running event's number
+    (between runs, above every one issued).
 
     Single-threaded by design: one kernel per simulation instance, no shared
     mutable state. One seeded PRNG is owned here; the core model draws
@@ -55,7 +60,7 @@ class Kernel:
         self.seq: int = 0
         self.rng = random.Random(seed)
         self._heap: list[list] = []  # [fire_at, seq, fn, kind, moved]
-        self._seqs = itertools.count()
+        self.seqs = itertools.count()
         self._live = 0
 
     def schedule(self, at: int, fn: Callable[[], None], kind: str = "event") -> list:
@@ -63,7 +68,7 @@ class Kernel:
             raise SchedulingError(
                 f"event {kind!r} scheduled at {fmt_time(at)} before clock {fmt_time(self.now)}"
             )
-        entry = [at, next(self._seqs), fn, kind, None]
+        entry = [at, next(self.seqs), fn, kind, None]
         self._live += 1
         heapq.heappush(self._heap, entry)
         return entry
@@ -74,14 +79,14 @@ class Kernel:
         `at` keeps its entry; any other is cancelled and pushed afresh (not
         through `schedule`, whose wrapper would wrap `fn` once more)."""
         if entry[4] is not _DONE and at >= entry[0]:
-            entry[4] = (at, next(self._seqs))
+            entry[4] = (at, next(self.seqs))
             return entry
         self.cancel(entry)
         if at < self.now:
             raise SchedulingError(
                 f"event {entry[3]!r} rescheduled at {fmt_time(at)} before clock {fmt_time(self.now)}"
             )
-        fresh = [at, next(self._seqs), entry[2], entry[3], None]
+        fresh = [at, next(self.seqs), entry[2], entry[3], None]
         self._live += 1
         heapq.heappush(self._heap, fresh)
         return fresh
@@ -127,5 +132,5 @@ class Kernel:
             steps += 1
         if t_end > self.now:
             self.now = t_end
-        self.seq = next(self._seqs)
+        self.seq = next(self.seqs)
         return steps

@@ -17,6 +17,10 @@ Inside a quiet interval (see `Simulation._resume_hand_off`), a link that
 alone feeds the home agent's forward link hands data at its route's end to
 the agent at once (`hand_off`): a data segment has one event from source to
 MN there, and two from a detection until the next quiet interval starts.
+With the trace off and no ACK delay, the MN's downlink hands data to the
+receiver at once too, until the first detection or the run's end: its ACK
+enters the uplink for the data's arrival time, and the ACK's arrival at the
+source is then the one event of a data segment and its ACK.
 """
 
 from __future__ import annotations
@@ -115,18 +119,21 @@ class DirectedLink:
     """Runtime state of one direction of a link: drop-tail queue + serializer.
 
     Occupancy counts every byte accepted and not yet fully serialized.
-    `backlog` holds `(finish, seq, wire)` per accepted segment, `seq` one
-    below that of the event the segment's admission scheduled. A transmit
-    from the running event (`at == kernel.now`) first releases every entry
+    `backlog` holds `(finish, seq, wire)` per accepted segment, `seq` a
+    number taken from `Kernel.seqs` on admission, before anything the
+    admission schedules: the number its dequeue event would have had. A
+    transmit from the running event (`at == kernel.now`) first releases every entry
     whose `(finish, seq)` is below the running event's `(now, seq)`: where a
     dequeue event scheduled just before that event would already have run.
     A forwarded admission (`at > kernel.now`, onto a single-fed link or a
     hand-off's) releases every entry with `finish <= at`, and an admission
     at `now` after a hand-off finds a handed-off entry with `finish == now` gone.
     A data segment ending its route here before `hand_off_before` goes to
-    `hand_off`, which the runner sets on the one link into the home agent:
-    `hand_off_before` is the next scripted detection inside a quiet
-    interval, and 0 outside one.
+    `hand_off` for its arrival time, with no event. The runner sets it on
+    the one link into the home agent (`hand_off_before` is the next scripted
+    detection inside a quiet interval, and 0 outside one) and, with the trace
+    off and no ACK delay, on the MN's downlink until the first detection or
+    the run's end.
     """
 
     def __init__(self, spec: LinkSpec, src: str, dst: str, kernel: Kernel):
@@ -144,8 +151,7 @@ class DirectedLink:
         self.backlog: deque[tuple[int, int, int]] = deque()
         self.free_at = 0  # when the serializer finishes its current backlog
         self.feeder: Optional[DirectedLink] = None  # the one upstream link, if single-fed
-        self.entry: Optional[list] = None  # the kernel entry the last admission here ended in
-        self.hand_off: Optional[Callable[[Segment, int], Optional[int]]] = None
+        self.hand_off: Optional[Callable[[Segment, int], None]] = None
         self.hand_off_before = 0  # data ending its route here earlier goes to `hand_off`
         self.deliver: Callable[[DirectedLink, Segment], None] = _unwired
         self.on_drop: Callable[[DirectedLink, Segment, str, int], None] | None = None
@@ -157,8 +163,9 @@ class DirectedLink:
 
     def transmit(self, seg: Segment, at: int) -> Optional[int]:
         """Enqueue `seg` at time `at`; returns its arrival time at the end of
-        the hops it cuts through, or None when it is dropped (counted in
-        `drops` and reported to on_drop, at a skipped hop by an event).
+        the hops it cuts through (here, for a hand-off), or None when it is
+        dropped (counted in `drops` and reported to on_drop, at a skipped hop
+        by an event).
 
         Arrival = end of FIFO serialization + propagation delay. Wire size
         and serialization inline `Segment.wire_size`/`LinkSpec.serialization_us`.
@@ -191,6 +198,7 @@ class DirectedLink:
         free_at = self.free_at
         finish = (at if at > free_at else free_at) + (wire * SEC + self.round_up) // self.bandwidth
         self.free_at = finish
+        backlog.append((finish, next(kernel.seqs), wire))  # its dequeue event's number
         arrival = finish + self.prop_delay
         if self.tag is not None:
             seg.path_tag = self.tag
@@ -198,21 +206,15 @@ class DirectedLink:
         seg.hop = hop = seg.hop + 1
         if hop >= len(route):
             if arrival < self.hand_off_before:
-                arrival = self.hand_off(seg, arrival)
-                entry = seg.route[0].entry  # `seg` is on the agent's forward route now
+                self.hand_off(seg, arrival)
             else:
-                entry = kernel.schedule(arrival, partial(self.deliver, self, seg), "link-rx")
-                entry.append(seg)  # read by pending_arrivals; a tracer may have wrapped the handler
+                kernel.schedule(arrival, partial(self.deliver, self, seg), "link-rx").append(seg)
+                # the sixth slot is read by pending_arrivals; a tracer may have wrapped the handler
         else:
             nxt = route[hop]
             if nxt.feeder is self:
-                arrival = nxt.transmit(seg, arrival)
-                entry = nxt.entry
-            else:
-                entry = kernel.schedule(arrival, partial(self._pass_on, seg), "link-rx")
-                entry.append(seg)
-        self.entry = entry
-        backlog.append((finish, entry[1] - 1, wire))
+                return nxt.transmit(seg, arrival)
+            kernel.schedule(arrival, partial(self._pass_on, seg), "link-rx").append(seg)
         return arrival
 
     def _pass_on(self, seg: Segment) -> None:
@@ -222,8 +224,7 @@ class DirectedLink:
 
     def _refuse(self, seg: Segment, reason: str, at: int) -> None:
         if at > self.kernel.now:  # a skipped hop: the drop happens when `seg` gets here
-            self.entry = self.kernel.schedule(at, partial(self._drop, seg, reason, at), "link-rx")
-            self.entry.append(seg)
+            self.kernel.schedule(at, partial(self._drop, seg, reason, at), "link-rx").append(seg)
         else:
             self._drop(seg, reason, at)
 
@@ -270,9 +271,11 @@ class Topology:
 
     Routes minimize total one-way propagation delay, breaking ties first on
     hop count and then on the lexicographic node sequence, so identical
-    scenarios route identically everywhere. A link to an unknown node, a
-    missing access link and a missing route are `SimError`s: validation
-    rejects a scenario file that has one, so a run meets them only as a bug.
+    scenarios route identically everywhere; validation admits one link per
+    pair of nodes, so the order of a file's sections decides nothing. A
+    link to an unknown node, a missing access link and a missing route are
+    `SimError`s: validation rejects a scenario file that has one, so a run
+    meets them only as a bug.
     """
 
     def __init__(self, nodes: list[NodeSpec], links: list[LinkSpec], kernel: Kernel):
@@ -285,8 +288,6 @@ class Topology:
                     raise SimError(f"link {spec.name}: unknown node {src!r}/{dst!r}")
                 self.directed[(src, dst)] = DirectedLink(spec, src, dst, kernel)
                 self._adj[src].append((dst, spec))
-        for adj in self._adj.values():
-            adj.sort(key=lambda e: (e[0], e[1].name))
         self._mn = next((n.name for n in nodes if n.role == "mn"), None)
         # the MN's uplink per access kind, to the first gateway by name
         self._uplinks: dict[str, DirectedLink] = {}

@@ -380,15 +380,16 @@ class Simulation:
         route[0].transmit(seg, now)
 
     def _emit_ack(self, rt: _FlowRuntime, seg: Segment, send_at: int) -> None:
-        """Send the receiver's ACK now, or at `send_at` from a paced event."""
-        now = self.kernel.now
-        if send_at > now:
+        """Send the receiver's ACK at `send_at`: from a paced event when the
+        receiver delays it, else at once (ahead of time for data handed to
+        the MN, see _resolve_routes)."""
+        if rt.receiver.ack_delay and send_at > self.kernel.now:
             self.kernel.schedule(send_at, partial(self._emit_ack, rt, seg, send_at), "ack-paced")
             return
         if self.trace.enabled:
-            self.trace.ack_tx(now, self.mn, seg.flow_id, seg.ack, seg.rwnd, seg.flags)
+            self.trace.ack_tx(send_at, self.mn, seg.flow_id, seg.ack, seg.rwnd, seg.flags)
         seg.route = route = rt.ack_route
-        route[0].transmit(seg, now)
+        route[0].transmit(seg, send_at)
 
     def _on_arrival(self, link: DirectedLink, seg: Segment) -> None:
         """`seg` reached the end of its route over `link`."""
@@ -427,7 +428,7 @@ class Simulation:
         rt.sender.on_ack(seg, now)
         self._manage_rto(rt, rt.sender.snd_una > prev_una)
 
-    def _ha_forward(self, seg: Segment, now: int) -> Optional[int]:
+    def _ha_forward(self, seg: Segment, now: int) -> None:
         kind = self.ha.route_attachment()
         rt = self.flows[seg.flow_id]
         end = seg.seq + seg.payload_len
@@ -445,9 +446,11 @@ class Simulation:
             rt.watermark[kind] = end
         seg.route = route = self.topo.routes[(self.ha_node, self.mn, kind)]
         seg.hop = 0
-        return route[0].transmit(seg, now)
+        route[0].transmit(seg, now)
 
     def _deliver_data(self, seg: Segment, now: int) -> None:
+        """`seg` reached the MN at `now`: in its arrival event, or ahead of
+        time from the MN's downlink (see _resolve_routes)."""
         rt = self.flows[seg.flow_id]
         rt.metrics.bytes_delivered += seg.payload_len
         if seg.rexmit and rt.receiver.holds_range(seg.seq, seg.payload_len):
@@ -533,7 +536,14 @@ class Simulation:
         through it and the ACK routes of every kind (one sent before a
         switch may still travel): that link hands data off to the agent
         inside a quiet interval (see _resume_hand_off), the first of which
-        starts now."""
+        starts now.
+
+        With the trace off (a `deliver` or `ack_tx` line written ahead of
+        time would break the trace's time order) and no flow delaying its
+        ACKs, the MN's downlink hands data to the receiver until the first
+        detection or the run's end: until then nothing else reaches a
+        receiver or the MN's uplink, so the ACK enters the uplink in time
+        order, for the data's arrival time."""
         self._routed = True
         topo, mn, ha, attach = self.topo, self.mn, self.ha_node, self.scenario.attach
         kinds = list(dict.fromkeys([attach] + [h.to for h in self.scenario.handovers]))
@@ -556,6 +566,10 @@ class Simulation:
                 self._into[kind] = into
         if attach in self._into:
             self._into[attach].hand_off_before = self._detects[0]
+        if not self.trace.enabled and not any(f.ack_extra_delay for f in self.scenario.flows):
+            down = topo.routes[(ha, mn, attach)][-1]
+            down.hand_off = self._deliver_data
+            down.hand_off_before = min(self._detects[0], self.scenario.end + 1)
 
     def _registration_path(self, kind: str, to_agent: bool) -> tuple[str, Route]:
         """The registration endpoint for `kind` (the proxy gateway, or the MN
@@ -578,8 +592,8 @@ class Simulation:
         if not self._routed:
             self._resolve_routes()
         now = self.kernel.now
-        for into in self._into.values():  # the quiet interval ends
-            into.hand_off_before = 0
+        for link in self.topo.directed.values():  # every hand-off ends here
+            link.hand_off_before = 0
         self._detects.pop(0)
         self._registering += 1
         ho = _HandoverRuntime(self, hdef)

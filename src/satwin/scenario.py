@@ -343,6 +343,11 @@ def validate_scenario(s: Scenario) -> None:
         count = sum(1 for l in s.links if mn in (l.a, l.b) and l.kind == kind)
         if count > 1:
             raise ConfigError(f"the mobile node has {count} {kind} access links; expected one")
+    joined: dict[frozenset, str] = {}  # the run keeps one link per pair of nodes
+    for link in s.links:
+        other = joined.setdefault(frozenset((link.a, link.b)), link.name)
+        if other != link.name:
+            raise ConfigError(f"links {other} and {link.name} both join {link.a} and {link.b}")
     if s.attach not in access_kinds:
         raise ConfigError(f"initial attachment {s.attach!r} has no access link at the mobile node")
     for node in s.nodes:  # a gateway's kind is checked only; no other role takes one

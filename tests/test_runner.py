@@ -892,7 +892,8 @@ def test_two_links_into_the_agent_keep_its_arrival_events(monkeypatch, mode):
     # a cut mid-transfer: data waiting for its agent arrival is in flight
     sim = Simulation(replace(scenario, end=1_234_567), mode=mode)
     metrics = sim.run()  # conservation holds
-    assert all(link.hand_off_before == 0 for link in sim.topo.directed.values())
+    assert all(link.hand_off_before == 0 for link in sim.topo.directed.values()
+               if link.dst == sim.ha_node)
     waiting = [entry[5] for entry in sim.kernel.pending_entries("link-rx")
                if entry[2].func == sim._on_arrival and entry[2].args[0].dst == "HA"]
     assert {seg.flow_id for seg in waiting if seg.payload_len} == {"f1", "f2"}
@@ -901,14 +902,68 @@ def test_two_links_into_the_agent_keep_its_arrival_events(monkeypatch, mode):
                                             if seg.flow_id == fid) > 0
 
 
+def _mn_run(monkeypatch, scenario, mode, trace=False):
+    """Run `scenario`; returns the simulation, the (time, kernel time) of
+    each data segment the receiver took, and the due times of the data
+    arrival events scheduled at the MN."""
+    taken, events = [], []
+    with monkeypatch.context() as m:
+        deliver, schedule = Simulation._deliver_data, Kernel.schedule
+
+        def recording_deliver(sim, seg, now):
+            taken.append((now, sim.kernel.now))
+            deliver(sim, seg, now)
+
+        def recording_schedule(kernel, at, fn, kind="event"):
+            args = getattr(fn, "args", ())
+            if kind == "link-rx" and len(args) == 2 and args[0].dst == "MN" and args[1].payload_len:
+                events.append(at)
+            return schedule(kernel, at, fn, kind)
+
+        m.setattr(Simulation, "_deliver_data", recording_deliver)
+        m.setattr(Kernel, "schedule", recording_schedule)
+        sim = Simulation(scenario, mode=mode, trace=trace)
+        sim.run()
+    return sim, taken, events
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_mn_takes_data_without_an_event_until_the_first_detection(monkeypatch, mode):
+    # untraced, with no ACK delay, data reaching the MN before the first
+    # detection goes to the receiver from inside `transmit`, for its
+    # arrival time, and has no MN-arrival event; from the detection on every
+    # data segment has its event again (test_tracing_changes_no_metric_...
+    # checks the metrics against the traced run)
+    scenario = load_scenario(scenario_path("s1_wlan_to_sat"))
+    detect = scenario.handovers[0].at
+    sim, taken, events = _mn_run(monkeypatch, scenario, mode)
+    early = [now for now, kernel_now in taken if now > kernel_now]
+    assert len(early) > 100 and max(early) < detect
+    assert sorted(now for now, _ in taken if now < detect) == early
+    assert events and min(events) >= detect
+    assert sim.topo.routes[("HA", "MN", scenario.attach)][-1].hand_off_before == 0
+    # a cut before the detection ends the hand-off at the run's end
+    sim, taken, events = _mn_run(monkeypatch, replace(scenario, end=2_123_457), mode)
+    assert max(now for now, _ in taken) <= 2_123_457 < min(events)
+    # traced, or with a flow delaying its ACKs, every data segment has its event
+    delayed = replace(scenario, flows=tuple(replace(f, ack_extra_delay=1) for f in scenario.flows))
+    for variant, trace in ((scenario, True), (delayed, False)):
+        sim, taken, events = _mn_run(monkeypatch, replace(variant, end=detect), mode, trace)
+        assert taken and all(now == kernel_now for now, kernel_now in taken)
+        assert len(events) >= len(taken)
+
+
 def test_a_segment_lost_mid_path_fails_conservation(shipped_scenarios):
-    # an arrival handler that swallows one data segment after 2 s: the
-    # segment is neither delivered, dropped nor pending, and the run says so
-    sim = Simulation(shipped_scenarios["s1_wlan_to_sat"], mode="BASELINE")
+    # an arrival handler that swallows one data segment after the detection
+    # (before it, data reaches the agent and, untraced, the MN without an
+    # arrival event): the segment is neither delivered, dropped nor
+    # pending, and the run says so
+    scenario = shipped_scenarios["s1_wlan_to_sat"]
+    sim = Simulation(scenario, mode="BASELINE")
     swallowed = []
 
     def lossy_arrival(link, seg):
-        if not swallowed and seg.flags & F_DATA and sim.kernel.now >= 2 * SEC:
+        if not swallowed and seg.flags & F_DATA and sim.kernel.now > scenario.handovers[0].at:
             swallowed.append(seg)
             return
         sim._on_arrival(link, seg)

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ from satwin.cli import build_parser, main
 from satwin.errors import ConfigError
 from satwin.kernel import fmt_time
 from satwin.metrics import write_csv
-from satwin.net import F_BU, F_DATA, DirectedLink, pending_arrivals
+from satwin.net import F_ACK, F_BU, F_DATA, DirectedLink, pending_arrivals
 from satwin.runner import Simulation
 from satwin.scenario import MODE_NAMES, MODES, _SCHEMA, canonical_text, load_scenario, parse_scenario
 from test_handover_sequences import _assert_registration_once
@@ -397,6 +398,8 @@ REJECTIONS = {
     "missing_sim": (MINIMAL.replace(_SIM, ""), r"missing \[sim\] section", None),
     "two_cns": (MINIMAL.replace("role = ha", "role = cn"), "exactly one 'cn' node", None),
     "two_wlan_links": (MINIMAL + _WLAN2, "2 WLAN access links; expected one", None),
+    "two_links_one_pair": (MINIMAL + _WLAN2.replace("kind = WLAN", "kind = SAT"),
+                           "links wlan and wlan2 both join GW and MN", None),
     "attach": (MINIMAL.replace("attach = WLAN", "attach = SAT"),
                "initial attachment 'SAT' has no access link at the mobile node", None),
     "no_flows": (MINIMAL[:MINIMAL.index("[flow.f1]")], "scenario defines no flows", None),
@@ -616,22 +619,34 @@ def test_generated_scenarios_run_in_every_mode(text):
     each handover registers at most once, trace times never decrease, every
     window cap a run ends with is 0 (a drain) or at least one segment, each
     flow ends with the ACK route over the network attached last, and the
-    all-events reference gives the same CSV and tie-sorted trace. No
-    segment enters a single-fed link except from its feeder, and only the
-    forward link of the binding in force admits anything ahead of time
-    without a feeder: data the agent forwards inside a quiet interval, before
-    the next detection, once no detection can still switch, no binding
-    update is on its way and no data segment is due at the agent."""
+    all-events reference gives the same CSV and tie-sorted trace. The same
+    file run untraced gives the same metrics. No segment enters a single-fed
+    link except from its feeder, and only two links admit anything ahead of
+    time without a feeder: the forward link of the binding in force, for
+    data the agent forwards inside a quiet interval, before the next
+    detection, once no detection can still switch, no binding update is on
+    its way and no data segment is due at the agent; and, untraced with no
+    ACK delay, the MN's uplink, for the ACK of data handed to the MN before
+    the first detection and the run's end. Nodes and links are kept by name,
+    one link per pair of nodes, and routes break ties on node names, so the
+    file with its [node.*] and [link.*] sections shuffled gives the same CSV
+    and trace bytes (in one mode, chosen with the shuffle)."""
     s = parse_scenario(text, "gen")
+    rnd = random.Random(text)
+    shuffled_mode = rnd.choice(MODES)
     detections = sorted(h.at for h in s.handovers) + [s.end + 1]
     transmit = DirectedLink.transmit
 
     def fed_transmit(link, seg, at):
+        handovers = sim.metrics.handovers
         if link.feeder is not None:  # admitted ahead of time, so only from the feeder
             assert seg.hop > 0 and seg.route[seg.hop - 1] is link.feeder, link.label
             assert at > link.kernel.now, link.label
+        elif at > link.kernel.now and seg.flags & F_ACK:  # the ACK of data handed to the MN
+            assert not sim.trace.enabled and not any(f.ack_extra_delay for f in s.flows)
+            assert link is sim.flows[seg.flow_id].ack_route[0], link.label
+            assert not handovers and at < detections[0] and at <= s.end, link.label
         elif at > link.kernel.now:  # handed off to the agent
-            handovers = sim.metrics.handovers
             assert link is sim.topo.routes[(sim.ha_node, sim.mn, sim.ha.route_attachment())][0]
             assert seg.flags & F_DATA and at < detections[len(handovers)], link.label
             if quiet_checked[-1] != len(handovers):  # once per quiet interval
@@ -649,6 +664,7 @@ def test_generated_scenarios_run_in_every_mode(text):
         with mock.patch.object(DirectedLink, "transmit", fed_transmit):
             metrics = sim.run()
         _assert_registration_once(metrics, sim.trace.lines)
+        traced_text = sim.trace.text()
         stamps = [tuple(map(int, line.split(" ", 1)[0].split("."))) for line in sim.trace.lines]
         assert stamps == sorted(stamps), mode
         for rt in sim.flows.values():
@@ -657,8 +673,30 @@ def test_generated_scenarios_run_in_every_mode(text):
             assert rt.ack_route is sim.topo.routes[(sim.mn, rt.spec.src, sim.attachment)], mode
         with all_events():
             reference = Simulation(s, mode=mode, trace=True)
-            assert write_csv(reference.run().csv_rows()) == write_csv(metrics.csv_rows()), mode
+            csv = write_csv(reference.run().csv_rows())
+        assert csv == write_csv(metrics.csv_rows()), mode
         assert tie_sorted(reference.trace.lines) == tie_sorted(sim.trace.lines), mode
+        quiet_checked = [None]
+        sim = Simulation(s, mode=mode)
+        with mock.patch.object(DirectedLink, "transmit", fed_transmit):
+            untraced = sim.run()
+        assert untraced == metrics and write_csv(untraced.csv_rows()) == csv, mode
+        if mode == shuffled_mode:
+            shuffled = Simulation(parse_scenario(_shuffled_sections(text, rnd), "gen"), mode=mode,
+                                  trace=True)
+            assert write_csv(shuffled.run().csv_rows()) == csv, mode
+            assert shuffled.trace.text() == traced_text, mode
+
+
+def _shuffled_sections(text: str, rnd: random.Random) -> str:
+    """`text` with its [node.*] and [link.*] sections in a random order."""
+    sections = re.split(r"(?m)^(?=\[)", text)
+    slots = [i for i, section in enumerate(sections) if section.startswith(("[node.", "[link."))]
+    moved = [sections[i] for i in slots]
+    rnd.shuffle(moved)
+    for i, section in zip(slots, moved):
+        sections[i] = section
+    return "".join(sections)
 
 
 def _with_delays(name: str, delay: str, path: Path) -> str:
