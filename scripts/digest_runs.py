@@ -23,17 +23,19 @@ the plain lines either way.
 prints the same runs' digests on the all-events reference (`all_events`):
 no link admits ahead of time, so every segment has an event at every hop.
 The CSV and `tie_sorted=` digests of a run must equal those without
-`--all-events`; a shortcut that moves one changed the run.
+`--all-events`; a shortcut that moves one changed the run. So it also runs
+every job normally, and exits 1 naming each run whose CSV or tie-sorted
+trace digest differs from the reference's.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import itertools
 import sys
 from pathlib import Path
+from unittest import mock
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -61,25 +63,11 @@ def tie_sorted(lines: list[str]) -> list[str]:
     return [line for _, group in groups for line in sorted(group)]
 
 
-@contextlib.contextmanager
 def all_events():
-    """Within it, runs take the all-events reference path: after
-    `_resolve_routes` no link has a feeder or hands off to the agent, and
+    """Within it, runs take the all-events reference path: with
+    `Simulation._shortcuts` skipped, no link has a feeder or hands off, and
     no hand-off resumes, so every segment has an event at every hop."""
-    resolve, resume = Simulation._resolve_routes, Simulation._resume_hand_off
-
-    def reference_resolve(sim):
-        resolve(sim)
-        for link in sim.topo.directed.values():
-            link.feeder = None
-            link.hand_off_before = 0
-
-    Simulation._resolve_routes = reference_resolve
-    Simulation._resume_hand_off = lambda sim, link, now: None
-    try:
-        yield
-    finally:
-        Simulation._resolve_routes, Simulation._resume_hand_off = resolve, resume
+    return mock.patch.object(Simulation, "_shortcuts", lambda sim, *routes: None)
 
 
 def run_digests(text: str, name: str, mode: str, trace: bool,
@@ -108,6 +96,17 @@ def shipped_digests(names=SHIPPED, ties: bool = False) -> dict[str, dict[str, st
     return out
 
 
+def all_digests(seeds: list[int], ties: bool) -> dict[str, dict[str, str]]:
+    """Run key -> digests, for the shipped runs and every seed's workload jobs."""
+    runs = {f"shipped/{key}": d for key, d in shipped_digests(SHIPPED, ties).items()}
+    for seed in seeds:
+        for workload in workloads.WORKLOADS:
+            for job in workloads.generate(workload, seed, REPO / "scenarios"):
+                runs[f"{workload}/{seed}/{job.name}/{job.mode}"] = \
+                    run_digests(job.text, job.name, job.mode, job.trace, ties)
+    return runs
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[],
@@ -115,16 +114,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tie-sorted", action="store_true",
                         help="also print each trace's digest with same-time lines sorted")
     parser.add_argument("--all-events", action="store_true",
-                        help="run the all-events reference: an event at every hop")
+                        help="run the all-events reference (an event at every hop) and "
+                             "check each run's CSV and tie-sorted trace against it")
     args = parser.parse_args(argv)
     ties = args.tie_sorted
-    with all_events() if args.all_events else contextlib.nullcontext():
-        runs = {f"shipped/{key}": d for key, d in shipped_digests(SHIPPED, ties).items()}
-        for seed in args.seeds:
-            for workload in workloads.WORKLOADS:
-                for job in workloads.generate(workload, seed, REPO / "scenarios"):
-                    runs[f"{workload}/{seed}/{job.name}/{job.mode}"] = \
-                        run_digests(job.text, job.name, job.mode, job.trace, ties)
+    differ = []
+    if args.all_events:
+        with all_events():
+            runs = all_digests(args.seeds, True)
+        normal = all_digests(args.seeds, True)
+        differ = [key for key, d in runs.items()
+                  if (d["csv"], d["tie_sorted"]) != (normal[key]["csv"], normal[key]["tie_sorted"])]
+    else:
+        runs = all_digests(args.seeds, ties)
     lines = [f"{key} csv={d['csv']} trace={d['trace']}" for key, d in runs.items()]
     if ties:
         print("\n".join(f"{line} tie_sorted={d['tie_sorted']}"
@@ -132,7 +134,9 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print("\n".join(lines))
     print(f"total {_sha(''.join(lines))} ({len(lines)} runs)")
-    return 0
+    for key in differ:
+        print(f"differs from the all-events reference: {key}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

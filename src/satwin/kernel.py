@@ -8,7 +8,9 @@ quiet interval, the home agent's too) has one event, scheduled when it
 entered the first link, so among same-microsecond events it ranks by that
 moment. The same holds for the ACK of a data segment handed to the MN
 ahead of time: its event is scheduled in the event that sent the data on
-its way there (its send, or its arrival at the home agent).
+its way there (its send, or its arrival at the home agent). The
+all-events reference (`Simulation._shortcuts` skipped) schedules an event
+per hop, so it ranks the segment by the moment it reached the last hop.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ class Kernel:
     the arriving segment, which only `net` writes and reads. `seqs` issues
     the numbers; `net` also takes one per link admission, for the dequeue
     event it does not schedule. `seq` is the running event's number
-    (between runs, above every one issued).
+    (between runs, above every one issued), the `s` of a link's release
+    rule for an admission at `now`.
 
     Single-threaded by design: one kernel per simulation instance, no shared
     mutable state. One seeded PRNG is owned here; the core model draws

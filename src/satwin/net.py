@@ -11,8 +11,9 @@ use, is the one a segment is leaving (its `feeder`, set from
 `single_feeders`) sees its segments in the order that link finishes them.
 So the upstream `transmit` admits the segment to it at once, for the
 logical time it gets there (a FIFO tandem, Lindley 1952), and the kernel
-holds one event for the hops cut through: the final arrival, or the drop
-at the hop that refuses the segment, due when the segment reaches it.
+holds one event for the hops cut through: the final arrival, the drop at
+the hop that refuses the segment, or the admission to a link with several
+feeders, due when the segment reaches it.
 Inside a quiet interval (see `Simulation._resume_hand_off`), a link that
 alone feeds the home agent's forward link hands data at its route's end to
 the agent at once (`hand_off`): a data segment has one event from source to
@@ -21,6 +22,8 @@ With the trace off and no ACK delay, the MN's downlink hands data to the
 receiver at once too, until the first detection or the run's end: its ACK
 enters the uplink for the data's arrival time, and the ACK's arrival at the
 source is then the one event of a data segment and its ACK.
+`Simulation._shortcuts` wires all of these; the all-events reference
+skips it, and every segment has an event at every hop.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ F_BUACK = 8
 F_WUPD = 16  # window-update ACK: never counted as a duplicate by the sender
 F_REFRESH = 32  # state-refresh ACK emitted while duplicate ACKs are suppressed
 F_CONTROL = F_BU | F_BUACK  # registration segments: CONTROL_BYTES on the wire
+
+_AHEAD = 1 << 63  # the `s` of an admission ahead of time: above every sequence number
 
 OVERFLOW = "OVERFLOW"
 NO_COVERAGE = "NO_COVERAGE"
@@ -121,19 +126,17 @@ class DirectedLink:
     Occupancy counts every byte accepted and not yet fully serialized.
     `backlog` holds `(finish, seq, wire)` per accepted segment, `seq` a
     number taken from `Kernel.seqs` on admission, before anything the
-    admission schedules: the number its dequeue event would have had. A
-    transmit from the running event (`at == kernel.now`) first releases every entry
-    whose `(finish, seq)` is below the running event's `(now, seq)`: where a
-    dequeue event scheduled just before that event would already have run.
-    A forwarded admission (`at > kernel.now`, onto a single-fed link or a
-    hand-off's) releases every entry with `finish <= at`, and an admission
-    at `now` after a hand-off finds a handed-off entry with `finish == now` gone.
+    admission schedules: the number its dequeue event would have had. An
+    admission for time `at` first releases every entry with `(finish, seq)`
+    below `(at, s)`: `s` is the running event's number (`Kernel.seq`) for an
+    admission at `kernel.now`, and above every number for one ahead of time
+    (onto a single-fed link or a hand-off's next link).
     A data segment ending its route here before `hand_off_before` goes to
-    `hand_off` for its arrival time, with no event. The runner sets it on
-    the one link into the home agent (`hand_off_before` is the next scripted
-    detection inside a quiet interval, and 0 outside one) and, with the trace
-    off and no ACK delay, on the MN's downlink until the first detection or
-    the run's end.
+    `hand_off` for its arrival time, with no event. `Simulation._shortcuts`
+    sets it on the one link into the home agent (`hand_off_before` is the
+    next scripted detection inside a quiet interval, and 0 outside one) and,
+    with the trace off and no ACK delay, on the MN's downlink until the
+    first detection or the run's end.
     """
 
     def __init__(self, spec: LinkSpec, src: str, dst: str, kernel: Kernel):
@@ -161,11 +164,9 @@ class DirectedLink:
     def label(self) -> str:
         return f"{self.spec.name}:{self.src}->{self.dst}"
 
-    def transmit(self, seg: Segment, at: int) -> Optional[int]:
-        """Enqueue `seg` at time `at`; returns its arrival time at the end of
-        the hops it cuts through (here, for a hand-off), or None when it is
-        dropped (counted in `drops` and reported to on_drop, at a skipped hop
-        by an event).
+    def transmit(self, seg: Segment, at: int) -> None:
+        """Enqueue `seg` at time `at`, or drop it (counted in `drops` and
+        reported to `on_drop`, at a skipped hop by an event).
 
         Arrival = end of FIFO serialization + propagation delay. Wire size
         and serialization inline `Segment.wire_size`/`LinkSpec.serialization_us`.
@@ -174,26 +175,23 @@ class DirectedLink:
         kernel = self.kernel
         backlog = self.backlog
         occupancy = self.occupancy
-        if backlog:
-            now = kernel.now
-            if at > now:  # forwarded: whatever finished by `at` has left
-                while backlog and backlog[0][0] <= at:
-                    occupancy -= backlog.popleft()[2]
-            else:  # released where `(finish, seq) < (now, kernel.seq)`
-                seq = kernel.seq
-                while backlog:
-                    finish, entry_seq, wire = backlog[0]
-                    if finish > now or (finish == now and entry_seq >= seq):
-                        break
-                    occupancy -= wire
-                    backlog.popleft()
+        if backlog:  # release every entry with (finish, seq) < (at, s)
+            s = kernel.seq if at == kernel.now else _AHEAD
+            while backlog:
+                finish, entry_seq, wire = backlog[0]
+                if finish > at or finish == at and entry_seq >= s:
+                    break
+                occupancy -= wire
+                backlog.popleft()
         wire = CONTROL_BYTES if seg.flags & F_CONTROL else HEADER_BYTES + seg.payload_len
         if not self.always_up and not self.spec.is_available(at):
             self.occupancy = occupancy
-            return self._refuse(seg, NO_COVERAGE, at)
+            self._drop(seg, NO_COVERAGE, at)
+            return
         if occupancy + wire > self.capacity:
             self.occupancy = occupancy
-            return self._refuse(seg, OVERFLOW, at)
+            self._drop(seg, OVERFLOW, at)
+            return
         self.occupancy = occupancy + wire
         free_at = self.free_at
         finish = (at if at > free_at else free_at) + (wire * SEC + self.round_up) // self.bandwidth
@@ -213,22 +211,14 @@ class DirectedLink:
         else:
             nxt = route[hop]
             if nxt.feeder is self:
-                return nxt.transmit(seg, arrival)
-            kernel.schedule(arrival, partial(self._pass_on, seg), "link-rx").append(seg)
-        return arrival
-
-    def _pass_on(self, seg: Segment) -> None:
-        """`seg` reached a node short of its route's end, whose next link
-        has several feeders: it enters that link now."""
-        seg.route[seg.hop].transmit(seg, self.kernel.now)
-
-    def _refuse(self, seg: Segment, reason: str, at: int) -> None:
-        if at > self.kernel.now:  # a skipped hop: the drop happens when `seg` gets here
-            self.kernel.schedule(at, partial(self._drop, seg, reason, at), "link-rx").append(seg)
-        else:
-            self._drop(seg, reason, at)
+                nxt.transmit(seg, arrival)
+            else:  # several feeders: `seg` enters the next link from its arrival event
+                kernel.schedule(arrival, partial(nxt.transmit, seg, arrival), "link-rx").append(seg)
 
     def _drop(self, seg: Segment, reason: str, at: int) -> None:
+        if at > self.kernel.now:  # a skipped hop: the drop happens when `seg` gets here
+            self.kernel.schedule(at, partial(self._drop, seg, reason, at), "link-rx").append(seg)
+            return
         self.drops[reason] += 1
         if self.on_drop is not None:
             self.on_drop(self, seg, reason, at)

@@ -160,7 +160,7 @@ class _HandoverRuntime:
             wupd = rt.receiver.set_window_policy(0, now)  # hold the sender while draining
             if wupd is not None:
                 wupd.mark = self
-                sim._adverts += 1
+                sim._unsettled += 1
             rt.receiver.set_suppress_dupacks(True, now)
             rt.sender.external_congestion_avoidance(now)
             sim.trace.emit(now, "wpolicy", sim.mn, flow=fid, cap=0)
@@ -232,7 +232,7 @@ class _HandoverRuntime:
         """The move does not happen: the windows rest on the network the MN
         stays on."""
         self.metrics.aborted = True
-        self.sim._registering -= 1
+        self.sim._unsettled -= 1
         self.sim.trace.emit(now, "handover_abort", self.sim.mn, handover=self.metrics.name)
         self.sim.rest(now)
 
@@ -242,7 +242,7 @@ class _HandoverRuntime:
         handover's to steer."""
         if self.timer is not None and self.sim.kernel.cancel(self.timer) \
                 and "t_r0" not in self.metrics.timeline:
-            self.sim._registering -= 1  # the switch it cancels sends no binding update
+            self.sim._unsettled -= 1  # the switch it cancels sends no binding update
         self._end_drains("superseded")
 
     # -- advertisement markers ---------------------------------------------
@@ -309,8 +309,9 @@ class Simulation:
         self._gap_window = gap if scenario.handovers else None
         # binding kind -> the link into the agent that hands data off while it is in force
         self._into: dict[str, DirectedLink] = {}
-        self._registering = 0  # detections whose binding update may still reach the agent
-        self._adverts = 0  # marked window updates not yet at their sender
+        # detections whose binding update may still reach the agent, and marked window
+        # updates not yet at their sender: no hand-off resumes while any is unsettled
+        self._unsettled = 0
 
         # the latest handover; its detection retired the one before (see retire)
         self._active: Optional[_HandoverRuntime] = None
@@ -382,7 +383,7 @@ class Simulation:
     def _emit_ack(self, rt: _FlowRuntime, seg: Segment, send_at: int) -> None:
         """Send the receiver's ACK at `send_at`: from a paced event when the
         receiver delays it, else at once (ahead of time for data handed to
-        the MN, see _resolve_routes)."""
+        the MN, see _shortcuts)."""
         if rt.receiver.ack_delay and send_at > self.kernel.now:
             self.kernel.schedule(send_at, partial(self._emit_ack, rt, seg, send_at), "ack-paced")
             return
@@ -403,7 +404,7 @@ class Simulation:
                 self._deliver_data(seg, now)
             return
         if seg.flags & F_BU:
-            self._registering -= 1
+            self._unsettled -= 1
             buack = self.ha.handle_binding_update(seg, now)
             self.trace.emit(now, "bu_recv", self.ha_node, network=seg.path_tag)
             if buack is None:  # stale: a later BU is in force
@@ -420,7 +421,7 @@ class Simulation:
         # cumulative ACK reaching the sender
         rt = self.flows[seg.flow_id]
         if seg.mark is not None:
-            self._adverts -= 1
+            self._unsettled -= 1
             seg.mark.advert_arrived(rt, now)
         if self.trace.enabled:
             self.trace.ack_rx(now, node, seg.flow_id, seg.ack, seg.rwnd)
@@ -450,7 +451,7 @@ class Simulation:
 
     def _deliver_data(self, seg: Segment, now: int) -> None:
         """`seg` reached the MN at `now`: in its arrival event, or ahead of
-        time from the MN's downlink (see _resolve_routes)."""
+        time from the MN's downlink (see _shortcuts)."""
         rt = self.flows[seg.flow_id]
         rt.metrics.bytes_delivered += seg.payload_len
         if seg.rexmit and rt.receiver.holds_range(seg.seq, seg.payload_len):
@@ -471,12 +472,10 @@ class Simulation:
         self.metrics.drops.append(DropRecord(at, link.label, link.spec.kind, reason, seg.flow_id))
         if seg.payload_len:  # only data segments carry payload
             self.flows[seg.flow_id].metrics.bytes_dropped += seg.payload_len
+        if seg.mark is not None and not seg.flags & F_BUACK:  # a BU or a marked window update
+            self._unsettled -= 1
         if seg.flags & F_CONTROL:
-            if seg.flags & F_BU:
-                self._registering -= 1
             seg.mark.registration_lost(at)
-        elif seg.mark is not None:
-            self._adverts -= 1
         self.trace.emit(at, "drop", link.label, flow=seg.flow_id, reason=reason,
                         seq=seg.seq, len=seg.payload_len)
 
@@ -527,23 +526,8 @@ class Simulation:
     def _resolve_routes(self) -> None:
         """Resolve, into the topology's route table, the agent's forward route
         and the ACK routes for every access kind the run can attach to, set
-        each flow's `ack_route` (`_attach` keeps it current), and mark the
-        links that only one link feeds over every route a segment can take:
-        those, the flows' data routes and the registration routes.
-
-        Then, per binding the agent can hold, find the one link into the
-        agent that feeds the binding's forward link over the data routes on
-        through it and the ACK routes of every kind (one sent before a
-        switch may still travel): that link hands data off to the agent
-        inside a quiet interval (see _resume_hand_off), the first of which
-        starts now.
-
-        With the trace off (a `deliver` or `ack_tx` line written ahead of
-        time would break the trace's time order) and no flow delaying its
-        ACKs, the MN's downlink hands data to the receiver until the first
-        detection or the run's end: until then nothing else reaches a
-        receiver or the MN's uplink, so the ACK enters the uplink in time
-        order, for the data's arrival time."""
+        each flow's `ack_route` (`_attach` keeps it current), and wire the
+        shortcuts over the routes a segment can take."""
         self._routed = True
         topo, mn, ha, attach = self.topo, self.mn, self.ha_node, self.scenario.attach
         kinds = list(dict.fromkeys([attach] + [h.to for h in self.scenario.handovers]))
@@ -554,10 +538,28 @@ class Simulation:
         for kind in kinds:
             used.append(topo.route_via_access(ha, mn, kind))
             used += [self._registration_path(kind, to_agent)[1] for to_agent in (True, False)]
-        for link, feeder in single_feeders(used).items():
-            link.feeder = feeder
         for rt in self.flows.values():  # no handover has switched yet: `attach` is attached
             rt.ack_route = topo.routes[(mn, rt.spec.src, attach)]
+        self._shortcuts(kinds, data, acks, used)
+
+    def _shortcuts(self, kinds: list[str], data: list[Route], acks: list[Route],
+                   used: list[Route]) -> None:
+        """Wire every shortcut; the all-events reference skips this call.
+        Mark the links that one link alone feeds over the routes in `used`.
+        Per binding the agent can hold (`kinds`), the one link into the agent
+        that feeds the binding's forward link over the `data` routes on
+        through it and the `acks` of every kind (one sent before a switch may
+        still travel) hands data off to the agent inside a quiet interval
+        (see _resume_hand_off), the first of which starts now. With the trace
+        off (a `deliver` or `ack_tx` line written ahead of time would break
+        the trace's time order) and no flow delaying its ACKs, the MN's
+        downlink hands data to the receiver until the first detection or the
+        run's end: until then nothing else reaches a receiver or the MN's
+        uplink, so the ACK enters the uplink in time order, for the data's
+        arrival time."""
+        topo, mn, ha, attach = self.topo, self.mn, self.ha_node, self.scenario.attach
+        for link, feeder in single_feeders(used).items():
+            link.feeder = feeder
         for kind in kinds:
             forward = topo.routes[(ha, mn, kind)]
             into = single_feeders([route + forward for route in data] + acks)[forward[0]]
@@ -595,7 +597,7 @@ class Simulation:
         for link in self.topo.directed.values():  # every hand-off ends here
             link.hand_off_before = 0
         self._detects.pop(0)
-        self._registering += 1
+        self._unsettled += 1
         ho = _HandoverRuntime(self, hdef)
         self.trace.emit(now, "handover_detect", self.mn, direction=ho.metrics.direction,
                         to=hdef.to, mode=self.mode)
@@ -622,7 +624,7 @@ class Simulation:
         waits on no t_a2 marker (traced when it resolves) and drains no
         network the agent routes to (a drain reads its watermark). README
         "Event kernel and links" gives the reasons."""
-        if self._registering or self._adverts:
+        if self._unsettled:
             return
         kind, ho = self.ha.route_attachment(), self._active
         into = self._into.get(kind)
@@ -655,7 +657,7 @@ class Simulation:
                             step=receiver.ramp_step)
         if wupd is not None and mark is not None:
             wupd.mark = mark
-            self._adverts += 1
+            self._unsettled += 1
 
     def rest(self, now: int) -> None:
         """Steer every capped flow to its resting cap, also one already

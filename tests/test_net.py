@@ -30,13 +30,21 @@ def data_segment(payload=1460):
     return Segment(flow_id="f", seq=0, payload_len=payload)
 
 
+def sent(link, seg, at):
+    """Transmit `seg` on a link at the end of its route: its arrival time
+    there, or None when the link drops it at once."""
+    dropped = sum(link.drops.values())
+    link.transmit(seg, at)
+    return None if sum(link.drops.values()) > dropped else link.free_at + link.spec.prop_delay
+
+
 def test_transmit_arrival_arithmetic():
     k = Kernel()
     link = make_link(k)
     arrivals = []
     link.deliver = lambda l, s: arrivals.append(k.now)
     # 1500 B wire on 125000 B/s: 12 ms serialization + 250 ms propagation
-    assert link.transmit(data_segment(), 0) == 262 * MS
+    assert sent(link, data_segment(), 0) == 262 * MS
     k.run_until(10**9)
     assert arrivals == [262 * MS]
 
@@ -45,9 +53,9 @@ def test_drop_tail_overflow_on_third_segment():
     k = Kernel()
     link = make_link(k, queue=3000)
     link.deliver = lambda l, s: None
-    assert link.transmit(data_segment(), 0) is not None
-    assert link.transmit(data_segment(), 0) is not None
-    assert link.transmit(data_segment(), 0) is None
+    assert sent(link, data_segment(), 0) is not None
+    assert sent(link, data_segment(), 0) is not None
+    assert sent(link, data_segment(), 0) is None
     assert link.drops["OVERFLOW"] == 1
 
 
@@ -56,7 +64,7 @@ def test_transmit_during_coverage_gap():
     link = make_link(k, avail=((0, 1_000_000),))
     link.deliver = lambda l, s: None
     k.run_until(2_000_000)
-    assert link.transmit(data_segment(), k.now) is None
+    assert sent(link, data_segment(), k.now) is None
     assert link.drops[NO_COVERAGE] == 1
 
 
@@ -67,7 +75,7 @@ def test_segment_accepted_before_gap_still_delivered():
     arrivals = []
     link.deliver = lambda l, s: arrivals.append(k.now)
     k.run_until(999_000)
-    assert link.transmit(data_segment(), k.now) == 999_000 + 262 * MS
+    assert sent(link, data_segment(), k.now) == 999_000 + 262 * MS
     k.run_until(10**9)
     assert arrivals == [999_000 + 262 * MS]
 
@@ -79,7 +87,7 @@ def test_queueing_is_fifo_and_serialized():
     link.deliver = lambda l, s: order.append(s.seq)
     for i in range(3):
         seg = Segment(flow_id="f", seq=i, payload_len=1460)
-        assert link.transmit(seg, 0) == (i + 1) * 12 * MS + 250 * MS
+        assert sent(link, seg, 0) == (i + 1) * 12 * MS + 250 * MS
     k.run_until(10**9)
     assert order == [0, 1, 2]
 
@@ -115,12 +123,41 @@ def test_transmit_at_a_finish_time_sees_the_events_scheduled_before_it():
     link.deliver = lambda l, s: None
     F = MS  # 1500 B at 1.5 MB/s
     outcomes = []
-    k.schedule(F, lambda: outcomes.append(link.transmit(data_segment(), k.now)))
-    assert link.transmit(data_segment(), 0) == F + MS
-    k.schedule(F, lambda: outcomes.append(link.transmit(data_segment(), k.now)))
+    k.schedule(F, lambda: outcomes.append(sent(link, data_segment(), k.now)))
+    assert sent(link, data_segment(), 0) == F + MS
+    k.schedule(F, lambda: outcomes.append(sent(link, data_segment(), k.now)))
     k.run_until(10 * MS)
     assert outcomes == [None, 3 * MS]
     assert link.drops[OVERFLOW] == 1
+
+
+@pytest.mark.parametrize("ahead", [True, False])
+def test_an_entry_finishing_at_the_admission_time_leaves_only_before_an_admission_ahead_of_time(ahead):
+    # the release rule: an admission for time `at` releases every entry with
+    # (finish, seq) < (at, s), where s is the running event's number for an
+    # admission at `now` and above every number for one ahead of time. S
+    # fills the queue from an event at 0, finishes at F and takes a number
+    # above that event's and above the one of an event scheduled for F
+    # before it. An admission ahead of time for F, from S's event, finds S
+    # gone; an admission at now == F, from the earlier event, finds S queued
+    k = Kernel()
+    link = make_link(k, bandwidth=1_500_000, prop=MS, queue=1500, kind="WLAN")
+    link.deliver = lambda l, s: None
+    F = MS  # 1500 B at 1.5 MB/s
+    outcomes = []
+    if not ahead:
+        k.schedule(F, lambda: outcomes.append(sent(link, data_segment(), k.now)))
+
+    def fill():
+        assert sent(link, data_segment(), k.now) == F + MS
+        assert link.backlog[0][:2] == (F, k.seq + 1)
+        if ahead:
+            outcomes.append(sent(link, data_segment(), F))
+
+    k.schedule(0, fill)
+    k.run_until(10 * MS)
+    assert outcomes == ([2 * F + MS] if ahead else [None])
+    assert link.drops[OVERFLOW] == (0 if ahead else 1)
 
 
 def test_arrival_at_the_finish_time_sees_its_own_segment_gone():
@@ -138,7 +175,7 @@ def test_arrival_at_the_finish_time_sees_its_own_segment_gone():
 
         def echo(l, seg):
             if len(outcomes) < 2:
-                outcomes.append(link.transmit(data_segment(), k.now))
+                outcomes.append(sent(link, data_segment(), k.now))
 
         link.deliver = echo
         link.transmit(data_segment(), 0)
@@ -163,16 +200,16 @@ class DequeueEventLink:
     def transmit(self, seg, at):
         wire = seg.wire_size()
         if not self.spec.is_available(at):
-            return self._drop(seg, NO_COVERAGE, at)
+            self._drop(seg, NO_COVERAGE, at)
+            return
         if self.occupancy + wire > self.spec.queue_capacity:
-            return self._drop(seg, OVERFLOW, at)
+            self._drop(seg, OVERFLOW, at)
+            return
         self.occupancy += wire
         finish = max(at, self.free_at) + self.spec.serialization_us(wire)
         self.free_at = finish
         self.queued.append((self.kernel.schedule(finish, self._dequeue), wire))
-        arrival = finish + self.spec.prop_delay
-        self.kernel.schedule(arrival, lambda: self.deliver(self, seg))
-        return arrival
+        self.kernel.schedule(finish + self.spec.prop_delay, lambda: self.deliver(self, seg))
 
     def _drop(self, seg, reason, at):
         self.drops[reason] += 1
@@ -192,7 +229,7 @@ class FedDequeueEventLink(DequeueEventLink):
         while self.queued and self.queued[0][0][0] <= at:
             self.kernel.cancel(self.queued[0][0])
             self._dequeue()
-        return super().transmit(seg, at)
+        super().transmit(seg, at)
 
 
 def _drive(make, ops):
@@ -204,7 +241,7 @@ def _drive(make, ops):
     link.deliver = lambda l, s: log.append(("rx", s.seq, k.now))
 
     def send(label, payload):
-        out = link.transmit(Segment(flow_id="f", seq=label, payload_len=payload), k.now)
+        out = sent(link, Segment(flow_id="f", seq=label, payload_len=payload), k.now)
         log.append(("tx", label, k.now, out, link.occupancy, dict(link.drops)))
 
     def fire(i, payload, child):
@@ -279,9 +316,8 @@ def _drive_tandem(make, ops):
     admit = second.transmit
 
     def admitted(seg, at):  # the far link's admission, whenever the model makes it
-        out = admit(seg, at)
-        log.append(("admit", seg.seq, at, out, second.occupancy))
-        return out
+        admit(seg, at)
+        log.append(("admit", seg.seq, at, second.free_at, second.occupancy))
 
     second.transmit = admitted
 

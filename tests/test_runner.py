@@ -7,11 +7,13 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DIGEST_RUNS, REPO_ROOT, SCENARIOS, all_events, scenario_path
+from satwin import runner
 from satwin.errors import ConfigError
 from satwin.kernel import SEC, Kernel, SimError, fmt_time
 from satwin.metrics import Trace, write_csv
@@ -143,7 +145,9 @@ def test_digest_script_prints_the_pinned_s4_digests():
 
 def test_digest_script_prints_the_all_events_reference(monkeypatch, capsys):
     # `--all-events` runs every hop by an event: S5 takes more events than
-    # with the shortcuts, and its CSV and tie-sorted trace digests are the same
+    # with the shortcuts, and its CSV and tie-sorted trace digests are the
+    # same. It also runs each job normally (the shortcut events once more) to
+    # check that, and exits 0 with nothing on stderr
     monkeypatch.setattr(DIGEST_RUNS, "SHIPPED", ("s5_roundtrip",))
     steps, run_until = [], Kernel.run_until
     monkeypatch.setattr(Kernel, "run_until", lambda k, t: steps.append(run_until(k, t)) or steps[-1])
@@ -151,14 +155,74 @@ def test_digest_script_prints_the_all_events_reference(monkeypatch, capsys):
     for flags in ([], ["--all-events"]):
         steps.clear()
         assert DIGEST_RUNS.main(["--tie-sorted", *flags]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        printed = capsys.readouterr()
+        lines = printed.out.splitlines()
         assert [line.split(" ", 1)[0] for line in lines[:-1]] == \
             [f"shipped/s5_roundtrip/{mode}" for mode in MODES]
+        assert printed.err == ""
         out[bool(flags)] = [(key, csv, ties) for key, csv, _, ties in map(str.split, lines[:-1])], \
             sum(steps)
-    (shortcut, shortcut_events), (reference, reference_events) = out[False], out[True]
+    (shortcut, shortcut_events), (reference, both_events) = out[False], out[True]
     assert shortcut == reference
-    assert reference_events > 2 * shortcut_events
+    assert both_events - shortcut_events > 2 * shortcut_events
+
+
+def test_digest_script_names_each_run_that_differs_from_the_all_events_reference(monkeypatch,
+                                                                                 capsys):
+    # a reference that runs PROACTIVE as BASELINE stands in for a shortcut
+    # that changed a run: only S5's PROACTIVE run differs, and the exit is 1
+    monkeypatch.setattr(DIGEST_RUNS, "SHIPPED", ("s5_roundtrip",))
+    reference = DIGEST_RUNS.all_events
+
+    @contextlib.contextmanager
+    def changed_reference():
+        with reference(), mock.patch.dict(runner._PROCEDURES,
+                                          {"PROACTIVE": runner._PROCEDURES["BASELINE"]}):
+            yield
+
+    monkeypatch.setattr(DIGEST_RUNS, "all_events", changed_reference)
+    assert DIGEST_RUNS.main(["--all-events"]) == 1
+    printed = capsys.readouterr()
+    assert len(printed.out.splitlines()) == len(MODES) + 1
+    assert printed.err == "differs from the all-events reference: shipped/s5_roundtrip/PROACTIVE\n"
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ["s1_wlan_to_sat", "s5_roundtrip"])
+def test_the_all_events_reference_leaves_no_shortcut(monkeypatch, name, mode):
+    # under `all_events()` no link has a feeder or a hand-off bound and no
+    # link into the agent is recorded, when the routes are resolved (the
+    # first send), at every quiet-interval check and at the end, traced and
+    # untraced; without it the same runs have shortcuts
+    scenario = load_scenario(scenario_path(name))
+    resolve, resume = Simulation._resolve_routes, Simulation._resume_hand_off
+    seen = []
+
+    def shortcuts(sim):
+        links = sim.topo.directed.values()
+        return [link.label for link in links if link.feeder or link.hand_off_before], dict(sim._into)
+
+    def checked_resolve(sim):
+        resolve(sim)
+        seen.append(shortcuts(sim))
+
+    def checked_resume(sim, link, now):
+        resume(sim, link, now)
+        seen.append(shortcuts(sim))
+
+    monkeypatch.setattr(Simulation, "_resolve_routes", checked_resolve)
+    monkeypatch.setattr(Simulation, "_resume_hand_off", checked_resume)
+    for trace in (True, False):
+        seen.clear()
+        with all_events():
+            sim = Simulation(scenario, mode=mode, trace=trace)
+            sim.run()
+        seen.append(shortcuts(sim))
+        assert len(seen) > 2 and seen == [([], {})] * len(seen), trace
+        seen.clear()  # a run to the first send has its shortcuts wired
+        Simulation(replace(scenario, end=min(f.start for f in scenario.flows)), mode=mode,
+                   trace=trace).run()
+        assert seen[0][0] and seen[0][1], trace
 
 
 @pytest.mark.parametrize("name", sorted({case.split("/")[0] for case in GOLDEN_RUNS}))
@@ -530,8 +594,9 @@ def test_access_routes_resolve_once_per_attachment(shipped_scenarios, monkeypatc
 def test_inflight_bytes_are_the_pending_data_arrivals(shipped_scenarios, name, mode):
     # the runner counts in-flight bytes from the segments pending link
     # arrivals carry: at a mid-transfer cut, each carries the very segment
-    # its handler will deliver (link, seg), pass on or report dropped at a
-    # hop it cut through (seg first), and every flow has data on the wire
+    # its handler will deliver (link, seg), admit to the next link or report
+    # dropped at a hop it cut through (seg first), and every flow has data on
+    # the wire
     sim = Simulation(replace(shipped_scenarios[name], end=3_123_457), mode=mode)
     metrics = sim.run()
     entries = list(sim.kernel.pending_entries("link-rx"))
@@ -542,7 +607,7 @@ def test_inflight_bytes_are_the_pending_data_arrivals(shipped_scenarios, name, m
         if handler.func == sim._on_arrival:
             assert handler.args[1] is seg
         else:
-            assert handler.func.__name__ in ("_pass_on", "_drop") and handler.args[0] is seg
+            assert handler.func.__name__ in ("transmit", "_drop") and handler.args[0] is seg
     assert all(fm.bytes_inflight_end > 0 for fm in metrics.flows.values())
 
 
@@ -677,24 +742,21 @@ def test_a_link_with_two_feeders_keeps_its_arrival_events(monkeypatch, mode):
     cut = Simulation(replace(scenario, end=1_234_567), mode=mode)
     metrics = cut.run()
     waiting = [entry[5] for entry in cut.kernel.pending_entries("link-rx")
-               if entry[2].func.__name__ == "_pass_on"]
+               if entry[2].func.__name__ == "transmit"]
     assert any(seg.payload_len for seg in waiting)
     assert metrics.flows["f1"].bytes_inflight_end == \
         sum(seg.payload_len for seg in pending_arrivals(cut.kernel))
 
     passed, entered = Counter(), []
-    pass_on, transmit = DirectedLink._pass_on, DirectedLink.transmit
-
-    def counting_pass_on(link, seg):
-        passed[(link.label, seg.route[seg.hop].label)] += 1
-        pass_on(link, seg)
+    transmit = DirectedLink.transmit
 
     def recording_transmit(link, seg, at):
+        if seg.hop and at == link.kernel.now:  # from its arrival event short of its route's end
+            passed[(seg.route[seg.hop - 1].label, link.label)] += 1
         if link.dst in ("CN", "HA") and link.src == "R":
             entered.append(at == link.kernel.now)
-        return transmit(link, seg, at)
+        transmit(link, seg, at)
 
-    monkeypatch.setattr(DirectedLink, "_pass_on", counting_pass_on)
     monkeypatch.setattr(DirectedLink, "transmit", recording_transmit)
     sim = Simulation(scenario, mode=mode)
     sim.run()  # conservation holds at the end
@@ -727,7 +789,8 @@ def _agent_run(monkeypatch, scenario, mode, hand_off=True):
 
         def recording_schedule(kernel, at, fn, kind="event"):
             args = getattr(fn, "args", ())
-            if kind == "link-rx" and len(args) == 2 and args[0].dst == "HA" and args[1].payload_len:
+            if kind == "link-rx" and fn.func.__name__ == "_on_arrival" and args[0].dst == "HA" \
+                    and args[1].payload_len:
                 events.setdefault((at, args[1].flow_id, args[1].seq), []).append(kernel.now)
             return schedule(kernel, at, fn, kind)
 
@@ -916,7 +979,8 @@ def _mn_run(monkeypatch, scenario, mode, trace=False):
 
         def recording_schedule(kernel, at, fn, kind="event"):
             args = getattr(fn, "args", ())
-            if kind == "link-rx" and len(args) == 2 and args[0].dst == "MN" and args[1].payload_len:
+            if kind == "link-rx" and fn.func.__name__ == "_on_arrival" and args[0].dst == "MN" \
+                    and args[1].payload_len:
                 events.append(at)
             return schedule(kernel, at, fn, kind)
 
