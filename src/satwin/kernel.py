@@ -3,14 +3,11 @@
 Time is integer microseconds throughout the simulator: event ordering is
 exact on every platform, with no floating-point drift. Simultaneous events
 fire in the order they were scheduled (FIFO tie-break via a monotonic
-sequence counter). A segment that cuts through hops (see `net`; inside a
-quiet interval, the home agent's too) has one event, scheduled when it
-entered the first link, so among same-microsecond events it ranks by that
-moment. The same holds for the ACK of a data segment handed to the MN
-ahead of time: its event is scheduled in the event that sent the data on
-its way there (its send, or its arrival at the home agent). The
-all-events reference (`Simulation._shortcuts` skipped) schedules an event
-per hop, so it ranks the segment by the moment it reached the last hop.
+sequence counter). A segment that cuts through hops (see `net`) has one
+event, scheduled when it entered its first link, so among same-microsecond
+events it ranks by that moment; the all-events reference
+(`Simulation._shortcuts` skipped) schedules an event per hop and ranks it
+by the moment it reached the last hop.
 """
 
 from __future__ import annotations
@@ -46,11 +43,7 @@ class Kernel:
     `(t, seq)` that `reschedule` moved the event on to (taken up when its
     old slot comes up), or `_DONE` once it fired or was cancelled: a
     tombstone the run loop skips. A `link-rx` entry carries a sixth slot,
-    the arriving segment, which only `net` writes and reads. `seqs` issues
-    the numbers; `net` also takes one per link admission, for the dequeue
-    event it does not schedule. `seq` is the running event's number
-    (between runs, above every one issued), the `s` of a link's release
-    rule for an admission at `now`.
+    the arriving segment, which only `net` writes and reads.
 
     Single-threaded by design: one kernel per simulation instance, no shared
     mutable state. One seeded PRNG is owned here; the core model draws
@@ -60,10 +53,9 @@ class Kernel:
 
     def __init__(self, seed: int = 0):
         self.now: int = 0
-        self.seq: int = 0
         self.rng = random.Random(seed)
         self._heap: list[list] = []  # [fire_at, seq, fn, kind, moved]
-        self.seqs = itertools.count()
+        self._seqs = itertools.count()
         self._live = 0
 
     def schedule(self, at: int, fn: Callable[[], None], kind: str = "event") -> list:
@@ -71,7 +63,7 @@ class Kernel:
             raise SchedulingError(
                 f"event {kind!r} scheduled at {fmt_time(at)} before clock {fmt_time(self.now)}"
             )
-        entry = [at, next(self.seqs), fn, kind, None]
+        entry = [at, next(self._seqs), fn, kind, None]
         self._live += 1
         heapq.heappush(self._heap, entry)
         return entry
@@ -82,14 +74,14 @@ class Kernel:
         `at` keeps its entry; any other is cancelled and pushed afresh (not
         through `schedule`, whose wrapper would wrap `fn` once more)."""
         if entry[4] is not _DONE and at >= entry[0]:
-            entry[4] = (at, next(self.seqs))
+            entry[4] = (at, next(self._seqs))
             return entry
         self.cancel(entry)
         if at < self.now:
             raise SchedulingError(
                 f"event {entry[3]!r} rescheduled at {fmt_time(at)} before clock {fmt_time(self.now)}"
             )
-        fresh = [at, next(self.seqs), entry[2], entry[3], None]
+        fresh = [at, next(self._seqs), entry[2], entry[3], None]
         self._live += 1
         heapq.heappush(self._heap, fresh)
         return fresh
@@ -130,10 +122,9 @@ class Kernel:
                 continue
             entry[4] = _DONE
             self._live -= 1
-            self.now, self.seq = entry[0], entry[1]
+            self.now = entry[0]
             entry[2]()
             steps += 1
         if t_end > self.now:
             self.now = t_end
-        self.seq = next(self.seqs)
         return steps

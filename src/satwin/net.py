@@ -54,8 +54,6 @@ F_WUPD = 16  # window-update ACK: never counted as a duplicate by the sender
 F_REFRESH = 32  # state-refresh ACK emitted while duplicate ACKs are suppressed
 F_CONTROL = F_BU | F_BUACK  # registration segments: CONTROL_BYTES on the wire
 
-_AHEAD = 1 << 63  # the `s` of an admission ahead of time: above every sequence number
-
 OVERFLOW = "OVERFLOW"
 NO_COVERAGE = "NO_COVERAGE"
 
@@ -124,13 +122,9 @@ class DirectedLink:
     """Runtime state of one direction of a link: drop-tail queue + serializer.
 
     Occupancy counts every byte accepted and not yet fully serialized.
-    `backlog` holds `(finish, seq, wire)` per accepted segment, `seq` a
-    number taken from `Kernel.seqs` on admission, before anything the
-    admission schedules: the number its dequeue event would have had. An
-    admission for time `at` first releases every entry with `(finish, seq)`
-    below `(at, s)`: `s` is the running event's number (`Kernel.seq`) for an
-    admission at `kernel.now`, and above every number for one ahead of time
-    (onto a single-fed link or a hand-off's next link).
+    `backlog` holds `(finish, wire)` per accepted segment. An admission for
+    time `at`, at `kernel.now` or ahead of it, first releases every entry
+    with `finish <= at`: bytes that finish at `at` have left by `at`.
     A data segment ending its route here before `hand_off_before` goes to
     `hand_off` for its arrival time, with no event. `Simulation._shortcuts`
     sets it on the one link into the home agent (`hand_off_before` is the
@@ -151,7 +145,7 @@ class DirectedLink:
         self.tag = spec.kind if spec.kind in ACCESS_KINDS else None  # stamped on what it accepts
         self.always_up = spec.availability is None
         self.occupancy = 0
-        self.backlog: deque[tuple[int, int, int]] = deque()
+        self.backlog: deque[tuple[int, int]] = deque()
         self.free_at = 0  # when the serializer finishes its current backlog
         self.feeder: Optional[DirectedLink] = None  # the one upstream link, if single-fed
         self.hand_off: Optional[Callable[[Segment, int], None]] = None
@@ -175,14 +169,8 @@ class DirectedLink:
         kernel = self.kernel
         backlog = self.backlog
         occupancy = self.occupancy
-        if backlog:  # release every entry with (finish, seq) < (at, s)
-            s = kernel.seq if at == kernel.now else _AHEAD
-            while backlog:
-                finish, entry_seq, wire = backlog[0]
-                if finish > at or finish == at and entry_seq >= s:
-                    break
-                occupancy -= wire
-                backlog.popleft()
+        while backlog and backlog[0][0] <= at:
+            occupancy -= backlog.popleft()[1]
         wire = CONTROL_BYTES if seg.flags & F_CONTROL else HEADER_BYTES + seg.payload_len
         if not self.always_up and not self.spec.is_available(at):
             self.occupancy = occupancy
@@ -196,7 +184,7 @@ class DirectedLink:
         free_at = self.free_at
         finish = (at if at > free_at else free_at) + (wire * SEC + self.round_up) // self.bandwidth
         self.free_at = finish
-        backlog.append((finish, next(kernel.seqs), wire))  # its dequeue event's number
+        backlog.append((finish, wire))
         arrival = finish + self.prop_delay
         if self.tag is not None:
             seg.path_tag = self.tag

@@ -75,44 +75,6 @@ def test_cancel_fired_event_returns_false():
     assert k.pending() == 1
 
 
-@given(st.lists(st.tuples(st.integers(0, 4), st.integers(-1, 3), st.booleans()),
-                min_size=1, max_size=25),
-       st.integers(min_value=0))
-def test_seq_below_an_entry_splits_events_scheduled_before_and_after_it(ops, pick):
-    # a link files a segment's dequeue key as its arrival entry's seq - 1: a
-    # running event's `seq` is above that key iff the event was scheduled or
-    # last moved at or after the arrival, the place a dequeue event
-    # scheduled just before the arrival would take
-    k = Kernel()
-    handles, calls, seen, moved = [], [], {}, set()
-    clock = itertools.count()  # orders schedule and reschedule calls
-
-    def fire(label, child, move):
-        seen[label] = k.seq
-        if child >= 0:
-            add(k.now + child, -1, False)
-        if move and len(handles) > label + 1:  # fired, pending or cancelled alike
-            target = label + 1 + (pick + label) % (len(handles) - label - 1)
-            handles[target] = k.reschedule(handles[target], k.now + pick % 3)
-            calls[target] = next(clock)
-            moved.add(target)
-
-    def add(at, child, move):
-        calls.append(next(clock))
-        handles.append(k.schedule(at, partial(fire, len(handles), child, move)))
-
-    for at, child, move in ops:
-        add(at, child, move)
-    k.run_until(1000)
-    assert k.pending() == 0 and len(seen) == len(handles)
-    for mark in set(range(len(handles))) - moved:  # arrivals are never moved
-        key = handles[mark][1] - 1
-        for label, seq in seen.items():
-            assert (seq > key) == (calls[label] >= calls[mark]), (mark, label)
-    # between runs every number issued so far counts as run
-    assert k.seq > max(seen.values())
-
-
 def test_run_until_empty_queue():
     k = Kernel()
     assert k.run_until(7) == 0
@@ -214,7 +176,6 @@ class CancelScheduleKernel:
 
     def __init__(self):
         self.now = 0
-        self.seq = 0
         self._heap = []
         self._seqs = itertools.count()
         self._live = 0
@@ -249,11 +210,10 @@ class CancelScheduleKernel:
                 continue
             entry[4] = False
             self._live -= 1
-            self.now, self.seq = entry[0], entry[1]
+            self.now = entry[0]
             entry[2]()
             steps += 1
         self.now = max(self.now, t_end)
-        self.seq = next(self._seqs)
         return steps
 
 
@@ -265,14 +225,14 @@ _OPS = st.tuples(st.sampled_from(["schedule", "reschedule", "reschedule", "cance
 
 def _drive(kernel, outer, inner):
     """Apply `outer` between runs and one of `inner` inside each handler;
-    return everything observable: firings with the now/seq and pending()
+    return everything observable: firings with the now and pending()
     their handler saw, cancel results, pending() after every call and the
     step count of every run."""
     log, handles, times = [], [], []
     inner = iter(inner)
 
     def fire(label):
-        log.append(("fire", label, kernel.now, kernel.seq, kernel.pending()))
+        log.append(("fire", label, kernel.now, kernel.pending()))
         op = next(inner, None)
         if op is not None and op[0] != "run":
             apply(*op)
@@ -291,10 +251,10 @@ def _drive(kernel, outer, inner):
 
     for op, a, b in outer:
         if op == "run":
-            log.append(("run", kernel.run_until(kernel.now + a), kernel.now, kernel.seq))
+            log.append(("run", kernel.run_until(kernel.now + a), kernel.now))
         else:
             apply(op, a, b)
-    log.append(("run", kernel.run_until(kernel.now + 1000), kernel.now, kernel.seq))
+    log.append(("run", kernel.run_until(kernel.now + 1000), kernel.now))
     return log
 
 

@@ -114,56 +114,42 @@ def test_fifo_property_random_sizes(sizes):
     assert order == list(range(len(sizes)))
 
 
-def test_transmit_at_a_finish_time_sees_the_events_scheduled_before_it():
-    # one 1500 B segment S fills the queue and finishes serializing at F.
-    # A was scheduled for F before S was sent, B after: the moment S leaves
-    # the queue falls between them, so A's segment overflows and B's fits
-    k = Kernel()
-    link = make_link(k, bandwidth=1_500_000, prop=MS, queue=1500, kind="WLAN")
-    link.deliver = lambda l, s: None
-    F = MS  # 1500 B at 1.5 MB/s
-    outcomes = []
-    k.schedule(F, lambda: outcomes.append(sent(link, data_segment(), k.now)))
-    assert sent(link, data_segment(), 0) == F + MS
-    k.schedule(F, lambda: outcomes.append(sent(link, data_segment(), k.now)))
-    k.run_until(10 * MS)
-    assert outcomes == [None, 3 * MS]
-    assert link.drops[OVERFLOW] == 1
-
-
-@pytest.mark.parametrize("ahead", [True, False])
-def test_an_entry_finishing_at_the_admission_time_leaves_only_before_an_admission_ahead_of_time(ahead):
+@pytest.mark.parametrize("admission", ["scheduled before", "scheduled after", "ahead of time"])
+def test_an_entry_finishing_at_the_admission_time_has_left(admission):
     # the release rule: an admission for time `at` releases every entry with
-    # (finish, seq) < (at, s), where s is the running event's number for an
-    # admission at `now` and above every number for one ahead of time. S
-    # fills the queue from an event at 0, finishes at F and takes a number
-    # above that event's and above the one of an event scheduled for F
-    # before it. An admission ahead of time for F, from S's event, finds S
-    # gone; an admission at now == F, from the earlier event, finds S queued
+    # finish <= at. S fills the queue from an event at 0 and finishes at F;
+    # an admission for F finds S gone, whether it runs at F from an event
+    # scheduled before S was sent or after it, or comes ahead of time from
+    # S's own event
     k = Kernel()
     link = make_link(k, bandwidth=1_500_000, prop=MS, queue=1500, kind="WLAN")
     link.deliver = lambda l, s: None
     F = MS  # 1500 B at 1.5 MB/s
     outcomes = []
-    if not ahead:
-        k.schedule(F, lambda: outcomes.append(sent(link, data_segment(), k.now)))
+
+    def admit_at_f():
+        outcomes.append(sent(link, data_segment(), k.now))
+
+    if admission == "scheduled before":
+        k.schedule(F, admit_at_f)
 
     def fill():
         assert sent(link, data_segment(), k.now) == F + MS
-        assert link.backlog[0][:2] == (F, k.seq + 1)
-        if ahead:
+        if admission == "scheduled after":
+            k.schedule(F, admit_at_f)
+        elif admission == "ahead of time":
             outcomes.append(sent(link, data_segment(), F))
 
     k.schedule(0, fill)
     k.run_until(10 * MS)
-    assert outcomes == ([2 * F + MS] if ahead else [None])
-    assert link.drops[OVERFLOW] == (0 if ahead else 1)
+    assert outcomes == [2 * F + MS]
+    assert link.drops[OVERFLOW] == 0
 
 
 def test_arrival_at_the_finish_time_sees_its_own_segment_gone():
-    # with no propagation delay a segment arrives at its finish time; a
-    # dequeue event scheduled just before the arrival has run by then, so
-    # an arrival handler that sends on the same link finds the queue empty
+    # with no propagation delay a segment arrives at its finish time, when
+    # it has left the queue, so an arrival handler that sends on the same
+    # link finds the queue empty
     def lazy(k):
         return make_link(k, bandwidth=1_000_000, prop=0, queue=1500, kind="WLAN")
 
@@ -185,7 +171,10 @@ def test_arrival_at_the_finish_time_sees_its_own_segment_gone():
 
 class DequeueEventLink:
     """Reference model: every accepted segment schedules an explicit event
-    at its finish time that takes its bytes off the queue."""
+    at its finish time that takes its bytes off the queue. An admission for
+    time `at` first runs the dequeue events due by then, so bytes that
+    finish at `at` have left by `at`; a drop ahead of time is recorded by
+    an event at `at`."""
 
     def __init__(self, spec, kernel):
         self.spec = spec
@@ -198,6 +187,9 @@ class DequeueEventLink:
         self.drops = {OVERFLOW: 0, NO_COVERAGE: 0}
 
     def transmit(self, seg, at):
+        while self.queued and self.queued[0][0][0] <= at:
+            self.kernel.cancel(self.queued[0][0])
+            self._dequeue()
         wire = seg.wire_size()
         if not self.spec.is_available(at):
             self._drop(seg, NO_COVERAGE, at)
@@ -212,6 +204,9 @@ class DequeueEventLink:
         self.kernel.schedule(finish + self.spec.prop_delay, lambda: self.deliver(self, seg))
 
     def _drop(self, seg, reason, at):
+        if at > self.kernel.now:
+            self.kernel.schedule(at, lambda: self._drop(seg, reason, at))
+            return
         self.drops[reason] += 1
         if self.on_drop is not None:
             self.on_drop(self, seg, reason, at)
@@ -220,41 +215,31 @@ class DequeueEventLink:
         self.occupancy -= self.queued.popleft()[1]
 
 
-class FedDequeueEventLink(DequeueEventLink):
-    """Reference model of a single-fed link, under the stated tie rule: a
-    segment whose serialization ends at the microsecond the next one
-    arrives has left the queue, so a dequeue event due by then runs first."""
-
-    def transmit(self, seg, at):
-        while self.queued and self.queued[0][0][0] <= at:
-            self.kernel.cancel(self.queued[0][0])
-            self._dequeue()
-        super().transmit(seg, at)
-
-
 def _drive(make, ops):
-    """Run `ops` against a link: each op transmits at its time and may
-    schedule one follow-up transmit, before or after its own."""
+    """Run `ops` against a link: each op transmits, at its time or ahead of
+    it, and may schedule one follow-up op, before or after its own transmit.
+    Logs each send, each drop and each arrival."""
     k = Kernel()
     link = make(k)
     log = []
     link.deliver = lambda l, s: log.append(("rx", s.seq, k.now))
+    link.on_drop = lambda l, s, reason, at: log.append(("drop", s.seq, reason, at, k.now))
 
-    def send(label, payload):
-        out = sent(link, Segment(flow_id="f", seq=label, payload_len=payload), k.now)
-        log.append(("tx", label, k.now, out, link.occupancy, dict(link.drops)))
+    def send(label, payload, ahead):
+        link.transmit(Segment(flow_id="f", seq=label, payload_len=payload), k.now + ahead)
+        log.append(("tx", label, k.now, ahead, link.free_at, link.occupancy))
 
-    def fire(i, payload, child):
-        if child is not None and child[2]:
-            k.schedule(k.now + child[0], lambda: send(2 * i + 1, child[1]))
-        send(2 * i, payload)
-        if child is not None and not child[2]:
-            k.schedule(k.now + child[0], lambda: send(2 * i + 1, child[1]))
+    def fire(label, payload, ahead, child):
+        if child is not None and child[3]:
+            k.schedule(k.now + child[0], lambda: send(2 * label + 1, *child[1:3]))
+        send(2 * label, payload, ahead)
+        if child is not None and not child[3]:
+            k.schedule(k.now + child[0], lambda: send(2 * label + 1, *child[1:3]))
 
-    for i, (at, payload, child) in enumerate(ops):
-        k.schedule(at, lambda i=i, p=payload, c=child: fire(i, p, c))
+    for i, (at, payload, ahead, child) in enumerate(ops):
+        k.schedule(at, lambda i=i, p=payload, a=ahead, c=child: fire(i, p, a, c))
     k.run_until(10**9)
-    return log
+    return log, dict(link.drops)
 
 
 # wire sizes 500/1000/1500 B at 1 MB/s serialize in 500/1000/1500 us, and
@@ -262,6 +247,7 @@ def _drive(make, ops):
 # on a segment's finish time
 _payloads = st.sampled_from([460, 960, 1460])
 _ticks = st.integers(min_value=0, max_value=12).map(lambda n: n * 500)
+_aheads = st.sampled_from([0, 0, 0, 500, 1000, 1500])  # an admission for a later time
 
 
 @given(
@@ -269,8 +255,8 @@ _ticks = st.integers(min_value=0, max_value=12).map(lambda n: n * 500)
     prop=st.sampled_from([0, 500, 1000]),
     avail=st.sampled_from([None, ((0, 2000), (3500, 10**9))]),
     ops=st.lists(
-        st.tuples(_ticks, _payloads,
-                  st.none() | st.tuples(_ticks, _payloads, st.booleans())),
+        st.tuples(_ticks, _payloads, _aheads,
+                  st.none() | st.tuples(_ticks, _payloads, _aheads, st.booleans())),
         min_size=1, max_size=25,
     ),
 )
@@ -298,7 +284,7 @@ def _cut_through_tandem(kernel, prop, queue, avail):
 
 def _reference_tandem(kernel, prop, queue, avail):
     specs = _tandem_specs(prop, queue, avail)
-    first, second = DequeueEventLink(specs[0], kernel), FedDequeueEventLink(specs[1], kernel)
+    first, second = DequeueEventLink(specs[0], kernel), DequeueEventLink(specs[1], kernel)
     first.deliver = lambda l, seg: second.transmit(seg, kernel.now)  # the middle node
     return first, second
 

@@ -225,6 +225,65 @@ def test_the_all_events_reference_leaves_no_shortcut(monkeypatch, name, mode):
         assert seen[0][0] and seen[0][1], trace
 
 
+ZERO_DELAY_TIES = """
+[sim]
+attach = SAT
+end = 1
+w_default = 65536
+
+[node.CN]
+role = cn
+[node.HA]
+role = ha
+[node.MN]
+role = mn
+[node.SGW]
+role = gateway
+
+[link.sat]
+a = MN
+b = SGW
+kind = SAT
+bandwidth = 800000
+delay = 0
+queue = 1500
+
+[link.sgw_cn]
+a = SGW
+b = CN
+bandwidth = 8000
+delay = 0
+queue = 1500
+
+[link.sgw_ha]
+a = SGW
+b = HA
+bandwidth = 800000
+delay = 0
+queue = 3000
+
+[flow.f0]
+src = SGW
+dst = MN
+start = 0
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_round_link_values_give_one_csv_on_every_path(mode):
+    # with zero delays and round bandwidths, data and ACKs reach a link at
+    # the very microsecond an entry finishes there; a link releases it for
+    # every admission alike, so the run with every shortcut, untraced (the
+    # MN hand-off) or not, and the all-events reference agree
+    scenario = parse_scenario(ZERO_DELAY_TIES, "ties")
+    csvs = set()
+    for reference in (False, True):
+        for trace in (True, False):
+            with all_events() if reference else contextlib.nullcontext():
+                csvs.add(write_csv(Simulation(scenario, mode=mode, trace=trace).run().csv_rows()))
+    assert len(csvs) == 1
+
+
 @pytest.mark.parametrize("name", sorted({case.split("/")[0] for case in GOLDEN_RUNS}))
 def test_tracing_changes_no_metric_and_costs_no_per_packet_call(name, monkeypatch):
     scenario = load_scenario(scenario_path(name))

@@ -568,9 +568,13 @@ def scenario_texts(draw):
     for name, a, b, kind in [("wlan", "MN", "WGW", "WLAN"), ("sat", "MN", "SGW", "SAT"),
                              ("wgw_cn", "WGW", "CN", None), ("wgw_ha", "WGW", "HA", None),
                              ("sgw_cn", "SGW", "CN", None), ("sgw_ha", "SGW", "HA", None)]:
+        if draw(st.booleans()):  # round values: arrivals meet finish times to the microsecond
+            bandwidth = draw(st.sampled_from([8_000, 32_000, 800_000, 8_000_000]))
+            delay = draw(st.sampled_from(["0", "0.001", "0.01"]))
+        else:
+            bandwidth, delay = 8 * draw(st.integers(1, 10**6)), draw(_times(0, 300_000))
         lines = [f"a = {a}", f"b = {b}", f"kind = {kind}" if kind else "",
-                 f"bandwidth = {8 * draw(st.integers(1, 10**6))}",
-                 f"delay = {draw(_times(0, 300_000))}",
+                 f"bandwidth = {bandwidth}", f"delay = {delay}",
                  f"queue = {draw(st.integers(1500, 1 << 20))}"]
         edges = sorted(draw(st.sets(st.integers(0, end), min_size=2, max_size=6)))
         if len(edges) % 2:
@@ -578,20 +582,27 @@ def scenario_texts(draw):
         pairs = [f"{fmt_time(s)}:{fmt_time(e)}" for s, e in zip(edges[::2], edges[1::2])]
         _optional(draw, lines, "availability", st.just(",".join(pairs)))
         out.append(_section(f"link.{name}", [line for line in lines if line]))
+    starts = []
     for i in range(draw(st.integers(1, 3))):
+        starts.append(draw(st.integers(0, end - 1)))
         lines = [f"src = {draw(st.sampled_from(['CN', 'WGW', 'SGW']))}", "dst = MN",
-                 f"start = {draw(_times(0, end - 1))}"]
+                 f"start = {fmt_time(starts[-1])}"]
         _optional(draw, lines, "volume", st.integers(0, 10**7))
         _optional(draw, lines, "weight", st.fractions(min_value=Fraction(1, 100), max_value=100)
                   .filter(lambda w: w > 0))
         _optional(draw, lines, "min_share", st.integers(0, 1 << 16))
         _optional(draw, lines, "buffer", st.integers(1460, 1 << 20))
-        _optional(draw, lines, "ack_extra_delay", _times(0, 100_000))
+        if draw(st.integers(0, 3)) == 0:  # a quarter of flows: the others can reach the MN hand-off
+            lines.append(f"ack_extra_delay = {draw(_times(0, 100_000))}")
         out.append(_section(f"flow.f{i}", lines))
     for i in range(draw(st.integers(0, 3))):
         # a move onto the satellite needs the fallback window
         to = draw(st.sampled_from(["WLAN", "SAT"] if windowed else ["WLAN"]))
-        lines = [f"at = {draw(_times(0, end - 1))}", f"to = {to}"]
+        if draw(st.integers(0, 3)):  # three in four come late after the first flow starts
+            at = end - 1 - draw(st.integers(0, max(end - 2 - min(starts), 0)))
+        else:
+            at = draw(st.integers(0, end - 1))
+        lines = [f"at = {fmt_time(at)}", f"to = {to}"]
         direction = "terr_to_sat" if to == "SAT" else "sat_to_terr"
         _optional(draw, lines, "direction", st.just(direction))
         _optional(draw, lines, "exec_lead", _times())
