@@ -7,7 +7,10 @@ sequence counter). A segment that cuts through hops (see `net`) has one
 event, scheduled when it entered its first link, so among same-microsecond
 events it ranks by that moment; the all-events reference
 (`Simulation._shortcuts` skipped) schedules an event per hop and ranks it
-by the moment it reached the last hop.
+by the moment it reached the last hop. A flow's RTO event ranks by the
+moment it was last queued: armed, re-armed earlier, or queued again when
+it fired before a deadline that a later re-arm moved on
+(`Simulation._on_rto`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import random
 from typing import Callable, Iterator
 
 SEC = 1_000_000
-_DONE = ()  # an event entry's `moved` once it has fired or been cancelled
+_DONE = ()  # an event entry's fifth slot once it has fired or been cancelled
 
 
 def fmt_time(t_us: int) -> str:
@@ -38,12 +41,13 @@ class SchedulingError(SimError):
 
 class Kernel:
     """Virtual clock plus an ordered, cancellable event queue: a heap of
-    `[t, seq, fn, kind, moved]` entries in (time, sequence number) order;
-    `schedule` returns the entry as the event's handle. `moved` is None, the
-    `(t, seq)` that `reschedule` moved the event on to (taken up when its
-    old slot comes up), or `_DONE` once it fired or was cancelled: a
-    tombstone the run loop skips. A `link-rx` entry carries a sixth slot,
-    the arriving segment, which only `net` writes and reads.
+    `[t, seq, fn, kind, done]` entries in (time, sequence number) order;
+    `schedule` returns the entry as the event's handle. `done` is None while
+    the event is pending and `_DONE` once it fired or was cancelled: a
+    tombstone the run loop skips. An entry never moves; a timer whose
+    deadline moves later keeps its deadline itself and queues itself again
+    when it fires early. A `link-rx` entry carries a sixth slot, the
+    arriving segment, which only `net` writes and reads.
 
     Single-threaded by design: one kernel per simulation instance, no shared
     mutable state. One seeded PRNG is owned here; the core model draws
@@ -54,7 +58,7 @@ class Kernel:
     def __init__(self, seed: int = 0):
         self.now: int = 0
         self.rng = random.Random(seed)
-        self._heap: list[list] = []  # [fire_at, seq, fn, kind, moved]
+        self._heap: list[list] = []  # [fire_at, seq, fn, kind, done]
         self._seqs = itertools.count()
         self._live = 0
 
@@ -67,24 +71,6 @@ class Kernel:
         self._live += 1
         heapq.heappush(self._heap, entry)
         return entry
-
-    def reschedule(self, entry: list, at: int) -> list:
-        """Move an event to `at`, ordered exactly as `cancel` then `schedule`
-        would order it; returns its handle. A pending event due at or before
-        `at` keeps its entry; any other is cancelled and pushed afresh (not
-        through `schedule`, whose wrapper would wrap `fn` once more)."""
-        if entry[4] is not _DONE and at >= entry[0]:
-            entry[4] = (at, next(self._seqs))
-            return entry
-        self.cancel(entry)
-        if at < self.now:
-            raise SchedulingError(
-                f"event {entry[3]!r} rescheduled at {fmt_time(at)} before clock {fmt_time(self.now)}"
-            )
-        fresh = [at, next(self._seqs), entry[2], entry[3], None]
-        self._live += 1
-        heapq.heappush(self._heap, fresh)
-        return fresh
 
     def cancel(self, entry: list) -> bool:
         """True if the event was still pending; cancelled events never fire."""
@@ -110,15 +96,10 @@ class Kernel:
         """
         steps = 0
         heap = self._heap
-        pop, push = heapq.heappop, heapq.heappush
+        pop = heapq.heappop
         while heap and heap[0][0] <= t_end:
             entry = pop(heap)
-            moved = entry[4]
-            if moved is not None:
-                if moved is not _DONE:  # take up the slot it was moved to
-                    entry[0], entry[1] = moved
-                    entry[4] = None
-                    push(heap, entry)
+            if entry[4] is _DONE:
                 continue
             entry[4] = _DONE
             self._live -= 1

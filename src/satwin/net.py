@@ -35,7 +35,6 @@ from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .kernel import Kernel, SEC, SimError
-from .errors import ConfigError
 
 # Wire overhead: 40 B TCP/IP header on data and pure-ACK segments,
 # 60 B for registration (BU/BUACK) control segments.
@@ -251,9 +250,9 @@ class Topology:
     hop count and then on the lexicographic node sequence, so identical
     scenarios route identically everywhere; validation admits one link per
     pair of nodes, so the order of a file's sections decides nothing. A
-    link to an unknown node, a missing access link and a missing route are
-    `SimError`s: validation rejects a scenario file that has one, so a run
-    meets them only as a bug.
+    link to an unknown node, a missing access link, a missing route and a
+    role held by no node or by several are `SimError`s: validation rejects
+    a scenario file that has one, so a run meets them only as a bug.
     """
 
     def __init__(self, nodes: list[NodeSpec], links: list[LinkSpec], kernel: Kernel):
@@ -277,7 +276,7 @@ class Topology:
     def node_with_role(self, role: str) -> str:
         names = [n.name for n in self.nodes.values() if n.role == role]
         if len(names) != 1:
-            raise ConfigError(f"topology must define exactly one {role!r} node, found {names}")
+            raise SimError(f"topology must define exactly one {role!r} node, found {names}")
         return names[0]
 
     def access_link(self, kind: str) -> DirectedLink:

@@ -31,7 +31,8 @@ class _FlowRuntime:
     metrics: FlowMetrics
     route: Route  # source to home agent, resolved once
     ack_route: Route = ()  # mobile node to source over the attachment, from the first send
-    rto_event: Optional[list] = None  # kernel handle
+    rto_event: Optional[list] = None  # kernel handle, due at or before rto_at
+    rto_at: int = 0  # the RTO deadline
     # the highest data end the home agent has seen, and when
     ha_end: int = -1
     ha_time: int = 0
@@ -483,20 +484,29 @@ class Simulation:
     # sender timer management
 
     def _manage_rto(self, rt: _FlowRuntime, rearm: bool) -> None:
+        """Arm the timer when data is in flight and none runs, stop it when
+        nothing is; `rearm` moves the deadline to `now + rto`. A later
+        deadline leaves the event where it is (see _on_rto), an earlier one
+        queues it anew."""
         sender = rt.sender
         if sender.snd_nxt == sender.snd_una:  # nothing in flight
             if rt.rto_event is not None:
                 self.kernel.cancel(rt.rto_event)
                 rt.rto_event = None
-        elif rt.rto_event is None:
-            rt.rto_event = self.kernel.schedule(self.kernel.now + sender.rto,
-                                                partial(self._on_rto, rt), "rto")
-        elif rearm:
-            rt.rto_event = self.kernel.reschedule(rt.rto_event, self.kernel.now + sender.rto)
+        elif rt.rto_event is None or rearm:
+            rt.rto_at = self.kernel.now + sender.rto
+            if rt.rto_event is not None and rt.rto_at < rt.rto_event[0]:
+                self.kernel.cancel(rt.rto_event)
+                rt.rto_event = None
+            if rt.rto_event is None:
+                rt.rto_event = self.kernel.schedule(rt.rto_at, partial(self._on_rto, rt), "rto")
 
     def _on_rto(self, rt: _FlowRuntime) -> None:
-        rt.rto_event = None
         now = self.kernel.now
+        if now < rt.rto_at:  # re-armed later since it was queued: wait on
+            rt.rto_event = self.kernel.schedule(rt.rto_at, partial(self._on_rto, rt), "rto")
+            return
+        rt.rto_event = None
         if rt.sender.on_rto(now):
             self.trace.emit(now, "rto", rt.spec.src, flow=rt.spec.name, rto=fmt_time(rt.sender.rto))
         self._manage_rto(rt, False)

@@ -131,48 +131,9 @@ def test_fmt_time():
     assert fmt_time(1) == "0.000001"
 
 
-def test_reschedule_later_keeps_the_handle_and_orders_behind_later_schedules():
-    k = Kernel()
-    fired = []
-    timer = k.schedule(5, lambda: fired.append("timer"))
-    k.schedule(8, lambda: fired.append("a"))
-    assert k.reschedule(timer, 8) is timer  # moved in place
-    k.schedule(8, lambda: fired.append("b"))
-    assert k.pending() == 3
-    assert k.run_until(7) == 0  # its old slot passes without firing it
-    assert k.run_until(8) == 3
-    assert fired == ["a", "timer", "b"]
-
-
-def test_reschedule_earlier_does_not_pass_through_a_wrapped_schedule(monkeypatch):
-    # the benchmark tracer wraps every scheduled handler in a span by
-    # replacing Kernel.schedule; an earlier re-arm must reuse the handler
-    # it already wrapped, so each firing runs exactly one wrapper
-    spans = []
-
-    def wrapping_schedule(k, at, fn, kind="event"):
-        def span():
-            spans.append(kind)
-            fn()
-        return original(k, at, span, kind)
-
-    original = Kernel.schedule
-    monkeypatch.setattr(Kernel, "schedule", wrapping_schedule)
-    k = Kernel()
-    fired = []
-    timer = k.schedule(50, lambda: fired.append(k.now), "rto")
-    timer = k.reschedule(timer, 30)
-    timer = k.reschedule(timer, 20)
-    assert k.pending() == 1
-    assert k.run_until(100) == 1
-    assert fired == [20] and spans == ["rto"]
-    with pytest.raises(SchedulingError):
-        k.reschedule(k.schedule(200, lambda: None, "rto"), 99)
-
-
 class CancelScheduleKernel:
-    """Reference: the kernel's contract with `reschedule` as `cancel`
-    followed by `schedule`, over `[t, seq, fn, kind, pending]` entries."""
+    """Reference: the kernel's contract over `[t, seq, fn, kind, pending]`
+    entries, with a flag for the tombstone."""
 
     def __init__(self):
         self.now = 0
@@ -195,10 +156,6 @@ class CancelScheduleKernel:
         self._live -= 1
         return True
 
-    def reschedule(self, entry, at):
-        self.cancel(entry)
-        return self.schedule(at, entry[2], entry[3])
-
     def pending(self):
         return self._live
 
@@ -217,10 +174,9 @@ class CancelScheduleKernel:
         return steps
 
 
-# (operation, which handle or how far to run, time offset from the handle's
-# last time: negative moves it earlier, 0 keeps the time, positive later)
-_OPS = st.tuples(st.sampled_from(["schedule", "reschedule", "reschedule", "cancel", "run"]),
-                 st.integers(0, 40), st.integers(-15, 15))
+# (operation, how far ahead to schedule, which handle to cancel or how far
+# to run)
+_OPS = st.tuples(st.sampled_from(["schedule", "schedule", "cancel", "run"]), st.integers(0, 40))
 
 
 def _drive(kernel, outer, inner):
@@ -228,7 +184,7 @@ def _drive(kernel, outer, inner):
     return everything observable: firings with the now and pending()
     their handler saw, cancel results, pending() after every call and the
     step count of every run."""
-    log, handles, times = [], [], []
+    log, handles = [], []
     inner = iter(inner)
 
     def fire(label):
@@ -237,27 +193,22 @@ def _drive(kernel, outer, inner):
         if op is not None and op[0] != "run":
             apply(*op)
 
-    def apply(op, a, b):
+    def apply(op, a):
         if op == "schedule" or not handles:
-            times.append(kernel.now + a)
-            handles.append(kernel.schedule(times[-1], partial(fire, len(handles)), "k"))
-        elif op == "reschedule":
-            i = a % len(handles)  # pending, fired or cancelled alike
-            times[i] = max(kernel.now, times[i] + b)
-            handles[i] = kernel.reschedule(handles[i], times[i])
-        else:
+            handles.append(kernel.schedule(kernel.now + a, partial(fire, len(handles)), "k"))
+        else:  # pending, fired or cancelled alike
             log.append(("cancel", kernel.cancel(handles[a % len(handles)])))
         log.append(("pending", kernel.pending()))
 
-    for op, a, b in outer:
+    for op, a in outer:
         if op == "run":
             log.append(("run", kernel.run_until(kernel.now + a), kernel.now))
         else:
-            apply(op, a, b)
+            apply(op, a)
     log.append(("run", kernel.run_until(kernel.now + 1000), kernel.now))
     return log
 
 
 @given(st.lists(_OPS, max_size=60), st.lists(_OPS, max_size=60))
-def test_reschedule_orders_events_as_cancel_then_schedule(outer, inner):
+def test_schedule_cancel_and_run_match_the_reference(outer, inner):
     assert _drive(Kernel(), outer, inner) == _drive(CancelScheduleKernel(), outer, inner)

@@ -3,7 +3,6 @@ from collections import deque
 import pytest
 from hypothesis import given, strategies as st
 
-from satwin.errors import ConfigError
 from satwin.kernel import Kernel, SimError
 from satwin.net import (
     NO_COVERAGE,
@@ -421,12 +420,14 @@ def test_rtt_table_asymmetric_against_hop_sum_oracle():
     assert table == (2 * (d_sat + d_sgw_cn), 2 * (d_sat + d_sgw_ha), 2 * (d_gprs + d_ggw_ha))
 
 
-def test_rtt_table_missing_role_is_config_error():
+def test_rtt_table_missing_role_is_a_sim_error():
+    # validation requires exactly one mn, cn and ha, so the run meets a
+    # missing role only as a bug
     k = Kernel()
     links = [LinkSpec("sat", "MN", "SGW", 125000, MS, 1 << 20, "SAT")]
     nodes = [NodeSpec("MN", "mn"), NodeSpec("SGW", "gateway", "SAT")]
     topo = Topology(nodes, links, k)
-    with pytest.raises(ConfigError):
+    with pytest.raises(SimError, match="exactly one 'cn' node"):
         rtt_table(topo, old_kind="WLAN")
 
 

@@ -269,13 +269,103 @@ start = 0
 """
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_round_link_values_give_one_csv_on_every_path(mode):
+# two flows into the MN: at 0.041717 s f0's ACK reaches SGW at the very
+# microsecond f1's data does; untraced, the ACK of data handed to the MN has
+# the event scheduled at the data's send, so it runs first, and f0's next
+# segment enters SGW->HA ahead of f1's (f0 4,099,908 b/s untraced against
+# 3,993,172 traced and on the all-events reference, BASELINE and RESET_CWND)
+TWO_GATEWAY_TIES = """
+[sim]
+attach = SAT
+end = 1.310141
+w_default = 6320
+seed = 268
+sat_default_window = 13296
+registration = PROXY
+
+[node.CN]
+role = cn
+[node.HA]
+role = ha
+[node.MN]
+role = mn
+[node.WGW]
+role = gateway
+[node.SGW]
+role = gateway
+
+[link.wlan]
+a = MN
+b = WGW
+kind = WLAN
+bandwidth = 8000
+delay = 0
+queue = 4500
+
+[link.sat]
+a = MN
+b = SGW
+kind = SAT
+bandwidth = 8000000
+delay = 0
+queue = 1500
+
+[link.wgw_cn]
+a = WGW
+b = CN
+bandwidth = 800000
+delay = 0.01
+queue = 4500
+
+[link.wgw_ha]
+a = WGW
+b = HA
+bandwidth = 800000
+delay = 0.001
+queue = 1500
+
+[link.sgw_cn]
+a = SGW
+b = CN
+bandwidth = 8000000
+delay = 0
+queue = 65536
+
+[link.sgw_ha]
+a = SGW
+b = HA
+bandwidth = 8000000
+delay = 0
+queue = 4500
+
+[flow.f0]
+src = SGW
+dst = MN
+start = 0.006675
+min_share = 179
+buffer = 3384
+ack_extra_delay = 0.000000
+
+[flow.f1]
+src = CN
+dst = MN
+start = 0.002517
+ack_extra_delay = 0.000000
+"""
+_EVENT_RANK = pytest.mark.xfail(strict=True, reason="ROADMAP item 13: an event ranks by the "
+                                "moment it was scheduled, not by its all-events moment")
+
+
+@pytest.mark.parametrize("text, mode", [pytest.param(ZERO_DELAY_TIES, mode, id=mode)
+                                        for mode in MODES] + [
+    pytest.param(TWO_GATEWAY_TIES, mode, id=f"two_gateways-{mode}",
+                 marks=() if mode == "PROACTIVE" else _EVENT_RANK) for mode in MODES])
+def test_round_link_values_give_one_csv_on_every_path(text, mode):
     # with zero delays and round bandwidths, data and ACKs reach a link at
     # the very microsecond an entry finishes there; a link releases it for
     # every admission alike, so the run with every shortcut, untraced (the
     # MN hand-off) or not, and the all-events reference agree
-    scenario = parse_scenario(ZERO_DELAY_TIES, "ties")
+    scenario = parse_scenario(text, "ties")
     csvs = set()
     for reference in (False, True):
         for trace in (True, False):
@@ -327,6 +417,20 @@ def test_proactive_s1_redirection_atomicity(shipped_scenarios):
     # t_r1, and the old path finishes before the new one starts (no reorder)
     assert min(deliveries("SAT")) > t_r1
     assert max(deliveries("WLAN")) < min(deliveries("SAT"))
+
+
+def test_a_broken_window_chain_is_warned_at_detection():
+    # a satellite window as large as w_default breaks the selection chain
+    # w_default > cache_sat >= W_REC: the run warns and still plans the move
+    # with that window
+    text = scenario_path("s1_wlan_to_sat").read_text()
+    assert "sat_default_window = 63750" in text
+    text = text.replace("sat_default_window = 63750", "sat_default_window = 131072")
+    _, trace = run(parse_scenario(text, "s1_chain"), mode="PROACTIVE", trace=True)
+    plan = [line for line in trace.lines if " warn " in line or " plan " in line]
+    assert plan == ["2.500000 warn MN code=CHAIN_VIOLATION w_rec=131072",
+                    "2.500000 plan MN direction=TERR_TO_SAT w_rec=131072 delta=0.237000 "
+                    "t_r0=2.737000"]
 
 
 def test_multiflow_allocation_applied_per_flow(shipped_scenarios):
@@ -543,6 +647,110 @@ def test_karn_rule_matches_the_retransmitted_sequence_numbers(monkeypatch):
     for scenario, mode in runs:
         run(scenario, mode=mode)
     assert decisions == {True, False}  # both a skipped and a taken sample
+
+
+class _TimerSender:
+    """What the RTO timer reads of a sender: the unacked range and the
+    timeout. `on_rto` logs its firing and backs off, as the real one does."""
+
+    def __init__(self, log):
+        self.snd_una = self.snd_nxt = 0
+        self.rto = 10
+        self.log = log
+
+    def on_rto(self, now):
+        self.log.append(("rto", now))
+        self.rto = min(2 * self.rto, 40)
+        return False  # nothing to trace
+
+
+def _timer_flow():
+    """A simulation with an empty kernel, and one flow whose sender is a
+    `_TimerSender`; returns both and the sender's log."""
+    sim = Simulation(parse_scenario(SINGLE_LINK, "single"))
+    sim.kernel = Kernel()
+    log = []
+    return sim, replace(sim.flows["f1"], sender=_TimerSender(log)), log
+
+
+class _ReferenceTimer:
+    """The RTO timer as a cancel and a schedule on every re-arm."""
+
+    def __init__(self, kernel, sender):
+        self.kernel, self.sender, self.event = kernel, sender, None
+
+    def manage(self, rearm):
+        sender = self.sender
+        if self.event is not None and (rearm or sender.snd_nxt == sender.snd_una):
+            self.kernel.cancel(self.event)
+            self.event = None
+        if self.event is None and sender.snd_nxt != sender.snd_una:
+            self.event = self.kernel.schedule(self.kernel.now + sender.rto, self.fire, "rto")
+
+    def fire(self):
+        self.event = None
+        self.sender.on_rto(self.kernel.now)
+        self.manage(False)
+
+
+# (step, count, new timeout): `send` puts `count` more segments in flight,
+# `ack` acknowledges up to `count` of them with `rto` as the new timeout
+# (re-arming when snd_una moves, draining when it reaches snd_nxt), `run`
+# runs the kernel `count` microseconds on
+_TIMER_STEPS = st.tuples(st.sampled_from(["send", "ack", "ack", "run", "run"]),
+                         st.integers(0, 30), st.integers(1, 25))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TIMER_STEPS, max_size=60))
+def test_the_rto_timer_fires_as_a_cancel_and_schedule_on_every_rearm(steps):
+    # the timer keeps its deadline in rto_at and leaves its event in place
+    # when a re-arm moves the deadline later; the event then queues itself
+    # again, so it fires when a timer re-armed by cancel and schedule would
+    sim, rt, log = _timer_flow()
+    ref_log = []
+    ref_sender = _TimerSender(ref_log)
+    ref = _ReferenceTimer(Kernel(), ref_sender)
+    for step, count, rto in steps:
+        if step == "run":
+            sim.kernel.run_until(sim.kernel.now + count)
+            ref.kernel.run_until(ref.kernel.now + count)
+            continue
+        for sender in (rt.sender, ref_sender):
+            prev_una = sender.snd_una
+            if step == "send":
+                sender.snd_nxt += count
+            else:
+                sender.rto = rto
+                sender.snd_una = min(sender.snd_una + count, sender.snd_nxt)
+            rearm = sender.snd_una > prev_una
+        sim._manage_rto(rt, rearm)
+        ref.manage(rearm)
+        assert sim.kernel.pending() == (rt.rto_event is not None) == (ref.event is not None)
+        if ref.event is not None:  # the event is due at or before the deadline
+            assert rt.rto_event[0] <= rt.rto_at == ref.event[0]
+    sim.kernel.run_until(sim.kernel.now + 1000)
+    ref.kernel.run_until(ref.kernel.now + 1000)
+    assert log == ref_log
+
+
+def test_an_rto_ranks_by_the_moment_its_event_was_last_queued():
+    # armed at 0 for 10 and re-armed at 5 for 15, the event fires early at
+    # 10 and queues itself again for 15: after X (queued at 7), before Y
+    # (queued at 12)
+    sim, rt, log = _timer_flow()
+    kernel = sim.kernel
+    rt.sender.snd_nxt = 2
+    sim._manage_rto(rt, False)
+    kernel.run_until(5)
+    rt.sender.snd_una = 1
+    sim._manage_rto(rt, True)
+    kernel.run_until(7)
+    kernel.schedule(15, lambda: log.append(("X", kernel.now)))
+    kernel.run_until(12)
+    kernel.schedule(15, lambda: log.append(("Y", kernel.now)))
+    kernel.run_until(15)
+    assert log == [("X", 15), ("rto", 15), ("Y", 15)]
 
 
 @settings(max_examples=20, deadline=None)

@@ -544,6 +544,24 @@ def _section(header: str, lines: list[str]) -> str:
 
 
 @st.composite
+def _up_windows(draw, end: int):
+    """Availability windows around one or two outages over a run of `end`
+    µs, each starting at a drawn twentieth of the run and lasting one to
+    eight twentieths: drawn as fractions, an outage is neither microseconds
+    long nor clustered at 0."""
+    outages = sorted((end * draw(st.integers(0, 19)) // 20, end * draw(st.integers(1, 8)) // 20)
+                     for _ in range(draw(st.integers(1, 2))))
+    windows, up = [], 0
+    for start, length in outages:
+        if start > up:
+            windows.append(f"{fmt_time(up)}:{fmt_time(start)}")
+        up = max(up, start + length)
+    if up < end:  # else the last outage lasts to the run's end
+        windows.append(f"{fmt_time(up)}:{fmt_time(end)}")
+    return ",".join(windows)
+
+
+@st.composite
 def scenario_texts(draw):
     """A valid scenario over the WLAN/SAT world with every optional key drawn."""
     end = draw(st.integers(1_000_000, 5_000_000))
@@ -559,6 +577,7 @@ def scenario_texts(draw):
     if "registration = PROXY" in sim:  # proxy_gateway is rejected under MN
         _optional(draw, sim, "proxy_gateway", st.sampled_from(["WGW", "SGW"]))
     out = [_section("sim", sim)]
+    outages = draw(st.booleans())  # in half the files, half the links go down
     for name, role, kind in [("CN", "cn", None), ("HA", "ha", None), ("MN", "mn", None),
                              ("WGW", "gateway", "WLAN"), ("SGW", "gateway", "SAT")]:
         lines = [f"role = {role}"]
@@ -576,11 +595,8 @@ def scenario_texts(draw):
         lines = [f"a = {a}", f"b = {b}", f"kind = {kind}" if kind else "",
                  f"bandwidth = {bandwidth}", f"delay = {delay}",
                  f"queue = {draw(st.integers(1500, 1 << 20))}"]
-        edges = sorted(draw(st.sets(st.integers(0, end), min_size=2, max_size=6)))
-        if len(edges) % 2:
-            edges.pop()
-        pairs = [f"{fmt_time(s)}:{fmt_time(e)}" for s, e in zip(edges[::2], edges[1::2])]
-        _optional(draw, lines, "availability", st.just(",".join(pairs)))
+        if outages and draw(st.booleans()):
+            lines.append(f"availability = {draw(_up_windows(end))}")
         out.append(_section(f"link.{name}", [line for line in lines if line]))
     starts = []
     for i in range(draw(st.integers(1, 3))):
