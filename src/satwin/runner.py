@@ -29,8 +29,8 @@ class _FlowRuntime:
     sender: TcpSender
     receiver: TcpReceiver
     metrics: FlowMetrics
-    route: Route  # source to home agent, resolved once
-    ack_route: Route = ()  # mobile node to source over the attachment, from the first send
+    route: Route = ()  # source to home agent, from _resolve_routes
+    ack_route: Route = ()  # mobile node to source over the attachment, from _resolve_routes
     rto_event: Optional[list] = None  # kernel handle, due at or before rto_at
     rto_at: int = 0  # the RTO deadline
     # the highest data end the home agent has seen, and when
@@ -303,7 +303,6 @@ class Simulation:
         self.metrics = RunMetrics(scenario.name, self.mode, self.seed, end=scenario.end)
         self.cache: dict[str, int] = {}  # kind -> BDP measured when it was last attached
         self.flows: dict[str, _FlowRuntime] = {}
-        self._routed = False  # the routes of every attachment are resolved (at the first send)
         # the scripted detections still to come in time order, then past the end
         self._detects = sorted(h.at for h in scenario.handovers) + [scenario.end + 1]
         gap = (self._detects[0], min(self._detects[0] + GAP_WINDOW, scenario.end))
@@ -328,6 +327,8 @@ class Simulation:
         for fdef in scenario.flows:
             self._setup_flow(fdef)
 
+        # the run's first event, ahead of every start and detection at t=0
+        self.kernel.schedule(0, self._resolve_routes, "routes")
         for fdef in scenario.flows:
             self.kernel.schedule(fdef.start, lambda f=fdef.name: self._start_flow(f), "flow-start")
         for hdef in scenario.handovers:
@@ -344,28 +345,23 @@ class Simulation:
         receiver = TcpReceiver(fdef.name, buffer_capacity=buffer, mss=self.scenario.mss,
                                policy_cap=cap)
         receiver.ack_delay = fdef.ack_extra_delay
-        sender = TcpSender(
-            fdef.name,
-            mss=self.scenario.mss,
-            init_ssthresh=65536,
-            peer_rwnd=receiver.advertised(),
-            volume=fdef.volume,
-        )
+        sender = TcpSender(fdef.name, mss=self.scenario.mss, init_ssthresh=65536,
+                           volume=fdef.volume)
         fm = FlowMetrics(fdef.name, start=fdef.start, gap_window=self._gap_window,
                          rto_times=sender.rto_times, fr_times=sender.fr_times)
-        runtime = _FlowRuntime(fdef, sender, receiver, fm, self.topo.route(fdef.src, self.ha_node))
+        runtime = _FlowRuntime(fdef, sender, receiver, fm)
         sender.send_cb = partial(self._send_data, runtime)
         if self.trace.enabled:
             sender.state_cb = partial(self._trace_state, runtime)
-        receiver.emit_cb = partial(self._emit_ack, runtime)
         receiver.advance_cb = partial(self._on_inorder, runtime)
         self.flows[fdef.name] = runtime
         self.metrics.flows[fdef.name] = fm
 
     def _start_flow(self, fid: str) -> None:
-        if not self._routed:
-            self._resolve_routes()
+        """Its receiver sends from now on; the sender takes the window it last advertised."""
         rt = self.flows[fid]
+        rt.receiver.emit_cb = partial(self._emit_ack, rt)
+        rt.sender.peer_rwnd = rt.receiver.last_rwnd
         self.trace.emit(self.kernel.now, "flow_start", rt.spec.src, flow=fid)
         rt.sender.try_send(self.kernel.now)
         self._manage_rto(rt, False)
@@ -524,9 +520,8 @@ class Simulation:
 
     def _attach(self, kind: str, now: int) -> None:
         self.attachment = kind
-        if self._routed:
-            for rt in self.flows.values():
-                rt.ack_route = self.topo.routes[(self.mn, rt.spec.src, kind)]
+        for rt in self.flows.values():
+            rt.ack_route = self.topo.routes[(self.mn, rt.spec.src, kind)]
         route = self.topo.route_via_access(self.mn, self.cn, kind)
         bdp = ho_policy.estimate_bdp(_bottleneck_bw(route), path_rtt(route))
         # a window below one segment stalls a flow: the sender has no zero-window probe
@@ -534,22 +529,23 @@ class Simulation:
         self.trace.emit(now, "attach", self.mn, network=kind)
 
     def _resolve_routes(self) -> None:
-        """Resolve, into the topology's route table, the agent's forward route
-        and the ACK routes for every access kind the run can attach to, set
-        each flow's `ack_route` (`_attach` keeps it current), and wire the
-        shortcuts over the routes a segment can take."""
-        self._routed = True
+        """The run's first event (t=0, before any flow start or detection):
+        resolve, into the topology's route table, each flow's route to the
+        agent and, for every access kind the run can attach to, the agent's
+        forward route, the ACK routes and the registration routes; set each
+        flow's `route` and `ack_route` (`_attach` keeps it current), and wire
+        the shortcuts over the routes a segment can take."""
         topo, mn, ha, attach = self.topo, self.mn, self.ha_node, self.scenario.attach
         kinds = list(dict.fromkeys([attach] + [h.to for h in self.scenario.handovers]))
-        data = [rt.route for rt in self.flows.values()]
+        data = [topo.route(rt.spec.src, ha) for rt in self.flows.values()]
         acks = [topo.route_via_access(mn, rt.spec.src, kind)
                 for kind in kinds for rt in self.flows.values()]
         used = data + acks
         for kind in kinds:
             used.append(topo.route_via_access(ha, mn, kind))
             used += [self._registration_path(kind, to_agent)[1] for to_agent in (True, False)]
-        for rt in self.flows.values():  # no handover has switched yet: `attach` is attached
-            rt.ack_route = topo.routes[(mn, rt.spec.src, attach)]
+        for rt, route in zip(self.flows.values(), data):  # no detection yet: on `attach`
+            rt.route, rt.ack_route = route, topo.routes[(mn, rt.spec.src, attach)]
         self._shortcuts(kinds, data, acks, used)
 
     def _shortcuts(self, kinds: list[str], data: list[Route], acks: list[Route],
@@ -563,10 +559,10 @@ class Simulation:
         (see _resume_hand_off), the first of which starts now. With the trace
         off (a `deliver` or `ack_tx` line written ahead of time would break
         the trace's time order) and no flow delaying its ACKs, the MN's
-        downlink hands data to the receiver until the first detection or the
-        run's end: until then nothing else reaches a receiver or the MN's
-        uplink, so the ACK enters the uplink in time order, for the data's
-        arrival time."""
+        downlink hands data to the receiver until the first detection (past
+        the run's end without one): until then nothing else reaches a
+        receiver or the MN's uplink, so the ACK enters the uplink in time
+        order, for the data's arrival time."""
         topo, mn, ha, attach = self.topo, self.mn, self.ha_node, self.scenario.attach
         for link, feeder in single_feeders(used).items():
             link.feeder = feeder
@@ -581,7 +577,7 @@ class Simulation:
         if not self.trace.enabled and not any(f.ack_extra_delay for f in self.scenario.flows):
             down = topo.routes[(ha, mn, attach)][-1]
             down.hand_off = self._deliver_data
-            down.hand_off_before = min(self._detects[0], self.scenario.end + 1)
+            down.hand_off_before = self._detects[0]
 
     def _registration_path(self, kind: str, to_agent: bool) -> tuple[str, Route]:
         """The registration endpoint for `kind` (the proxy gateway, or the MN
@@ -601,8 +597,6 @@ class Simulation:
     # handover engine
 
     def _on_handover(self, hdef: HandoverDef) -> None:
-        if not self._routed:
-            self._resolve_routes()
         now = self.kernel.now
         for link in self.topo.directed.values():  # every hand-off ends here
             link.hand_off_before = 0

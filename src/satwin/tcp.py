@@ -274,7 +274,9 @@ class TcpReceiver:
     Every emitted ACK advertises min(free buffer, policy cap). In-order data
     is consumed immediately (bulk sink), so only out-of-order ranges occupy
     the buffer. `emit_cb(segment, send_at)` hands ACKs to the network;
-    emission is shifted by `ack_delay` (ACK-return pacing).
+    emission is shifted by `ack_delay` (ACK-return pacing). While `emit_cb`
+    is None (a flow not yet started) the receiver sends nothing: its window
+    still moves, and the sender takes `last_rwnd` when the flow starts.
     """
 
     def __init__(
@@ -293,7 +295,7 @@ class TcpReceiver:
         self.oob_bytes = 0
         self.policy_cap = policy_cap
         self.ack_delay = 0
-        self.emit_cb = emit_cb or (lambda seg, at: None)
+        self.emit_cb = emit_cb
         self.last_refresh: Optional[int] = None  # set while duplicate ACKs are suppressed
         self.last_rwnd = self.advertised()
         self.max_rwnd_increase = 0
@@ -316,7 +318,7 @@ class TcpReceiver:
     def set_window_policy(self, cap: Optional[int], now: int) -> Optional[Segment]:
         """Cap the advertised window; an immediate window-update ACK tells
         the sender about any change and is returned (None when the cap is
-        unchanged). UNLIMITED (None) removes the cap."""
+        unchanged or nothing is sent). UNLIMITED (None) removes the cap."""
         if cap is not UNLIMITED:
             if cap < 0:
                 raise SimError(f"flow {self.flow_id}: negative window cap")
@@ -341,7 +343,7 @@ class TcpReceiver:
             raise SimError(f"flow {self.flow_id}: a ramp needs a capped window")
         self.ramp_target = min(target, self.buffer_capacity)
 
-    def window_update(self, now: int) -> Segment:
+    def window_update(self, now: int) -> Optional[Segment]:
         """Emit a window-update ACK now; a running ramp takes its step."""
         return self._emit_ack(now, flags=F_WUPD)
 
@@ -424,7 +426,7 @@ class TcpReceiver:
 
     # -- ACK emission -----------------------------------------------------
 
-    def _emit_ack(self, now: int, flags: int = 0, echo=None) -> Segment:
+    def _emit_ack(self, now: int, flags: int = 0, echo=None) -> Optional[Segment]:
         target = self.ramp_target
         if target is not None and self.policy_cap < target and not flags & F_REFRESH:
             self.policy_cap = min(self.policy_cap + self.ramp_step, target)
@@ -439,6 +441,8 @@ class TcpReceiver:
             if inc > self.max_rwnd_increase:
                 self.max_rwnd_increase = inc
         self.last_rwnd = rwnd
+        if self.emit_cb is None:
+            return None
         # positional in field order (flow_id .. echo), as in TcpSender._emit
         seg = Segment(self.flow_id, 0, 0, self.rcv_nxt, rwnd, F_ACK | flags, now + self.ack_delay,
                       None, echo)

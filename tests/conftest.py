@@ -1,10 +1,11 @@
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from satwin.scenario import load_scenario
+from satwin.scenario import Scenario, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO_ROOT / "scenarios"
@@ -26,6 +27,12 @@ def load_script(name: str):
     finally:
         sys.path[:] = saved
     return module
+
+
+def cut(scenario: Scenario, end: int) -> Scenario:
+    """`scenario` cut at `end`: its handovers at or after the cut go, so the
+    result is one validation would accept (every handover before the end)."""
+    return replace(scenario, end=end, handovers=tuple(h for h in scenario.handovers if h.at < end))
 
 
 # the all-events reference run and the same-microsecond sort of a trace

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DIGEST_RUNS, REPO_ROOT, SCENARIOS, all_events, scenario_path
+from conftest import DIGEST_RUNS, REPO_ROOT, SCENARIOS, all_events, cut, scenario_path
 from satwin import runner
 from satwin.errors import ConfigError
 from satwin.kernel import SEC, Kernel, SimError, fmt_time
@@ -192,8 +192,8 @@ def test_digest_script_names_each_run_that_differs_from_the_all_events_reference
 def test_the_all_events_reference_leaves_no_shortcut(monkeypatch, name, mode):
     # under `all_events()` no link has a feeder or a hand-off bound and no
     # link into the agent is recorded, when the routes are resolved (the
-    # first send), at every quiet-interval check and at the end, traced and
-    # untraced; without it the same runs have shortcuts
+    # run's first event), at every quiet-interval check and at the end, traced
+    # and untraced; without it the same runs have shortcuts
     scenario = load_scenario(scenario_path(name))
     resolve, resume = Simulation._resolve_routes, Simulation._resume_hand_off
     seen = []
@@ -219,8 +219,8 @@ def test_the_all_events_reference_leaves_no_shortcut(monkeypatch, name, mode):
             sim.run()
         seen.append(shortcuts(sim))
         assert len(seen) > 2 and seen == [([], {})] * len(seen), trace
-        seen.clear()  # a run to the first send has its shortcuts wired
-        Simulation(replace(scenario, end=min(f.start for f in scenario.flows)), mode=mode,
+        seen.clear()  # a run cut at the first start has its shortcuts wired
+        Simulation(cut(scenario, min(f.start for f in scenario.flows)), mode=mode,
                    trace=trace).run()
         assert seen[0][0] and seen[0][1], trace
 
@@ -431,6 +431,23 @@ def test_a_broken_window_chain_is_warned_at_detection():
     assert plan == ["2.500000 warn MN code=CHAIN_VIOLATION w_rec=131072",
                     "2.500000 plan MN direction=TERR_TO_SAT w_rec=131072 delta=0.237000 "
                     "t_r0=2.737000"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_flow_starting_after_a_detection_sends_first_at_its_start(mode):
+    # S1 with the detection at 1.0 s and the flow's start at 3.0 s: the
+    # proactive W_REC only sets the unstarted flow's cap, so no segment of the
+    # flow travels before its start and in every mode its first segment
+    # leaves at 3.0 s; no window update reaches a sender, so no t_a1
+    text = scenario_path("s1_wlan_to_sat").read_text()
+    assert "start = 0.05" in text and "at = 2.5" in text
+    text = text.replace("start = 0.05", "start = 3.0").replace("at = 2.5", "at = 1.0")
+    metrics, trace = run(parse_scenario(text, "s1_late_start"), mode=mode, trace=True)
+    flow_lines = [line for line in trace.lines
+                  if line.split(" ")[1] in ("flow_start", "send", "ack_tx", "ack_rx")]
+    assert flow_lines[:2] == ["3.000000 flow_start CN flow=f1",
+                              "3.000000 send CN flow=f1 seq=0 len=1460"]
+    assert "t_a1" not in metrics.handovers[0].timeline
 
 
 def test_multiflow_allocation_applied_per_flow(shipped_scenarios):
@@ -845,8 +862,8 @@ def test_access_routes_resolve_once_per_attachment(shipped_scenarios, monkeypatc
     # ACK and agent-forward routes are looked up once per (flow or agent,
     # access kind): a run twice as long resolves exactly as many routes
     s1 = shipped_scenarios["s1_wlan_to_sat"]
-    short, _, _ = _route_and_uplink_counts(monkeypatch, replace(s1, end=5 * SEC), mode)
-    calls, uplink, metrics = _route_and_uplink_counts(monkeypatch, replace(s1, end=10 * SEC), mode)
+    short, _, _ = _route_and_uplink_counts(monkeypatch, cut(s1, 5 * SEC), mode)
+    calls, uplink, metrics = _route_and_uplink_counts(monkeypatch, cut(s1, 10 * SEC), mode)
     assert calls == short
     # after the handover the cached ACK route is the satellite one: only
     # the MN's binding update precedes its ACKs on the MN->SGW uplink
@@ -864,7 +881,7 @@ def test_inflight_bytes_are_the_pending_data_arrivals(shipped_scenarios, name, m
     # its handler will deliver (link, seg), admit to the next link or report
     # dropped at a hop it cut through (seg first), and every flow has data on
     # the wire
-    sim = Simulation(replace(shipped_scenarios[name], end=3_123_457), mode=mode)
+    sim = Simulation(cut(shipped_scenarios[name], 3_123_457), mode=mode)
     metrics = sim.run()
     entries = list(sim.kernel.pending_entries("link-rx"))
     carried = list(pending_arrivals(sim.kernel))
@@ -910,13 +927,13 @@ def test_a_buack_dropped_at_a_skipped_hop_is_lost_when_it_gets_there():
 
     # a cut after HA->SGW took the BUACK, before it reaches SGW: the drop is
     # still to come and conservation holds, the forwarded data counted in flight
-    cut = Simulation(replace(scenario, end=t_r1 + 4000), mode="BASELINE")
-    cut_metrics = cut.run()
-    buack = [entry for entry in cut.kernel.pending_entries("link-rx") if entry[5].flags & F_BUACK]
+    short = Simulation(cut(scenario, t_r1 + 4000), mode="BASELINE")
+    cut_metrics = short.run()
+    buack = [entry for entry in short.kernel.pending_entries("link-rx") if entry[5].flags & F_BUACK]
     assert [(entry[0], entry[2].func.__name__) for entry in buack] == [(at_sgw, "_drop")]
-    assert cut.topo.directed[("SGW", "MN")].drops[NO_COVERAGE] == 0
+    assert short.topo.directed[("SGW", "MN")].drops[NO_COVERAGE] == 0
     assert not cut_metrics.drops
-    inflight = sum(seg.payload_len for seg in pending_arrivals(cut.kernel))
+    inflight = sum(seg.payload_len for seg in pending_arrivals(short.kernel))
     assert inflight == cut_metrics.flows["f1"].bytes_inflight_end > 0
 
 
@@ -1006,13 +1023,13 @@ def test_a_link_with_two_feeders_keeps_its_arrival_events(monkeypatch, mode):
     # take one event for three hops
     scenario = parse_scenario(_TWO_GATEWAYS_ONE_ROUTER, "two_gateways")
     # a mid-transfer cut: data waiting at R is in flight, and conservation holds
-    cut = Simulation(replace(scenario, end=1_234_567), mode=mode)
-    metrics = cut.run()
-    waiting = [entry[5] for entry in cut.kernel.pending_entries("link-rx")
+    short = Simulation(cut(scenario, 1_234_567), mode=mode)
+    metrics = short.run()
+    waiting = [entry[5] for entry in short.kernel.pending_entries("link-rx")
                if entry[2].func.__name__ == "transmit"]
     assert any(seg.payload_len for seg in waiting)
     assert metrics.flows["f1"].bytes_inflight_end == \
-        sum(seg.payload_len for seg in pending_arrivals(cut.kernel))
+        sum(seg.payload_len for seg in pending_arrivals(short.kernel))
 
     passed, entered = Counter(), []
     transmit = DirectedLink.transmit
@@ -1044,7 +1061,7 @@ def _agent_run(monkeypatch, scenario, mode, hand_off=True):
     each data segment the agent forwarded, for the same keys the times at
     which an agent-arrival event was scheduled for data, and the quiet
     intervals: each `(start, end)` in which the link into the agent hands
-    data off, the first from before the first send (start -1)."""
+    data off, the first from the run's first event (start -1)."""
     reached, events, quiet = [], {}, []
     with contextlib.nullcontext() if hand_off else all_events(), monkeypatch.context() as m:
         forward, schedule = Simulation._ha_forward, Kernel.schedule
@@ -1144,19 +1161,22 @@ def test_the_agent_hands_data_off_until_the_first_detection(monkeypatch, name, m
         assert min(t for t, _, _ in events) >= detect
     assert min(late)[0] == detect == last_early  # the segment at the detection kept its event
 
-    # a cut before the detection: conservation holds, and the data between
-    # the source and the MN rides on the MN-arrival events alone
-    cut = replace(scenario, end=2_123_457)
+    # a cut before the detection, which drops it: conservation holds, and the
+    # data between the source and the MN rides on the MN-arrival events
+    # alone, but for data due at the agent after the run's end, where the
+    # hand-off ends
+    short = cut(scenario, 2_123_457)
     inflight = []
     for hand_off in (True, False):
         with contextlib.nullcontext() if hand_off else all_events():
-            sim = Simulation(cut, mode=mode)
+            sim = Simulation(short, mode=mode)
             inflight.append(sim.run().flows["f1"].bytes_inflight_end)
         if hand_off:
             data = [entry for entry in sim.kernel.pending_entries("link-rx")
                     if entry[5].payload_len]
-            assert data and all(entry[2].func == sim._on_arrival and entry[2].args[0].dst == "MN"
-                                for entry in data)
+            assert data and all(entry[2].func == sim._on_arrival for entry in data)
+            assert any(entry[2].args[0].dst == "MN" for entry in data)
+            assert all(entry[0] > short.end for entry in data if entry[2].args[0].dst != "MN")
             assert sum(seg.payload_len for seg in pending_arrivals(sim.kernel)) == inflight[0]
     assert inflight[0] == inflight[1] > 0
 
@@ -1220,7 +1240,7 @@ def test_two_links_into_the_agent_keep_its_arrival_events(monkeypatch, mode):
     assert (csv, lines) == _agent_run(monkeypatch, scenario, mode, hand_off=False)[:2]
 
     # a cut mid-transfer: data waiting for its agent arrival is in flight
-    sim = Simulation(replace(scenario, end=1_234_567), mode=mode)
+    sim = Simulation(cut(scenario, 1_234_567), mode=mode)
     metrics = sim.run()  # conservation holds
     assert all(link.hand_off_before == 0 for link in sim.topo.directed.values()
                if link.dst == sim.ha_node)
@@ -1274,12 +1294,12 @@ def test_the_mn_takes_data_without_an_event_until_the_first_detection(monkeypatc
     assert events and min(events) >= detect
     assert sim.topo.routes[("HA", "MN", scenario.attach)][-1].hand_off_before == 0
     # a cut before the detection ends the hand-off at the run's end
-    sim, taken, events = _mn_run(monkeypatch, replace(scenario, end=2_123_457), mode)
+    sim, taken, events = _mn_run(monkeypatch, cut(scenario, 2_123_457), mode)
     assert max(now for now, _ in taken) <= 2_123_457 < min(events)
     # traced, or with a flow delaying its ACKs, every data segment has its event
     delayed = replace(scenario, flows=tuple(replace(f, ack_extra_delay=1) for f in scenario.flows))
     for variant, trace in ((scenario, True), (delayed, False)):
-        sim, taken, events = _mn_run(monkeypatch, replace(variant, end=detect), mode, trace)
+        sim, taken, events = _mn_run(monkeypatch, cut(variant, detect), mode, trace)
         assert taken and all(now == kernel_now for now, kernel_now in taken)
         assert len(events) >= len(taken)
 

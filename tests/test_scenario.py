@@ -614,8 +614,11 @@ def scenario_texts(draw):
     for i in range(draw(st.integers(0, 3))):
         # a move onto the satellite needs the fallback window
         to = draw(st.sampled_from(["WLAN", "SAT"] if windowed else ["WLAN"]))
-        if draw(st.integers(0, 3)):  # three in four come late after the first flow starts
+        share = draw(st.integers(0, 7))
+        if share > 1:  # three in four come late after the first flow starts
             at = end - 1 - draw(st.integers(0, max(end - 2 - min(starts), 0)))
+        elif share:  # one in eight before every flow starts (at t=0 if one starts then)
+            at = draw(st.integers(0, max(min(starts) - 1, 0)))
         else:
             at = draw(st.integers(0, end - 1))
         lines = [f"at = {fmt_time(at)}", f"to = {to}"]
@@ -657,8 +660,12 @@ def test_generated_scenarios_run_in_every_mode(text):
     the first detection and the run's end. Nodes and links are kept by name,
     one link per pair of nodes, and routes break ties on node names, so the
     file with its [node.*] and [link.*] sections shuffled gives the same CSV
-    and trace bytes (in one mode, chosen with the shuffle)."""
+    and trace bytes (in one mode, chosen with the shuffle). No segment of a
+    flow is sent or received before its start (no `send`, `rexmit`,
+    `ack_tx` or `ack_rx` line before its `flow_start`), and no flow's
+    goodput exceeds the sum of the MN's link bandwidths."""
     s = parse_scenario(text, "gen")
+    mn_bits_per_s = 8 * sum(link.bandwidth for link in s.links if "MN" in (link.a, link.b))
     rnd = random.Random(text)
     shuffled_mode = rnd.choice(MODES)
     detections = sorted(h.at for h in s.handovers) + [s.end + 1]
@@ -694,6 +701,15 @@ def test_generated_scenarios_run_in_every_mode(text):
         traced_text = sim.trace.text()
         stamps = [tuple(map(int, line.split(" ", 1)[0].split("."))) for line in sim.trace.lines]
         assert stamps == sorted(stamps), mode
+        started = set()
+        for line in sim.trace.lines:
+            kind, flow = re.match(r"\S+ (\S+) \S+ (flow=\S+)?", line).groups()
+            if kind == "flow_start":
+                started.add(flow)
+            assert kind not in ("send", "rexmit", "ack_tx", "ack_rx") or flow in started, \
+                (mode, line)
+        for fm in metrics.flows.values():
+            assert fm.goodput_bps() <= mn_bits_per_s, (mode, fm.flow_id)
         for rt in sim.flows.values():
             cap = rt.receiver.policy_cap
             assert cap in (None, 0) or cap >= s.mss, (mode, rt.spec.name, cap)
