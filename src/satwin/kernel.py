@@ -7,10 +7,11 @@ sequence counter). A segment that cuts through hops (see `net`) has one
 event, scheduled when it entered its first link, so among same-microsecond
 events it ranks by that moment; the all-events reference
 (`Simulation._shortcuts` skipped) schedules an event per hop and ranks it
-by the moment it reached the last hop. A flow's RTO event ranks by the
-moment it was last queued: armed, re-armed earlier, or queued again when
-it fired before a deadline that a later re-arm moved on
-(`Simulation._on_rto`).
+by the moment it reached the last hop. A `trace` event, queued where the
+arrival event of data handed to the MN ahead of time would be, ranks as
+that event. A flow's RTO event ranks by the moment it was last queued:
+armed, re-armed earlier, or queued again when it fired before a deadline
+that a later re-arm moved on (`Simulation._on_rto`).
 """
 
 from __future__ import annotations

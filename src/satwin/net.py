@@ -18,10 +18,11 @@ Inside a quiet interval (see `Simulation._resume_hand_off`), a link that
 alone feeds the home agent's forward link hands data at its route's end to
 the agent at once (`hand_off`): a data segment has one event from source to
 MN there, and two from a detection until the next quiet interval starts.
-With the trace off and no ACK delay, the MN's downlink hands data to the
-receiver at once too, until the first detection or the run's end: its ACK
-enters the uplink for the data's arrival time, and the ACK's arrival at the
-source is then the one event of a data segment and its ACK.
+With no ACK delay, the MN's downlink hands data to the receiver at once
+too, until the first detection or the run's end: its ACK enters the uplink
+for the data's arrival time, and the ACK's arrival at the source is then
+the one event of a data segment and its ACK (traced, its lines wait for an
+event at the arrival time, see `Simulation._deliver_held`).
 `Simulation._shortcuts` wires all of these; the all-events reference
 skips it, and every segment has an event at every hop.
 """
@@ -128,8 +129,8 @@ class DirectedLink:
     `hand_off` for its arrival time, with no event. `Simulation._shortcuts`
     sets it on the one link into the home agent (`hand_off_before` is the
     next scripted detection inside a quiet interval, and 0 outside one) and,
-    with the trace off and no ACK delay, on the MN's downlink until the
-    first detection or the run's end.
+    with no ACK delay, on the MN's downlink until the first detection or
+    the run's end.
     """
 
     def __init__(self, spec: LinkSpec, src: str, dst: str, kernel: Kernel):

@@ -309,6 +309,7 @@ class Simulation:
         self._gap_window = gap if scenario.handovers else None
         # binding kind -> the link into the agent that hands data off while it is in force
         self._into: dict[str, DirectedLink] = {}
+        self._to_receiver = self._deliver_held if trace else self._deliver_data  # see _shortcuts
         # detections whose binding update may still reach the agent, and marked window
         # updates not yet at their sender: no hand-off resumes while any is unsettled
         self._unsettled = 0
@@ -448,7 +449,7 @@ class Simulation:
 
     def _deliver_data(self, seg: Segment, now: int) -> None:
         """`seg` reached the MN at `now`: in its arrival event, or ahead of
-        time from the MN's downlink (see _shortcuts)."""
+        time from the MN's downlink (see _shortcuts; _deliver_held when traced)."""
         rt = self.flows[seg.flow_id]
         rt.metrics.bytes_delivered += seg.payload_len
         if seg.rexmit and rt.receiver.holds_range(seg.seq, seg.payload_len):
@@ -457,6 +458,15 @@ class Simulation:
         if self.trace.enabled:
             self.trace.deliver(now, self.mn, seg.flow_id, seg.seq, seg.payload_len, seg.path_tag)
         rt.receiver.on_data(seg, now)
+
+    def _deliver_held(self, seg: Segment, now: int) -> None:
+        """`_deliver_data` ahead of time, traced: its lines for `now` (`deliver`,
+        `ack_tx`, `spurious_rexmit`) join the trace from a `trace` event at `now`,
+        queued before the receiver runs, so it ranks as the arrival event would."""
+        lines, self.trace.lines = self.trace.lines, []
+        self.kernel.schedule(now, partial(lines.extend, self.trace.lines), "trace")
+        self._deliver_data(seg, now)
+        self.trace.lines = lines
 
     def _on_inorder(self, rt: _FlowRuntime, receiver: TcpReceiver, now: int) -> None:
         rt.metrics.note_inorder(receiver.rcv_nxt, now)
@@ -556,13 +566,12 @@ class Simulation:
         that feeds the binding's forward link over the `data` routes on
         through it and the `acks` of every kind (one sent before a switch may
         still travel) hands data off to the agent inside a quiet interval
-        (see _resume_hand_off), the first of which starts now. With the trace
-        off (a `deliver` or `ack_tx` line written ahead of time would break
-        the trace's time order) and no flow delaying its ACKs, the MN's
-        downlink hands data to the receiver until the first detection (past
-        the run's end without one): until then nothing else reaches a
-        receiver or the MN's uplink, so the ACK enters the uplink in time
-        order, for the data's arrival time."""
+        (see _resume_hand_off), the first of which starts now. With no flow
+        delaying its ACKs, the MN's downlink hands data to the receiver
+        until the first detection (past the run's end without one): until
+        then nothing else reaches a receiver or the MN's uplink, so the ACK
+        enters the uplink in time order, for the data's arrival time. The
+        trace only picks the callable (`_to_receiver`), never the events."""
         topo, mn, ha, attach = self.topo, self.mn, self.ha_node, self.scenario.attach
         for link, feeder in single_feeders(used).items():
             link.feeder = feeder
@@ -574,9 +583,9 @@ class Simulation:
                 self._into[kind] = into
         if attach in self._into:
             self._into[attach].hand_off_before = self._detects[0]
-        if not self.trace.enabled and not any(f.ack_extra_delay for f in self.scenario.flows):
+        if not any(f.ack_extra_delay for f in self.scenario.flows):
             down = topo.routes[(ha, mn, attach)][-1]
-            down.hand_off = self._deliver_data
+            down.hand_off = self._to_receiver
             down.hand_off_before = self._detects[0]
 
     def _registration_path(self, kind: str, to_agent: bool) -> tuple[str, Route]:

@@ -131,6 +131,9 @@ class TestAllocation:
     def test_single_flow_gets_everything(self):
         assert allocate_flow_windows(demands(("only", 3, 0)), 50_000) == {"only": 50_000}
 
+    def test_no_flows_get_nothing(self):
+        assert allocate_flow_windows([], 50_000) == {}
+
     def test_thirds_floor_within_one_mss(self):
         alloc = allocate_flow_windows(demands(("A", 1, 0), ("B", 1, 0), ("C", 1, 0)), 10_000)
         assert sum(alloc.values()) <= 10_000

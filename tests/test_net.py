@@ -454,6 +454,19 @@ def test_a_missing_route_is_a_sim_error():
         topo.route("a", "c")
 
 
+def test_a_node_reached_first_by_a_costlier_path_routes_over_the_cheaper_one():
+    # from a, c is queued at 5 ms directly and at 2 ms via b; the 5 ms entry
+    # is popped stale after c settled at 2 ms, and d (10 ms past c) comes last
+    topo = Topology([NodeSpec(n, "router") for n in "abcd"],
+                    [LinkSpec("ab", "a", "b", 125000, MS, 1 << 20),
+                     LinkSpec("ac", "a", "c", 125000, 5 * MS, 1 << 20),
+                     LinkSpec("bc", "b", "c", 125000, MS, 1 << 20),
+                     LinkSpec("cd", "c", "d", 125000, 10 * MS, 1 << 20)], Kernel())
+    route = topo.route("a", "d")
+    assert [(hop.src, hop.dst) for hop in route] == [("a", "b"), ("b", "c"), ("c", "d")]
+    assert sum(hop.prop_delay for hop in route) == 12 * MS
+
+
 def test_ack_and_control_wire_sizes():
     ack = Segment(flow_id="f", flags=2, ack=100, rwnd=1000)
     assert ack.wire_size() == 40

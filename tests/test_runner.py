@@ -187,6 +187,23 @@ def test_digest_script_names_each_run_that_differs_from_the_all_events_reference
     assert printed.err == "differs from the all-events reference: shipped/s5_roundtrip/PROACTIVE\n"
 
 
+def test_digest_script_names_each_run_whose_csv_the_trace_changes(monkeypatch, capsys):
+    # a traced PROACTIVE run that runs as BASELINE stands in for a trace
+    # that changes the run: with its trace flipped, only S5's PROACTIVE run
+    # gives another CSV, and the exit is 1
+    monkeypatch.setattr(DIGEST_RUNS, "SHIPPED", ("s5_roundtrip",))
+    init = Simulation.__init__
+
+    def traced_as_baseline(sim, scenario, mode=None, seed=None, trace=False):
+        init(sim, scenario, "BASELINE" if trace and mode == "PROACTIVE" else mode, seed, trace)
+
+    monkeypatch.setattr(Simulation, "__init__", traced_as_baseline)
+    assert DIGEST_RUNS.main(["--all-events"]) == 1
+    printed = capsys.readouterr()
+    assert len(printed.out.splitlines()) == len(MODES) + 1
+    assert printed.err == "differs with the trace flipped: shipped/s5_roundtrip/PROACTIVE\n"
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ["s1_wlan_to_sat", "s5_roundtrip"])
 def test_the_all_events_reference_leaves_no_shortcut(monkeypatch, name, mode):
@@ -270,10 +287,10 @@ start = 0
 
 
 # two flows into the MN: at 0.041717 s f0's ACK reaches SGW at the very
-# microsecond f1's data does; untraced, the ACK of data handed to the MN has
-# the event scheduled at the data's send, so it runs first, and f0's next
-# segment enters SGW->HA ahead of f1's (f0 4,099,908 b/s untraced against
-# 3,993,172 traced and on the all-events reference, BASELINE and RESET_CWND)
+# microsecond f1's data does; the ACK of data handed to the MN has the event
+# scheduled at the data's send, so it runs first, and f0's next segment
+# enters SGW->HA ahead of f1's (f0 4,099,907.675 b/s, traced or not, against
+# 3,993,171.597 on the all-events reference, BASELINE and RESET_CWND)
 TWO_GATEWAY_TIES = """
 [sim]
 attach = SAT
@@ -352,8 +369,8 @@ dst = MN
 start = 0.002517
 ack_extra_delay = 0.000000
 """
-_EVENT_RANK = pytest.mark.xfail(strict=True, reason="ROADMAP item 13: an event ranks by the "
-                                "moment it was scheduled, not by its all-events moment")
+_EVENT_RANK = pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the ACK of data handed "
+                                "to the MN ranks by the data's send, not by its all-events moment")
 
 
 @pytest.mark.parametrize("text, mode", [pytest.param(ZERO_DELAY_TIES, mode, id=mode)
@@ -363,15 +380,45 @@ _EVENT_RANK = pytest.mark.xfail(strict=True, reason="ROADMAP item 13: an event r
 def test_round_link_values_give_one_csv_on_every_path(text, mode):
     # with zero delays and round bandwidths, data and ACKs reach a link at
     # the very microsecond an entry finishes there; a link releases it for
-    # every admission alike, so the run with every shortcut, untraced (the
-    # MN hand-off) or not, and the all-events reference agree
+    # every admission alike, so the run with every shortcut and the
+    # all-events reference agree (test_the_trace_never_changes_the_run
+    # checks the traced run against the untraced one)
     scenario = parse_scenario(text, "ties")
-    csvs = set()
+    csvs = []
     for reference in (False, True):
-        for trace in (True, False):
-            with all_events() if reference else contextlib.nullcontext():
-                csvs.add(write_csv(Simulation(scenario, mode=mode, trace=trace).run().csv_rows()))
-    assert len(csvs) == 1
+        with all_events() if reference else contextlib.nullcontext():
+            csvs.append(write_csv(Simulation(scenario, mode=mode).run().csv_rows()))
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", DIGEST_RUNS.SHIPPED + ("zero_delay_ties", "two_gateway_ties"))
+def test_the_trace_never_changes_the_run(monkeypatch, name, mode):
+    # the trace decides only where lines go: traced and untraced, a run
+    # executes the same (time, kind) events, `trace` events left out (they
+    # join lines written ahead of time to the trace), and ends with equal
+    # metrics, drops in the same order included
+    texts = {"zero_delay_ties": ZERO_DELAY_TIES, "two_gateway_ties": TWO_GATEWAY_TIES}
+    scenario = parse_scenario(texts[name], name) if name in texts else \
+        load_scenario(scenario_path(name))
+    schedule, executed = Kernel.schedule, []
+
+    def recording_schedule(kernel, at, fn, kind="event"):
+        def fire():
+            executed.append((at, kind))
+            fn()
+        return schedule(kernel, at, fire, kind)
+
+    monkeypatch.setattr(Kernel, "schedule", recording_schedule)
+    runs = {}
+    for trace in (True, False):
+        executed.clear()
+        metrics = Simulation(scenario, mode=mode, trace=trace).run()
+        runs[trace] = metrics, [event for event in executed if event[1] != "trace"]
+    assert runs[True] == runs[False]
+    assert all(kind != "trace" for _, kind in executed)  # the untraced run's, the last
+    if name == "two_gateway_ties" and mode != "PROACTIVE":
+        assert f"{metrics.flows['f0'].goodput_bps():.3f}" == "4099907.675"
 
 
 @pytest.mark.parametrize("name", sorted({case.split("/")[0] for case in GOLDEN_RUNS}))
@@ -1280,11 +1327,11 @@ def _mn_run(monkeypatch, scenario, mode, trace=False):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_the_mn_takes_data_without_an_event_until_the_first_detection(monkeypatch, mode):
-    # untraced, with no ACK delay, data reaching the MN before the first
-    # detection goes to the receiver from inside `transmit`, for its
-    # arrival time, and has no MN-arrival event; from the detection on every
-    # data segment has its event again (test_tracing_changes_no_metric_...
-    # checks the metrics against the traced run)
+    # with no ACK delay, data reaching the MN before the first detection
+    # goes to the receiver from inside `transmit`, for its arrival time, and
+    # has no MN-arrival event, traced or not; from the detection on every
+    # data segment has its event again (test_the_trace_never_changes_the_run
+    # checks the events and metrics of the two)
     scenario = load_scenario(scenario_path("s1_wlan_to_sat"))
     detect = scenario.handovers[0].at
     sim, taken, events = _mn_run(monkeypatch, scenario, mode)
@@ -1293,15 +1340,15 @@ def test_the_mn_takes_data_without_an_event_until_the_first_detection(monkeypatc
     assert sorted(now for now, _ in taken if now < detect) == early
     assert events and min(events) >= detect
     assert sim.topo.routes[("HA", "MN", scenario.attach)][-1].hand_off_before == 0
+    assert _mn_run(monkeypatch, scenario, mode, trace=True)[1:] == (taken, events)
     # a cut before the detection ends the hand-off at the run's end
     sim, taken, events = _mn_run(monkeypatch, cut(scenario, 2_123_457), mode)
     assert max(now for now, _ in taken) <= 2_123_457 < min(events)
-    # traced, or with a flow delaying its ACKs, every data segment has its event
+    # with a flow delaying its ACKs, every data segment has its event
     delayed = replace(scenario, flows=tuple(replace(f, ack_extra_delay=1) for f in scenario.flows))
-    for variant, trace in ((scenario, True), (delayed, False)):
-        sim, taken, events = _mn_run(monkeypatch, cut(variant, detect), mode, trace)
-        assert taken and all(now == kernel_now for now, kernel_now in taken)
-        assert len(events) >= len(taken)
+    sim, taken, events = _mn_run(monkeypatch, cut(delayed, detect), mode)
+    assert taken and all(now == kernel_now for now, kernel_now in taken)
+    assert len(events) >= len(taken)
 
 
 def test_a_segment_lost_mid_path_fails_conservation(shipped_scenarios):

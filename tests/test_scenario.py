@@ -655,8 +655,8 @@ def test_generated_scenarios_run_in_every_mode(text):
     time without a feeder: the forward link of the binding in force, for
     data the agent forwards inside a quiet interval, before the next
     detection, once no detection can still switch, no binding update is on
-    its way and no data segment is due at the agent; and, untraced with no
-    ACK delay, the MN's uplink, for the ACK of data handed to the MN before
+    its way and no data segment is due at the agent; and, with no ACK
+    delay, the MN's uplink, for the ACK of data handed to the MN before
     the first detection and the run's end. Nodes and links are kept by name,
     one link per pair of nodes, and routes break ties on node names, so the
     file with its [node.*] and [link.*] sections shuffled gives the same CSV
@@ -677,7 +677,7 @@ def test_generated_scenarios_run_in_every_mode(text):
             assert seg.hop > 0 and seg.route[seg.hop - 1] is link.feeder, link.label
             assert at > link.kernel.now, link.label
         elif at > link.kernel.now and seg.flags & F_ACK:  # the ACK of data handed to the MN
-            assert not sim.trace.enabled and not any(f.ack_extra_delay for f in s.flows)
+            assert not any(f.ack_extra_delay for f in s.flows)
             assert link is sim.flows[seg.flow_id].ack_route[0], link.label
             assert not handovers and at < detections[0] and at <= s.end, link.label
         elif at > link.kernel.now:  # handed off to the agent

@@ -356,6 +356,17 @@ class TestWindowPolicy:
         with pytest.raises(SimError, match="exceeds buffer"):
             receiver.set_window_policy(65000, 0)
 
+    def test_negative_cap_is_sim_error(self):
+        receiver, _ = make_receiver()
+        with pytest.raises(SimError, match="flow f: negative window cap"):
+            receiver.set_window_policy(-1, 0)
+
+    def test_non_data_segment_is_protocol_violation(self):
+        receiver, emitted = make_receiver()
+        with pytest.raises(ProtocolViolation, match="non-data segment"):
+            receiver.on_data(Segment("f", 0, 0, 0, 0, F_ACK), 0)
+        assert emitted == []
+
     def test_unchanged_cap_emits_nothing(self):
         receiver, emitted = make_receiver(cap=32000)
         receiver.set_window_policy(32000, 0)
