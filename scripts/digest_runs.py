@@ -11,33 +11,24 @@ run in its mode with its trace setting, as the benchmark runs them. A run
 that stops on an error digests the error text. Run it on two checkouts and
 diff the outputs: equal lines are runs with equal outputs.
 
-    python3 scripts/digest_runs.py --seeds 1 2 3 7919 --tie-sorted
-
-also prints, after each run, the digest of its trace with the lines of each
-time stamp sorted (`tie_sorted=`), so that two traces that differ only in
-the order of same-microsecond lines get the same one. The `total` is over
-the plain lines either way.
-
-    python3 scripts/digest_runs.py --seeds 1 2 3 7919 --tie-sorted --all-events
+    python3 scripts/digest_runs.py --seeds 1 2 3 7919 --all-events
 
 prints the same runs' digests on the all-events reference (`all_events`):
 no link admits ahead of time, so every segment has an event at every hop.
-The CSV and `tie_sorted=` digests of a run must equal those without
+The CSV and trace digests of a run must equal those without
 `--all-events`; a shortcut that moves one changed the run. So it also runs
-every job normally, and exits 1 naming each run whose CSV or tie-sorted
-trace digest differs from the reference's. The trace must not change a run
-either, so it also runs every job with its trace setting flipped (traced
-runs untraced and the other way round), and names each run whose CSV then
-differs from the normal run's. This third round of runs takes about 9 s of
-the 24 s that `--seeds 1 2 3 7919 --tie-sorted --all-events` takes (2-core
-Xeon VM, Python 3.11).
+every job normally, and exits 1 naming each run whose CSV or trace digest
+differs from the reference's. The trace must not change a run either, so
+it also runs every job with its trace setting flipped (traced runs
+untraced and the other way round), and names each run whose CSV then
+differs from the normal run's. `--seeds 1 2 3 7919 --all-events` takes
+about 24 s (2-core Xeon VM, Python 3.11).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import sys
 from pathlib import Path
 from unittest import mock
@@ -62,12 +53,6 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def tie_sorted(lines: list[str]) -> list[str]:
-    """`lines` with each run of lines under one time stamp sorted."""
-    groups = itertools.groupby(lines, key=lambda line: line.split(" ", 1)[0])
-    return [line for _, group in groups for line in sorted(group)]
-
-
 def all_events():
     """Within it, runs take the all-events reference path: with
     `Simulation._shortcuts` skipped, no link has a feeder or hands off, and
@@ -75,42 +60,36 @@ def all_events():
     return mock.patch.object(Simulation, "_shortcuts", lambda sim, *routes: None)
 
 
-def run_digests(text: str, name: str, mode: str, trace: bool,
-                ties: bool = False) -> dict[str, str]:
-    """The CSV and trace digests of one run of a scenario text; with `ties`,
-    also the digest of its trace with each time stamp's lines sorted."""
+def run_digests(text: str, name: str, mode: str, trace: bool) -> dict[str, str]:
+    """The CSV and trace digests of one run of a scenario text."""
     try:
         sim = Simulation(parse_scenario(text, name), mode=mode, trace=trace)
         csv_text = write_csv(sim.run().csv_rows())
     except (ConfigError, SimError) as exc:
         error = f"{name}/{mode}: {type(exc).__name__}: {exc}"
-        return dict.fromkeys(("csv", "trace", "tie_sorted")[:3 if ties else 2], _sha(error))
-    out = {"csv": _sha(csv_text), "trace": _sha(sim.trace.text() if trace else "")}
-    if ties:
-        out["tie_sorted"] = _sha("".join(line + "\n" for line in tie_sorted(sim.trace.lines)))
-    return out
+        return dict.fromkeys(("csv", "trace"), _sha(error))
+    return {"csv": _sha(csv_text), "trace": _sha(sim.trace.text() if trace else "")}
 
 
-def shipped_digests(names=SHIPPED, ties: bool = False,
-                    trace: bool = True) -> dict[str, dict[str, str]]:
+def shipped_digests(names=SHIPPED, trace: bool = True) -> dict[str, dict[str, str]]:
     """`name/MODE` -> digests, the key form of tests/golden_runs.json."""
     out = {}
     for name in names:
         text = (REPO / "scenarios" / f"{name}.scn").read_text()
         for mode in MODES:
-            out[f"{name}/{mode}"] = run_digests(text, name, mode, trace, ties)
+            out[f"{name}/{mode}"] = run_digests(text, name, mode, trace)
     return out
 
 
-def all_digests(seeds: list[int], ties: bool, flip: bool = False) -> dict[str, dict[str, str]]:
+def all_digests(seeds: list[int], flip: bool = False) -> dict[str, dict[str, str]]:
     """Run key -> digests, for the shipped runs and every seed's workload
     jobs; with `flip`, each run with its trace setting flipped."""
-    runs = {f"shipped/{key}": d for key, d in shipped_digests(SHIPPED, ties, not flip).items()}
+    runs = {f"shipped/{key}": d for key, d in shipped_digests(SHIPPED, not flip).items()}
     for seed in seeds:
         for workload in workloads.WORKLOADS:
             for job in workloads.generate(workload, seed, REPO / "scenarios"):
                 runs[f"{workload}/{seed}/{job.name}/{job.mode}"] = \
-                    run_digests(job.text, job.name, job.mode, job.trace != flip, ties)
+                    run_digests(job.text, job.name, job.mode, job.trace != flip)
     return runs
 
 
@@ -118,31 +97,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[],
                         help="workload seeds whose job texts are run as well")
-    parser.add_argument("--tie-sorted", action="store_true",
-                        help="also print each trace's digest with same-time lines sorted")
     parser.add_argument("--all-events", action="store_true",
                         help="run the all-events reference (an event at every hop) and "
-                             "check each run's CSV and tie-sorted trace against it, and "
-                             "each run's CSV against the run with its trace flipped")
+                             "check each run's CSV and trace against it, and each run's "
+                             "CSV against the run with its trace flipped")
     args = parser.parse_args(argv)
-    ties = args.tie_sorted
+    runs = normal = all_digests(args.seeds)
     differ, flips = [], []
     if args.all_events:
         with all_events():
-            runs = all_digests(args.seeds, True)
-        normal = all_digests(args.seeds, True)
-        differ = [key for key, d in runs.items()
-                  if (d["csv"], d["tie_sorted"]) != (normal[key]["csv"], normal[key]["tie_sorted"])]
-        flipped = all_digests(args.seeds, False, flip=True)
+            runs = all_digests(args.seeds)
+        differ = [key for key, d in runs.items() if d != normal[key]]
+        flipped = all_digests(args.seeds, flip=True)
         flips = [key for key, d in normal.items() if d["csv"] != flipped[key]["csv"]]
-    else:
-        runs = all_digests(args.seeds, ties)
     lines = [f"{key} csv={d['csv']} trace={d['trace']}" for key, d in runs.items()]
-    if ties:
-        print("\n".join(f"{line} tie_sorted={d['tie_sorted']}"
-                        for line, d in zip(lines, runs.values())))
-    else:
-        print("\n".join(lines))
+    print("\n".join(lines))
     print(f"total {_sha(''.join(lines))} ({len(lines)} runs)")
     for key in differ:
         print(f"differs from the all-events reference: {key}", file=sys.stderr)

@@ -2,16 +2,13 @@
 
 Time is integer microseconds throughout the simulator: event ordering is
 exact on every platform, with no floating-point drift. Simultaneous events
-fire in the order they were scheduled (FIFO tie-break via a monotonic
-sequence counter). A segment that cuts through hops (see `net`) has one
-event, scheduled when it entered its first link, so among same-microsecond
-events it ranks by that moment; the all-events reference
-(`Simulation._shortcuts` skipped) schedules an event per hop and ranks it
-by the moment it reached the last hop. A `trace` event, queued where the
-arrival event of data handed to the MN ahead of time would be, ranks as
-that event. A flow's RTO event ranks by the moment it was last queued:
-armed, re-armed earlier, or queued again when it fired before a deadline
-that a later re-arm moved on (`Simulation._on_rto`).
+rank by their origin, the moment the all-events reference
+(`Simulation._shortcuts` skipped, an event at every hop) schedules them,
+and then in the order they were scheduled (a monotonic sequence counter).
+The origin is `Kernel.origin` when the event is scheduled: the clock,
+except inside `net.DirectedLink.transmit`, which sets it to the admission's
+moment for what the admission schedules (see `net`). So every run ranks
+its events as the reference does.
 """
 
 from __future__ import annotations
@@ -42,13 +39,14 @@ class SchedulingError(SimError):
 
 class Kernel:
     """Virtual clock plus an ordered, cancellable event queue: a heap of
-    `[t, seq, fn, kind, done]` entries in (time, sequence number) order;
-    `schedule` returns the entry as the event's handle. `done` is None while
-    the event is pending and `_DONE` once it fired or was cancelled: a
-    tombstone the run loop skips. An entry never moves; a timer whose
-    deadline moves later keeps its deadline itself and queues itself again
-    when it fires early. A `link-rx` entry carries a sixth slot, the
-    arriving segment, which only `net` writes and reads.
+    `[t, (origin, seq), fn, kind, done]` entries in (time, origin, sequence
+    number) order; `schedule` returns the entry as the event's handle, and
+    takes its origin from `origin`. `done` is None while the event is
+    pending and `_DONE` once it fired or was cancelled: a tombstone the run
+    loop skips. An entry never moves; a timer whose deadline moves later
+    keeps its deadline itself and queues itself again when it fires early.
+    A `link-rx` entry carries a sixth slot, the arriving segment, which
+    only `net` writes and reads.
 
     Single-threaded by design: one kernel per simulation instance, no shared
     mutable state. One seeded PRNG is owned here; the core model draws
@@ -58,8 +56,9 @@ class Kernel:
 
     def __init__(self, seed: int = 0):
         self.now: int = 0
+        self.origin: int = 0  # what is scheduled now ranks by this moment
         self.rng = random.Random(seed)
-        self._heap: list[list] = []  # [fire_at, seq, fn, kind, done]
+        self._heap: list[list] = []  # [fire_at, (origin, seq), fn, kind, done]
         self._seqs = itertools.count()
         self._live = 0
 
@@ -68,7 +67,7 @@ class Kernel:
             raise SchedulingError(
                 f"event {kind!r} scheduled at {fmt_time(at)} before clock {fmt_time(self.now)}"
             )
-        entry = [at, next(self._seqs), fn, kind, None]
+        entry = [at, (self.origin, next(self._seqs)), fn, kind, None]
         self._live += 1
         heapq.heappush(self._heap, entry)
         return entry
@@ -89,7 +88,7 @@ class Kernel:
         return (e for e in self._heap if e[3] == kind and e[4] is not _DONE)
 
     def run_until(self, t_end: int) -> int:
-        """Process every event with fire_at <= t_end, in (time, seqno) order.
+        """Process every event with fire_at <= t_end, in (time, origin, seqno) order.
 
         Handlers may enqueue further events at or before t_end; those are
         processed in this run too. Returns the number of events executed.
@@ -104,9 +103,9 @@ class Kernel:
                 continue
             entry[4] = _DONE
             self._live -= 1
-            self.now = entry[0]
+            self.now = self.origin = entry[0]
             entry[2]()
             steps += 1
         if t_end > self.now:
-            self.now = t_end
+            self.now = self.origin = t_end
         return steps

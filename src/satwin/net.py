@@ -13,7 +13,8 @@ So the upstream `transmit` admits the segment to it at once, for the
 logical time it gets there (a FIFO tandem, Lindley 1952), and the kernel
 holds one event for the hops cut through: the final arrival, the drop at
 the hop that refuses the segment, or the admission to a link with several
-feeders, due when the segment reaches it.
+feeders, due when the segment reaches it. It ranks as the all-events
+run's event there does: by the admission before it (see `kernel`).
 Inside a quiet interval (see `Simulation._resume_hand_off`), a link that
 alone feeds the home agent's forward link hands data at its route's end to
 the agent at once (`hand_off`): a data segment has one event from source to
@@ -160,7 +161,9 @@ class DirectedLink:
 
     def transmit(self, seg: Segment, at: int) -> None:
         """Enqueue `seg` at time `at`, or drop it (counted in `drops` and
-        reported to `on_drop`, at a skipped hop by an event).
+        reported to `on_drop`, at a skipped hop by an event that ranks by
+        the caller's origin). What an admission schedules or hands off ranks
+        by `at`, the moment the all-events run admits `seg` here.
 
         Arrival = end of FIFO serialization + propagation delay. Wire size
         and serialization inline `Segment.wire_size`/`LinkSpec.serialization_us`.
@@ -190,6 +193,7 @@ class DirectedLink:
             seg.path_tag = self.tag
         route = seg.route
         seg.hop = hop = seg.hop + 1
+        origin, kernel.origin = kernel.origin, at  # what follows ranks by this admission
         if hop >= len(route):
             if arrival < self.hand_off_before:
                 self.hand_off(seg, arrival)
@@ -202,6 +206,7 @@ class DirectedLink:
                 nxt.transmit(seg, arrival)
             else:  # several feeders: `seg` enters the next link from its arrival event
                 kernel.schedule(arrival, partial(nxt.transmit, seg, arrival), "link-rx").append(seg)
+        kernel.origin = origin
 
     def _drop(self, seg: Segment, reason: str, at: int) -> None:
         if at > self.kernel.now:  # a skipped hop: the drop happens when `seg` gets here

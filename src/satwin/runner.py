@@ -462,7 +462,8 @@ class Simulation:
     def _deliver_held(self, seg: Segment, now: int) -> None:
         """`_deliver_data` ahead of time, traced: its lines for `now` (`deliver`,
         `ack_tx`, `spurious_rexmit`) join the trace from a `trace` event at `now`,
-        queued before the receiver runs, so it ranks as the arrival event would."""
+        queued before the receiver runs and with the arrival event's origin
+        (the downlink's admission), so it ranks as that event would."""
         lines, self.trace.lines = self.trace.lines, []
         self.kernel.schedule(now, partial(lines.extend, self.trace.lines), "trace")
         self._deliver_data(seg, now)

@@ -35,9 +35,9 @@ def cut(scenario: Scenario, end: int) -> Scenario:
     return replace(scenario, end=end, handovers=tuple(h for h in scenario.handovers if h.at < end))
 
 
-# the all-events reference run and the same-microsecond sort of a trace
+# the all-events reference run
 DIGEST_RUNS = load_script("digest_runs")
-all_events, tie_sorted = DIGEST_RUNS.all_events, DIGEST_RUNS.tie_sorted
+all_events = DIGEST_RUNS.all_events
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,19 @@ def test_fifo_tie_break():
     assert fired == ["A", "B"]
 
 
+def test_simultaneous_events_rank_by_origin_first():
+    # an admission ahead of time schedules at its own moment (`origin`);
+    # a handler schedules at the clock, to which each event resets it
+    k = Kernel()
+    fired = []
+    k.origin = 5
+    k.schedule(9, lambda: fired.append(("ahead", k.origin)))
+    k.origin = 0
+    k.schedule(9, lambda: fired.append(("now", k.origin)))
+    k.run_until(9)
+    assert fired == [("now", 9), ("ahead", 9)]
+
+
 def test_schedule_at_now_fires_before_later_events():
     k = Kernel()
     fired = []

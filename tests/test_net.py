@@ -172,8 +172,8 @@ class DequeueEventLink:
     """Reference model: every accepted segment schedules an explicit event
     at its finish time that takes its bytes off the queue. An admission for
     time `at` first runs the dequeue events due by then, so bytes that
-    finish at `at` have left by `at`; a drop ahead of time is recorded by
-    an event at `at`."""
+    finish at `at` have left by `at`, and its events rank by the moment
+    `at`; a drop ahead of time is recorded by an event at `at`."""
 
     def __init__(self, spec, kernel):
         self.spec = spec
@@ -199,8 +199,10 @@ class DequeueEventLink:
         self.occupancy += wire
         finish = max(at, self.free_at) + self.spec.serialization_us(wire)
         self.free_at = finish
+        origin, self.kernel.origin = self.kernel.origin, at
         self.queued.append((self.kernel.schedule(finish, self._dequeue), wire))
         self.kernel.schedule(finish + self.spec.prop_delay, lambda: self.deliver(self, seg))
+        self.kernel.origin = origin
 
     def _drop(self, seg, reason, at):
         if at > self.kernel.now:

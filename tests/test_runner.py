@@ -145,23 +145,22 @@ def test_digest_script_prints_the_pinned_s4_digests():
 
 def test_digest_script_prints_the_all_events_reference(monkeypatch, capsys):
     # `--all-events` runs every hop by an event: S5 takes more events than
-    # with the shortcuts, and its CSV and tie-sorted trace digests are the
-    # same. It also runs each job normally (the shortcut events once more) to
-    # check that, and exits 0 with nothing on stderr
+    # with the shortcuts, and its CSV and trace digests are the same. It
+    # also runs each job normally (the shortcut events once more) to check
+    # that, and exits 0 with nothing on stderr
     monkeypatch.setattr(DIGEST_RUNS, "SHIPPED", ("s5_roundtrip",))
     steps, run_until = [], Kernel.run_until
     monkeypatch.setattr(Kernel, "run_until", lambda k, t: steps.append(run_until(k, t)) or steps[-1])
     out = {}
     for flags in ([], ["--all-events"]):
         steps.clear()
-        assert DIGEST_RUNS.main(["--tie-sorted", *flags]) == 0
+        assert DIGEST_RUNS.main(flags) == 0
         printed = capsys.readouterr()
         lines = printed.out.splitlines()
         assert [line.split(" ", 1)[0] for line in lines[:-1]] == \
             [f"shipped/s5_roundtrip/{mode}" for mode in MODES]
         assert printed.err == ""
-        out[bool(flags)] = [(key, csv, ties) for key, csv, _, ties in map(str.split, lines[:-1])], \
-            sum(steps)
+        out[bool(flags)] = printed.out, sum(steps)
     (shortcut, shortcut_events), (reference, both_events) = out[False], out[True]
     assert shortcut == reference
     assert both_events - shortcut_events > 2 * shortcut_events
@@ -242,165 +241,90 @@ def test_the_all_events_reference_leaves_no_shortcut(monkeypatch, name, mode):
         assert seen[0][0] and seen[0][1], trace
 
 
-ZERO_DELAY_TIES = """
-[sim]
-attach = SAT
-end = 1
-w_default = 65536
-
-[node.CN]
-role = cn
-[node.HA]
-role = ha
-[node.MN]
-role = mn
-[node.SGW]
-role = gateway
-
-[link.sat]
-a = MN
-b = SGW
-kind = SAT
-bandwidth = 800000
-delay = 0
-queue = 1500
-
-[link.sgw_cn]
-a = SGW
-b = CN
-bandwidth = 8000
-delay = 0
-queue = 1500
-
-[link.sgw_ha]
-a = SGW
-b = HA
-bandwidth = 800000
-delay = 0
-queue = 3000
-
-[flow.f0]
-src = SGW
-dst = MN
-start = 0
-"""
+_LINK_ENDS = {"wlan": ("MN", "WGW", "WLAN"), "sat": ("MN", "SGW", "SAT"), "wgw_cn": ("WGW", "CN"),
+              "wgw_ha": ("WGW", "HA"), "sgw_cn": ("SGW", "CN"), "sgw_ha": ("SGW", "HA")}
 
 
-# two flows into the MN: at 0.041717 s f0's ACK reaches SGW at the very
-# microsecond f1's data does; the ACK of data handed to the MN has the event
-# scheduled at the data's send, so it runs first, and f0's next segment
-# enters SGW->HA ahead of f1's (f0 4,099,907.675 b/s, traced or not, against
-# 3,993,171.597 on the all-events reference, BASELINE and RESET_CWND)
-TWO_GATEWAY_TIES = """
-[sim]
-attach = SAT
-end = 1.310141
-w_default = 6320
-seed = 268
-sat_default_window = 13296
-registration = PROXY
-
-[node.CN]
-role = cn
-[node.HA]
-role = ha
-[node.MN]
-role = mn
-[node.WGW]
-role = gateway
-[node.SGW]
-role = gateway
-
-[link.wlan]
-a = MN
-b = WGW
-kind = WLAN
-bandwidth = 8000
-delay = 0
-queue = 4500
-
-[link.sat]
-a = MN
-b = SGW
-kind = SAT
-bandwidth = 8000000
-delay = 0
-queue = 1500
-
-[link.wgw_cn]
-a = WGW
-b = CN
-bandwidth = 800000
-delay = 0.01
-queue = 4500
-
-[link.wgw_ha]
-a = WGW
-b = HA
-bandwidth = 800000
-delay = 0.001
-queue = 1500
-
-[link.sgw_cn]
-a = SGW
-b = CN
-bandwidth = 8000000
-delay = 0
-queue = 65536
-
-[link.sgw_ha]
-a = SGW
-b = HA
-bandwidth = 8000000
-delay = 0
-queue = 4500
-
-[flow.f0]
-src = SGW
-dst = MN
-start = 0.006675
-min_share = 179
-buffer = 3384
-ack_extra_delay = 0.000000
-
-[flow.f1]
-src = CN
-dst = MN
-start = 0.002517
-ack_extra_delay = 0.000000
-"""
-_EVENT_RANK = pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the ACK of data handed "
-                                "to the MN ranks by the data's send, not by its all-events moment")
+def _gateway_file(sim, links, flows):
+    """A file of `sim` lines, the nodes CN, HA and MN and the gateways the
+    `links` reach, each link of `_LINK_ENDS` with its (bandwidth, delay,
+    queue), then the `flows` (and handover) sections."""
+    nodes = dict.fromkeys(["CN", "HA", "MN"] + [n for name in links for n in _LINK_ENDS[name][:2]])
+    roles = {"CN": "cn", "HA": "ha", "MN": "mn"}
+    out = [f"[sim]\n{sim}"] + [f"[node.{n}]\nrole = {roles.get(n, 'gateway')}\n" for n in nodes]
+    for name, (bandwidth, delay, queue) in links.items():
+        a, b, *kind = _LINK_ENDS[name]
+        out.append(f"[link.{name}]\na = {a}\nb = {b}\n" + "".join(f"kind = {k}\n" for k in kind)
+                   + f"bandwidth = {bandwidth}\ndelay = {delay}\nqueue = {queue}\n")
+    return "\n".join(out + [flows])
 
 
-@pytest.mark.parametrize("text, mode", [pytest.param(ZERO_DELAY_TIES, mode, id=mode)
-                                        for mode in MODES] + [
-    pytest.param(TWO_GATEWAY_TIES, mode, id=f"two_gateways-{mode}",
-                 marks=() if mode == "PROACTIVE" else _EVENT_RANK) for mode in MODES])
-def test_round_link_values_give_one_csv_on_every_path(text, mode):
-    # with zero delays and round bandwidths, data and ACKs reach a link at
-    # the very microsecond an entry finishes there; a link releases it for
-    # every admission alike, so the run with every shortcut and the
-    # all-events reference agree (test_the_trace_never_changes_the_run
-    # checks the traced run against the untraced one)
-    scenario = parse_scenario(text, "ties")
-    csvs = []
-    for reference in (False, True):
-        with all_events() if reference else contextlib.nullcontext():
-            csvs.append(write_csv(Simulation(scenario, mode=mode).run().csv_rows()))
-    assert csvs[0] == csvs[1]
+ZERO_DELAY_TIES = _gateway_file(
+    "attach = SAT\nend = 1\nw_default = 65536\n",
+    {"sat": (800000, 0, 1500), "sgw_cn": (8000, 0, 1500), "sgw_ha": (800000, 0, 3000)},
+    "[flow.f0]\nsrc = SGW\ndst = MN\nstart = 0\n")
+
+# two flows into the MN: at 0.041717 s the ACK of f0's data handed to the
+# MN reaches SGW at the very microsecond f1's data does; each event ranks
+# by the moment the all-events run schedules it, so f1's segment enters
+# SGW->HA ahead of f0's next one with every shortcut too (f0 3,993,171.597
+# b/s in BASELINE and RESET_CWND)
+TWO_GATEWAY_TIES = _gateway_file(
+    "attach = SAT\nend = 1.310141\nw_default = 6320\nseed = 268\nsat_default_window = 13296\n"
+    "registration = PROXY\n",
+    {"wlan": (8000, 0, 4500), "sat": (8000000, 0, 1500), "wgw_cn": (800000, 0.01, 4500),
+     "wgw_ha": (800000, 0.001, 1500), "sgw_cn": (8000000, 0, 65536), "sgw_ha": (8000000, 0, 4500)},
+    "[flow.f0]\nsrc = SGW\ndst = MN\nstart = 0.006675\nmin_share = 179\nbuffer = 3384\n"
+    "ack_extra_delay = 0.000000\n\n"
+    "[flow.f1]\nsrc = CN\ndst = MN\nstart = 0.002517\nack_extra_delay = 0.000000\n")
+
+# three flows, window updates at the detection (t=0): at 0.08 s two of them
+# reach their senders in the same microsecond, and t_a1 is stamped at the
+# one the all-events run takes first
+WINDOW_UPDATE_TIES = _gateway_file(
+    "end = 1\nattach = WLAN\nw_default = 1460\nsat_default_window = 1460\n",
+    {"wlan": (8000, 0, 1500), "sat": (8, 0, 1500), "wgw_cn": (8000, 0, 1500),
+     "wgw_ha": (8, 0, 1500), "sgw_cn": (8, 0, 1500), "sgw_ha": (8, 0, 1500)},
+    "[flow.f0]\nsrc = CN\ndst = MN\nstart = 0\nack_extra_delay = 0.000000\n\n"
+    "[flow.f1]\nsrc = WGW\ndst = MN\nstart = 0\n\n"
+    "[flow.f2]\nsrc = CN\ndst = MN\nstart = 0\nack_extra_delay = 0.000000\n\n"
+    "[handover.h0]\nat = 0\nto = SAT\n")
+TIES = {"zero_delay_ties": ZERO_DELAY_TIES, "two_gateway_ties": TWO_GATEWAY_TIES,
+        "window_update_ties": WINDOW_UPDATE_TIES}
+
+
+def _tie_or_shipped(name):
+    return parse_scenario(TIES[name], name) if name in TIES else load_scenario(scenario_path(name))
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("name", DIGEST_RUNS.SHIPPED + ("zero_delay_ties", "two_gateway_ties"))
+@pytest.mark.parametrize("name", DIGEST_RUNS.SHIPPED + tuple(TIES))
+def test_every_shortcut_run_is_the_all_events_run(name, mode):
+    # every event ranks by the moment the all-events reference schedules
+    # it, so the run with every shortcut is the reference run: equal
+    # metrics (drops in the same order included), CSV and trace lines, also
+    # where round link values make data, ACKs and window updates meet in one
+    # microsecond
+    scenario = _tie_or_shipped(name)
+    runs = []
+    for reference in (False, True):
+        with all_events() if reference else contextlib.nullcontext():
+            sim = Simulation(scenario, mode=mode, trace=True)
+            metrics = sim.run()
+        runs.append((metrics, write_csv(metrics.csv_rows()), sim.trace.lines))
+    assert runs[0] == runs[1]
+    if name == "window_update_ties" and mode == "PROACTIVE":
+        assert "0.080000 timeline WGW label=t_a1 t=0.080000" in runs[0][2]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", DIGEST_RUNS.SHIPPED + tuple(TIES))
 def test_the_trace_never_changes_the_run(monkeypatch, name, mode):
     # the trace decides only where lines go: traced and untraced, a run
     # executes the same (time, kind) events, `trace` events left out (they
     # join lines written ahead of time to the trace), and ends with equal
     # metrics, drops in the same order included
-    texts = {"zero_delay_ties": ZERO_DELAY_TIES, "two_gateway_ties": TWO_GATEWAY_TIES}
-    scenario = parse_scenario(texts[name], name) if name in texts else \
-        load_scenario(scenario_path(name))
+    scenario = _tie_or_shipped(name)
     schedule, executed = Kernel.schedule, []
 
     def recording_schedule(kernel, at, fn, kind="event"):
@@ -418,7 +342,7 @@ def test_the_trace_never_changes_the_run(monkeypatch, name, mode):
     assert runs[True] == runs[False]
     assert all(kind != "trace" for _, kind in executed)  # the untraced run's, the last
     if name == "two_gateway_ties" and mode != "PROACTIVE":
-        assert f"{metrics.flows['f0'].goodput_bps():.3f}" == "4099907.675"
+        assert f"{metrics.flows['f0'].goodput_bps():.3f}" == "3993171.597"
 
 
 @pytest.mark.parametrize("name", sorted({case.split("/")[0] for case in GOLDEN_RUNS}))
@@ -480,21 +404,38 @@ def test_a_broken_window_chain_is_warned_at_detection():
                     "t_r0=2.737000"]
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_a_flow_starting_after_a_detection_sends_first_at_its_start(mode):
-    # S1 with the detection at 1.0 s and the flow's start at 3.0 s: the
-    # proactive W_REC only sets the unstarted flow's cap, so no segment of the
-    # flow travels before its start and in every mode its first segment
-    # leaves at 3.0 s; no window update reaches a sender, so no t_a1
+def _s1_late_start():
+    """S1 with the detection at 1.0 s and the flow's start at 3.0 s."""
     text = scenario_path("s1_wlan_to_sat").read_text()
     assert "start = 0.05" in text and "at = 2.5" in text
     text = text.replace("start = 0.05", "start = 3.0").replace("at = 2.5", "at = 1.0")
-    metrics, trace = run(parse_scenario(text, "s1_late_start"), mode=mode, trace=True)
+    return parse_scenario(text, "s1_late_start")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_flow_starting_after_a_detection_sends_first_at_its_start(mode):
+    # the proactive W_REC only sets the unstarted flow's cap, so no segment
+    # of the flow travels before its start and in every mode its first
+    # segment leaves at 3.0 s; no window update reaches a sender, so no t_a1
+    metrics, trace = run(_s1_late_start(), mode=mode, trace=True)
     flow_lines = [line for line in trace.lines
                   if line.split(" ")[1] in ("flow_start", "send", "ack_tx", "ack_rx")]
     assert flow_lines[:2] == ["3.000000 flow_start CN flow=f1",
                               "3.000000 send CN flow=f1 seq=0 len=1460"]
     assert "t_a1" not in metrics.handovers[0].timeline
+
+
+def test_reset_cwnd_acts_on_a_flow_that_has_not_started():
+    # the policy resets every flow at the switch, started or not: the flow
+    # starting at 3.0 s leaves with one segment and the satellite's BDP as
+    # ssthresh, not with the initial window, and gets less than BASELINE
+    goodput = {}
+    for mode in ("BASELINE", "RESET_CWND"):
+        metrics, trace = run(_s1_late_start(), mode=mode, trace=True)
+        goodput[mode] = f"{metrics.flows['f1'].goodput_bps():.3f}"
+    assert [line for line in trace.lines if " cwnd " in line][0] == \
+        "1.000000 cwnd CN flow=f1 cwnd=1460 ssthresh=63750 phase=SLOW_START una=0"
+    assert goodput == {"BASELINE": "514015.067", "RESET_CWND": "404320.485"}
 
 
 def test_multiflow_allocation_applied_per_flow(shipped_scenarios):
