@@ -50,7 +50,13 @@ class HomeAgent:
     def __init__(self, mn: str):
         self.mn = mn
         self.table = BindingTable()
+        self.bound: Optional[str] = None  # the attachment of the binding in force
         self.bu_sent_at = 0  # send time of the binding update in force (its sequence number)
+
+    def register(self, attachment: str, at: int) -> None:
+        """Bind the MN to `attachment` from `at` on."""
+        self.table.register(self.mn, attachment, at)
+        self.bound = attachment
 
     def handle_binding_update(self, seg: Segment, now: int) -> Optional[Segment]:
         """Register the new attachment and produce the BUACK, which the caller
@@ -61,9 +67,9 @@ class HomeAgent:
         if seg.sent_at < self.bu_sent_at:
             return None
         self.bu_sent_at = seg.sent_at
-        self.table.register(self.mn, seg.path_tag, now)
+        self.register(seg.path_tag, now)
         return Segment(flow_id=MIP_FLOW, flags=F_BUACK, sent_at=now, path_tag=seg.path_tag)
 
     def route_attachment(self) -> str:
         """The access network an arriving data segment is redirected to."""
-        return self.table.entries[self.mn][-1].attachment
+        return self.bound

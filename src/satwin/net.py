@@ -20,10 +20,12 @@ alone feeds the home agent's forward link hands data at its route's end to
 the agent at once (`hand_off`): a data segment has one event from source to
 MN there, and two from a detection until the next quiet interval starts.
 With no ACK delay, the MN's downlink hands data to the receiver at once
-too, until the first detection or the run's end: its ACK enters the uplink
-for the data's arrival time, and the ACK's arrival at the source is then
-the one event of a data segment and its ACK (traced, its lines wait for an
-event at the arrival time, see `Simulation._deliver_held`).
+too, until the first detection and from each handover's settling to the
+next detection (`Simulation._resume_mn_hand_off`, which takes the arrivals
+still due over it out of the kernel, `take_arrivals`): its ACK enters the
+uplink for the data's arrival time, and the ACK's arrival at the source is
+then the one event of a data segment and its ACK (traced, its lines wait
+for an event at the arrival time, see `Simulation._deliver_held`).
 `Simulation._shortcuts` wires all of these; the all-events reference
 skips it, and every segment has an event at every hop.
 """
@@ -128,10 +130,9 @@ class DirectedLink:
     with `finish <= at`: bytes that finish at `at` have left by `at`.
     A data segment ending its route here before `hand_off_before` goes to
     `hand_off` for its arrival time, with no event. `Simulation._shortcuts`
-    sets it on the one link into the home agent (`hand_off_before` is the
-    next scripted detection inside a quiet interval, and 0 outside one) and,
-    with no ACK delay, on the MN's downlink until the first detection or
-    the run's end.
+    sets it on the one link into the home agent and, with no ACK delay, on
+    the MN's downlinks; `hand_off_before` is the next scripted detection
+    inside an interval of the link's own, and 0 outside one.
     """
 
     def __init__(self, spec: LinkSpec, src: str, dst: str, kernel: Kernel):
@@ -232,6 +233,16 @@ def pending_arrivals(kernel: Kernel) -> Iterator[Segment]:
     """Every segment on the wire: the one each pending `link-rx` event
     carries, to the node it arrives at or the hop that drops it."""
     return (entry[5] for entry in kernel.pending_entries("link-rx"))
+
+
+def take_arrivals(kernel: Kernel, link: DirectedLink, before: int) -> list[tuple]:
+    """Cancel the pending events of the segments ending their route over `link`
+    before `before`; the (time, origin, segment) of each, in run order."""
+    entries = sorted(e for e in kernel.pending_entries("link-rx")
+                     if e[0] < before and e[5].route[-1] is link and e[5].hop == len(e[5].route))
+    for entry in entries:
+        kernel.cancel(entry)
+    return [(entry[0], entry[1][0], entry[5]) for entry in entries]
 
 
 def _unwired(link: DirectedLink, seg: Segment) -> None:

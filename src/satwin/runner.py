@@ -14,7 +14,7 @@ from .kernel import Kernel, fmt_time
 from .metrics import GAP_WINDOW, DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
 from .mobility import HomeAgent, make_binding_update
 from .net import (F_BU, F_BUACK, F_CONTROL, F_DATA, HEADER_BYTES, DirectedLink, Route, Segment,
-                  Topology, path_rtt, pending_arrivals, rtt_table, single_feeders)
+                  Topology, path_rtt, pending_arrivals, rtt_table, single_feeders, take_arrivals)
 from .scenario import BASELINE, PROACTIVE, RESET_CWND, FlowDef, HandoverDef, Scenario, flow_buffer
 from .tcp import TcpReceiver, TcpSender
 
@@ -223,6 +223,8 @@ class _HandoverRuntime:
         """This handover's BUACK reached the MN (t_r3)."""
         self.sim.trace.emit(now, "buack_recv", self.sim.mn, network=seg.path_tag)
         self.stamp("t_r3", now, self.sim.mn)
+        if self.sim._unconfirmed is self:
+            self.sim._unconfirmed = None
 
     def registration_lost(self, now: int) -> None:
         """A dropped or stale BU, or a dropped BUACK, leaves the binding (or
@@ -307,12 +309,14 @@ class Simulation:
         self._detects = sorted(h.at for h in scenario.handovers) + [scenario.end + 1]
         gap = (self._detects[0], min(self._detects[0] + GAP_WINDOW, scenario.end))
         self._gap_window = gap if scenario.handovers else None
+        self._forward: dict[str, Route] = {}  # binding kind -> the agent's forward route
         # binding kind -> the link into the agent that hands data off while it is in force
         self._into: dict[str, DirectedLink] = {}
         self._to_receiver = self._deliver_held if trace else self._deliver_data  # see _shortcuts
         # detections whose binding update may still reach the agent, and marked window
         # updates not yet at their sender: no hand-off resumes while any is unsettled
         self._unsettled = 0
+        self._unconfirmed: Optional[_HandoverRuntime] = None  # whose BUACK is due at the MN
 
         # the latest handover; its detection retired the one before (see retire)
         self._active: Optional[_HandoverRuntime] = None
@@ -322,8 +326,7 @@ class Simulation:
             dlink.on_drop = self.on_drop
 
         self._attach(scenario.attach, 0)
-        # the starting network counts as registered from t=0
-        self.ha.table.register(self.mn, scenario.attach, 0)
+        self.ha.register(scenario.attach, 0)  # the starting network counts as registered from t=0
 
         for fdef in scenario.flows:
             self._setup_flow(fdef)
@@ -400,6 +403,7 @@ class Simulation:
                 self._resume_hand_off(link, now)
             else:
                 self._deliver_data(seg, now)
+                self._resume_mn_hand_off(link, now)
             return
         if seg.flags & F_BU:
             self._unsettled -= 1
@@ -428,7 +432,7 @@ class Simulation:
         self._manage_rto(rt, rt.sender.snd_una > prev_una)
 
     def _ha_forward(self, seg: Segment, now: int) -> None:
-        kind = self.ha.route_attachment()
+        kind = self.ha.bound
         rt = self.flows[seg.flow_id]
         end = seg.seq + seg.payload_len
         if end > rt.ha_end:
@@ -443,7 +447,7 @@ class Simulation:
         # everything the anchor ever pointed at the old network is below it
         if end > rt.watermark.get(kind, 0):
             rt.watermark[kind] = end
-        seg.route = route = self.topo.routes[(self.ha_node, self.mn, kind)]
+        seg.route = route = self._forward[kind]
         seg.hop = 0
         route[0].transmit(seg, now)
 
@@ -551,9 +555,9 @@ class Simulation:
         data = [topo.route(rt.spec.src, ha) for rt in self.flows.values()]
         acks = [topo.route_via_access(mn, rt.spec.src, kind)
                 for kind in kinds for rt in self.flows.values()]
-        used = data + acks
+        self._forward = {kind: topo.route_via_access(ha, mn, kind) for kind in kinds}
+        used = data + acks + list(self._forward.values())
         for kind in kinds:
-            used.append(topo.route_via_access(ha, mn, kind))
             used += [self._registration_path(kind, to_agent)[1] for to_agent in (True, False)]
         for rt, route in zip(self.flows.values(), data):  # no detection yet: on `attach`
             rt.route, rt.ack_route = route, topo.routes[(mn, rt.spec.src, attach)]
@@ -568,26 +572,27 @@ class Simulation:
         through it and the `acks` of every kind (one sent before a switch may
         still travel) hands data off to the agent inside a quiet interval
         (see _resume_hand_off), the first of which starts now. With no flow
-        delaying its ACKs, the MN's downlink hands data to the receiver
-        until the first detection (past the run's end without one): until
-        then nothing else reaches a receiver or the MN's uplink, so the ACK
-        enters the uplink in time order, for the data's arrival time. The
+        delaying its ACKs, the MN's downlink of each kind hands data to the
+        receiver inside an MN interval (see _resume_mn_hand_off), the first
+        from now to the first detection (past the run's end without one):
+        inside one nothing else reaches a receiver or the MN's uplink, so the
+        ACK enters the uplink in time order, for the data's arrival time. The
         trace only picks the callable (`_to_receiver`), never the events."""
-        topo, mn, ha, attach = self.topo, self.mn, self.ha_node, self.scenario.attach
+        attach = self.scenario.attach
         for link, feeder in single_feeders(used).items():
             link.feeder = feeder
+        delayed = any(f.ack_extra_delay for f in self.scenario.flows)
         for kind in kinds:
-            forward = topo.routes[(ha, mn, kind)]
+            forward = self._forward[kind]
             into = single_feeders([route + forward for route in data] + acks)[forward[0]]
             if into is not None:
                 into.hand_off = self._ha_forward
                 self._into[kind] = into
+            forward[-1].hand_off = None if delayed else self._to_receiver
         if attach in self._into:
             self._into[attach].hand_off_before = self._detects[0]
-        if not any(f.ack_extra_delay for f in self.scenario.flows):
-            down = topo.routes[(ha, mn, attach)][-1]
-            down.hand_off = self._to_receiver
-            down.hand_off_before = self._detects[0]
+        if not delayed:
+            self._forward[attach][-1].hand_off_before = self._detects[0]
 
     def _registration_path(self, kind: str, to_agent: bool) -> tuple[str, Route]:
         """The registration endpoint for `kind` (the proxy gateway, or the MN
@@ -600,7 +605,9 @@ class Simulation:
         return proxy, self.topo.route(*ends)
 
     def _send_buack(self, seg: Segment, now: int) -> None:
-        _, seg.route = self._registration_path(seg.path_tag, to_agent=False)
+        end, seg.route = self._registration_path(seg.path_tag, to_agent=False)
+        if end == self.mn:  # due at the MN until it gets there (see _resume_mn_hand_off)
+            self._unconfirmed = seg.mark
         seg.route[0].transmit(seg, now)
 
     # ------------------------------------------------------------------
@@ -648,6 +655,27 @@ class Simulation:
         last = into.free_at + into.prop_delay  # the last segment it accepted reaches the agent
         if last < now or last == now and link is into:
             into.hand_off_before = self._detects[0]
+
+    def _resume_mn_hand_off(self, link: DirectedLink, now: int) -> None:
+        """A data segment reached the MN over `link`: up to the next
+        detection, `link` hands data to the receiver once (i) nothing is
+        unsettled, (ii) no drain is open, (iii) no BUACK is due at the MN,
+        (iv) no ACK is delayed or paced, and (v) `link` is the downlink of the
+        binding in force and no other forward route carries a segment. The
+        arrivals due over `link` before the detection go to the receiver
+        first, each with its event's origin as `kernel.origin`; README "Event
+        kernel and links" gives the reasons."""
+        ho, bound, kernel = self._active, self.ha.bound, self.kernel
+        if self._unsettled or link.hand_off is None or ho.draining or self._unconfirmed \
+                or any(rt.receiver.ack_delay for rt in self.flows.values()) \
+                or link is not self._forward[bound][-1] or any(
+                    hop.free_at + hop.prop_delay >= now for kind, route in self._forward.items()
+                    if kind != bound for hop in route) \
+                or any(kernel.pending_entries("ack-paced")):
+            return
+        for at, kernel.origin, seg in take_arrivals(kernel, link, self._detects[0]):
+            link.hand_off(seg, at)
+        link.hand_off_before = self._detects[0]
 
     def resting_cap(self, buffer: int) -> int:
         """The window cap a flow with this receive buffer rests at on the

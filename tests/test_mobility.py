@@ -151,12 +151,13 @@ class TestBindingTable:
 
 def test_home_agent_routes_by_the_newest_binding():
     # every registration happens at the time it is processed, so the
-    # newest binding is the one in force
+    # newest binding is the one in force; the table keeps the older ones
     agent = HomeAgent("mn")
-    agent.table.register("mn", "SAT", 10)
-    assert agent.route_attachment() == "SAT"
-    agent.table.register("mn", "WLAN", 20)
-    assert agent.route_attachment() == "WLAN"
+    agent.register("SAT", 10)
+    assert agent.route_attachment() == agent.bound == "SAT"
+    agent.register("WLAN", 20)
+    assert agent.route_attachment() == agent.bound == "WLAN"
+    assert [b.attachment for b in agent.table.entries["mn"]] == ["SAT", "WLAN"]
 
 
 def test_home_agent_acks_binding_update_on_arrival_path():

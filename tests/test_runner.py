@@ -22,6 +22,7 @@ from satwin.net import (F_ACK, F_BU, F_BUACK, F_DATA, NO_COVERAGE, DirectedLink,
 from satwin.runner import Simulation, compare, run
 from satwin.scenario import MODES, load_scenario, parse_scenario
 from satwin.tcp import TcpSender
+from test_scenario import _assert_mn_interval
 
 SINGLE_LINK = """
 [sim]
@@ -1241,15 +1242,19 @@ def test_two_links_into_the_agent_keep_its_arrival_events(monkeypatch, mode):
 
 
 def _mn_run(monkeypatch, scenario, mode, trace=False):
-    """Run `scenario`; returns the simulation, the (time, kernel time) of
-    each data segment the receiver took, and the due times of the data
-    arrival events scheduled at the MN."""
-    taken, events = [], []
+    """Run `scenario`; returns the simulation, the (time, kernel time, access
+    kind) of each data segment the receiver took, the due times of the data
+    arrival events scheduled at the MN, and the MN intervals: each `(start,
+    end)` in which a downlink hands data to the receiver, the first from the
+    run's first event (start -1). At each later start it checks what
+    `_assert_mn_interval` states."""
+    taken, events, intervals = [], [], []
     with monkeypatch.context() as m:
         deliver, schedule = Simulation._deliver_data, Kernel.schedule
+        resolve, resume = Simulation._resolve_routes, Simulation._resume_mn_hand_off
 
         def recording_deliver(sim, seg, now):
-            taken.append((now, sim.kernel.now))
+            taken.append((now, sim.kernel.now, seg.path_tag))
             deliver(sim, seg, now)
 
         def recording_schedule(kernel, at, fn, kind="event"):
@@ -1259,37 +1264,171 @@ def _mn_run(monkeypatch, scenario, mode, trace=False):
                 events.append(at)
             return schedule(kernel, at, fn, kind)
 
+        def recording_resolve(sim):
+            resolve(sim)
+            intervals.extend((-1, link.hand_off_before) for link in sim.topo.directed.values()
+                             if link.dst == sim.mn and link.hand_off_before)
+
+        def recording_resume(sim, link, now):
+            before = link.hand_off_before
+            resume(sim, link, now)
+            if link.hand_off_before != before:
+                intervals.append((now, link.hand_off_before))
+                _assert_mn_interval(sim, link.hand_off_before)
+
         m.setattr(Simulation, "_deliver_data", recording_deliver)
         m.setattr(Kernel, "schedule", recording_schedule)
+        m.setattr(Simulation, "_resolve_routes", recording_resolve)
+        m.setattr(Simulation, "_resume_mn_hand_off", recording_resume)
         sim = Simulation(scenario, mode=mode, trace=trace)
         sim.run()
-    return sim, taken, events
+    return sim, taken, events, intervals
+
+
+def _assert_mn_intervals(scenario, taken, intervals):
+    """A data segment reaching the MN has an arrival event iff it gets there
+    outside every MN interval; each interval ends at a scripted detection
+    or past the run's end."""
+    for now, kernel_now, _ in taken:
+        assert (now > kernel_now) == any(start < now < end for start, end in intervals), now
+    ends = [h.at for h in scenario.handovers] + [scenario.end + 1]
+    assert all(end in ends for _, end in intervals)
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_the_mn_takes_data_without_an_event_until_the_first_detection(monkeypatch, mode):
-    # with no ACK delay, data reaching the MN before the first detection
-    # goes to the receiver from inside `transmit`, for its arrival time, and
-    # has no MN-arrival event, traced or not; from the detection on every
-    # data segment has its event again (test_the_trace_never_changes_the_run
-    # checks the events and metrics of the two)
-    scenario = load_scenario(scenario_path("s1_wlan_to_sat"))
-    detect = scenario.handovers[0].at
-    sim, taken, events = _mn_run(monkeypatch, scenario, mode)
-    early = [now for now, kernel_now in taken if now > kernel_now]
-    assert len(early) > 100 and max(early) < detect
-    assert sorted(now for now, _ in taken if now < detect) == early
-    assert events and min(events) >= detect
-    assert sim.topo.routes[("HA", "MN", scenario.attach)][-1].hand_off_before == 0
-    assert _mn_run(monkeypatch, scenario, mode, trace=True)[1:] == (taken, events)
-    # a cut before the detection ends the hand-off at the run's end
-    sim, taken, events = _mn_run(monkeypatch, cut(scenario, 2_123_457), mode)
-    assert max(now for now, _ in taken) <= 2_123_457 < min(events)
+@pytest.mark.parametrize("name", ["s1_wlan_to_sat", "s5_roundtrip"])
+def test_the_mn_takes_data_without_an_event_in_each_mn_interval(monkeypatch, name, mode):
+    # with no ACK delay, data reaching the MN before the first detection, and
+    # after each handover settles until the next detection, goes to the
+    # receiver from inside `transmit`, for its arrival time, and has no
+    # MN-arrival event, traced or not. From each detection until the
+    # interval after it starts, every data segment has its event. The start
+    # takes the arrivals already due over the downlink out of the kernel
+    # (the flow keeps it full) and hands them to the receiver there
+    # (test_the_trace_never_changes_the_run checks the events and metrics)
+    scenario = load_scenario(scenario_path(name))
+    sim, taken, events, intervals = _mn_run(monkeypatch, scenario, mode)
+    detects = [h.at for h in scenario.handovers]
+    assert [end for _, end in intervals] == detects + [scenario.end + 1]
+    assert intervals[0][0] == -1
+    _assert_mn_intervals(scenario, taken, intervals)
+    for (start, _), detect, ho in zip(intervals[1:], detects, sim.metrics.handovers):
+        t_r3 = ho.timeline["t_r3"]
+        kept = [now for now, kernel_now, _ in taken if detect <= now <= start]
+        assert detect < t_r3 < start and kept and all(now in events for now in kept)
+        # data still due over the downlink when the interval started
+        assert any(kernel_now == start < now for now, kernel_now, _ in taken)
+    assert sum(now > kernel_now for now, kernel_now, _ in taken) > 0.8 * len(taken)
+    if name == "s1_wlan_to_sat":  # nothing else waits: the first data event after t_r3
+        t_r3 = sim.metrics.handovers[0].timeline["t_r3"]
+        assert intervals[1][0] == min(now for now, kernel_now, _ in taken
+                                      if now == kernel_now >= t_r3)
+    assert _mn_run(monkeypatch, scenario, mode, trace=True)[1:] == (taken, events, intervals)
+    # a cut before the first detection ends the hand-off at the run's end
+    sim, taken, events, intervals = _mn_run(monkeypatch, cut(scenario, 2_123_457), mode)
+    assert max(now for now, _, _ in taken) <= 2_123_457 < min(events)
     # with a flow delaying its ACKs, every data segment has its event
     delayed = replace(scenario, flows=tuple(replace(f, ack_extra_delay=1) for f in scenario.flows))
-    sim, taken, events = _mn_run(monkeypatch, cut(delayed, detect), mode)
-    assert taken and all(now == kernel_now for now, kernel_now in taken)
+    sim, taken, events, intervals = _mn_run(monkeypatch, delayed, mode)
+    assert taken and all(now == kernel_now for now, kernel_now, _ in taken) and intervals == []
     assert len(events) >= len(taken)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_no_mn_interval_starts_while_the_old_downlink_delivers(monkeypatch, mode):
+    # S2 leaves the satellite: long after t_r3, data the agent routed onto
+    # SAT before t_r1 still reaches the MN over the old downlink, so the
+    # WLAN arrivals between keep their events, and the interval starts at
+    # the first WLAN arrival after the last SAT one
+    scenario = load_scenario(scenario_path("s2_sat_to_wlan"))
+    sim, taken, events, intervals = _mn_run(monkeypatch, scenario, mode)
+    _assert_mn_intervals(scenario, taken, intervals)
+    (_, detect), (start, _) = intervals
+    last_sat = max(now for now, _, tag in taken if tag == "SAT")
+    t_r3 = sim.metrics.handovers[0].timeline["t_r3"]
+    waited = [now for now, kernel_now, tag in taken if tag == "WLAN" and t_r3 < now < last_sat]
+    assert all(now in events for now in waited)
+    assert len(waited) > 10 or mode == "PROACTIVE"  # which drains SAT with a window of 0
+    assert start == min(now for now, _, tag in taken if tag == "WLAN" and now > last_sat)
+
+
+_S1_PACED = scenario_path("s1_wlan_to_sat").read_text().replace(
+    "to = SAT\n", "to = SAT\nack_pacing = 0.1\n", 1)
+
+
+def test_no_mn_interval_starts_while_acks_are_paced(monkeypatch):
+    # PROACTIVE onto the satellite with ACK pacing: the receiver delays its
+    # ACKs until the next detection, so no interval starts after this one,
+    # and every data segment from the detection on has its event
+    scenario = parse_scenario(_S1_PACED, "s1_paced")
+    sim, taken, events, intervals = _mn_run(monkeypatch, scenario, "PROACTIVE")
+    detect = scenario.handovers[0].at
+    assert intervals == [(-1, detect)]
+    late = [now for now, kernel_now, _ in taken if now >= detect]
+    assert len(late) > 100 and all(now in events for now in late)
+    _assert_mn_intervals(scenario, taken, intervals)
+
+
+def test_an_mn_interval_waits_for_the_last_paced_ack(monkeypatch):
+    # the paced S1 run with a second move onto the satellite at 4.0 s, which
+    # aborts at once: pacing ends there, but ACKs paced before it still wait
+    # to enter the uplink, so the interval starts only after the last of
+    # them; starting it earlier admits ACKs ahead of them, and the trace
+    # differs from the all-events reference's
+    scenario = parse_scenario(_S1_PACED + "\n[handover.2]\nat = 4.0\nto = SAT\n", "s1_paced")
+    paced, schedule = [], Kernel.schedule
+
+    def recording_schedule(kernel, at, fn, kind="event"):
+        if kind == "ack-paced":
+            paced.append(at)
+        return schedule(kernel, at, fn, kind)
+
+    monkeypatch.setattr(Kernel, "schedule", recording_schedule)
+    sim, taken, events, intervals = _mn_run(monkeypatch, scenario, "PROACTIVE", trace=True)
+    (_, first), (start, end) = intervals
+    assert first == 2_500_000 and sim.metrics.handovers[1].aborted
+    assert 4_000_000 < max(paced) < start and end == scenario.end + 1
+    _assert_mn_intervals(scenario, taken, intervals)
+    with all_events():
+        reference = Simulation(scenario, mode="PROACTIVE", trace=True)
+        assert reference.run() == sim.metrics
+    assert reference.trace.lines == sim.trace.lines
+
+
+def test_no_mn_interval_starts_while_a_drain_is_open(monkeypatch):
+    # s2_lossy with a second flow: f1's drain ends when its old stream is
+    # in, and its window opens on WLAN, but f2's stays open until the drain
+    # timeout (its hole never fills). The interval starts only after that:
+    # the timeout steers f2 and sends its window update up the uplink, where
+    # ACKs admitted ahead of time would be ahead of it, and the trace would
+    # differ from the all-events reference's
+    scenario = s2_lossy("\n[flow.f2]\nsrc = CN\ndst = MN\nstart = 0.1\n")
+    sim, taken, events, intervals = _mn_run(monkeypatch, scenario, "PROACTIVE", trace=True)
+    done = [int(line.split(" ", 1)[0].replace(".", "")) for line in sim.trace.lines
+            if " drain_done " in line]
+    (_, detect), (start, _) = intervals
+    assert len(done) == 2 and done[-1] - done[0] > 100_000 and done[-1] < start
+    assert [now for now, _, _ in taken if done[0] < now < done[-1]]  # f1 took data meanwhile
+    _assert_mn_intervals(scenario, taken, intervals)
+    with all_events():
+        reference = Simulation(scenario, mode="PROACTIVE", trace=True)
+        assert reference.run() == sim.metrics
+    assert reference.trace.lines == sim.trace.lines
+
+
+def test_no_mn_interval_starts_after_a_dropped_buack(monkeypatch):
+    # the BUACK of S1 baseline is dropped on its way back to the MN (see
+    # test_a_buack_dropped_at_a_skipped_hop_is_lost_when_it_gets_there):
+    # the MN never learns its binding, so every data segment from the
+    # detection on keeps its event
+    scenario = _s1_with_sat_gap("2.6", "3.0")
+    sim, taken, events, intervals = _mn_run(monkeypatch, scenario, "BASELINE")
+    assert "t_r1" in sim.metrics.handovers[0].timeline
+    assert "t_r3" not in sim.metrics.handovers[0].timeline
+    assert intervals == [(-1, scenario.handovers[0].at)]
+    late = [now for now, kernel_now, _ in taken if now >= scenario.handovers[0].at]
+    assert len(late) > 100 and all(now in events for now in late)
+    _assert_mn_intervals(scenario, taken, intervals)
 
 
 def test_a_segment_lost_mid_path_fails_conservation(shipped_scenarios):

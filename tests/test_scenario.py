@@ -12,7 +12,7 @@ from satwin.cli import build_parser, main
 from satwin.errors import ConfigError
 from satwin.kernel import fmt_time
 from satwin.metrics import write_csv
-from satwin.net import F_ACK, F_BU, F_DATA, DirectedLink, pending_arrivals
+from satwin.net import F_ACK, F_BU, F_BUACK, F_DATA, DirectedLink, pending_arrivals
 from satwin.runner import Simulation
 from satwin.scenario import MODE_NAMES, MODES, _SCHEMA, canonical_text, load_scenario, parse_scenario
 from test_handover_sequences import _assert_registration_once
@@ -656,8 +656,9 @@ def test_generated_scenarios_run_in_every_mode(text):
     data the agent forwards inside a quiet interval, before the next
     detection, once no detection can still switch, no binding update is on
     its way and no data segment is due at the agent; and, with no ACK
-    delay, the MN's uplink, for the ACK of data handed to the MN before
-    the first detection and the run's end. Nodes and links are kept by name,
+    delay, the MN's uplink, for the ACK of data handed to the MN inside an
+    MN interval, before the next detection and the run's end (see
+    `_assert_mn_interval`). Nodes and links are kept by name,
     one link per pair of nodes, and routes break ties on node names, so the
     file with its [node.*] and [link.*] sections shuffled gives the same CSV
     and trace bytes (in one mode, chosen with the shuffle). No segment of a
@@ -679,7 +680,10 @@ def test_generated_scenarios_run_in_every_mode(text):
         elif at > link.kernel.now and seg.flags & F_ACK:  # the ACK of data handed to the MN
             assert not any(f.ack_extra_delay for f in s.flows)
             assert link is sim.flows[seg.flow_id].ack_route[0], link.label
-            assert not handovers and at < detections[0] and at <= s.end, link.label
+            assert at < detections[len(handovers)] and at <= s.end, link.label
+            if mn_checked[-1] != len(handovers):  # once per MN interval
+                mn_checked.append(len(handovers))
+                _assert_mn_interval(sim, detections[len(handovers)])
         elif at > link.kernel.now:  # handed off to the agent
             assert link is sim.topo.routes[(sim.ha_node, sim.mn, sim.ha.route_attachment())][0]
             assert seg.flags & F_DATA and at < detections[len(handovers)], link.label
@@ -693,7 +697,7 @@ def test_generated_scenarios_run_in_every_mode(text):
         return transmit(link, seg, at)
 
     for mode in MODES:
-        quiet_checked = [None]
+        quiet_checked, mn_checked = [None], [None]
         sim = Simulation(s, mode=mode, trace=True)
         with mock.patch.object(DirectedLink, "transmit", fed_transmit):
             metrics = sim.run()
@@ -719,7 +723,7 @@ def test_generated_scenarios_run_in_every_mode(text):
             assert reference.run() == metrics, mode  # so the CSV is the same too
         assert reference.trace.lines == sim.trace.lines, mode
         csv = write_csv(metrics.csv_rows())
-        quiet_checked = [None]
+        quiet_checked, mn_checked = [None], [None]
         sim = Simulation(s, mode=mode)
         with mock.patch.object(DirectedLink, "transmit", fed_transmit):
             untraced = sim.run()
@@ -729,6 +733,37 @@ def test_generated_scenarios_run_in_every_mode(text):
                                   trace=True)
             assert write_csv(shuffled.run().csv_rows()) == csv, mode
             assert shuffled.trace.text() == traced_text, mode
+
+
+def _assert_mn_interval(sim: Simulation, until: int) -> None:
+    """What holds while the MN's downlink hands data to the receiver, up to
+    the detection at `until`: (i) no detection can still switch, and no
+    binding update or marked window update is on its way; (ii) the latest
+    handover drains no flow; (iii) no BUACK is due at the MN and, with
+    registration by the MN, the latest BUACK sent reached it (t_r3);
+    (iv) no receiver delays its ACKs and no paced ACK waits; (v) nothing is
+    due at the MN before `until` but over the downlink of the binding in
+    force, with no event (the interval took those), and no other link into
+    the MN has anything left to deliver."""
+    handovers, now = sim.metrics.handovers, sim.kernel.now
+    down = sim.topo.routes[(sim.ha_node, sim.mn, sim.ha.route_attachment())][-1]
+    if handovers:
+        assert handovers[-1].aborted or "t_r0" in handovers[-1].timeline
+        assert not sim._active.draining
+        registered = [h for h in handovers if "t_r1" in h.timeline]  # each sent a BUACK
+        assert sim.scenario.registration != "MN" or not registered \
+            or "t_r3" in registered[-1].timeline
+    assert not any(rt.receiver.ack_delay for rt in sim.flows.values())
+    assert not any(sim.kernel.pending_entries("ack-paced"))
+    for entry in sim.kernel.pending_entries("link-rx"):
+        seg = entry[5]
+        assert not seg.flags & F_BU and not (seg.mark is not None and seg.flags & F_ACK)
+        if seg.route[-1].dst == sim.mn:
+            assert not seg.flags & F_BUACK and seg.route[-1] is down
+            assert seg.hop < len(seg.route) or entry[0] >= until
+    for link in sim.topo.directed.values():
+        if link.dst == sim.mn and link is not down:
+            assert link.free_at == 0 or link.free_at + link.prop_delay < now, link.label
 
 
 def _shuffled_sections(text: str, rnd: random.Random) -> str:
