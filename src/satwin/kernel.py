@@ -39,14 +39,16 @@ class SchedulingError(SimError):
 
 class Kernel:
     """Virtual clock plus an ordered, cancellable event queue: a heap of
-    `[t, (origin, seq), fn, kind, done]` entries in (time, origin, sequence
-    number) order; `schedule` returns the entry as the event's handle, and
-    takes its origin from `origin`. `done` is None while the event is
+    `[t, rank, fn, kind, done, seg]` entries in (time, origin, sequence
+    number) order, where `rank` is `origin << 40 | seq` (one int compares
+    faster than a pair; a run schedules fewer than 2**40 events);
+    `schedule` returns the entry as the event's handle, and takes its
+    origin from `origin`. `done` is None while the event is
     pending and `_DONE` once it fired or was cancelled: a tombstone the run
     loop skips. An entry never moves; a timer whose deadline moves later
     keeps its deadline itself and queues itself again when it fires early.
-    A `link-rx` entry carries a sixth slot, the arriving segment, which
-    only `net` writes and reads.
+    The sixth slot is None, except that a `link-rx` entry carries the
+    arriving segment there, which only `net` writes and reads.
 
     Single-threaded by design: one kernel per simulation instance, no shared
     mutable state. One seeded PRNG is owned here; the core model draws
@@ -58,7 +60,7 @@ class Kernel:
         self.now: int = 0
         self.origin: int = 0  # what is scheduled now ranks by this moment
         self.rng = random.Random(seed)
-        self._heap: list[list] = []  # [fire_at, (origin, seq), fn, kind, done]
+        self._heap: list[list] = []  # [fire_at, origin << 40 | seq, fn, kind, done, seg]
         self._seqs = itertools.count()
         self._live = 0
 
@@ -67,7 +69,7 @@ class Kernel:
             raise SchedulingError(
                 f"event {kind!r} scheduled at {fmt_time(at)} before clock {fmt_time(self.now)}"
             )
-        entry = [at, (self.origin, next(self._seqs)), fn, kind, None]
+        entry = [at, self.origin << 40 | next(self._seqs), fn, kind, None, None]
         self._live += 1
         heapq.heappush(self._heap, entry)
         return entry

@@ -77,6 +77,7 @@ class FlowMetrics:
     bytes_delivered: int = 0  # payload bytes of every copy reaching the MN
     bytes_dropped: int = 0
     bytes_inflight_end: int = 0
+    # the receiver's rcv_nxt and when it last moved, copied at the end of `Simulation.run`
     delivered_inorder: int = 0
     last_inorder_at: Optional[int] = None
     retransmits: int = 0
@@ -94,12 +95,10 @@ class FlowMetrics:
         if self.gap_window is not None:
             self.gap_from = self.gap_window[0]
 
-    def note_inorder(self, delivered: int, now: int) -> None:
-        """The receiver's in-order data grew to `delivered` bytes at `now`."""
-        self.delivered_inorder = delivered
-        self.last_inorder_at = now
+    def note_inorder(self, now: int) -> None:
+        """In-order data grew at `now`; reported once a detection set the gap window."""
         window = self.gap_window
-        if window is not None and window[0] <= now <= window[1]:
+        if window[0] <= now <= window[1]:
             if now - self.gap_from > self.max_gap:
                 self.max_gap = now - self.gap_from
             self.gap_from = now

@@ -127,7 +127,8 @@ class DirectedLink:
     Occupancy counts every byte accepted and not yet fully serialized.
     `backlog` holds `(finish, wire)` per accepted segment. An admission for
     time `at`, at `kernel.now` or ahead of it, first releases every entry
-    with `finish <= at`: bytes that finish at `at` have left by `at`.
+    with `finish <= at`: bytes that finish at `at` have left by `at`. On an
+    idle link (`free_at <= at`) that is every entry, released without a walk.
     A data segment ending its route here before `hand_off_before` goes to
     `hand_off` for its arrival time, with no event. `Simulation._shortcuts`
     sets it on the one link into the home agent and, with no ACK delay, on
@@ -167,14 +168,20 @@ class DirectedLink:
         by `at`, the moment the all-events run admits `seg` here.
 
         Arrival = end of FIFO serialization + propagation delay. Wire size
-        and serialization inline `Segment.wire_size`/`LinkSpec.serialization_us`.
+        and serialization inline `Segment.wire_size`/`LinkSpec.serialization_us`;
+        only a busy serializer walks its backlog for the finished entries.
         An accepted segment gets this link's tag and moves on one hop.
         """
         kernel = self.kernel
         backlog = self.backlog
-        occupancy = self.occupancy
-        while backlog and backlog[0][0] <= at:
-            occupancy -= backlog.popleft()[1]
+        free_at = self.free_at
+        if free_at <= at:  # an idle serializer: every accepted byte has left
+            backlog.clear()
+            occupancy = 0
+        else:  # the guard: an admission ahead of time may have emptied the backlog
+            occupancy = self.occupancy
+            while backlog and backlog[0][0] <= at:
+                occupancy -= backlog.popleft()[1]
         wire = CONTROL_BYTES if seg.flags & F_CONTROL else HEADER_BYTES + seg.payload_len
         if not self.always_up and not self.spec.is_available(at):
             self.occupancy = occupancy
@@ -185,7 +192,6 @@ class DirectedLink:
             self._drop(seg, OVERFLOW, at)
             return
         self.occupancy = occupancy + wire
-        free_at = self.free_at
         finish = (at if at > free_at else free_at) + (wire * SEC + self.round_up) // self.bandwidth
         self.free_at = finish
         backlog.append((finish, wire))
@@ -199,19 +205,19 @@ class DirectedLink:
             if arrival < self.hand_off_before:
                 self.hand_off(seg, arrival)
             else:
-                kernel.schedule(arrival, partial(self.deliver, self, seg), "link-rx").append(seg)
+                kernel.schedule(arrival, partial(self.deliver, self, seg), "link-rx")[5] = seg
                 # the sixth slot is read by pending_arrivals; a tracer may have wrapped the handler
         else:
             nxt = route[hop]
             if nxt.feeder is self:
                 nxt.transmit(seg, arrival)
             else:  # several feeders: `seg` enters the next link from its arrival event
-                kernel.schedule(arrival, partial(nxt.transmit, seg, arrival), "link-rx").append(seg)
+                kernel.schedule(arrival, partial(nxt.transmit, seg, arrival), "link-rx")[5] = seg
         kernel.origin = origin
 
     def _drop(self, seg: Segment, reason: str, at: int) -> None:
         if at > self.kernel.now:  # a skipped hop: the drop happens when `seg` gets here
-            self.kernel.schedule(at, partial(self._drop, seg, reason, at), "link-rx").append(seg)
+            self.kernel.schedule(at, partial(self._drop, seg, reason, at), "link-rx")[5] = seg
             return
         self.drops[reason] += 1
         if self.on_drop is not None:
@@ -242,7 +248,7 @@ def take_arrivals(kernel: Kernel, link: DirectedLink, before: int) -> list[tuple
                      if e[0] < before and e[5].route[-1] is link and e[5].hop == len(e[5].route))
     for entry in entries:
         kernel.cancel(entry)
-    return [(entry[0], entry[1][0], entry[5]) for entry in entries]
+    return [(entry[0], entry[1] >> 40, entry[5]) for entry in entries]
 
 
 def _unwired(link: DirectedLink, seg: Segment) -> None:

@@ -13,8 +13,9 @@ from .errors import ConfigError
 from .kernel import Kernel, fmt_time
 from .metrics import GAP_WINDOW, DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
 from .mobility import HomeAgent, make_binding_update
-from .net import (F_BU, F_BUACK, F_CONTROL, F_DATA, HEADER_BYTES, DirectedLink, Route, Segment,
-                  Topology, path_rtt, pending_arrivals, rtt_table, single_feeders, take_arrivals)
+from .net import (F_ACK, F_BU, F_BUACK, F_CONTROL, F_DATA, HEADER_BYTES, DirectedLink, Route,
+                  Segment, Topology, path_rtt, pending_arrivals, rtt_table, single_feeders,
+                  take_arrivals)
 from .scenario import BASELINE, PROACTIVE, RESET_CWND, FlowDef, HandoverDef, Scenario, flow_buffer
 from .tcp import TcpReceiver, TcpSender
 
@@ -354,10 +355,19 @@ class Simulation:
         fm = FlowMetrics(fdef.name, start=fdef.start, gap_window=self._gap_window,
                          rto_times=sender.rto_times, fr_times=sender.fr_times)
         runtime = _FlowRuntime(fdef, sender, receiver, fm)
-        sender.send_cb = partial(self._send_data, runtime)
+        trace = self.trace
+
+        def send(seg: Segment, now: int) -> None:  # the sender's segments, onto its route
+            fm.bytes_sent += seg.payload_len
+            if trace.enabled:
+                trace.send(now, "rexmit" if seg.rexmit else "send", fdef.src, seg.flow_id, seg.seq,
+                           seg.payload_len)
+            seg.route = route = runtime.route
+            route[0].transmit(seg, now)
+
+        sender.send_cb = send
         if self.trace.enabled:
             sender.state_cb = partial(self._trace_state, runtime)
-        receiver.advance_cb = partial(self._on_inorder, runtime)
         self.flows[fdef.name] = runtime
         self.metrics.flows[fdef.name] = fm
 
@@ -372,14 +382,6 @@ class Simulation:
 
     # ------------------------------------------------------------------
     # data plane
-
-    def _send_data(self, rt: _FlowRuntime, seg: Segment, now: int) -> None:
-        rt.metrics.bytes_sent += seg.payload_len
-        if self.trace.enabled:
-            self.trace.send(now, "rexmit" if seg.rexmit else "send", rt.spec.src,
-                            seg.flow_id, seg.seq, seg.payload_len)
-        seg.route = route = rt.route
-        route[0].transmit(seg, now)
 
     def _emit_ack(self, rt: _FlowRuntime, seg: Segment, send_at: int) -> None:
         """Send the receiver's ACK at `send_at`: from a paced event when the
@@ -396,16 +398,24 @@ class Simulation:
     def _on_arrival(self, link: DirectedLink, seg: Segment) -> None:
         """`seg` reached the end of its route over `link`."""
         now = self.kernel.now
-        node = link.dst
-        if seg.flags & F_DATA:
-            if node == self.ha_node:
+        if seg.flags & F_ACK:  # cumulative ACK reaching the sender
+            rt = self.flows[seg.flow_id]
+            if seg.mark is not None:
+                self._unsettled -= 1
+                seg.mark.advert_arrived(rt, now)
+            if self.trace.enabled:
+                self.trace.ack_rx(now, link.dst, seg.flow_id, seg.ack, seg.rwnd)
+            prev_una = rt.sender.snd_una
+            rt.sender.on_ack(seg, now)
+            self._manage_rto(rt, rt.sender.snd_una > prev_una)
+        elif seg.flags & F_DATA:
+            if link.dst == self.ha_node:
                 self._ha_forward(seg, now)
                 self._resume_hand_off(link, now)
             else:
                 self._deliver_data(seg, now)
                 self._resume_mn_hand_off(link, now)
-            return
-        if seg.flags & F_BU:
+        elif seg.flags & F_BU:
             self._unsettled -= 1
             buack = self.ha.handle_binding_update(seg, now)
             self.trace.emit(now, "bu_recv", self.ha_node, network=seg.path_tag)
@@ -416,20 +426,8 @@ class Simulation:
                 buack.mark = seg.mark
                 self._send_buack(buack, now)
             self._resume_hand_off(link, now)
-            return
-        if seg.flags & F_BUACK:
+        else:  # a BUACK
             seg.mark.confirmed(seg, now)
-            return
-        # cumulative ACK reaching the sender
-        rt = self.flows[seg.flow_id]
-        if seg.mark is not None:
-            self._unsettled -= 1
-            seg.mark.advert_arrived(rt, now)
-        if self.trace.enabled:
-            self.trace.ack_rx(now, node, seg.flow_id, seg.ack, seg.rwnd)
-        prev_una = rt.sender.snd_una
-        rt.sender.on_ack(seg, now)
-        self._manage_rto(rt, rt.sender.snd_una > prev_una)
 
     def _ha_forward(self, seg: Segment, now: int) -> None:
         kind = self.ha.bound
@@ -474,7 +472,7 @@ class Simulation:
         self.trace.lines = lines
 
     def _on_inorder(self, rt: _FlowRuntime, receiver: TcpReceiver, now: int) -> None:
-        rt.metrics.note_inorder(receiver.rcv_nxt, now)
+        rt.metrics.note_inorder(now)
         ho = self._active
         if ho is not None and ho.draining:
             ho.check_drain(rt, now)
@@ -628,6 +626,8 @@ class Simulation:
         self.metrics.handovers.append(ho.metrics)
         for rt in self.flows.values():  # an earlier handover's ACK pacing ends here
             rt.receiver.ack_delay = rt.spec.ack_extra_delay
+            # the gap window and the drains read in-order advances from the first detection
+            rt.receiver.advance_cb = partial(self._on_inorder, rt)
         if hdef.to == self.attachment:
             ho.abort(now)  # already attached to the target
         else:
@@ -723,6 +723,7 @@ class Simulation:
             fm = rt.metrics
             fm.retransmits = rt.sender.retransmit_count
             fm.max_rwnd_increase = rt.receiver.max_rwnd_increase
+            fm.delivered_inorder, fm.last_inorder_at = rt.receiver.rcv_nxt, rt.receiver.advanced_at
             fm.bytes_inflight_end = inflight[fid]
         self.metrics.check_conservation()
         return self.metrics

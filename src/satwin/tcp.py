@@ -149,7 +149,7 @@ class TcpSender:
         ack, rwnd, snd_una = seg.ack, seg.rwnd, self.snd_una
         if ack > self.snd_nxt:
             raise ProtocolViolation(
-                f"flow {self.flow_id}: ack {ack} beyond snd_nxt {self.snd_nxt}"
+                f"flow {self.flow_id} at {fmt_time(now)}: ack {ack} beyond snd_nxt {self.snd_nxt}"
             )
         if ack < snd_una:
             return  # old ACK from a stale path; ignore entirely
@@ -302,6 +302,8 @@ class TcpReceiver:
         self.ramp_target: Optional[int] = None  # the cap a running ramp raises toward
         self.ramp_step = 2 * mss  # its step per ACK, and its bound on each window increase
         self.overflow_drops = 0
+        self.advanced_at: Optional[int] = None  # when rcv_nxt last moved
+        # in-order advances, for the gap window and the drains: wired from the first detection
         self.advance_cb: Callable[[TcpReceiver, int], None] | None = None
 
     # -- window bookkeeping ----------------------------------------------
@@ -370,14 +372,15 @@ class TcpReceiver:
 
     def on_data(self, seg: Segment, now: int) -> None:
         if not seg.flags & F_DATA:
-            raise ProtocolViolation("receiver got a non-data segment")
+            raise ProtocolViolation(f"flow {self.flow_id} at {fmt_time(now)}: receiver got "
+                                    f"a non-data segment (flags {seg.flags})")
         seq, end = seg.seq, seg.seq + seg.payload_len
         if end <= self.rcv_nxt or (self.oob and self.holds_range(seq, seg.payload_len)):
             # stale duplicate: re-ACK so the peer can resynchronize
             self._maybe_dupack(now)
             return
         if seq <= self.rcv_nxt:
-            self.rcv_nxt = end
+            self.rcv_nxt, self.advanced_at = end, now
             if self.oob:
                 self._absorb_contiguous()
             if self.advance_cb is not None:
@@ -430,7 +433,8 @@ class TcpReceiver:
         target = self.ramp_target
         if target is not None and self.policy_cap < target and not flags & F_REFRESH:
             self.policy_cap = min(self.policy_cap + self.ramp_step, target)
-        rwnd = self.advertised()
+        free, cap = self.buffer_capacity - self.oob_bytes, self.policy_cap
+        rwnd = free if cap is UNLIMITED or cap > free else cap  # advertised(), inline
         last = self.last_rwnd
         if rwnd > last:
             if target is not None:

@@ -1,7 +1,7 @@
 from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from satwin.kernel import Kernel, SimError
 from satwin.net import (
@@ -261,6 +261,10 @@ _aheads = st.sampled_from([0, 0, 0, 500, 1000, 1500])  # an admission for a late
         min_size=1, max_size=25,
     ),
 )
+# the admission for 2000 us, made at 500 us, empties the backlog, and the
+# next one, for 500 us, finds `free_at` (1000) later than its own time
+@example(queue=1500, prop=0, avail=((0, 2000), (3500, 10**9)),
+         ops=[(0, 960, 0, None), (500, 460, 1500, (0, 460, 0, False))])
 def test_lazy_release_matches_a_dequeue_event_per_segment(queue, prop, avail, ops):
     def lazy(k):
         return make_link(k, bandwidth=1_000_000, prop=prop, queue=queue, avail=avail, kind="WLAN")

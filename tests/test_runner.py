@@ -293,13 +293,19 @@ WINDOW_UPDATE_TIES = _gateway_file(
 TIES = {"zero_delay_ties": ZERO_DELAY_TIES, "two_gateway_ties": TWO_GATEWAY_TIES,
         "window_update_ties": WINDOW_UPDATE_TIES}
 
+# S2 whose WLAN coverage ends at 4.25 s, inside the 0.5 s lead of the boost
+# detected at 4 s: PROACTIVE aborts the switch at execution
+ABORTED_BOOST = scenario_path("s2_sat_to_wlan").read_text().replace(
+    "queue = 131072\n", "queue = 131072\navailability = 0:4.25\n")
+
 
 def _tie_or_shipped(name):
-    return parse_scenario(TIES[name], name) if name in TIES else load_scenario(scenario_path(name))
+    texts = {**TIES, "s2_aborted_boost": ABORTED_BOOST}
+    return parse_scenario(texts[name], name) if name in texts else load_scenario(scenario_path(name))
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("name", DIGEST_RUNS.SHIPPED + tuple(TIES))
+@pytest.mark.parametrize("name", DIGEST_RUNS.SHIPPED + tuple(TIES) + ("s2_aborted_boost",))
 def test_every_shortcut_run_is_the_all_events_run(name, mode):
     # every event ranks by the moment the all-events reference schedules
     # it, so the run with every shortcut is the reference run: equal
@@ -462,6 +468,44 @@ def test_handover_gap_shrinks_under_proactive_mode(shipped_scenarios):
     assert gaps["PROACTIVE"] < gaps["BASELINE"]
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_run_without_a_handover_never_reports_an_in_order_advance(
+        monkeypatch, shipped_scenarios, mode):
+    # before the first detection nothing reads an in-order advance: the run
+    # copies rcv_nxt and when it last moved into FlowMetrics at its end
+    def unwired(*args):
+        raise AssertionError("in-order advance reported without a detection")
+
+    monkeypatch.setattr(Simulation, "_on_inorder", unwired)
+    monkeypatch.setattr(runner.FlowMetrics, "note_inorder", unwired)
+    scenario = replace(shipped_scenarios["s1_wlan_to_sat"], handovers=())
+    untraced, _ = run(scenario, mode=mode)
+    traced, _ = run(scenario, mode=mode, trace=True)
+    assert untraced.flows == traced.flows
+    fm = untraced.flows["f1"]
+    assert fm.delivered_inorder > 0 and fm.delivered_inorder % 1460 == 0
+    assert 0 < fm.last_inorder_at <= scenario.end
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ["s1_wlan_to_sat", "s5_roundtrip"])
+def test_in_order_advances_are_reported_from_the_first_detection(monkeypatch, name, mode):
+    # the gap window and the drains, the only readers, start at the first detection
+    calls = []
+    on_inorder = Simulation._on_inorder
+
+    def recorded(sim, rt, receiver, now):
+        calls.append((sim.kernel.now, now))
+        on_inorder(sim, rt, receiver, now)
+
+    monkeypatch.setattr(Simulation, "_on_inorder", recorded)
+    scenario = load_scenario(scenario_path(name))
+    first_detection = min(h.at for h in scenario.handovers)
+    metrics, _ = run(scenario, mode=mode)
+    assert calls and min(min(pair) for pair in calls) >= first_detection
+    assert metrics.flows["f1"].handover_gap() > 0
+
+
 def test_reset_cwnd_mode_reseeds_slow_start(shipped_scenarios):
     metrics, trace = run(shipped_scenarios["s1_wlan_to_sat"], mode="RESET_CWND", trace=True)
     after = [l for l in trace.lines if l.startswith("2.500000 cwnd")]
@@ -499,6 +543,20 @@ def s2_lossy(extra=""):
         "delay = 0.250\nqueue = 65536\navailability = 0.0:4.4,4.45:9.1",
     )
     return parse_scenario(text + extra, "s2_lossy")
+
+
+def test_a_boost_whose_target_loses_coverage_aborts_at_execution():
+    # the boost ramps from the detection; at execution (4 s + exec_lead) WLAN
+    # is out of coverage, so no switch happens and the windows rest on SAT
+    sim = Simulation(_tie_or_shipped("s2_aborted_boost"), mode="PROACTIVE", trace=True)
+    metrics = sim.run()  # checks conservation
+    ho = metrics.handovers[0]
+    assert ho.aborted and ho.timeline == {}
+    assert "4.000000 boost MN flow=f1 target=127500 step=2920" in sim.trace.lines
+    assert "4.500000 handover_abort MN handover=1" in sim.trace.lines
+    assert "4.500000 wpolicy MN flow=f1 cap=63750" in sim.trace.lines
+    assert sim.attachment == "SAT" and sim.ha.bound == "SAT"
+    assert all(fm.conservation_residual() == 0 for fm in metrics.flows.values())
 
 
 def test_drain_times_out_when_a_satellite_segment_is_lost():

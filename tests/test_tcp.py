@@ -100,8 +100,9 @@ class TestSenderOnAck:
     def test_ack_beyond_snd_nxt_is_protocol_violation(self):
         sender, _ = make_sender()
         fill_flight(sender, 2)
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(ProtocolViolation) as raised:
             sender.on_ack(ack(5 * MSS), 10)
+        assert str(raised.value) == "flow f at 0.000010: ack 7300 beyond snd_nxt 2920"
 
     def test_stale_ack_cannot_reopen_closed_window(self):
         sender, sent = make_sender()
@@ -363,9 +364,10 @@ class TestWindowPolicy:
 
     def test_non_data_segment_is_protocol_violation(self):
         receiver, emitted = make_receiver()
-        with pytest.raises(ProtocolViolation, match="non-data segment"):
-            receiver.on_data(Segment("f", 0, 0, 0, 0, F_ACK), 0)
-        assert emitted == []
+        with pytest.raises(ProtocolViolation) as raised:
+            receiver.on_data(Segment("f", 0, 0, 0, 0, F_ACK | F_WUPD), 2_500_000)
+        assert str(raised.value) == "flow f at 2.500000: receiver got a non-data segment (flags 18)"
+        assert emitted == [] and receiver.advanced_at is None
 
     def test_unchanged_cap_emits_nothing(self):
         receiver, emitted = make_receiver(cap=32000)
@@ -445,11 +447,14 @@ def test_cumulative_ack_monotonicity(arrival_order):
     assert acks == sorted(acks)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=19), min_size=1, max_size=60))
-def test_receiver_never_advertises_more_than_free_buffer(arrival_order):
-    receiver, emitted = make_receiver(buffer=8 * MSS)
+@given(st.lists(st.integers(min_value=0, max_value=19), min_size=1, max_size=60),
+       st.none() | st.integers(min_value=0, max_value=8 * MSS))
+def test_receiver_never_advertises_more_than_free_buffer(arrival_order, cap):
+    receiver, emitted = make_receiver(buffer=8 * MSS, cap=cap)
     for t, idx in enumerate(arrival_order):
         receiver.on_data(data(idx * MSS), t)
+        if emitted:  # _emit_ack's inline window rule is advertised()'s
+            assert emitted[-1][0].rwnd == receiver.advertised()
     for seg, _ in emitted:
         assert 0 <= seg.rwnd <= receiver.buffer_capacity
 
