@@ -20,12 +20,12 @@ alone feeds the home agent's forward link hands data at its route's end to
 the agent at once (`hand_off`): a data segment has one event from source to
 MN there, and two from a detection until the next quiet interval starts.
 With no ACK delay, the MN's downlink hands data to the receiver at once
-too, until the first detection and from each handover's settling to the
-next detection (`Simulation._resume_mn_hand_off`, which takes the arrivals
-still due over it out of the kernel, `take_arrivals`): its ACK enters the
-uplink for the data's arrival time, and the ACK's arrival at the source is
-then the one event of a data segment and its ACK (traced, its lines wait
-for an event at the arrival time, see `Simulation._deliver_held`).
+too, inside an MN interval (`Simulation._resume_mn_hand_off`): its ACK
+enters the uplink for the data's arrival time, and the ACK's arrival at the
+source is then the one event of a data segment and its ACK (traced, its
+lines wait for an event at the arrival time, see `Simulation._deliver_held`).
+Either interval lasts to the next detection; its start hands off the
+arrivals due over the link before then (`Simulation._start_interval`).
 `Simulation._shortcuts` wires all of these; the all-events reference
 skips it, and every segment has an event at every hop.
 """
@@ -243,7 +243,7 @@ def pending_arrivals(kernel: Kernel) -> Iterator[Segment]:
 
 def take_arrivals(kernel: Kernel, link: DirectedLink, before: int) -> list[tuple]:
     """Cancel the pending events of the segments ending their route over `link`
-    before `before`; the (time, origin, segment) of each, in run order."""
+    before `before`, not at it; the (time, origin, segment) of each, in run order."""
     entries = sorted(e for e in kernel.pending_entries("link-rx")
                      if e[0] < before and e[5].route[-1] is link and e[5].hop == len(e[5].route))
     for entry in entries:

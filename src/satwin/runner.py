@@ -411,10 +411,10 @@ class Simulation:
         elif seg.flags & F_DATA:
             if link.dst == self.ha_node:
                 self._ha_forward(seg, now)
-                self._resume_hand_off(link, now)
+                self._resume_hand_off()
             else:
                 self._deliver_data(seg, now)
-                self._resume_mn_hand_off(link, now)
+                self._resume_mn_hand_off()
         elif seg.flags & F_BU:
             self._unsettled -= 1
             buack = self.ha.handle_binding_update(seg, now)
@@ -425,7 +425,7 @@ class Simulation:
                 seg.mark.registered(now)
                 buack.mark = seg.mark
                 self._send_buack(buack, now)
-            self._resume_hand_off(link, now)
+            self._resume_hand_off()
         else:  # a BUACK
             seg.mark.confirmed(seg, now)
 
@@ -569,13 +569,13 @@ class Simulation:
         that feeds the binding's forward link over the `data` routes on
         through it and the `acks` of every kind (one sent before a switch may
         still travel) hands data off to the agent inside a quiet interval
-        (see _resume_hand_off), the first of which starts now. With no flow
-        delaying its ACKs, the MN's downlink of each kind hands data to the
-        receiver inside an MN interval (see _resume_mn_hand_off), the first
-        from now to the first detection (past the run's end without one):
-        inside one nothing else reaches a receiver or the MN's uplink, so the
-        ACK enters the uplink in time order, for the data's arrival time. The
-        trace only picks the callable (`_to_receiver`), never the events."""
+        (see _resume_hand_off). With no flow delaying its ACKs, the MN's
+        downlink of each kind hands data to the receiver inside an MN
+        interval (see _resume_mn_hand_off): inside one nothing else reaches
+        a receiver or the MN's uplink, so the ACK enters the uplink in time
+        order, for the data's arrival time. On the links of the attachment
+        the first interval of each starts now (`_start_interval`). The trace
+        only picks the callable (`_to_receiver`), never the events."""
         attach = self.scenario.attach
         for link, feeder in single_feeders(used).items():
             link.feeder = feeder
@@ -588,9 +588,9 @@ class Simulation:
                 self._into[kind] = into
             forward[-1].hand_off = None if delayed else self._to_receiver
         if attach in self._into:
-            self._into[attach].hand_off_before = self._detects[0]
+            self._start_interval(self._into[attach])
         if not delayed:
-            self._forward[attach][-1].hand_off_before = self._detects[0]
+            self._start_interval(self._forward[attach][-1])
 
     def _registration_path(self, kind: str, to_agent: bool) -> tuple[str, Route]:
         """The registration endpoint for `kind` (the proxy gateway, or the MN
@@ -633,18 +633,15 @@ class Simulation:
         else:
             self._procedure(ho, now)
 
-    def _resume_hand_off(self, link: DirectedLink, now: int) -> None:
-        """A segment reached the agent over `link`: start a quiet interval,
-        up to the next detection, once (i) no binding update is in flight or
-        still to be sent, (ii) a link hands off to the agent under the
-        binding in force, (iii) no segment on that link is still due at the
-        agent (arrivals over a link strictly increase, so none is from the
-        arrival of the last one it accepted on), and (iv) nothing reads
-        early what the agent writes ahead of time: no marked window update
-        is on its way (its arrival reads `ha_end`), and the latest handover
-        waits on no t_a2 marker (traced when it resolves) and drains no
-        network the agent routes to (a drain reads its watermark). README
-        "Event kernel and links" gives the reasons."""
+    def _resume_hand_off(self) -> None:
+        """A segment reached the agent: start a quiet interval on the link
+        into it once (i) no binding update is in flight or still to be sent,
+        (ii) a link hands off to the agent under the binding in force, and
+        (iii) nothing reads early what the agent writes ahead of time: no
+        marked window update is on its way (its arrival reads `ha_end`), and
+        the latest handover waits on no t_a2 marker (traced when it
+        resolves) and drains no network the agent routes to (a drain reads
+        its watermark). README "Event kernel and links" gives the reasons."""
         if self._unsettled:
             return
         kind, ho = self.ha.route_attachment(), self._active
@@ -652,30 +649,34 @@ class Simulation:
         if into is None or ho is not None and (
                 ho.markers or ho.draining and ho.metrics.old_kind == kind):
             return
-        last = into.free_at + into.prop_delay  # the last segment it accepted reaches the agent
-        if last < now or last == now and link is into:
-            into.hand_off_before = self._detects[0]
+        self._start_interval(into)
 
-    def _resume_mn_hand_off(self, link: DirectedLink, now: int) -> None:
-        """A data segment reached the MN over `link`: up to the next
-        detection, `link` hands data to the receiver once (i) nothing is
-        unsettled, (ii) no drain is open, (iii) no BUACK is due at the MN,
-        (iv) no ACK is delayed or paced, and (v) `link` is the downlink of the
-        binding in force and no other forward route carries a segment. The
-        arrivals due over `link` before the detection go to the receiver
-        first, each with its event's origin as `kernel.origin`; README "Event
-        kernel and links" gives the reasons."""
+    def _resume_mn_hand_off(self) -> None:
+        """A data segment reached the MN: start an MN interval on the
+        downlink of the binding in force once (i) nothing is unsettled,
+        (ii) no drain is open, (iii) no BUACK is due at the MN, (iv) no ACK
+        is delayed or paced, and (v) no other forward route carries a
+        segment. README "Event kernel and links" gives the reasons."""
         ho, bound, kernel = self._active, self.ha.bound, self.kernel
+        link, now = self._forward[bound][-1], kernel.now
         if self._unsettled or link.hand_off is None or ho.draining or self._unconfirmed \
-                or any(rt.receiver.ack_delay for rt in self.flows.values()) \
-                or link is not self._forward[bound][-1] or any(
+                or any(rt.receiver.ack_delay for rt in self.flows.values()) or any(
                     hop.free_at + hop.prop_delay >= now for kind, route in self._forward.items()
                     if kind != bound for hop in route) \
                 or any(kernel.pending_entries("ack-paced")):
             return
-        for at, kernel.origin, seg in take_arrivals(kernel, link, self._detects[0]):
+        self._start_interval(link)
+
+    def _start_interval(self, link: DirectedLink) -> None:
+        """Let `link` hand off up to the next detection (past the run's end
+        after the last). The arrivals due over it before then leave the
+        kernel and go to its `hand_off` first, each for its own time and
+        with its event's origin as `kernel.origin`, so what they schedule
+        ranks as their events would have and FIFO order holds downstream."""
+        kernel, before, origin = self.kernel, self._detects[0], self.kernel.origin
+        for at, kernel.origin, seg in take_arrivals(kernel, link, before):
             link.hand_off(seg, at)
-        link.hand_off_before = self._detects[0]
+        kernel.origin, link.hand_off_before = origin, before
 
     def resting_cap(self, buffer: int) -> int:
         """The window cap a flow with this receive buffer rests at on the

@@ -323,12 +323,10 @@ class TcpReceiver:
         unchanged or nothing is sent). UNLIMITED (None) removes the cap."""
         if cap is not UNLIMITED:
             if cap < 0:
-                raise SimError(f"flow {self.flow_id}: negative window cap")
+                raise SimError(f"flow {self.flow_id} at {fmt_time(now)}: negative window cap")
             if cap > self.buffer_capacity:
-                raise SimError(
-                    f"flow {self.flow_id}: cap {cap} exceeds buffer "
-                    f"{self.buffer_capacity}"
-                )
+                raise SimError(f"flow {self.flow_id} at {fmt_time(now)}: cap {cap} exceeds buffer "
+                               f"{self.buffer_capacity}")
         changed = cap != self.policy_cap
         self.policy_cap = cap
         self.ramp_target = None

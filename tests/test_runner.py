@@ -223,8 +223,8 @@ def test_the_all_events_reference_leaves_no_shortcut(monkeypatch, name, mode):
         resolve(sim)
         seen.append(shortcuts(sim))
 
-    def checked_resume(sim, link, now):
-        resume(sim, link, now)
+    def checked_resume(sim):
+        resume(sim)
         seen.append(shortcuts(sim))
 
     monkeypatch.setattr(Simulation, "_resolve_routes", checked_resolve)
@@ -290,8 +290,15 @@ WINDOW_UPDATE_TIES = _gateway_file(
     "[flow.f1]\nsrc = WGW\ndst = MN\nstart = 0\n\n"
     "[flow.f2]\nsrc = CN\ndst = MN\nstart = 0\nack_extra_delay = 0.000000\n\n"
     "[handover.h0]\nat = 0\nto = SAT\n")
+# S1 with a detection at 1.0 s that aborts (the MN is on WLAN already), so
+# the next quiet interval starts at the agent's next arrival, 1.000700, and
+# the move onto the satellite detected at 1.003100, when the second segment
+# then on cn_ha reaches the agent: the start takes the first, and the second
+# keeps its event, which runs after the detection's
+AGENT_BOUNDARY_TIES = scenario_path("s1_wlan_to_sat").read_text().replace(
+    "at = 2.5\n", "at = 1.003100\n") + "\n[handover.0]\nat = 1.0\nto = WLAN\n"
 TIES = {"zero_delay_ties": ZERO_DELAY_TIES, "two_gateway_ties": TWO_GATEWAY_TIES,
-        "window_update_ties": WINDOW_UPDATE_TIES}
+        "window_update_ties": WINDOW_UPDATE_TIES, "agent_boundary_ties": AGENT_BOUNDARY_TIES}
 
 # S2 whose WLAN coverage ends at 4.25 s, inside the 0.5 s lead of the boost
 # detected at 4 s: PROACTIVE aborts the switch at execution
@@ -306,12 +313,12 @@ def _tie_or_shipped(name):
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", DIGEST_RUNS.SHIPPED + tuple(TIES) + ("s2_aborted_boost",))
-def test_every_shortcut_run_is_the_all_events_run(name, mode):
+def test_every_shortcut_run_is_the_all_events_run(monkeypatch, name, mode):
     # every event ranks by the moment the all-events reference schedules
     # it, so the run with every shortcut is the reference run: equal
     # metrics (drops in the same order included), CSV and trace lines, also
     # where round link values make data, ACKs and window updates meet in one
-    # microsecond
+    # microsecond, and where data reaches the agent at a detection
     scenario = _tie_or_shipped(name)
     runs = []
     for reference in (False, True):
@@ -322,6 +329,14 @@ def test_every_shortcut_run_is_the_all_events_run(name, mode):
     assert runs[0] == runs[1]
     if name == "window_update_ties" and mode == "PROACTIVE":
         assert "0.080000 timeline WGW label=t_a1 t=0.080000" in runs[0][2]
+    if name == "agent_boundary_ties":
+        _, lines, reached, events, quiet, scheduled = _agent_run(monkeypatch, scenario, mode)
+        detect = scenario.handovers[1].at
+        assert quiet[1] == (1_000_700, detect)
+        taken, kept = [key for key in reached if quiet[1][0] < key[0] <= detect]
+        assert (taken[0], kept[0]) == (1_001_900, detect)
+        assert taken not in events and kept in events
+        _assert_quiet_intervals(scenario, lines, reached, events, quiet, scheduled)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -1106,10 +1121,12 @@ def _agent_run(monkeypatch, scenario, mode, hand_off=True):
     """Run `scenario` traced, with the agent's hand-off or as the all-events
     reference. Returns the CSV, the trace lines, the (time, flow, seq) of
     each data segment the agent forwarded, for the same keys the times at
-    which an agent-arrival event was scheduled for data, and the quiet
-    intervals: each `(start, end)` in which the link into the agent hands
-    data off, the first from the run's first event (start -1)."""
-    reached, events, quiet = [], {}, []
+    which each agent-arrival event for data that ran was scheduled, the
+    quiet intervals (each `(start, end)` in which the link into the agent
+    hands data off, the first from the run's first event, start -1), and
+    the (key, scheduled at) of every agent-arrival event for data scheduled,
+    run or not."""
+    reached, events, quiet, scheduled = [], {}, [], []
     with contextlib.nullcontext() if hand_off else all_events(), monkeypatch.context() as m:
         forward, schedule = Simulation._ha_forward, Kernel.schedule
         resolve, resume = Simulation._resolve_routes, Simulation._resume_hand_off
@@ -1122,7 +1139,13 @@ def _agent_run(monkeypatch, scenario, mode, hand_off=True):
             args = getattr(fn, "args", ())
             if kind == "link-rx" and fn.func.__name__ == "_on_arrival" and args[0].dst == "HA" \
                     and args[1].payload_len:
-                events.setdefault((at, args[1].flow_id, args[1].seq), []).append(kernel.now)
+                key, made = (at, args[1].flow_id, args[1].seq), kernel.now
+                scheduled.append((key, made))
+
+                def fire():
+                    events.setdefault(key, []).append(made)
+                    fn()
+                return schedule(kernel, at, fire, kind)
             return schedule(kernel, at, fn, kind)
 
         def recording_resolve(sim):
@@ -1130,10 +1153,10 @@ def _agent_run(monkeypatch, scenario, mode, hand_off=True):
             quiet.extend((-1, into.hand_off_before) for into in set(sim._into.values())
                          if into.hand_off_before)
 
-        def recording_resume(sim, link, now):
+        def recording_resume(sim):
             before = {into: into.hand_off_before for into in sim._into.values()}
-            resume(sim, link, now)
-            quiet.extend((now, into.hand_off_before) for into, end in before.items()
+            resume(sim)
+            quiet.extend((sim.kernel.now, into.hand_off_before) for into, end in before.items()
                          if into.hand_off_before != end)
 
         m.setattr(Simulation, "_ha_forward", recording_forward)
@@ -1141,20 +1164,25 @@ def _agent_run(monkeypatch, scenario, mode, hand_off=True):
         m.setattr(Simulation, "_resolve_routes", recording_resolve)
         m.setattr(Simulation, "_resume_hand_off", recording_resume)
         metrics, trace = run(scenario, mode=mode, trace=True)
-    return write_csv(metrics.csv_rows()), trace.lines, reached, events, quiet
+    return write_csv(metrics.csv_rows()), trace.lines, reached, events, quiet, scheduled
 
 
-def _assert_quiet_intervals(scenario, lines, reached, events, quiet):
+def _assert_quiet_intervals(scenario, lines, reached, events, quiet, scheduled):
     """The hand-off rule on one run: a data segment reaching the agent has
-    an agent-arrival event iff it gets there outside every quiet interval
-    `(start, end)`. Each interval ends at a scripted detection (or past the
-    run's end). One that starts after a detection starts once every
-    detection so far has switched or aborted, every binding update sent has
-    reached the agent (t_r1) or been lost, and no agent-arrival event made
-    by then is still due."""
+    an agent-arrival event that runs iff it gets there outside every quiet
+    interval `(start, end)`. Each interval ends at a scripted detection (or
+    past the run's end). One that starts after a detection starts once every
+    detection so far has switched or aborted and every binding update sent
+    has reached the agent (t_r1) or been lost; its start takes every
+    agent-arrival event then due before its end, so none of those runs, and
+    an event due by the run's end that never runs was taken so."""
     for key in reached:
         inside = any(start < key[0] < end for start, end in quiet)
         assert len(events.get(key, ())) == (0 if inside else 1), (key, quiet)
+    ran = Counter((key, made) for key, made_at in events.items() for made in made_at)
+    for key, made in Counter(scheduled) - ran:
+        assert key[0] > scenario.end or any(made <= start < key[0] < end for start, end in quiet), \
+            (key, made, quiet)
     stamped = [(int(line.split(" ", 1)[0].replace(".", "")), line) for line in lines]
 
     def count(word, until):
@@ -1167,7 +1195,7 @@ def _assert_quiet_intervals(scenario, lines, reached, events, quiet):
                 count(" bu_send ", start) + count(" handover_abort ", start)
             assert count(" bu_send ", start) == count("label=t_r1 ", start) + \
                 count(" bu_lost ", start)
-            assert not any(made <= start < due for (due, _, _), made_at in events.items()
+            assert not any(made <= start < due < end for (due, _, _), made_at in events.items()
                            for made in made_at), start
 
 
@@ -1195,11 +1223,11 @@ def test_the_agent_hands_data_off_until_the_first_detection(monkeypatch, name, m
     for variant, reference in ((scenario, ref),
                                (moved, _agent_run(monkeypatch, moved, mode, hand_off=False))):
         detect = variant.handovers[0].at
-        csv, lines, reached, events, quiet = _agent_run(monkeypatch, variant, mode)
+        csv, lines, reached, events, quiet, scheduled = _agent_run(monkeypatch, variant, mode)
         assert (csv, lines) == reference[:2] and sorted(reached) == sorted(reference[2])
         assert reference[4] == []  # the reference never hands off
         assert quiet[0] == (-1, detect) and len(quiet) == 1 + len(variant.handovers)
-        _assert_quiet_intervals(variant, lines, reached, events, quiet)
+        _assert_quiet_intervals(variant, lines, reached, events, quiet, scheduled)
         early = [key for key in reached if key[0] < detect]
         late = [key for key in reached if key[0] >= detect]
         assert len(early) > 100 and len(late) > 100
@@ -1239,31 +1267,35 @@ def test_a_quiet_interval_starts_after_a_dropped_binding_update(monkeypatch, mod
     # keeps the WLAN binding while the MN's ACKs go over SAT: the interval
     # after the detection starts without a t_r1, after the drop
     scenario = parse_scenario(_S1_BU_DROPPED, "s1_bu_dropped")
-    csv, lines, reached, events, quiet = _agent_run(monkeypatch, scenario, mode)
+    csv, lines, reached, events, quiet, scheduled = _agent_run(monkeypatch, scenario, mode)
     assert (csv, lines) == _agent_run(monkeypatch, scenario, mode, hand_off=False)[:2]
     drop = [line for line in lines if " drop sgw_ha:SGW->HA flow=_mip " in line]
     assert len(drop) == 1 and not any("label=t_r1 " in line for line in lines)
     (_, detect), (start, end) = quiet
     assert int(drop[0].split(" ", 1)[0].replace(".", "")) <= start < end == scenario.end + 1
-    _assert_quiet_intervals(scenario, lines, reached, events, quiet)
+    _assert_quiet_intervals(scenario, lines, reached, events, quiet, scheduled)
     assert sum(start < t for t, _, _ in reached) > 100
 
 
-def test_a_quiet_interval_waits_for_the_last_segment_due_at_the_agent(monkeypatch):
-    # S1 baseline: when the binding update reaches the agent (t_r1), data is
-    # still on its way there over cn_ha, so the interval starts at the
-    # arrival of the last segment then due there, not at t_r1
+@pytest.mark.parametrize("mode", MODES)
+def test_a_quiet_interval_takes_the_segments_still_due_at_the_agent(monkeypatch, mode):
+    # S1: when the binding update reaches the agent (t_r1), data is still on
+    # its way there over cn_ha, but for RESET_CWND, whose slow start from the
+    # detection has left the link empty. The interval starts at t_r1 all the
+    # same: its start takes those segments' agent-arrival events out of the
+    # kernel, so none of them runs and each goes on from the agent for its
+    # own time, and the run is the all-events run
     scenario = load_scenario(scenario_path("s1_wlan_to_sat"))
-    _, lines, reached, events, quiet = _agent_run(monkeypatch, scenario, "BASELINE")
-    (_, detect), (start, _) = quiet
+    csv, lines, reached, events, quiet, scheduled = _agent_run(monkeypatch, scenario, mode)
+    assert (csv, lines) == _agent_run(monkeypatch, scenario, mode, hand_off=False)[:2]
+    (_, detect), (start, end) = quiet
     t_r1 = next(int(line.split(" ", 1)[0].replace(".", "")) for line in lines
                 if "label=t_r1 " in line)
-    assert detect < t_r1 < start
-    due = [key for key in reached if t_r1 < key[0] <= start]
-    assert due and all(key in events for key in due)
-    assert max(due)[0] == start  # the interval started in that segment's arrival handler
-    assert any(made <= t_r1 for key in due for made in events[key])
-    _assert_quiet_intervals(scenario, lines, reached, events, quiet)
+    assert detect < t_r1 == start
+    due = [key for key, made in scheduled if made <= t_r1 < key[0] < end]
+    assert bool(due) == (mode != "RESET_CWND") and not any(key in events for key in due)
+    assert set(due) <= set(reached)  # forwarded all the same, for their arrival times
+    _assert_quiet_intervals(scenario, lines, reached, events, quiet, scheduled)
 
 
 _TWO_LINKS_INTO_THE_AGENT = scenario_path("s1_wlan_to_sat").read_text() + """
@@ -1280,7 +1312,7 @@ def test_two_links_into_the_agent_keep_its_arrival_events(monkeypatch, mode):
     # has two feeders under either binding, so no link hands off and every
     # data segment reaching the agent has an arrival event there
     scenario = parse_scenario(_TWO_LINKS_INTO_THE_AGENT, "two_links_into_ha")
-    csv, lines, reached, events, quiet = _agent_run(monkeypatch, scenario, mode)
+    csv, lines, reached, events, quiet, _ = _agent_run(monkeypatch, scenario, mode)
     assert {fid for _, fid, _ in reached} == {"f1", "f2"} and quiet == []
     assert Counter(reached) == {key: len(made) for key, made in events.items()
                                 if key[0] <= scenario.end}
@@ -1327,11 +1359,12 @@ def _mn_run(monkeypatch, scenario, mode, trace=False):
             intervals.extend((-1, link.hand_off_before) for link in sim.topo.directed.values()
                              if link.dst == sim.mn and link.hand_off_before)
 
-        def recording_resume(sim, link, now):
+        def recording_resume(sim):
+            link = sim._forward[sim.ha.bound][-1]
             before = link.hand_off_before
-            resume(sim, link, now)
+            resume(sim)
             if link.hand_off_before != before:
-                intervals.append((now, link.hand_off_before))
+                intervals.append((sim.kernel.now, link.hand_off_before))
                 _assert_mn_interval(sim, link.hand_off_before)
 
         m.setattr(Simulation, "_deliver_data", recording_deliver)

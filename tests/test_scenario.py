@@ -12,7 +12,7 @@ from satwin.cli import build_parser, main
 from satwin.errors import ConfigError
 from satwin.kernel import fmt_time
 from satwin.metrics import write_csv
-from satwin.net import F_ACK, F_BU, F_BUACK, F_DATA, DirectedLink, pending_arrivals
+from satwin.net import F_ACK, F_BU, F_BUACK, F_DATA, DirectedLink
 from satwin.runner import Simulation
 from satwin.scenario import MODE_NAMES, MODES, _SCHEMA, canonical_text, load_scenario, parse_scenario
 from test_handover_sequences import _assert_registration_once
@@ -654,8 +654,9 @@ def test_generated_scenarios_run_in_every_mode(text):
     link except from its feeder, and only two links admit anything ahead of
     time without a feeder: the forward link of the binding in force, for
     data the agent forwards inside a quiet interval, before the next
-    detection, once no detection can still switch, no binding update is on
-    its way and no data segment is due at the agent; and, with no ACK
+    detection, once no detection can still switch and no binding update is
+    on its way, with no data arrival at the agent left pending before the
+    next detection (the interval's start took them); and, with no ACK
     delay, the MN's uplink, for the ACK of data handed to the MN inside an
     MN interval, before the next detection and the run's end (see
     `_assert_mn_interval`). Nodes and links are kept by name,
@@ -690,9 +691,11 @@ def test_generated_scenarios_run_in_every_mode(text):
             if quiet_checked[-1] != len(handovers):  # once per quiet interval
                 quiet_checked.append(len(handovers))
                 assert not handovers or handovers[-1].aborted or "t_r0" in handovers[-1].timeline
-                for pending in pending_arrivals(sim.kernel):
+                for entry in sim.kernel.pending_entries("link-rx"):
+                    pending = entry[5]
                     assert not pending.flags & F_BU, link.label
-                    assert not (pending.flags & F_DATA and pending.hop == len(pending.route)
+                    assert not (entry[0] < detections[len(handovers)] and pending.flags & F_DATA
+                                and pending.hop == len(pending.route)
                                 and pending.route[-1].dst == sim.ha_node), link.label
         return transmit(link, seg, at)
 

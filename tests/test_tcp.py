@@ -354,13 +354,15 @@ class TestWindowPolicy:
 
     def test_cap_above_buffer_is_sim_error(self):
         receiver, _ = make_receiver()
-        with pytest.raises(SimError, match="exceeds buffer"):
-            receiver.set_window_policy(65000, 0)
+        with pytest.raises(SimError) as raised:
+            receiver.set_window_policy(65000, 2_500_000)
+        assert str(raised.value) == "flow f at 2.500000: cap 65000 exceeds buffer 64000"
 
     def test_negative_cap_is_sim_error(self):
         receiver, _ = make_receiver()
-        with pytest.raises(SimError, match="flow f: negative window cap"):
-            receiver.set_window_policy(-1, 0)
+        with pytest.raises(SimError) as raised:
+            receiver.set_window_policy(-1, 2_500_000)
+        assert str(raised.value) == "flow f at 2.500000: negative window cap"
 
     def test_non_data_segment_is_protocol_violation(self):
         receiver, emitted = make_receiver()
