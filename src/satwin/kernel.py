@@ -4,11 +4,14 @@ Time is integer microseconds throughout the simulator: event ordering is
 exact on every platform, with no floating-point drift. Simultaneous events
 rank by their origin, the moment the all-events reference
 (`Simulation._shortcuts` skipped, an event at every hop) schedules them,
-and then in the order they were scheduled (a monotonic sequence counter).
-The origin is `Kernel.origin` when the event is scheduled: the clock,
-except inside `net.DirectedLink.transmit`, which sets it to the admission's
-moment for what the admission schedules (see `net`). So every run ranks
-its events as the reference does.
+and then by their key. The origin is `Kernel.origin` when the event is
+scheduled: the clock, except inside `net.DirectedLink.transmit`, which sets
+it to the admission's moment for what the admission schedules (see `net`).
+A segment's events take the segment's key (`Kernel.key`, which `net` sets
+for them), drawn when the segment is made; every other event draws a
+fresh one when it is scheduled. Every draw happens in an event that runs
+on every run, in one order, so a key does not depend on when a run takes
+a hop ahead of time, and every run ranks its events as the reference does.
 """
 
 from __future__ import annotations
@@ -39,13 +42,13 @@ class SchedulingError(SimError):
 
 class Kernel:
     """Virtual clock plus an ordered, cancellable event queue: a heap of
-    `[t, rank, fn, kind, done, seg]` entries in (time, origin, sequence
-    number) order, where `rank` is `origin << 40 | seq` (one int compares
-    faster than a pair; a run schedules fewer than 2**40 events);
-    `schedule` returns the entry as the event's handle, and takes its
-    origin from `origin`. `done` is None while the event is
-    pending and `_DONE` once it fired or was cancelled: a tombstone the run
-    loop skips. An entry never moves; a timer whose deadline moves later
+    `[t, rank, fn, kind, done, seg]` entries in (time, origin, key) order,
+    where `rank` is `origin << 40 | key` (one int compares faster than a
+    pair; a run draws fewer than 2**38 keys); `schedule` returns the entry
+    as the event's handle, and takes its origin from `origin` and its key
+    from `key`, or from `seqs` while `key` is 0. `done` is None while the
+    event is pending and `_DONE` once it fired or was cancelled: a
+    tombstone the run loop skips. An entry never moves; a timer whose deadline moves later
     keeps its deadline itself and queues itself again when it fires early.
     The sixth slot is None, except that a `link-rx` entry carries the
     arriving segment there, which only `net` writes and reads.
@@ -59,9 +62,11 @@ class Kernel:
     def __init__(self, seed: int = 0):
         self.now: int = 0
         self.origin: int = 0  # what is scheduled now ranks by this moment
+        self.key = 0  # and then by this key, or by a fresh one from `seqs` while 0
         self.rng = random.Random(seed)
-        self._heap: list[list] = []  # [fire_at, origin << 40 | seq, fn, kind, done, seg]
-        self._seqs = itertools.count()
+        self._heap: list[list] = []  # [fire_at, origin << 40 | key, fn, kind, done, seg]
+        # fresh keys, multiples of 4: a segment's stand-ins take the next two (see net)
+        self.seqs = itertools.count(4, 4)
         self._live = 0
 
     def schedule(self, at: int, fn: Callable[[], None], kind: str = "event") -> list:
@@ -69,7 +74,7 @@ class Kernel:
             raise SchedulingError(
                 f"event {kind!r} scheduled at {fmt_time(at)} before clock {fmt_time(self.now)}"
             )
-        entry = [at, self.origin << 40 | next(self._seqs), fn, kind, None, None]
+        entry = [at, self.origin << 40 | (self.key or next(self.seqs)), fn, kind, None, None]
         self._live += 1
         heapq.heappush(self._heap, entry)
         return entry
@@ -90,7 +95,7 @@ class Kernel:
         return (e for e in self._heap if e[3] == kind and e[4] is not _DONE)
 
     def run_until(self, t_end: int) -> int:
-        """Process every event with fire_at <= t_end, in (time, origin, seqno) order.
+        """Process every event with fire_at <= t_end, in (time, origin, key) order.
 
         Handlers may enqueue further events at or before t_end; those are
         processed in this run too. Returns the number of events executed.

@@ -71,9 +71,11 @@ class Trace:
 
 @dataclass
 class FlowMetrics:
+    """One flow's counters; those the endpoints keep are copied at the end of `Simulation.run`."""
+
     flow_id: str
     start: int
-    bytes_sent: int = 0  # payload bytes of every transmitted copy
+    bytes_sent: int = 0  # payload bytes of every copy sent, counted by the sender
     bytes_delivered: int = 0  # payload bytes of every copy reaching the MN
     bytes_dropped: int = 0
     bytes_inflight_end: int = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .kernel import SimError
+from .kernel import SimError, fmt_time
 from .net import F_BU, F_BUACK, Segment
 
 MIP_FLOW = "_mip"  # pseudo flow id carried by registration segments
@@ -33,7 +33,8 @@ class BindingTable:
     def register(self, mn: str, attachment: str, at: int) -> None:
         bindings = self.entries.setdefault(mn, [])
         if bindings and at < bindings[-1].registered_at:
-            raise SimError(f"binding of {mn} registered at {at}, before the one in force")
+            raise SimError(f"binding of {mn} registered at {fmt_time(at)}, before the one in "
+                           f"force (registered at {fmt_time(bindings[-1].registered_at)})")
         bindings.append(Binding(attachment, at))
 
 
@@ -63,7 +64,8 @@ class HomeAgent:
         sends back over the new path (its arrival defines t_r3); None for a
         stale BU, sent before the one in force (RFC 6275 9.5.1)."""
         if not seg.flags & F_BU:
-            raise SimError(f"binding update expected, got flags {seg.flags} (flow {seg.flow_id})")
+            raise SimError(f"home agent at {fmt_time(now)}: binding update expected, got flags "
+                           f"{seg.flags} (flow {seg.flow_id})")
         if seg.sent_at < self.bu_sent_at:
             return None
         self.bu_sent_at = seg.sent_at

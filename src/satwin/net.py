@@ -14,7 +14,8 @@ logical time it gets there (a FIFO tandem, Lindley 1952), and the kernel
 holds one event for the hops cut through: the final arrival, the drop at
 the hop that refuses the segment, or the admission to a link with several
 feeders, due when the segment reaches it. It ranks as the all-events
-run's event there does: by the admission before it (see `kernel`).
+run's event there does: by the admission before it, then by the
+segment's key (see `kernel`).
 Inside a quiet interval (see `Simulation._resume_hand_off`), a link that
 alone feeds the home agent's forward link hands data at its route's end to
 the agent at once (`hand_off`): a data segment has one event from source to
@@ -67,7 +68,10 @@ class Segment:
 
     `sent_at` is stamped at original emission; `echo` carries the data
     segment's send time back on cumulative ACKs for RTT sampling.
-    `path_tag` records the access network that carried the segment.
+    `path_tag` records the access network that carried the segment. `key`
+    ranks its events among simultaneous ones of one origin (see `kernel`):
+    drawn from `Kernel.seqs` when the segment is made, an ACK's is its data
+    segment's; 0 draws a fresh one for each event.
     """
 
     flow_id: str
@@ -82,6 +86,7 @@ class Segment:
     rexmit: bool = False
     mark: object = None  # the handover a window update, BU or BUACK belongs to
     route: tuple = ()
+    key: int = 0
     hop: int = 0
 
     def wire_size(self) -> int:
@@ -125,10 +130,13 @@ class DirectedLink:
     """Runtime state of one direction of a link: drop-tail queue + serializer.
 
     Occupancy counts every byte accepted and not yet fully serialized.
-    `backlog` holds `(finish, wire)` per accepted segment. An admission for
-    time `at`, at `kernel.now` or ahead of it, first releases every entry
-    with `finish <= at`: bytes that finish at `at` have left by `at`. On an
-    idle link (`free_at <= at`) that is every entry, released without a walk.
+    `backlog` holds `(finish, wire)` per segment queued behind another; one
+    admitted onto an idle serializer (`free_at <= at`) is alone in service
+    until `free_at` and gets an entry, `(free_at, occupancy)`, only when the
+    next admission finds it busy. An admission for time `at`, at `kernel.now`
+    or ahead of it, first releases every entry with `finish <= at`: bytes
+    that finish at `at` have left by `at`. On an idle link that is every
+    entry, released without a walk.
     A data segment ending its route here before `hand_off_before` goes to
     `hand_off` for its arrival time, with no event. `Simulation._shortcuts`
     sets it on the one link into the home agent and, with no ACK delay, on
@@ -163,9 +171,14 @@ class DirectedLink:
 
     def transmit(self, seg: Segment, at: int) -> None:
         """Enqueue `seg` at time `at`, or drop it (counted in `drops` and
-        reported to `on_drop`, at a skipped hop by an event that ranks by
-        the caller's origin). What an admission schedules or hands off ranks
-        by `at`, the moment the all-events run admits `seg` here.
+        reported to `on_drop`, at a skipped hop by an event of the caller's
+        origin and the segment's key, plus 2 at a first hop, which only the
+        arrival a hand-off runs early reaches early). What an admission
+        schedules or hands off ranks by `at`, the moment the all-events run
+        admits `seg` here, and by the segment's key. It leaves `Kernel.origin`
+        at `at`: the clock in an event's own admission, and a caller that
+        admits ahead of that (the hop before a cut-through, the arrival a
+        hand-off runs) puts back its own.
 
         Arrival = end of FIFO serialization + propagation delay. Wire size
         and serialization inline `Segment.wire_size`/`LinkSpec.serialization_us`;
@@ -176,9 +189,10 @@ class DirectedLink:
         backlog = self.backlog
         free_at = self.free_at
         if free_at <= at:  # an idle serializer: every accepted byte has left
-            backlog.clear()
+            if backlog:
+                backlog.clear()
             occupancy = 0
-        else:  # the guard: an admission ahead of time may have emptied the backlog
+        else:  # the guard: an idle admission leaves no entry, one ahead of time may take all
             occupancy = self.occupancy
             while backlog and backlog[0][0] <= at:
                 occupancy -= backlog.popleft()[1]
@@ -192,32 +206,47 @@ class DirectedLink:
             self._drop(seg, OVERFLOW, at)
             return
         self.occupancy = occupancy + wire
-        finish = (at if at > free_at else free_at) + (wire * SEC + self.round_up) // self.bandwidth
+        finish = (wire * SEC + self.round_up) // self.bandwidth
+        if free_at <= at:  # idle: `seg` alone is in service, until `free_at`
+            finish += at
+        else:
+            if not backlog:  # the segment still in service, admitted onto an idle serializer
+                backlog.append((free_at, occupancy))
+            finish += free_at
+            backlog.append((finish, wire))
         self.free_at = finish
-        backlog.append((finish, wire))
         arrival = finish + self.prop_delay
         if self.tag is not None:
             seg.path_tag = self.tag
         route = seg.route
         seg.hop = hop = seg.hop + 1
-        origin, kernel.origin = kernel.origin, at  # what follows ranks by this admission
+        kernel.origin = at  # what follows ranks by this admission (left so, see the docstring)
         if hop >= len(route):
             if arrival < self.hand_off_before:
                 self.hand_off(seg, arrival)
+                kernel.origin = at
             else:
+                kernel.key = seg.key
                 kernel.schedule(arrival, partial(self.deliver, self, seg), "link-rx")[5] = seg
                 # the sixth slot is read by pending_arrivals; a tracer may have wrapped the handler
+                kernel.key = 0
         else:
             nxt = route[hop]
             if nxt.feeder is self:
                 nxt.transmit(seg, arrival)
+                kernel.origin = at
             else:  # several feeders: `seg` enters the next link from its arrival event
+                kernel.key = seg.key
                 kernel.schedule(arrival, partial(nxt.transmit, seg, arrival), "link-rx")[5] = seg
-        kernel.origin = origin
+                kernel.key = 0
 
     def _drop(self, seg: Segment, reason: str, at: int) -> None:
-        if at > self.kernel.now:  # a skipped hop: the drop happens when `seg` gets here
-            self.kernel.schedule(at, partial(self._drop, seg, reason, at), "link-rx")[5] = seg
+        kernel = self.kernel
+        if at > kernel.now:  # a skipped hop: the drop happens when `seg` gets here
+            # at a first hop inside a hand-off, just after the arrival that sends `seg`
+            kernel.key = seg.key + 2 if seg.key and not seg.hop else seg.key
+            kernel.schedule(at, partial(self._drop, seg, reason, at), "link-rx")[5] = seg
+            kernel.key = 0
             return
         self.drops[reason] += 1
         if self.on_drop is not None:

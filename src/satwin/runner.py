@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import Callable, Optional
 
 from . import handover as ho_policy
 from .errors import ConfigError
@@ -30,15 +30,13 @@ class _FlowRuntime:
     sender: TcpSender
     receiver: TcpReceiver
     metrics: FlowMetrics
-    route: Route = ()  # source to home agent, from _resolve_routes
-    ack_route: Route = ()  # mobile node to source over the attachment, from _resolve_routes
+    emit_ack: Optional[Callable[[Segment, int], None]] = None  # traced or paced, the ACK send
     rto_event: Optional[list] = None  # kernel handle, due at or before rto_at
     rto_at: int = 0  # the RTO deadline
     # the highest data end the home agent has seen, and when
     ha_end: int = -1
     ha_time: int = 0
     watermark: dict[str, int] = field(default_factory=dict)  # kind -> highest end routed there
-    fr_traced: int = 0  # fast retransmits already in the trace
 
 
 class _HandoverRuntime:
@@ -159,9 +157,8 @@ class _HandoverRuntime:
             return
         self.stamp("t_a0", now, sim.mn)
         for fid, rt in sim.flows.items():
-            wupd = rt.receiver.set_window_policy(0, now)  # hold the sender while draining
-            if wupd is not None:
-                wupd.mark = self
+            # hold the sender while draining
+            if rt.receiver.set_window_policy(0, now, self) is not None:
                 sim._unsettled += 1
             rt.receiver.set_suppress_dupacks(True, now)
             rt.sender.external_congestion_avoidance(now)
@@ -207,7 +204,7 @@ class _HandoverRuntime:
             return False
         sim._attach(kind, now)
         seg = make_binding_update(kind, now)
-        seg.mark = self
+        seg.mark, seg.key = self, next(sim.kernel.seqs)
         origin, seg.route = sim._registration_path(kind, to_agent=True)
         sim.trace.emit(now, "bu_send", origin, network=kind)
         self.stamp("t_r0", now, origin)
@@ -352,29 +349,47 @@ class Simulation:
         receiver.ack_delay = fdef.ack_extra_delay
         sender = TcpSender(fdef.name, mss=self.scenario.mss, init_ssthresh=65536,
                            volume=fdef.volume)
+        sender.keys = receiver.keys = self.kernel.seqs
         fm = FlowMetrics(fdef.name, start=fdef.start, gap_window=self._gap_window,
                          rto_times=sender.rto_times, fr_times=sender.fr_times)
         runtime = _FlowRuntime(fdef, sender, receiver, fm)
-        trace = self.trace
-
-        def send(seg: Segment, now: int) -> None:  # the sender's segments, onto its route
-            fm.bytes_sent += seg.payload_len
-            if trace.enabled:
+        kernel, trace, fr_traced = self.kernel, self.trace, 0
+        if trace.enabled:  # untraced, the sender sends to its first hop (see _resolve_routes)
+            def send(seg: Segment, now: int) -> None:
                 trace.send(now, "rexmit" if seg.rexmit else "send", fdef.src, seg.flow_id, seg.seq,
                            seg.payload_len)
-            seg.route = route = runtime.route
-            route[0].transmit(seg, now)
+                seg.route[0].transmit(seg, now)
 
-        sender.send_cb = send
-        if self.trace.enabled:
-            sender.state_cb = partial(self._trace_state, runtime)
+            def state(sender: TcpSender, now: int) -> None:  # a new fast retransmit first
+                nonlocal fr_traced
+                if fr_traced < len(sender.fr_times):
+                    fr_traced += 1
+                    trace.emit(now, "fast_retransmit", fdef.src, flow=fdef.name)
+                trace.cwnd(now, fdef.src, fdef.name, sender.cwnd, sender.ssthresh, sender.phase,
+                           sender.snd_una)
+
+            sender.send_cb, sender.state_cb = send, state
+        paced = fdef.ack_extra_delay or any(h.ack_pacing for h in self.scenario.handovers)
+        if trace.enabled or paced:  # else its ACKs go to the first hop (see _start_flow)
+            def emit_ack(seg: Segment, send_at: int) -> None:
+                """The receiver's ACK at `send_at`: from a paced event when the
+                receiver delays it, else at once, on the route of the attachment."""
+                if receiver.ack_delay and send_at > kernel.now:
+                    kernel.schedule(send_at, partial(emit_ack, seg, send_at), "ack-paced")
+                    return
+                if trace.enabled:
+                    trace.ack_tx(send_at, self.mn, seg.flow_id, seg.ack, seg.rwnd, seg.flags)
+                seg.route = route = receiver.route
+                route[0].transmit(seg, send_at)
+
+            runtime.emit_ack = emit_ack
         self.flows[fdef.name] = runtime
         self.metrics.flows[fdef.name] = fm
 
     def _start_flow(self, fid: str) -> None:
         """Its receiver sends from now on; the sender takes the window it last advertised."""
         rt = self.flows[fid]
-        rt.receiver.emit_cb = partial(self._emit_ack, rt)
+        rt.receiver.emit_cb = rt.emit_ack or rt.receiver.route[0].transmit
         rt.sender.peer_rwnd = rt.receiver.last_rwnd
         self.trace.emit(self.kernel.now, "flow_start", rt.spec.src, flow=fid)
         rt.sender.try_send(self.kernel.now)
@@ -382,18 +397,6 @@ class Simulation:
 
     # ------------------------------------------------------------------
     # data plane
-
-    def _emit_ack(self, rt: _FlowRuntime, seg: Segment, send_at: int) -> None:
-        """Send the receiver's ACK at `send_at`: from a paced event when the
-        receiver delays it, else at once (ahead of time for data handed to
-        the MN, see _shortcuts)."""
-        if rt.receiver.ack_delay and send_at > self.kernel.now:
-            self.kernel.schedule(send_at, partial(self._emit_ack, rt, seg, send_at), "ack-paced")
-            return
-        if self.trace.enabled:
-            self.trace.ack_tx(send_at, self.mn, seg.flow_id, seg.ack, seg.rwnd, seg.flags)
-        seg.route = route = rt.ack_route
-        route[0].transmit(seg, send_at)
 
     def _on_arrival(self, link: DirectedLink, seg: Segment) -> None:
         """`seg` reached the end of its route over `link`."""
@@ -423,7 +426,7 @@ class Simulation:
                 seg.mark.registration_lost(now)
             else:
                 seg.mark.registered(now)
-                buack.mark = seg.mark
+                buack.mark, buack.key = seg.mark, next(self.kernel.seqs)
                 self._send_buack(buack, now)
             self._resume_hand_off()
         else:  # a BUACK
@@ -464,10 +467,14 @@ class Simulation:
     def _deliver_held(self, seg: Segment, now: int) -> None:
         """`_deliver_data` ahead of time, traced: its lines for `now` (`deliver`,
         `ack_tx`, `spurious_rexmit`) join the trace from a `trace` event at `now`,
-        queued before the receiver runs and with the arrival event's origin
-        (the downlink's admission), so it ranks as that event would."""
+        queued before the receiver runs, with the arrival event's origin (the
+        downlink's admission) and the key after the segment's, so it ranks
+        just after that event (a drop of its ACK takes the next key)."""
+        kernel = self.kernel
         lines, self.trace.lines = self.trace.lines, []
-        self.kernel.schedule(now, partial(lines.extend, self.trace.lines), "trace")
+        kernel.key = seg.key + 1 if seg.key else 0
+        kernel.schedule(now, partial(lines.extend, self.trace.lines), "trace")
+        kernel.key = 0
         self._deliver_data(seg, now)
         self.trace.lines = lines
 
@@ -520,21 +527,15 @@ class Simulation:
             self.trace.emit(now, "rto", rt.spec.src, flow=rt.spec.name, rto=fmt_time(rt.sender.rto))
         self._manage_rto(rt, False)
 
-    def _trace_state(self, rt: _FlowRuntime, sender: TcpSender, now: int) -> None:
-        # the state callback, wired only when tracing: a new fast retransmit first
-        if rt.fr_traced < len(sender.fr_times):
-            rt.fr_traced += 1
-            self.trace.emit(now, "fast_retransmit", rt.spec.src, flow=rt.spec.name)
-        self.trace.cwnd(now, rt.spec.src, rt.spec.name, sender.cwnd, sender.ssthresh,
-                        sender.phase, sender.snd_una)
-
     # ------------------------------------------------------------------
     # attachment, registration, redirection
 
     def _attach(self, kind: str, now: int) -> None:
         self.attachment = kind
         for rt in self.flows.values():
-            rt.ack_route = self.topo.routes[(self.mn, rt.spec.src, kind)]
+            rt.receiver.route = ack = self.topo.routes[(self.mn, rt.spec.src, kind)]
+            if rt.emit_ack is None and rt.receiver.emit_cb is not None:  # a started flow, unpaced
+                rt.receiver.emit_cb = ack[0].transmit
         route = self.topo.route_via_access(self.mn, self.cn, kind)
         bdp = ho_policy.estimate_bdp(_bottleneck_bw(route), path_rtt(route))
         # a window below one segment stalls a flow: the sender has no zero-window probe
@@ -546,8 +547,10 @@ class Simulation:
         resolve, into the topology's route table, each flow's route to the
         agent and, for every access kind the run can attach to, the agent's
         forward route, the ACK routes and the registration routes; set each
-        flow's `route` and `ack_route` (`_attach` keeps it current), and wire
-        the shortcuts over the routes a segment can take."""
+        flow's data route on its sender and ACK route on its receiver
+        (`_attach` keeps it current), untraced make the data route's first
+        link the sender's `send_cb`, and wire the shortcuts over the routes
+        a segment can take."""
         topo, mn, ha, attach = self.topo, self.mn, self.ha_node, self.scenario.attach
         kinds = list(dict.fromkeys([attach] + [h.to for h in self.scenario.handovers]))
         data = [topo.route(rt.spec.src, ha) for rt in self.flows.values()]
@@ -558,7 +561,9 @@ class Simulation:
         for kind in kinds:
             used += [self._registration_path(kind, to_agent)[1] for to_agent in (True, False)]
         for rt, route in zip(self.flows.values(), data):  # no detection yet: on `attach`
-            rt.route, rt.ack_route = route, topo.routes[(mn, rt.spec.src, attach)]
+            rt.sender.route, rt.receiver.route = route, topo.routes[(mn, rt.spec.src, attach)]
+            if not self.trace.enabled:
+                rt.sender.send_cb = route[0].transmit
         self._shortcuts(kinds, data, acks, used)
 
     def _shortcuts(self, kinds: list[str], data: list[Route], acks: list[Route],
@@ -691,15 +696,14 @@ class Simulation:
         receiver, fid = rt.receiver, rt.spec.name
         cap = receiver.policy_cap
         if cap is None or cap >= target:
-            wupd = receiver.set_window_policy(target, now)
+            wupd = receiver.set_window_policy(target, now, mark)
             self.trace.emit(now, "wpolicy", self.mn, flow=fid, cap=target)
         else:
             receiver.start_ramp(target)
-            wupd = receiver.window_update(now)
+            wupd = receiver.window_update(now, mark)
             self.trace.emit(now, "ramp", self.mn, flow=fid, target=target,
                             step=receiver.ramp_step)
         if wupd is not None and mark is not None:
-            wupd.mark = mark
             self._unsettled += 1
 
     def rest(self, now: int) -> None:
@@ -722,7 +726,7 @@ class Simulation:
             inflight[seg.flow_id] += seg.payload_len
         for fid, rt in self.flows.items():
             fm = rt.metrics
-            fm.retransmits = rt.sender.retransmit_count
+            fm.bytes_sent, fm.retransmits = rt.sender.bytes_sent, rt.sender.retransmit_count
             fm.max_rwnd_increase = rt.receiver.max_rwnd_increase
             fm.delivered_inorder, fm.last_inorder_at = rt.receiver.rcv_nxt, rt.receiver.advanced_at
             fm.bytes_inflight_end = inflight[fid]

@@ -12,6 +12,7 @@ flows are pre-established bulk transfers and every delivery is ACKed.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Optional
 
 from .errors import ProtocolViolation
@@ -33,9 +34,12 @@ UNLIMITED = None
 class TcpSender:
     """Congestion/flow-control state machine feeding one bulk flow.
 
-    Segments are handed to `send_cb(segment, now)`; the owner wires that to
-    the network. `state_cb(sender, now)` fires after any cwnd/ssthresh/phase
-    change so traces can record the series.
+    Each data segment is built with `route` and a key from `keys` (the
+    owner sets both) and handed to `send_cb(segment, now)`, which the owner
+    wires to the route's first link. `bytes_sent` counts the payload of
+    every copy sent.
+    `state_cb(sender, now)` fires after any cwnd/ssthresh/phase change so
+    traces can record the series.
     """
 
     def __init__(
@@ -63,11 +67,14 @@ class TcpSender:
         self.rtx_end = 0  # end of the highest range ever retransmitted (Karn)
         self.volume = volume  # None = unlimited source
         self.send_cb = send_cb or (lambda seg, now: None)
+        self.route: tuple = ()  # each data segment's route, to the home agent
+        self.keys = itertools.count(4, 4)  # each data segment's key (see Segment)
         self.state_cb = None
         # go-back-N resend window after a timeout
         self._rtx_next: Optional[int] = None
         self._rtx_high = 0
         self.retransmit_count = 0
+        self.bytes_sent = 0
         self.rto_times: list[int] = []  # one entry per timeout that fired
         self.fr_times: list[int] = []  # one entry per fast retransmit
         # window-update gating: only segments at least as fresh as the one
@@ -89,8 +96,10 @@ class TcpSender:
     # -- transmission --------------------------------------------------
 
     def _emit(self, seq: int, length: int, now: int, rexmit: bool) -> None:
-        # positional in field order (flow_id .. rexmit): half the cost of keywords
-        seg = Segment(self.flow_id, seq, length, 0, 0, F_DATA, now, None, None, rexmit)
+        # positional in field order (flow_id .. key): half the cost of keywords
+        seg = Segment(self.flow_id, seq, length, 0, 0, F_DATA, now, None, None, rexmit, None,
+                      self.route, next(self.keys))
+        self.bytes_sent += length
         if rexmit:
             self.rtx_end = max(self.rtx_end, seq + length)
             self.retransmit_count += 1
@@ -154,15 +163,7 @@ class TcpSender:
         if ack < snd_una:
             return  # old ACK from a stale path; ignore entirely
 
-        # a duplicate repeats the ack point without growing the window; a
-        # shrink still counts because it is the out-of-order buffer filling
-        # up at the receiver, not a window update
-        is_dup = (
-            ack == snd_una
-            and self.snd_nxt > snd_una
-            and rwnd <= self.peer_rwnd
-            and not seg.flags & (F_WUPD | F_REFRESH)
-        )
+        peer_rwnd = self.peer_rwnd  # the duplicate test below compares with the old window
         # (ack, sent_at) >= (_wl_ack, _wl_time), compared without tuples
         if ack > self._wl_ack or (ack == self._wl_ack and seg.sent_at >= self._wl_time):
             self.peer_rwnd = rwnd
@@ -190,7 +191,10 @@ class TcpSender:
             self.phase = SLOW_START if cwnd < ssthresh else CONG_AVOID
             if self.state_cb is not None:
                 self.state_cb(self, now)
-        elif is_dup:
+        elif self.snd_nxt > snd_una and rwnd <= peer_rwnd and not seg.flags & (F_WUPD | F_REFRESH):
+            # a duplicate repeats the ack point without growing the window; a
+            # shrink still counts because it is the out-of-order buffer filling
+            # up at the receiver, not a window update
             self._on_dupack(now)
         # pure window updates fall through to the send attempt below
         self.try_send(now)
@@ -273,10 +277,13 @@ class TcpReceiver:
 
     Every emitted ACK advertises min(free buffer, policy cap). In-order data
     is consumed immediately (bulk sink), so only out-of-order ranges occupy
-    the buffer. `emit_cb(segment, send_at)` hands ACKs to the network;
-    emission is shifted by `ack_delay` (ACK-return pacing). While `emit_cb`
-    is None (a flow not yet started) the receiver sends nothing: its window
-    still moves, and the sender takes `last_rwnd` when the flow starts.
+    the buffer. Each ACK is built with `route` (the owner keeps it on the
+    attachment) and the key of the data it answers, else one from `keys`,
+    and handed to `emit_cb(segment, send_at)`, which the owner wires to the
+    route's first link or to its pacing; emission is shifted by `ack_delay`
+    (ACK-return pacing). While `emit_cb` is None (a flow not yet started)
+    the receiver sends nothing: its window still moves, and the sender
+    takes `last_rwnd` when the flow starts.
     """
 
     def __init__(
@@ -296,6 +303,8 @@ class TcpReceiver:
         self.policy_cap = policy_cap
         self.ack_delay = 0
         self.emit_cb = emit_cb
+        self.route: tuple = ()  # each ACK's route, to the sender
+        self.keys = itertools.count(4, 4)  # keys of the ACKs no data segment prompts
         self.last_refresh: Optional[int] = None  # set while duplicate ACKs are suppressed
         self.last_rwnd = self.advertised()
         self.max_rwnd_increase = 0
@@ -317,10 +326,11 @@ class TcpReceiver:
         free, cap = self.buffer_capacity - self.oob_bytes, self.policy_cap
         return free if cap is UNLIMITED or cap > free else cap
 
-    def set_window_policy(self, cap: Optional[int], now: int) -> Optional[Segment]:
-        """Cap the advertised window; an immediate window-update ACK tells
-        the sender about any change and is returned (None when the cap is
-        unchanged or nothing is sent). UNLIMITED (None) removes the cap."""
+    def set_window_policy(self, cap: Optional[int], now: int, mark=None) -> Optional[Segment]:
+        """Cap the advertised window; an immediate window-update ACK, built
+        with `mark`, tells the sender about any change and is returned (None
+        when the cap is unchanged or nothing is sent). UNLIMITED (None)
+        removes the cap."""
         if cap is not UNLIMITED:
             if cap < 0:
                 raise SimError(f"flow {self.flow_id} at {fmt_time(now)}: negative window cap")
@@ -331,7 +341,7 @@ class TcpReceiver:
         self.policy_cap = cap
         self.ramp_target = None
         if changed:
-            return self._emit_ack(now, flags=F_WUPD)
+            return self._emit_ack(now, F_WUPD, None, mark)
         return None
 
     def start_ramp(self, target: int) -> None:
@@ -343,9 +353,10 @@ class TcpReceiver:
             raise SimError(f"flow {self.flow_id}: a ramp needs a capped window")
         self.ramp_target = min(target, self.buffer_capacity)
 
-    def window_update(self, now: int) -> Optional[Segment]:
-        """Emit a window-update ACK now; a running ramp takes its step."""
-        return self._emit_ack(now, flags=F_WUPD)
+    def window_update(self, now: int, mark=None) -> Optional[Segment]:
+        """Emit a window-update ACK now, built with `mark`; a running ramp
+        takes its step."""
+        return self._emit_ack(now, F_WUPD, None, mark)
 
     def set_suppress_dupacks(self, on: bool, now: int) -> None:
         self.last_refresh = now if on else None
@@ -375,7 +386,7 @@ class TcpReceiver:
         seq, end = seg.seq, seg.seq + seg.payload_len
         if end <= self.rcv_nxt or (self.oob and self.holds_range(seq, seg.payload_len)):
             # stale duplicate: re-ACK so the peer can resynchronize
-            self._maybe_dupack(now)
+            self._maybe_dupack(now, seg.key)
             return
         if seq <= self.rcv_nxt:
             self.rcv_nxt, self.advanced_at = end, now
@@ -383,14 +394,14 @@ class TcpReceiver:
                 self._absorb_contiguous()
             if self.advance_cb is not None:
                 self.advance_cb(self, now)
-            self._emit_ack(now, 0, None if seg.rexmit else seg.sent_at)
+            self._emit_ack(now, 0, None if seg.rexmit else seg.sent_at, None, seg.key)
             return
         # out of order: buffer if there is room, else model receiver overflow
         if seg.payload_len > self.buffer_capacity - self.oob_bytes:
             self.overflow_drops += 1
             return
         self._insert_oob(seq, end)
-        self._maybe_dupack(now)
+        self._maybe_dupack(now, seg.key)
 
     def _insert_oob(self, seq: int, end: int) -> None:
         ranges = self.oob
@@ -415,19 +426,20 @@ class TcpReceiver:
             if stop > self.rcv_nxt:
                 self.rcv_nxt = stop
 
-    def _maybe_dupack(self, now: int) -> None:
+    def _maybe_dupack(self, now: int, key: int) -> None:
         if self.last_refresh is None:
-            self._emit_ack(now)
+            self._emit_ack(now, 0, None, None, key)
             return
         # withheld; keep the sender's timers alive with a rate-limited,
         # specially flagged state refresh instead
         if now - self.last_refresh >= REFRESH_INTERVAL:
             self.last_refresh = now
-            self._emit_ack(now, flags=F_REFRESH)
+            self._emit_ack(now, F_REFRESH, None, None, key)
 
     # -- ACK emission -----------------------------------------------------
 
-    def _emit_ack(self, now: int, flags: int = 0, echo=None) -> Optional[Segment]:
+    def _emit_ack(self, now: int, flags: int = 0, echo=None, mark=None,
+                  key: int = 0) -> Optional[Segment]:
         target = self.ramp_target
         if target is not None and self.policy_cap < target and not flags & F_REFRESH:
             self.policy_cap = min(self.policy_cap + self.ramp_step, target)
@@ -445,8 +457,8 @@ class TcpReceiver:
         self.last_rwnd = rwnd
         if self.emit_cb is None:
             return None
-        # positional in field order (flow_id .. echo), as in TcpSender._emit
+        # positional in field order (flow_id .. key), as in TcpSender._emit
         seg = Segment(self.flow_id, 0, 0, self.rcv_nxt, rwnd, F_ACK | flags, now + self.ack_delay,
-                      None, echo)
+                      None, echo, False, mark, self.route, key or next(self.keys))
         self.emit_cb(seg, now + self.ack_delay)
         return seg

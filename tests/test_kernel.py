@@ -39,6 +39,22 @@ def test_simultaneous_events_rank_by_origin_first():
     assert fired == [("now", 9), ("ahead", 9)]
 
 
+def test_simultaneous_events_of_one_origin_rank_by_key():
+    # a segment's events take its key (`key`, drawn when the segment was
+    # made), whenever a run schedules them; any other event draws a fresh
+    # key, in the order events are scheduled
+    k = Kernel()
+    fired = []
+    older, newer = next(k.seqs), next(k.seqs)
+    k.origin = 5
+    for key, label in ((newer, "newer"), (older, "older"), (0, "fresh")):
+        k.key = key
+        k.schedule(9, lambda label=label: fired.append(label))
+    k.key = 0
+    k.run_until(9)
+    assert fired == ["older", "newer", "fresh"]
+
+
 def test_schedule_at_now_fires_before_later_events():
     k = Kernel()
     fired = []

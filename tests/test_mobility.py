@@ -144,9 +144,11 @@ class TestBindingTable:
 
     def test_registration_back_in_time_is_sim_error(self):
         table = BindingTable()
-        table.register("mn", "WLAN", 10)
-        with pytest.raises(SimError, match="before the one in force"):
-            table.register("mn", "SAT", 9)
+        table.register("mn", "WLAN", 2_000_000)
+        with pytest.raises(SimError) as raised:
+            table.register("mn", "SAT", 1_500_000)
+        assert str(raised.value) == ("binding of mn registered at 1.500000, before the one in "
+                                     "force (registered at 2.000000)")
 
 
 def test_home_agent_routes_by_the_newest_binding():
@@ -179,8 +181,10 @@ def test_home_agent_ignores_a_binding_update_sent_before_the_one_in_force():
 
 def test_home_agent_rejects_a_segment_that_is_not_a_binding_update():
     agent = HomeAgent("mn")
-    with pytest.raises(SimError, match=r"binding update expected, got flags 1 \(flow f1\)"):
-        agent.handle_binding_update(Segment(flow_id="f1", flags=F_DATA), 9)
+    with pytest.raises(SimError) as raised:
+        agent.handle_binding_update(Segment(flow_id="f1", flags=F_DATA), 2_500_000)
+    assert str(raised.value) == \
+        "home agent at 2.500000: binding update expected, got flags 1 (flow f1)"
     assert agent.table.entries == {}
 
 

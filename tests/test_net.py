@@ -227,7 +227,9 @@ def _drive(make, ops):
     link.on_drop = lambda l, s, reason, at: log.append(("drop", s.seq, reason, at, k.now))
 
     def send(label, payload, ahead):
+        origin = k.origin  # an admission ahead of time leaves the origin at its own time
         link.transmit(Segment(flow_id="f", seq=label, payload_len=payload), k.now + ahead)
+        k.origin = origin
         log.append(("tx", label, k.now, ahead, link.free_at, link.occupancy))
 
     def fire(label, payload, ahead, child):
@@ -265,6 +267,12 @@ _aheads = st.sampled_from([0, 0, 0, 500, 1000, 1500])  # an admission for a late
 # next one, for 500 us, finds `free_at` (1000) later than its own time
 @example(queue=1500, prop=0, avail=((0, 2000), (3500, 10**9)),
          ops=[(0, 960, 0, None), (500, 460, 1500, (0, 460, 0, False))])
+# the first of two segments at 0 us finds the serializer idle and leaves no
+# backlog entry; the second, busy, queues behind it; the admission for
+# 2000 us, made at 500 us, releases both, and the one for 500 us then finds
+# the serializer busy (until 1000 us) with an empty backlog
+@example(queue=1500, prop=0, avail=((0, 2000), (3500, 10**9)),
+         ops=[(0, 460, 0, None), (0, 460, 0, None), (500, 460, 1500, (0, 460, 0, False))])
 def test_lazy_release_matches_a_dequeue_event_per_segment(queue, prop, avail, ops):
     def lazy(k):
         return make_link(k, bandwidth=1_000_000, prop=prop, queue=queue, avail=avail, kind="WLAN")

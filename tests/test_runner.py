@@ -16,7 +16,7 @@ from conftest import DIGEST_RUNS, REPO_ROOT, SCENARIOS, all_events, cut, scenari
 from satwin import runner
 from satwin.errors import ConfigError
 from satwin.kernel import SEC, Kernel, SimError, fmt_time
-from satwin.metrics import Trace, write_csv
+from satwin.metrics import DropRecord, Trace, write_csv
 from satwin.net import (F_ACK, F_BU, F_BUACK, F_DATA, NO_COVERAGE, DirectedLink, Topology,
                         pending_arrivals)
 from satwin.runner import Simulation, compare, run
@@ -297,22 +297,41 @@ WINDOW_UPDATE_TIES = _gateway_file(
 # keeps its event, which runs after the detection's
 AGENT_BOUNDARY_TIES = scenario_path("s1_wlan_to_sat").read_text().replace(
     "at = 2.5\n", "at = 1.003100\n") + "\n[handover.0]\nat = 1.0\nto = WLAN\n"
+# two flows in lockstep, every hop 0.375 s long: at 2.875 s f1's data is
+# refused at CN->SGW (out of coverage) and f0's at SGW->MN (full), both by
+# events of origin 2.5 s; they rank by their segments' keys, f0's copy
+# being made first (at 1.0 s), on the run with every shortcut, where both
+# drops are scheduled at 1.0 s, as on the all-events run, where the events
+# before them reach back over four hops of equal times
+LOCKSTEP_TIES = _gateway_file(
+    "end = 3.593752\nattach = SAT\nw_default = 1460\n",
+    {"wlan": (8, 0, 1500), "sat": (8, 0, 1500), "wgw_cn": (32000, 0, 3000),
+     "wgw_ha": (32000, 0, 1500), "sgw_cn": (32000, 0, 1500), "sgw_ha": (8, 0.000001, 1500)},
+    "[flow.f0]\nsrc = CN\ndst = MN\nstart = 0\nack_extra_delay = 0\n\n"
+    "[flow.f1]\nsrc = CN\ndst = MN\nstart = 0\nack_extra_delay = 0\n").replace(
+    "[link.sgw_cn]\n", "[link.sgw_cn]\navailability = 0:2.515626,2.875001:3.593752\n")
 TIES = {"zero_delay_ties": ZERO_DELAY_TIES, "two_gateway_ties": TWO_GATEWAY_TIES,
-        "window_update_ties": WINDOW_UPDATE_TIES, "agent_boundary_ties": AGENT_BOUNDARY_TIES}
+        "window_update_ties": WINDOW_UPDATE_TIES, "agent_boundary_ties": AGENT_BOUNDARY_TIES,
+        "lockstep_ties": LOCKSTEP_TIES}
 
 # S2 whose WLAN coverage ends at 4.25 s, inside the 0.5 s lead of the boost
 # detected at 4 s: PROACTIVE aborts the switch at execution
 ABORTED_BOOST = scenario_path("s2_sat_to_wlan").read_text().replace(
     "queue = 131072\n", "queue = 131072\navailability = 0:4.25\n")
+# S1 whose WLAN coverage ends at 2.4 s, before the detection at 2.5 s:
+# PROACTIVE's window update at the detection is dropped on its first hop
+LOST_WINDOW_UPDATE = scenario_path("s1_wlan_to_sat").read_text().replace(
+    "queue = 131072\n", "queue = 131072\navailability = 0:2.4\n", 1)
+EDITED = {"s2_aborted_boost": ABORTED_BOOST, "s1_lost_window_update": LOST_WINDOW_UPDATE}
 
 
 def _tie_or_shipped(name):
-    texts = {**TIES, "s2_aborted_boost": ABORTED_BOOST}
+    texts = {**TIES, **EDITED}
     return parse_scenario(texts[name], name) if name in texts else load_scenario(scenario_path(name))
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("name", DIGEST_RUNS.SHIPPED + tuple(TIES) + ("s2_aborted_boost",))
+@pytest.mark.parametrize("name", DIGEST_RUNS.SHIPPED + tuple(TIES) + tuple(EDITED))
 def test_every_shortcut_run_is_the_all_events_run(monkeypatch, name, mode):
     # every event ranks by the moment the all-events reference schedules
     # it, so the run with every shortcut is the reference run: equal
@@ -329,6 +348,9 @@ def test_every_shortcut_run_is_the_all_events_run(monkeypatch, name, mode):
     assert runs[0] == runs[1]
     if name == "window_update_ties" and mode == "PROACTIVE":
         assert "0.080000 timeline WGW label=t_a1 t=0.080000" in runs[0][2]
+    if name == "lockstep_ties":
+        drops = [line.split()[2:4] for line in runs[0][2] if line.startswith("2.875000 drop")]
+        assert drops == [["sat:SGW->MN", "flow=f0"], ["sgw_cn:CN->SGW", "flow=f1"]]
     if name == "agent_boundary_ties":
         _, lines, reached, events, quiet, scheduled = _agent_run(monkeypatch, scenario, mode)
         detect = scenario.handovers[1].at
@@ -572,6 +594,29 @@ def test_a_boost_whose_target_loses_coverage_aborts_at_execution():
     assert "4.500000 wpolicy MN flow=f1 cap=63750" in sim.trace.lines
     assert sim.attachment == "SAT" and sim.ha.bound == "SAT"
     assert all(fm.conservation_residual() == 0 for fm in metrics.flows.values())
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_both_hand_offs_resume_after_the_bu_once_a_window_update_is_dropped(monkeypatch, mode):
+    # the window update carries its handover's mark from the moment it is
+    # built, so its drop on the first hop settles it: once the BU reaches the
+    # agent (t_r1), the agent's interval and the MN's start again
+    starts = []
+    start_interval = Simulation._start_interval
+
+    def logged_start(sim, link):
+        starts.append((sim.kernel.now, link))
+        start_interval(sim, link)
+
+    monkeypatch.setattr(Simulation, "_start_interval", logged_start)
+    sim = Simulation(_tie_or_shipped("s1_lost_window_update"), mode=mode)
+    metrics = sim.run()
+    lost = DropRecord(2_500_000, "wlan:MN->WGW", "WLAN", NO_COVERAGE, "f1")
+    assert (lost in metrics.drops) == (mode == "PROACTIVE")
+    t_r1 = metrics.handovers[0].timeline["t_r1"]
+    resumed = {link for at, link in starts if at >= t_r1}
+    assert resumed == {sim._into["SAT"], sim._forward["SAT"][-1]}
+    assert sim._unsettled == 0
 
 
 def test_drain_times_out_when_a_satellite_segment_is_lost():

@@ -229,25 +229,32 @@ def make_receiver(buffer=64000, cap=UNLIMITED):
     return receiver, emitted
 
 
-def data(seq, length=MSS, rexmit=False, sent_at=0):
+def data(seq, length=MSS, rexmit=False, sent_at=0, key=0):
     return Segment(flow_id="f", seq=seq, payload_len=length, flags=F_DATA,
-                   sent_at=sent_at, rexmit=rexmit)
+                   sent_at=sent_at, rexmit=rexmit, key=key)
 
 
 def test_sender_segments_match_keyword_construction():
     # _emit builds segments positionally; a slip in the field order shows
-    # here against the same segments built by keyword
+    # here against the same segments built by keyword. Each copy draws its
+    # own key from `keys`
     sender, sent = make_sender(volume=3 * MSS + 100)
     sender.cwnd = 10 * MSS
+    sender.route = route = ("cn_ha",)  # a stand-in for the links
     sender.try_send(7)
     sender.on_rto(9)  # go back to snd_una: one retransmitted copy
     assert sent == [
-        Segment(flow_id="f", seq=0, payload_len=MSS, flags=F_DATA, sent_at=7),
-        Segment(flow_id="f", seq=MSS, payload_len=MSS, flags=F_DATA, sent_at=7),
-        Segment(flow_id="f", seq=2 * MSS, payload_len=MSS, flags=F_DATA, sent_at=7),
-        Segment(flow_id="f", seq=3 * MSS, payload_len=100, flags=F_DATA, sent_at=7),
-        Segment(flow_id="f", seq=0, payload_len=MSS, flags=F_DATA, sent_at=9, rexmit=True),
+        Segment(flow_id="f", seq=0, payload_len=MSS, flags=F_DATA, sent_at=7, route=route, key=4),
+        Segment(flow_id="f", seq=MSS, payload_len=MSS, flags=F_DATA, sent_at=7, route=route,
+                key=8),
+        Segment(flow_id="f", seq=2 * MSS, payload_len=MSS, flags=F_DATA, sent_at=7, route=route,
+                key=12),
+        Segment(flow_id="f", seq=3 * MSS, payload_len=100, flags=F_DATA, sent_at=7, route=route,
+                key=16),
+        Segment(flow_id="f", seq=0, payload_len=MSS, flags=F_DATA, sent_at=9, rexmit=True,
+                route=route, key=20),
     ]
+    assert sender.bytes_sent == 4 * MSS + 100  # every copy counts
 
 
 class TestReceiver:
@@ -315,24 +322,33 @@ class TestReceiver:
 
 
 def test_receiver_acks_match_keyword_construction():
-    # _emit_ack builds ACKs positionally, as TcpSender._emit does
+    # _emit_ack builds ACKs positionally, as TcpSender._emit does. An ACK
+    # to data takes the data segment's key; a window update draws one
     receiver, emitted = make_receiver()
     receiver.ack_delay = 5
-    receiver.on_data(data(0, sent_at=3), 10)  # in order: echoes the send time
-    receiver.on_data(data(2 * MSS), 11)  # out of order: duplicate ACK
-    receiver.on_data(data(MSS, rexmit=True, sent_at=4), 12)  # fills the hole; no echo
-    receiver.set_window_policy(30000, 13)
+    receiver.route = route = ("wlan",)  # a stand-in for the links
+    receiver.on_data(data(0, sent_at=3, key=40), 10)  # in order: echoes the send time
+    receiver.on_data(data(2 * MSS, key=44), 11)  # out of order: duplicate ACK
+    receiver.on_data(data(MSS, rexmit=True, sent_at=4, key=48), 12)  # fills the hole; no echo
+    receiver.set_window_policy(30000, 13, mark="h1")
     receiver.set_suppress_dupacks(True, 14)
-    receiver.on_data(data(0), 100_014)  # stale: a state refresh instead of a dupack
+    receiver.on_data(data(0, key=52), 100_014)  # stale: a state refresh instead of a dupack
+    receiver.window_update(100_015, mark="h2")
     assert [seg for seg, _ in emitted] == [
-        Segment(flow_id="f", ack=MSS, rwnd=64000, flags=F_ACK, sent_at=15, echo=3),
-        Segment(flow_id="f", ack=MSS, rwnd=64000 - MSS, flags=F_ACK, sent_at=16),
-        Segment(flow_id="f", ack=3 * MSS, rwnd=64000, flags=F_ACK, sent_at=17),
-        Segment(flow_id="f", ack=3 * MSS, rwnd=30000, flags=F_ACK | F_WUPD, sent_at=18),
+        Segment(flow_id="f", ack=MSS, rwnd=64000, flags=F_ACK, sent_at=15, echo=3, route=route,
+                key=40),
+        Segment(flow_id="f", ack=MSS, rwnd=64000 - MSS, flags=F_ACK, sent_at=16, route=route,
+                key=44),
+        Segment(flow_id="f", ack=3 * MSS, rwnd=64000, flags=F_ACK, sent_at=17, route=route,
+                key=48),
+        Segment(flow_id="f", ack=3 * MSS, rwnd=30000, flags=F_ACK | F_WUPD, sent_at=18,
+                mark="h1", route=route, key=4),
         Segment(flow_id="f", ack=3 * MSS, rwnd=30000, flags=F_ACK | F_REFRESH,
-                sent_at=100_019),
+                sent_at=100_019, route=route, key=52),
+        Segment(flow_id="f", ack=3 * MSS, rwnd=30000, flags=F_ACK | F_WUPD, sent_at=100_020,
+                mark="h2", route=route, key=8),
     ]
-    assert [at for _, at in emitted] == [15, 16, 17, 18, 100_019]
+    assert [at for _, at in emitted] == [15, 16, 17, 18, 100_019, 100_020]
 
 
 class TestWindowPolicy:
