@@ -139,9 +139,10 @@ class DirectedLink:
     entry, released without a walk.
     A data segment ending its route here before `hand_off_before` goes to
     `hand_off` for its arrival time, with no event. `Simulation._shortcuts`
-    sets it on the one link into the home agent and, with no ACK delay, on
-    the MN's downlinks; `hand_off_before` is the next scripted detection
-    inside an interval of the link's own, and 0 outside one.
+    sets it on the one link into the home agent and, with no ACK delay or
+    pacing, on each MN downlink its forward route cuts through to;
+    `hand_off_before` is the next scripted detection inside an interval of
+    the link's own, and 0 outside one.
     """
 
     def __init__(self, spec: LinkSpec, src: str, dst: str, kernel: Kernel):
@@ -271,10 +272,12 @@ def pending_arrivals(kernel: Kernel) -> Iterator[Segment]:
 
 
 def take_arrivals(kernel: Kernel, link: DirectedLink, before: int) -> list[tuple]:
-    """Cancel the pending events of the segments ending their route over `link`
-    before `before`, not at it; the (time, origin, segment) of each, in run order."""
+    """Cancel the pending events of the data segments ending their route over
+    `link` before `before`, not at it; the (time, origin, segment) of each, in
+    run order. A BUACK due there keeps its event: its arrival is the MN's."""
     entries = sorted(e for e in kernel.pending_entries("link-rx")
-                     if e[0] < before and e[5].route[-1] is link and e[5].hop == len(e[5].route))
+                     if e[0] < before and e[5].route[-1] is link and e[5].hop == len(e[5].route)
+                     and e[5].flags & F_DATA)
     for entry in entries:
         kernel.cancel(entry)
     return [(entry[0], entry[1] >> 40, entry[5]) for entry in entries]

@@ -87,7 +87,8 @@ class _HandoverRuntime:
     # -- proactive terrestrial -> satellite --------------------------------
 
     def _advertise_w_rec(self, now: int) -> None:
-        """Advertise W_REC now and hold the registration back by delta."""
+        """Advertise W_REC now and hold the registration back by delta. ACK
+        pacing ends the MN's hand-off for the run (README gives the reason)."""
         sim, hdef = self.sim, self.hdef
         w_rec, delta, violated = ho_policy.plan_terr_to_sat(
             sim.cache.get(hdef.to, sim.scenario.sat_default_window), sim.scenario.w_default,
@@ -116,6 +117,8 @@ class _HandoverRuntime:
                 receiver.ack_delay = hdef.ack_pacing
                 sim.trace.emit(now, "ack_pacing", sim.mn, flow=fid,
                                delay=fmt_time(hdef.ack_pacing))
+                for forward in sim._forward.values():
+                    forward[-1].hand_off = None
         self.timer = sim.kernel.schedule(t_r0, self._execute_t2s, "t2s-exec")
 
     def _execute_t2s(self) -> None:
@@ -140,7 +143,7 @@ class _HandoverRuntime:
             receiver = rt.receiver
             target = ho_policy.plan_sat_to_terr(sim.cache[sat], receiver.policy_cap,
                                                 receiver.buffer_capacity)
-            receiver.start_ramp(target)
+            receiver.start_ramp(target, now)
             sim.trace.emit(now, "boost", sim.mn, flow=fid, target=target,
                            step=receiver.ramp_step)
         # two round trips of a full segment over the satellite guard the
@@ -221,8 +224,6 @@ class _HandoverRuntime:
         """This handover's BUACK reached the MN (t_r3)."""
         self.sim.trace.emit(now, "buack_recv", self.sim.mn, network=seg.path_tag)
         self.stamp("t_r3", now, self.sim.mn)
-        if self.sim._unconfirmed is self:
-            self.sim._unconfirmed = None
 
     def registration_lost(self, now: int) -> None:
         """A dropped or stale BU, or a dropped BUACK, leaves the binding (or
@@ -314,7 +315,6 @@ class Simulation:
         # detections whose binding update may still reach the agent, and marked window
         # updates not yet at their sender: no hand-off resumes while any is unsettled
         self._unsettled = 0
-        self._unconfirmed: Optional[_HandoverRuntime] = None  # whose BUACK is due at the MN
 
         # the latest handover; its detection retired the one before (see retire)
         self._active: Optional[_HandoverRuntime] = None
@@ -427,7 +427,8 @@ class Simulation:
             else:
                 seg.mark.registered(now)
                 buack.mark, buack.key = seg.mark, next(self.kernel.seqs)
-                self._send_buack(buack, now)
+                buack.route = self._registration_path(buack.path_tag, to_agent=False)[1]
+                buack.route[0].transmit(buack, now)
             self._resume_hand_off()
         else:  # a BUACK
             seg.mark.confirmed(seg, now)
@@ -575,8 +576,9 @@ class Simulation:
         through it and the `acks` of every kind (one sent before a switch may
         still travel) hands data off to the agent inside a quiet interval
         (see _resume_hand_off). With no flow delaying its ACKs, the MN's
-        downlink of each kind hands data to the receiver inside an MN
-        interval (see _resume_mn_hand_off): inside one nothing else reaches
+        downlink of each kind that its forward route cuts through to (a BUACK
+        gets there in its BU's arrival event) hands data to the receiver in an
+        MN interval (see _resume_mn_hand_off): inside one nothing else reaches
         a receiver or the MN's uplink, so the ACK enters the uplink in time
         order, for the data's arrival time. On the links of the attachment
         the first interval of each starts now (`_start_interval`). The trace
@@ -591,10 +593,11 @@ class Simulation:
             if into is not None:
                 into.hand_off = self._ha_forward
                 self._into[kind] = into
-            forward[-1].hand_off = None if delayed else self._to_receiver
+            cut = all(link.feeder for link in forward[1:])
+            forward[-1].hand_off = self._to_receiver if cut and not delayed else None
         if attach in self._into:
             self._start_interval(self._into[attach])
-        if not delayed:
+        if self._forward[attach][-1].hand_off:
             self._start_interval(self._forward[attach][-1])
 
     def _registration_path(self, kind: str, to_agent: bool) -> tuple[str, Route]:
@@ -606,12 +609,6 @@ class Simulation:
         proxy = self.scenario.proxy_gateway or self.topo.access_link(kind).dst
         ends = (proxy, self.ha_node) if to_agent else (self.ha_node, proxy)
         return proxy, self.topo.route(*ends)
-
-    def _send_buack(self, seg: Segment, now: int) -> None:
-        end, seg.route = self._registration_path(seg.path_tag, to_agent=False)
-        if end == self.mn:  # due at the MN until it gets there (see _resume_mn_hand_off)
-            self._unconfirmed = seg.mark
-        seg.route[0].transmit(seg, now)
 
     # ------------------------------------------------------------------
     # handover engine
@@ -640,35 +637,29 @@ class Simulation:
 
     def _resume_hand_off(self) -> None:
         """A segment reached the agent: start a quiet interval on the link
-        into it once (i) no binding update is in flight or still to be sent,
-        (ii) a link hands off to the agent under the binding in force, and
-        (iii) nothing reads early what the agent writes ahead of time: no
-        marked window update is on its way (its arrival reads `ha_end`), and
-        the latest handover waits on no t_a2 marker (traced when it
-        resolves) and drains no network the agent routes to (a drain reads
-        its watermark). README "Event kernel and links" gives the reasons."""
+        into it once (i) nothing is unsettled: no binding update is in flight
+        or still to be sent, and no marked window update (its arrival reads
+        `ha_end`) is on its way, (ii) a link hands off to the agent under the
+        binding in force, and (iii) the latest handover waits on no t_a2
+        marker (traced when it resolves). README "Event kernel and links"
+        gives the reasons, and why an open drain needs no clause."""
         if self._unsettled:
             return
-        kind, ho = self.ha.route_attachment(), self._active
-        into = self._into.get(kind)
-        if into is None or ho is not None and (
-                ho.markers or ho.draining and ho.metrics.old_kind == kind):
+        into, ho = self._into.get(self.ha.route_attachment()), self._active
+        if into is None or ho is not None and ho.markers:
             return
         self._start_interval(into)
 
     def _resume_mn_hand_off(self) -> None:
         """A data segment reached the MN: start an MN interval on the
-        downlink of the binding in force once (i) nothing is unsettled,
-        (ii) no drain is open, (iii) no BUACK is due at the MN, (iv) no ACK
-        is delayed or paced, and (v) no other forward route carries a
-        segment. README "Event kernel and links" gives the reasons."""
-        ho, bound, kernel = self._active, self.ha.bound, self.kernel
-        link, now = self._forward[bound][-1], kernel.now
-        if self._unsettled or link.hand_off is None or ho.draining or self._unconfirmed \
-                or any(rt.receiver.ack_delay for rt in self.flows.values()) or any(
-                    hop.free_at + hop.prop_delay >= now for kind, route in self._forward.items()
-                    if kind != bound for hop in route) \
-                or any(kernel.pending_entries("ack-paced")):
+        downlink of the binding in force, if it hands off, once (i) nothing
+        is unsettled, (ii) no drain is open, and (iii) no other forward route
+        carries a segment. README "Event kernel and links" gives the reasons."""
+        ho, bound, now = self._active, self.ha.bound, self.kernel.now
+        link = self._forward[bound][-1]
+        if self._unsettled or link.hand_off is None or ho.draining or any(
+                hop.free_at + hop.prop_delay >= now for kind, route in self._forward.items()
+                if kind != bound for hop in route):
             return
         self._start_interval(link)
 
@@ -699,7 +690,7 @@ class Simulation:
             wupd = receiver.set_window_policy(target, now, mark)
             self.trace.emit(now, "wpolicy", self.mn, flow=fid, cap=target)
         else:
-            receiver.start_ramp(target)
+            receiver.start_ramp(target, now)
             wupd = receiver.window_update(now, mark)
             self.trace.emit(now, "ramp", self.mn, flow=fid, target=target,
                             step=receiver.ramp_step)

@@ -344,13 +344,13 @@ class TcpReceiver:
             return self._emit_ack(now, F_WUPD, None, mark)
         return None
 
-    def start_ramp(self, target: int) -> None:
+    def start_ramp(self, target: int, now: int) -> None:
         """Raise the cap toward `target` by two segments on every later ACK
         (self-clocked, so the increase cannot outrun the path), and bound
         every increase of the advertised window by the same two segments
         until the next set_window_policy, also once the target is reached."""
         if self.policy_cap is UNLIMITED:
-            raise SimError(f"flow {self.flow_id}: a ramp needs a capped window")
+            raise SimError(f"flow {self.flow_id} at {fmt_time(now)}: a ramp needs a capped window")
         self.ramp_target = min(target, self.buffer_capacity)
 
     def window_update(self, now: int, mark=None) -> Optional[Segment]:

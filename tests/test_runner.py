@@ -310,9 +310,19 @@ LOCKSTEP_TIES = _gateway_file(
     "[flow.f0]\nsrc = CN\ndst = MN\nstart = 0\nack_extra_delay = 0\n\n"
     "[flow.f1]\nsrc = CN\ndst = MN\nstart = 0\nack_extra_delay = 0\n").replace(
     "[link.sgw_cn]\n", "[link.sgw_cn]\navailability = 0:2.515626,2.875001:3.593752\n")
+# a drawn file: PROACTIVE's binding update off the satellite is lost at
+# 0.621000 (OVERFLOW on CN->SGW) while f0 drains SAT, and the drain never
+# ends; the binding stays on SAT, yet the agent's quiet interval starts when
+# t_a2 resolves (1.501501), as no t_r1 comes for the drain to read the
+# watermark the agent then writes ahead of time
+LOST_BU_DRAIN = _gateway_file(
+    "end = 2.074391\nmode = reset-cwnd\nattach = SAT\nw_default = 2044\n",
+    {"wlan": (8000, 0.001, 1500), "sat": (8000000, 0, 1500), "wgw_cn": (8000, 0, 1500),
+     "wgw_ha": (8000, 0.001, 1500), "sgw_cn": (8000, 0, 1500), "sgw_ha": (8000000, 0, 9239)},
+    "[flow.f0]\nsrc = CN\ndst = MN\nstart = 0.000001\n\n[handover.h0]\nat = 0\nto = WLAN\n")
 TIES = {"zero_delay_ties": ZERO_DELAY_TIES, "two_gateway_ties": TWO_GATEWAY_TIES,
         "window_update_ties": WINDOW_UPDATE_TIES, "agent_boundary_ties": AGENT_BOUNDARY_TIES,
-        "lockstep_ties": LOCKSTEP_TIES}
+        "lockstep_ties": LOCKSTEP_TIES, "lost_bu_drain": LOST_BU_DRAIN}
 
 # S2 whose WLAN coverage ends at 4.25 s, inside the 0.5 s lead of the boost
 # detected at 4 s: PROACTIVE aborts the switch at execution
@@ -322,7 +332,12 @@ ABORTED_BOOST = scenario_path("s2_sat_to_wlan").read_text().replace(
 # PROACTIVE's window update at the detection is dropped on its first hop
 LOST_WINDOW_UPDATE = scenario_path("s1_wlan_to_sat").read_text().replace(
     "queue = 131072\n", "queue = 131072\navailability = 0:2.4\n", 1)
-EDITED = {"s2_aborted_boost": ABORTED_BOOST, "s1_lost_window_update": LOST_WINDOW_UPDATE}
+# S2 with a move back onto the satellite detected at 4.01 s: BASELINE and
+# RESET_CWND register it, and the MN's interval starts (4.280060) while
+# that BUACK is still due at the MN (t_r3 4.526970); it keeps its event
+BACK_TO_SAT = scenario_path("s2_sat_to_wlan").read_text() + "\n[handover.2]\nat = 4.01\nto = SAT\n"
+EDITED = {"s2_aborted_boost": ABORTED_BOOST, "s1_lost_window_update": LOST_WINDOW_UPDATE,
+          "s2_back_to_sat": BACK_TO_SAT}
 
 
 def _tie_or_shipped(name):
@@ -359,6 +374,17 @@ def test_every_shortcut_run_is_the_all_events_run(monkeypatch, name, mode):
         assert (taken[0], kept[0]) == (1_001_900, detect)
         assert taken not in events and kept in events
         _assert_quiet_intervals(scenario, lines, reached, events, quiet, scheduled)
+    if name == "lost_bu_drain" and mode == "PROACTIVE":
+        _, lines, reached, events, quiet, scheduled = _agent_run(monkeypatch, scenario, mode)
+        assert "0.621000 bu_lost MN handover=h0" in lines and quiet == [(1_501_501, 2_074_392)]
+        assert not any(" drain_done " in line for line in lines)  # open to the end
+        _assert_quiet_intervals(scenario, lines, reached, events, quiet, scheduled)
+    if name == "s2_back_to_sat" and mode != "PROACTIVE":
+        sim, taken, events, intervals = _mn_run(monkeypatch, scenario, mode)
+        assert intervals[-1] == (4_280_060, scenario.end + 1)
+        assert sim.metrics.handovers[1].timeline["t_r3"] == 4_526_970
+        assert "4.526970 buack_recv MN network=SAT" in runs[0][2]  # from its arrival event
+        _assert_mn_intervals(scenario, taken, intervals)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -1162,6 +1188,118 @@ def test_a_link_with_two_feeders_keeps_its_arrival_events(monkeypatch, mode):
     assert entered and all(entered)  # every segment entered them from an event at R
 
 
+_FORWARD_OVER_TWO_FEEDERS = """
+[sim]
+end = 4.0
+attach = WLAN
+w_default = 131072
+sat_default_window = 63750
+
+[node.CN]
+role = cn
+[node.HA]
+role = ha
+[node.R]
+role = router
+[node.WGW]
+role = gateway
+kind = WLAN
+[node.SGW]
+role = gateway
+kind = SAT
+[node.MN]
+role = mn
+
+[link.wlan]
+a = MN
+b = WGW
+kind = WLAN
+bandwidth = 1000000
+delay = 0.010
+queue = 131072
+
+[link.sat]
+a = MN
+b = SGW
+kind = SAT
+bandwidth = 1000000
+delay = 0.250
+queue = 65536
+
+[link.r_wgw]
+a = R
+b = WGW
+bandwidth = 100000000
+delay = 0.002
+queue = 262144
+
+[link.r_ha]
+a = R
+b = HA
+bandwidth = 100000000
+delay = 0.010
+queue = 262144
+
+[link.sgw_ha]
+a = SGW
+b = HA
+bandwidth = 100000000
+delay = 0.008
+queue = 262144
+availability = 0:1.2,1.5:4.0
+
+[link.sgw_cn]
+a = SGW
+b = CN
+bandwidth = 100000000
+delay = 0.003
+queue = 262144
+
+[link.cn_r]
+a = CN
+b = R
+bandwidth = 100000000
+delay = 0.003
+queue = 262144
+
+[flow.f1]
+src = WGW
+dst = MN
+start = 0.05
+
+[handover.1]
+at = 1.0
+to = SAT
+
+[handover.2]
+at = 2.0
+to = WLAN
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_only_a_downlink_its_forward_route_cuts_through_to_hands_off(monkeypatch, mode):
+    # the WLAN forward route is HA->R->WGW->MN, and R->WGW has two feeders
+    # (HA->R, and CN->R on the ACK route over SAT to WGW). The binding update
+    # onto SAT is lost on SGW->HA, so the binding stays on WLAN and the move
+    # back registers WLAN again: its BUACK enters R->WGW from its arrival
+    # event at R, after t_r1, when the data ahead of it could already have
+    # started an MN interval, and WGW->MN would hand it to the receiver. So
+    # WGW->MN never hands off; SGW->MN, which HA->SGW cuts through to, does
+    scenario = parse_scenario(_FORWARD_OVER_TWO_FEEDERS, "forward_over_two_feeders")
+    sim, taken, events, intervals = _mn_run(monkeypatch, scenario, mode, trace=True)
+    d = sim.topo.directed
+    assert d[("R", "WGW")].feeder is None and d[("SGW", "MN")].feeder is d[("HA", "SGW")]
+    assert d[("WGW", "MN")].hand_off is None and d[("SGW", "MN")].hand_off is not None
+    first, back = sim.metrics.handovers
+    assert "t_r1" not in first.timeline and "t_r3" in back.timeline
+    assert intervals == [] and all(now in events for now, _, _ in taken)
+    with all_events():
+        reference = Simulation(scenario, mode=mode, trace=True)
+        assert reference.run() == sim.metrics
+    assert reference.trace.lines == sim.trace.lines
+
+
 def _agent_run(monkeypatch, scenario, mode, hand_off=True):
     """Run `scenario` traced, with the agent's hand-off or as the all-events
     reference. Returns the CSV, the trace lines, the (time, flow, seq) of
@@ -1505,12 +1643,13 @@ def test_no_mn_interval_starts_while_acks_are_paced(monkeypatch):
     _assert_mn_intervals(scenario, taken, intervals)
 
 
-def test_an_mn_interval_waits_for_the_last_paced_ack(monkeypatch):
+def test_paced_acks_end_the_mn_hand_off_for_the_run(monkeypatch):
     # the paced S1 run with a second move onto the satellite at 4.0 s, which
     # aborts at once: pacing ends there, but ACKs paced before it still wait
-    # to enter the uplink, so the interval starts only after the last of
-    # them; starting it earlier admits ACKs ahead of them, and the trace
-    # differs from the all-events reference's
+    # to enter the uplink, which ACKs admitted ahead of time would overtake.
+    # Pacing ended the MN hand-off for the run when it began, so no interval
+    # starts after the first detection, every data segment from there on
+    # keeps its event, and the run is the all-events run
     scenario = parse_scenario(_S1_PACED + "\n[handover.2]\nat = 4.0\nto = SAT\n", "s1_paced")
     paced, schedule = [], Kernel.schedule
 
@@ -1521,9 +1660,10 @@ def test_an_mn_interval_waits_for_the_last_paced_ack(monkeypatch):
 
     monkeypatch.setattr(Kernel, "schedule", recording_schedule)
     sim, taken, events, intervals = _mn_run(monkeypatch, scenario, "PROACTIVE", trace=True)
-    (_, first), (start, end) = intervals
-    assert first == 2_500_000 and sim.metrics.handovers[1].aborted
-    assert 4_000_000 < max(paced) < start and end == scenario.end + 1
+    assert intervals == [(-1, 2_500_000)] and sim.metrics.handovers[1].aborted
+    assert max(paced) > 4_000_000
+    late = [now for now, kernel_now, _ in taken if now >= 2_500_000]
+    assert len(late) == 454 and all(now in events for now in late)
     _assert_mn_intervals(scenario, taken, intervals)
     with all_events():
         reference = Simulation(scenario, mode="PROACTIVE", trace=True)
@@ -1552,19 +1692,25 @@ def test_no_mn_interval_starts_while_a_drain_is_open(monkeypatch):
     assert reference.trace.lines == sim.trace.lines
 
 
-def test_no_mn_interval_starts_after_a_dropped_buack(monkeypatch):
+def test_a_dropped_buack_holds_no_mn_interval_back(monkeypatch):
     # the BUACK of S1 baseline is dropped on its way back to the MN (see
-    # test_a_buack_dropped_at_a_skipped_hop_is_lost_when_it_gets_there):
-    # the MN never learns its binding, so every data segment from the
-    # detection on keeps its event
+    # test_a_buack_dropped_at_a_skipped_hop_is_lost_when_it_gets_there): the
+    # MN never learns its binding (no t_r3), but nothing the MN's hand-off
+    # reads waits on that, so the interval starts once the old downlink has
+    # delivered its last segment, and the run is the all-events run
     scenario = _s1_with_sat_gap("2.6", "3.0")
-    sim, taken, events, intervals = _mn_run(monkeypatch, scenario, "BASELINE")
+    sim, taken, events, intervals = _mn_run(monkeypatch, scenario, "BASELINE", trace=True)
+    detect = scenario.handovers[0].at
     assert "t_r1" in sim.metrics.handovers[0].timeline
     assert "t_r3" not in sim.metrics.handovers[0].timeline
-    assert intervals == [(-1, scenario.handovers[0].at)]
-    late = [now for now, kernel_now, _ in taken if now >= scenario.handovers[0].at]
-    assert len(late) > 100 and all(now in events for now in late)
+    assert intervals == [(-1, detect), (4_119_108, scenario.end + 1)]
+    late = [now for now, kernel_now, _ in taken if now >= detect]
+    assert len(late) == 164 and sum(now in events for now in late) == 76
     _assert_mn_intervals(scenario, taken, intervals)
+    with all_events():
+        reference = Simulation(scenario, mode="BASELINE", trace=True)
+        assert reference.run() == sim.metrics
+    assert reference.trace.lines == sim.trace.lines
 
 
 def test_a_segment_lost_mid_path_fails_conservation(shipped_scenarios):

@@ -1,5 +1,7 @@
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -7,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SCENARIOS, SHIPPED, all_events, scenario_path
+from conftest import REPO_ROOT, SCENARIOS, SHIPPED, all_events, load_script, scenario_path
 from satwin.cli import build_parser, main
 from satwin.errors import ConfigError
 from satwin.kernel import fmt_time
@@ -664,7 +666,8 @@ def test_generated_scenarios_run_in_every_mode(text):
     next detection (the interval's start took them); and, with no ACK
     delay, the MN's uplink, for the ACK of data handed to the MN inside an
     MN interval, before the next detection and the run's end (see
-    `_assert_mn_interval`). Nodes and links are kept by name,
+    `_assert_mn_interval`). Only data ends its route on a link inside a
+    hand-off interval of its own. Nodes and links are kept by name,
     one link per pair of nodes, and routes break ties on node names, so the
     file with its [node.*] and [link.*] sections shuffled gives the same CSV
     and trace bytes (in one mode, chosen with the shuffle). No segment of a
@@ -680,6 +683,8 @@ def test_generated_scenarios_run_in_every_mode(text):
 
     def fed_transmit(link, seg, at):
         handovers = sim.metrics.handovers
+        if seg.hop == len(seg.route) - 1 and link.hand_off_before:  # only data is handed off
+            assert seg.flags & F_DATA, link.label
         if link.feeder is not None:  # admitted ahead of time, so only from the feeder
             assert seg.hop > 0 and seg.route[seg.hop - 1] is link.feeder, link.label
             assert at > link.kernel.now, link.label
@@ -743,13 +748,36 @@ def test_generated_scenarios_run_in_every_mode(text):
             assert shuffled.trace.text() == traced_text, mode
 
 
+def test_generated_runs_script_runs_the_body_on_each_seed():
+    proc = subprocess.run([sys.executable, "scripts/generated_runs.py", "--seeds", "0",
+                           "--examples", "2"], cwd=REPO_ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"seed 0: 2 files passed \(\d+\.\d s\)\n", proc.stdout)
+
+
+def test_generated_runs_script_prints_the_failing_file(monkeypatch, capsys):
+    # a body that fails on every file with a handover: the script stops at
+    # the first seed and prints the shrunk file, which has one
+    script = load_script("generated_runs")
+
+    def body(text):
+        assert "[handover." not in text
+
+    monkeypatch.setattr(script, "BODY", body)
+    assert script.main(["--seeds", "0", "1", "--examples", "50"]) == 1
+    head, text = capsys.readouterr().out.split("\n", 1)
+    assert re.fullmatch(r"seed 0: FAILED on this file \(\d+ runs of the body\)", head)
+    assert len(parse_scenario(text, "gen").handovers) == 1
+
+
 def _assert_mn_interval(sim: Simulation, until: int) -> None:
     """What holds while the MN's downlink hands data to the receiver, up to
     the detection at `until`: (i) no detection can still switch, and no
     binding update or marked window update is on its way; (ii) the latest
-    handover drains no flow; (iii) no BUACK is due at the MN and, with
-    registration by the MN, the latest BUACK sent reached it (t_r3);
-    (iv) no receiver delays its ACKs and no paced ACK waits; (v) nothing is
+    handover drains no flow; (iii) a BUACK due at the MN keeps its pending
+    arrival event (the interval took none: no tombstone carries one);
+    (iv) no receiver delays its ACKs and no paced ACK waits; (v) no data is
     due at the MN before `until` but over the downlink of the binding in
     force, with no event (the interval took those), and no other link into
     the MN has anything left to deliver."""
@@ -758,17 +786,16 @@ def _assert_mn_interval(sim: Simulation, until: int) -> None:
     if handovers:
         assert handovers[-1].aborted or "t_r0" in handovers[-1].timeline
         assert not sim._active.draining
-        registered = [h for h in handovers if "t_r1" in h.timeline]  # each sent a BUACK
-        assert sim.scenario.registration != "MN" or not registered \
-            or "t_r3" in registered[-1].timeline
+    assert not any(entry[5].flags & F_BUACK for entry in sim.kernel._heap
+                   if entry[3] == "link-rx" and entry[4] is not None)
     assert not any(rt.receiver.ack_delay for rt in sim.flows.values())
     assert not any(sim.kernel.pending_entries("ack-paced"))
     for entry in sim.kernel.pending_entries("link-rx"):
         seg = entry[5]
         assert not seg.flags & F_BU and not (seg.mark is not None and seg.flags & F_ACK)
         if seg.route[-1].dst == sim.mn:
-            assert not seg.flags & F_BUACK and seg.route[-1] is down
-            assert seg.hop < len(seg.route) or entry[0] >= until
+            assert seg.route[-1] is down
+            assert seg.hop < len(seg.route) or entry[0] >= until or seg.flags & F_BUACK
     for link in sim.topo.directed.values():
         if link.dst == sim.mn and link is not down:
             assert link.free_at == 0 or link.free_at + link.prop_delay < now, link.label

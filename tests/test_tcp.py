@@ -400,7 +400,7 @@ class TestWindowPolicy:
     def test_ramp_steps_per_emitted_ack(self):
         receiver, emitted = make_receiver()
         receiver.set_window_policy(0, 0)
-        receiver.start_ramp(8760)
+        receiver.start_ramp(8760, 0)
         for i in range(5):
             receiver.on_data(data(i * MSS), i + 1)
         rwnds = [seg.rwnd for seg, _ in emitted]
@@ -421,7 +421,7 @@ class TestWindowPolicy:
             emitted.clear()
             return rwnds
 
-        receiver.start_ramp(8 * MSS)
+        receiver.start_ramp(8 * MSS, 0)
         assert refill_hole(0, 0) == [7, 6, 5, 4, 6]
         receiver.on_data(data(5 * MSS), 6)
         assert refill_hole(6, 10) == [8, 7, 6, 5, 4, 6]
@@ -433,8 +433,9 @@ class TestWindowPolicy:
 
     def test_ramp_on_an_uncapped_window_names_the_flow(self):
         receiver, _ = make_receiver()
-        with pytest.raises(SimError, match="flow f"):
-            receiver.start_ramp(8760)
+        with pytest.raises(SimError) as raised:
+            receiver.start_ramp(8760, 2_500_000)
+        assert str(raised.value) == "flow f at 2.500000: a ramp needs a capped window"
 
     def test_set_window_policy_returns_the_window_update(self):
         receiver, emitted = make_receiver()
