@@ -1,21 +1,31 @@
 #!/usr/bin/env python3
-"""Print the bytecodes and Python calls one benchmark job takes per data segment.
+"""Print the bytecodes, Python calls and C calls one benchmark job takes per data segment.
 
     python3 scripts/segment_ops.py --workload bulk_reno --seed 1 --job 0
 
 Runs job `--job` of a `satbench/workloads.py` workload at `--seed`, in its
 mode and with its trace setting, cut at `--seconds` simulated seconds when
-given, under `sys.settrace` with opcode events on. Only `Simulation.run` is
-counted, not parsing or construction. For each Python function it prints
-the bytecodes executed in its own frames and the calls made to it (a
-generator's resumption counts as a call), in total and per data segment
-sent (every copy, retransmissions included, counted by `TcpSender._emit`
-calls); then the totals. A data segment and its ACK make one round trip,
-so the per-segment totals are the cost of a round trip. C functions
-(`heapq`, list methods) count as the one bytecode that calls them; the row
-`<string>:__create_fn__.<locals>.__init__` is the `__init__` that
-`dataclasses` generates, mostly `Segment`'s. The garbage collector is off
-during the run, so no collection's callbacks are counted.
+given, under `sys.settrace` with opcode events on and `sys.setprofile`.
+Only `Simulation.run` is counted, not parsing or construction. For each
+Python function it prints the bytecodes executed in its own frames and the
+calls made to it (a generator's resumption counts as a call), in total and
+per data segment sent (every copy, retransmissions included, counted by
+`TcpSender._emit` calls); then the totals. A data segment and its ACK make
+one round trip, so the per-segment totals are the cost of a round trip. C
+functions (`heapq`, list methods) count as the one bytecode that calls
+them; the row `<string>:__create_fn__.<locals>.__init__` is the `__init__`
+that `dataclasses` generates, mostly `Segment`'s.
+
+A second table counts the calls to C functions (`min`, `list.append`,
+`_heapq.heappush`), from `sys.setprofile`'s `c_call` events, each charged
+to the Python function that made it: one row per C function and caller,
+in total and per data segment, then the total. A call to a type
+(`partial(...)`, `Segment(...)`) raises no `c_call` event, so this table
+misses it (`Segment`'s generated `__init__` still shows in the first).
+Neither table sees multi-digit integer arithmetic: an operation on an int
+past 2**30 (CPython's one-digit limit) takes a slower path inside the same
+bytecode, with no call. The garbage collector is off during the run, so
+no collection's callbacks are counted.
 
 The counts do not depend on the host's speed or load: two runs on one
 Python version print the same output, so a per-segment claim can be checked
@@ -48,10 +58,17 @@ def _name(code) -> str:
     return f"{Path(code.co_filename).name}:{getattr(code, 'co_qualname', code.co_name)}"
 
 
-def count(sim: Simulation) -> tuple[Counter, Counter]:
-    """Run `sim`; the bytecodes executed in, and the calls made to, each
-    code object."""
-    ops, calls = Counter(), Counter()
+def c_name(func) -> str:
+    """A C function's name: `min`, `list.append`, `_heapq.heappush`."""
+    module = getattr(func, "__module__", None)
+    return func.__qualname__ if module in (None, "builtins") else f"{module}.{func.__qualname__}"
+
+
+def count(sim: Simulation, opcodes: bool = True) -> tuple[Counter, Counter, Counter]:
+    """Run `sim`; the bytecodes executed in each code object (none counted
+    when not `opcodes`, which runs far faster), the calls made to it, and
+    the C-function calls, by (calling code object, C function name)."""
+    ops, calls, c_calls = Counter(), Counter(), Counter()
 
     def in_frame(frame, event, arg):
         if event == "opcode":
@@ -59,22 +76,30 @@ def count(sim: Simulation) -> tuple[Counter, Counter]:
         return in_frame
 
     def on_call(frame, event, arg):
-        calls[frame.f_code] += 1
         frame.f_trace_lines, frame.f_trace_opcodes = False, True
         return in_frame
 
+    def on_profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+        elif event == "c_call" and frame.f_code is not count.__code__:  # not setting the hooks
+            c_calls[frame.f_code, c_name(arg)] += 1
+
     # the collector stays off: a gc callback (hypothesis installs one) would
     # be counted whenever a collection happened to fall inside the run
-    previous, collecting = sys.gettrace(), gc.isenabled()
+    previous, profile, collecting = sys.gettrace(), sys.getprofile(), gc.isenabled()
     gc.disable()
-    sys.settrace(on_call)
+    sys.setprofile(on_profile)
+    if opcodes:
+        sys.settrace(on_call)
     try:
         sim.run()
     finally:
         sys.settrace(previous)
+        sys.setprofile(profile)
         if collecting:
             gc.enable()
-    return ops, calls
+    return ops, calls, c_calls
 
 
 def report(workload: str, seed: int, index: int, seconds: float | None) -> list[str]:
@@ -84,7 +109,7 @@ def report(workload: str, seed: int, index: int, seconds: float | None) -> list[
     if seconds is not None:
         end = round(seconds * SEC)
         spec = replace(spec, end=end, handovers=tuple(h for h in spec.handovers if h.at < end))
-    ops, calls = count(Simulation(spec, mode=job.mode, trace=job.trace))
+    ops, calls, c_calls = count(Simulation(spec, mode=job.mode, trace=job.trace))
     segments = calls[TcpSender._emit.__code__]
     rows: dict[str, list[int]] = {}
     for code in ops.keys() | calls.keys():
@@ -99,6 +124,14 @@ def report(workload: str, seed: int, index: int, seconds: float | None) -> list[
         lines.append(f"{n_ops:>10} {n_calls:>8} {n_ops / per:>13.1f} {n_calls / per:>9.2f}  {name}")
     n_ops, n_calls = sum(ops.values()), sum(calls.values())
     lines.append(f"{n_ops:>10} {n_calls:>8} {n_ops / per:>13.1f} {n_calls / per:>9.2f}  total")
+    lines += ["", f"{'C calls':>10} {'calls/seg':>9}  C function  caller"]
+    c_rows: Counter = Counter()
+    for (code, name), n in c_calls.items():
+        c_rows[name, _name(code)] += n
+    for (name, caller), n in sorted(c_rows.items(), key=lambda item: (-item[1], item[0])):
+        lines.append(f"{n:>10} {n / per:>9.2f}  {name}  {caller}")
+    n = sum(c_calls.values())
+    lines.append(f"{n:>10} {n / per:>9.2f}  total")
     return lines
 
 

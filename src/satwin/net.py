@@ -150,8 +150,7 @@ class DirectedLink:
         self.src = src
         self.dst = dst
         self.kernel = kernel
-        self.bandwidth = spec.bandwidth
-        self.round_up = spec.bandwidth - 1  # serialization rounds up to a whole microsecond
+        self.serialization: dict[int, int] = {}  # wire bytes -> us, from spec.serialization_us
         self.prop_delay = spec.prop_delay
         self.capacity = spec.queue_capacity
         self.tag = spec.kind if spec.kind in ACCESS_KINDS else None  # stamped on what it accepts
@@ -182,7 +181,7 @@ class DirectedLink:
         hand-off runs) puts back its own.
 
         Arrival = end of FIFO serialization + propagation delay. Wire size
-        and serialization inline `Segment.wire_size`/`LinkSpec.serialization_us`;
+        inlines `Segment.wire_size`, serialization reads the link's table;
         only a busy serializer walks its backlog for the finished entries.
         An accepted segment gets this link's tag and moves on one hop.
         """
@@ -207,7 +206,10 @@ class DirectedLink:
             self._drop(seg, OVERFLOW, at)
             return
         self.occupancy = occupancy + wire
-        finish = (wire * SEC + self.round_up) // self.bandwidth
+        try:
+            finish = self.serialization[wire]
+        except KeyError:  # the first segment of this size on this link
+            finish = self.serialization[wire] = self.spec.serialization_us(wire)
         if free_at <= at:  # idle: `seg` alone is in service, until `free_at`
             finish += at
         else:

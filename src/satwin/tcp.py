@@ -101,12 +101,14 @@ class TcpSender:
                       self.route, next(self.keys))
         self.bytes_sent += length
         if rexmit:
-            self.rtx_end = max(self.rtx_end, seq + length)
+            if seq + length > self.rtx_end:
+                self.rtx_end = seq + length
             self.retransmit_count += 1
         else:
             # the +mss headroom is the fast-retransmit allowance; new data
             # itself never pushes the flight past the usable window
-            flight, usable = self.snd_nxt - self.snd_una, min(self.cwnd, self.peer_rwnd)
+            flight = self.snd_nxt - self.snd_una
+            usable = self.cwnd if self.cwnd < self.peer_rwnd else self.peer_rwnd
             if flight > usable + self.mss:
                 raise SimError(
                     f"flow {self.flow_id} at {fmt_time(now)}: flight {flight} above "
@@ -123,11 +125,11 @@ class TcpSender:
         """
         if self.peer_rwnd == 0:
             return
-        usable = min(self.cwnd, self.peer_rwnd)
+        usable = self.cwnd if self.cwnd < self.peer_rwnd else self.peer_rwnd
         while True:
             if self._rtx_next is not None and self._rtx_next < self._rtx_high:
                 seq = self._rtx_next
-                end = min(seq + self.mss, self._rtx_high)
+                end = seq + self.mss if seq + self.mss < self._rtx_high else self._rtx_high
                 if end - self.snd_una > usable:
                     break
                 self._emit(seq, end - seq, now, True)
@@ -137,8 +139,8 @@ class TcpSender:
             if limit is not None and self.snd_nxt >= limit:
                 break
             end = self.snd_nxt + self.mss
-            if limit is not None:
-                end = min(end, limit)
+            if limit is not None and end > limit:
+                end = limit
             if end - self.snd_una > usable:
                 break
             self._emit(self.snd_nxt, end - self.snd_nxt, now, False)
@@ -174,9 +176,10 @@ class TcpSender:
             self.snd_una = ack
             self.dupacks = 0
             if self._rtx_next is not None:
-                self._rtx_next = max(self._rtx_next, ack)
                 if ack >= self._rtx_high:
                     self._rtx_next = None
+                elif ack > self._rtx_next:
+                    self._rtx_next = ack
             self._sample_rtt(snd_una, seg, now)
             cwnd, ssthresh = self.cwnd, self.ssthresh
             if self.phase == FAST_RECOVERY:
@@ -367,7 +370,7 @@ class TcpReceiver:
         """True if [seq, seq+length) is already below rcv_nxt or fully
         covered by buffered out-of-order ranges."""
         end = seq + length
-        pos = min(max(seq, self.rcv_nxt), end)
+        pos = seq if seq > self.rcv_nxt else self.rcv_nxt
         if pos >= end:
             return True
         for start, stop in self.oob:
@@ -411,13 +414,16 @@ class TcpReceiver:
         ranges.insert(i, (seq, end))
         # merge overlaps conservatively; byte counts track the merged spans
         merged: list[tuple[int, int]] = []
+        held = 0
         for start, stop in ranges:
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], stop))
-            else:
+            if not merged or start > merged[-1][1]:
                 merged.append((start, stop))
+                held += stop - start
+            elif stop > merged[-1][1]:
+                held += stop - merged[-1][1]
+                merged[-1] = (merged[-1][0], stop)
         self.oob = merged
-        self.oob_bytes = sum(stop - start for start, stop in merged)
+        self.oob_bytes = held
 
     def _absorb_contiguous(self) -> None:
         while self.oob and self.oob[0][0] <= self.rcv_nxt:
@@ -442,7 +448,8 @@ class TcpReceiver:
                   key: int = 0) -> Optional[Segment]:
         target = self.ramp_target
         if target is not None and self.policy_cap < target and not flags & F_REFRESH:
-            self.policy_cap = min(self.policy_cap + self.ramp_step, target)
+            cap = self.policy_cap + self.ramp_step
+            self.policy_cap = cap if cap < target else target
         free, cap = self.buffer_capacity - self.oob_bytes, self.policy_cap
         rwnd = free if cap is UNLIMITED or cap > free else cap  # advertised(), inline
         last = self.last_rwnd
@@ -450,7 +457,8 @@ class TcpReceiver:
             if target is not None:
                 # a refilled out-of-order hole frees the buffer at once; the
                 # window still opens by at most one step per ACK
-                rwnd = min(rwnd, last + self.ramp_step)
+                if rwnd > last + self.ramp_step:
+                    rwnd = last + self.ramp_step
             inc = rwnd - last
             if inc > self.max_rwnd_increase:
                 self.max_rwnd_increase = inc

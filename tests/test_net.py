@@ -5,6 +5,9 @@ from hypothesis import example, given, strategies as st
 
 from satwin.kernel import Kernel, SimError
 from satwin.net import (
+    F_ACK,
+    F_BU,
+    F_DATA,
     NO_COVERAGE,
     OVERFLOW,
     LinkSpec,
@@ -228,7 +231,7 @@ def _drive(make, ops):
 
     def send(label, payload, ahead):
         origin = k.origin  # an admission ahead of time leaves the origin at its own time
-        link.transmit(Segment(flow_id="f", seq=label, payload_len=payload), k.now + ahead)
+        link.transmit(_segment(label, payload), k.now + ahead)
         k.origin = origin
         log.append(("tx", label, k.now, ahead, link.free_at, link.occupancy))
 
@@ -245,6 +248,14 @@ def _drive(make, ops):
     return log, dict(link.drops)
 
 
+def _segment(label, payload):
+    """A data segment of `payload` bytes; 0 makes a pure ACK (40 B on the
+    wire) and None a BU (60 B)."""
+    if payload is None:
+        return Segment(flow_id="f", seq=label, flags=F_BU)
+    return Segment(flow_id="f", seq=label, payload_len=payload, flags=F_DATA if payload else F_ACK)
+
+
 # wire sizes 500/1000/1500 B at 1 MB/s serialize in 500/1000/1500 us, and
 # every event time is a multiple of 500 us, so events often fall exactly
 # on a segment's finish time
@@ -253,32 +264,63 @@ _ticks = st.integers(min_value=0, max_value=12).map(lambda n: n * 500)
 _aheads = st.sampled_from([0, 0, 0, 500, 1000, 1500])  # an admission for a later time
 
 
+# at 999,983 B/s (a prime) no wire size serializes in whole microseconds:
+# the link's table must hold the rounded-up `LinkSpec.serialization_us`
+_bandwidths = st.sampled_from([1_000_000, 1_000_000, 999_983])
+_sizes = st.sampled_from([460, 960, 1460, 1460, 0, None])  # with an ACK and a BU
+
+
 @given(
+    bandwidth=_bandwidths,
     queue=st.sampled_from([1500, 2000, 3000, 4500]),
     prop=st.sampled_from([0, 500, 1000]),
     avail=st.sampled_from([None, ((0, 2000), (3500, 10**9))]),
     ops=st.lists(
-        st.tuples(_ticks, _payloads, _aheads,
-                  st.none() | st.tuples(_ticks, _payloads, _aheads, st.booleans())),
+        st.tuples(_ticks, _sizes, _aheads,
+                  st.none() | st.tuples(_ticks, _sizes, _aheads, st.booleans())),
         min_size=1, max_size=25,
     ),
 )
 # the admission for 2000 us, made at 500 us, empties the backlog, and the
 # next one, for 500 us, finds `free_at` (1000) later than its own time
-@example(queue=1500, prop=0, avail=((0, 2000), (3500, 10**9)),
+@example(bandwidth=1_000_000, queue=1500, prop=0, avail=((0, 2000), (3500, 10**9)),
          ops=[(0, 960, 0, None), (500, 460, 1500, (0, 460, 0, False))])
 # the first of two segments at 0 us finds the serializer idle and leaves no
 # backlog entry; the second, busy, queues behind it; the admission for
 # 2000 us, made at 500 us, releases both, and the one for 500 us then finds
 # the serializer busy (until 1000 us) with an empty backlog
-@example(queue=1500, prop=0, avail=((0, 2000), (3500, 10**9)),
+@example(bandwidth=1_000_000, queue=1500, prop=0, avail=((0, 2000), (3500, 10**9)),
          ops=[(0, 460, 0, None), (0, 460, 0, None), (500, 460, 1500, (0, 460, 0, False))])
-def test_lazy_release_matches_a_dequeue_event_per_segment(queue, prop, avail, ops):
+# every size a link meets, rounded up: 1501, 41 and 61 us at 999,983 B/s
+@example(bandwidth=999_983, queue=3000, prop=500, avail=None,
+         ops=[(0, 1460, 0, (0, 0, 0, False)), (500, None, 500, (1000, 1460, 0, True))])
+def test_lazy_release_matches_a_dequeue_event_per_segment(bandwidth, queue, prop, avail, ops):
     def lazy(k):
-        return make_link(k, bandwidth=1_000_000, prop=prop, queue=queue, avail=avail, kind="WLAN")
+        return make_link(k, bandwidth=bandwidth, prop=prop, queue=queue, avail=avail, kind="WLAN")
 
     spec = lazy(Kernel()).spec
     assert _drive(lazy, ops) == _drive(lambda k: DequeueEventLink(spec, k), ops)
+
+
+def test_links_of_different_bandwidths_keep_separate_serialization_tables():
+    specs = [LinkSpec("l1", "a", "b", 1_000_000, 0, 1 << 20),
+             LinkSpec("l2", "b", "c", 999_983, 0, 1 << 20)]
+    topo = Topology([NodeSpec(n, "router") for n in "abc"], specs, Kernel())
+    fast, slow = topo.directed[("a", "b")], topo.directed[("b", "c")]
+    for link in (fast, slow):
+        assert sent(link, data_segment(), 0) == link.spec.serialization_us(1500)
+    assert (fast.serialization, slow.serialization) == ({1500: 1500}, {1500: 1501})
+    assert topo.directed[("b", "a")].serialization == {}  # the other direction met nothing
+
+
+def test_a_size_first_met_on_a_busy_link_finishes_as_the_formula_gives():
+    link = make_link(Kernel(), bandwidth=999_983, prop=0)
+    serialization_us = link.spec.serialization_us
+    assert sent(link, data_segment(), 0) == serialization_us(1500) == 1501
+    # a pure ACK and a BU queue behind it, each the first of its size here
+    assert sent(link, _segment(1, 0), 100) == 1501 + serialization_us(40) == 1542
+    assert sent(link, _segment(2, None), 200) == 1542 + serialization_us(60) == 1603
+    assert link.serialization == {1500: 1501, 40: 41, 60: 61}
 
 
 def _tandem_specs(prop, queue, avail):
