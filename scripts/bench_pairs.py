@@ -13,7 +13,12 @@ change won. `--trace-seconds` adds `TRACE_RUNS` `--trace 1` runs per side
 and workload at seed 1 (the sides alternating), and records for the event
 counts (`PER_PASS`) and every per-layer self time (`*self_s`) each side's
 runs, median and quartiles, so a per-layer change can be told from the
-spread of one commit's runs. The per-scenario table times
+spread of one commit's runs. The `*self_s` figures are host seconds, so
+each is also recorded at the benchmark's reference speed (under
+`at_reference_speed`): the value x 20 ms / the `host: reference loop ... ms`
+figure the run prints. That loop is timed around the run's untraced passes,
+which precede its traced ones, so the scaling cancels drift slower than a
+run but not a change of speed between its passes. The per-scenario table times
 `Simulation(...).kernel.run_until(end)` for every `scenarios/*.scn` x mode
 at seed 1, trace off, `TABLE_RUNS` times per side (the sides alternating)
 and records each cell's events, median wall time at the benchmark's
@@ -32,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -43,6 +49,7 @@ PER_PASS = ("kernel.events", "kernel.events_per_s", "kernel.scheduled.link-rx", 
             "mobility.route_attachment.calls")
 TABLE_RUNS = 9  # timed runs per side of each scenario table cell
 TRACE_RUNS = 5  # --trace 1 runs per side of each workload
+REF_MS = 20.0  # the reference loop's time at the benchmark's reference speed (satbench REF_S)
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 # one timed kernel run of every shipped scenario x mode, printed as JSON; the
 # time is scaled by the benchmark's reference loop timed around it, which
@@ -69,12 +76,15 @@ print(json.dumps(cells))
 
 
 def bench(repo: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The JSON object `satbench/run.py` prints last."""
+    """The JSON object `satbench/run.py` prints last, plus `ref_ms`: the
+    reference loop's host time from its `host:` line (None without one)."""
     out = subprocess.run(
         [sys.executable, "satbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=repo, capture_output=True, text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    lines = out.strip().splitlines()
+    host = [re.match(r"host: reference loop ([\d.]+) ms", line) for line in lines]
+    return {**json.loads(lines[-1]), "ref_ms": next((float(m[1]) for m in host if m), None)}
 
 
 def spread(values: list[float]) -> dict:
@@ -165,7 +175,8 @@ def main(argv: list[str] | None = None) -> int:
         write()
     if args.trace_seconds:
         for workload in ("bulk_reno", "handover_sweep", "roundtrip_traced"):
-            runs: dict = {side: {"correct": [], "failed": [], "metrics": {}} for side in sides}
+            runs: dict = {side: {"correct": [], "failed": [], "metrics": {}, "at_reference_speed": {}}
+                          for side in sides}
             report["per_pass"][workload] = runs
             for i in range(TRACE_RUNS):
                 for side, repo in list(sides.items())[::1 if i % 2 == 0 else -1]:
@@ -177,8 +188,12 @@ def main(argv: list[str] | None = None) -> int:
                     for m, metric in result["metrics"].items():
                         if m in PER_PASS or m.endswith("self_s"):
                             runs[side]["metrics"].setdefault(m, []).append(metric["value"])
+                        if m.endswith("self_s") and result["ref_ms"]:
+                            runs[side]["at_reference_speed"].setdefault(m, []).append(
+                                metric["value"] * REF_MS / result["ref_ms"])
             for side in sides:
-                runs[side]["metrics"] = {m: spread(v) for m, v in runs[side]["metrics"].items()}
+                for key in ("metrics", "at_reference_speed"):
+                    runs[side][key] = {m: spread(v) for m, v in runs[side][key].items()}
             write()
     report["scenarios"] = scenario_table(sides, TABLE_RUNS)
     write()

@@ -14,7 +14,9 @@ per data segment sent (every copy, retransmissions included, counted by
 one round trip, so the per-segment totals are the cost of a round trip. C
 functions (`heapq`, list methods) count as the one bytecode that calls
 them; the row `<string>:__create_fn__.<locals>.__init__` is the `__init__`
-that `dataclasses` generates, mostly `Segment`'s.
+that `dataclasses` generates. The endpoints build their segments with
+`net.segment`, so it now counts mostly registration segments (BU, BUACK)
+and a run's drop records.
 
 A second table counts the calls to C functions (`min`, `list.append`,
 `_heapq.heappush`), from `sys.setprofile`'s `c_call` events, each charged
@@ -22,6 +24,10 @@ to the Python function that made it: one row per C function and caller,
 in total and per data segment, then the total. A call to a type
 (`partial(...)`, `Segment(...)`) raises no `c_call` event, so this table
 misses it (`Segment`'s generated `__init__` still shows in the first).
+Neither table sees what a Python frame entered from C costs: a class call
+or a `partial` enters its function's frame from C, which starts an
+interpreter loop of its own, where CPython 3.11 runs a call from Python
+to Python inside the caller's; both count as one ordinary call.
 Neither table sees multi-digit integer arithmetic: an operation on an int
 past 2**30 (CPython's one-digit limit) takes a slower path inside the same
 bytecode, with no call. The garbage collector is off during the run, so

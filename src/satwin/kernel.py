@@ -50,8 +50,9 @@ class Kernel:
     event is pending and `_DONE` once it fired or was cancelled: a
     tombstone the run loop skips. An entry never moves; a timer whose deadline moves later
     keeps its deadline itself and queues itself again when it fires early.
-    The sixth slot is None, except that a `link-rx` entry carries the
-    arriving segment there, which only `net` writes and reads.
+    The sixth slot is None, or the segment a `link-rx` entry carries, which
+    `net` writes: `run_until` calls the handler with it, or with no argument
+    when it is None.
 
     Single-threaded by design: one kernel per simulation instance, no shared
     mutable state. One seeded PRNG is owned here; the core model draws
@@ -69,7 +70,7 @@ class Kernel:
         self.seqs = itertools.count(4, 4)
         self._live = 0
 
-    def schedule(self, at: int, fn: Callable[[], None], kind: str = "event") -> list:
+    def schedule(self, at: int, fn: Callable[..., None], kind: str = "event") -> list:
         if at < self.now:
             raise SchedulingError(
                 f"event {kind!r} scheduled at {fmt_time(at)} before clock {fmt_time(self.now)}"
@@ -111,7 +112,11 @@ class Kernel:
             entry[4] = _DONE
             self._live -= 1
             self.now = self.origin = entry[0]
-            entry[2]()
+            seg = entry[5]
+            if seg is None:
+                entry[2]()
+            else:
+                entry[2](seg)
             steps += 1
         if t_end > self.now:
             self.now = self.origin = t_end

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Optional
 
-from .kernel import Kernel, SEC, SimError
+from .kernel import Kernel, SEC, SimError, fmt_time
 
 # Wire overhead: 40 B TCP/IP header on data and pure-ACK segments,
 # 60 B for registration (BU/BUACK) control segments.
@@ -93,6 +93,30 @@ class Segment:
         if self.flags & F_CONTROL:
             return CONTROL_BYTES
         return HEADER_BYTES + self.payload_len
+
+
+_new = object.__new__
+
+
+def segment(flow_id, seq, payload_len, ack, rwnd, flags, sent_at, echo, rexmit, mark, route, key):
+    """A `Segment` of these fields in field order (`path_tag` None, `hop` 0), with no frame
+    entered from C (README "Event kernel and links"); one store a statement builds no tuple."""
+    seg = _new(Segment)
+    seg.flow_id = flow_id
+    seg.seq = seq
+    seg.payload_len = payload_len
+    seg.ack = ack
+    seg.rwnd = rwnd
+    seg.flags = flags
+    seg.sent_at = sent_at
+    seg.path_tag = None
+    seg.echo = echo
+    seg.rexmit = rexmit
+    seg.mark = mark
+    seg.route = route
+    seg.key = key
+    seg.hop = 0
+    return seg
 
 
 @dataclass(frozen=True)
@@ -161,7 +185,7 @@ class DirectedLink:
         self.feeder: Optional[DirectedLink] = None  # the one upstream link, if single-fed
         self.hand_off: Optional[Callable[[Segment, int], None]] = None
         self.hand_off_before = 0  # data ending its route here earlier goes to `hand_off`
-        self.deliver: Callable[[DirectedLink, Segment], None] = _unwired
+        self.deliver: Callable[[Segment], None] = _unwired  # an arrival event's own handler
         self.on_drop: Callable[[DirectedLink, Segment, str, int], None] | None = None
         self.drops = {OVERFLOW: 0, NO_COVERAGE: 0}
 
@@ -183,7 +207,8 @@ class DirectedLink:
         Arrival = end of FIFO serialization + propagation delay. Wire size
         inlines `Segment.wire_size`, serialization reads the link's table;
         only a busy serializer walks its backlog for the finished entries.
-        An accepted segment gets this link's tag and moves on one hop.
+        An accepted segment gets this link's tag and moves on one hop. Its event's handler
+        takes it: `deliver` at the route's end, else `transmit` or `_drop` with keywords.
         """
         kernel = self.kernel
         backlog = self.backlog
@@ -230,8 +255,7 @@ class DirectedLink:
                 kernel.origin = at
             else:
                 kernel.key = seg.key
-                kernel.schedule(arrival, partial(self.deliver, self, seg), "link-rx")[5] = seg
-                # the sixth slot is read by pending_arrivals; a tracer may have wrapped the handler
+                kernel.schedule(arrival, self.deliver, "link-rx")[5] = seg
                 kernel.key = 0
         else:
             nxt = route[hop]
@@ -240,7 +264,7 @@ class DirectedLink:
                 kernel.origin = at
             else:  # several feeders: `seg` enters the next link from its arrival event
                 kernel.key = seg.key
-                kernel.schedule(arrival, partial(nxt.transmit, seg, arrival), "link-rx")[5] = seg
+                kernel.schedule(arrival, partial(nxt.transmit, at=arrival), "link-rx")[5] = seg
                 kernel.key = 0
 
     def _drop(self, seg: Segment, reason: str, at: int) -> None:
@@ -248,7 +272,7 @@ class DirectedLink:
         if at > kernel.now:  # a skipped hop: the drop happens when `seg` gets here
             # at a first hop inside a hand-off, just after the arrival that sends `seg`
             kernel.key = seg.key + 2 if seg.key and not seg.hop else seg.key
-            kernel.schedule(at, partial(self._drop, seg, reason, at), "link-rx")[5] = seg
+            kernel.schedule(at, partial(self._drop, reason=reason, at=at), "link-rx")[5] = seg
             kernel.key = 0
             return
         self.drops[reason] += 1
@@ -285,9 +309,11 @@ def take_arrivals(kernel: Kernel, link: DirectedLink, before: int) -> list[tuple
     return [(entry[0], entry[1] >> 40, entry[5]) for entry in entries]
 
 
-def _unwired(link: DirectedLink, seg: Segment) -> None:
+def _unwired(seg: Segment) -> None:
     """The arrival handler of a link nothing wired to a receiver."""
-    raise SimError(f"link {link.label} not wired (flow {seg.flow_id} seq {seg.seq})")
+    link = seg.route[-1]
+    raise SimError(f"link {link.label} not wired at {fmt_time(link.kernel.now)} "
+                   f"(flow {seg.flow_id} seq {seg.seq})")
 
 
 @dataclass(frozen=True)

@@ -398,8 +398,8 @@ class Simulation:
     # ------------------------------------------------------------------
     # data plane
 
-    def _on_arrival(self, link: DirectedLink, seg: Segment) -> None:
-        """`seg` reached the end of its route over `link`."""
+    def _on_arrival(self, seg: Segment) -> None:
+        """`seg` reached the end of its route (the node `seg.route[-1]` ends at)."""
         now = self.kernel.now
         if seg.flags & F_ACK:  # cumulative ACK reaching the sender
             rt = self.flows[seg.flow_id]
@@ -407,12 +407,12 @@ class Simulation:
                 self._unsettled -= 1
                 seg.mark.advert_arrived(rt, now)
             if self.trace.enabled:
-                self.trace.ack_rx(now, link.dst, seg.flow_id, seg.ack, seg.rwnd)
+                self.trace.ack_rx(now, seg.route[-1].dst, seg.flow_id, seg.ack, seg.rwnd)
             prev_una = rt.sender.snd_una
             rt.sender.on_ack(seg, now)
             self._manage_rto(rt, rt.sender.snd_una > prev_una)
         elif seg.flags & F_DATA:
-            if link.dst == self.ha_node:
+            if seg.route[-1].dst == self.ha_node:
                 self._ha_forward(seg, now)
                 self._resume_hand_off()
             else:
@@ -479,7 +479,8 @@ class Simulation:
         self._deliver_data(seg, now)
         self.trace.lines = lines
 
-    def _on_inorder(self, rt: _FlowRuntime, receiver: TcpReceiver, now: int) -> None:
+    def _on_inorder(self, receiver: TcpReceiver, now: int) -> None:
+        rt = self.flows[receiver.flow_id]
         rt.metrics.note_inorder(now)
         ho = self._active
         if ho is not None and ho.draining:
@@ -629,7 +630,7 @@ class Simulation:
         for rt in self.flows.values():  # an earlier handover's ACK pacing ends here
             rt.receiver.ack_delay = rt.spec.ack_extra_delay
             # the gap window and the drains read in-order advances from the first detection
-            rt.receiver.advance_cb = partial(self._on_inorder, rt)
+            rt.receiver.advance_cb = self._on_inorder
         if hdef.to == self.attachment:
             ho.abort(now)  # already attached to the target
         else:

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .errors import ProtocolViolation
 from .kernel import SEC, SimError, fmt_time
-from .net import F_ACK, F_DATA, F_REFRESH, F_WUPD, Segment
+from .net import F_ACK, F_DATA, F_REFRESH, F_WUPD, Segment, segment
 
 SLOW_START = "SLOW_START"
 CONG_AVOID = "CONG_AVOID"
@@ -96,9 +96,8 @@ class TcpSender:
     # -- transmission --------------------------------------------------
 
     def _emit(self, seq: int, length: int, now: int, rexmit: bool) -> None:
-        # positional in field order (flow_id .. key): half the cost of keywords
-        seg = Segment(self.flow_id, seq, length, 0, 0, F_DATA, now, None, None, rexmit, None,
-                      self.route, next(self.keys))
+        seg = segment(self.flow_id, seq, length, 0, 0, F_DATA, now, None, rexmit, None, self.route,
+                      next(self.keys))
         self.bytes_sent += length
         if rexmit:
             if seq + length > self.rtx_end:
@@ -465,8 +464,7 @@ class TcpReceiver:
         self.last_rwnd = rwnd
         if self.emit_cb is None:
             return None
-        # positional in field order (flow_id .. key), as in TcpSender._emit
-        seg = Segment(self.flow_id, 0, 0, self.rcv_nxt, rwnd, F_ACK | flags, now + self.ack_delay,
-                      None, echo, False, mark, self.route, key or next(self.keys))
+        seg = segment(self.flow_id, 0, 0, self.rcv_nxt, rwnd, F_ACK | flags, now + self.ack_delay,
+                      echo, False, mark, self.route, key or next(self.keys))
         self.emit_cb(seg, now + self.ack_delay)
         return seg

@@ -17,7 +17,8 @@ def _bench_pairs(monkeypatch, change, correct=True, tier1_code=0, traced=None):
     """The script loaded as a module, its `subprocess.run` answering for
     every command it starts: the change's benchmark runs report `correct`,
     its Tier-1 run exits with `tier1_code`. Each `--trace 1` run appends
-    its side to `traced`."""
+    its side to `traced`. The change's reference loop takes 40 ms, the
+    parent's 10 ms."""
     spec = importlib.util.spec_from_file_location("bench_pairs",
                                                   REPO_ROOT / "scripts" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
@@ -32,7 +33,9 @@ def _bench_pairs(monkeypatch, change, correct=True, tier1_code=0, traced=None):
                 traced.append("change" if mine else "parent")
             last = {"correct": correct or not mine, "failed": 0 if correct or not mine else 1,
                     "metrics": metrics}
-            return SimpleNamespace(returncode=0, stdout="a human line\n" + json.dumps(last))
+            host = f"host: reference loop {40.0 if mine else 10.0:.2f} ms (scaled to 20 ms); " \
+                   "unscaled sim_rate 1 sim-s/s"
+            return SimpleNamespace(returncode=0, stdout=f"a human line\n{host}\n{json.dumps(last)}")
         if "-c" in cmd:  # the scenario table
             return SimpleNamespace(returncode=0, stdout="{}")
         code = tier1_code if mine else 0
@@ -73,6 +76,12 @@ def test_records_each_runs_checks_and_tier1_status(monkeypatch, sides):
     assert set(per_pass["metrics"]) == set(module.PER_PASS + SELF_S)
     assert per_pass["metrics"]["kernel.self_s"] == {"runs": [2.0] * runs, "median": 2.0,
                                                     "q1": 2.0, "q3": 2.0}
+    # each self time x 20 ms / the run's reference loop: 2.0 x 20 / 40 and 1.0 x 20 / 10
+    assert set(per_pass["at_reference_speed"]) == set(SELF_S)
+    assert per_pass["at_reference_speed"]["runner.dispatch_self_s"] == {
+        "runs": [1.0] * runs, "median": 1.0, "q1": 1.0, "q3": 1.0}
+    parent = report["per_pass"]["handover_sweep"]["parent"]["at_reference_speed"]
+    assert parent["kernel.self_s"]["runs"] == [2.0] * runs
     assert report["per_pass"]["roundtrip_traced"]["parent"]["metrics"]["kernel.events"]["median"] == 1.0
     assert report["tier1"]["change"]["returncode"] == 0
     assert report["tier1"]["change"]["summary"] == "3 passed in 0.10s"

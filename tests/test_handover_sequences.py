@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import REPO_ROOT, scenario_path
 from satwin.mobility import HomeAgent
 from satwin.runner import Simulation, run
-from satwin.scenario import load_scenario, parse_scenario
+from satwin.scenario import flow_buffer, load_scenario, parse_scenario
 
 MSS = 1460
 MODES = ("BASELINE", "PROACTIVE", "RESET_CWND")
@@ -258,6 +258,25 @@ def test_a_switch_between_terrestrial_networks_rests_a_capped_flow():
     assert sim.flows["f1"].receiver.policy_cap == 3_300
     _assert_every_handover_clean(metrics, sim.trace.lines)
     _assert_one_live_handover(sim)
+
+
+def test_no_window_cap_or_target_exceeds_the_receive_buffer():
+    # the rule, from the trace: whatever a mode steers a window to, a cap
+    # set at once (wpolicy), a ramp's target or a boost's, is at most the
+    # flow's receive buffer. S2 with a 30,000 B buffer, below WLAN's 37,500 B
+    # resting window, puts the bound to work on the boost and the reopening ramp
+    scenario = parse_scenario(S2_TEXT.replace("w_default = 131072", "w_default = 30000"),
+                              "s2_small_buffer")
+    buffers = {f.name: flow_buffer(scenario, f) for f in scenario.flows}
+    steered = Counter()
+    for mode in MODES:
+        _, trace = run(scenario, mode=mode, trace=True)
+        for line in trace.lines:
+            found = re.search(r" (wpolicy|ramp|boost) MN flow=(\S+) (?:cap|target)=(\d+)", line)
+            if found:
+                steered[found[1]] += 1
+                assert int(found[3]) <= buffers[found[2]], (mode, line)
+    assert set(steered) == {"wpolicy", "ramp", "boost"}
 
 
 def test_window_steering_is_the_same_under_python_O(tmp_path):

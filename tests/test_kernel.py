@@ -104,6 +104,16 @@ def test_cancel_fired_event_returns_false():
     assert k.pending() == 1
 
 
+def test_a_handler_takes_the_segment_its_entry_carries():
+    # a set sixth slot is the handler's one argument; an empty one, none
+    k = Kernel()
+    got = []
+    k.schedule(2, got.append, "link-rx")[5] = "seg"
+    k.schedule(1, lambda: got.append("no argument"))
+    assert k.run_until(5) == 2
+    assert got == ["no argument", "seg"]
+
+
 def test_run_until_empty_queue():
     k = Kernel()
     assert k.run_until(7) == 0

@@ -44,7 +44,7 @@ def test_transmit_arrival_arithmetic():
     k = Kernel()
     link = make_link(k)
     arrivals = []
-    link.deliver = lambda l, s: arrivals.append(k.now)
+    link.deliver = lambda s: arrivals.append(k.now)
     # 1500 B wire on 125000 B/s: 12 ms serialization + 250 ms propagation
     assert sent(link, data_segment(), 0) == 262 * MS
     k.run_until(10**9)
@@ -54,7 +54,7 @@ def test_transmit_arrival_arithmetic():
 def test_drop_tail_overflow_on_third_segment():
     k = Kernel()
     link = make_link(k, queue=3000)
-    link.deliver = lambda l, s: None
+    link.deliver = lambda s: None
     assert sent(link, data_segment(), 0) is not None
     assert sent(link, data_segment(), 0) is not None
     assert sent(link, data_segment(), 0) is None
@@ -64,7 +64,7 @@ def test_drop_tail_overflow_on_third_segment():
 def test_transmit_during_coverage_gap():
     k = Kernel()
     link = make_link(k, avail=((0, 1_000_000),))
-    link.deliver = lambda l, s: None
+    link.deliver = lambda s: None
     k.run_until(2_000_000)
     assert sent(link, data_segment(), k.now) is None
     assert link.drops[NO_COVERAGE] == 1
@@ -75,7 +75,7 @@ def test_segment_accepted_before_gap_still_delivered():
     k = Kernel()
     link = make_link(k, avail=((0, 1_000_000),))
     arrivals = []
-    link.deliver = lambda l, s: arrivals.append(k.now)
+    link.deliver = lambda s: arrivals.append(k.now)
     k.run_until(999_000)
     assert sent(link, data_segment(), k.now) == 999_000 + 262 * MS
     k.run_until(10**9)
@@ -86,7 +86,7 @@ def test_queueing_is_fifo_and_serialized():
     k = Kernel()
     link = make_link(k)
     order = []
-    link.deliver = lambda l, s: order.append(s.seq)
+    link.deliver = lambda s: order.append(s.seq)
     for i in range(3):
         seg = Segment(flow_id="f", seq=i, payload_len=1460)
         assert sent(link, seg, 0) == (i + 1) * 12 * MS + 250 * MS
@@ -97,7 +97,7 @@ def test_queueing_is_fifo_and_serialized():
 def test_occupancy_never_exceeds_capacity():
     k = Kernel()
     link = make_link(k, queue=4500)
-    link.deliver = lambda l, s: None
+    link.deliver = lambda s: None
     for _ in range(10):
         link.transmit(data_segment(), k.now)
         assert link.occupancy <= link.spec.queue_capacity
@@ -109,7 +109,7 @@ def test_fifo_property_random_sizes(sizes):
     k = Kernel()
     link = make_link(k, queue=1 << 30)
     order = []
-    link.deliver = lambda l, s: order.append(s.seq)
+    link.deliver = lambda s: order.append(s.seq)
     for i, size in enumerate(sizes):
         link.transmit(Segment(flow_id="f", seq=i, payload_len=size), 0)
     k.run_until(1 << 60)
@@ -125,7 +125,7 @@ def test_an_entry_finishing_at_the_admission_time_has_left(admission):
     # S's own event
     k = Kernel()
     link = make_link(k, bandwidth=1_500_000, prop=MS, queue=1500, kind="WLAN")
-    link.deliver = lambda l, s: None
+    link.deliver = lambda s: None
     F = MS  # 1500 B at 1.5 MB/s
     outcomes = []
 
@@ -161,7 +161,7 @@ def test_arrival_at_the_finish_time_sees_its_own_segment_gone():
         link = make(k)
         outcomes = []
 
-        def echo(l, seg):
+        def echo(seg):
             if len(outcomes) < 2:
                 outcomes.append(sent(link, data_segment(), k.now))
 
@@ -204,7 +204,7 @@ class DequeueEventLink:
         self.free_at = finish
         origin, self.kernel.origin = self.kernel.origin, at
         self.queued.append((self.kernel.schedule(finish, self._dequeue), wire))
-        self.kernel.schedule(finish + self.spec.prop_delay, lambda: self.deliver(self, seg))
+        self.kernel.schedule(finish + self.spec.prop_delay, lambda: self.deliver(seg))
         self.kernel.origin = origin
 
     def _drop(self, seg, reason, at):
@@ -226,7 +226,7 @@ def _drive(make, ops):
     k = Kernel()
     link = make(k)
     log = []
-    link.deliver = lambda l, s: log.append(("rx", s.seq, k.now))
+    link.deliver = lambda s: log.append(("rx", s.seq, k.now))
     link.on_drop = lambda l, s, reason, at: log.append(("drop", s.seq, reason, at, k.now))
 
     def send(label, payload, ahead):
@@ -340,7 +340,7 @@ def _cut_through_tandem(kernel, prop, queue, avail):
 def _reference_tandem(kernel, prop, queue, avail):
     specs = _tandem_specs(prop, queue, avail)
     first, second = DequeueEventLink(specs[0], kernel), DequeueEventLink(specs[1], kernel)
-    first.deliver = lambda l, seg: second.transmit(seg, kernel.now)  # the middle node
+    first.deliver = lambda seg: second.transmit(seg, kernel.now)  # the middle node
     return first, second
 
 
@@ -351,7 +351,7 @@ def _drive_tandem(make, ops):
     k = Kernel()
     first, second = make(k)
     log = []
-    second.deliver = lambda l, s: log.append(("rx", s.seq, k.now))
+    second.deliver = lambda s: log.append(("rx", s.seq, k.now))
     for link in (first, second):
         link.on_drop = lambda l, s, reason, at: log.append(("drop", l.spec.name, s.seq, reason, at, k.now))
     admit = second.transmit
@@ -533,10 +533,14 @@ def test_ack_and_control_wire_sizes():
 
 
 def test_unwired_link_is_a_sim_error_naming_the_link():
+    # the default handler finds the link at the end of the segment's route
+    # and the time on its kernel's clock: the arrival, 262 ms after 0
     k = Kernel()
     link = make_link(k)  # nothing set its deliver
-    link.transmit(data_segment(), 0)
-    with pytest.raises(SimError, match=r"link l:a->b not wired"):
+    seg = data_segment()
+    seg.route = (link,)
+    link.transmit(seg, 0)
+    with pytest.raises(SimError, match=r"^link l:a->b not wired at 0\.262000 \(flow f seq 0\)$"):
         k.run_until(10**9)
 
 

@@ -398,9 +398,9 @@ def test_the_trace_never_changes_the_run(monkeypatch, name, mode):
     schedule, executed = Kernel.schedule, []
 
     def recording_schedule(kernel, at, fn, kind="event"):
-        def fire():
+        def fire(*seg):  # the segment an arrival event carries, if any
             executed.append((at, kind))
-            fn()
+            fn(*seg)
         return schedule(kernel, at, fire, kind)
 
     monkeypatch.setattr(Kernel, "schedule", recording_schedule)
@@ -557,9 +557,9 @@ def test_in_order_advances_are_reported_from_the_first_detection(monkeypatch, na
     calls = []
     on_inorder = Simulation._on_inorder
 
-    def recorded(sim, rt, receiver, now):
+    def recorded(sim, receiver, now):
         calls.append((sim.kernel.now, now))
-        on_inorder(sim, rt, receiver, now)
+        on_inorder(sim, receiver, now)
 
     monkeypatch.setattr(Simulation, "_on_inorder", recorded)
     scenario = load_scenario(scenario_path(name))
@@ -1011,9 +1011,9 @@ def test_access_routes_resolve_once_per_attachment(shipped_scenarios, monkeypatc
 def test_inflight_bytes_are_the_pending_data_arrivals(shipped_scenarios, name, mode):
     # the runner counts in-flight bytes from the segments pending link
     # arrivals carry: at a mid-transfer cut, each carries the very segment
-    # its handler will deliver (link, seg), admit to the next link or report
-    # dropped at a hop it cut through (seg first), and every flow has data on
-    # the wire
+    # its handler takes, to deliver at its route's end, admit to the next
+    # link or report dropped at a hop it cut through, the handler holding no
+    # segment of its own, and every flow has data on the wire
     sim = Simulation(cut(shipped_scenarios[name], 3_123_457), mode=mode)
     metrics = sim.run()
     entries = list(sim.kernel.pending_entries("link-rx"))
@@ -1021,10 +1021,11 @@ def test_inflight_bytes_are_the_pending_data_arrivals(shipped_scenarios, name, m
     assert len(carried) == len(entries) > 0
     for seg, entry in zip(carried, entries):
         handler = entry[2]
-        if handler.func == sim._on_arrival:
-            assert handler.args[1] is seg
+        assert entry[5] is seg
+        if handler == sim._on_arrival:
+            assert seg.hop == len(seg.route)
         else:
-            assert handler.func.__name__ in ("transmit", "_drop") and handler.args[0] is seg
+            assert handler.func.__name__ in ("transmit", "_drop") and handler.args == ()
     assert all(fm.bytes_inflight_end > 0 for fm in metrics.flows.values())
 
 
@@ -1159,7 +1160,7 @@ def test_a_link_with_two_feeders_keeps_its_arrival_events(monkeypatch, mode):
     short = Simulation(cut(scenario, 1_234_567), mode=mode)
     metrics = short.run()
     waiting = [entry[5] for entry in short.kernel.pending_entries("link-rx")
-               if entry[2].func.__name__ == "transmit"]
+               if getattr(entry[2], "func", entry[2]).__name__ == "transmit"]
     assert any(seg.payload_len for seg in waiting)
     assert metrics.flows["f1"].bytes_inflight_end == \
         sum(seg.payload_len for seg in pending_arrivals(short.kernel))
@@ -1300,6 +1301,31 @@ def test_only_a_downlink_its_forward_route_cuts_through_to_hands_off(monkeypatch
     assert reference.trace.lines == sim.trace.lines
 
 
+def _record_data_arrivals(m, dst, record):
+    """Patch the kernel and `DirectedLink.transmit` so that `record(entry,
+    made)` sees each arrival event of a data segment at `dst` as it is
+    scheduled, `made` the clock then. The admission that schedules it puts
+    the segment in the entry's sixth slot, so the entry is read as that
+    `transmit` returns, before anything moves the segment on."""
+    schedule, transmit, fresh = Kernel.schedule, DirectedLink.transmit, []
+
+    def recording_schedule(kernel, at, fn, kind="event"):
+        entry = schedule(kernel, at, fn, kind)
+        if kind == "link-rx" and getattr(fn, "__name__", None) == "_on_arrival":
+            fresh.append((entry, kernel.now))
+        return entry
+
+    def recording_transmit(link, seg, at):
+        transmit(link, seg, at)
+        for entry, made in fresh:
+            if entry[5].route[-1].dst == dst and entry[5].payload_len:
+                record(entry, made)
+        fresh.clear()
+
+    m.setattr(Kernel, "schedule", recording_schedule)
+    m.setattr(DirectedLink, "transmit", recording_transmit)
+
+
 def _agent_run(monkeypatch, scenario, mode, hand_off=True):
     """Run `scenario` traced, with the agent's hand-off or as the all-events
     reference. Returns the CSV, the trace lines, the (time, flow, seq) of
@@ -1311,25 +1337,21 @@ def _agent_run(monkeypatch, scenario, mode, hand_off=True):
     run or not."""
     reached, events, quiet, scheduled = [], {}, [], []
     with contextlib.nullcontext() if hand_off else all_events(), monkeypatch.context() as m:
-        forward, schedule = Simulation._ha_forward, Kernel.schedule
+        forward = Simulation._ha_forward
         resolve, resume = Simulation._resolve_routes, Simulation._resume_hand_off
 
         def recording_forward(sim, seg, now):
             reached.append((now, seg.flow_id, seg.seq))
             return forward(sim, seg, now)
 
-        def recording_schedule(kernel, at, fn, kind="event"):
-            args = getattr(fn, "args", ())
-            if kind == "link-rx" and fn.func.__name__ == "_on_arrival" and args[0].dst == "HA" \
-                    and args[1].payload_len:
-                key, made = (at, args[1].flow_id, args[1].seq), kernel.now
-                scheduled.append((key, made))
+        def recording_arrival(entry, made):
+            key, handler = (entry[0], entry[5].flow_id, entry[5].seq), entry[2]
+            scheduled.append((key, made))
 
-                def fire():
-                    events.setdefault(key, []).append(made)
-                    fn()
-                return schedule(kernel, at, fire, kind)
-            return schedule(kernel, at, fn, kind)
+            def fire(seg):
+                events.setdefault(key, []).append(made)
+                handler(seg)
+            entry[2] = fire
 
         def recording_resolve(sim):
             resolve(sim)
@@ -1343,7 +1365,7 @@ def _agent_run(monkeypatch, scenario, mode, hand_off=True):
                          if into.hand_off_before != end)
 
         m.setattr(Simulation, "_ha_forward", recording_forward)
-        m.setattr(Kernel, "schedule", recording_schedule)
+        _record_data_arrivals(m, "HA", recording_arrival)
         m.setattr(Simulation, "_resolve_routes", recording_resolve)
         m.setattr(Simulation, "_resume_hand_off", recording_resume)
         metrics, trace = run(scenario, mode=mode, trace=True)
@@ -1432,9 +1454,9 @@ def test_the_agent_hands_data_off_until_the_first_detection(monkeypatch, name, m
         if hand_off:
             data = [entry for entry in sim.kernel.pending_entries("link-rx")
                     if entry[5].payload_len]
-            assert data and all(entry[2].func == sim._on_arrival for entry in data)
-            assert any(entry[2].args[0].dst == "MN" for entry in data)
-            assert all(entry[0] > short.end for entry in data if entry[2].args[0].dst != "MN")
+            assert data and all(entry[2] == sim._on_arrival for entry in data)
+            assert any(entry[5].route[-1].dst == "MN" for entry in data)
+            assert all(entry[0] > short.end for entry in data if entry[5].route[-1].dst != "MN")
             assert sum(seg.payload_len for seg in pending_arrivals(sim.kernel)) == inflight[0]
     assert inflight[0] == inflight[1] > 0
 
@@ -1507,7 +1529,7 @@ def test_two_links_into_the_agent_keep_its_arrival_events(monkeypatch, mode):
     assert all(link.hand_off_before == 0 for link in sim.topo.directed.values()
                if link.dst == sim.ha_node)
     waiting = [entry[5] for entry in sim.kernel.pending_entries("link-rx")
-               if entry[2].func == sim._on_arrival and entry[2].args[0].dst == "HA"]
+               if entry[2] == sim._on_arrival and entry[5].route[-1].dst == "HA"]
     assert {seg.flow_id for seg in waiting if seg.payload_len} == {"f1", "f2"}
     for fid, fm in metrics.flows.items():
         assert fm.bytes_inflight_end == sum(seg.payload_len for seg in pending_arrivals(sim.kernel)
@@ -1523,19 +1545,12 @@ def _mn_run(monkeypatch, scenario, mode, trace=False):
     `_assert_mn_interval` states."""
     taken, events, intervals = [], [], []
     with monkeypatch.context() as m:
-        deliver, schedule = Simulation._deliver_data, Kernel.schedule
+        deliver = Simulation._deliver_data
         resolve, resume = Simulation._resolve_routes, Simulation._resume_mn_hand_off
 
         def recording_deliver(sim, seg, now):
             taken.append((now, sim.kernel.now, seg.path_tag))
             deliver(sim, seg, now)
-
-        def recording_schedule(kernel, at, fn, kind="event"):
-            args = getattr(fn, "args", ())
-            if kind == "link-rx" and fn.func.__name__ == "_on_arrival" and args[0].dst == "MN" \
-                    and args[1].payload_len:
-                events.append(at)
-            return schedule(kernel, at, fn, kind)
 
         def recording_resolve(sim):
             resolve(sim)
@@ -1551,7 +1566,7 @@ def _mn_run(monkeypatch, scenario, mode, trace=False):
                 _assert_mn_interval(sim, link.hand_off_before)
 
         m.setattr(Simulation, "_deliver_data", recording_deliver)
-        m.setattr(Kernel, "schedule", recording_schedule)
+        _record_data_arrivals(m, "MN", lambda entry, made: events.append(entry[0]))
         m.setattr(Simulation, "_resolve_routes", recording_resolve)
         m.setattr(Simulation, "_resume_mn_hand_off", recording_resume)
         sim = Simulation(scenario, mode=mode, trace=trace)
@@ -1722,11 +1737,11 @@ def test_a_segment_lost_mid_path_fails_conservation(shipped_scenarios):
     sim = Simulation(scenario, mode="BASELINE")
     swallowed = []
 
-    def lossy_arrival(link, seg):
+    def lossy_arrival(seg):
         if not swallowed and seg.flags & F_DATA and sim.kernel.now > scenario.handovers[0].at:
             swallowed.append(seg)
             return
-        sim._on_arrival(link, seg)
+        sim._on_arrival(seg)
 
     for dlink in sim.topo.directed.values():
         dlink.deliver = lossy_arrival
