@@ -4,14 +4,12 @@ Time is integer microseconds throughout the simulator: event ordering is
 exact on every platform, with no floating-point drift. Simultaneous events
 rank by their origin, the moment the all-events reference
 (`Simulation._shortcuts` skipped, an event at every hop) schedules them,
-and then by their key. The origin is `Kernel.origin` when the event is
-scheduled: the clock, except inside `net.DirectedLink.transmit`, which sets
-it to the admission's moment for what the admission schedules (see `net`).
-A segment's events take the segment's key (`Kernel.key`, which `net` sets
-for them), drawn when the segment is made; every other event draws a
-fresh one when it is scheduled. Every draw happens in an event that runs
-on every run, in one order, so a key does not depend on when a run takes
-a hop ahead of time, and every run ranks its events as the reference does.
+and then by their key. A segment's events take its key, drawn when the
+segment is made, and as origin `Kernel.origin`, the admission being
+processed (`net.DirectedLink.transmit` sets it); every other event takes
+the clock and a fresh key. Every draw happens in an event that runs on
+every run, in one order, and nothing a run takes ahead of time draws, so
+every run ranks its events as the reference does.
 """
 
 from __future__ import annotations
@@ -45,14 +43,13 @@ class Kernel:
     `[t, rank, fn, kind, done, seg]` entries in (time, origin, key) order,
     where `rank` is `origin << 40 | key` (one int compares faster than a
     pair; a run draws fewer than 2**38 keys); `schedule` returns the entry
-    as the event's handle, and takes its origin from `origin` and its key
-    from `key`, or from `seqs` while `key` is 0. `done` is None while the
-    event is pending and `_DONE` once it fired or was cancelled: a
-    tombstone the run loop skips. An entry never moves; a timer whose deadline moves later
-    keeps its deadline itself and queues itself again when it fires early.
-    The sixth slot is None, or the segment a `link-rx` entry carries, which
-    `net` writes: `run_until` calls the handler with it, or with no argument
-    when it is None.
+    as the event's handle, and clears `key` once it has ranked one event.
+    `done` is None while the event is pending and `_DONE` once it fired or
+    was cancelled: a tombstone the run loop skips. An entry never moves; a
+    timer whose deadline moves later keeps its deadline itself and queues
+    itself again when it fires early. The sixth slot is None, or the
+    segment a `link-rx` entry carries, which `net` writes: `run_until`
+    calls the handler with it, or with no argument when it is None.
 
     Single-threaded by design: one kernel per simulation instance, no shared
     mutable state. One seeded PRNG is owned here; the core model draws
@@ -60,13 +57,16 @@ class Kernel:
     that a (scenario, seed) pair stays reproducible.
     """
 
+    HELD_LINES = 1  # a segment's key plus this ranks its hand-off's held trace lines,
+    FIRST_HOP_DROP = 2  # and plus this a drop at the first hop of what the hand-off sends
+
     def __init__(self, seed: int = 0):
         self.now: int = 0
-        self.origin: int = 0  # what is scheduled now ranks by this moment
-        self.key = 0  # and then by this key, or by a fresh one from `seqs` while 0
+        self.origin: int = 0  # the admission being processed: a segment's events rank by it
+        self.key = 0  # the segment's key, for the next `schedule` alone
         self.rng = random.Random(seed)
         self._heap: list[list] = []  # [fire_at, origin << 40 | key, fn, kind, done, seg]
-        # fresh keys, multiples of 4: a segment's stand-ins take the next two (see net)
+        # fresh keys, multiples of 4, so no key plus HELD_LINES or FIRST_HOP_DROP is another's
         self.seqs = itertools.count(4, 4)
         self._live = 0
 
@@ -75,7 +75,12 @@ class Kernel:
             raise SchedulingError(
                 f"event {kind!r} scheduled at {fmt_time(at)} before clock {fmt_time(self.now)}"
             )
-        entry = [at, self.origin << 40 | (self.key or next(self.seqs)), fn, kind, None, None]
+        key = self.key
+        if key:  # a segment's event
+            self.key = 0
+            entry = [at, self.origin << 40 | key, fn, kind, None, None]
+        else:
+            entry = [at, self.now << 40 | next(self.seqs), fn, kind, None, None]
         self._live += 1
         heapq.heappush(self._heap, entry)
         return entry
@@ -111,7 +116,7 @@ class Kernel:
                 continue
             entry[4] = _DONE
             self._live -= 1
-            self.now = self.origin = entry[0]
+            self.now = entry[0]
             seg = entry[5]
             if seg is None:
                 entry[2]()
@@ -119,5 +124,5 @@ class Kernel:
                 entry[2](seg)
             steps += 1
         if t_end > self.now:
-            self.now = self.origin = t_end
+            self.now = t_end
         return steps

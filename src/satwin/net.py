@@ -71,7 +71,7 @@ class Segment:
     `path_tag` records the access network that carried the segment. `key`
     ranks its events among simultaneous ones of one origin (see `kernel`):
     drawn from `Kernel.seqs` when the segment is made, an ACK's is its data
-    segment's; 0 draws a fresh one for each event.
+    segment's; with 0 each event ranks by the clock and a fresh key.
     """
 
     flow_id: str
@@ -195,14 +195,12 @@ class DirectedLink:
 
     def transmit(self, seg: Segment, at: int) -> None:
         """Enqueue `seg` at time `at`, or drop it (counted in `drops` and
-        reported to `on_drop`, at a skipped hop by an event of the caller's
-        origin and the segment's key, plus 2 at a first hop, which only the
-        arrival a hand-off runs early reaches early). What an admission
-        schedules or hands off ranks by `at`, the moment the all-events run
-        admits `seg` here, and by the segment's key. It leaves `Kernel.origin`
-        at `at`: the clock in an event's own admission, and a caller that
-        admits ahead of that (the hop before a cut-through, the arrival a
-        hand-off runs) puts back its own.
+        reported to `on_drop`; at a skipped hop by an event of the caller's
+        origin and the segment's key, plus `Kernel.FIRST_HOP_DROP` at a first
+        hop, which only the arrival a hand-off runs early reaches early). What
+        an admission schedules or hands off ranks by `at`, the moment the
+        all-events run admits `seg` here, and by the segment's key, so it sets
+        `Kernel.origin` to `at` first.
 
         Arrival = end of FIFO serialization + propagation delay. Wire size
         inlines `Segment.wire_size`, serialization reads the link's table;
@@ -248,32 +246,27 @@ class DirectedLink:
             seg.path_tag = self.tag
         route = seg.route
         seg.hop = hop = seg.hop + 1
-        kernel.origin = at  # what follows ranks by this admission (left so, see the docstring)
+        kernel.origin = at  # what follows ranks by this admission
         if hop >= len(route):
             if arrival < self.hand_off_before:
                 self.hand_off(seg, arrival)
-                kernel.origin = at
             else:
                 kernel.key = seg.key
                 kernel.schedule(arrival, self.deliver, "link-rx")[5] = seg
-                kernel.key = 0
         else:
             nxt = route[hop]
             if nxt.feeder is self:
                 nxt.transmit(seg, arrival)
-                kernel.origin = at
             else:  # several feeders: `seg` enters the next link from its arrival event
                 kernel.key = seg.key
                 kernel.schedule(arrival, partial(nxt.transmit, at=arrival), "link-rx")[5] = seg
-                kernel.key = 0
 
     def _drop(self, seg: Segment, reason: str, at: int) -> None:
         kernel = self.kernel
         if at > kernel.now:  # a skipped hop: the drop happens when `seg` gets here
             # at a first hop inside a hand-off, just after the arrival that sends `seg`
-            kernel.key = seg.key + 2 if seg.key and not seg.hop else seg.key
+            kernel.key = seg.key + Kernel.FIRST_HOP_DROP if seg.key and not seg.hop else seg.key
             kernel.schedule(at, partial(self._drop, reason=reason, at=at), "link-rx")[5] = seg
-            kernel.key = 0
             return
         self.drops[reason] += 1
         if self.on_drop is not None:

@@ -469,13 +469,12 @@ class Simulation:
         """`_deliver_data` ahead of time, traced: its lines for `now` (`deliver`,
         `ack_tx`, `spurious_rexmit`) join the trace from a `trace` event at `now`,
         queued before the receiver runs, with the arrival event's origin (the
-        downlink's admission) and the key after the segment's, so it ranks
-        just after that event (a drop of its ACK takes the next key)."""
+        downlink's admission) and the segment's key plus `Kernel.HELD_LINES`,
+        so it ranks just after that event and before a drop of its ACK."""
         kernel = self.kernel
         lines, self.trace.lines = self.trace.lines, []
-        kernel.key = seg.key + 1 if seg.key else 0
+        kernel.key = seg.key + Kernel.HELD_LINES if seg.key else 0
         kernel.schedule(now, partial(lines.extend, self.trace.lines), "trace")
-        kernel.key = 0
         self._deliver_data(seg, now)
         self.trace.lines = lines
 
@@ -668,12 +667,13 @@ class Simulation:
         """Let `link` hand off up to the next detection (past the run's end
         after the last). The arrivals due over it before then leave the
         kernel and go to its `hand_off` first, each for its own time and
-        with its event's origin as `kernel.origin`, so what they schedule
-        ranks as their events would have and FIFO order holds downstream."""
-        kernel, before, origin = self.kernel, self._detects[0], self.kernel.origin
+        with its event's origin as `kernel.origin` (left at the last), so what
+        they schedule ranks as their events would have and FIFO order holds
+        downstream."""
+        kernel, before = self.kernel, self._detects[0]
         for at, kernel.origin, seg in take_arrivals(kernel, link, before):
             link.hand_off(seg, at)
-        kernel.origin, link.hand_off_before = origin, before
+        link.hand_off_before = before
 
     def resting_cap(self, buffer: int) -> int:
         """The window cap a flow with this receive buffer rests at on the

@@ -27,16 +27,17 @@ def test_fifo_tie_break():
 
 
 def test_simultaneous_events_rank_by_origin_first():
-    # an admission ahead of time schedules at its own moment (`origin`);
-    # a handler schedules at the clock, to which each event resets it
+    # a segment's event ranks by the admission being processed (`origin`),
+    # here ahead of the clock, before its key; any other event ranks by the
+    # clock, whatever `origin` holds
     k = Kernel()
     fired = []
-    k.origin = 5
-    k.schedule(9, lambda: fired.append(("ahead", k.origin)))
-    k.origin = 0
-    k.schedule(9, lambda: fired.append(("now", k.origin)))
+    for origin, label in ((5, "ahead"), (2, "behind")):
+        k.origin, k.key = origin, next(k.seqs)
+        k.schedule(9, lambda label=label: fired.append((label, k.now)))
+    k.schedule(9, lambda: fired.append(("now", k.now)))
     k.run_until(9)
-    assert fired == [("now", 9), ("ahead", 9)]
+    assert fired == [("now", 9), ("behind", 9), ("ahead", 9)]
 
 
 def test_simultaneous_events_of_one_origin_rank_by_key():
@@ -46,13 +47,43 @@ def test_simultaneous_events_of_one_origin_rank_by_key():
     k = Kernel()
     fired = []
     older, newer = next(k.seqs), next(k.seqs)
+    k.run_until(5)
     k.origin = 5
-    for key, label in ((newer, "newer"), (older, "older"), (0, "fresh")):
+    for key, label in ((newer, "newer"), (0, "fresh"), (older, "older"), (0, "fresher")):
         k.key = key
         k.schedule(9, lambda label=label: fired.append(label))
-    k.key = 0
     k.run_until(9)
-    assert fired == ["older", "newer", "fresh"]
+    assert fired == ["older", "newer", "fresh", "fresher"]
+
+
+def test_a_key_serves_one_schedule():
+    # `schedule` takes `key` for its one event and clears it: the next
+    # event draws a fresh key, later than every key drawn before it
+    k = Kernel()
+    fired = []
+    older = next(k.seqs)
+    k.schedule(9, lambda: fired.append("timer"))
+    k.key = older
+    k.schedule(9, lambda: fired.append("segment"))
+    assert k.key == 0
+    k.schedule(9, lambda: fired.append("next timer"))
+    k.run_until(9)
+    assert fired == ["segment", "timer", "next timer"]
+
+
+def test_a_keyless_event_ranks_by_the_clock_past_a_later_origin():
+    # nothing puts `origin` back after an admission ahead of the clock
+    # (the hop before a cut-through, a hand-off); an event without a key
+    # scheduled then still ranks by the clock
+    k = Kernel()
+    fired = []
+    k.run_until(1)
+    k.origin, k.key = 3, next(k.seqs)
+    k.schedule(9, lambda: fired.append("segment"))
+    k.origin = 7  # a later admission, cut through to
+    k.schedule(9, lambda: fired.append("timer"))
+    k.run_until(9)
+    assert fired == ["timer", "segment"]
 
 
 def test_schedule_at_now_fires_before_later_events():

@@ -175,8 +175,9 @@ class DequeueEventLink:
     """Reference model: every accepted segment schedules an explicit event
     at its finish time that takes its bytes off the queue. An admission for
     time `at` first runs the dequeue events due by then, so bytes that
-    finish at `at` have left by `at`, and its events rank by the moment
-    `at`; a drop ahead of time is recorded by an event at `at`."""
+    finish at `at` have left by `at`; its segments have key 0, so its
+    events rank by the clock; a drop ahead of time is recorded by an event
+    at `at`."""
 
     def __init__(self, spec, kernel):
         self.spec = spec
@@ -202,10 +203,8 @@ class DequeueEventLink:
         self.occupancy += wire
         finish = max(at, self.free_at) + self.spec.serialization_us(wire)
         self.free_at = finish
-        origin, self.kernel.origin = self.kernel.origin, at
         self.queued.append((self.kernel.schedule(finish, self._dequeue), wire))
         self.kernel.schedule(finish + self.spec.prop_delay, lambda: self.deliver(seg))
-        self.kernel.origin = origin
 
     def _drop(self, seg, reason, at):
         if at > self.kernel.now:
@@ -230,9 +229,7 @@ def _drive(make, ops):
     link.on_drop = lambda l, s, reason, at: log.append(("drop", s.seq, reason, at, k.now))
 
     def send(label, payload, ahead):
-        origin = k.origin  # an admission ahead of time leaves the origin at its own time
         link.transmit(_segment(label, payload), k.now + ahead)
-        k.origin = origin
         log.append(("tx", label, k.now, ahead, link.free_at, link.occupancy))
 
     def fire(label, payload, ahead, child):
