@@ -36,6 +36,13 @@ def _seed(value: str) -> int:
     return seed
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:  # after the run: a missing directory, a directory, no permission
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="satwin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -73,17 +80,17 @@ def main(argv: list[str] | None = None) -> int:
                                  trace=args.trace is not None)
             csv_text = write_csv(metrics.csv_rows())
             if args.metrics:
-                Path(args.metrics).write_text(csv_text)
+                _write(args.metrics, csv_text)
             else:
                 sys.stdout.write(csv_text)
             if args.trace:
-                Path(args.trace).write_text(trace.text())
+                _write(args.trace, trace.text())
             return 0
         if args.command == "compare":
             rows = compare(scenario, args.modes, seed=args.seed)
             csv_text = write_csv(rows)
             if args.out:
-                Path(args.out).write_text(csv_text)
+                _write(args.out, csv_text)
             else:
                 sys.stdout.write(csv_text)
             return 0

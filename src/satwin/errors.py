@@ -1,7 +1,9 @@
 """Error taxonomy shared across modules.
 
-ConfigError -> CLI exit code 2 (bad scenario/arguments).
-SimError and subclasses (see kernel) -> exit code 3 (internal invariant).
+ConfigError -> CLI exit code 2 (bad scenario/arguments, unwritable output).
+SimError and subclasses (see kernel) -> exit code 3 (internal invariant). A
+raise site names only what it alone knows (the flow, the values);
+`Simulation.run` adds the clock, the event and the handover (README "CLI").
 """
 
 from .kernel import SimError

@@ -31,7 +31,9 @@ def fmt_time(t_us: int) -> str:
 
 
 class SimError(Exception):
-    """Internal invariant violation; maps to exit code 3 in the CLI."""
+    """Internal invariant violation, exit code 3 in the CLI; `Simulation.run` locates it."""
+
+    event: str | None = None  # the kind of the event it left, set by `Kernel.run_until`
 
 
 class SchedulingError(SimError):
@@ -72,9 +74,7 @@ class Kernel:
 
     def schedule(self, at: int, fn: Callable[..., None], kind: str = "event") -> list:
         if at < self.now:
-            raise SchedulingError(
-                f"event {kind!r} scheduled at {fmt_time(at)} before clock {fmt_time(self.now)}"
-            )
+            raise SchedulingError(f"event {kind!r} scheduled at {fmt_time(at)}, before the clock")
         key = self.key
         if key:  # a segment's event
             self.key = 0
@@ -105,24 +105,28 @@ class Kernel:
 
         Handlers may enqueue further events at or before t_end; those are
         processed in this run too. Returns the number of events executed.
-        On return the clock sits at t_end.
+        On return the clock sits at t_end, or at the event a `SimError` left.
         """
         steps = 0
         heap = self._heap
         pop = heapq.heappop
-        while heap and heap[0][0] <= t_end:
-            entry = pop(heap)
-            if entry[4] is _DONE:
-                continue
-            entry[4] = _DONE
-            self._live -= 1
-            self.now = entry[0]
-            seg = entry[5]
-            if seg is None:
-                entry[2]()
-            else:
-                entry[2](seg)
-            steps += 1
+        try:
+            while heap and heap[0][0] <= t_end:
+                entry = pop(heap)
+                if entry[4] is _DONE:
+                    continue
+                entry[4] = _DONE
+                self._live -= 1
+                self.now = entry[0]
+                seg = entry[5]
+                if seg is None:
+                    entry[2]()
+                else:
+                    entry[2](seg)
+                steps += 1
+        except SimError as exc:
+            exc.event = entry[3]
+            raise
         if t_end > self.now:
             self.now = t_end
         return steps

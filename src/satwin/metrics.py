@@ -152,7 +152,6 @@ class RunMetrics:
     scenario: str
     mode: str
     seed: int
-    end: int = 0
     flows: dict[str, FlowMetrics] = field(default_factory=dict)
     drops: list[DropRecord] = field(default_factory=list)
     handovers: list[HandoverMetrics] = field(default_factory=list)
@@ -169,16 +168,12 @@ class RunMetrics:
                    for d in self.drops)
 
     def check_conservation(self) -> None:
-        handover = self.handovers[-1].name if self.handovers else "none"  # the latest detected
         for fm in self.flows.values():
             residual = fm.conservation_residual()
             if residual != 0:
-                raise SimError(
-                    f"flow {fm.flow_id} at {fmt_time(self.end)}, handover {handover}: "
-                    f"sent {fm.bytes_sent} != delivered {fm.bytes_delivered} + "
-                    f"dropped {fm.bytes_dropped} + in-flight {fm.bytes_inflight_end} "
-                    f"(residual {residual})"
-                )
+                raise SimError(f"flow {fm.flow_id}: sent {fm.bytes_sent} != delivered "
+                               f"{fm.bytes_delivered} + dropped {fm.bytes_dropped} + in-flight "
+                               f"{fm.bytes_inflight_end} (residual {residual})")
 
     def csv_rows(self) -> list[dict[str, str]]:
         ho = self.handovers[0] if self.handovers else None

@@ -64,8 +64,8 @@ class HomeAgent:
         sends back over the new path (its arrival defines t_r3); None for a
         stale BU, sent before the one in force (RFC 6275 9.5.1)."""
         if not seg.flags & F_BU:
-            raise SimError(f"home agent at {fmt_time(now)}: binding update expected, got flags "
-                           f"{seg.flags} (flow {seg.flow_id})")
+            raise SimError(f"home agent: binding update expected, got flags {seg.flags} "
+                           f"(flow {seg.flow_id})")
         if seg.sent_at < self.bu_sent_at:
             return None
         self.bu_sent_at = seg.sent_at

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Optional
 
-from .kernel import Kernel, SEC, SimError, fmt_time
+from .kernel import Kernel, SEC, SimError
 
 # Wire overhead: 40 B TCP/IP header on data and pure-ACK segments,
 # 60 B for registration (BU/BUACK) control segments.
@@ -304,9 +304,7 @@ def take_arrivals(kernel: Kernel, link: DirectedLink, before: int) -> list[tuple
 
 def _unwired(seg: Segment) -> None:
     """The arrival handler of a link nothing wired to a receiver."""
-    link = seg.route[-1]
-    raise SimError(f"link {link.label} not wired at {fmt_time(link.kernel.now)} "
-                   f"(flow {seg.flow_id} seq {seg.seq})")
+    raise SimError(f"link {seg.route[-1].label} not wired (flow {seg.flow_id} seq {seg.seq})")
 
 
 @dataclass(frozen=True)

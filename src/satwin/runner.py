@@ -10,7 +10,7 @@ from typing import Callable, Optional
 
 from . import handover as ho_policy
 from .errors import ConfigError
-from .kernel import Kernel, fmt_time
+from .kernel import Kernel, SimError, fmt_time
 from .metrics import GAP_WINDOW, DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
 from .mobility import HomeAgent, make_binding_update
 from .net import (F_ACK, F_BU, F_BUACK, F_CONTROL, F_DATA, HEADER_BYTES, DirectedLink, Route,
@@ -143,7 +143,7 @@ class _HandoverRuntime:
             receiver = rt.receiver
             target = ho_policy.plan_sat_to_terr(sim.cache[sat], receiver.policy_cap,
                                                 receiver.buffer_capacity)
-            receiver.start_ramp(target, now)
+            receiver.start_ramp(target)
             sim.trace.emit(now, "boost", sim.mn, flow=fid, target=target,
                            step=receiver.ramp_step)
         # two round trips of a full segment over the satellite guard the
@@ -301,7 +301,7 @@ class Simulation:
         self.cn = self.topo.node_with_role("cn")
         self.ha_node = self.topo.node_with_role("ha")
         self.ha = HomeAgent(self.mn)
-        self.metrics = RunMetrics(scenario.name, self.mode, self.seed, end=scenario.end)
+        self.metrics = RunMetrics(scenario.name, self.mode, self.seed)
         self.cache: dict[str, int] = {}  # kind -> BDP measured when it was last attached
         self.flows: dict[str, _FlowRuntime] = {}
         # the scripted detections still to come in time order, then past the end
@@ -691,7 +691,7 @@ class Simulation:
             wupd = receiver.set_window_policy(target, now, mark)
             self.trace.emit(now, "wpolicy", self.mn, flow=fid, cap=target)
         else:
-            receiver.start_ramp(target, now)
+            receiver.start_ramp(target)
             wupd = receiver.window_update(now, mark)
             self.trace.emit(now, "ramp", self.mn, flow=fid, target=target,
                             step=receiver.ramp_step)
@@ -711,18 +711,25 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def run(self) -> RunMetrics:
-        self.kernel.run_until(self.scenario.end)
-        # in flight = payload the kernel has yet to deliver, so a lost segment leaves a residual
-        inflight = Counter()
-        for seg in pending_arrivals(self.kernel):
-            inflight[seg.flow_id] += seg.payload_len
-        for fid, rt in self.flows.items():
-            fm = rt.metrics
-            fm.bytes_sent, fm.retransmits = rt.sender.bytes_sent, rt.sender.retransmit_count
-            fm.max_rwnd_increase = rt.receiver.max_rwnd_increase
-            fm.delivered_inorder, fm.last_inorder_at = rt.receiver.rcv_nxt, rt.receiver.advanced_at
-            fm.bytes_inflight_end = inflight[fid]
-        self.metrics.check_conservation()
+        """Run to the end and check conservation; README "CLI" gives a `SimError`'s suffix."""
+        try:
+            self.kernel.run_until(self.scenario.end)
+            # in flight = payload the kernel has yet to deliver, so a lost segment leaves a residual
+            inflight = Counter()
+            for seg in pending_arrivals(self.kernel):
+                inflight[seg.flow_id] += seg.payload_len
+            for fid, rt in self.flows.items():
+                fm, sender, receiver = rt.metrics, rt.sender, rt.receiver
+                fm.bytes_sent, fm.retransmits = sender.bytes_sent, sender.retransmit_count
+                fm.max_rwnd_increase = receiver.max_rwnd_increase
+                fm.delivered_inorder, fm.last_inorder_at = receiver.rcv_nxt, receiver.advanced_at
+                fm.bytes_inflight_end = inflight[fid]
+            self.metrics.check_conservation()
+        except SimError as exc:  # the one place that locates a violation
+            ho, event = self._active, exc.event or "end-of-run"
+            exc.args = (f"{exc} [t={fmt_time(self.kernel.now)} event={event} "
+                        f"handover={ho.metrics.name if ho else 'none'}]",)
+            raise
         return self.metrics
 
 

@@ -418,9 +418,15 @@ def flow_buffer(s: Scenario, flow: FlowDef) -> int:
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"scenario file {path} does not exist")
-    return parse_scenario(path.read_text(), name=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"scenario file {path} does not exist") from None
+    except OSError as exc:  # a directory, or no permission
+        raise ConfigError(f"cannot read scenario file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"scenario file {path} is not UTF-8 (byte {exc.start})") from None
+    return parse_scenario(text, name=path.stem)
 
 
 def canonical_text(s: Scenario) -> str:

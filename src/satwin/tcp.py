@@ -16,7 +16,7 @@ import itertools
 from typing import Callable, Optional
 
 from .errors import ProtocolViolation
-from .kernel import SEC, SimError, fmt_time
+from .kernel import SEC, SimError
 from .net import F_ACK, F_DATA, F_REFRESH, F_WUPD, Segment, segment
 
 SLOW_START = "SLOW_START"
@@ -109,10 +109,8 @@ class TcpSender:
             flight = self.snd_nxt - self.snd_una
             usable = self.cwnd if self.cwnd < self.peer_rwnd else self.peer_rwnd
             if flight > usable + self.mss:
-                raise SimError(
-                    f"flow {self.flow_id} at {fmt_time(now)}: flight {flight} above "
-                    f"usable window {usable} + one MSS"
-                )
+                raise SimError(f"flow {self.flow_id}: flight {flight} above usable window "
+                               f"{usable} + one MSS")
         self.send_cb(seg, now)
 
     def try_send(self, now: int) -> None:
@@ -158,9 +156,7 @@ class TcpSender:
         """Process one incoming ACK segment per Reno rules."""
         ack, rwnd, snd_una = seg.ack, seg.rwnd, self.snd_una
         if ack > self.snd_nxt:
-            raise ProtocolViolation(
-                f"flow {self.flow_id} at {fmt_time(now)}: ack {ack} beyond snd_nxt {self.snd_nxt}"
-            )
+            raise ProtocolViolation(f"flow {self.flow_id}: ack {ack} beyond snd_nxt {self.snd_nxt}")
         if ack < snd_una:
             return  # old ACK from a stale path; ignore entirely
 
@@ -335,9 +331,9 @@ class TcpReceiver:
         removes the cap."""
         if cap is not UNLIMITED:
             if cap < 0:
-                raise SimError(f"flow {self.flow_id} at {fmt_time(now)}: negative window cap")
+                raise SimError(f"flow {self.flow_id}: negative window cap")
             if cap > self.buffer_capacity:
-                raise SimError(f"flow {self.flow_id} at {fmt_time(now)}: cap {cap} exceeds buffer "
+                raise SimError(f"flow {self.flow_id}: cap {cap} exceeds buffer "
                                f"{self.buffer_capacity}")
         changed = cap != self.policy_cap
         self.policy_cap = cap
@@ -346,13 +342,13 @@ class TcpReceiver:
             return self._emit_ack(now, F_WUPD, None, mark)
         return None
 
-    def start_ramp(self, target: int, now: int) -> None:
+    def start_ramp(self, target: int) -> None:
         """Raise the cap toward `target` by two segments on every later ACK
         (self-clocked, so the increase cannot outrun the path), and bound
         every increase of the advertised window by the same two segments
         until the next set_window_policy, also once the target is reached."""
         if self.policy_cap is UNLIMITED:
-            raise SimError(f"flow {self.flow_id} at {fmt_time(now)}: a ramp needs a capped window")
+            raise SimError(f"flow {self.flow_id}: a ramp needs a capped window")
         self.ramp_target = min(target, self.buffer_capacity)
 
     def window_update(self, now: int, mark=None) -> Optional[Segment]:
@@ -383,8 +379,8 @@ class TcpReceiver:
 
     def on_data(self, seg: Segment, now: int) -> None:
         if not seg.flags & F_DATA:
-            raise ProtocolViolation(f"flow {self.flow_id} at {fmt_time(now)}: receiver got "
-                                    f"a non-data segment (flags {seg.flags})")
+            raise ProtocolViolation(f"flow {self.flow_id}: receiver got a non-data segment "
+                                    f"(flags {seg.flags})")
         seq, end = seg.seq, seg.seq + seg.payload_len
         if end <= self.rcv_nxt or (self.oob and self.holds_range(seq, seg.payload_len)):
             # stale duplicate: re-ACK so the peer can resynchronize

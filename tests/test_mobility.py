@@ -183,8 +183,7 @@ def test_home_agent_rejects_a_segment_that_is_not_a_binding_update():
     agent = HomeAgent("mn")
     with pytest.raises(SimError) as raised:
         agent.handle_binding_update(Segment(flow_id="f1", flags=F_DATA), 2_500_000)
-    assert str(raised.value) == \
-        "home agent at 2.500000: binding update expected, got flags 1 (flow f1)"
+    assert str(raised.value) == "home agent: binding update expected, got flags 1 (flow f1)"
     assert agent.table.entries == {}
 
 

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DIGEST_RUNS, REPO_ROOT, SCENARIOS, all_events, cut, scenario_path
-from satwin import runner
-from satwin.errors import ConfigError
-from satwin.kernel import SEC, Kernel, SimError, fmt_time
+from satwin import net, runner
+from satwin.errors import ConfigError, ProtocolViolation
+from satwin.kernel import SEC, Kernel, SchedulingError, SimError, fmt_time
 from satwin.metrics import DropRecord, Trace, write_csv
 from satwin.net import (F_ACK, F_BU, F_BUACK, F_DATA, NO_COVERAGE, DirectedLink, Topology,
                         pending_arrivals)
@@ -929,26 +929,45 @@ def test_conservation_survives_random_satellite_outages(gap_start, gap_len, mode
 
 
 def test_conservation_check_survives_python_O():
-    # a bare assert would vanish under -O and let the residual pass
+    # a bare assert would vanish under -O and let the residual pass; the run
+    # swallows one data segment after the detection, as
+    # `test_a_segment_lost_mid_path_fails_conservation` does, and the
+    # message still carries the suffix
     code = (
         "import sys\n"
         "from satwin.kernel import SimError\n"
-        "from satwin.metrics import FlowMetrics, RunMetrics\n"
+        "from satwin.net import F_DATA\n"
+        "from satwin.runner import Simulation\n"
+        "from satwin.scenario import load_scenario\n"
         "assert False, 'asserts must be stripped'\n"
-        "m = RunMetrics('s', 'BASELINE', 1, end=3_000_000)\n"
-        "m.flows['f1'] = FlowMetrics('f1', start=0, bytes_sent=10)\n"
+        "sim = Simulation(load_scenario('scenarios/s1_wlan_to_sat.scn'), mode='BASELINE')\n"
+        "swallowed = []\n"
+        "def lossy_arrival(seg):\n"
+        "    if not swallowed and seg.flags & F_DATA and sim.kernel.now > 2_500_000:\n"
+        "        swallowed.append(seg)\n"
+        "        return\n"
+        "    sim._on_arrival(seg)\n"
+        "for dlink in sim.topo.directed.values():\n"
+        "    dlink.deliver = lossy_arrival\n"
         "try:\n"
-        "    m.check_conservation()\n"
+        "    sim.run()\n"
         "except SimError as exc:\n"
+        "    fm = sim.metrics.flows['f1']\n"
         "    print(exc)\n"
+        "    print(fm.bytes_sent, fm.bytes_delivered, fm.bytes_dropped, fm.bytes_inflight_end,\n"
+        "          swallowed[0].payload_len)\n"
         "    sys.exit(3)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, cwd=REPO_ROOT,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3, proc.stderr
-    assert "flow f1 at 3.000000" in proc.stdout
-    assert "(residual 10)" in proc.stdout
+    message, counts = proc.stdout.splitlines()
+    sent, delivered, dropped, inflight, lost = map(int, counts.split())
+    assert message == (f"flow f1: sent {sent} != delivered {delivered} + dropped {dropped} + "
+                       f"in-flight {inflight} (residual {lost}) "
+                       "[t=7.600000 event=end-of-run handover=1]")
+    assert sent - delivered - dropped - inflight == lost == 1460
 
 
 def test_cli_maps_internal_invariant_to_exit_3(tmp_path, monkeypatch, capsys):
@@ -967,6 +986,29 @@ def test_cli_maps_internal_invariant_to_exit_3(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run", boom)
         assert cli.main(["run", "--scenario", str(scn)]) == 3
         assert capsys.readouterr().err == f"internal invariant violation: {error}\n"
+
+
+def test_cli_prints_a_violation_in_one_line_with_its_suffix(monkeypatch, capsys):
+    # every binding update's arrival at the agent raises, as an unwired link
+    # does: exit 3, and the one line names the link, the clock (t_r1), the
+    # event and the handover
+    import satwin.cli as cli
+
+    path = scenario_path("s1_wlan_to_sat")
+    t_r1 = run(load_scenario(path), mode="BASELINE")[0].handovers[0].timeline["t_r1"]
+    on_arrival = Simulation._on_arrival
+
+    def unwired_registration(sim, seg):
+        if seg.flags & F_BU:
+            net._unwired(seg)
+        on_arrival(sim, seg)
+
+    monkeypatch.setattr(Simulation, "_on_arrival", unwired_registration)
+    assert cli.main(["run", "--scenario", str(path), "--mode", "baseline"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("internal invariant violation: link sgw_ha:SGW->HA not wired (flow _mip "
+                       f"seq 0) [t={fmt_time(t_r1)} event=link-rx handover=1]\n")
 
 
 def _route_and_uplink_counts(monkeypatch, scn, mode):
@@ -1732,7 +1774,7 @@ def test_a_segment_lost_mid_path_fails_conservation(shipped_scenarios):
     # an arrival handler that swallows one data segment after the detection
     # (before it, data reaches the agent and, untraced, the MN without an
     # arrival event): the segment is neither delivered, dropped nor
-    # pending, and the run says so
+    # pending, and the run says so at its end, after handover 1
     scenario = shipped_scenarios["s1_wlan_to_sat"]
     sim = Simulation(scenario, mode="BASELINE")
     swallowed = []
@@ -1745,9 +1787,70 @@ def test_a_segment_lost_mid_path_fails_conservation(shipped_scenarios):
 
     for dlink in sim.topo.directed.values():
         dlink.deliver = lossy_arrival
-    with pytest.raises(SimError, match=r"^flow f1 at 7\.600000, handover 1: .*\(residual 1460\)$"):
+    with pytest.raises(SimError) as raised:
         sim.run()
     assert len(swallowed) == 1
+    fm = sim.metrics.flows["f1"]
+    assert str(raised.value) == (
+        f"flow f1: sent {fm.bytes_sent} != delivered {fm.bytes_delivered} + dropped "
+        f"{fm.bytes_dropped} + in-flight {fm.bytes_inflight_end} (residual 1460) "
+        "[t=7.600000 event=end-of-run handover=1]")
+
+
+def test_a_violation_in_an_event_names_the_clock_the_event_and_the_handover(shipped_scenarios):
+    # the link that carries the binding update into the agent left unwired:
+    # the BU's arrival raises at t_r1, in its `link-rx` event, after handover 1
+    scenario = shipped_scenarios["s1_wlan_to_sat"]
+    t_r1 = run(scenario, mode="BASELINE")[0].handovers[0].timeline["t_r1"]
+    sim = Simulation(scenario, mode="BASELINE")
+    sim.topo.directed[("SGW", "HA")].deliver = net._unwired
+    with pytest.raises(SimError) as raised:
+        sim.run()
+    assert type(raised.value) is SimError
+    assert str(raised.value) == ("link sgw_ha:SGW->HA not wired (flow _mip seq 0) "
+                                 f"[t={fmt_time(t_r1)} event=link-rx handover=1]")
+
+
+def test_a_protocol_violation_keeps_its_type_and_gets_the_suffix(shipped_scenarios):
+    # the first ACK to reach the sender after 0.3 s acknowledges a segment
+    # past snd_nxt; slow_start has no handover
+    scenario = shipped_scenarios["slow_start"]
+    sim = Simulation(scenario, mode="BASELINE")
+    forged = []
+
+    def forging_arrival(seg):
+        if not forged and seg.flags & F_ACK and sim.kernel.now > 300_000:
+            seg.ack = sim.flows[seg.flow_id].sender.snd_nxt + 1
+            forged.append((seg.flow_id, seg.ack, sim.kernel.now))
+        sim._on_arrival(seg)
+
+    for dlink in sim.topo.directed.values():
+        dlink.deliver = forging_arrival
+    with pytest.raises(ProtocolViolation) as raised:
+        sim.run()
+    (fid, ack, at), = forged
+    assert str(raised.value) == (f"flow {fid}: ack {ack} beyond snd_nxt {ack - 1} "
+                                 f"[t={fmt_time(at)} event=link-rx handover=none]")
+    assert raised.traceback[-1].name == "on_ack"  # the bare `raise` keeps the raise site
+
+
+def test_a_scheduling_error_names_the_event_that_scheduled_into_the_past(shipped_scenarios):
+    # the detection's handler schedules an RTO a microsecond before the clock:
+    # the message keeps the time asked for and the kind, the suffix the clock
+    # and the event that asked
+    scenario = shipped_scenarios["s1_wlan_to_sat"]
+    sim = Simulation(scenario, mode="PROACTIVE")
+    on_handover = sim._on_handover
+
+    def late_handover(hdef):
+        on_handover(hdef)
+        sim.kernel.schedule(sim.kernel.now - 1, print, "rto")
+
+    sim._on_handover = late_handover
+    with pytest.raises(SchedulingError) as raised:
+        sim.run()
+    assert str(raised.value) == ("event 'rto' scheduled at 2.499999, before the clock "
+                                 "[t=2.500000 event=handover handover=1]")
 
 
 @pytest.mark.parametrize("args, message", [
@@ -1755,6 +1858,7 @@ def test_a_segment_lost_mid_path_fails_conservation(shipped_scenarios):
      "unknown mode 'bogus'; valid modes: baseline, proactive, reset-cwnd"),
     (["scenarios/missing.scn", "baseline"], "scenario file scenarios/missing.scn does not exist"),
     (["scenarios/s1_wlan_to_sat.scn", "baseline", "x"], "seed must be an integer, got 'x'"),
+    (["scenarios", "baseline"], "cannot read scenario file scenarios: Is a directory"),
 ])
 def test_show_timeline_rejects_bad_arguments_in_one_line(args, message):
     proc = subprocess.run([sys.executable, "scripts/show_timeline.py", *args], cwd=REPO_ROOT,

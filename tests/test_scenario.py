@@ -204,6 +204,14 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
         "direction = terr_to_sat", "direction = sat_to_terr"))
     assert main(["validate", "--scenario", str(contradiction)]) == 2
     capsys.readouterr()
+    # a directory and a file that is not UTF-8: one line each, no traceback
+    latin = tmp_path / "latin.scn"
+    latin.write_bytes(MINIMAL.replace("[sim]", "# r\xe9seau\n[sim]").encode("latin-1"))
+    for path, message in ((tmp_path, f"cannot read scenario file {tmp_path}: Is a directory"),
+                          (latin, f"scenario file {latin} is not UTF-8 (byte ")):
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
 
 
 def test_cli_run_writes_metrics_and_trace(tmp_path, capsys):
@@ -220,6 +228,11 @@ def test_cli_run_writes_metrics_and_trace(tmp_path, capsys):
     assert header.startswith("scenario,mode,seed,flow_id,goodput_bps")
     assert trace_path.read_text().splitlines()[0].endswith("network=WLAN")
     capsys.readouterr()
+    # an output path that cannot be written exits 2 after the run, naming the path
+    missing = tmp_path / "no_such_dir" / "m.csv"
+    assert main(["run", "--scenario", str(scn), "--metrics", str(missing)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: cannot write {missing}: No such file or directory\n"
 
 
 def test_cli_compare_three_modes(tmp_path, capsys):
@@ -233,6 +246,11 @@ def test_cli_compare_three_modes(tmp_path, capsys):
     assert len(rows) == 4  # header + one row per mode
     assert {r.split(",")[1] for r in rows[1:]} == {"BASELINE", "PROACTIVE", "RESET_CWND"}
     capsys.readouterr()
+    missing = tmp_path / "no_such_dir" / "cmp.csv"
+    assert main(["compare", "--scenario", str(scenario_path("s1_wlan_to_sat")),
+                 "--modes", "baseline,proactive", "--out", str(missing)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: cannot write {missing}: No such file or directory\n"
 
 
 def test_cli_compare_takes_the_scenario_seed_unless_given(tmp_path, capsys):

@@ -102,7 +102,7 @@ class TestSenderOnAck:
         fill_flight(sender, 2)
         with pytest.raises(ProtocolViolation) as raised:
             sender.on_ack(ack(5 * MSS), 10)
-        assert str(raised.value) == "flow f at 0.000010: ack 7300 beyond snd_nxt 2920"
+        assert str(raised.value) == "flow f: ack 7300 beyond snd_nxt 2920"
 
     def test_stale_ack_cannot_reopen_closed_window(self):
         sender, sent = make_sender()
@@ -191,12 +191,13 @@ class TestSenderRto:
         assert all(not s.rexmit for s in sent)
 
 
-def test_flight_bound_violation_names_flow_and_time():
+def test_flight_bound_violation_names_flow_and_values():
     sender, _ = make_sender()
     fill_flight(sender, 10)
     sender.cwnd = MSS
-    with pytest.raises(SimError, match=r"flow f at 0\.000005: flight 14600"):
+    with pytest.raises(SimError) as raised:
         sender._emit(sender.snd_nxt, MSS, 5, rexmit=False)
+    assert str(raised.value) == "flow f: flight 14600 above usable window 1460 + one MSS"
 
 
 class TestExternalCongestionAvoidance:
@@ -372,19 +373,19 @@ class TestWindowPolicy:
         receiver, _ = make_receiver()
         with pytest.raises(SimError) as raised:
             receiver.set_window_policy(65000, 2_500_000)
-        assert str(raised.value) == "flow f at 2.500000: cap 65000 exceeds buffer 64000"
+        assert str(raised.value) == "flow f: cap 65000 exceeds buffer 64000"
 
     def test_negative_cap_is_sim_error(self):
         receiver, _ = make_receiver()
         with pytest.raises(SimError) as raised:
             receiver.set_window_policy(-1, 2_500_000)
-        assert str(raised.value) == "flow f at 2.500000: negative window cap"
+        assert str(raised.value) == "flow f: negative window cap"
 
     def test_non_data_segment_is_protocol_violation(self):
         receiver, emitted = make_receiver()
         with pytest.raises(ProtocolViolation) as raised:
             receiver.on_data(Segment("f", 0, 0, 0, 0, F_ACK | F_WUPD), 2_500_000)
-        assert str(raised.value) == "flow f at 2.500000: receiver got a non-data segment (flags 18)"
+        assert str(raised.value) == "flow f: receiver got a non-data segment (flags 18)"
         assert emitted == [] and receiver.advanced_at is None
 
     def test_unchanged_cap_emits_nothing(self):
@@ -400,7 +401,7 @@ class TestWindowPolicy:
     def test_ramp_steps_per_emitted_ack(self):
         receiver, emitted = make_receiver()
         receiver.set_window_policy(0, 0)
-        receiver.start_ramp(8760, 0)
+        receiver.start_ramp(8760)
         for i in range(5):
             receiver.on_data(data(i * MSS), i + 1)
         rwnds = [seg.rwnd for seg, _ in emitted]
@@ -421,7 +422,7 @@ class TestWindowPolicy:
             emitted.clear()
             return rwnds
 
-        receiver.start_ramp(8 * MSS, 0)
+        receiver.start_ramp(8 * MSS)
         assert refill_hole(0, 0) == [7, 6, 5, 4, 6]
         receiver.on_data(data(5 * MSS), 6)
         assert refill_hole(6, 10) == [8, 7, 6, 5, 4, 6]
@@ -434,8 +435,8 @@ class TestWindowPolicy:
     def test_ramp_on_an_uncapped_window_names_the_flow(self):
         receiver, _ = make_receiver()
         with pytest.raises(SimError) as raised:
-            receiver.start_ramp(8760, 2_500_000)
-        assert str(raised.value) == "flow f at 2.500000: a ramp needs a capped window"
+            receiver.start_ramp(8760)
+        assert str(raised.value) == "flow f: a ramp needs a capped window"
 
     def test_set_window_policy_returns_the_window_update(self):
         receiver, emitted = make_receiver()
