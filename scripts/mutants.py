@@ -54,6 +54,9 @@ MUTANTS = [
            "self.serialization = LinkSpec.serialization_us.__dict__.setdefault('table', {})"),
     Mutant("take-any-segment", NET, "\n                     and e[5].flags & F_DATA)", ")"),
     Mutant("take-at-detection", NET, "if e[0] < before and", "if e[0] <= before and"),
+    Mutant("link-stamps-network", NET, "seg.hop = hop = seg.hop + 1",
+           "seg.hop = hop = seg.hop + 1\n        if self.spec.kind != 'WIRED':\n"
+           "            seg.path_tag = self.spec.kind"),
     # hand-offs
     Mutant("no-feeder-guard", RUNNER, "cut = all(link.feeder for link in forward[1:])",
            "cut = True"),

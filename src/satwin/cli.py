@@ -7,6 +7,8 @@ violation.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -36,11 +38,27 @@ def _seed(value: str) -> int:
     return seed
 
 
-def _write(path: str, text: str) -> None:
+def _write(outputs: list[tuple[str | None, str]]) -> None:
+    """Write every text to its path (skipping an empty path) or none: each goes to a
+    temporary file beside its path, and the files replace the paths once all are written."""
+    staged = []  # (temporary file, path)
     try:
-        Path(path).write_text(text)
+        for path, text in outputs:
+            if not path:
+                continue
+            target = Path(path)
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            staged.append((tmp, path))
+            tmp.write_text(text)
+        for tmp, path in staged:
+            tmp.replace(path)
     except OSError as exc:  # after the run: a missing directory, a directory, no permission
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,19 +97,14 @@ def main(argv: list[str] | None = None) -> int:
             metrics, trace = run(scenario, mode=args.mode, seed=args.seed,
                                  trace=args.trace is not None)
             csv_text = write_csv(metrics.csv_rows())
-            if args.metrics:
-                _write(args.metrics, csv_text)
-            else:
+            _write([(args.metrics, csv_text), (args.trace, trace.text())])
+            if not args.metrics:
                 sys.stdout.write(csv_text)
-            if args.trace:
-                _write(args.trace, trace.text())
             return 0
         if args.command == "compare":
-            rows = compare(scenario, args.modes, seed=args.seed)
-            csv_text = write_csv(rows)
-            if args.out:
-                _write(args.out, csv_text)
-            else:
+            csv_text = write_csv(compare(scenario, args.modes, seed=args.seed))
+            _write([(args.out, csv_text)])
+            if not args.out:
                 sys.stdout.write(csv_text)
             return 0
     except ConfigError as exc:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
 from typing import Callable, Iterator
 
 SEC = 1_000_000
@@ -54,19 +53,17 @@ class Kernel:
     calls the handler with it, or with no argument when it is None.
 
     Single-threaded by design: one kernel per simulation instance, no shared
-    mutable state. One seeded PRNG is owned here; the core model draws
-    nothing from it, but extensions (jitter etc.) must use this instance so
-    that a (scenario, seed) pair stays reproducible.
+    mutable state. The model draws nothing at random, so a run's seed only
+    labels it (`Simulation.seed`, the CSV's `seed` column) and no PRNG lives here.
     """
 
     HELD_LINES = 1  # a segment's key plus this ranks its hand-off's held trace lines,
     FIRST_HOP_DROP = 2  # and plus this a drop at the first hop of what the hand-off sends
 
-    def __init__(self, seed: int = 0):
+    def __init__(self):
         self.now: int = 0
         self.origin: int = 0  # the admission being processed: a segment's events rank by it
         self.key = 0  # the segment's key, for the next `schedule` alone
-        self.rng = random.Random(seed)
         self._heap: list[list] = []  # [fire_at, origin << 40 | key, fn, kind, done, seg]
         # fresh keys, multiples of 4, so no key plus HELD_LINES or FIRST_HOP_DROP is another's
         self.seqs = itertools.count(4, 4)

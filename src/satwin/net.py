@@ -68,7 +68,8 @@ class Segment:
 
     `sent_at` is stamped at original emission; `echo` carries the data
     segment's send time back on cumulative ACKs for RTT sampling.
-    `path_tag` records the access network that carried the segment. `key`
+    `path_tag` is the network a BU or BUACK registers, set where it is made;
+    None on data and ACKs, and no link writes it. `key`
     ranks its events among simultaneous ones of one origin (see `kernel`):
     drawn from `Kernel.seqs` when the segment is made, an ACK's is its data
     segment's; with 0 each event ranks by the clock and a fresh key.
@@ -99,7 +100,7 @@ _new = object.__new__
 
 
 def segment(flow_id, seq, payload_len, ack, rwnd, flags, sent_at, echo, rexmit, mark, route, key):
-    """A `Segment` of these fields in field order (`path_tag` None, `hop` 0), with no frame
+    """A data or ACK `Segment`, fields in order (`path_tag` None, `hop` 0), with no frame
     entered from C (README "Event kernel and links"); one store a statement builds no tuple."""
     seg = _new(Segment)
     seg.flow_id = flow_id
@@ -167,6 +168,7 @@ class DirectedLink:
     pacing, on each MN downlink its forward route cuts through to;
     `hand_off_before` is the next scripted detection inside an interval of
     the link's own, and 0 outside one.
+    A link writes only `seg.hop`; its `spec.kind` names the network its drops count for.
     """
 
     def __init__(self, spec: LinkSpec, src: str, dst: str, kernel: Kernel):
@@ -177,7 +179,6 @@ class DirectedLink:
         self.serialization: dict[int, int] = {}  # wire bytes -> us, from spec.serialization_us
         self.prop_delay = spec.prop_delay
         self.capacity = spec.queue_capacity
-        self.tag = spec.kind if spec.kind in ACCESS_KINDS else None  # stamped on what it accepts
         self.always_up = spec.availability is None
         self.occupancy = 0
         self.backlog: deque[tuple[int, int]] = deque()
@@ -205,8 +206,8 @@ class DirectedLink:
         Arrival = end of FIFO serialization + propagation delay. Wire size
         inlines `Segment.wire_size`, serialization reads the link's table;
         only a busy serializer walks its backlog for the finished entries.
-        An accepted segment gets this link's tag and moves on one hop. Its event's handler
-        takes it: `deliver` at the route's end, else `transmit` or `_drop` with keywords.
+        An accepted segment moves on one hop, the one field a link writes. Its event's
+        handler takes it: `deliver` at the route's end, else `transmit` or `_drop` with keywords.
         """
         kernel = self.kernel
         backlog = self.backlog
@@ -242,8 +243,6 @@ class DirectedLink:
             backlog.append((finish, wire))
         self.free_at = finish
         arrival = finish + self.prop_delay
-        if self.tag is not None:
-            seg.path_tag = self.tag
         route = seg.route
         seg.hop = hop = seg.hop + 1
         kernel.origin = at  # what follows ranks by this admission

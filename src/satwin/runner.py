@@ -294,7 +294,7 @@ class Simulation:
             raise ConfigError(f"unknown mode {self.mode!r}")
         self._procedure = _PROCEDURES[self.mode]
         self.seed = seed if seed is not None else scenario.seed
-        self.kernel = Kernel(self.seed)
+        self.kernel = Kernel()
         self.trace = Trace(enabled=trace)
         self.topo = Topology(list(scenario.nodes), list(scenario.links), self.kernel)
         self.mn = self.topo.node_with_role("mn")
@@ -462,7 +462,8 @@ class Simulation:
             rt.metrics.spurious_retransmits += 1
             self.trace.emit(now, "spurious_rexmit", self.mn, flow=seg.flow_id, seq=seg.seq)
         if self.trace.enabled:
-            self.trace.deliver(now, self.mn, seg.flow_id, seg.seq, seg.payload_len, seg.path_tag)
+            self.trace.deliver(now, self.mn, seg.flow_id, seg.seq, seg.payload_len,
+                               seg.route[-1].spec.kind)
         rt.receiver.on_data(seg, now)
 
     def _deliver_held(self, seg: Segment, now: int) -> None:

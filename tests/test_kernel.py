@@ -190,11 +190,6 @@ def test_events_fire_in_stable_sorted_order(times):
     assert fired == sorted(fired)
 
 
-def test_same_seed_same_prng_stream():
-    a, b = Kernel(seed=42), Kernel(seed=42)
-    assert [a.rng.random() for _ in range(5)] == [b.rng.random() for _ in range(5)]
-
-
 def test_fmt_time():
     assert fmt_time(0) == "0.000000"
     assert fmt_time(2_515_036) == "2.515036"

@@ -336,8 +336,15 @@ LOST_WINDOW_UPDATE = scenario_path("s1_wlan_to_sat").read_text().replace(
 # RESET_CWND register it, and the MN's interval starts (4.280060) while
 # that BUACK is still due at the MN (t_r3 4.526970); it keeps its event
 BACK_TO_SAT = scenario_path("s2_sat_to_wlan").read_text() + "\n[handover.2]\nat = 4.01\nto = SAT\n"
+# S2 whose WLAN gateway reaches the agent over a link of kind SAT: the BU
+# the MN (or, under PROXY, WGW) sends after the move registers WLAN, the
+# network it was made for, whatever kind the links it crosses have
+SATELLITE_BACKHAUL = scenario_path("s2_sat_to_wlan").read_text().replace(
+    "[link.wgw_ha]\n", "[link.wgw_ha]\nkind = SAT\n")
 EDITED = {"s2_aborted_boost": ABORTED_BOOST, "s1_lost_window_update": LOST_WINDOW_UPDATE,
-          "s2_back_to_sat": BACK_TO_SAT}
+          "s2_back_to_sat": BACK_TO_SAT, "s2_satellite_backhaul": SATELLITE_BACKHAUL,
+          "s2_satellite_backhaul_proxy": SATELLITE_BACKHAUL.replace(
+              "registration = MN\n", "registration = PROXY\n")}
 
 
 def _tie_or_shipped(name):
@@ -379,6 +386,9 @@ def test_every_shortcut_run_is_the_all_events_run(monkeypatch, name, mode):
         assert "0.621000 bu_lost MN handover=h0" in lines and quiet == [(1_501_501, 2_074_392)]
         assert not any(" drain_done " in line for line in lines)  # open to the end
         _assert_quiet_intervals(scenario, lines, reached, events, quiet, scheduled)
+    if name.startswith("s2_satellite_backhaul"):
+        assert [line.split(" ", 1)[1] for line in runs[0][2] if " bu_recv " in line] == \
+            ["bu_recv HA network=WLAN"]
     if name == "s2_back_to_sat" and mode != "PROACTIVE":
         sim, taken, events, intervals = _mn_run(monkeypatch, scenario, mode)
         assert intervals[-1] == (4_280_060, scenario.end + 1)
@@ -1579,8 +1589,8 @@ def test_two_links_into_the_agent_keep_its_arrival_events(monkeypatch, mode):
 
 
 def _mn_run(monkeypatch, scenario, mode, trace=False):
-    """Run `scenario`; returns the simulation, the (time, kernel time, access
-    kind) of each data segment the receiver took, the due times of the data
+    """Run `scenario`; returns the simulation, the (time, kernel time, kind of
+    the MN downlink) of each data segment the receiver took, the due times of the data
     arrival events scheduled at the MN, and the MN intervals: each `(start,
     end)` in which a downlink hands data to the receiver, the first from the
     run's first event (start -1). At each later start it checks what
@@ -1591,7 +1601,7 @@ def _mn_run(monkeypatch, scenario, mode, trace=False):
         resolve, resume = Simulation._resolve_routes, Simulation._resume_mn_hand_off
 
         def recording_deliver(sim, seg, now):
-            taken.append((now, sim.kernel.now, seg.path_tag))
+            taken.append((now, sim.kernel.now, seg.route[-1].spec.kind))
             deliver(sim, seg, now)
 
         def recording_resolve(sim):

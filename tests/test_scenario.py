@@ -2,6 +2,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -233,6 +234,17 @@ def test_cli_run_writes_metrics_and_trace(tmp_path, capsys):
     assert main(["run", "--scenario", str(scn), "--metrics", str(missing)]) == 2
     assert capsys.readouterr().err == \
         f"config error: cannot write {missing}: No such file or directory\n"
+    # every output or none: a trace path in a missing directory, or a
+    # directory, creates or replaces no metrics file, leaves no temporary
+    # file behind and prints no CSV
+    metrics_path.write_text("kept\n")
+    for bad, reason in ((tmp_path / "no_such_dir" / "t.log", "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        for out in ([], ["--metrics", str(metrics_path)], ["--metrics", str(tmp_path / "n.csv")]):
+            before = sorted(tmp_path.iterdir())
+            assert main(["run", "--scenario", str(scn), *out, "--trace", str(bad)]) == 2
+            assert sorted(tmp_path.iterdir()) == before and metrics_path.read_text() == "kept\n"
+            assert capsys.readouterr() == ("", f"config error: cannot write {bad}: {reason}\n")
 
 
 def test_cli_compare_three_modes(tmp_path, capsys):
@@ -601,6 +613,8 @@ def scenario_texts(draw):
     # in one file in eight, SGW->HA and the satellite run at one speed with no delay and every
     # other link takes round values: segments meet in one microsecond over several hops
     lockstep = draw(st.integers(0, 7)) == 0
+    # in one file in eight, one backhaul link takes the other network's kind
+    crossed = draw(st.sampled_from(["wgw_ha", "sgw_ha"])) if draw(st.integers(0, 7)) == 0 else None
     for name, role, kind in [("CN", "cn", None), ("HA", "ha", None), ("MN", "mn", None),
                              ("WGW", "gateway", "WLAN"), ("SGW", "gateway", "SAT")]:
         lines = [f"role = {role}"]
@@ -610,6 +624,8 @@ def scenario_texts(draw):
     for name, a, b, kind in [("wlan", "MN", "WGW", "WLAN"), ("sat", "MN", "SGW", "SAT"),
                              ("wgw_cn", "WGW", "CN", None), ("wgw_ha", "WGW", "HA", None),
                              ("sgw_cn", "SGW", "CN", None), ("sgw_ha", "SGW", "HA", None)]:
+        if name == crossed:  # a BU that crosses it registers the network it was made for
+            kind = "SAT" if name == "wgw_ha" else "WLAN"
         if lockstep and name in ("sat", "sgw_ha"):
             bandwidth, delay = 8_000_000, "0"
         elif lockstep or draw(st.booleans()):  # round values: arrivals meet finish times exactly
@@ -671,7 +687,8 @@ def test_canonical_text_round_trips_generated_scenarios(text):
 @given(scenario_texts())
 def test_generated_scenarios_run_in_every_mode(text):
     """No run of an accepted file raises ConfigError or fails conservation,
-    each handover registers at most once, trace times never decrease, every
+    each handover registers at most once, the agent registers only networks
+    a binding update was sent for, trace times never decrease, every
     window cap a run ends with is 0 (a drain) or at least one segment, each
     flow ends with the ACK route over the network attached last, and the
     all-events reference gives the same metrics and trace lines. The same
@@ -733,6 +750,9 @@ def test_generated_scenarios_run_in_every_mode(text):
         with mock.patch.object(DirectedLink, "transmit", fed_transmit):
             metrics = sim.run()
         _assert_registration_once(metrics, sim.trace.lines)
+        sent, received = (Counter(line.rsplit("=", 1)[1] for line in sim.trace.lines
+                                  if f" {kind} " in line) for kind in ("bu_send", "bu_recv"))
+        assert not received - sent, (mode, received, sent)
         traced_text = sim.trace.text()
         stamps = [tuple(map(int, line.split(" ", 1)[0].split("."))) for line in sim.trace.lines]
         assert stamps == sorted(stamps), mode
