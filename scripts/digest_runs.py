@@ -28,6 +28,7 @@ about 24 s (2-core Xeon VM, Python 3.11).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import sys
 from pathlib import Path
@@ -43,6 +44,7 @@ from satwin.kernel import SimError  # noqa: E402
 from satwin.metrics import write_csv  # noqa: E402
 from satwin.runner import Simulation  # noqa: E402
 from satwin.scenario import parse_scenario  # noqa: E402
+from satwin.tcp import TcpReceiver, TcpSender  # noqa: E402
 
 SHIPPED = ("s1_wlan_to_sat", "s2_sat_to_wlan", "s3_multiflow", "s4_three_networks",
            "s5_roundtrip", "slow_start")
@@ -58,6 +60,41 @@ def all_events():
     `Simulation._shortcuts` skipped, no link has a feeder or hands off, and
     no hand-off resumes, so every segment has an event at every hop."""
     return mock.patch.object(Simulation, "_shortcuts", lambda sim, *routes: None)
+
+
+@contextlib.contextmanager
+def packet_log():
+    """Within it, runs append to the list it yields what the MN and the
+    senders see: each data segment the receiver takes, `(now, key, flow,
+    seq, len, downlink kind)`; each ACK the receiver sends, `(send time,
+    key, flow, ack, rwnd, flags)`; and each ACK a sender takes, `(now, key,
+    flow, ack, rwnd)`. On exit it sorts the list by time and segment key,
+    which a run with shortcuts shares with the all-events run, so equal
+    logs say the two runs took and sent the same segments at the same
+    times, also where the trace is off and data reaches the MN ahead of
+    time."""
+    log = []
+    deliver, emit_ack, on_ack = Simulation._deliver_data, TcpReceiver._emit_ack, TcpSender.on_ack
+
+    def logged_deliver(sim, seg, now):
+        log.append((now, seg.key, seg.flow_id, seg.seq, seg.payload_len, seg.route[-1].spec.kind))
+        deliver(sim, seg, now)
+
+    def logged_emit_ack(receiver, *args):
+        ack = emit_ack(receiver, *args)
+        if ack is not None:
+            log.append((ack.sent_at, ack.key, ack.flow_id, ack.ack, ack.rwnd, ack.flags))
+        return ack
+
+    def logged_on_ack(sender, seg, now):
+        log.append((now, seg.key, seg.flow_id, seg.ack, seg.rwnd))
+        return on_ack(sender, seg, now)
+
+    with mock.patch.object(Simulation, "_deliver_data", logged_deliver), \
+            mock.patch.object(TcpReceiver, "_emit_ack", logged_emit_ack), \
+            mock.patch.object(TcpSender, "on_ack", logged_on_ack):
+        yield log
+    log.sort(key=lambda record: record[:2])
 
 
 def run_digests(text: str, name: str, mode: str, trace: bool) -> dict[str, str]:

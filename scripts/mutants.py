@@ -68,6 +68,8 @@ MUTANTS = [
     Mutant("mn-no-drain-condition", RUNNER,
            "if self._unsettled or link.hand_off is None or ho.draining or any(",
            "if self._unsettled or link.hand_off is None or any("),
+    Mutant("mn-hand-off-traced", RUNNER, "mn_events = self.trace.enabled or any(",
+           "mn_events = any("),
     Mutant("mn-busy-route-gt", RUNNER, "hop.free_at + hop.prop_delay >= now",
            "hop.free_at + hop.prop_delay > now"),
     Mutant("interval-takes-nothing", RUNNER,

@@ -57,15 +57,14 @@ class Kernel:
     labels it (`Simulation.seed`, the CSV's `seed` column) and no PRNG lives here.
     """
 
-    HELD_LINES = 1  # a segment's key plus this ranks its hand-off's held trace lines,
-    FIRST_HOP_DROP = 2  # and plus this a drop at the first hop of what the hand-off sends
+    FIRST_HOP_DROP = 2  # a segment's key plus this ranks a drop at a hand-off's first hop
 
     def __init__(self):
         self.now: int = 0
         self.origin: int = 0  # the admission being processed: a segment's events rank by it
         self.key = 0  # the segment's key, for the next `schedule` alone
         self._heap: list[list] = []  # [fire_at, origin << 40 | key, fn, kind, done, seg]
-        # fresh keys, multiples of 4, so no key plus HELD_LINES or FIRST_HOP_DROP is another's
+        # fresh keys, multiples of 4, so no key plus FIRST_HOP_DROP is another's
         self.seqs = itertools.count(4, 4)
         self._live = 0
 

@@ -20,11 +20,11 @@ Inside a quiet interval (see `Simulation._resume_hand_off`), a link that
 alone feeds the home agent's forward link hands data at its route's end to
 the agent at once (`hand_off`): a data segment has one event from source to
 MN there, and two from a detection until the next quiet interval starts.
-With no ACK delay, the MN's downlink hands data to the receiver at once
-too, inside an MN interval (`Simulation._resume_mn_hand_off`): its ACK
-enters the uplink for the data's arrival time, and the ACK's arrival at the
-source is then the one event of a data segment and its ACK (traced, its
-lines wait for an event at the arrival time, see `Simulation._deliver_held`).
+Untraced and with no ACK delay, the MN's downlink hands data to the
+receiver at once too, inside an MN interval (`_resume_mn_hand_off`): its
+ACK enters the uplink for the data's arrival time, and the ACK's arrival at
+the source is then the one event of a data segment and its ACK. Traced,
+data keeps its MN arrival event, so the trace is written in event order.
 Either interval lasts to the next detection; its start hands off the
 arrivals due over the link before then (`Simulation._start_interval`).
 `Simulation._shortcuts` wires all of these; the all-events reference

@@ -311,7 +311,6 @@ class Simulation:
         self._forward: dict[str, Route] = {}  # binding kind -> the agent's forward route
         # binding kind -> the link into the agent that hands data off while it is in force
         self._into: dict[str, DirectedLink] = {}
-        self._to_receiver = self._deliver_held if trace else self._deliver_data  # see _shortcuts
         # detections whose binding update may still reach the agent, and marked window
         # updates not yet at their sender: no hand-off resumes while any is unsettled
         self._unsettled = 0
@@ -454,8 +453,8 @@ class Simulation:
         route[0].transmit(seg, now)
 
     def _deliver_data(self, seg: Segment, now: int) -> None:
-        """`seg` reached the MN at `now`: in its arrival event, or ahead of
-        time from the MN's downlink (see _shortcuts; _deliver_held when traced)."""
+        """`seg` reached the MN at `now`: in its arrival event, or, untraced,
+        ahead of time from the MN's downlink (see _shortcuts)."""
         rt = self.flows[seg.flow_id]
         rt.metrics.bytes_delivered += seg.payload_len
         if seg.rexmit and rt.receiver.holds_range(seg.seq, seg.payload_len):
@@ -465,19 +464,6 @@ class Simulation:
             self.trace.deliver(now, self.mn, seg.flow_id, seg.seq, seg.payload_len,
                                seg.route[-1].spec.kind)
         rt.receiver.on_data(seg, now)
-
-    def _deliver_held(self, seg: Segment, now: int) -> None:
-        """`_deliver_data` ahead of time, traced: its lines for `now` (`deliver`,
-        `ack_tx`, `spurious_rexmit`) join the trace from a `trace` event at `now`,
-        queued before the receiver runs, with the arrival event's origin (the
-        downlink's admission) and the segment's key plus `Kernel.HELD_LINES`,
-        so it ranks just after that event and before a drop of its ACK."""
-        kernel = self.kernel
-        lines, self.trace.lines = self.trace.lines, []
-        kernel.key = seg.key + Kernel.HELD_LINES if seg.key else 0
-        kernel.schedule(now, partial(lines.extend, self.trace.lines), "trace")
-        self._deliver_data(seg, now)
-        self.trace.lines = lines
 
     def _on_inorder(self, receiver: TcpReceiver, now: int) -> None:
         rt = self.flows[receiver.flow_id]
@@ -576,18 +562,18 @@ class Simulation:
         that feeds the binding's forward link over the `data` routes on
         through it and the `acks` of every kind (one sent before a switch may
         still travel) hands data off to the agent inside a quiet interval
-        (see _resume_hand_off). With no flow delaying its ACKs, the MN's
-        downlink of each kind that its forward route cuts through to (a BUACK
-        gets there in its BU's arrival event) hands data to the receiver in an
-        MN interval (see _resume_mn_hand_off): inside one nothing else reaches
-        a receiver or the MN's uplink, so the ACK enters the uplink in time
-        order, for the data's arrival time. On the links of the attachment
-        the first interval of each starts now (`_start_interval`). The trace
-        only picks the callable (`_to_receiver`), never the events."""
+        (see _resume_hand_off). Untraced and with no flow delaying its ACKs,
+        the MN's downlink of each kind that its forward route cuts through to
+        (a BUACK gets there in its BU's arrival event) hands data to the
+        receiver in an MN interval (see _resume_mn_hand_off): inside one
+        nothing else reaches a receiver or the MN's uplink, so the ACK enters
+        the uplink in time order. The first interval on each link of the
+        attachment starts now (`_start_interval`). The trace decides only
+        whether the MN's downlinks hand off, never an output."""
         attach = self.scenario.attach
         for link, feeder in single_feeders(used).items():
             link.feeder = feeder
-        delayed = any(f.ack_extra_delay for f in self.scenario.flows)
+        mn_events = self.trace.enabled or any(f.ack_extra_delay for f in self.scenario.flows)
         for kind in kinds:
             forward = self._forward[kind]
             into = single_feeders([route + forward for route in data] + acks)[forward[0]]
@@ -595,7 +581,7 @@ class Simulation:
                 into.hand_off = self._ha_forward
                 self._into[kind] = into
             cut = all(link.feeder for link in forward[1:])
-            forward[-1].hand_off = self._to_receiver if cut and not delayed else None
+            forward[-1].hand_off = self._deliver_data if cut and not mn_events else None
         if attach in self._into:
             self._start_interval(self._into[attach])
         if self._forward[attach][-1].hand_off:

@@ -35,9 +35,9 @@ def cut(scenario: Scenario, end: int) -> Scenario:
     return replace(scenario, end=end, handovers=tuple(h for h in scenario.handovers if h.at < end))
 
 
-# the all-events reference run
+# the all-events reference run, and the log of what the MN and the senders see
 DIGEST_RUNS = load_script("digest_runs")
-all_events = DIGEST_RUNS.all_events
+all_events, packet_log = DIGEST_RUNS.all_events, DIGEST_RUNS.packet_log
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DIGEST_RUNS, REPO_ROOT, SCENARIOS, all_events, cut, scenario_path
+from conftest import (DIGEST_RUNS, REPO_ROOT, SCENARIOS, all_events, cut, packet_log,
+                      scenario_path)
 from satwin import net, runner
 from satwin.errors import ConfigError, ProtocolViolation
 from satwin.kernel import SEC, Kernel, SchedulingError, SimError, fmt_time
@@ -359,15 +360,19 @@ def test_every_shortcut_run_is_the_all_events_run(monkeypatch, name, mode):
     # it, so the run with every shortcut is the reference run: equal
     # metrics (drops in the same order included), CSV and trace lines, also
     # where round link values make data, ACKs and window updates meet in one
-    # microsecond, and where data reaches the agent at a detection
+    # microsecond, and where data reaches the agent at a detection. Untraced,
+    # where the MN's downlinks hand off too, the packet logs are equal as well
     scenario = _tie_or_shipped(name)
-    runs = []
+    runs, logs = [], []
     for reference in (False, True):
         with all_events() if reference else contextlib.nullcontext():
             sim = Simulation(scenario, mode=mode, trace=True)
             metrics = sim.run()
+            with packet_log() as log:
+                logs.append((Simulation(scenario, mode=mode).run(), log))
         runs.append((metrics, write_csv(metrics.csv_rows()), sim.trace.lines))
     assert runs[0] == runs[1]
+    assert logs[0] == logs[1] and logs[0][0] == metrics
     if name == "window_update_ties" and mode == "PROACTIVE":
         assert "0.080000 timeline WGW label=t_a1 t=0.080000" in runs[0][2]
     if name == "lockstep_ties":
@@ -398,14 +403,15 @@ def test_every_shortcut_run_is_the_all_events_run(monkeypatch, name, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("name", DIGEST_RUNS.SHIPPED + tuple(TIES))
+@pytest.mark.parametrize("name", DIGEST_RUNS.SHIPPED + tuple(TIES) + tuple(EDITED))
 def test_the_trace_never_changes_the_run(monkeypatch, name, mode):
-    # the trace decides only where lines go: traced and untraced, a run
-    # executes the same (time, kind) events, `trace` events left out (they
-    # join lines written ahead of time to the trace), and ends with equal
-    # metrics, drops in the same order included
+    # the trace changes no output: traced and untraced, a run ends with
+    # equal metrics, drops in the same order included. It decides only
+    # whether the MN's downlinks hand off, so the traced run executes the
+    # (time, kind) events of the untraced run whose MN downlinks are
+    # unwired once the routes are resolved, and no run has a `trace` event
     scenario = _tie_or_shipped(name)
-    schedule, executed = Kernel.schedule, []
+    schedule, resolve, executed = Kernel.schedule, Simulation._resolve_routes, []
 
     def recording_schedule(kernel, at, fn, kind="event"):
         def fire(*seg):  # the segment an arrival event carries, if any
@@ -413,14 +419,25 @@ def test_the_trace_never_changes_the_run(monkeypatch, name, mode):
             fn(*seg)
         return schedule(kernel, at, fire, kind)
 
+    def unwired_resolve(sim):
+        resolve(sim)
+        for link in sim.topo.directed.values():
+            if link.dst == sim.mn:
+                link.hand_off, link.hand_off_before = None, 0
+
     monkeypatch.setattr(Kernel, "schedule", recording_schedule)
-    runs = {}
-    for trace in (True, False):
+    runs = []
+    for trace, unwired in ((True, False), (False, True), (False, False)):
         executed.clear()
-        metrics = Simulation(scenario, mode=mode, trace=trace).run()
-        runs[trace] = metrics, [event for event in executed if event[1] != "trace"]
-    assert runs[True] == runs[False]
-    assert all(kind != "trace" for _, kind in executed)  # the untraced run's, the last
+        with monkeypatch.context() as m:
+            if unwired:
+                m.setattr(Simulation, "_resolve_routes", unwired_resolve)
+            metrics = Simulation(scenario, mode=mode, trace=trace).run()
+        runs.append((metrics, list(executed)))
+        assert all(kind != "trace" for _, kind in executed), (trace, unwired)
+    (traced, traced_events), (unwired, unwired_events), (untraced, _) = runs
+    assert traced == unwired == untraced
+    assert traced_events == unwired_events
     if name == "two_gateway_ties" and mode != "PROACTIVE":
         assert f"{metrics.flows['f0'].goodput_bps():.3f}" == "3993171.597"
 
@@ -1340,17 +1357,15 @@ def test_only_a_downlink_its_forward_route_cuts_through_to_hands_off(monkeypatch
     # started an MN interval, and WGW->MN would hand it to the receiver. So
     # WGW->MN never hands off; SGW->MN, which HA->SGW cuts through to, does
     scenario = parse_scenario(_FORWARD_OVER_TWO_FEEDERS, "forward_over_two_feeders")
-    sim, taken, events, intervals = _mn_run(monkeypatch, scenario, mode, trace=True)
+    with packet_log() as log:
+        sim, taken, events, intervals = _mn_run(monkeypatch, scenario, mode)
     d = sim.topo.directed
     assert d[("R", "WGW")].feeder is None and d[("SGW", "MN")].feeder is d[("HA", "SGW")]
     assert d[("WGW", "MN")].hand_off is None and d[("SGW", "MN")].hand_off is not None
     first, back = sim.metrics.handovers
     assert "t_r1" not in first.timeline and "t_r3" in back.timeline
     assert intervals == [] and all(now in events for now, _, _ in taken)
-    with all_events():
-        reference = Simulation(scenario, mode=mode, trace=True)
-        assert reference.run() == sim.metrics
-    assert reference.trace.lines == sim.trace.lines
+    _assert_all_events_run(scenario, mode, sim.metrics, log)
 
 
 def _record_data_arrivals(m, dst, record):
@@ -1636,19 +1651,43 @@ def _assert_mn_intervals(scenario, taken, intervals):
     assert all(end in ends for _, end in intervals)
 
 
+def _assert_reference_log(scenario, mode, metrics, log):
+    """The untraced run with every shortcut that ended with `metrics` and
+    the packet log `log` is the all-events run: equal metrics and packet
+    logs."""
+    with all_events(), packet_log() as reference_log:
+        assert Simulation(scenario, mode=mode).run() == metrics
+    assert reference_log == log
+
+
+def _assert_all_events_run(scenario, mode, metrics, log):
+    """`_assert_reference_log`, and the traced run is the all-events run
+    too, with equal metrics and trace lines; returns the lines."""
+    _assert_reference_log(scenario, mode, metrics, log)
+    runs = []
+    for reference in (False, True):
+        with all_events() if reference else contextlib.nullcontext():
+            sim = Simulation(scenario, mode=mode, trace=True)
+            runs.append((sim.run(), sim.trace.lines))
+    assert runs[0] == runs[1] and runs[0][0] == metrics
+    return runs[0][1]
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", ["s1_wlan_to_sat", "s5_roundtrip"])
 def test_the_mn_takes_data_without_an_event_in_each_mn_interval(monkeypatch, name, mode):
-    # with no ACK delay, data reaching the MN before the first detection, and
-    # after each handover settles until the next detection, goes to the
-    # receiver from inside `transmit`, for its arrival time, and has no
-    # MN-arrival event, traced or not. From each detection until the
-    # interval after it starts, every data segment has its event. The start
-    # takes the arrivals already due over the downlink out of the kernel
-    # (the flow keeps it full) and hands them to the receiver there
-    # (test_the_trace_never_changes_the_run checks the events and metrics)
+    # untraced and with no ACK delay, data reaching the MN before the first
+    # detection, and after each handover settles until the next detection,
+    # goes to the receiver from inside `transmit`, for its arrival time, and
+    # has no MN-arrival event. From each detection until the interval after
+    # it starts, every data segment has its event. The start takes the
+    # arrivals already due over the downlink out of the kernel (the flow
+    # keeps it full) and hands them to the receiver there. The run is the
+    # all-events run (equal metrics and packet logs). Traced, the receiver
+    # takes the same data at the same times, each from its arrival event
     scenario = load_scenario(scenario_path(name))
-    sim, taken, events, intervals = _mn_run(monkeypatch, scenario, mode)
+    with packet_log() as log:
+        sim, taken, events, intervals = _mn_run(monkeypatch, scenario, mode)
     detects = [h.at for h in scenario.handovers]
     assert [end for _, end in intervals] == detects + [scenario.end + 1]
     assert intervals[0][0] == -1
@@ -1664,7 +1703,13 @@ def test_the_mn_takes_data_without_an_event_in_each_mn_interval(monkeypatch, nam
         t_r3 = sim.metrics.handovers[0].timeline["t_r3"]
         assert intervals[1][0] == min(now for now, kernel_now, _ in taken
                                       if now == kernel_now >= t_r3)
-    assert _mn_run(monkeypatch, scenario, mode, trace=True)[1:] == (taken, events, intervals)
+    _assert_reference_log(scenario, mode, sim.metrics, log)
+    traced, traced_taken, traced_events, traced_intervals = \
+        _mn_run(monkeypatch, scenario, mode, trace=True)
+    assert traced.metrics == sim.metrics and traced_intervals == []
+    assert all(now == kernel_now and now in traced_events for now, kernel_now, _ in traced_taken)
+    assert sorted((now, kind) for now, _, kind in traced_taken) == \
+        sorted((now, kind) for now, _, kind in taken)
     # a cut before the first detection ends the hand-off at the run's end
     sim, taken, events, intervals = _mn_run(monkeypatch, cut(scenario, 2_123_457), mode)
     assert max(now for now, _, _ in taken) <= 2_123_457 < min(events)
@@ -1716,7 +1761,7 @@ def test_paced_acks_end_the_mn_hand_off_for_the_run(monkeypatch):
     # to enter the uplink, which ACKs admitted ahead of time would overtake.
     # Pacing ended the MN hand-off for the run when it began, so no interval
     # starts after the first detection, every data segment from there on
-    # keeps its event, and the run is the all-events run
+    # keeps its event, and the run is the all-events run, untraced and traced
     scenario = parse_scenario(_S1_PACED + "\n[handover.2]\nat = 4.0\nto = SAT\n", "s1_paced")
     paced, schedule = [], Kernel.schedule
 
@@ -1726,16 +1771,14 @@ def test_paced_acks_end_the_mn_hand_off_for_the_run(monkeypatch):
         return schedule(kernel, at, fn, kind)
 
     monkeypatch.setattr(Kernel, "schedule", recording_schedule)
-    sim, taken, events, intervals = _mn_run(monkeypatch, scenario, "PROACTIVE", trace=True)
+    with packet_log() as log:
+        sim, taken, events, intervals = _mn_run(monkeypatch, scenario, "PROACTIVE")
     assert intervals == [(-1, 2_500_000)] and sim.metrics.handovers[1].aborted
     assert max(paced) > 4_000_000
     late = [now for now, kernel_now, _ in taken if now >= 2_500_000]
     assert len(late) == 454 and all(now in events for now in late)
     _assert_mn_intervals(scenario, taken, intervals)
-    with all_events():
-        reference = Simulation(scenario, mode="PROACTIVE", trace=True)
-        assert reference.run() == sim.metrics
-    assert reference.trace.lines == sim.trace.lines
+    _assert_all_events_run(scenario, "PROACTIVE", sim.metrics, log)
 
 
 def test_no_mn_interval_starts_while_a_drain_is_open(monkeypatch):
@@ -1743,20 +1786,18 @@ def test_no_mn_interval_starts_while_a_drain_is_open(monkeypatch):
     # in, and its window opens on WLAN, but f2's stays open until the drain
     # timeout (its hole never fills). The interval starts only after that:
     # the timeout steers f2 and sends its window update up the uplink, where
-    # ACKs admitted ahead of time would be ahead of it, and the trace would
-    # differ from the all-events reference's
+    # ACKs admitted ahead of time would be ahead of it, and the packet log
+    # would differ from the all-events reference's
     scenario = s2_lossy("\n[flow.f2]\nsrc = CN\ndst = MN\nstart = 0.1\n")
-    sim, taken, events, intervals = _mn_run(monkeypatch, scenario, "PROACTIVE", trace=True)
-    done = [int(line.split(" ", 1)[0].replace(".", "")) for line in sim.trace.lines
+    with packet_log() as log:
+        sim, taken, events, intervals = _mn_run(monkeypatch, scenario, "PROACTIVE")
+    lines = _assert_all_events_run(scenario, "PROACTIVE", sim.metrics, log)
+    done = [int(line.split(" ", 1)[0].replace(".", "")) for line in lines
             if " drain_done " in line]
     (_, detect), (start, _) = intervals
     assert len(done) == 2 and done[-1] - done[0] > 100_000 and done[-1] < start
     assert [now for now, _, _ in taken if done[0] < now < done[-1]]  # f1 took data meanwhile
     _assert_mn_intervals(scenario, taken, intervals)
-    with all_events():
-        reference = Simulation(scenario, mode="PROACTIVE", trace=True)
-        assert reference.run() == sim.metrics
-    assert reference.trace.lines == sim.trace.lines
 
 
 def test_a_dropped_buack_holds_no_mn_interval_back(monkeypatch):
@@ -1764,9 +1805,11 @@ def test_a_dropped_buack_holds_no_mn_interval_back(monkeypatch):
     # test_a_buack_dropped_at_a_skipped_hop_is_lost_when_it_gets_there): the
     # MN never learns its binding (no t_r3), but nothing the MN's hand-off
     # reads waits on that, so the interval starts once the old downlink has
-    # delivered its last segment, and the run is the all-events run
+    # delivered its last segment, and the run is the all-events run,
+    # untraced and traced
     scenario = _s1_with_sat_gap("2.6", "3.0")
-    sim, taken, events, intervals = _mn_run(monkeypatch, scenario, "BASELINE", trace=True)
+    with packet_log() as log:
+        sim, taken, events, intervals = _mn_run(monkeypatch, scenario, "BASELINE")
     detect = scenario.handovers[0].at
     assert "t_r1" in sim.metrics.handovers[0].timeline
     assert "t_r3" not in sim.metrics.handovers[0].timeline
@@ -1774,10 +1817,7 @@ def test_a_dropped_buack_holds_no_mn_interval_back(monkeypatch):
     late = [now for now, kernel_now, _ in taken if now >= detect]
     assert len(late) == 164 and sum(now in events for now in late) == 76
     _assert_mn_intervals(scenario, taken, intervals)
-    with all_events():
-        reference = Simulation(scenario, mode="BASELINE", trace=True)
-        assert reference.run() == sim.metrics
-    assert reference.trace.lines == sim.trace.lines
+    _assert_all_events_run(scenario, "BASELINE", sim.metrics, log)
 
 
 def test_a_segment_lost_mid_path_fails_conservation(shipped_scenarios):

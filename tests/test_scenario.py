@@ -10,7 +10,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import REPO_ROOT, SCENARIOS, SHIPPED, all_events, load_script, scenario_path
+from conftest import (REPO_ROOT, SCENARIOS, SHIPPED, all_events, load_script, packet_log,
+                      scenario_path)
 from satwin.cli import build_parser, main
 from satwin.errors import ConfigError
 from satwin.kernel import fmt_time
@@ -692,15 +693,16 @@ def test_generated_scenarios_run_in_every_mode(text):
     window cap a run ends with is 0 (a drain) or at least one segment, each
     flow ends with the ACK route over the network attached last, and the
     all-events reference gives the same metrics and trace lines. The same
-    file run untraced gives the same metrics. No segment enters a single-fed
+    file run untraced gives the same metrics, and the same packet log as the
+    untraced all-events reference. No segment enters a single-fed
     link except from its feeder, and only two links admit anything ahead of
     time without a feeder: the forward link of the binding in force, for
     data the agent forwards inside a quiet interval, before the next
     detection, once no detection can still switch and no binding update is
     on its way, with no data arrival at the agent left pending before the
-    next detection (the interval's start took them); and, with no ACK
-    delay, the MN's uplink, for the ACK of data handed to the MN inside an
-    MN interval, before the next detection and the run's end (see
+    next detection (the interval's start took them); and, untraced with no
+    ACK delay, the MN's uplink, for the ACK of data handed to the MN inside
+    an MN interval, before the next detection and the run's end (see
     `_assert_mn_interval`). Only data ends its route on a link inside a
     hand-off interval of its own. Nodes and links are kept by name,
     one link per pair of nodes, and routes break ties on node names, so the
@@ -724,7 +726,7 @@ def test_generated_scenarios_run_in_every_mode(text):
             assert seg.hop > 0 and seg.route[seg.hop - 1] is link.feeder, link.label
             assert at > link.kernel.now, link.label
         elif at > link.kernel.now and seg.flags & F_ACK:  # the ACK of data handed to the MN
-            assert not any(f.ack_extra_delay for f in s.flows)
+            assert not any(f.ack_extra_delay for f in s.flows) and not sim.trace.enabled
             assert link is sim.flows[seg.flow_id].receiver.route[0], link.label
             assert at < detections[len(handovers)] and at <= s.end, link.label
             if mn_checked[-1] != len(handovers):  # once per MN interval
@@ -776,9 +778,12 @@ def test_generated_scenarios_run_in_every_mode(text):
         csv = write_csv(metrics.csv_rows())
         quiet_checked, mn_checked = [None], [None]
         sim = Simulation(s, mode=mode)
-        with mock.patch.object(DirectedLink, "transmit", fed_transmit):
+        with mock.patch.object(DirectedLink, "transmit", fed_transmit), packet_log() as log:
             untraced = sim.run()
         assert untraced == metrics and write_csv(untraced.csv_rows()) == csv, mode
+        with all_events(), packet_log() as reference_log:
+            assert Simulation(s, mode=mode).run() == metrics, mode
+        assert reference_log == log, mode
         if mode == shuffled_mode:
             shuffled = Simulation(parse_scenario(_shuffled_sections(text, rnd), "gen"), mode=mode,
                                   trace=True)
