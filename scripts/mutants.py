@@ -40,7 +40,7 @@ class Mutant(NamedTuple):
     new: str
 
 
-NET, RUNNER = "src/satwin/net.py", "src/satwin/runner.py"
+NET, RUNNER, METRICS = "src/satwin/net.py", "src/satwin/runner.py", "src/satwin/metrics.py"
 MUTANTS = [
     # links
     Mutant("release-strict", NET, "while backlog and backlog[0][0] <= at:",
@@ -61,8 +61,7 @@ MUTANTS = [
     Mutant("no-feeder-guard", RUNNER, "cut = all(link.feeder for link in forward[1:])",
            "cut = True"),
     Mutant("no-pacing-reset", RUNNER,
-           "                for forward in sim._forward.values():\n"
-           "                    forward[-1].hand_off = None\n", ""),
+           "                sim._mn_hand_offs = False  # no MN interval starts again\n", ""),
     Mutant("agent-drain-clause", RUNNER, "if into is None or ho is not None and ho.markers:",
            "if into is None or ho is not None and (ho.markers or ho.draining):"),
     Mutant("mn-no-drain-condition", RUNNER,
@@ -85,6 +84,10 @@ MUTANTS = [
     Mutant("resting-cap-unbounded", RUNNER, "return min(buffer, self.cache[self.attachment])",
            "return self.cache[self.attachment]"),
     Mutant("rtt-no-abs", "src/satwin/tcp.py", "abs(self.srtt - m)", "(self.srtt - m)"),
+    # the trace's text
+    Mutant("stale-ack-tail", METRICS, "if rwnd != self.tx_rwnd or flags != self.tx_flags:",
+           "if self.tx_rwnd is None:"),
+    Mutant("stale-second", METRICS, "if sec != self._sec:", "if self._sec is None:"),
     # where a violation is located
     Mutant("suffix-no-handover", RUNNER,
            "event={event} \"\n                        f\"handover={ho.metrics.name if ho else 'none'}]\"",

@@ -22,51 +22,105 @@ GAP_WINDOW = 5 * SEC  # the handover gap looks this far past the first detection
 
 
 class Trace:
-    """Event log, one `<time_s> <event> <node> <k=v ...>` line per event in order. Per-packet
-    kinds have a method each, called behind `if trace.enabled`; rare kinds use `emit`."""
+    """Event log, one `<time_s> <event> <node> <k=v ...>` line per event in order. A flow's
+    per-packet kinds go through its `FlowLines`, made only when the trace is on; the rare
+    kinds use `emit`. Every line starts with the stamp of its time, rendered when the time
+    differs from the last line's: the whole seconds' `"<s>."` prefix, re-rendered when the
+    second changes, then `"%06d"` of the microseconds, which is `fmt_time` for t >= 0."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.lines: list[str] = []
-        self._t, self._stamp = None, ""  # the last time rendered, and its text
+        self.t, self.stamp = None, ""  # the last line's time, and its text
+        self._sec, self._sec_text = None, ""  # its whole seconds, and their `"<s>."` prefix
+
+    def restamp(self, t_us: int) -> str:
+        """Render the stamp of a line at `t_us`, a time other than the last line's."""
+        sec, us = divmod(t_us, SEC)
+        if sec != self._sec:
+            self._sec, self._sec_text = sec, "%d." % sec
+        self.t, self.stamp = t_us, self._sec_text + "%06d" % us
+        return self.stamp
 
     def emit(self, t_us: int, event: str, node: str, **kv) -> None:
         if not self.enabled:
             return
-        if t_us != self._t:
-            self._t, self._stamp = t_us, fmt_time(t_us)
+        stamp = self.stamp if t_us == self.t else self.restamp(t_us)
         tail = [f"{k}={v}" for k, v in kv.items()]
-        self.lines.append(" ".join([self._stamp, event, node, *tail]))
-
-    def send(self, t_us: int, event: str, node: str, flow, seq, n) -> None:  # send | rexmit
-        if t_us != self._t:
-            self._t, self._stamp = t_us, fmt_time(t_us)
-        self.lines.append(f"{self._stamp} {event} {node} flow={flow} seq={seq} len={n}")
-
-    def deliver(self, t_us: int, node: str, flow, seq, n, path) -> None:
-        if t_us != self._t:
-            self._t, self._stamp = t_us, fmt_time(t_us)
-        self.lines.append(f"{self._stamp} deliver {node} flow={flow} seq={seq} len={n} path={path}")
-
-    def ack_tx(self, t_us: int, node: str, flow, ack, rwnd, flags) -> None:
-        if t_us != self._t:
-            self._t, self._stamp = t_us, fmt_time(t_us)
-        self.lines.append(f"{self._stamp} ack_tx {node} flow={flow} ack={ack} rwnd={rwnd} "
-                          f"flags={flags}")
-
-    def ack_rx(self, t_us: int, node: str, flow, ack, rwnd) -> None:
-        if t_us != self._t:
-            self._t, self._stamp = t_us, fmt_time(t_us)
-        self.lines.append(f"{self._stamp} ack_rx {node} flow={flow} ack={ack} rwnd={rwnd}")
-
-    def cwnd(self, t_us: int, node: str, flow, cwnd, ssthresh, phase, una) -> None:
-        if t_us != self._t:
-            self._t, self._stamp = t_us, fmt_time(t_us)
-        self.lines.append(f"{self._stamp} cwnd {node} flow={flow} cwnd={cwnd} "
-                          f"ssthresh={ssthresh} phase={phase} una={una}")
+        self.lines.append(" ".join([stamp, event, node, *tail]))
 
     def text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
+
+
+class FlowLines:
+    """One flow's per-packet lines on `trace`: `send` and `rexmit` and `cwnd` at the source,
+    `deliver` and `ack_tx` at the MN, `ack_rx` back at the source. Each line's head up to
+    its first changing value is rendered once; each group of fields that seldom changes
+    keeps its text and is rendered again only when one of its values changes."""
+
+    def __init__(self, trace: Trace, flow: str, src: str, mn: str):
+        self.trace = trace
+        self.append = trace.lines.append
+        self.send_head = f" send {src} flow={flow} seq="
+        self.rexmit_head = f" rexmit {src} flow={flow} seq="
+        self.deliver_head = f" deliver {mn} flow={flow} seq="
+        self.ack_tx_head = f" ack_tx {mn} flow={flow} ack="
+        self.ack_rx_head = f" ack_rx {src} flow={flow} ack="
+        self.cwnd_head = f" cwnd {src} flow={flow} cwnd="
+        # each group's values (None: none rendered yet) and text
+        self.send_len, self.len_text = None, ""
+        self.deliver_len, self.deliver_path, self.deliver_text = None, None, ""
+        self.tx_rwnd, self.tx_flags, self.tx_text = None, None, ""
+        self.rx_rwnd, self.rx_text = None, ""
+        self.ssthresh, self.phase, self.cwnd_text = None, None, ""
+
+    def send(self, seg, now: int) -> None:
+        """A `send` line, or `rexmit` for a retransmitted copy."""
+        trace = self.trace
+        stamp = trace.stamp if now == trace.t else trace.restamp(now)
+        n = seg.payload_len
+        if n != self.send_len:
+            self.send_len, self.len_text = n, f" len={n}"
+        head = self.rexmit_head if seg.rexmit else self.send_head
+        self.append(f"{stamp}{head}{seg.seq}{self.len_text}")
+
+    def deliver(self, seg, now: int) -> None:
+        """`seg` reached the MN over the downlink its route ends on."""
+        trace = self.trace
+        stamp = trace.stamp if now == trace.t else trace.restamp(now)
+        n, path = seg.payload_len, seg.route[-1].spec.kind
+        if n != self.deliver_len or path != self.deliver_path:
+            self.deliver_len, self.deliver_path = n, path
+            self.deliver_text = f" len={n} path={path}"
+        self.append(f"{stamp}{self.deliver_head}{seg.seq}{self.deliver_text}")
+
+    def ack_tx(self, seg, now: int) -> None:
+        trace = self.trace
+        stamp = trace.stamp if now == trace.t else trace.restamp(now)
+        rwnd, flags = seg.rwnd, seg.flags
+        if rwnd != self.tx_rwnd or flags != self.tx_flags:
+            self.tx_rwnd, self.tx_flags = rwnd, flags
+            self.tx_text = f" rwnd={rwnd} flags={flags}"
+        self.append(f"{stamp}{self.ack_tx_head}{seg.ack}{self.tx_text}")
+
+    def ack_rx(self, seg, now: int) -> None:
+        trace = self.trace
+        stamp = trace.stamp if now == trace.t else trace.restamp(now)
+        rwnd = seg.rwnd
+        if rwnd != self.rx_rwnd:
+            self.rx_rwnd, self.rx_text = rwnd, f" rwnd={rwnd}"
+        self.append(f"{stamp}{self.ack_rx_head}{seg.ack}{self.rx_text}")
+
+    def cwnd(self, sender, now: int) -> None:
+        """The sender's `cwnd`, `ssthresh`, `phase` and `snd_una` (as `una`)."""
+        trace = self.trace
+        stamp = trace.stamp if now == trace.t else trace.restamp(now)
+        ssthresh, phase = sender.ssthresh, sender.phase
+        if ssthresh != self.ssthresh or phase != self.phase:
+            self.ssthresh, self.phase = ssthresh, phase
+            self.cwnd_text = f" ssthresh={ssthresh} phase={phase} una="
+        self.append(f"{stamp}{self.cwnd_head}{sender.cwnd}{self.cwnd_text}{sender.snd_una}")
 
 
 @dataclass

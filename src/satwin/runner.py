@@ -11,7 +11,8 @@ from typing import Callable, Optional
 from . import handover as ho_policy
 from .errors import ConfigError
 from .kernel import Kernel, SimError, fmt_time
-from .metrics import GAP_WINDOW, DropRecord, FlowMetrics, HandoverMetrics, RunMetrics, Trace
+from .metrics import (GAP_WINDOW, DropRecord, FlowLines, FlowMetrics, HandoverMetrics, RunMetrics,
+                      Trace)
 from .mobility import HomeAgent, make_binding_update
 from .net import (F_ACK, F_BU, F_BUACK, F_CONTROL, F_DATA, HEADER_BYTES, DirectedLink, Route,
                   Segment, Topology, path_rtt, pending_arrivals, rtt_table, single_feeders,
@@ -31,6 +32,7 @@ class _FlowRuntime:
     receiver: TcpReceiver
     metrics: FlowMetrics
     emit_ack: Optional[Callable[[Segment, int], None]] = None  # traced or paced, the ACK send
+    lines: Optional[FlowLines] = None  # traced, the writer of its per-packet lines
     rto_event: Optional[list] = None  # kernel handle, due at or before rto_at
     rto_at: int = 0  # the RTO deadline
     # the highest data end the home agent has seen, and when
@@ -117,8 +119,7 @@ class _HandoverRuntime:
                 receiver.ack_delay = hdef.ack_pacing
                 sim.trace.emit(now, "ack_pacing", sim.mn, flow=fid,
                                delay=fmt_time(hdef.ack_pacing))
-                for forward in sim._forward.values():
-                    forward[-1].hand_off = None
+                sim._mn_hand_offs = False  # no MN interval starts again
         self.timer = sim.kernel.schedule(t_r0, self._execute_t2s, "t2s-exec")
 
     def _execute_t2s(self) -> None:
@@ -311,6 +312,7 @@ class Simulation:
         self._forward: dict[str, Route] = {}  # binding kind -> the agent's forward route
         # binding kind -> the link into the agent that hands data off while it is in force
         self._into: dict[str, DirectedLink] = {}
+        self._mn_hand_offs = False  # whether an MN downlink hands off (see _shortcuts)
         # detections whose binding update may still reach the agent, and marked window
         # updates not yet at their sender: no hand-off resumes while any is unsettled
         self._unsettled = 0
@@ -352,11 +354,12 @@ class Simulation:
         fm = FlowMetrics(fdef.name, start=fdef.start, gap_window=self._gap_window,
                          rto_times=sender.rto_times, fr_times=sender.fr_times)
         runtime = _FlowRuntime(fdef, sender, receiver, fm)
-        kernel, trace, fr_traced = self.kernel, self.trace, 0
+        kernel, trace, fr_traced, lines = self.kernel, self.trace, 0, None
         if trace.enabled:  # untraced, the sender sends to its first hop (see _resolve_routes)
+            runtime.lines = lines = FlowLines(trace, fdef.name, fdef.src, self.mn)
+
             def send(seg: Segment, now: int) -> None:
-                trace.send(now, "rexmit" if seg.rexmit else "send", fdef.src, seg.flow_id, seg.seq,
-                           seg.payload_len)
+                lines.send(seg, now)
                 seg.route[0].transmit(seg, now)
 
             def state(sender: TcpSender, now: int) -> None:  # a new fast retransmit first
@@ -364,20 +367,19 @@ class Simulation:
                 if fr_traced < len(sender.fr_times):
                     fr_traced += 1
                     trace.emit(now, "fast_retransmit", fdef.src, flow=fdef.name)
-                trace.cwnd(now, fdef.src, fdef.name, sender.cwnd, sender.ssthresh, sender.phase,
-                           sender.snd_una)
+                lines.cwnd(sender, now)
 
             sender.send_cb, sender.state_cb = send, state
         paced = fdef.ack_extra_delay or any(h.ack_pacing for h in self.scenario.handovers)
-        if trace.enabled or paced:  # else its ACKs go to the first hop (see _start_flow)
+        if lines or paced:  # else its ACKs go to the first hop (see _start_flow)
             def emit_ack(seg: Segment, send_at: int) -> None:
                 """The receiver's ACK at `send_at`: from a paced event when the
                 receiver delays it, else at once, on the route of the attachment."""
                 if receiver.ack_delay and send_at > kernel.now:
                     kernel.schedule(send_at, partial(emit_ack, seg, send_at), "ack-paced")
                     return
-                if trace.enabled:
-                    trace.ack_tx(send_at, self.mn, seg.flow_id, seg.ack, seg.rwnd, seg.flags)
+                if lines:
+                    lines.ack_tx(seg, send_at)
                 seg.route = route = receiver.route
                 route[0].transmit(seg, send_at)
 
@@ -398,15 +400,19 @@ class Simulation:
     # data plane
 
     def _on_arrival(self, seg: Segment) -> None:
-        """`seg` reached the end of its route (the node `seg.route[-1]` ends at)."""
+        """`seg` reached the end of its route (the node `seg.route[-1]` ends at).
+        Traced, the flow's `FlowLines` writes its `ack_rx` or `deliver` line. A
+        data segment at the MN tries to start an MN interval only while an MN
+        downlink can hand off (`_mn_hand_offs`): never in a traced run, one with
+        an `ack_extra_delay` or one whose ACKs a handover paced."""
         now = self.kernel.now
         if seg.flags & F_ACK:  # cumulative ACK reaching the sender
             rt = self.flows[seg.flow_id]
             if seg.mark is not None:
                 self._unsettled -= 1
                 seg.mark.advert_arrived(rt, now)
-            if self.trace.enabled:
-                self.trace.ack_rx(now, seg.route[-1].dst, seg.flow_id, seg.ack, seg.rwnd)
+            if rt.lines:  # every ACK route ends at the flow's source
+                rt.lines.ack_rx(seg, now)
             prev_una = rt.sender.snd_una
             rt.sender.on_ack(seg, now)
             self._manage_rto(rt, rt.sender.snd_una > prev_una)
@@ -416,7 +422,8 @@ class Simulation:
                 self._resume_hand_off()
             else:
                 self._deliver_data(seg, now)
-                self._resume_mn_hand_off()
+                if self._mn_hand_offs:
+                    self._resume_mn_hand_off()
         elif seg.flags & F_BU:
             self._unsettled -= 1
             buack = self.ha.handle_binding_update(seg, now)
@@ -460,9 +467,8 @@ class Simulation:
         if seg.rexmit and rt.receiver.holds_range(seg.seq, seg.payload_len):
             rt.metrics.spurious_retransmits += 1
             self.trace.emit(now, "spurious_rexmit", self.mn, flow=seg.flow_id, seq=seg.seq)
-        if self.trace.enabled:
-            self.trace.deliver(now, self.mn, seg.flow_id, seg.seq, seg.payload_len,
-                               seg.route[-1].spec.kind)
+        if rt.lines:
+            rt.lines.deliver(seg, now)
         rt.receiver.on_data(seg, now)
 
     def _on_inorder(self, receiver: TcpReceiver, now: int) -> None:
@@ -568,8 +574,9 @@ class Simulation:
         receiver in an MN interval (see _resume_mn_hand_off): inside one
         nothing else reaches a receiver or the MN's uplink, so the ACK enters
         the uplink in time order. The first interval on each link of the
-        attachment starts now (`_start_interval`). The trace decides only
-        whether the MN's downlinks hand off, never an output."""
+        attachment starts now (`_start_interval`). `_mn_hand_offs` says whether
+        an MN downlink hands off, until ACK pacing ends that for the run. The
+        trace decides only whether the MN's downlinks hand off, never an output."""
         attach = self.scenario.attach
         for link, feeder in single_feeders(used).items():
             link.feeder = feeder
@@ -581,7 +588,9 @@ class Simulation:
                 into.hand_off = self._ha_forward
                 self._into[kind] = into
             cut = all(link.feeder for link in forward[1:])
-            forward[-1].hand_off = self._deliver_data if cut and not mn_events else None
+            if cut and not mn_events:
+                forward[-1].hand_off = self._deliver_data
+                self._mn_hand_offs = True
         if attach in self._into:
             self._start_interval(self._into[attach])
         if self._forward[attach][-1].hand_off:

@@ -2,16 +2,19 @@
 `min`, `max` and `sum`, which cost a C call each (see `scripts/segment_ops.py`).
 Nor does it enter a Python frame from C: no class call runs `Segment`'s
 generated `__init__`, and no `functools.partial` wraps an arrival or an
-in-order advance."""
+in-order advance. Traced, a line renders only what changed: its stamp
+once per new time, and no per-packet line calls `fmt_time`."""
 
 import functools
+import sys
 from collections import Counter
 from unittest import mock
 
 from conftest import SCENARIOS, cut, load_script, scenario_path
 
 from satwin import net, runner
-from satwin.kernel import SEC
+from satwin.kernel import SEC, fmt_time
+from satwin.metrics import Trace
 from satwin.mobility import HomeAgent, make_binding_update
 from satwin.net import DirectedLink, Segment
 from satwin.runner import Simulation, _HandoverRuntime
@@ -101,3 +104,34 @@ def test_arrivals_and_in_order_advances_build_no_partial():
             assert sim.metrics.handovers and calls[Simulation._on_inorder.__code__] > 1000
             advance = sim.flows["f1"].receiver.advance_cb
             assert not isinstance(advance, functools.partial) and advance == sim._on_inorder
+
+
+def test_a_traced_run_renders_each_stamp_once_and_tries_no_mn_interval():
+    # S1 PROACTIVE, traced: its MN downlinks cannot hand off, so a data
+    # segment reaching the MN tries no MN interval; each new line time
+    # renders one stamp, and only the runner's rare lines call `fmt_time`
+    scenario = load_scenario(scenario_path("s1_wlan_to_sat"))
+    calls, fmt_callers = Counter(), Counter()
+
+    def on_profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+            if frame.f_code is fmt_time.__code__:
+                fmt_callers[frame.f_back.f_code.co_filename] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(on_profile)
+    try:  # the construction writes the first line
+        sim = Simulation(scenario, mode="PROACTIVE", trace=True)
+        sim.run()
+    finally:
+        sys.setprofile(previous)
+    assert calls[Simulation._deliver_data.__code__] > 1000
+    assert calls[Simulation._resume_mn_hand_off.__code__] == 0
+    times = [line.split(" ", 1)[0] for line in sim.trace.lines]
+    new_times = sum(t != prev for prev, t in zip([None] + times, times))
+    assert 1000 < new_times < len(times)
+    assert calls[Trace.restamp.__code__] == new_times
+    per_packet = ("send", "rexmit", "deliver", "ack_tx", "ack_rx", "cwnd")
+    rare = sum(line.split(" ", 2)[1] not in per_packet for line in sim.trace.lines)
+    assert set(fmt_callers) == {runner.__file__} and sum(fmt_callers.values()) <= rare

@@ -1,7 +1,12 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 from hypothesis import given, strategies as st
 
 from satwin.kernel import SEC, fmt_time
-from satwin.metrics import FlowMetrics, Trace
+from satwin.metrics import FlowLines, FlowMetrics, Trace
+from satwin.net import ACCESS_KINDS, Segment
+from satwin.tcp import CONG_AVOID, FAST_RECOVERY, SLOW_START
 
 
 def gap_from_all_times(times, start, end):
@@ -37,21 +42,30 @@ def test_streaming_gap_matches_the_list_reference(times, start, length):
     assert streamed_gap(times, window) == gap_from_all_times(times, *window)
 
 
+def _seg(flow, path="WLAN", **fields):
+    """A segment whose route ends on a downlink of kind `path`."""
+    downlink = SimpleNamespace(spec=SimpleNamespace(kind=path))
+    return Segment(flow, route=(downlink,), **fields)
+
+
 def test_trace_renders_the_time_of_every_line():
     # t1, t2, t1: a line at a time seen before still renders its own time,
-    # whichever method wrote the line before it
+    # whichever writer wrote the line before it
     t1, t2 = 0, 2_515_036
     trace = Trace()
+    f1 = FlowLines(trace, "f1", "CN", "MN")
+    data = _seg("f1", seq=0, payload_len=1460)
+    ack = _seg("f1", ack=1460, rwnd=65536, flags=0)
     trace.emit(t1, "flow_start", "CN", flow="f1")
-    trace.send(t1, "send", "CN", "f1", 0, 1460)
-    trace.deliver(t2, "MN", "f1", 0, 1460, "WLAN")
+    f1.send(data, t1)
+    f1.deliver(data, t2)
     trace.emit(t2, "attach", "MN", network="SAT")
-    trace.ack_tx(t1, "MN", "f1", 1460, 65536, 0)
+    f1.ack_tx(ack, t1)
     trace.emit(t2, "deliver", "MN")
-    trace.ack_rx(t1, "CN", "f1", 1460, 65536)
-    trace.cwnd(t2, "CN", "f1", 4380, 65536, "SS", 1460)
+    f1.ack_rx(ack, t1)
+    f1.cwnd(SimpleNamespace(cwnd=4380, ssthresh=65536, phase="SS", snd_una=1460), t2)
     trace.emit(t1, "ack_tx", "MN", ack=1460)
-    trace.send(t2, "rexmit", "CN", "f1", 0, 1460)
+    f1.send(replace(data, rexmit=True), t2)
     assert trace.lines == [
         "0.000000 flow_start CN flow=f1",
         "0.000000 send CN flow=f1 seq=0 len=1460",
@@ -66,34 +80,69 @@ def test_trace_renders_the_time_of_every_line():
     ]
 
 
-# each per-packet kind: the method writing it, the arguments it takes
-# before the values, and the keys of its values in the order they are passed
-_KINDS = {
-    "send": (Trace.send, ("send",), ("flow", "seq", "len")),
-    "rexmit": (Trace.send, ("rexmit",), ("flow", "seq", "len")),
-    "ack_tx": (Trace.ack_tx, (), ("flow", "ack", "rwnd", "flags")),
-    "deliver": (Trace.deliver, (), ("flow", "seq", "len", "path")),
-    "ack_rx": (Trace.ack_rx, (), ("flow", "ack", "rwnd")),
-    "cwnd": (Trace.cwnd, (), ("flow", "cwnd", "ssthresh", "phase", "una")),
-}
-_values = st.lists(st.integers() | st.text(max_size=6), min_size=5, max_size=5)
+_FLOWS = (("f1", "CN"), ("f2", "CN"), ("f3", "WGW"))  # each flow's name and source
+# values that change and change back: a few of each, and now and then any int
+_some = st.sampled_from([0, 1460, 65536]) | st.integers(0, 2**40)
+_record = st.fixed_dictionaries({
+    "seq": _some, "len": st.sampled_from([0, 536, 1460]), "path": st.sampled_from(ACCESS_KINDS),
+    "ack": _some, "rwnd": st.sampled_from([0, 1460, 65536]), "flags": st.sampled_from([0, 16, 17]),
+    "cwnd": _some, "ssthresh": st.sampled_from([2920, 65536]), "una": _some,
+    "phase": st.sampled_from([SLOW_START, CONG_AVOID, FAST_RECOVERY]),
+})
+# times on both sides of whole seconds, and any time
+_times = (st.builds(lambda s, d: max(s * SEC + d, 0), st.integers(0, 3), st.integers(-2, 1))
+          | st.integers(0, 10**10))
+_KINDS = ("send", "rexmit", "deliver", "ack_tx", "ack_rx", "cwnd", "rto")
 
 
-@given(st.lists(st.tuples(st.sampled_from([0, 1, 999_999, 2_515_036]) | st.integers(0, 10**10),
-                          st.sampled_from(sorted(_KINDS)), st.sampled_from(["CN", "MN", "HA"]),
-                          _values),
-                min_size=1, max_size=30))
+def _write(writer, trace, kind, flow, src, t, r):
+    """Write one line with `writer` (or `trace.emit` for the rare kind); return
+    its node and its fields in order."""
+    if kind in ("send", "rexmit"):
+        writer.send(_seg(flow, seq=r["seq"], payload_len=r["len"], rexmit=kind == "rexmit"), t)
+        return src, {"flow": flow, "seq": r["seq"], "len": r["len"]}
+    if kind == "deliver":
+        writer.deliver(_seg(flow, r["path"], seq=r["seq"], payload_len=r["len"]), t)
+        return "MN", {"flow": flow, "seq": r["seq"], "len": r["len"], "path": r["path"]}
+    if kind == "ack_tx":
+        writer.ack_tx(_seg(flow, ack=r["ack"], rwnd=r["rwnd"], flags=r["flags"]), t)
+        return "MN", {"flow": flow, "ack": r["ack"], "rwnd": r["rwnd"], "flags": r["flags"]}
+    if kind == "ack_rx":
+        writer.ack_rx(_seg(flow, ack=r["ack"], rwnd=r["rwnd"]), t)
+        return src, {"flow": flow, "ack": r["ack"], "rwnd": r["rwnd"]}
+    if kind == "cwnd":
+        writer.cwnd(SimpleNamespace(cwnd=r["cwnd"], ssthresh=r["ssthresh"], phase=r["phase"],
+                                    snd_una=r["una"]), t)
+        return src, {"flow": flow, "cwnd": r["cwnd"], "ssthresh": r["ssthresh"],
+                     "phase": r["phase"], "una": r["una"]}
+    trace.emit(t, kind, src, flow=flow, rto=r["seq"])
+    return src, {"flow": flow, "rto": r["seq"]}
+
+
+@given(st.integers(2, len(_FLOWS)).flatmap(lambda flows: st.lists(
+    st.tuples(_times, st.sampled_from(_KINDS), st.integers(0, flows - 1), _record),
+    min_size=1, max_size=40)))
 def test_trace_tail_renders_like_keywords(events):
-    with_methods, with_keywords = Trace(), Trace()
+    # the writers of several flows and the rare `emit` share one trace, so a
+    # field group's text or a seconds prefix left from an earlier line shows
+    with_writers, with_keywords = Trace(), Trace()
+    writers = [FlowLines(with_writers, flow, src, "MN") for flow, src in _FLOWS]
     expected = []
-    for t, kind, node, values in events:
-        method, event, keys = _KINDS[kind]
-        kv = dict(zip(keys, values))
-        method(with_methods, t, *event, node, *kv.values())
+    for t, kind, i, record in events:
+        flow, src = _FLOWS[i]
+        node, kv = _write(writers[i], with_writers, kind, flow, src, t, record)
         with_keywords.emit(t, kind, node, **kv)
         expected.append(f"{fmt_time(t)} {kind} {node} " + " ".join(f"{k}={v}" for k, v in kv.items()))
-    assert with_methods.lines == with_keywords.lines == expected
-    assert with_methods.text().encode() == with_keywords.text().encode()
+    assert with_writers.lines == with_keywords.lines == expected
+    assert with_writers.text().encode() == with_keywords.text().encode()
+
+
+@given(st.lists(st.integers(0, 2**62) | _times, min_size=1, max_size=20))
+def test_the_stamp_renders_like_fmt_time(times):
+    trace = Trace()
+    for t in times:
+        assert trace.restamp(t) == fmt_time(t)
+        assert (trace.t, trace.stamp) == (t, fmt_time(t))
 
 
 def _old_fmt_time(t_us):

@@ -17,7 +17,7 @@ from conftest import (DIGEST_RUNS, REPO_ROOT, SCENARIOS, all_events, cut, packet
 from satwin import net, runner
 from satwin.errors import ConfigError, ProtocolViolation
 from satwin.kernel import SEC, Kernel, SchedulingError, SimError, fmt_time
-from satwin.metrics import DropRecord, Trace, write_csv
+from satwin.metrics import DropRecord, FlowLines, write_csv
 from satwin.net import (F_ACK, F_BU, F_BUACK, F_DATA, NO_COVERAGE, DirectedLink, Topology,
                         pending_arrivals)
 from satwin.runner import Simulation, compare, run
@@ -448,13 +448,13 @@ def test_tracing_changes_no_metric_and_costs_no_per_packet_call(name, monkeypatc
     traced = {mode: run(scenario, mode=mode, seed=1, trace=True)[0] for mode in MODES}
 
     def per_packet_call(*args, **kwargs):
-        raise AssertionError("a per-packet Trace method ran with the trace off")
+        raise AssertionError("a per-packet line writer was made or ran with the trace off")
 
-    for kind in ("send", "deliver", "ack_tx", "ack_rx", "cwnd"):
-        monkeypatch.setattr(Trace, kind, per_packet_call)
+    for kind in ("__init__", "send", "deliver", "ack_tx", "ack_rx", "cwnd"):
+        monkeypatch.setattr(FlowLines, kind, per_packet_call)
     for mode in MODES:
         sim = Simulation(scenario, mode=mode, seed=1, trace=False)
-        assert all(rt.sender.state_cb is None for rt in sim.flows.values())
+        assert all(rt.sender.state_cb is None and rt.lines is None for rt in sim.flows.values())
         untraced = sim.run()
         assert sim.trace.lines == []
         # the trace-off CSV carries the digest pinned for the traced run
